@@ -8,7 +8,6 @@ from .constraints import (
     Fixed,
     FullSpace,
     NonnegativeDiagonal,
-    ProjectionError,
     ShiftedGraphLaplacian,
     SymmetricMaskedNonneg,
     project_nonneg_diagonal,

@@ -18,10 +18,8 @@ import numpy as np
 from .constraints import (
     CausalBand,
     ConstraintSpec,
-    Fixed,
     FullSpace,
     NonnegativeDiagonal,
-    ProjectionError,
     ShiftedGraphLaplacian,
     SymmetricMaskedNonneg,
 )
@@ -49,6 +47,14 @@ def _load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def _load_dataset(path) -> Dataset:
+    data = _load_json(path)
+    try:
+        return Dataset.from_dict(data)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _dump_json(path, obj):
@@ -135,7 +141,7 @@ def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
 
 
 def cmd_fit(args) -> int:
-    train = Dataset.from_dict(_load_json(args.train))
+    train = _load_dataset(args.train)
     spec = _constraint_spec_from_args(args, train)
     Q = spec.on_D.Q
     theta0 = default_initial_point(train.n, train.k, train.m, train.q, Q)
@@ -152,7 +158,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_dmdc(args) -> int:
-    train = Dataset.from_dict(_load_json(args.train))
+    train = _load_dataset(args.train)
     indices = None if args.pooled else [args.fit_index]
     if args.rank is not None:
         rank = args.rank
@@ -184,7 +190,7 @@ def _predict(model: StateSpaceModel, traj: Trajectory, m: int) -> Trajectory:
 
 def cmd_simulate(args) -> int:
     model = StateSpaceModel.from_dict(_load_json(args.model))
-    data = Dataset.from_dict(_load_json(args.dataset))
+    data = _load_dataset(args.dataset)
     predicted = [_predict(model, traj, data.m) for traj in data.trajectories]
     _dump_json(args.out, Dataset(predicted, data.q, data.m).to_dict())
     if not args.quiet:
@@ -194,7 +200,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = StateSpaceModel.from_dict(_load_json(args.model))
-    data = Dataset.from_dict(_load_json(args.dataset))
+    data = _load_dataset(args.dataset)
     q = model.kernel.q if isinstance(model.kernel, CausalBandKernel) else 0
     rows = []
     energy_max = 0.0
@@ -263,8 +269,8 @@ def cmd_plot(args) -> int:
         svg = line_plot(series, title=args.title, xlabel=args.x_col,
                         ylabel=args.y_col, logy=not args.linear)
     elif args.kind == "traces":
-        truth = Dataset.from_dict(_load_json(args.truth))
-        pred = Dataset.from_dict(_load_json(args.pred))
+        truth = _load_dataset(args.truth)
+        pred = _load_dataset(args.pred)
         cells = [int(c) for c in args.cells.split(",") if c.strip()]
         if not cells:
             raise ConfigError("plot traces: --cells is empty")
@@ -398,8 +404,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, TypeError, SolverError, ProjectionError,
-            np.linalg.LinAlgError) as exc:
+    except (ValueError, TypeError, SolverError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

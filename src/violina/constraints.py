@@ -11,14 +11,6 @@ from .kernel import CausalBandKernel, project_to_band
 from .model import StateSpaceModel
 
 
-class ProjectionError(RuntimeError):
-    """An iterative projection failed to converge; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 def _check_mask(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
@@ -54,56 +46,36 @@ def project_nonneg_diagonal(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project_affine(W: np.ndarray, mask: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    # support restriction plus zero column sums: demean in-mask entries per column
-    W = np.where(mask, W, 0.0)
-    return W - mask * (W.sum(axis=0) / counts)
+def nearest_graph_laplacian(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Exact projection onto ``{L: support in mask, off-diag >= 0, column
+    sums = 0}``.
 
-
-def _project_cone(W: np.ndarray, mask: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    W = np.where(mask, W, 0.0)
-    return np.where(eye, W, np.maximum(W, 0.0))
-
-
-def nearest_graph_laplacian(M: np.ndarray, mask: np.ndarray,
-                            tol: float = 1e-9, max_iter: int = 10000) -> np.ndarray:
-    """Dykstra projection onto ``{L: support in mask, off-diag >= 0,
-    column sums = 0}``.
-
-    Alternates the exact projections onto the affine part (support and zero
-    column sums) and the cone part (support and nonnegative off-diagonal),
-    with Dykstra's correction terms, until successive iterates differ by at
-    most ``tol`` in Frobenius norm.
+    The set splits column by column.  Column ``j`` of the projection is
+    ``max(M_ij - lam_j, 0)`` at the off-diagonal mask entries and
+    ``M_jj - lam_j`` on the diagonal, where the scalar ``lam_j`` makes the
+    column sum to zero.  As in projection onto the simplex (Duchi et al.,
+    2008; Condat, 2016), sorting the off-diagonal entries ``w`` of a column
+    in descending order finds ``lam_j``: entry ``k`` (1-based) is positive
+    exactly when ``(k + 1) w_(k) > M_jj + w_(1) + ... + w_(k)``, a condition
+    that holds for a prefix of ``k``.  All columns are sorted at once.
     """
     mask = _check_mask(mask)
     M = np.asarray(M, dtype=float)
-    counts = mask.sum(axis=0).astype(float)
-    eye = np.eye(M.shape[0], dtype=bool)
-    x = M
-    p = np.zeros_like(M)
-    r = np.zeros_like(M)
-    prev = None
-    for _ in range(max_iter):
-        y = _project_affine(x + p, mask, counts)
-        p = x + p - y
-        x = _project_cone(y + r, mask, eye)
-        r = y + r - x
-        if prev is not None:
-            res = float(np.linalg.norm(x - prev))
-            if res <= tol:
-                return x
-        prev = x
-    res = float(np.linalg.norm(x - prev)) if prev is not None else float("nan")
-    raise ProjectionError(
-        f"Dykstra projection did not converge in {max_iter} iterations "
-        f"(last step {res:.3e} > tol {tol:.3e})",
-        residual=res,
-    )
+    if M.shape != mask.shape:
+        raise ValueError(f"matrix shape {M.shape} does not match mask {mask.shape}")
+    n = M.shape[0]
+    off = mask & ~np.eye(n, dtype=bool)
+    diag = np.diagonal(M)
+    w = np.sort(np.where(off, M, -np.inf), axis=0)[::-1]
+    active = np.arange(2, n + 2)[:, None] * w > diag + np.cumsum(w, axis=0)
+    lam = (diag + np.where(active, w, 0.0).sum(axis=0)) / (active.sum(axis=0) + 1)
+    out = np.where(off, np.maximum(M - lam, 0.0), 0.0)
+    np.fill_diagonal(out, diag - lam)
+    return out
 
 
 def project_shifted_laplacian(M: np.ndarray, mask: np.ndarray,
                               shift: np.ndarray | None = None,
-                              tol: float = 1e-9, max_iter: int = 10000,
                               column_sums: bool = True) -> np.ndarray:
     """Projection onto ``{A : A - shift is a graph Laplacian on mask}``.
 
@@ -115,10 +87,8 @@ def project_shifted_laplacian(M: np.ndarray, mask: np.ndarray,
     if shift is None:
         shift = np.eye(M.shape[0])
     if not column_sums:
-        return project_shifted_laplacian(
-            M.T, mask, shift.T, tol=tol, max_iter=max_iter, column_sums=True
-        ).T
-    return shift + nearest_graph_laplacian(M - shift, mask, tol=tol, max_iter=max_iter)
+        return project_shifted_laplacian(M.T, mask, shift.T, column_sums=True).T
+    return shift + nearest_graph_laplacian(M - shift, mask)
 
 
 @dataclass(frozen=True)
@@ -168,8 +138,6 @@ class ShiftedGraphLaplacian:
 
     mask: np.ndarray
     shift: object = "identity"
-    dykstra_tol: float = 1e-9
-    dykstra_max_iter: int = 10000
     column_sums: bool = True
 
     def __post_init__(self):
@@ -185,9 +153,7 @@ class ShiftedGraphLaplacian:
     def project(self, M):
         M = np.asarray(M, dtype=float)
         return project_shifted_laplacian(
-            M, self.mask, self._shift_matrix(M.shape[0]),
-            tol=self.dykstra_tol, max_iter=self.dykstra_max_iter,
-            column_sums=self.column_sums,
+            M, self.mask, self._shift_matrix(M.shape[0]), column_sums=self.column_sums
         )
 
 

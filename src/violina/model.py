@@ -50,8 +50,17 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trajectory":
-        return cls(np.asarray(d["states"], dtype=float).T,
-                   np.asarray(d["inputs"], dtype=float).T)
+        """Parse a trajectory; a missing key, a ragged array (numpy's own
+        error) or a non-finite value raises ``ValueError``."""
+        arrays = []
+        for key in ("states", "inputs"):
+            if key not in d:
+                raise ValueError(f"missing field {key!r}")
+            a = np.asarray(d[key], dtype=float)
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{key!r} holds non-finite values")
+            arrays.append(a.T)
+        return cls(*arrays)
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,7 +58,17 @@ class Dataset:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dataset":
-        trajs = [Trajectory.from_dict(t) for t in d["trajectories"]]
+        """Parse a dataset; malformed content raises ``ValueError``, naming
+        the trajectory index when one trajectory is at fault."""
+        for key in ("q", "m", "trajectories"):
+            if key not in d:
+                raise ValueError(f"missing field {key!r}")
+        trajs = []
+        for i, t in enumerate(d["trajectories"]):
+            try:
+                trajs.append(Trajectory.from_dict(t))
+            except ValueError as exc:
+                raise ValueError(f"trajectory {i}: {exc}") from exc
         return cls(trajs, int(d["q"]), int(d["m"]))
 
 

@@ -245,7 +245,7 @@ def test_criterion_04_projection_optimality():
         f = lambda M: project_symmetric_masked_nonneg(M, mask)
         track(f(M1), f, M1, M2, qp_symmetric_masked_nonneg(M1, mask))
 
-        g = lambda M: project_shifted_laplacian(M, mask, np.zeros((n, n)), tol=1e-12)
+        g = lambda M: project_shifted_laplacian(M, mask, np.zeros((n, n)))
         track(g(M1), g, M1, M2, qp_graph_laplacian(M1, mask))
 
         B1, B2 = rng.normal(size=(n, n + 1)), rng.normal(size=(n, n + 1))

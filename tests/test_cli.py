@@ -167,6 +167,37 @@ def test_fit_shape_mismatch_exit_4(suite_dir, tmp_path):
     assert rc == 4
 
 
+def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, capsys):
+    good = json.loads((suite_dir / "markov_test.json").read_text())
+
+    def broken(edit):
+        d = json.loads(json.dumps(good))
+        edit(d)
+        return d
+
+    cases = {
+        "'q'": broken(lambda d: d.pop("q")),
+        "trajectory 1: missing field 'inputs'": broken(
+            lambda d: d["trajectories"][1].pop("inputs")),
+        "trajectory 1: ": broken(
+            lambda d: d["trajectories"][1]["states"][3].pop()),
+        "trajectory 1: 'states' holds non-finite values": broken(
+            lambda d: d["trajectories"][1]["states"][5].__setitem__(0, float("nan"))),
+    }
+    for i, (expected, data) in enumerate(cases.items()):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(data))
+        for argv in (
+            ["fit", "--train", str(path), "--constraints", "free", "--steps", "1",
+             "--out", str(tmp_path / "m.json")],
+            ["evaluate", "--model", str(suite_dir / "markov_model.json"),
+             "--dataset", str(path), "--report", str(tmp_path / "r.csv")],
+        ):
+            assert main(["--quiet"] + argv) == 2, (expected, argv[0])
+            err = capsys.readouterr().err
+            assert str(path) in err and expected in err, err
+
+
 def test_fit_requires_mask_for_constrained_runs(suite_dir, tmp_path):
     rc = main(["--quiet", "fit", "--train", str(suite_dir / "markov_train.json"),
                "--constraints", "a1b", "--steps", "5",

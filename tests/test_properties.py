@@ -1,0 +1,100 @@
+"""Property-based checks of the projections and of the banded kernel product.
+
+Examples are derandomized and capped so the suite stays deterministic and
+fast: every run draws the same inputs.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from violina import (
+    CausalBand,
+    CausalBandKernel,
+    Fixed,
+    FullSpace,
+    NonnegativeDiagonal,
+    ShiftedGraphLaplacian,
+    SymmetricMaskedNonneg,
+    apply_kernel,
+)
+
+PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
+
+values = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+def projections(mask, value, q, Q):
+    """Every constraint set's projection, keyed by name, as matrix maps."""
+    band = CausalBand(q, Q)
+    return {
+        "full": FullSpace().project,
+        "fixed": Fixed(value).project,
+        "symmetric-masked": SymmetricMaskedNonneg(mask).project,
+        "nonneg-diagonal": NonnegativeDiagonal().project,
+        "laplacian-identity": ShiftedGraphLaplacian(mask).project,
+        "laplacian-zero": ShiftedGraphLaplacian(mask, shift="zero").project,
+        "laplacian-rows": ShiftedGraphLaplacian(mask, column_sums=False).project,
+        "causal-band": lambda M: band.project(M).to_dense(),
+    }
+
+
+NAMES = sorted(projections(np.ones((1, 1), dtype=bool), np.zeros((1, 1)), 0, 1))
+
+
+@st.composite
+def problems(draw):
+    """A neighbour mask, a band shape and three square matrices of one size."""
+    n = draw(st.integers(1, 6))
+    mask = draw(hnp.arrays(bool, (n, n)))
+    mask = mask | mask.T
+    np.fill_diagonal(mask, True)
+    q = draw(st.integers(0, n - 1))
+    Q = draw(st.integers(max(q, 1), n))
+    M, Z0, value = (draw(hnp.arrays(float, (n, n), elements=values)) for _ in range(3))
+    return mask, q, Q, M, Z0, value
+
+
+@pytest.mark.parametrize("name", NAMES)
+@PROPERTY
+@given(problems())
+def test_projection_is_idempotent(name, problem):
+    mask, q, Q, M, _, value = problem
+    P = projections(mask, value, q, Q)[name]
+    PM = P(M)
+    np.testing.assert_allclose(P(PM), PM, rtol=0.0,
+                               atol=1e-12 * (1.0 + np.linalg.norm(M)))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@PROPERTY
+@given(problems())
+def test_projection_variational_inequality(name, problem):
+    # P(M) is the nearest point of a convex set exactly when
+    # <M - P(M), Z - P(M)> <= 0 for every feasible Z; P(Z0) is feasible.
+    mask, q, Q, M, Z0, value = problem
+    P = projections(mask, value, q, Q)[name]
+    PM = P(M)
+    Z = P(Z0)
+    assert np.sum((M - PM) * (Z - PM)) <= 1e-10 * (1.0 + np.linalg.norm(M) ** 2)
+
+
+@st.composite
+def kernel_products(draw):
+    m = draw(st.integers(1, 8))
+    q = draw(st.integers(0, m - 1))
+    Q = draw(st.integers(max(q, 1), m))
+    coeffs = draw(st.lists(values, min_size=Q - 1, max_size=Q - 1))
+    Y = draw(hnp.arrays(float, (draw(st.integers(1, 4)), m), elements=values))
+    return Y, CausalBandKernel(m, q, Q, tuple(coeffs))
+
+
+@PROPERTY
+@given(kernel_products())
+def test_apply_kernel_matches_dense_product(case):
+    Y, K = case
+    scale = 1.0 + np.abs(Y).max() * (1.0 + np.abs(K.coeffs).sum())
+    np.testing.assert_allclose(apply_kernel(Y, K), Y @ K.to_dense(),
+                               rtol=0.0, atol=1e-13 * scale)
