@@ -49,12 +49,31 @@ def _load_json(path):
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _load_dataset(path) -> Dataset:
-    data = _load_json(path)
+def _parse_file(path, parse):
+    """``parse`` of the JSON in ``path``; malformed content (``ValueError`` or
+    ``TypeError`` from the parser) is a configuration error naming the path."""
+    obj = _load_json(path)
     try:
-        return Dataset.from_dict(data)
+        return parse(obj)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load_dataset(path) -> Dataset:
+    return _parse_file(path, Dataset.from_dict)
+
+
+def _load_model(path) -> StateSpaceModel:
+    return _parse_file(path, StateSpaceModel.from_dict)
+
+
+def _parse_mask(manifest) -> np.ndarray:
+    if "mask" not in manifest:
+        raise ValueError("missing field 'mask'")
+    mask = np.asarray(manifest["mask"], dtype=float)
+    if not np.all(np.isfinite(mask)):
+        raise ValueError("'mask' holds non-finite values")
+    return mask != 0
 
 
 def _dump_json(path, obj):
@@ -63,10 +82,19 @@ def _dump_json(path, obj):
         fh.write("\n")
 
 
-def _require(d: dict, key: str, context: str):
-    if key not in d:
-        raise ConfigError(f"{context}: missing field {key!r}")
-    return d[key]
+def _dump_dataset(path, data: Dataset):
+    """Write the bytes of ``_dump_json(path, data.to_dict())``, encoding one
+    trajectory at a time.  ``json.dump`` streams through the pure-Python
+    encoder; ``encode`` runs the C encoder, and one call per trajectory keeps
+    the text of a whole dataset out of memory."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{"m":{encode(data.m)},"q":{encode(data.q)},"trajectories":[')
+        for i, traj in enumerate(data.trajectories):
+            if i:
+                fh.write(",")
+            fh.write(encode(traj.to_dict()))
+        fh.write("]}\n")
 
 
 # ---------------------------------------------------------------- generate
@@ -104,7 +132,7 @@ def cmd_generate(args) -> int:
         for kind, data in (("train", system.train), ("test", system.test),
                            ("energy", system.energy)):
             data_file = f"{name}_{kind}.json"
-            _dump_json(out / data_file, data.to_dict())
+            _dump_dataset(out / data_file, data)
             manifest["datasets"][name][kind] = data_file
     _dump_json(out / "manifest.json", manifest)
 
@@ -126,27 +154,31 @@ def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
         return ConstraintSpec(FullSpace(), FullSpace(), on_D)
     if not args.mask:
         raise ConfigError(f"constraints {args.constraints!r} need --mask MANIFEST")
-    manifest = _load_json(args.mask)
-    mask = np.asarray(_require(manifest, "mask", args.mask), dtype=bool)
+    mask = _parse_file(args.mask, _parse_mask)
     if mask.shape != (train.n, train.n):
         raise ConfigError(
-            f"mask shape {mask.shape} does not match state dimension {train.n}"
+            f"{args.mask}: mask shape {mask.shape} does not match state dimension {train.n}"
         )
-    if args.constraints == "a1b":
-        on_A = SymmetricMaskedNonneg(mask)
-    else:
-        shift = "identity" if args.laplacian_shift == "identity" else "zero"
-        on_A = ShiftedGraphLaplacian(mask, shift=shift)
+    try:
+        if args.constraints == "a1b":
+            on_A = SymmetricMaskedNonneg(mask)
+        else:
+            shift = "identity" if args.laplacian_shift == "identity" else "zero"
+            on_A = ShiftedGraphLaplacian(mask, shift=shift)
+    except ValueError as exc:
+        raise ConfigError(f"{args.mask}: {exc}") from exc
     return ConstraintSpec(on_A, NonnegativeDiagonal(), on_D)
 
 
 def cmd_fit(args) -> int:
     train = _load_dataset(args.train)
     spec = _constraint_spec_from_args(args, train)
-    Q = spec.on_D.Q
-    theta0 = default_initial_point(train.n, train.k, train.m, train.q, Q)
-    cfg = PgdConfig(theta0=theta0, t0=args.t0, eta=args.eta, max_steps=args.steps,
-                    stop_tol=args.stop_tol)
+    try:
+        theta0 = default_initial_point(train.n, train.k, train.m, train.q, spec.on_D.Q)
+        cfg = PgdConfig(theta0=theta0, t0=args.t0, eta=args.eta, max_steps=args.steps,
+                        stop_tol=args.stop_tol)
+    except ValueError as exc:
+        raise ConfigError(f"solver settings: {exc}") from exc
     report = violina_fit(train, spec, cfg)
     _dump_json(args.out, report.theta_final.to_dict())
     if args.curve:
@@ -189,17 +221,17 @@ def _predict(model: StateSpaceModel, traj: Trajectory, m: int) -> Trajectory:
 
 
 def cmd_simulate(args) -> int:
-    model = StateSpaceModel.from_dict(_load_json(args.model))
+    model = _load_model(args.model)
     data = _load_dataset(args.dataset)
     predicted = [_predict(model, traj, data.m) for traj in data.trajectories]
-    _dump_json(args.out, Dataset(predicted, data.q, data.m).to_dict())
+    _dump_dataset(args.out, Dataset(predicted, data.q, data.m))
     if not args.quiet:
         print(f"simulated {len(predicted)} trajectories to {args.out}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    model = StateSpaceModel.from_dict(_load_json(args.model))
+    model = _load_model(args.model)
     data = _load_dataset(args.dataset)
     q = model.kernel.q if isinstance(model.kernel, CausalBandKernel) else 0
     rows = []

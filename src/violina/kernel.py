@@ -88,7 +88,15 @@ class CausalBandKernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CausalBandKernel":
-        return cls(int(d["m"]), int(d["q"]), int(d["Q"]), tuple(d["coeffs"]))
+        """Parse a kernel; a missing key, nested coefficients or a non-finite
+        coefficient raises ``ValueError``."""
+        for key in ("m", "q", "Q", "coeffs"):
+            if key not in d:
+                raise ValueError(f"kernel: missing field {key!r}")
+        coeffs = np.asarray(d["coeffs"], dtype=float)
+        if coeffs.ndim != 1:
+            raise ValueError(f"kernel: 'coeffs' must be a flat list, got shape {coeffs.shape}")
+        return cls(int(d["m"]), int(d["q"]), int(d["Q"]), tuple(coeffs))
 
 
 def partial_identity(m: int, q: int = 0) -> np.ndarray:

@@ -11,6 +11,18 @@ import scipy.linalg
 from .kernel import CausalBandKernel
 
 
+def _finite_array(d: dict, key: str) -> np.ndarray:
+    """Field ``key`` of a parsed JSON object as a float array; a missing key,
+    a ragged array (numpy's own error) or a non-finite value raises
+    ``ValueError``."""
+    if key not in d:
+        raise ValueError(f"missing field {key!r}")
+    a = np.asarray(d[key], dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{key!r} holds non-finite values")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One observed pair of time series: states ``x_0 .. x_m`` (columns of an
@@ -52,15 +64,7 @@ class Trajectory:
     def from_dict(cls, d: dict) -> "Trajectory":
         """Parse a trajectory; a missing key, a ragged array (numpy's own
         error) or a non-finite value raises ``ValueError``."""
-        arrays = []
-        for key in ("states", "inputs"):
-            if key not in d:
-                raise ValueError(f"missing field {key!r}")
-            a = np.asarray(d[key], dtype=float)
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{key!r} holds non-finite values")
-            arrays.append(a.T)
-        return cls(*arrays)
+        return cls(_finite_array(d, "states").T, _finite_array(d, "inputs").T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,11 +163,14 @@ class StateSpaceModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StateSpaceModel":
+        """Parse a model; a missing key, a ragged array or a non-finite value
+        raises ``ValueError``."""
+        A, B = _finite_array(d, "A"), _finite_array(d, "B")
         if "kernel" in d:
             kernel = CausalBandKernel.from_dict(d["kernel"])
         else:
-            kernel = np.asarray(d["kernel_dense"], dtype=float)
-        return cls(np.asarray(d["A"], dtype=float), np.asarray(d["B"], dtype=float), kernel)
+            kernel = _finite_array(d, "kernel_dense")
+        return cls(A, B, kernel)
 
 
 def build_data_matrices(traj: Trajectory, q: int, m: int) -> DataMatrices:

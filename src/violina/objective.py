@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from .kernel import CausalBandKernel, apply_kernel
@@ -13,6 +14,8 @@ from .model import StateSpaceModel, Trajectory, build_data_matrices
 
 # reduced quadratic forms up to this size are assembled densely
 _DENSE_EIG_LIMIT = 600
+# LAPACK block size of the data compression (the fastest of 16..128 at r = 500)
+_QR_BLOCK = 32
 
 
 class Dataset:
@@ -154,6 +157,72 @@ def hessian_apply(delta: TangentTuple, data: Dataset) -> TangentTuple:
         gB -= 2.0 * e @ mat.U.T
         gD += 2.0 * mat.Y.T @ e
     return TangentTuple(gA, gB, gD)
+
+
+class _StartRelativeLoss:
+    """The loss and gradient of :func:`violina_fit` from one triangular factor.
+
+    Relative to the start ``theta0 = (A0, B0, D0)`` the residual of each
+    trajectory is ``E = E0 - (A - A0) X - (B - B0) U + sum_i z_i K_i``.
+    ``E0`` is the residual at ``theta0`` in residual form, so an exactly
+    fitted start has a bitwise-zero loss and gradient.  The kernel blocks
+    ``K_i`` are the band shifts ``S_d Y`` for ``d = 1 .. Q-1`` (the ``d``-th
+    term of :func:`apply_kernel` for nullity ``q``) and, when ``kernel_after``
+    is given, ``J = Y D_after - Y D0``, which carries a start kernel outside
+    the band form (or a fixed kernel other than ``D0``) into the kernel the
+    first projection returns.
+
+    Stacking ``W = [X; U; K_1; ...; E0]`` over all trajectories, ``R^T R =
+    W W^T`` for the ``r x r`` triangular factor ``R``, ``r = n (Q + 1) + k``
+    (``n`` more with ``J``); it is reduced one trajectory at a time, as in the
+    LQ data compression of subspace identification (Van Overschee & De Moor,
+    1996) and tall-skinny QR (Demmel et al., 2012).  With ``Theta = [-(A-A0),
+    -(B-B0), z_1 I, ..., I]`` the compressed residual is ``F = Theta R^T``,
+    the loss ``||F||^2``, and ``F R = Theta W W^T`` holds the gradient.
+
+    One evaluation costs ``O(n r^2)`` against ``O(N m n (n + k + Q))`` in
+    residual form, after a one-off ``O(N m r^2)`` compression; the residual
+    form is cheaper only when ``r`` approaches ``N m``.
+    """
+
+    def __init__(self, data: Dataset, theta0: StateSpaceModel, q: int, Q: int, kernel_after):
+        self.A0, self.B0 = theta0.A, theta0.B
+        self.nz = Q - 1 + (kernel_after is not None)
+        E0 = residuals(theta0, data)
+        self.initial_loss = sum(float(np.sum(e * e)) for e in E0)
+        r = data.n * (2 + self.nz) + data.k
+        R = np.zeros((r, r), order="F")
+        for mat, e0 in zip(data.matrices, E0):
+            blocks = [mat.X, mat.U]
+            for d in range(1, Q):
+                j0 = max(q, d)
+                shifted = np.zeros_like(mat.Y)
+                shifted[:, j0:] = mat.Y[:, j0 - d : data.m - d]
+                blocks.append(shifted)
+            if kernel_after is not None:
+                blocks.append(apply_kernel(mat.Y, kernel_after)
+                              - apply_kernel(mat.Y, theta0.kernel))
+            blocks.append(e0)
+            # R := triangle of qr([R; W^T]), exploiting the triangle of R
+            R, *_, info = scipy.linalg.lapack.dtpqrt(
+                0, min(r, _QR_BLOCK), R, np.vstack(blocks).T, overwrite_a=True, overwrite_b=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dtpqrt failed with info={info}")
+        self.R = R
+
+    def residual(self, A: np.ndarray, B: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Compressed residual ``F`` at ``(A, B)`` and kernel weights ``z``;
+        the loss there is ``||F||^2``."""
+        eye = np.eye(self.A0.shape[0])
+        theta = np.hstack([self.A0 - A, self.B0 - B, np.kron(z, eye), eye])
+        return theta @ self.R.T
+
+    def gradient(self, F: np.ndarray):
+        """``(gA, gB, gz)`` at the point whose compressed residual is ``F``."""
+        n, k = self.B0.shape
+        G = 2.0 * (F @ self.R)
+        kernel_blocks = G[:, n + k : n + k + self.nz * n].reshape(n, self.nz, n)
+        return -G[:, :n], -G[:, n : n + k], np.trace(kernel_blocks, axis1=0, axis2=2)
 
 
 def lipschitz_constant(data: Dataset) -> float:

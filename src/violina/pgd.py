@@ -8,6 +8,18 @@ iteration.  The kernel update runs on the band coefficients only (the band
 set is affine, so projecting the stepped dense kernel equals stepping the
 coefficients by in-band diagonal means), which keeps every iteration free of
 ``m x m`` matrices.
+
+No iteration touches the trajectories either.  The loss is quadratic in
+``(A, B)`` and the band coefficients, so before the first step the data are
+compressed, relative to ``theta0``, into one ``r x r`` triangular factor with
+``r = n (Q + 1) + k`` (``n`` more when the start kernel is outside the band
+form or differs from a ``Fixed`` one); see ``objective._StartRelativeLoss``.
+Each loss or gradient evaluation is then one ``n x r`` by ``r x r`` product,
+whatever the number ``N`` and length ``m`` of the trajectories.  The residual
+form of :mod:`.objective` costs ``O(N m n (n + k))`` per evaluation and is
+cheaper only when ``r`` approaches ``N m`` (the desk and paper benchmarks have
+``r / (N m)`` of 150/2400 and 500/20000); it stays the reference the tests
+compare the solver against.
 """
 
 from __future__ import annotations
@@ -17,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import CausalBand, ConstraintSpec
-from .kernel import CausalBandKernel, apply_kernel, band_diagonal_sums, kernel_distance_sq
+from .kernel import CausalBandKernel, band_diagonal_sums, kernel_distance_sq
 from .model import StateSpaceModel
-from .objective import Dataset, band_sums
+from .objective import Dataset, _StartRelativeLoss
 
 _MIN_STEPSIZE = 1e-300
 # Acceptance slack for the sufficient-decrease test: once the loss reaches the
@@ -54,9 +66,9 @@ class PgdConfig:
     max_backtracks: int = 200
 
     def __post_init__(self):
-        if self.t0 <= 0:
+        if not self.t0 > 0:
             raise ValueError(f"initial stepsize must be positive, got {self.t0}")
-        if self.eta <= 1:
+        if not self.eta > 1:
             raise ValueError(f"backtracking divisor must exceed 1, got {self.eta}")
         if self.max_steps < 1:
             raise ValueError(f"need at least one step, got {self.max_steps}")
@@ -111,34 +123,34 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
     an inconsistent projection).
     """
     theta = cfg.theta0
-    if theta.n != data.n or theta.k != data.k:
-        raise ValueError(
-            f"initial point has shapes ({theta.n}, {theta.k}), data needs "
-            f"({data.n}, {data.k})"
-        )
-    mats = data.matrices
     m = data.m
     band = spec.on_D if isinstance(spec.on_D, CausalBand) else None
+    kern = theta.kernel
+    # The engine's kernel weights z are the band coefficients minus c_ref,
+    # then, with kern_after, the weight of J = Y D_after - Y D0: 0 at theta0
+    # and 1 once the first projection has replaced D0.
     if band is not None:
-        counts = np.array(
-            [m - d - max(0, band.q - d) for d in range(1, band.Q)], dtype=float
-        )
+        q, Q = band.q, band.Q
+        counts = np.array([m - d - max(0, q - d) for d in range(1, Q)], dtype=float)
         if np.any(counts <= 0):
-            raise ValueError(f"degenerate band constraint for q={band.q}, Q={band.Q}, m={m}")
+            raise ValueError(f"degenerate band constraint for q={q}, Q={Q}, m={m}")
+        if isinstance(kern, CausalBandKernel) and (kern.m, kern.q, kern.Q) == (m, q, Q):
+            c_ref, kern_after = np.array(kern.coeffs), None
+        else:
+            c_ref = band_diagonal_sums(kern, q, Q) / counts
+            kern_after = CausalBandKernel(m, q, Q, tuple(c_ref))
+    else:
+        q, Q = 0, 1
+        kern_fixed = spec.on_D.project(kern)
+        kern_after = None if kern_fixed is kern else kern_fixed
+    engine = _StartRelativeLoss(data, theta, q, Q, kern_after)
 
-    def evaluate(A, B, kern, YD=None):
-        if YD is None:
-            YD = [apply_kernel(mat.Y, kern) for mat in mats]
-        E = [yd - A @ mat.X - B @ mat.U for yd, mat in zip(YD, mats)]
-        f = 0.0
-        for e in E:
-            f += float(np.sum(e * e))
-        return YD, E, f
-
-    A, B, kern = theta.A, theta.B, theta.kernel
-    YD, E, f = evaluate(A, B, kern)
+    f = engine.initial_loss
     if not np.isfinite(f):
         raise SolverError("initial loss is not finite")
+    A, B = theta.A, theta.B
+    z = np.zeros(engine.nz)
+    F = engine.residual(A, B, z)
 
     loss_curve = [f]
     stepsizes = []
@@ -146,41 +158,35 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
     t = cfg.t0
 
     for step in range(cfg.max_steps):
-        gA = np.zeros_like(A)
-        gB = np.zeros_like(B)
-        for mat, e in zip(mats, E):
-            gA -= 2.0 * e @ mat.X.T
-            gB -= 2.0 * e @ mat.U.T
+        gA, gB, gz = engine.gradient(F)
         if not (np.all(np.isfinite(gA)) and np.all(np.isfinite(gB))):
             raise SolverError(f"gradient is not finite at step {step}")
         if band is not None:
-            dsums = np.zeros(band.Q - 1)
-            for mat, e in zip(mats, E):
-                dsums += 2.0 * band_sums(mat.Y, e, band.q, band.Q)
-            kern_sums = band_diagonal_sums(kern, band.q, band.Q)
+            kern_sums = band_diagonal_sums(kern, q, Q)
 
         n_back = 0
         while True:
             A_new = spec.on_A.project(A - t * gA)
             B_new = spec.on_B.project(B - t * gB)
             if band is not None:
-                coeffs = (kern_sums - t * dsums) / counts
-                kern_new = CausalBandKernel(m, band.q, band.Q, tuple(coeffs))
-                YD_new = None
+                coeffs = (kern_sums - t * gz[: Q - 1]) / counts
+                kern_new = CausalBandKernel(m, q, Q, tuple(coeffs))
+                z_new = coeffs - c_ref
+                if kern_after is not None:
+                    z_new = np.append(z_new, 1.0)
             else:
-                kern_new = spec.on_D.project(kern)
-                YD_new = YD if kern_new is kern else None
-            YD_new, E_new, f_new = evaluate(A_new, B_new, kern_new, YD_new)
+                kern_new = kern_fixed
+                z_new = np.ones(engine.nz)
+            F_new = engine.residual(A_new, B_new, z_new)
+            f_new = float(np.sum(F_new * F_new))
             if not np.isfinite(f_new):
                 raise SolverError(f"loss became non-finite at step {step}")
 
             dA = A_new - A
             dB = B_new - B
-            gdot = float(np.sum(dA * gA) + np.sum(dB * gB))
+            gdot = float(np.sum(dA * gA) + np.sum(dB * gB) + (z_new - z) @ gz)
             dist2 = float(np.sum(dA * dA) + np.sum(dB * dB))
             if kern_new is not kern:
-                for yd_new, yd, e in zip(YD_new, YD, E):
-                    gdot += 2.0 * float(np.sum((yd_new - yd) * e))
                 dist2 += kernel_distance_sq(kern_new, kern)
             surrogate = f + gdot + dist2 / (2.0 * t)
 
@@ -195,8 +201,7 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
                 )
 
         f_prev = f
-        A, B, kern = A_new, B_new, kern_new
-        YD, E, f = YD_new, E_new, f_new
+        A, B, kern, z, F, f = A_new, B_new, kern_new, z_new, F_new, f_new
         loss_curve.append(f)
         stepsizes.append(t)
         backtracks.append(n_back)

@@ -198,6 +198,89 @@ def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, caps
             assert str(path) in err and expected in err, err
 
 
+def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
+    good = json.loads((suite_dir / "nonmarkov_model.json").read_text())
+
+    def broken(edit):
+        d = json.loads(json.dumps(good))
+        edit(d)
+        return d
+
+    cases = {
+        "missing field 'A'": broken(lambda d: d.pop("A")),
+        "inhomogeneous": broken(lambda d: d["A"][3].pop()),
+        "'A' holds non-finite values": broken(
+            lambda d: d["A"][3].__setitem__(0, float("nan"))),
+        "'B' holds non-finite values": broken(lambda d: d.__setitem__("B", None)),
+        "kernel: missing field 'Q'": broken(lambda d: d["kernel"].pop("Q")),
+        "kernel: 'coeffs' must be a flat list": broken(
+            lambda d: d["kernel"].__setitem__("coeffs", [[0.1], [0.2]])),
+        "kernel coefficients must be finite": broken(
+            lambda d: d["kernel"]["coeffs"].__setitem__(0, float("inf"))),
+    }
+    data = suite_dir / "nonmarkov_test.json"
+    for i, (expected, model) in enumerate(cases.items()):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(model))
+        for argv in (
+            ["evaluate", "--model", str(path), "--dataset", str(data),
+             "--report", str(tmp_path / "r.csv")],
+            ["simulate", "--model", str(path), "--dataset", str(data),
+             "--out", str(tmp_path / "p.json")],
+        ):
+            assert main(["--quiet"] + argv) == 2, (expected, argv[0])
+            err = capsys.readouterr().err
+            assert str(path) in err and expected in err, err
+
+
+def test_malformed_manifest_exit_2(suite_dir, tmp_path, capsys):
+    good = json.loads((suite_dir / "manifest.json").read_text())
+
+    def broken(edit):
+        d = json.loads(json.dumps(good))
+        edit(d)
+        return d
+
+    cases = {
+        "missing field 'mask'": broken(lambda d: d.pop("mask")),
+        "inhomogeneous": broken(lambda d: d["mask"][2].pop()),
+        "'mask' holds non-finite values": broken(
+            lambda d: d["mask"][2].__setitem__(0, float("nan"))),
+        "mask shape (9, 9)": broken(lambda d: d.__setitem__("mask", np.eye(9).tolist())),
+        "mask must be symmetric": broken(lambda d: d["mask"][0].__setitem__(9, 1)),
+    }
+    for i, (expected, manifest) in enumerate(cases.items()):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(manifest))
+        rc = main(["--quiet", "fit", "--train", str(suite_dir / "markov_train.json"),
+                   "--mask", str(path), "--steps", "1", "--out", str(tmp_path / "m.json")])
+        assert rc == 2, expected
+        err = capsys.readouterr().err
+        assert str(path) in err and expected in err, err
+
+
+@pytest.mark.parametrize("setting", [["--steps", "0"], ["--t0", "-1"], ["--t0", "nan"],
+                                     ["--eta", "0.5"], ["--bandwidth", "1"]],
+                         ids=lambda s: f"{s[0][2:]}={s[1]}")
+def test_bad_solver_settings_exit_2(suite_dir, tmp_path, capsys, setting):
+    rc = main(["--quiet", "fit", "--train", str(suite_dir / "nonmarkov_train.json"),
+               "--mask", str(suite_dir / "manifest.json"), *setting,
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "solver settings" in capsys.readouterr().err
+
+
+def test_dataset_writer_matches_json_dump(tmp_path):
+    from violina import BenchmarkConfig, build_benchmark_suite
+    from violina.cli import _dump_dataset
+
+    train = build_benchmark_suite(BenchmarkConfig.desk_scale()).nonmarkov.train
+    path = tmp_path / "train.json"
+    _dump_dataset(path, train)
+    expected = json.dumps(train.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_fit_requires_mask_for_constrained_runs(suite_dir, tmp_path):
     rc = main(["--quiet", "fit", "--train", str(suite_dir / "markov_train.json"),
                "--constraints", "a1b", "--steps", "5",

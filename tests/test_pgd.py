@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from violina import (
+    BenchmarkConfig,
     CausalBand,
     CausalBandKernel,
     ConstraintSpec,
@@ -10,10 +13,13 @@ from violina import (
     FullSpace,
     NonnegativeDiagonal,
     PgdConfig,
+    ShiftedGraphLaplacian,
     SolverError,
     StateSpaceModel,
     SymmetricMaskedNonneg,
+    build_benchmark_suite,
     default_initial_point,
+    fractional_kernel,
     gradient,
     lipschitz_constant,
     loss,
@@ -71,14 +77,15 @@ def reference_dense_fit(data, mask, q, Q, cfg):
     return np.array(curve), np.array(steps), np.array(backs), (A, B, kern)
 
 
-@pytest.fixture
-def small_constrained_problem(rng):
-    n, k, m, q, Q = 3, 2, 12, 1, 3
+@pytest.fixture(params=[(1, 3), (0, 1), (2, 4)], ids=lambda p: f"q{p[0]}-Q{p[1]}")
+def small_constrained_problem(rng, request):
+    q, Q = request.param
+    n, k, m = 3, 2, 12
     mask = np.ones((n, n), dtype=bool)
     truth = StateSpaceModel(
         np.eye(n) * 0.5 + 0.05,
         np.zeros((n, k)),
-        CausalBandKernel(m, q, Q, (0.05, -0.02)),
+        CausalBandKernel(m, q, Q, (0.05, -0.02, 0.01)[: Q - 1]),
     )
     data = simulated_dataset(rng, truth, m, N=3)
     spec = ConstraintSpec(SymmetricMaskedNonneg(mask), NonnegativeDiagonal(),
@@ -106,6 +113,68 @@ def test_loss_curve_monotone(small_constrained_problem):
     report = violina_fit(data, spec, cfg)
     diffs = np.diff(report.loss_curve)
     assert np.all(diffs <= 1e-10 * (1.0 + report.loss_curve[:-1]))
+
+
+def assert_curve_matches_objective(data, spec, cfg):
+    """Each loss_curve entry agrees with objective.loss of its iterate; the
+    iterate after ``s`` steps is the final point of a fit cut at ``s`` steps."""
+    full = violina_fit(data, spec, cfg)
+    f0 = loss(cfg.theta0, data)
+    assert abs(full.loss_curve[0] - f0) <= 1e-12 * (1.0 + f0)
+    for s in range(1, cfg.max_steps + 1):
+        cut = violina_fit(data, spec, replace(cfg, max_steps=s))
+        np.testing.assert_array_equal(cut.loss_curve, full.loss_curve[: s + 1])
+        f = loss(cut.theta_final, data)
+        assert abs(cut.loss_curve[-1] - f) <= 1e-12 * (1.0 + f), s
+    return full
+
+
+def test_fixed_dense_kernel_fit_matches_objective(rng):
+    # the start's band kernel is not the fixed one: the fit carries Y D - Y D0
+    n, k, m, q = 3, 2, 12, 1
+    truth = random_stable_model(rng, n=n, k=k, m=m, q=q, Q=3)
+    data = simulated_dataset(rng, truth, m, N=3)
+    D = fractional_kernel(0.5, m)
+    spec = ConstraintSpec(FullSpace(), FullSpace(), Fixed(D))
+    cfg = PgdConfig(theta0=default_initial_point(n, k, m, q, 3), max_steps=15)
+    report = assert_curve_matches_objective(data, spec, cfg)
+    assert report.theta_final.kernel is D
+    assert report.loss_curve[-1] < report.loss_curve[1]
+
+
+@pytest.mark.parametrize("start", ["dense", "in-band", "other-band"])
+def test_band_fit_matches_objective_from_any_start(rng, start):
+    # a start kernel outside the band form is mapped in by the first
+    # projection; one inside it has nonzero coefficients to step from
+    n, k, m, q, Q = 3, 2, 12, 1, 3
+    truth = random_stable_model(rng, n=n, k=k, m=m, q=q, Q=Q)
+    data = simulated_dataset(rng, truth, m, N=3)
+    D0 = {
+        "dense": np.eye(m) + np.triu(rng.normal(scale=0.1, size=(m, m)), 1),
+        "in-band": CausalBandKernel(m, q, Q, (0.1, -0.05)),
+        "other-band": CausalBandKernel(m, 0, 2, (0.1,)),
+    }[start]
+    theta0 = StateSpaceModel(np.eye(n), np.zeros((n, k)), D0)
+    spec = ConstraintSpec(FullSpace(), FullSpace(), CausalBand(q, Q))
+    cfg = PgdConfig(theta0=theta0, max_steps=15)
+    report = assert_curve_matches_objective(data, spec, cfg)
+    assert isinstance(report.theta_final.kernel, CausalBandKernel)
+    assert report.loss_curve[-1] < report.loss_curve[0]
+
+
+def test_desk_a2b_fit_pinned():
+    # the desk-fit benchmark's fit: its backtracks and final loss must not move
+    suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
+    train = suite.nonmarkov.train
+    spec = ConstraintSpec(ShiftedGraphLaplacian(suite.grid.neighbor_mask),
+                          NonnegativeDiagonal(), CausalBand(train.q, train.q + 1))
+    theta0 = default_initial_point(train.n, train.k, train.m, train.q, train.q + 1)
+    report = violina_fit(train, spec, PgdConfig(theta0=theta0, max_steps=1000))
+    assert report.steps == 1000
+    assert report.backtracks.sum() == 113
+    assert report.loss_curve[-1] == pytest.approx(1.3577891666125e-3, rel=1e-10)
+    f = loss(report.theta_final, train)
+    assert abs(report.loss_curve[-1] - f) <= 1e-12 * (1.0 + f)
 
 
 def test_stationary_at_exact_model(rng):
