@@ -76,6 +76,11 @@ def _parse_mask(manifest) -> np.ndarray:
     return mask != 0
 
 
+def _check_index(flag: str, value: int, size: int):
+    if not 0 <= value < size:
+        raise ConfigError(f"{flag} {value} outside the valid range [0, {size})")
+
+
 def _dump_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
@@ -191,6 +196,8 @@ def cmd_fit(args) -> int:
 
 def cmd_dmdc(args) -> int:
     train = _load_dataset(args.train)
+    if not args.pooled:
+        _check_index("--fit-index", args.fit_index, train.size)
     indices = None if args.pooled else [args.fit_index]
     if args.rank is not None:
         rank = args.rank
@@ -303,20 +310,23 @@ def cmd_plot(args) -> int:
     elif args.kind == "traces":
         truth = _load_dataset(args.truth)
         pred = _load_dataset(args.pred)
-        cells = [int(c) for c in args.cells.split(",") if c.strip()]
+        _check_index("--traj", args.traj, min(truth.size, pred.size))
+        n_cells = min(truth.n, pred.n)
+        try:
+            cells = [int(c) for c in args.cells.split(",") if c.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"--cells {args.cells!r} is not a list of integers "
+                              f"in the valid range [0, {n_cells})") from exc
         if not cells:
             raise ConfigError("plot traces: --cells is empty")
+        for c in cells:
+            _check_index("--cells entry", c, n_cells)
         t_states = truth.trajectories[args.traj].states[:, : truth.m + 1]
         p_states = pred.trajectories[args.traj].states[:, : truth.m + 1]
         ts = list(range(truth.m + 1))
-        panels = []
-        for c in cells:
-            if not 0 <= c < t_states.shape[0]:
-                raise ConfigError(f"plot traces: cell {c} outside [0, {t_states.shape[0]})")
-            panels.append((f"cell {c}", [
-                ("truth", ts, t_states[c].tolist()),
-                ("model", ts, p_states[c].tolist(), True),
-            ]))
+        panels = [(f"cell {c}", [("truth", ts, t_states[c].tolist()),
+                                 ("model", ts, p_states[c].tolist(), True)])
+                  for c in cells]
         svg = panel_plot(panels, xlabel="t", ylabel="state")
     else:
         raise ConfigError(f"unknown plot kind {args.kind!r}")

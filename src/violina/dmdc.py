@@ -27,6 +27,29 @@ def _markovian_stack(data: Dataset, indices=None):
     return np.hstack(Xs), np.hstack(Ys), np.hstack(Us)
 
 
+class _StackSvd:
+    """Thin SVD ``W S V^T`` of the stacked ``[X; U]`` and its numerical rank,
+    solved for any truncation rank without factorising again."""
+
+    def __init__(self, data: Dataset, indices=None):
+        X, self.Y, U = _markovian_stack(data, indices)
+        self.n = X.shape[0]
+        self.W, self.s, self.Vt = np.linalg.svd(np.vstack([X, U]), full_matrices=False)
+        self.rank = int(np.sum(self.s > _RANK_RTOL * self.s[0])) if self.s[0] > 0 else 0
+
+    def solve(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(A, B)`` of the rank-``rank`` truncated pseudoinverse."""
+        if not 1 <= rank <= self.s.size:
+            raise ValueError(f"rank must lie in [1, {self.s.size}], got {rank}")
+        if rank > self.rank:
+            raise ValueError(
+                f"requested rank {rank} exceeds the numerical rank; "
+                f"attainable rank is {self.rank}"
+            )
+        AB = self.Y @ (self.Vt[:rank].T / self.s[:rank]) @ self.W[:, :rank].T
+        return AB[:, : self.n], AB[:, self.n :]
+
+
 def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.ndarray]:
     """Identify ``(A, B)`` from the stacked data by a rank-``r`` truncated
     pseudoinverse: ``[A B] = Y V_r S_r^{-1} W_r^T`` with ``[X; U] ~ W S V^T``.
@@ -35,27 +58,12 @@ def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.nda
     ``ValueError`` when ``rank`` exceeds the numerical rank (singular values
     below ``1e-12`` of the largest), naming the attainable rank.
     """
-    X, Y, U = _markovian_stack(data, indices)
-    n, k = X.shape[0], U.shape[0]
-    Z = np.vstack([X, U])
-    if not 1 <= rank <= min(n + k, Z.shape[1]):
-        raise ValueError(f"rank must lie in [1, {min(n + k, Z.shape[1])}], got {rank}")
-    W, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    attainable = int(np.sum(s > _RANK_RTOL * s[0])) if s[0] > 0 else 0
-    if rank > attainable:
-        raise ValueError(
-            f"requested rank {rank} exceeds the numerical rank; "
-            f"attainable rank is {attainable}"
-        )
-    AB = Y @ (Vt[:rank].T / s[:rank]) @ W[:, :rank].T
-    return AB[:, :n], AB[:, n:]
+    return _StackSvd(data, indices).solve(rank)
 
 
 def attainable_rank(data: Dataset, indices=None) -> int:
     """Numerical rank of the stacked ``[X; U]`` matrix."""
-    X, _, U = _markovian_stack(data, indices)
-    s = np.linalg.svd(np.vstack([X, U]), compute_uv=False)
-    return int(np.sum(s > _RANK_RTOL * s[0])) if s[0] > 0 else 0
+    return _StackSvd(data, indices).rank
 
 
 def as_model(A: np.ndarray, B: np.ndarray, m: int) -> StateSpaceModel:
@@ -80,13 +88,12 @@ def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0,
     train trajectories from their own initial value and inputs; ties go to
     the smaller rank.
     """
-    indices = None if pooled else [fit_index]
-    max_rank = attainable_rank(train, indices)
-    if max_rank < 1:
+    svd = _StackSvd(train, None if pooled else [fit_index])
+    if svd.rank < 1:
         raise ValueError("fitting data has rank zero")
     ranks, errors = [], []
-    for r in range(1, max_rank + 1):
-        A, B = dmdc_fit(train, r, indices)
+    for r in range(1, svd.rank + 1):
+        A, B = svd.solve(r)
         model = as_model(A, B, train.m)
         total = 0.0
         for traj in train.trajectories:

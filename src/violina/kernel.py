@@ -22,6 +22,18 @@ def _row_start(q: int, d: int) -> int:
     return max(0, q - d)
 
 
+def band_offset_counts(m: int, q: int, Q: int) -> np.ndarray:
+    """In-band entry counts of super-diagonals ``d = 1 .. Q-1`` of an ``m x m``
+    kernel with nullity ``q``, as floats.  Raises ``ValueError`` when ``Q < 1``
+    or a super-diagonal has no in-band entry."""
+    if Q < 1:
+        raise ValueError(f"bandwidth must be at least 1, got Q={Q}")
+    counts = [m - d - _row_start(q, d) for d in range(1, Q)]
+    if min(counts, default=1) <= 0:
+        raise ValueError(f"degenerate band offsets for q={q}, Q={Q}, m={m}")
+    return np.array(counts, dtype=float)
+
+
 @dataclass(frozen=True)
 class CausalBandKernel:
     """Normalized time-invariant causal matrix with bandwidth ``Q``.
@@ -58,10 +70,6 @@ class CausalBandKernel:
         if Q is None:
             Q = max(q, 1)
         return cls(m, q, Q, (0.0,) * (Q - 1))
-
-    def offset_count(self, d: int) -> int:
-        """Number of in-band entries on super-diagonal ``d``."""
-        return self.m - d - _row_start(self.q, d)
 
     def to_dense(self) -> np.ndarray:
         """Dense ``m x m`` expansion of the kernel."""
@@ -174,11 +182,9 @@ def kernel_distance_sq(a, b) -> float:
         and isinstance(b, CausalBandKernel)
         and (a.m, a.q, a.Q) == (b.m, b.q, b.Q)
     ):
+        counts = band_offset_counts(a.m, a.q, a.Q)
         return float(
-            sum(
-                (ca - cb) ** 2 * a.offset_count(d + 1)
-                for d, (ca, cb) in enumerate(zip(a.coeffs, b.coeffs))
-            )
+            sum((ca - cb) ** 2 * n for ca, cb, n in zip(a.coeffs, b.coeffs, counts))
         )
     da = a if isinstance(a, np.ndarray) else a.to_dense()
     db = b if isinstance(b, np.ndarray) else b.to_dense()

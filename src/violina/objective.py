@@ -7,13 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse.linalg
 
-from .kernel import CausalBandKernel, apply_kernel
+from .kernel import CausalBandKernel, apply_kernel, band_offset_counts
 from .model import StateSpaceModel, Trajectory, build_data_matrices
 
-# reduced quadratic forms up to this size are assembled densely
-_DENSE_EIG_LIMIT = 600
 # LAPACK block size of the data compression (the fastest of 16..128 at r = 500)
 _QR_BLOCK = 32
 
@@ -159,6 +156,33 @@ def hessian_apply(delta: TangentTuple, data: Dataset) -> TangentTuple:
     return TangentTuple(gA, gB, gD)
 
 
+def _band_blocks(Y: np.ndarray, q: int, Q: int) -> list[np.ndarray]:
+    """The band shifts ``S_d Y = Y Delta_d`` for ``d = 1 .. Q-1``, where
+    ``Delta_d`` is one on the in-band entries of super-diagonal ``d``: the
+    ``d``-th term of :func:`apply_kernel` for nullity ``q``."""
+    m = Y.shape[1]
+    out = []
+    for d in range(1, Q):
+        j0 = max(q, d)
+        shifted = np.zeros_like(Y)
+        shifted[:, j0:] = Y[:, j0 - d : m - d]
+        out.append(shifted)
+    return out
+
+
+def _compress(stacks, r: int) -> np.ndarray:
+    """The ``r x r`` upper-triangular ``R`` with ``R^T R = sum W W^T`` over
+    the ``r``-row stacks ``W``, reduced one stack at a time."""
+    R = np.zeros((r, r), order="F")
+    for W in stacks:
+        # R := triangle of qr([R; W^T]), exploiting the triangle of R
+        R, *_, info = scipy.linalg.lapack.dtpqrt(
+            0, min(r, _QR_BLOCK), R, W.T, overwrite_a=True, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtpqrt failed with info={info}")
+    return R
+
+
 class _StartRelativeLoss:
     """The loss and gradient of :func:`violina_fit` from one triangular factor.
 
@@ -190,25 +214,16 @@ class _StartRelativeLoss:
         self.nz = Q - 1 + (kernel_after is not None)
         E0 = residuals(theta0, data)
         self.initial_loss = sum(float(np.sum(e * e)) for e in E0)
-        r = data.n * (2 + self.nz) + data.k
-        R = np.zeros((r, r), order="F")
-        for mat, e0 in zip(data.matrices, E0):
-            blocks = [mat.X, mat.U]
-            for d in range(1, Q):
-                j0 = max(q, d)
-                shifted = np.zeros_like(mat.Y)
-                shifted[:, j0:] = mat.Y[:, j0 - d : data.m - d]
-                blocks.append(shifted)
+
+        def stack(mat, e0):
+            blocks = [mat.X, mat.U, *_band_blocks(mat.Y, q, Q)]
             if kernel_after is not None:
                 blocks.append(apply_kernel(mat.Y, kernel_after)
                               - apply_kernel(mat.Y, theta0.kernel))
             blocks.append(e0)
-            # R := triangle of qr([R; W^T]), exploiting the triangle of R
-            R, *_, info = scipy.linalg.lapack.dtpqrt(
-                0, min(r, _QR_BLOCK), R, np.vstack(blocks).T, overwrite_a=True, overwrite_b=True)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dtpqrt failed with info={info}")
-        self.R = R
+            return np.vstack(blocks)
+
+        self.R = _compress(map(stack, data.matrices, E0), data.n * (2 + self.nz) + data.k)
 
     def residual(self, A: np.ndarray, B: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Compressed residual ``F`` at ``(A, B)`` and kernel weights ``z``;
@@ -271,57 +286,36 @@ def perturbed(theta: StateSpaceModel, delta: TangentTuple, t: float = 1.0) -> St
     )
 
 
-def band_sums(Y: np.ndarray, E: np.ndarray, q: int, Q: int) -> np.ndarray:
-    """In-band super-diagonal sums of ``Y^T E`` for offsets ``1 .. Q-1``,
-    computed from shifted column slices without forming the full product."""
-    m = Y.shape[1]
-    out = np.zeros(Q - 1)
-    for d in range(1, Q):
-        k0 = max(0, q - d)
-        out[d - 1] = np.sum(Y[:, k0 : m - d] * E[:, k0 + d : m])
-    return out
+def _restricted_hessian_extremes(data: Dataset, q: int, Q: int) -> tuple[float, float]:
+    """Extreme eigenvalues of the Hessian on an orthonormal basis of the
+    feasible directions: all of ``A`` and ``B``, and the band directions
+    ``Delta_d / sqrt(count_d)``, ``d = 1 .. Q-1``.
 
-
-def _apply_band_direction(Y: np.ndarray, coeffs: np.ndarray, q: int, Q: int) -> np.ndarray:
-    """``Y @ Delta_D`` for a band direction with zero diagonal and in-band
-    super-diagonal values ``coeffs[d-1]``."""
-    m = Y.shape[1]
-    out = np.zeros_like(Y)
-    for d in range(1, Q):
-        c = coeffs[d - 1]
-        if c == 0.0:
-            continue
-        j0 = max(q, d)
-        out[:, j0:] += c * Y[:, j0 - d : m - d]
-    return out
-
-
-def _restricted_hessian_operator(data: Dataset, q: int, Q: int):
-    """Matvec of the Hessian in an orthonormal basis of the feasible
-    directions: all of ``A`` and ``B`` plus the ``Q - 1`` band directions."""
-    n, k, m = data.n, data.k, data.m
-    counts = np.array([m - d - max(0, q - d) for d in range(1, Q)], dtype=float)
-    if np.any(counts <= 0):
-        raise ValueError(f"degenerate band offsets for q={q}, Q={Q}, m={m}")
-    scale = 1.0 / np.sqrt(counts) if Q > 1 else np.zeros(0)
-    dim = n * n + n * k + (Q - 1)
-
-    def matvec(v):
-        v = np.asarray(v, dtype=float).ravel()
-        dA = v[: n * n].reshape(n, n)
-        dB = v[n * n : n * n + n * k].reshape(n, k)
-        dcoef = v[n * n + n * k :] * scale
-        gA = np.zeros((n, n))
-        gB = np.zeros((n, k))
-        dsum = np.zeros(Q - 1)
-        for mat in data.matrices:
-            e = _apply_band_direction(mat.Y, dcoef, q, Q) - dA @ mat.X - dB @ mat.U
-            gA -= 2.0 * e @ mat.X.T
-            gB -= 2.0 * e @ mat.U.T
-            dsum += 2.0 * band_sums(mat.Y, e, q, Q)
-        return np.concatenate([gA.ravel(), gB.ravel(), dsum * scale])
-
-    return dim, matvec
+    With ``G = R^T R`` for the stacks ``[X; U; S_1 Y; ...]`` that Hessian is
+    ``2 [[I_n (x) G_zz, -K], [-K^T, S]]``: ``G_zz`` the leading ``n + k``
+    block of ``G``, ``K_d = G[band d, :n+k]``, ``S_de = tr G[band d, band
+    e]``, bands scaled by ``1 / sqrt(count_d)``.  Each eigenvalue ``lambda_j``
+    of ``G_zz`` meets the bands only through ``C_j = [K_d v_j]_d``, whose QR
+    triangle ``T_j`` (``p = min(n, Q-1)`` rows) carries that coupling: the
+    spectrum is that of ``[[diag(lambda_j I_p), -T], [-T^T, S]]`` plus
+    copies of the ``lambda_j``, which by Cauchy interlacing lie inside it
+    (``Q = 1`` leaves ``2 lambda``).  Exact: one dense eigenproblem.
+    """
+    n, a = data.n, data.n + data.k
+    scale = 1.0 / np.sqrt(band_offset_counts(data.m, q, Q))
+    R = _compress((np.vstack([mat.X, mat.U, *_band_blocks(mat.Y, q, Q)])
+                   for mat in data.matrices), a + n * (Q - 1))
+    G = R.T @ R
+    lam, V = np.linalg.eigh(G[:a, :a])
+    K = G[a:, :a].reshape(Q - 1, n, a) * scale[:, None, None]
+    T = np.linalg.qr((K @ V).transpose(2, 1, 0), mode="r")
+    p = T.shape[1]
+    T = T.reshape(a * p, Q - 1)
+    S = np.trace(G[a:, a:].reshape(Q - 1, n, Q - 1, n), axis1=1, axis2=3)
+    small = np.block([[np.diag(np.repeat(lam, p)), -T],
+                      [-T.T, S * np.outer(scale, scale)]])
+    eigs = np.concatenate([np.linalg.eigvalsh(small), lam])
+    return 2.0 * float(eigs.min()), 2.0 * float(eigs.max())
 
 
 def _stacked_rank(data: Dataset) -> int:
@@ -345,25 +339,8 @@ def uniqueness_certificate(data: Dataset, mode: str = "fixed_d",
         eigs = np.linalg.eigvalsh(H)
         smallest, largest = float(eigs[0]), float(eigs[-1])
     elif mode == "full":
-        if Q is None:
-            Q = data.q + 1
-        dim, matvec = _restricted_hessian_operator(data, data.q, Q)
-        if dim <= _DENSE_EIG_LIMIT:
-            H = np.empty((dim, dim))
-            eye = np.eye(dim)
-            for j in range(dim):
-                H[:, j] = matvec(eye[:, j])
-            H = 0.5 * (H + H.T)
-            eigs = np.linalg.eigvalsh(H)
-            smallest, largest = float(eigs[0]), float(eigs[-1])
-        else:
-            op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec)
-            smallest = float(
-                scipy.sparse.linalg.eigsh(op, k=1, which="SA", return_eigenvectors=False)[0]
-            )
-            largest = float(
-                scipy.sparse.linalg.eigsh(op, k=1, which="LA", return_eigenvectors=False)[0]
-            )
+        smallest, largest = _restricted_hessian_extremes(
+            data, data.q, data.q + 1 if Q is None else Q)
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'fixed_d' or 'full'")
     tol = 1e-10 * max(1.0, abs(largest))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import CausalBand, ConstraintSpec
-from .kernel import CausalBandKernel, band_diagonal_sums, kernel_distance_sq
+from .kernel import CausalBandKernel, band_diagonal_sums, band_offset_counts, kernel_distance_sq
 from .model import StateSpaceModel
 from .objective import Dataset, _StartRelativeLoss
 
@@ -131,9 +131,7 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
     # and 1 once the first projection has replaced D0.
     if band is not None:
         q, Q = band.q, band.Q
-        counts = np.array([m - d - max(0, q - d) for d in range(1, Q)], dtype=float)
-        if np.any(counts <= 0):
-            raise ValueError(f"degenerate band constraint for q={q}, Q={Q}, m={m}")
+        counts = band_offset_counts(m, q, Q)
         if isinstance(kern, CausalBandKernel) and (kern.m, kern.q, kern.Q) == (m, q, Q):
             c_ref, kern_after = np.array(kern.coeffs), None
         else:

@@ -241,3 +241,25 @@ def exact_lipschitz(data):
                                        dD.reshape(m, m)), data)
         H[:, j] = np.concatenate([h.dA.ravel(), h.dB.ravel(), h.dD.ravel()])
     return float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1])
+
+
+def restricted_hessian(data, q, Q):
+    """The dense Hessian on an orthonormal basis of the feasible directions
+    (all of ``A`` and ``B``, then one unit-norm direction per in-band
+    super-diagonal ``d = 1 .. Q-1``), assembled column by column from
+    ``hessian_apply``."""
+    n, k, m = data.n, data.k, data.m
+    basis = []
+    for j in range(n * n + n * k):
+        e = np.zeros(n * n + n * k)
+        e[j] = 1.0
+        basis.append(TangentTuple(e[: n * n].reshape(n, n), e[n * n:].reshape(n, k),
+                                  np.zeros((m, m))))
+    for d in range(1, Q):
+        dD = np.zeros((m, m))
+        rows = np.arange(max(0, q - d), m - d)
+        dD[rows, rows + d] = 1.0 / np.sqrt(rows.size)
+        basis.append(TangentTuple(np.zeros((n, n)), np.zeros((n, k)), dD))
+    columns = [hessian_apply(v, data) for v in basis]
+    H = np.array([[u.inner(h) for h in columns] for u in basis])
+    return 0.5 * (H + H.T)

@@ -51,7 +51,6 @@ from violina import (
 )
 from violina.cli import main as cli_main
 from violina.dmdc import as_model, dmdc_fit
-from violina.objective import band_sums  # noqa: F401  (import sanity)
 from conftest import random_dataset, random_theta, random_stable_model, simulated_dataset
 from oracles import (
     finite_difference_gradient,

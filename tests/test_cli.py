@@ -338,3 +338,43 @@ def test_plot_empty_input_exit_2(tmp_path):
                  "--out", str(tmp_path / "x.svg")]) == 2
     assert main(["--quiet", "plot", "--kind", "curve",
                  "--out", str(tmp_path / "x.svg")]) == 2
+
+
+@pytest.mark.parametrize("extra", [["--fit-index", "99"], ["--fit-index", "-1"],
+                                   ["--fit-index", "8", "--rank", "2"]],
+                         ids=["99", "-1", "8-fixed-rank"])
+def test_dmdc_fit_index_out_of_range_exit_2(suite_dir, tmp_path, capsys, extra):
+    out = tmp_path / "dmdc.json"
+    rc = main(["--quiet", "dmdc", "--train", str(suite_dir / "markov_train.json"),
+               "--out", str(out), *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--fit-index" in err and "valid range [0, 8)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, pred_size, flag", [
+    (["--traj", "99"], None, "--traj"),
+    (["--traj", "-1"], None, "--traj"),
+    (["--traj", "1"], 1, "--traj"),
+    (["--cells", "a"], None, "--cells"),
+    (["--cells", "0,10"], None, "--cells"),
+    (["--cells", "-1"], None, "--cells"),
+], ids=["traj=99", "traj=-1", "traj-past-pred", "cells=a", "cells=10", "cells=-1"])
+def test_plot_traces_out_of_range_exit_2(suite_dir, tmp_path, capsys, extra, pred_size,
+                                         flag):
+    pred = tmp_path / "pred.json"
+    main(["--quiet", "simulate", "--model", str(suite_dir / "markov_model.json"),
+          "--dataset", str(suite_dir / "markov_test.json"), "--out", str(pred)])
+    if pred_size is not None:
+        d = json.loads(pred.read_text())
+        d["trajectories"] = d["trajectories"][:pred_size]
+        pred.write_text(json.dumps(d))
+    svg = tmp_path / "traces.svg"
+    rc = main(["--quiet", "plot", "--kind", "traces",
+               "--truth", str(suite_dir / "markov_test.json"), "--pred", str(pred),
+               "--out", str(svg), *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert flag in err and "valid range [0, " in err
+    assert not svg.exists()

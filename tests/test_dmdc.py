@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+import violina.dmdc
 from violina import (
+    BenchmarkConfig,
     CausalBandKernel,
     Dataset,
     StateSpaceModel,
     Trajectory,
+    build_benchmark_suite,
     dmdc_fit,
     dmdc_rank_scan,
     uniqueness_certificate,
 )
-from violina.dmdc import attainable_rank
+from violina.dmdc import as_model, attainable_rank
+from violina.model import relative_error
 from conftest import random_stable_model, simulated_dataset
 
 
@@ -88,6 +92,26 @@ def test_rank_scan_records_whole_curve(rng):
     train = simulated_dataset(rng, truth, 12, N=2, zero_initial=False)
     scan = dmdc_rank_scan(train, pooled=True)
     assert len(scan.errors) == len(scan.ranks) == attainable_rank(train)
+
+
+def test_rank_scan_matches_separate_fits_on_desk_suite(monkeypatch):
+    train = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1)).nonmarkov.train
+    scanned = []
+    monkeypatch.setattr(violina.dmdc, "as_model",
+                        lambda A, B, m: scanned.append((A, B)) or as_model(A, B, m))
+    scan = dmdc_rank_scan(train)
+    assert scan.ranks == tuple(range(1, attainable_rank(train, [0]) + 1))
+    assert len(scanned) == len(scan.ranks)
+    for r, (A_scan, B_scan), err in zip(scan.ranks, scanned, scan.errors):
+        A, B = dmdc_fit(train, r, [0])
+        np.testing.assert_array_equal(A_scan, A)
+        np.testing.assert_array_equal(B_scan, B)
+        model = as_model(A, B, train.m)
+        total = 0.0
+        for traj in train.trajectories:
+            pred = model.simulate(traj.states[:, :1], traj.inputs[:, : train.m])
+            total += relative_error(pred.states, traj.states[:, : train.m + 1], first=1)
+        assert err == total / train.size
 
 
 def test_markovian_pairing_used_even_for_lagged_datasets(rng):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from violina import (
+    BenchmarkConfig,
     CausalBandKernel,
     Dataset,
     StateSpaceModel,
     TangentTuple,
     Trajectory,
+    build_benchmark_suite,
     fixed_d_hessian,
     gradient,
     hessian_apply,
@@ -15,6 +17,7 @@ from violina import (
     perturbed,
     uniqueness_certificate,
 )
+from violina.kernel import band_offset_counts
 from conftest import random_dataset, random_stable_model, random_theta, simulated_dataset
 from oracles import (
     exact_lipschitz,
@@ -22,6 +25,7 @@ from oracles import (
     literal_lipschitz,
     literal_loss,
     literal_smoothness_bound,
+    restricted_hessian,
 )
 
 
@@ -260,29 +264,41 @@ def test_uniqueness_zero_dataset_eigenvalue_zero():
     assert not report.positive_definite
 
 
-def test_uniqueness_full_mode_matches_hessian_quadratic_form(rng):
-    n, k, m, q, Q = 2, 1, 9, 1, 3
-    data = random_dataset(rng, n=n, k=k, m=m, q=q, N=2)
+@pytest.mark.parametrize("n, k, m, q, Q, N", [
+    (2, 1, 9, 1, 3, 2),   # q > 0, rich data
+    (2, 1, 9, 0, 1, 2),   # Q = 1: no band directions
+    (1, 2, 8, 0, 4, 1),   # n < Q - 1
+    (3, 2, 7, 2, 3, 1),   # q > 0, short data: singular
+    (2, 2, 10, 3, 5, 3),  # q > 0, n < Q - 1
+], ids=["q1-Q3", "q0-Q1", "n1-Q4", "q2-Q3-singular", "q3-Q5"])
+def test_uniqueness_full_mode_matches_restricted_hessian_oracle(rng, n, k, m, q, Q, N):
+    data = random_dataset(rng, n=n, k=k, m=m, q=q, N=N)
     report = uniqueness_certificate(data, mode="full", Q=Q)
-    # cross-check: the reduced form must agree with hessian_apply on a
-    # random feasible direction (band dD, unit-normalized basis)
-    from violina.objective import _restricted_hessian_operator
+    eigs = np.linalg.eigvalsh(restricted_hessian(data, q, Q))
+    assert abs(report.smallest_eigenvalue - eigs[0]) <= 1e-10 * eigs[-1]
+    assert report.positive_definite == (eigs[0] > 1e-10 * max(1.0, eigs[-1]))
 
-    dim, matvec = _restricted_hessian_operator(data, q, Q)
-    v = rng.normal(size=dim)
-    counts = np.array([m - d - max(0, q - d) for d in range(1, Q)], dtype=float)
-    coeffs = v[n * n + n * k:] / np.sqrt(counts)
-    dD = np.zeros((m, m))
-    for d in range(1, Q):
-        rows = np.arange(max(0, q - d), m - d)
-        dD[rows, rows + d] = coeffs[d - 1]
-    delta = TangentTuple(v[:n * n].reshape(n, n),
-                         v[n * n:n * n + n * k].reshape(n, k), dD)
-    assert float(v @ matvec(v)) == pytest.approx(
-        delta.inner(hessian_apply(delta, data)), rel=1e-10)
-    assert report.smallest_eigenvalue >= -1e-10
-    # rich random data makes the restricted Hessian positive definite
-    assert report.positive_definite
+
+def test_uniqueness_full_mode_at_desk_scale_is_singular():
+    train = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1)).nonmarkov.train
+    report = uniqueness_certificate(train, mode="full")
+    assert not report.positive_definite
+    assert abs(report.smallest_eigenvalue) <= 1e-10 * lipschitz_constant(train)
+
+
+def test_band_offset_counts():
+    np.testing.assert_array_equal(band_offset_counts(6, 2, 4), [4.0, 4.0, 3.0])
+    assert band_offset_counts(6, 0, 1).shape == (0,)
+    for q, Q in ((0, 0), (0, 7), (6, 6)):
+        with pytest.raises(ValueError):
+            band_offset_counts(6, q, Q)
+
+
+def test_uniqueness_full_mode_rejects_bad_bandwidth(rng):
+    data = random_dataset(rng, n=2, k=1, m=5, q=0, N=1)
+    for Q in (0, 6):
+        with pytest.raises(ValueError):
+            uniqueness_certificate(data, mode="full", Q=Q)
 
 
 def test_dataset_validation(rng):
