@@ -205,7 +205,10 @@ def cmd_dmdc(args) -> int:
     else:
         scan = dmdc_rank_scan(train, fit_index=args.fit_index, pooled=args.pooled)
         rank = scan.best_rank
-    A, B = dmdc_fit(train, rank, indices)
+    try:
+        A, B = dmdc_fit(train, rank, indices)
+    except ValueError as exc:  # only an unattainable --rank
+        raise ConfigError(f"--rank: {exc}") from exc
     _dump_json(args.out, as_model(A, B, train.m).to_dict())
     if scan is not None and args.scan_csv:
         with open(args.scan_csv, "w", encoding="utf-8", newline="") as fh:
@@ -308,6 +311,9 @@ def cmd_plot(args) -> int:
         svg = line_plot(series, title=args.title, xlabel=args.x_col,
                         ylabel=args.y_col, logy=not args.linear)
     elif args.kind == "traces":
+        for flag, path in (("--truth", args.truth), ("--pred", args.pred)):
+            if path is None:
+                raise ConfigError(f"plot traces: need {flag} DATASET")
         truth = _load_dataset(args.truth)
         pred = _load_dataset(args.pred)
         _check_index("--traj", args.traj, min(truth.size, pred.size))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import CausalBandKernel
-from .model import StateSpaceModel, build_data_matrices, relative_error
+from .model import StateSpaceModel, relative_error
 from .objective import Dataset
 
 _RANK_RTOL = 1e-12
@@ -16,15 +16,10 @@ _RANK_RTOL = 1e-12
 
 def _markovian_stack(data: Dataset, indices=None):
     # the baseline always uses single-step (q = 0) pairing, whatever data.q is
-    if indices is None:
-        indices = range(data.size)
-    Xs, Ys, Us = [], [], []
-    for i in indices:
-        mat = build_data_matrices(data.trajectories[i], 0, data.m)
-        Xs.append(mat.X)
-        Ys.append(mat.Y)
-        Us.append(mat.U)
-    return np.hstack(Xs), np.hstack(Ys), np.hstack(Us)
+    trajs = data.trajectories if indices is None else [data.trajectories[i] for i in indices]
+    mats = Dataset(trajs, 0, data.m).matrices
+    return (np.hstack([M.X for M in mats]), np.hstack([M.Y for M in mats]),
+            np.hstack([M.U for M in mats]))
 
 
 class _StackSvd:
@@ -39,13 +34,9 @@ class _StackSvd:
 
     def solve(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
         """``(A, B)`` of the rank-``rank`` truncated pseudoinverse."""
-        if not 1 <= rank <= self.s.size:
-            raise ValueError(f"rank must lie in [1, {self.s.size}], got {rank}")
-        if rank > self.rank:
-            raise ValueError(
-                f"requested rank {rank} exceeds the numerical rank; "
-                f"attainable rank is {self.rank}"
-            )
+        if not 1 <= rank <= self.rank:
+            raise ValueError(f"rank {rank} outside the valid range [1, {self.rank}]: "
+                             f"the attainable rank is {self.rank}")
         AB = self.Y @ (self.Vt[:rank].T / self.s[:rank]) @ self.W[:, :rank].T
         return AB[:, : self.n], AB[:, self.n :]
 
@@ -55,8 +46,9 @@ def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.nda
     pseudoinverse: ``[A B] = Y V_r S_r^{-1} W_r^T`` with ``[X; U] ~ W S V^T``.
 
     ``indices`` restricts the stack to a subset of trajectories.  Raises
-    ``ValueError`` when ``rank`` exceeds the numerical rank (singular values
-    below ``1e-12`` of the largest), naming the attainable rank.
+    ``ValueError`` when ``rank`` lies outside ``[1, attainable rank]`` (the
+    numerical rank: singular values below ``1e-12`` of the largest do not
+    count), naming the attainable rank.
     """
     return _StackSvd(data, indices).solve(rank)
 

@@ -9,33 +9,38 @@ import numpy as np
 import scipy.linalg.lapack
 
 from .kernel import CausalBandKernel, apply_kernel, band_offset_counts
-from .model import StateSpaceModel, Trajectory, build_data_matrices
+from .model import DataMatrices, StateSpaceModel, Trajectory, build_data_matrices
 
 # LAPACK block size of the data compression (the fastest of 16..128 at r = 500)
 _QR_BLOCK = 32
 
 
 class Dataset:
-    """A corpus of trajectories with the shared truncation parameters.
-
-    Data matrices are built once per trajectory and cached; ``m`` may not
-    exceed any trajectory length (the columns it references must exist).
-    """
+    """A corpus of trajectories with the shared truncation parameters
+    ``0 <= q < m``; ``m`` may not exceed any trajectory length (the columns
+    it references must exist).  It holds only the trajectories."""
 
     def __init__(self, trajectories, q: int, m: int):
-        trajectories = tuple(trajectories)
-        if not trajectories:
+        self.trajectories, self.q, self.m = tuple(trajectories), int(q), int(m)
+        if not self.trajectories:
             raise ValueError("a dataset needs at least one trajectory")
-        n, k = trajectories[0].n, trajectories[0].k
-        for i, traj in enumerate(trajectories):
+        if not 0 <= self.q < self.m:
+            raise ValueError(f"need 0 <= q < m, got q={self.q}, m={self.m}")
+        n, k, m = self.n, self.k, self.m
+        for i, traj in enumerate(self.trajectories):
             if (traj.n, traj.k) != (n, k):
                 raise ValueError(
                     f"trajectory {i} has shape ({traj.n}, {traj.k}), expected ({n}, {k})"
                 )
-        self.trajectories = trajectories
-        self.q = int(q)
-        self.m = int(m)
-        self.matrices = tuple(build_data_matrices(t, self.q, self.m) for t in trajectories)
+            if traj.length < m:
+                raise ValueError(
+                    f"trajectory {i} has {traj.length + 1} states but m={m} needs {m + 1}"
+                )
+
+    @property
+    def matrices(self) -> tuple[DataMatrices, ...]:
+        """The zero-padded data matrices per trajectory, built on each access."""
+        return tuple(build_data_matrices(t, self.q, self.m) for t in self.trajectories)
 
     @property
     def n(self) -> int:
@@ -286,10 +291,10 @@ def perturbed(theta: StateSpaceModel, delta: TangentTuple, t: float = 1.0) -> St
     )
 
 
-def _restricted_hessian_extremes(data: Dataset, q: int, Q: int) -> tuple[float, float]:
+def _restricted_hessian_extremes(data: Dataset, q: int, Q: int) -> tuple[float, float, int]:
     """Extreme eigenvalues of the Hessian on an orthonormal basis of the
     feasible directions: all of ``A`` and ``B``, and the band directions
-    ``Delta_d / sqrt(count_d)``, ``d = 1 .. Q-1``.
+    ``Delta_d / sqrt(count_d)``, ``d = 1 .. Q-1``; and the rank of ``[X; U]``.
 
     With ``G = R^T R`` for the stacks ``[X; U; S_1 Y; ...]`` that Hessian is
     ``2 [[I_n (x) G_zz, -K], [-K^T, S]]``: ``G_zz`` the leading ``n + k``
@@ -299,12 +304,16 @@ def _restricted_hessian_extremes(data: Dataset, q: int, Q: int) -> tuple[float, 
     triangle ``T_j`` (``p = min(n, Q-1)`` rows) carries that coupling: the
     spectrum is that of ``[[diag(lambda_j I_p), -T], [-T^T, S]]`` plus
     copies of the ``lambda_j``, which by Cauchy interlacing lie inside it
-    (``Q = 1`` leaves ``2 lambda``).  Exact: one dense eigenproblem.
+    (``Q = 1`` leaves ``2 lambda``).  Exact: one dense eigenproblem.  The
+    leading ``n + k`` block of ``R`` has the singular values of the stacked
+    ``[X; U]``; the rank applies ``numpy.linalg.matrix_rank``'s tolerance.
     """
     n, a = data.n, data.n + data.k
     scale = 1.0 / np.sqrt(band_offset_counts(data.m, q, Q))
     R = _compress((np.vstack([mat.X, mat.U, *_band_blocks(mat.Y, q, Q)])
                    for mat in data.matrices), a + n * (Q - 1))
+    sigma = np.linalg.svd(R[:a, :a], compute_uv=False)
+    rank = int(np.sum(sigma > sigma[0] * max(a, data.size * data.m) * np.finfo(float).eps))
     G = R.T @ R
     lam, V = np.linalg.eigh(G[:a, :a])
     K = G[a:, :a].reshape(Q - 1, n, a) * scale[:, None, None]
@@ -315,37 +324,28 @@ def _restricted_hessian_extremes(data: Dataset, q: int, Q: int) -> tuple[float, 
     small = np.block([[np.diag(np.repeat(lam, p)), -T],
                       [-T.T, S * np.outer(scale, scale)]])
     eigs = np.concatenate([np.linalg.eigvalsh(small), lam])
-    return 2.0 * float(eigs.min()), 2.0 * float(eigs.max())
-
-
-def _stacked_rank(data: Dataset) -> int:
-    Z = np.hstack([np.vstack([mat.X, mat.U]) for mat in data.matrices])
-    return int(np.linalg.matrix_rank(Z))
+    return 2.0 * float(eigs.min()), 2.0 * float(eigs.max()), rank
 
 
 def uniqueness_certificate(data: Dataset, mode: str = "fixed_d",
                            Q: int | None = None) -> UniquenessReport:
     """Certify uniqueness of the minimizer.
 
-    ``fixed_d`` inspects the ``(n+k)``-dimensional Hessian of the
-    fixed-kernel problem.  ``full`` restricts the full Hessian to the
-    feasible band directions (bandwidth ``Q``, default ``q + 1``) and
-    reports its smallest eigenvalue.  Either way ``rank_condition`` states
+    ``full`` restricts the Hessian to ``A``, ``B`` and the feasible band
+    directions (bandwidth ``Q``, default ``q + 1``) and reports its smallest
+    eigenvalue.  ``fixed_d`` is ``Q = 1``, a fixed kernel: eigenvalues twice
+    those of :func:`fixed_d_hessian`.  Either way ``rank_condition`` states
     whether the stacked ``[X; U]`` has full row rank ``n + k``.
     """
-    rank_ok = _stacked_rank(data) == data.n + data.k
     if mode == "fixed_d":
-        H = fixed_d_hessian(data)
-        eigs = np.linalg.eigvalsh(H)
-        smallest, largest = float(eigs[0]), float(eigs[-1])
-    elif mode == "full":
-        smallest, largest = _restricted_hessian_extremes(
-            data, data.q, data.q + 1 if Q is None else Q)
-    else:
+        Q = 1
+    elif mode != "full":
         raise ValueError(f"unknown mode {mode!r}, expected 'fixed_d' or 'full'")
+    smallest, largest, rank = _restricted_hessian_extremes(
+        data, data.q, data.q + 1 if Q is None else Q)
     tol = 1e-10 * max(1.0, abs(largest))
     return UniquenessReport(
         positive_definite=smallest > tol,
         smallest_eigenvalue=smallest,
-        rank_condition=rank_ok,
+        rank_condition=rank == data.n + data.k,
     )

@@ -225,6 +225,13 @@ def literal_smoothness_bound(data):
     return 2.0 * (np.linalg.norm(Gz, 2) + np.linalg.norm(Gy, 2))
 
 
+def stacked_rank(data):
+    """Rank of the stacked ``[X; U]``: ``numpy.linalg.matrix_rank`` of the
+    ``(n + k) x N m`` matrix of all trajectories side by side."""
+    return int(np.linalg.matrix_rank(
+        np.hstack([np.vstack([mat.X, mat.U]) for mat in data.matrices])))
+
+
 def exact_lipschitz(data):
     """The exact gradient Lipschitz constant: the largest eigenvalue of the
     ambient Hessian over ``(A, B, D)``, assembled column by column from

@@ -183,6 +183,11 @@ def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, caps
             lambda d: d["trajectories"][1]["states"][3].pop()),
         "trajectory 1: 'states' holds non-finite values": broken(
             lambda d: d["trajectories"][1]["states"][5].__setitem__(0, float("nan"))),
+        "trajectory 1 has 21 states but m=30 needs 31": broken(
+            lambda d: d["trajectories"][1].update(states=d["trajectories"][1]["states"][:21],
+                                                  inputs=d["trajectories"][1]["inputs"][:20])),
+        "need 0 <= q < m, got q=30, m=30": broken(lambda d: d.__setitem__("q", 30)),
+        "need 0 <= q < m, got q=-1, m=30": broken(lambda d: d.__setitem__("q", -1)),
     }
     for i, (expected, data) in enumerate(cases.items()):
         path = tmp_path / f"bad{i}.json"
@@ -331,6 +336,16 @@ def test_plot_traces(suite_dir, tmp_path):
     assert svg.read_text().count("<polyline") == 6  # two lines per panel
 
 
+@pytest.mark.parametrize("missing", ["--truth", "--pred"])
+def test_plot_traces_missing_dataset_exit_2(suite_dir, tmp_path, capsys, missing):
+    given = {"--truth", "--pred"} - {missing}
+    argv = [a for flag in given for a in (flag, str(suite_dir / "markov_test.json"))]
+    svg = tmp_path / "traces.svg"
+    assert main(["--quiet", "plot", "--kind", "traces", "--out", str(svg), *argv]) == 2
+    assert f"need {missing}" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_plot_empty_input_exit_2(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("step,loss\n")
@@ -350,6 +365,18 @@ def test_dmdc_fit_index_out_of_range_exit_2(suite_dir, tmp_path, capsys, extra):
     assert rc == 2
     err = capsys.readouterr().err
     assert "--fit-index" in err and "valid range [0, 8)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rank", ["0", "99"], ids=["rank=0", "rank=99"])
+@pytest.mark.parametrize("pooled", [[], ["--pooled"]], ids=["single", "pooled"])
+def test_dmdc_rank_out_of_range_exit_2(suite_dir, tmp_path, capsys, rank, pooled):
+    out = tmp_path / "dmdc.json"
+    rc = main(["--quiet", "dmdc", "--train", str(suite_dir / "markov_train.json"),
+               "--out", str(out), "--rank", rank, *pooled])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--rank" in err and f"rank {rank} outside the valid range [1, " in err
     assert not out.exists()
 
 

@@ -18,6 +18,7 @@ from violina import (
     uniqueness_certificate,
 )
 from violina.kernel import band_offset_counts
+from violina.objective import _restricted_hessian_extremes
 from conftest import random_dataset, random_stable_model, random_theta, simulated_dataset
 from oracles import (
     exact_lipschitz,
@@ -26,6 +27,7 @@ from oracles import (
     literal_loss,
     literal_smoothness_bound,
     restricted_hessian,
+    stacked_rank,
 )
 
 
@@ -286,6 +288,37 @@ def test_uniqueness_full_mode_at_desk_scale_is_singular():
     assert abs(report.smallest_eigenvalue) <= 1e-10 * lipschitz_constant(train)
 
 
+@pytest.mark.parametrize("instance", [
+    (3, 2, 8, 1, 2), (2, 1, 9, 1, 2), (2, 1, 9, 0, 2), (1, 2, 8, 0, 1), (3, 2, 7, 2, 1),
+    (2, 2, 10, 3, 3), (3, 2, 4, 0, 1), (2, 2, 9, 0, 1), (2, 1, 6, 1, 1), (3, 2, 8, 1, 3),
+    (4, 3, 12, 2, 2), (2, 1, 5, 0, 1), "duplicated-row", "desk",
+], ids=str)
+def test_uniqueness_fixed_d_is_full_mode_at_Q1(rng, instance):
+    # (n, k, m, q, N) of random_dataset, a rank-deficient instance, the desk train set
+    if instance == "desk":
+        data = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1)).nonmarkov.train
+    elif instance == "duplicated-row":
+        states = rng.normal(size=(3, 9))
+        states[2] = states[0]
+        data = Dataset([Trajectory(states, rng.normal(size=(2, 8)))], 0, 8)
+    else:
+        n, k, m, q, N = instance
+        data = random_dataset(rng, n=n, k=k, m=m, q=q, N=N)
+    report = uniqueness_certificate(data, mode="fixed_d")
+    assert report == uniqueness_certificate(data, mode="full", Q=1)
+    smallest, largest, rank = _restricted_hessian_extremes(data, data.q, 1)
+    assert smallest == report.smallest_eigenvalue
+    eigs = 2.0 * np.linalg.eigvalsh(fixed_d_hessian(data))
+    assert abs(smallest - eigs[0]) <= 1e-10 * eigs[-1]
+    assert abs(largest - eigs[-1]) <= 1e-10 * eigs[-1]
+    assert rank == stacked_rank(data)
+    full_rank = stacked_rank(data) == data.n + data.k
+    assert report.rank_condition == full_rank
+    assert uniqueness_certificate(data, mode="full").rank_condition == full_rank
+    if instance == "duplicated-row":
+        assert not full_rank
+
+
 def test_band_offset_counts():
     np.testing.assert_array_equal(band_offset_counts(6, 2, 4), [4.0, 4.0, 3.0])
     assert band_offset_counts(6, 0, 1).shape == (0,)
@@ -310,6 +343,12 @@ def test_dataset_validation(rng):
         Dataset([t1, t2], 0, 4)
     with pytest.raises(ValueError):
         Dataset([t1], 0, 5)  # m exceeds the trajectory length
+    longer = Trajectory(rng.normal(size=(2, 7)), rng.normal(size=(1, 6)))
+    with pytest.raises(ValueError, match="trajectory 1 has 5 states but m=5 needs 6"):
+        Dataset([longer, t1], 0, 5)
+    for q in (-1, 4):
+        with pytest.raises(ValueError, match=f"need 0 <= q < m, got q={q}, m=4"):
+            Dataset([t1], q, 4)
 
 
 def test_loss_shape_mismatch_raises(rng):
