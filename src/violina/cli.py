@@ -116,7 +116,7 @@ def cmd_generate(args) -> int:
     try:
         cfg = BenchmarkConfig.from_dict(cfg_dict)
         suite = build_benchmark_suite(cfg)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"benchmark config: {exc}") from exc
 
     out = Path(args.out)
@@ -200,15 +200,14 @@ def cmd_dmdc(args) -> int:
         _check_index("--fit-index", args.fit_index, train.size)
     indices = None if args.pooled else [args.fit_index]
     if args.rank is not None:
-        rank = args.rank
-        scan = None
+        rank, scan = args.rank, None
+        try:
+            A, B = dmdc_fit(train, rank, indices)
+        except ValueError as exc:  # only an unattainable --rank
+            raise ConfigError(f"--rank: {exc}") from exc
     else:
         scan = dmdc_rank_scan(train, fit_index=args.fit_index, pooled=args.pooled)
-        rank = scan.best_rank
-    try:
-        A, B = dmdc_fit(train, rank, indices)
-    except ValueError as exc:  # only an unattainable --rank
-        raise ConfigError(f"--rank: {exc}") from exc
+        rank, A, B = scan.best_rank, scan.A, scan.B
     _dump_json(args.out, as_model(A, B, train.m).to_dict())
     if scan is not None and args.scan_csv:
         with open(args.scan_csv, "w", encoding="utf-8", newline="") as fh:
@@ -293,8 +292,13 @@ def _read_csv_series(path, x_col, y_col):
             raise ConfigError(f"{path}: need columns {x_col!r} and {y_col!r}")
         xs, ys = [], []
         for row in reader:
-            xs.append(float(row[x_col]))
-            ys.append(float(row[y_col]))
+            try:
+                xs.append(float(row[x_col]))
+                ys.append(float(row[y_col]))
+            except (TypeError, ValueError):  # a non-numeric cell or a short row
+                raise ConfigError(
+                    f"{path}: line {reader.line_num} needs numbers in {x_col!r} and "
+                    f"{y_col!r}, got {row[x_col]!r} and {row[y_col]!r}") from None
     if not xs:
         raise ConfigError(f"{path}: no data rows")
     return xs, ys

@@ -63,11 +63,15 @@ def as_model(A: np.ndarray, B: np.ndarray, m: int) -> StateSpaceModel:
     return StateSpaceModel(A, B, CausalBandKernel.identity(m, 0, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankScanResult:
+    """The scanned ranks with their errors, and the best rank's ``(A, B)``."""
+
     best_rank: int
     ranks: tuple[int, ...]
     errors: tuple[float, ...]
+    A: np.ndarray
+    B: np.ndarray
 
 
 def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0,
@@ -78,7 +82,8 @@ def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0,
     benchmark orders to carry the designated fitting input) or the pooled
     train set when ``pooled`` is true.  Each candidate model re-simulates all
     train trajectories from their own initial value and inputs; ties go to
-    the smaller rank.
+    the smaller rank.  The result carries the best rank's ``(A, B)``, solved
+    from the same factorisation.
     """
     svd = _StackSvd(train, None if pooled else [fit_index])
     if svd.rank < 1:
@@ -93,5 +98,5 @@ def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0,
             total += relative_error(pred.states, traj.states[:, : train.m + 1], first=1)
         ranks.append(r)
         errors.append(total / train.size)
-    best = int(np.argmin(errors))
-    return RankScanResult(ranks[best], tuple(ranks), tuple(errors))
+    best = ranks[int(np.argmin(errors))]
+    return RankScanResult(best, tuple(ranks), tuple(errors), *svd.solve(best))

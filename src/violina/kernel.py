@@ -160,37 +160,6 @@ def apply_kernel(Y: np.ndarray, kernel) -> np.ndarray:
     return out
 
 
-def band_diagonal_sums(D, q: int, Q: int) -> np.ndarray:
-    """Sums of a kernel (band or dense) over the in-band super-diagonals
-    ``d = 1 .. Q-1`` of the target set ``T_m^q(Q)``."""
-    if isinstance(D, np.ndarray):
-        return np.array(
-            [np.diagonal(D, offset=d)[_row_start(q, d):].sum() for d in range(1, Q)]
-        )
-    out = np.zeros(Q - 1)
-    for d in range(1, Q):
-        if d <= D.Q - 1:
-            lo = max(_row_start(q, d), _row_start(D.q, d))
-            out[d - 1] = D.coeffs[d - 1] * max(0, D.m - d - lo)
-    return out
-
-
-def kernel_distance_sq(a, b) -> float:
-    """Squared Frobenius distance between two kernels (band or dense)."""
-    if (
-        isinstance(a, CausalBandKernel)
-        and isinstance(b, CausalBandKernel)
-        and (a.m, a.q, a.Q) == (b.m, b.q, b.Q)
-    ):
-        counts = band_offset_counts(a.m, a.q, a.Q)
-        return float(
-            sum((ca - cb) ** 2 * n for ca, cb, n in zip(a.coeffs, b.coeffs, counts))
-        )
-    da = a if isinstance(a, np.ndarray) else a.to_dense()
-    db = b if isinstance(b, np.ndarray) else b.to_dense()
-    return float(np.sum((da - db) ** 2))
-
-
 def fractional_toeplitz(alpha: float, m: int) -> np.ndarray:
     """Upper-triangular Toeplitz factor of the fractional-difference kernel.
 

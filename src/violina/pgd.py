@@ -4,10 +4,11 @@ Violina solver.
 The loop follows the reference scheme exactly: gradient step, product
 projection, then divide the stepsize by ``eta`` while the sufficient-decrease
 surrogate is violated; the accepted stepsize carries over to the next
-iteration.  The kernel update runs on the band coefficients only (the band
-set is affine, so projecting the stepped dense kernel equals stepping the
-coefficients by in-band diagonal means), which keeps every iteration free of
-``m x m`` matrices.
+iteration.  The kernel's set ``St(D)`` is affine (a band, or one fixed
+kernel), so after one ``spec.on_D.project`` of the start kernel the loop moves
+only the band coefficients: projecting a stepped kernel equals stepping each
+coefficient by the in-band diagonal mean of the gradient.  No iteration
+builds an ``m x m`` matrix or a kernel object.
 
 No iteration touches the trajectories either.  The loss is quadratic in
 ``(A, B)`` and the band coefficients, so before the first step the data are
@@ -29,11 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import CausalBand, ConstraintSpec
-from .kernel import CausalBandKernel, band_diagonal_sums, band_offset_counts, kernel_distance_sq
+from .kernel import CausalBandKernel, band_offset_counts
 from .model import StateSpaceModel
 from .objective import Dataset, _StartRelativeLoss
 
 _MIN_STEPSIZE = 1e-300
+_MAX_BACKTRACKS = 200
 # Acceptance slack for the sufficient-decrease test: once the loss reaches the
 # floating-point noise floor of the residual evaluation, an exact comparison
 # flips randomly and backtracking would divide the stepsize forever.  The
@@ -53,8 +55,6 @@ class PgdConfig:
     ``theta0`` may lie outside the feasible set; the first projection maps it
     in.  ``stop_tol`` enables optional early stopping on the relative loss
     decrease and is disabled by default (the benchmark runs all steps).
-    ``backtracking=False`` freezes the stepsize at ``t0`` (useful only for
-    constant-step experiments).
     """
 
     theta0: StateSpaceModel
@@ -62,8 +62,6 @@ class PgdConfig:
     eta: float = 1.05
     max_steps: int = 10000
     stop_tol: float | None = None
-    backtracking: bool = True
-    max_backtracks: int = 200
 
     def __post_init__(self):
         if not self.t0 > 0:
@@ -119,34 +117,35 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
     """Fit the parameter triple to the dataset by projected gradient descent.
 
     Raises :class:`SolverError` on NaN losses or when backtracking underflows
-    (more than ``max_backtracks`` divisions in one outer step, which signals
-    an inconsistent projection).
+    (more than 200 divisions in one outer step, which signals an inconsistent
+    projection).
     """
     theta = cfg.theta0
     m = data.m
-    band = spec.on_D if isinstance(spec.on_D, CausalBand) else None
-    kern = theta.kernel
-    # The engine's kernel weights z are the band coefficients minus c_ref,
-    # then, with kern_after, the weight of J = Y D_after - Y D0: 0 at theta0
-    # and 1 once the first projection has replaced D0.
-    if band is not None:
-        q, Q = band.q, band.Q
-        counts = band_offset_counts(m, q, Q)
-        if isinstance(kern, CausalBandKernel) and (kern.m, kern.q, kern.Q) == (m, q, Q):
-            c_ref, kern_after = np.array(kern.coeffs), None
-        else:
-            c_ref = band_diagonal_sums(kern, q, Q) / counts
-            kern_after = CausalBandKernel(m, q, Q, tuple(c_ref))
+    # The first projection maps the start kernel D0 into St(D) once; after it
+    # only the band coefficients c move (none for a Fixed kernel).  The
+    # engine's kernel weights z are c - c_ref then, when D0 moved, the weight
+    # of J = Y kern_after - Y D0: 0 at theta0 and 1 from the first step on.
+    kern_after = spec.on_D.project(theta.kernel)
+    moved = kern_after is not theta.kernel
+    if isinstance(spec.on_D, CausalBand):
+        q, Q, c_ref = spec.on_D.q, spec.on_D.Q, np.array(kern_after.coeffs)
     else:
-        q, Q = 0, 1
-        kern_fixed = spec.on_D.project(kern)
-        kern_after = None if kern_fixed is kern else kern_fixed
-    engine = _StartRelativeLoss(data, theta, q, Q, kern_after)
+        q, Q, c_ref = 0, 1, np.zeros(0)
+    counts = band_offset_counts(m, q, Q)
+    engine = _StartRelativeLoss(data, theta, q, Q, kern_after if moved else None)
+    # The first step's kernel move is D0 -> kern_after plus a band move; the
+    # band projection is orthogonal, so its squared length adds this constant.
+    jump2 = 0.0
+    if moved:
+        D_after, D0 = (D if isinstance(D, np.ndarray) else D.to_dense()
+                       for D in (kern_after, theta.kernel))
+        jump2 = float(np.sum((D_after - D0) ** 2))
 
     f = engine.initial_loss
     if not np.isfinite(f):
         raise SolverError("initial loss is not finite")
-    A, B = theta.A, theta.B
+    A, B, c = theta.A, theta.B, c_ref
     z = np.zeros(engine.nz)
     F = engine.residual(A, B, z)
 
@@ -159,22 +158,15 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
         gA, gB, gz = engine.gradient(F)
         if not (np.all(np.isfinite(gA)) and np.all(np.isfinite(gB))):
             raise SolverError(f"gradient is not finite at step {step}")
-        if band is not None:
-            kern_sums = band_diagonal_sums(kern, q, Q)
 
         n_back = 0
         while True:
             A_new = spec.on_A.project(A - t * gA)
             B_new = spec.on_B.project(B - t * gB)
-            if band is not None:
-                coeffs = (kern_sums - t * gz[: Q - 1]) / counts
-                kern_new = CausalBandKernel(m, q, Q, tuple(coeffs))
-                z_new = coeffs - c_ref
-                if kern_after is not None:
-                    z_new = np.append(z_new, 1.0)
-            else:
-                kern_new = kern_fixed
-                z_new = np.ones(engine.nz)
+            c_new = (c * counts - t * gz[: Q - 1]) / counts
+            z_new = c_new - c_ref
+            if moved:
+                z_new = np.append(z_new, 1.0)
             F_new = engine.residual(A_new, B_new, z_new)
             f_new = float(np.sum(F_new * F_new))
             if not np.isfinite(f_new):
@@ -183,23 +175,22 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
             dA = A_new - A
             dB = B_new - B
             gdot = float(np.sum(dA * gA) + np.sum(dB * gB) + (z_new - z) @ gz)
-            dist2 = float(np.sum(dA * dA) + np.sum(dB * dB))
-            if kern_new is not kern:
-                dist2 += kernel_distance_sq(kern_new, kern)
+            dist2 = (float(np.sum(dA * dA) + np.sum(dB * dB))
+                     + float(sum((c_new - c) ** 2 * counts)) + jump2)
             surrogate = f + gdot + dist2 / (2.0 * t)
 
-            if f_new <= surrogate + _SURROGATE_SLACK * (1.0 + abs(f)) or not cfg.backtracking:
+            if f_new <= surrogate + _SURROGATE_SLACK * (1.0 + abs(f)):
                 break
             t /= cfg.eta
             n_back += 1
-            if t < _MIN_STEPSIZE or n_back > cfg.max_backtracks:
+            if t < _MIN_STEPSIZE or n_back > _MAX_BACKTRACKS:
                 raise SolverError(
                     f"backtracking underflow at step {step} after {n_back} "
                     f"divisions (projection inconsistent with the objective?)"
                 )
 
         f_prev = f
-        A, B, kern, z, F, f = A_new, B_new, kern_new, z_new, F_new, f_new
+        A, B, c, z, F, f, jump2 = A_new, B_new, c_new, z_new, F_new, f_new, 0.0
         loss_curve.append(f)
         stepsizes.append(t)
         backtracks.append(n_back)
@@ -207,7 +198,8 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
             break
 
     return FitReport(
-        theta_final=StateSpaceModel(A, B, kern),
+        theta_final=StateSpaceModel(
+            A, B, spec.on_D.project(CausalBandKernel(m, q, Q, tuple(c)))),
         loss_curve=np.array(loss_curve),
         stepsizes=np.array(stepsizes),
         backtracks=np.array(backtracks, dtype=int),

@@ -161,6 +161,12 @@ class BenchmarkConfig:
     Q: int = 3
     coeffs: tuple[float, ...] = (0.03, -0.01)
 
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError(f"need m >= 2 time steps for h = 1 / (m - 1), got m={self.m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
     @property
     def h(self) -> float:
         return 1.0 / (self.m - 1)

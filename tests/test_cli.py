@@ -42,7 +42,7 @@ def test_generate_deterministic_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_generate_bad_config_exit_2(tmp_path):
+def test_generate_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert main(["--quiet", "generate", "--config", str(cfg),
@@ -50,6 +50,20 @@ def test_generate_bad_config_exit_2(tmp_path):
     cfg.write_text(json.dumps({"Ly": 2, "m": 30}))  # missing Lx
     assert main(["--quiet", "generate", "--config", str(cfg),
                  "--out", str(tmp_path / "x")]) == 2
+    # out-of-range values, each with the message of the check it fails
+    for bad, seed, message in [
+        ({"Lx": 2}, [], "circumference must be at least 3"),
+        ({"q": 5, "Q": 3}, [], "0 <= q <= Q <= m"),
+        ({"coeffs": [0.03]}, [], "expected 2 coefficients, got 1"),
+        ({"w0": -1}, [], "need 0 < w0 <= w1"),
+        ({"m": 1}, [], "need m >= 2"),
+        ({}, ["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ]:
+        cfg.write_text(json.dumps({**TINY, **bad}))
+        capsys.readouterr()
+        assert main(["--quiet", "generate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x"), *seed]) == 2, bad or seed
+        assert message in capsys.readouterr().err
 
 
 def test_generate_missing_file_exit_3(tmp_path):
@@ -353,6 +367,21 @@ def test_plot_empty_input_exit_2(tmp_path):
                  "--out", str(tmp_path / "x.svg")]) == 2
     assert main(["--quiet", "plot", "--kind", "curve",
                  "--out", str(tmp_path / "x.svg")]) == 2
+
+
+@pytest.mark.parametrize("body,got", [("0,1.5\n1,abc\n", "got '1' and 'abc'"),
+                                      ("0,1.5\n1\n", "got '1' and None")],
+                         ids=["non-numeric", "short-row"])
+def test_malformed_csv_exit_2(tmp_path, capsys, body, got):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("step,loss\n" + body)
+    assert main(["--quiet", "plot", "--kind", "curve", str(bad),
+                 "--out", str(tmp_path / "x.svg")]) == 2
+    assert f"{bad}: line 3 needs numbers in 'step' and 'loss', {got}" in capsys.readouterr().err
+    bad.write_text("trajectory,rel_error\n" + body)
+    assert main(["--quiet", "compare", "--a", str(bad), "--b", str(bad)]) == 2
+    assert f"{bad}: line 3 needs numbers in 'trajectory' and 'rel_error', {got}" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--fit-index", "99"], ["--fit-index", "-1"],

@@ -112,6 +112,9 @@ def test_rank_scan_matches_separate_fits_on_desk_suite(monkeypatch):
             pred = model.simulate(traj.states[:, :1], traj.inputs[:, : train.m])
             total += relative_error(pred.states, traj.states[:, : train.m + 1], first=1)
         assert err == total / train.size
+    A, B = dmdc_fit(train, scan.best_rank, [0])
+    np.testing.assert_array_equal(scan.A, A)
+    np.testing.assert_array_equal(scan.B, B)
 
 
 def test_markovian_pairing_used_even_for_lagged_datasets(rng):

@@ -25,15 +25,19 @@ from violina import (
     loss,
     project_nonneg_diagonal,
     project_symmetric_masked_nonneg,
-    project_to_band,
     violina_fit,
 )
 from conftest import random_stable_model, simulated_dataset
 
 
-def reference_dense_fit(data, mask, q, Q, cfg):
-    """Ambient reference: the same scheme run with dense kernel matrices and
-    the dense band projection, recording losses, stepsizes and backtracks.
+def _dense(D):
+    return D if isinstance(D, np.ndarray) else D.to_dense()
+
+
+def reference_dense_fit(data, mask, project_D, cfg):
+    """Ambient reference: the same scheme run with dense kernel matrices,
+    recording losses, stepsizes and backtracks.  ``project_D`` maps a dense
+    matrix into the kernel's set; the start kernel may be dense or band.
     Every iterate's surrogate condition and feasibility are asserted here."""
     A = cfg.theta0.A.copy()
     B = cfg.theta0.B.copy()
@@ -49,9 +53,9 @@ def reference_dense_fit(data, mask, q, Q, cfg):
         while True:
             A2 = project_symmetric_masked_nonneg(A - t * g.dA, mask)
             B2 = project_nonneg_diagonal(B - t * g.dB)
-            K2 = project_to_band(kern.to_dense() - t * g.dD, q, Q)
+            K2 = project_D(_dense(kern) - t * g.dD)
             f2 = loss(StateSpaceModel(A2, B2, K2), data)
-            dD = K2.to_dense() - kern.to_dense()
+            dD = _dense(K2) - _dense(kern)
             gdot = float(np.sum((A2 - A) * g.dA) + np.sum((B2 - B) * g.dB)
                          + np.sum(dD * g.dD))
             dist2 = float(np.sum((A2 - A) ** 2) + np.sum((B2 - B) ** 2)
@@ -96,9 +100,9 @@ def small_constrained_problem(rng, request):
 
 
 def test_band_path_matches_dense_reference(small_constrained_problem):
-    data, spec, cfg, mask, q, Q = small_constrained_problem
+    data, spec, cfg, mask, *_ = small_constrained_problem
     report = violina_fit(data, spec, cfg)
-    curve, steps, backs, (A, B, kern) = reference_dense_fit(data, mask, q, Q, cfg)
+    curve, steps, backs, (A, B, kern) = reference_dense_fit(data, mask, spec.on_D.project, cfg)
     scale = 1.0 + np.abs(curve)
     assert np.max(np.abs(report.loss_curve - curve) / scale) <= 1e-12
     np.testing.assert_allclose(report.stepsizes, steps, rtol=1e-12)
@@ -106,6 +110,29 @@ def test_band_path_matches_dense_reference(small_constrained_problem):
     np.testing.assert_allclose(report.theta_final.A, A, atol=1e-12)
     np.testing.assert_allclose(
         np.array(report.theta_final.kernel.coeffs), np.array(kern.coeffs), atol=1e-12)
+
+
+@pytest.mark.parametrize("start", ["dense", "other-band", "fixed"])
+def test_start_outside_the_set_matches_dense_reference(rng, start):
+    # the first projection moves the start kernel: the first step's surrogate
+    # distance must include that move, as the dense reference's does
+    n, k, m, q, Q = 3, 2, 12, 1, 3
+    mask = np.ones((n, n), dtype=bool)
+    truth = random_stable_model(rng, n=n, k=k, m=m, q=q, Q=Q)
+    data = simulated_dataset(rng, truth, m, N=3)
+    D0, on_D = {
+        "dense": (np.eye(m) + np.triu(rng.normal(scale=0.1, size=(m, m)), 1),
+                  CausalBand(q, Q)),
+        "other-band": (CausalBandKernel(m, 0, 2, (0.1,)), CausalBand(q, Q)),
+        "fixed": (CausalBandKernel.identity(m, q, Q), Fixed(fractional_kernel(0.5, m))),
+    }[start]
+    spec = ConstraintSpec(SymmetricMaskedNonneg(mask), NonnegativeDiagonal(), on_D)
+    cfg = PgdConfig(theta0=StateSpaceModel(np.eye(n), np.zeros((n, k)), D0), max_steps=60)
+    report = violina_fit(data, spec, cfg)
+    curve, steps, backs, _ = reference_dense_fit(data, mask, on_D.project, cfg)
+    np.testing.assert_array_equal(report.stepsizes, steps)
+    np.testing.assert_array_equal(report.backtracks, backs)
+    assert np.max(np.abs(report.loss_curve - curve) / (1.0 + np.abs(curve))) <= 1e-12
 
 
 def test_loss_curve_monotone(small_constrained_problem):
@@ -220,8 +247,9 @@ def test_constant_stepsize_below_inverse_lipschitz_is_monotone(rng):
     spec = ConstraintSpec(FullSpace(), FullSpace(), CausalBand(0, 2))
     t_const = 1.0 / lipschitz_constant(data)
     cfg = PgdConfig(theta0=default_initial_point(n, k, m, 0, 2),
-                    t0=t_const, eta=1.05, max_steps=200, backtracking=False)
+                    t0=t_const, eta=1.05, max_steps=200)
     report = violina_fit(data, spec, cfg)
+    assert report.backtracks.sum() == 0
     assert np.all(report.stepsizes == t_const)
     diffs = np.diff(report.loss_curve)
     assert np.all(diffs <= 1e-10 * (1.0 + report.loss_curve[:-1]))
@@ -239,13 +267,14 @@ def test_early_stop_truncates(rng):
 
 
 def test_backtracking_cap_raises(rng):
-    # an eta barely above one cannot shrink a huge stepsize within the cap
+    # an eta barely above one cannot shrink a huge stepsize within the cap of
+    # 200 divisions; the stepsize is small enough that the loss stays finite
     truth = random_stable_model(rng, n=2, k=1, m=10, q=0, Q=1)
     data = simulated_dataset(rng, truth, 10, N=1)
     spec = ConstraintSpec(FullSpace(), FullSpace(), CausalBand(0, 1))
     cfg = PgdConfig(theta0=default_initial_point(2, 1, 10, 0, 1),
-                    t0=1e200, eta=1.0 + 1e-9, max_steps=3, max_backtracks=50)
-    with np.errstate(over="ignore"), pytest.raises(SolverError):
+                    t0=1e100, eta=1.0 + 1e-9, max_steps=3)
+    with pytest.raises(SolverError, match="after 201 divisions"):
         violina_fit(data, spec, cfg)
 
 
