@@ -195,6 +195,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_dmdc(args) -> int:
+    if args.rank is not None and args.scan_csv:
+        raise ConfigError("--scan-csv needs the rank scan, which --rank skips")
     train = _load_dataset(args.train)
     if not args.pooled:
         _check_index("--fit-index", args.fit_index, train.size)
@@ -209,7 +211,7 @@ def cmd_dmdc(args) -> int:
         scan = dmdc_rank_scan(train, fit_index=args.fit_index, pooled=args.pooled)
         rank, A, B = scan.best_rank, scan.A, scan.B
     _dump_json(args.out, as_model(A, B, train.m).to_dict())
-    if scan is not None and args.scan_csv:
+    if args.scan_csv:
         with open(args.scan_csv, "w", encoding="utf-8", newline="") as fh:
             fh.write("rank,mean_self_reconstruction_error\n")
             for r, err in zip(scan.ranks, scan.errors):
@@ -229,9 +231,17 @@ def _predict(model: StateSpaceModel, traj: Trajectory, m: int) -> Trajectory:
     return model.simulate(traj.states[:, : q + 1], traj.inputs[:, :m])
 
 
+def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
+    model, data = _load_model(args.model), _load_dataset(args.dataset)
+    if (model.n, model.k) != (data.n, data.k):
+        raise ConfigError(
+            f"{args.model}: model (n, k) = {(model.n, model.k)} does not match "
+            f"{args.dataset}: dataset (n, k) = {(data.n, data.k)}")
+    return model, data
+
+
 def cmd_simulate(args) -> int:
-    model = _load_model(args.model)
-    data = _load_dataset(args.dataset)
+    model, data = _load_model_and_dataset(args)
     predicted = [_predict(model, traj, data.m) for traj in data.trajectories]
     _dump_dataset(args.out, Dataset(predicted, data.q, data.m))
     if not args.quiet:
@@ -240,8 +250,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = _load_model(args.model)
-    data = _load_dataset(args.dataset)
+    model, data = _load_model_and_dataset(args)
     q = model.kernel.q if isinstance(model.kernel, CausalBandKernel) else 0
     rows = []
     energy_max = 0.0
@@ -273,7 +282,8 @@ def cmd_evaluate(args) -> int:
     if args.energy:
         e0 = float(data.trajectories[0].states[:, 0].sum())
         aggregate["max_energy_deviation"] = energy_max
-        aggregate["max_energy_deviation_rel"] = energy_max / abs(e0) if e0 else float("inf")
+        # undefined for a zero-energy start: JSON has no infinity, so null
+        aggregate["max_energy_deviation_rel"] = energy_max / abs(e0) if e0 else None
     if args.aggregate:
         _dump_json(args.aggregate, aggregate)
     if not args.quiet:
@@ -352,13 +362,13 @@ def cmd_compare(args) -> int:
     for label, path in (("a", args.a), ("b", args.b)):
         _, ys = _read_csv_series(path, "trajectory", args.metric)
         means[label] = float(np.mean(ys))
-    ratio = means["a"] / means["b"] if means["b"] else float("inf")
+    ratio = means["a"] / means["b"] if means["b"] else None  # null in JSON
     result = {"mean_a": means["a"], "mean_b": means["b"], "ratio_a_over_b": ratio}
     if args.out:
         _dump_json(args.out, result)
     if not args.quiet:
         print(f"compare: mean_a={means['a']:.6e} mean_b={means['b']:.6e} "
-              f"ratio={ratio:.4f}")
+              f"ratio={'undefined' if ratio is None else f'{ratio:.4f}'}")
     return EXIT_OK
 
 

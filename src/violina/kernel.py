@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 def _row_start(q: int, d: int) -> int:
@@ -84,6 +83,8 @@ class CausalBandKernel:
     def left_pseudoinverse(self) -> np.ndarray:
         """Left pseudoinverse: zero first ``q`` rows/columns, inverse of the
         trailing unit upper-triangular block elsewhere."""
+        import scipy.linalg
+
         m, q = self.m, self.q
         block = self.to_dense()[q:, q:]
         inv = scipy.linalg.solve_triangular(block, np.eye(m - q))
@@ -167,6 +168,8 @@ def fractional_toeplitz(alpha: float, m: int) -> np.ndarray:
     form an exact semigroup, ``T_a @ T_b == T_{a+b}``, in the nilpotent shift
     algebra.
     """
+    import scipy.linalg
+
     if alpha < 0:
         raise ValueError(f"fractional order must be nonnegative, got {alpha}")
     if m < 1:

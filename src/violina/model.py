@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernel import CausalBandKernel
 
@@ -143,14 +142,17 @@ class StateSpaceModel:
         m = inputs.shape[1]
         if m < q + 1:
             raise ValueError(f"need at least q+1={q + 1} inputs, got {m}")
-        x = np.zeros((self.n, m + 1))
+        # B u_{t-1} of every step in one product, written straight into the
+        # states: a work buffer freed on every call fragments the heap
+        x = np.empty((self.n, m + 1))
         x[:, : q + 1] = initial
+        np.matmul(self.B, inputs[:, q:], out=x[:, q + 1 :])
+        memory = [(j, c) for j, c in enumerate(coeffs, start=1) if c != 0.0]
         for t in range(q + 1, m + 1):
-            acc = self.A @ x[:, t - 1] + self.B @ inputs[:, t - 1]
-            for j, c in enumerate(coeffs, start=1):
-                if c != 0.0 and t - j >= 0:
-                    acc -= c * x[:, t - j]
-            x[:, t] = acc
+            x[:, t] += self.A @ x[:, t - 1]
+            for j, c in memory:
+                if t - j >= 0:
+                    x[:, t] -= c * x[:, t - j]
         return Trajectory(x, inputs)
 
     def to_dict(self) -> dict:
@@ -229,6 +231,8 @@ def arx_offset(model: StateSpaceModel, initial_states: np.ndarray, m: int) -> np
     first ``q`` initial states; the stacked sequence annihilates the dense
     kernel: ``lambda @ D == 0``.
     """
+    import scipy.linalg
+
     if not isinstance(model.kernel, CausalBandKernel):
         raise TypeError("the ARX-like offset needs a band kernel")
     q = model.kernel.q

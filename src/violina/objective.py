@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .kernel import CausalBandKernel, apply_kernel, band_offset_counts
 from .model import DataMatrices, StateSpaceModel, Trajectory, build_data_matrices
@@ -178,6 +177,8 @@ def _band_blocks(Y: np.ndarray, q: int, Q: int) -> list[np.ndarray]:
 def _compress(stacks, r: int) -> np.ndarray:
     """The ``r x r`` upper-triangular ``R`` with ``R^T R = sum W W^T`` over
     the ``r``-row stacks ``W``, reduced one stack at a time."""
+    import scipy.linalg.lapack
+
     R = np.zeros((r, r), order="F")
     for W in stacks:
         # R := triangle of qr([R; W^T]), exploiting the triangle of R

@@ -270,3 +270,19 @@ def restricted_hessian(data, q, Q):
     columns = [hessian_apply(v, data) for v in basis]
     H = np.array([[u.inner(h) for h in columns] for u in basis])
     return 0.5 * (H + H.T)
+
+
+def literal_simulate(model, initial_states, inputs):
+    """The ARX recursion one state column at a time, with ``B u_{t-1}`` formed
+    per step: ``n x (m+1)`` states from ``n x (q+1)`` initial ones."""
+    q = model.kernel.q
+    m = inputs.shape[1]
+    x = np.zeros((model.n, m + 1))
+    x[:, : q + 1] = initial_states
+    for t in range(q + 1, m + 1):
+        acc = model.A @ x[:, t - 1] + model.B @ inputs[:, t - 1]
+        for j, c in enumerate(model.kernel.coeffs, start=1):
+            if c != 0.0 and t - j >= 0:
+                acc -= c * x[:, t - j]
+        x[:, t] = acc
+    return x

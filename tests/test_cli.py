@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import violina
 from violina import Dataset, StateSpaceModel
 from violina.cli import main
 
@@ -168,17 +173,54 @@ def test_evaluate_energy_flag(suite_dir, tmp_path):
     assert payload["max_energy_deviation_rel"] <= 1e-10
 
 
-def test_fit_shape_mismatch_exit_4(suite_dir, tmp_path):
-    # nonmarkov mask works, but evaluating a markov model against the
-    # nonmarkov dataset of a different generation breaks shapes
-    other = tmp_path / "other"
-    cfg = tmp_path / "cfg2.json"
-    cfg.write_text(json.dumps(dict(TINY, Lx=4, Ly=2)))
-    assert main(["--quiet", "generate", "--config", str(cfg), "--out", str(other)]) == 0
-    report = tmp_path / "r.csv"
-    rc = main(["--quiet", "evaluate", "--model", str(other / "markov_model.json"),
-               "--dataset", str(suite_dir / "markov_test.json"), "--report", str(report)])
-    assert rc == 4
+def test_evaluate_energy_zero_start_writes_null(suite_dir, tmp_path):
+    dataset = suite_dir / "markov_test.json"
+    first = Dataset.from_dict(json.loads(dataset.read_text())).trajectories[0]
+    assert first.states[:, 0].sum() == 0.0  # zero energy: the ratio is undefined
+    agg = tmp_path / "a.json"
+    assert main(["--quiet", "evaluate", "--model", str(suite_dir / "markov_model.json"),
+                 "--dataset", str(dataset), "--report", str(tmp_path / "r.csv"),
+                 "--aggregate", str(agg), "--energy"]) == 0
+    assert '"max_energy_deviation_rel":null' in agg.read_text()
+    assert json.loads(agg.read_text())["max_energy_deviation_rel"] is None
+
+
+def test_compare_zero_mean_b_writes_null(tmp_path, capsys):
+    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "cmp.json"
+    a.write_text("trajectory,rel_error\n0,0.5\n1,0.25\n")
+    b.write_text("trajectory,rel_error\n0,0.0\n1,0.0\n")
+    assert main(["compare", "--a", str(a), "--b", str(b), "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"mean_a": 0.375, "mean_b": 0.0,
+                                           "ratio_a_over_b": None}
+    assert "ratio=undefined" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("mismatch", ["n", "k"])
+def test_model_dataset_size_mismatch_exit_2(suite_dir, tmp_path, capsys, command,
+                                            mismatch):
+    model = tmp_path / "model.json"
+    if mismatch == "n":  # the ground truth of a smaller grid
+        cfg = tmp_path / "cfg2.json"
+        cfg.write_text(json.dumps(dict(TINY, Lx=4, Ly=2)))
+        other = tmp_path / "other"
+        assert main(["--quiet", "generate", "--config", str(cfg), "--out", str(other)]) == 0
+        model.write_text((other / "markov_model.json").read_text())
+        shapes = "(n, k) = (8, 8)", "(n, k) = (10, 10)"
+    else:  # one input column too few
+        d = json.loads((suite_dir / "markov_model.json").read_text())
+        d["B"] = [row[:-1] for row in d["B"]]
+        model.write_text(json.dumps(d))
+        shapes = "(n, k) = (10, 9)", "(n, k) = (10, 10)"
+    dataset = suite_dir / "markov_test.json"
+    out = tmp_path / "out"
+    dest = ["--report", str(out)] if command == "evaluate" else ["--out", str(out)]
+    rc = main(["--quiet", command, "--model", str(model), "--dataset", str(dataset), *dest])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{model}: model {shapes[0]} does not match {dataset}: dataset {shapes[1]}" \
+        in err
+    assert not out.exists()
 
 
 def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, capsys):
@@ -409,6 +451,16 @@ def test_dmdc_rank_out_of_range_exit_2(suite_dir, tmp_path, capsys, rank, pooled
     assert not out.exists()
 
 
+def test_dmdc_rank_with_scan_csv_exit_2(suite_dir, tmp_path, capsys):
+    out, scan = tmp_path / "dmdc.json", tmp_path / "scan.csv"
+    rc = main(["--quiet", "dmdc", "--train", str(suite_dir / "markov_train.json"),
+               "--out", str(out), "--rank", "2", "--scan-csv", str(scan)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--scan-csv" in err and "--rank" in err
+    assert not out.exists() and not scan.exists()
+
+
 @pytest.mark.parametrize("extra, pred_size, flag", [
     (["--traj", "99"], None, "--traj"),
     (["--traj", "-1"], None, "--traj"),
@@ -434,3 +486,40 @@ def test_plot_traces_out_of_range_exit_2(suite_dir, tmp_path, capsys, extra, pre
     err = capsys.readouterr().err
     assert flag in err and "valid range [0, " in err
     assert not svg.exists()
+
+
+_SCIPY_PROBE = """
+import json, sys
+import violina, violina.cli
+loaded = {"import": "scipy" in sys.modules}
+for name, argv in json.loads(sys.argv[1]):
+    assert violina.cli.main(argv) == 0, name
+    loaded[name] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loaded_only_by_fit(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "suite"
+    cfg.write_text(json.dumps(TINY))
+    model, data = str(out / "markov_model.json"), str(out / "markov_test.json")
+    steps = [
+        ("generate", ["--config", str(cfg), "--out", str(out)]),
+        ("dmdc", ["--train", str(out / "markov_train.json"),
+                  "--out", str(tmp_path / "dmdc.json")]),
+        ("evaluate", ["--model", model, "--dataset", data,
+                      "--report", str(tmp_path / "r.csv")]),
+        ("simulate", ["--model", model, "--dataset", data,
+                      "--out", str(tmp_path / "pred.json")]),
+        ("fit", ["--train", str(out / "markov_train.json"), "--constraints", "free",
+                 "--steps", "2", "--out", str(tmp_path / "fit.json")]),
+    ]
+    steps = [(name, ["--quiet", name, *argv]) for name, argv in steps]
+    src = str(Path(violina.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(steps)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"import": False, "generate": False, "dmdc": False,
+                                      "evaluate": False, "simulate": False, "fit": True}

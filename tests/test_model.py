@@ -11,6 +11,7 @@ from violina import (
     relative_error,
 )
 from conftest import random_stable_model, simulated_dataset
+from oracles import literal_simulate
 
 
 def dense_recursion_residual(model, traj, q, m):
@@ -92,6 +93,31 @@ def test_round_trip_zeroed_identity_memoryless_any_initial(rng):
     mats = build_data_matrices(traj, 0, 10)
     res = mats.Y @ model.kernel.to_dense() - (model.A @ mats.X + model.B @ mats.U)
     assert np.max(np.abs(res)) <= 1e-12
+
+
+@pytest.mark.parametrize("q, Q, zero_coeff", [(0, 1, None), (1, 3, None), (0, 3, None),
+                                             (2, 4, None), (2, 4, 1)],
+                         ids=["q0Q1", "q1Q3", "q0Q3", "q2Q4", "q2Q4-c2=0"])
+@pytest.mark.parametrize("zero_start", [True, False], ids=["zero-start", "random-start"])
+def test_simulate_matches_literal_oracle(rng, q, Q, zero_coeff, zero_start):
+    n, m = 3, 14
+    model = random_stable_model(rng, n=n, k=2, m=m, q=q, Q=Q, coeff_scale=0.3)
+    if zero_coeff is not None:
+        coeffs = list(model.kernel.coeffs)
+        coeffs[zero_coeff] = 0.0
+        model = StateSpaceModel(model.A, model.B, CausalBandKernel(m, q, Q, tuple(coeffs)))
+    initial = np.zeros((n, q + 1)) if zero_start else rng.normal(size=(n, q + 1))
+    inputs = rng.normal(size=(2, m))
+    states = model.simulate(initial, inputs).states
+    expect = literal_simulate(model, initial, inputs)
+    assert states.flags.c_contiguous
+    # a dense B sums B u in a batched product, so agreement is to float64 rounding
+    assert np.max(np.abs(states - expect)) <= 1e-12 * (1 + np.max(np.abs(expect)))
+    # with at most one nonzero per row of B the two orders give the same bits
+    diag = StateSpaceModel(model.A, np.diag(rng.normal(size=n)), model.kernel)
+    inputs = rng.normal(size=(n, m))
+    assert np.array_equal(diag.simulate(initial, inputs).states,
+                          literal_simulate(diag, initial, inputs))
 
 
 def test_simulate_shape_errors():
