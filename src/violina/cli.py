@@ -41,12 +41,19 @@ class ConfigError(Exception):
     """Invalid configuration or unparseable input file."""
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> ConfigError:
+    return ConfigError(f"{path}: not UTF-8 text ({exc.reason}: byte "
+                       f"{exc.object[exc.start]:#04x})")
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
 def _parse_file(path, parse):
@@ -82,17 +89,25 @@ def _check_index(flag: str, value: int, size: int):
 
 
 def _dump_json(path, obj):
+    """Write ``obj`` as strict JSON: a non-finite float raises ``ValueError``
+    before the file is opened."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _finite_or_none(x: float) -> float | None:
+    """``x``, or ``None`` (JSON ``null``) when it is infinite or NaN."""
+    return float(x) if np.isfinite(x) else None
 
 
 def _dump_dataset(path, data: Dataset):
     """Write the bytes of ``_dump_json(path, data.to_dict())``, encoding one
     trajectory at a time.  ``json.dump`` streams through the pure-Python
     encoder; ``encode`` runs the C encoder, and one call per trajectory keeps
-    the text of a whole dataset out of memory."""
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    the text of a whole dataset out of memory.  A non-finite value raises
+    ``ValueError``, as in ``_dump_json``."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{"m":{encode(data.m)},"q":{encode(data.q)},"trajectories":[')
         for i, traj in enumerate(data.trajectories):
@@ -243,6 +258,9 @@ def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
 def cmd_simulate(args) -> int:
     model, data = _load_model_and_dataset(args)
     predicted = [_predict(model, traj, data.m) for traj in data.trajectories]
+    for i, pred in enumerate(predicted):
+        if not np.all(np.isfinite(pred.states)):
+            raise ValueError(f"trajectory {i}: the simulated states overflow")
     _dump_dataset(args.out, Dataset(predicted, data.q, data.m))
     if not args.quiet:
         print(f"simulated {len(predicted)} trajectories to {args.out}")
@@ -274,21 +292,23 @@ def cmd_evaluate(args) -> int:
                 for f in fields) + "\n")
 
     errors = [row["rel_error"] for row in rows]
+    mean_error = float(np.mean(errors))
+    # JSON has no infinity or NaN: a value that is not finite is written as null
     aggregate = {
-        "mean_rel_error": float(np.mean(errors)),
-        "max_rel_error": float(np.max(errors)),
+        "mean_rel_error": _finite_or_none(mean_error),
+        "max_rel_error": _finite_or_none(np.max(errors)),
         "trajectories": len(rows),
     }
     if args.energy:
         e0 = float(data.trajectories[0].states[:, 0].sum())
-        aggregate["max_energy_deviation"] = energy_max
-        # undefined for a zero-energy start: JSON has no infinity, so null
-        aggregate["max_energy_deviation_rel"] = energy_max / abs(e0) if e0 else None
+        aggregate["max_energy_deviation"] = _finite_or_none(energy_max)
+        # undefined for a zero-energy start
+        aggregate["max_energy_deviation_rel"] = (
+            _finite_or_none(energy_max / abs(e0)) if e0 else None)
     if args.aggregate:
         _dump_json(args.aggregate, aggregate)
     if not args.quiet:
-        print(f"evaluate: mean rel error {aggregate['mean_rel_error']:.6e} "
-              f"over {len(rows)} trajectories")
+        print(f"evaluate: mean rel error {mean_error:.6e} over {len(rows)} trajectories")
     return EXIT_OK
 
 
@@ -296,19 +316,22 @@ def cmd_evaluate(args) -> int:
 
 def _read_csv_series(path, x_col, y_col):
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or x_col not in reader.fieldnames \
-                or y_col not in reader.fieldnames:
-            raise ConfigError(f"{path}: need columns {x_col!r} and {y_col!r}")
-        xs, ys = [], []
-        for row in reader:
-            try:
-                xs.append(float(row[x_col]))
-                ys.append(float(row[y_col]))
-            except (TypeError, ValueError):  # a non-numeric cell or a short row
-                raise ConfigError(
-                    f"{path}: line {reader.line_num} needs numbers in {x_col!r} and "
-                    f"{y_col!r}, got {row[x_col]!r} and {row[y_col]!r}") from None
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or x_col not in reader.fieldnames \
+                    or y_col not in reader.fieldnames:
+                raise ConfigError(f"{path}: need columns {x_col!r} and {y_col!r}")
+            xs, ys = [], []
+            for row in reader:
+                try:
+                    xs.append(float(row[x_col]))
+                    ys.append(float(row[y_col]))
+                except (TypeError, ValueError):  # a non-numeric cell or a short row
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num} needs numbers in {x_col!r} and "
+                        f"{y_col!r}, got {row[x_col]!r} and {row[y_col]!r}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
     if not xs:
         raise ConfigError(f"{path}: no data rows")
     return xs, ys
@@ -362,8 +385,11 @@ def cmd_compare(args) -> int:
     for label, path in (("a", args.a), ("b", args.b)):
         _, ys = _read_csv_series(path, "trajectory", args.metric)
         means[label] = float(np.mean(ys))
-    ratio = means["a"] / means["b"] if means["b"] else None  # null in JSON
-    result = {"mean_a": means["a"], "mean_b": means["b"], "ratio_a_over_b": ratio}
+    # a zero mean_b leaves the ratio undefined; JSON writes it, and any value
+    # that is not finite, as null
+    ratio = _finite_or_none(means["a"] / means["b"]) if means["b"] else None
+    result = {"mean_a": _finite_or_none(means["a"]), "mean_b": _finite_or_none(means["b"]),
+              "ratio_a_over_b": ratio}
     if args.out:
         _dump_json(args.out, result)
     if not args.quiet:

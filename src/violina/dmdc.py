@@ -84,19 +84,35 @@ def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0,
     train trajectories from their own initial value and inputs; ties go to
     the smaller rank.  The result carries the best rank's ``(A, B)``, solved
     from the same factorisation.
+
+    With ``[X; U] = W S V^T`` and ``P = Y V S^{-1}``, the rank-``r`` model is
+    ``A_r = P_r W_{n,r}^T``, ``B_r = P_r W_{u,r}^T``, so its states are
+    ``x_t = P_r g_t`` with ``g_t = (W_n^T P)_{rr} g_{t-1} + (W_u^T u_{t-1})_r``
+    and ``g_1 = (W_n^T x_0 + W_u^T u_0)_r``: every rank recurses in ``r``
+    coordinates, batched over the trajectories.
     """
     svd = _StackSvd(train, None if pooled else [fit_index])
     if svd.rank < 1:
         raise ValueError("fitting data has rank zero")
-    ranks, errors = [], []
-    for r in range(1, svd.rank + 1):
-        A, B = svd.solve(r)
-        model = as_model(A, B, train.m)
+    n, m, p = svd.n, train.m, svd.rank
+    P = svd.Y @ (svd.Vt[:p].T / svd.s[:p])
+    Wn, Wu = svd.W[:n, :p], svd.W[n:, :p]
+    M = Wn.T @ P
+    trajs = train.trajectories
+    # C[t] holds W_u^T u_t of every trajectory side by side: m x p x N
+    C = np.stack([traj.inputs[:, :m].T @ Wu for traj in trajs], axis=2)
+    g1 = Wn.T @ np.stack([traj.states[:, 0] for traj in trajs], axis=1) + C[0]
+    G = np.empty_like(C)
+    errors = []
+    for r in range(1, p + 1):
+        Mr = M[:r, :r]
+        G[0, :r] = g1[:r]
+        for t in range(1, m):
+            np.matmul(Mr, G[t - 1, :r], out=G[t, :r])
+            G[t, :r] += C[t, :r]
         total = 0.0
-        for traj in train.trajectories:
-            pred = model.simulate(traj.states[:, :1], traj.inputs[:, : train.m])
-            total += relative_error(pred.states, traj.states[:, : train.m + 1], first=1)
-        ranks.append(r)
+        for i, traj in enumerate(trajs):
+            total += relative_error(P[:, :r] @ G[:, :r, i].T, traj.states[:, 1 : m + 1])
         errors.append(total / train.size)
-    best = ranks[int(np.argmin(errors))]
-    return RankScanResult(best, tuple(ranks), tuple(errors), *svd.solve(best))
+    best = int(np.argmin(errors)) + 1
+    return RankScanResult(best, tuple(range(1, p + 1)), tuple(errors), *svd.solve(best))

@@ -16,6 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def json_int(d: dict, key: str, default: int | None = None) -> int:
+    """Field ``key`` of a parsed JSON object as an ``int``.  Only a JSON
+    integer counts: a missing key without ``default``, ``true`` or ``1.7``
+    raises ``ValueError`` naming the field."""
+    if key not in d:
+        if default is None:
+            raise ValueError(f"missing field {key!r}")
+        return default
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _row_start(q: int, d: int) -> int:
     """First row of super-diagonal ``d`` that lies inside the band support."""
     return max(0, q - d)
@@ -97,15 +111,19 @@ class CausalBandKernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CausalBandKernel":
-        """Parse a kernel; a missing key, nested coefficients or a non-finite
-        coefficient raises ``ValueError``."""
+        """Parse a kernel; a missing key, a size that is not a JSON integer,
+        nested coefficients or a non-finite coefficient raises ``ValueError``."""
         for key in ("m", "q", "Q", "coeffs"):
             if key not in d:
                 raise ValueError(f"kernel: missing field {key!r}")
         coeffs = np.asarray(d["coeffs"], dtype=float)
         if coeffs.ndim != 1:
             raise ValueError(f"kernel: 'coeffs' must be a flat list, got shape {coeffs.shape}")
-        return cls(int(d["m"]), int(d["q"]), int(d["Q"]), tuple(coeffs))
+        try:
+            m, q, Q = (json_int(d, key) for key in ("m", "q", "Q"))
+        except ValueError as exc:
+            raise ValueError(f"kernel: {exc}") from None
+        return cls(m, q, Q, tuple(coeffs))
 
 
 def partial_identity(m: int, q: int = 0) -> np.ndarray:

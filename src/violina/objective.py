@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel, apply_kernel, band_offset_counts
+from .kernel import CausalBandKernel, apply_kernel, band_offset_counts, json_int
 from .model import DataMatrices, StateSpaceModel, Trajectory, build_data_matrices
 
 # LAPACK block size of the data compression (the fastest of 16..128 at r = 500)
@@ -73,7 +73,7 @@ class Dataset:
                 trajs.append(Trajectory.from_dict(t))
             except ValueError as exc:
                 raise ValueError(f"trajectory {i}: {exc}") from exc
-        return cls(trajs, int(d["q"]), int(d["m"]))
+        return cls(trajs, json_int(d, "q"), json_int(d, "m"))
 
 
 @dataclass(frozen=True, eq=False)

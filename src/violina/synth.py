@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel
+from .kernel import CausalBandKernel, json_int
 from .model import StateSpaceModel, Trajectory
 from .objective import Dataset
 
@@ -189,10 +189,10 @@ class BenchmarkConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkConfig":
         return cls(
-            Lx=int(d["Lx"]), Ly=int(d["Ly"]), m=int(d["m"]),
-            seed=int(d.get("seed", 42)),
+            Lx=json_int(d, "Lx"), Ly=json_int(d, "Ly"), m=json_int(d, "m"),
+            seed=json_int(d, "seed", 42),
             w0=float(d.get("w0", 0.5)), w1=float(d.get("w1", 1.5)),
-            q=int(d.get("q", 2)), Q=int(d.get("Q", 3)),
+            q=json_int(d, "q", 2), Q=json_int(d, "Q", 3),
             coeffs=tuple(d.get("coeffs", (0.03, -0.01))),
         )
 

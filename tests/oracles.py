@@ -8,6 +8,8 @@ against central finite differences, and losses against literal entry loops.
 import numpy as np
 
 from violina import TangentTuple, hessian_apply, loss, perturbed
+from violina.dmdc import _StackSvd, as_model
+from violina.model import relative_error
 
 
 def project_polyhedral(v, A_eq, b_eq, nonneg_idx):
@@ -286,3 +288,22 @@ def literal_simulate(model, initial_states, inputs):
                 acc -= c * x[:, t - j]
         x[:, t] = acc
     return x
+
+
+def literal_rank_scan(train, fit_index=0, pooled=False):
+    """The DMDc rank scan by full-state simulation: for every attainable rank,
+    the truncated ``(A, B)`` re-simulates each train trajectory through
+    ``StateSpaceModel.simulate``.  Returns the ranks, their mean relative
+    errors and the singular values of the stacked ``[X; U]``."""
+    svd = _StackSvd(train, None if pooled else [fit_index])
+    ranks, errors = [], []
+    for r in range(1, svd.rank + 1):
+        A, B = svd.solve(r)
+        model = as_model(A, B, train.m)
+        total = 0.0
+        for traj in train.trajectories:
+            pred = model.simulate(traj.states[:, :1], traj.inputs[:, : train.m])
+            total += relative_error(pred.states, traj.states[:, : train.m + 1], first=1)
+        ranks.append(r)
+        errors.append(total / train.size)
+    return tuple(ranks), tuple(errors), svd.s

@@ -63,6 +63,10 @@ def test_generate_bad_config_exit_2(tmp_path, capsys):
         ({"w0": -1}, [], "need 0 < w0 <= w1"),
         ({"m": 1}, [], "need m >= 2"),
         ({}, ["--seed", "-1"], "seed must be nonnegative, got -1"),
+        ({"Lx": 5.5}, [], "'Lx' must be an integer, got 5.5"),
+        ({"m": 30.0}, [], "'m' must be an integer, got 30.0"),
+        ({"Q": "3"}, [], "'Q' must be an integer, got '3'"),
+        ({"seed": True}, [], "'seed' must be an integer, got True"),
     ]:
         cfg.write_text(json.dumps({**TINY, **bad}))
         capsys.readouterr()
@@ -195,6 +199,74 @@ def test_compare_zero_mean_b_writes_null(tmp_path, capsys):
     assert "ratio=undefined" in capsys.readouterr().out
 
 
+def _strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON: the tokens NaN and Infinity are errors."""
+    def reject(token):
+        raise AssertionError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_evaluate_and_compare_write_null_for_non_finite(suite_dir, tmp_path, capsys):
+    # all-zero truth under a model driven by nonzero inputs: every error is inf
+    d = json.loads((suite_dir / "markov_test.json").read_text())
+    for traj in d["trajectories"]:
+        traj["states"] = [[0.0] * len(row) for row in traj["states"]]
+    dataset, report, agg = tmp_path / "zero.json", tmp_path / "r.csv", tmp_path / "a.json"
+    dataset.write_text(json.dumps(d))
+    assert main(["--quiet", "evaluate", "--model", str(suite_dir / "markov_model.json"),
+                 "--dataset", str(dataset), "--report", str(report),
+                 "--aggregate", str(agg)]) == 0
+    assert _strict_json(agg.read_text()) == {
+        "max_rel_error": None, "mean_rel_error": None, "trajectories": len(d["trajectories"])}
+    b = tmp_path / "b.csv"
+    b.write_text("trajectory,rel_error\n0,0.5\n")
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--a", str(report), "--b", str(b), "--out", str(out)]) == 0
+    assert _strict_json(out.read_text()) == {"mean_a": None, "mean_b": 0.5,
+                                             "ratio_a_over_b": None}
+    assert "ratio=undefined" in capsys.readouterr().out
+
+
+def test_simulate_overflow_exit_4_without_non_json_tokens(suite_dir, tmp_path, capsys):
+    d = json.loads((suite_dir / "markov_model.json").read_text())
+    d["A"] = (1e200 * np.eye(len(d["A"]))).tolist()  # overflows on the second step
+    model, out = tmp_path / "model.json", tmp_path / "pred.json"
+    model.write_text(json.dumps(d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["--quiet", "simulate", "--model", str(model),
+                   "--dataset", str(suite_dir / "markov_test.json"), "--out", str(out)])
+    assert rc == 4
+    assert "trajectory 0: the simulated states overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["dataset", "model", "mask", "config", "plot-csv",
+                                  "compare-csv"])
+def test_non_utf8_input_exit_2_names_the_file(suite_dir, tmp_path, capsys, kind):
+    source = {"dataset": suite_dir / "markov_test.json",
+              "model": suite_dir / "markov_model.json",
+              "mask": suite_dir / "manifest.json"}.get(kind)
+    body = source.read_bytes() if source else (
+        json.dumps(TINY).encode() if kind == "config" else b"trajectory,rel_error\n0,0.5\n")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(body[:20] + b"\xff" + body[20:])
+    out = str(tmp_path / "out")
+    argv = {
+        "dataset": ["evaluate", "--model", str(suite_dir / "markov_model.json"),
+                    "--dataset", str(bad), "--report", out],
+        "model": ["evaluate", "--model", str(bad),
+                  "--dataset", str(suite_dir / "markov_test.json"), "--report", out],
+        "mask": ["fit", "--train", str(suite_dir / "markov_train.json"), "--mask", str(bad),
+                 "--steps", "1", "--out", out],
+        "config": ["generate", "--config", str(bad), "--out", out],
+        "plot-csv": ["plot", "--kind", "curve", "--x-col", "trajectory", "--y-col",
+                     "rel_error", str(bad), "--out", out],
+        "compare-csv": ["compare", "--a", str(bad), "--b", str(bad)],
+    }[kind]
+    assert main(["--quiet", *argv]) == 2
+    assert f"{bad}: not UTF-8 text (invalid start byte: byte 0xff)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])
 @pytest.mark.parametrize("mismatch", ["n", "k"])
 def test_model_dataset_size_mismatch_exit_2(suite_dir, tmp_path, capsys, command,
@@ -244,6 +316,9 @@ def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, caps
                                                   inputs=d["trajectories"][1]["inputs"][:20])),
         "need 0 <= q < m, got q=30, m=30": broken(lambda d: d.__setitem__("q", 30)),
         "need 0 <= q < m, got q=-1, m=30": broken(lambda d: d.__setitem__("q", -1)),
+        "'q' must be an integer, got 1.7": broken(lambda d: d.__setitem__("q", 1.7)),
+        "'q' must be an integer, got True": broken(lambda d: d.__setitem__("q", True)),
+        "'m' must be an integer, got 30.0": broken(lambda d: d.__setitem__("m", 30.0)),
     }
     for i, (expected, data) in enumerate(cases.items()):
         path = tmp_path / f"bad{i}.json"
@@ -278,6 +353,12 @@ def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
             lambda d: d["kernel"].__setitem__("coeffs", [[0.1], [0.2]])),
         "kernel coefficients must be finite": broken(
             lambda d: d["kernel"]["coeffs"].__setitem__(0, float("inf"))),
+        "kernel: 'q' must be an integer, got 1.7": broken(
+            lambda d: d["kernel"].__setitem__("q", 1.7)),
+        "kernel: 'Q' must be an integer, got True": broken(
+            lambda d: d["kernel"].__setitem__("Q", True)),
+        "kernel: 'm' must be an integer, got 30.0": broken(
+            lambda d: d["kernel"].__setitem__("m", 30.0)),
     }
     data = suite_dir / "nonmarkov_test.json"
     for i, (expected, model) in enumerate(cases.items()):

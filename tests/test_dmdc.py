@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import violina.dmdc
 from violina import (
     BenchmarkConfig,
     CausalBandKernel,
@@ -13,9 +12,9 @@ from violina import (
     dmdc_rank_scan,
     uniqueness_certificate,
 )
-from violina.dmdc import as_model, attainable_rank
-from violina.model import relative_error
+from violina.dmdc import attainable_rank
 from conftest import random_stable_model, simulated_dataset
+from oracles import literal_rank_scan
 
 
 def test_exact_recovery_at_full_rank(rng):
@@ -94,27 +93,70 @@ def test_rank_scan_records_whole_curve(rng):
     assert len(scan.errors) == len(scan.ranks) == attainable_rank(train)
 
 
-def test_rank_scan_matches_separate_fits_on_desk_suite(monkeypatch):
-    train = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1)).nonmarkov.train
-    scanned = []
-    monkeypatch.setattr(violina.dmdc, "as_model",
-                        lambda A, B, m: scanned.append((A, B)) or as_model(A, B, m))
-    scan = dmdc_rank_scan(train)
-    assert scan.ranks == tuple(range(1, attainable_rank(train, [0]) + 1))
-    assert len(scanned) == len(scan.ranks)
-    for r, (A_scan, B_scan), err in zip(scan.ranks, scanned, scan.errors):
-        A, B = dmdc_fit(train, r, [0])
-        np.testing.assert_array_equal(A_scan, A)
-        np.testing.assert_array_equal(B_scan, B)
-        model = as_model(A, B, train.m)
-        total = 0.0
-        for traj in train.trajectories:
-            pred = model.simulate(traj.states[:, :1], traj.inputs[:, : train.m])
-            total += relative_error(pred.states, traj.states[:, : train.m + 1], first=1)
-        assert err == total / train.size
-    A, B = dmdc_fit(train, scan.best_rank, [0])
+def assert_scan_matches_oracle(train, fit_index=0, pooled=False):
+    """The scan against the full-state oracle: ranks, best rank and ``(A, B)``
+    exactly; every error within ``100 eps (s_1 / s_r) (1 + e_r)``, the rounding
+    the rank-``r`` conditioning allows."""
+    scan = dmdc_rank_scan(train, fit_index=fit_index, pooled=pooled)
+    ranks, errors, s = literal_rank_scan(train, fit_index=fit_index, pooled=pooled)
+    assert scan.ranks == ranks
+    assert scan.best_rank == ranks[int(np.argmin(errors))]
+    A, B = dmdc_fit(train, scan.best_rank, None if pooled else [fit_index])
     np.testing.assert_array_equal(scan.A, A)
     np.testing.assert_array_equal(scan.B, B)
+    e = np.asarray(errors)
+    bound = 100 * np.finfo(float).eps * (s[0] / s[np.asarray(ranks) - 1]) * (1 + e)
+    gap = np.abs(np.asarray(scan.errors) - e)
+    assert np.all(gap <= bound), (gap / bound).max()
+    return scan, errors
+
+
+def test_rank_scan_matches_separate_fits_on_desk_suite(monkeypatch):
+    suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
+    for system in (suite.markov, suite.nonmarkov):
+        for pooled in (False, True):
+            scan, _ = assert_scan_matches_oracle(system.train, pooled=pooled)
+            assert scan.ranks == tuple(range(1, attainable_rank(
+                system.train, None if pooled else [0]) + 1))
+
+    def no_simulate(*args):
+        raise AssertionError("the scan simulates no full-state model")
+    monkeypatch.setattr(StateSpaceModel, "simulate", no_simulate)
+    assert dmdc_rank_scan(suite.nonmarkov.train, pooled=True).best_rank == scan.best_rank
+
+
+def _zero_trajectory_dataset(rng):
+    truth = random_stable_model(rng, n=3, k=2, m=20, q=0, Q=1)
+    data = simulated_dataset(rng, truth, 20, N=2, zero_initial=False)
+    zero = Trajectory(np.zeros((3, 21)), np.zeros((2, 20)))
+    return Dataset([*data.trajectories, zero], 0, 20)
+
+
+def _wide_input_dataset(rng):  # k > n: ranks above n
+    truth = random_stable_model(rng, n=2, k=4, m=15, q=0, Q=1)
+    return simulated_dataset(rng, truth, 15, N=3, zero_initial=False)
+
+
+def _lagged_dataset(rng):  # q > 0: the scan still pairs single steps
+    truth = random_stable_model(rng, n=3, k=2, m=25, q=2, Q=3, coeff_scale=0.2)
+    return simulated_dataset(rng, truth, 25, N=3, zero_initial=False)
+
+
+@pytest.mark.parametrize("make", [_zero_trajectory_dataset, _wide_input_dataset,
+                                  _lagged_dataset], ids=["zero-trajectory", "k>n", "q>0"])
+@pytest.mark.parametrize("pooled", [False, True], ids=["single", "pooled"])
+def test_rank_scan_matches_oracle_on_small_cases(rng, make, pooled):
+    train = make(rng)
+    scan, errors = assert_scan_matches_oracle(train, pooled=pooled)
+    if make is _wide_input_dataset:
+        assert scan.ranks[-1] > train.n
+    if make is _lagged_dataset:
+        assert scan.errors == dmdc_rank_scan(Dataset(train.trajectories, 0, train.m),
+                                             pooled=pooled).errors
+    if make is _zero_trajectory_dataset and not pooled:  # the zero one adds error 0.0
+        single = Dataset(train.trajectories[:2], 0, train.m)
+        _, single_errors = assert_scan_matches_oracle(single, pooled=pooled)
+        assert errors == tuple(e * 2 / 3 for e in single_errors)
 
 
 def test_markovian_pairing_used_even_for_lagged_datasets(rng):
