@@ -126,6 +126,8 @@ def cmd_generate(args) -> int:
         cfg_dict = cfg.to_dict()
     else:
         cfg_dict = _load_json(args.config)
+        if not isinstance(cfg_dict, dict):
+            raise ConfigError(f"{args.config}: the benchmark config must be a JSON object")
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     try:

@@ -11,28 +11,47 @@ from .kernel import CausalBandKernel, project_to_band
 from .model import StateSpaceModel
 
 
-def _check_mask(mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
+def _check_mask(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only copy of a validated neighbor mask, and its off-diagonal
+    part; a constraint set validates its mask once and keeps this copy."""
+    mask = np.array(mask, dtype=bool)
     if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
         raise ValueError(f"mask must be square, got shape {mask.shape}")
     if not np.array_equal(mask, mask.T):
         raise ValueError("mask must be symmetric")
     if not np.all(np.diagonal(mask)):
         raise ValueError("mask must include the diagonal")
-    return mask
+    mask.setflags(write=False)
+    return mask, mask & ~np.eye(mask.shape[0], dtype=bool)
+
+
+def _check_shape(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.shape != mask.shape:
+        raise ValueError(f"matrix shape {M.shape} does not match mask {mask.shape}")
+    return M
+
+
+def _check_shift(shift, n: int) -> np.ndarray:
+    shift = np.array(shift, dtype=float)
+    if shift.ndim != 2 or shift.shape[0] != shift.shape[1]:
+        raise ValueError(f"shift must be square, got shape {shift.shape}")
+    if shift.shape != (n, n):
+        raise ValueError(f"shift shape {shift.shape} does not match mask {(n, n)}")
+    if not np.all(np.isfinite(shift)):
+        raise ValueError("shift holds non-finite values")
+    return shift
+
+
+def _rank_column(n: int) -> np.ndarray:
+    """``k + 1`` for the ``k``-th largest off-diagonal entry of a column."""
+    return np.arange(2, n + 2)[:, None]
 
 
 def project_symmetric_masked_nonneg(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Exact projection onto symmetric matrices supported on ``mask`` with
     nonnegative off-diagonal entries (the diagonal is unconstrained)."""
-    mask = _check_mask(mask)
-    M = np.asarray(M, dtype=float)
-    if M.shape != mask.shape:
-        raise ValueError(f"matrix shape {M.shape} does not match mask {mask.shape}")
-    S = 0.5 * (M + M.T)
-    out = np.where(mask, S, 0.0)
-    eye = np.eye(M.shape[0], dtype=bool)
-    return np.where(eye, out, np.maximum(out, 0.0))
+    return SymmetricMaskedNonneg(mask).project(M)
 
 
 def project_nonneg_diagonal(M: np.ndarray) -> np.ndarray:
@@ -43,6 +62,16 @@ def project_nonneg_diagonal(M: np.ndarray) -> np.ndarray:
     d = min(M.shape)
     idx = np.arange(d)
     out[idx, idx] = np.maximum(M[idx, idx], 0.0)
+    return out
+
+
+def _graph_laplacian(M: np.ndarray, off: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    diag = np.diagonal(M)
+    w = np.sort(np.where(off, M, -np.inf), axis=0)[::-1]
+    active = ranks * w > diag + np.cumsum(w, axis=0)
+    lam = (diag + np.where(active, w, 0.0).sum(axis=0)) / (active.sum(axis=0) + 1)
+    out = np.where(off, np.maximum(M - lam, 0.0), 0.0)
+    np.fill_diagonal(out, diag - lam)
     return out
 
 
@@ -59,19 +88,8 @@ def nearest_graph_laplacian(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
     exactly when ``(k + 1) w_(k) > M_jj + w_(1) + ... + w_(k)``, a condition
     that holds for a prefix of ``k``.  All columns are sorted at once.
     """
-    mask = _check_mask(mask)
-    M = np.asarray(M, dtype=float)
-    if M.shape != mask.shape:
-        raise ValueError(f"matrix shape {M.shape} does not match mask {mask.shape}")
-    n = M.shape[0]
-    off = mask & ~np.eye(n, dtype=bool)
-    diag = np.diagonal(M)
-    w = np.sort(np.where(off, M, -np.inf), axis=0)[::-1]
-    active = np.arange(2, n + 2)[:, None] * w > diag + np.cumsum(w, axis=0)
-    lam = (diag + np.where(active, w, 0.0).sum(axis=0)) / (active.sum(axis=0) + 1)
-    out = np.where(off, np.maximum(M - lam, 0.0), 0.0)
-    np.fill_diagonal(out, diag - lam)
-    return out
+    mask, off = _check_mask(mask)
+    return _graph_laplacian(_check_shape(M, mask), off, _rank_column(mask.shape[0]))
 
 
 def project_shifted_laplacian(M: np.ndarray, mask: np.ndarray,
@@ -83,12 +101,8 @@ def project_shifted_laplacian(M: np.ndarray, mask: np.ndarray,
     discretized diffusion operators ``I + L h`` and preserve the total-state
     sum under iteration.  ``column_sums=False`` constrains row sums instead.
     """
-    M = np.asarray(M, dtype=float)
-    if shift is None:
-        shift = np.eye(M.shape[0])
-    if not column_sums:
-        return project_shifted_laplacian(M.T, mask, shift.T, column_sums=True).T
-    return shift + nearest_graph_laplacian(M - shift, mask)
+    return ShiftedGraphLaplacian(mask, "identity" if shift is None else shift,
+                                 column_sums).project(M)
 
 
 @dataclass(frozen=True)
@@ -118,22 +132,30 @@ class Fixed:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricMaskedNonneg:
-    """Symmetric, supported on the neighbor mask, nonnegative off-diagonal."""
+    """Symmetric, supported on the neighbor mask, nonnegative off-diagonal.
+
+    The mask is validated once; ``mask`` is a read-only copy of it."""
 
     mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", _check_mask(self.mask))
+        mask, off = _check_mask(self.mask)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_off", off)
 
     def project(self, M):
-        return project_symmetric_masked_nonneg(M, self.mask)
+        M = _check_shape(M, self.mask)
+        out = np.where(self.mask, 0.5 * (M + M.T), 0.0)
+        return np.where(self._off, np.maximum(out, 0.0), out)
 
 
 @dataclass(frozen=True, eq=False)
 class ShiftedGraphLaplacian:
     """``A`` such that ``A - shift`` is a graph Laplacian on the mask.
 
-    ``shift`` is ``"identity"``, ``"zero"``, or an explicit matrix.
+    ``shift`` is ``"identity"``, ``"zero"``, or an explicit square matrix of
+    the mask's shape with finite entries.  The mask and shift are validated
+    once; ``mask`` is a read-only copy of the mask.
     """
 
     mask: np.ndarray
@@ -141,20 +163,26 @@ class ShiftedGraphLaplacian:
     column_sums: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", _check_mask(self.mask))
-        if isinstance(self.shift, str) and self.shift not in ("identity", "zero"):
-            raise ValueError(f"shift must be 'identity', 'zero' or a matrix, got {self.shift!r}")
-
-    def _shift_matrix(self, n: int):
+        mask, off = _check_mask(self.mask)
+        n = mask.shape[0]
         if isinstance(self.shift, str):
-            return np.eye(n) if self.shift == "identity" else np.zeros((n, n))
-        return np.asarray(self.shift, dtype=float)
+            if self.shift not in ("identity", "zero"):
+                raise ValueError(
+                    f"shift must be 'identity', 'zero' or a matrix, got {self.shift!r}")
+            shift = np.eye(n) if self.shift == "identity" else np.zeros((n, n))
+        else:
+            shift = _check_shift(self.shift, n)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_off", off)
+        object.__setattr__(self, "_ranks", _rank_column(n))
+        object.__setattr__(self, "_shift", shift)
 
     def project(self, M):
-        M = np.asarray(M, dtype=float)
-        return project_shifted_laplacian(
-            M, self.mask, self._shift_matrix(M.shape[0]), column_sums=self.column_sums
-        )
+        M, shift = _check_shape(M, self.mask), self._shift
+        if not self.column_sums:  # the mask is symmetric: project the transpose
+            M, shift = M.T, shift.T
+        out = shift + _graph_laplacian(M - shift, self._off, self._ranks)
+        return out if self.column_sums else out.T
 
 
 @dataclass(frozen=True)

@@ -229,13 +229,21 @@ class _StartRelativeLoss:
             blocks.append(e0)
             return np.vstack(blocks)
 
-        self.R = _compress(map(stack, data.matrices, E0), data.n * (2 + self.nz) + data.k)
+        n, k = data.n, data.k
+        self.R = _compress(map(stack, data.matrices, E0), n * (2 + self.nz) + k)
+        # Theta, private to the fit: only its A, B and z_i entries change
+        self._theta = np.zeros((n, self.R.shape[0]))
+        self._theta[:, -n:] = np.eye(n)
+        self._z_diag = (np.arange(n), n + k + n * np.arange(self.nz)[:, None] + np.arange(n))
 
     def residual(self, A: np.ndarray, B: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Compressed residual ``F`` at ``(A, B)`` and kernel weights ``z``;
-        the loss there is ``||F||^2``."""
-        eye = np.eye(self.A0.shape[0])
-        theta = np.hstack([self.A0 - A, self.B0 - B, np.kron(z, eye), eye])
+        the loss there is ``||F||^2``.  ``F`` is a new array on every call."""
+        n, k = self.B0.shape
+        theta = self._theta
+        np.subtract(self.A0, A, out=theta[:, :n])
+        np.subtract(self.B0, B, out=theta[:, n : n + k])
+        theta[self._z_diag] = z[:, None]
         return theta @ self.R.T
 
     def gradient(self, F: np.ndarray):

@@ -156,7 +156,7 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
 
     for step in range(cfg.max_steps):
         gA, gB, gz = engine.gradient(F)
-        if not (np.all(np.isfinite(gA)) and np.all(np.isfinite(gB))):
+        if not (np.isfinite(gA).all() and np.isfinite(gB).all()):
             raise SolverError(f"gradient is not finite at step {step}")
 
         n_back = 0
@@ -168,14 +168,14 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
             if moved:
                 z_new = np.append(z_new, 1.0)
             F_new = engine.residual(A_new, B_new, z_new)
-            f_new = float(np.sum(F_new * F_new))
+            f_new = float((F_new * F_new).sum())
             if not np.isfinite(f_new):
                 raise SolverError(f"loss became non-finite at step {step}")
 
             dA = A_new - A
             dB = B_new - B
-            gdot = float(np.sum(dA * gA) + np.sum(dB * gB) + (z_new - z) @ gz)
-            dist2 = (float(np.sum(dA * dA) + np.sum(dB * dB))
+            gdot = float((dA * gA).sum() + (dB * gB).sum() + (z_new - z) @ gz)
+            dist2 = (float((dA * dA).sum() + (dB * dB).sum())
                      + float(sum((c_new - c) ** 2 * counts)) + jump2)
             surrogate = f + gdot + dist2 / (2.0 * t)
 

@@ -307,3 +307,58 @@ def literal_rank_scan(train, fit_index=0, pooled=False):
         ranks.append(r)
         errors.append(total / train.size)
     return tuple(ranks), tuple(errors), svd.s
+
+
+def literal_residual(engine, A, B, z):
+    """The solver's compressed residual ``Theta R^T`` with ``Theta = [A0 - A,
+    B0 - B, z (x) I, I]`` assembled from scratch on every call."""
+    eye = np.eye(engine.A0.shape[0])
+    theta = np.hstack([engine.A0 - A, engine.B0 - B, np.kron(z, eye), eye])
+    return theta @ engine.R.T
+
+
+def _percall_mask(mask):
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+        raise ValueError(f"mask must be square, got shape {mask.shape}")
+    if not np.array_equal(mask, mask.T):
+        raise ValueError("mask must be symmetric")
+    if not np.all(np.diagonal(mask)):
+        raise ValueError("mask must include the diagonal")
+    return mask
+
+
+def percall_symmetric_masked_nonneg(M, mask):
+    """The symmetric masked nonnegative projection, validating the mask and
+    building the identity mask on every call."""
+    mask = _percall_mask(mask)
+    M = np.asarray(M, dtype=float)
+    S = 0.5 * (M + M.T)
+    out = np.where(mask, S, 0.0)
+    eye = np.eye(M.shape[0], dtype=bool)
+    return np.where(eye, out, np.maximum(out, 0.0))
+
+
+def percall_graph_laplacian(M, mask):
+    """The sort-based zero-column-sum Laplacian projection, validating the
+    mask and building the off-diagonal mask and rank column on every call."""
+    mask = _percall_mask(mask)
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    off = mask & ~np.eye(n, dtype=bool)
+    diag = np.diagonal(M)
+    w = np.sort(np.where(off, M, -np.inf), axis=0)[::-1]
+    active = np.arange(2, n + 2)[:, None] * w > diag + np.cumsum(w, axis=0)
+    lam = (diag + np.where(active, w, 0.0).sum(axis=0)) / (active.sum(axis=0) + 1)
+    out = np.where(off, np.maximum(M - lam, 0.0), 0.0)
+    np.fill_diagonal(out, diag - lam)
+    return out
+
+
+def percall_shifted_laplacian(M, mask, shift, column_sums=True):
+    """``shift + P(M - shift)`` for the Laplacian projection ``P``; row sums
+    project the transpose."""
+    M = np.asarray(M, dtype=float)
+    if not column_sums:
+        return percall_shifted_laplacian(M.T, mask, shift.T).T
+    return shift + percall_graph_laplacian(M - shift, mask)

@@ -67,12 +67,28 @@ def test_generate_bad_config_exit_2(tmp_path, capsys):
         ({"m": 30.0}, [], "'m' must be an integer, got 30.0"),
         ({"Q": "3"}, [], "'Q' must be an integer, got '3'"),
         ({"seed": True}, [], "'seed' must be an integer, got True"),
+        ({"w0": True}, [], "'w0' must be a finite number, got True"),
+        ({"w1": "1.5"}, [], "'w1' must be a finite number, got '1.5'"),
+        ({"w1": float("nan")}, [], "'w1' must be a finite number, got nan"),
+        ({"coeffs": ["0.03", True]}, [], "'coeffs'[0] must be a finite number, got '0.03'"),
+        ({"coeffs": [0.03, True]}, [], "'coeffs'[1] must be a finite number, got True"),
+        ({"coeffs": 0.03}, [], "'coeffs' must be a list, got 0.03"),
     ]:
         cfg.write_text(json.dumps({**TINY, **bad}))
         capsys.readouterr()
         assert main(["--quiet", "generate", "--config", str(cfg),
                      "--out", str(tmp_path / "x"), *seed]) == 2, bad or seed
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["no-seed", "seed"])
+@pytest.mark.parametrize("text", ["[1, 2]", "7", '"desk"', "null"])
+def test_generate_config_not_an_object_exit_2(tmp_path, capsys, seed, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["--quiet", "generate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x"), *seed]) == 2
+    assert f"{cfg}: the benchmark config must be a JSON object" in capsys.readouterr().err
 
 
 def test_generate_missing_file_exit_3(tmp_path):

@@ -244,3 +244,29 @@ def test_all_projections_idempotent_and_nonexpansive(rng):
         P1, P2 = con.project(M1), con.project(M2)
         np.testing.assert_allclose(con.project(P1), P1, atol=1e-10)
         assert np.linalg.norm(P1 - P2) <= np.linalg.norm(M1 - M2) + 1e-10
+
+
+@pytest.mark.parametrize("make", [SymmetricMaskedNonneg, ShiftedGraphLaplacian])
+def test_constraint_set_keeps_a_read_only_mask_copy(rng, make):
+    mask = random_mask(rng, 4)
+    mask[0, 1] = mask[1, 0] = True
+    M = rng.normal(size=(4, 4))
+    spec = ConstraintSpec(make(mask), NonnegativeDiagonal(), CausalBand(0, 1))
+    before = spec.on_A.project(M)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.on_A.mask[0, 1] = False
+    # the caller's mask stays writable and no longer reaches the set
+    mask[0, 1] = mask[1, 0] = False
+    assert spec.on_A.mask[0, 1]
+    np.testing.assert_array_equal(spec.on_A.project(M), before)
+
+
+@pytest.mark.parametrize("shift, message", [
+    (np.eye(3)[:, :2], r"shift must be square, got shape \(3, 2\)"),
+    (np.eye(4), r"shift shape \(4, 4\) does not match mask \(3, 3\)"),
+    (np.where(np.eye(3) > 0, np.nan, 0.0), "shift holds non-finite values"),
+    ("half", "shift must be 'identity', 'zero' or a matrix"),
+])
+def test_explicit_shift_checked_at_construction(shift, message):
+    with pytest.raises(ValueError, match=message):
+        ShiftedGraphLaplacian(np.ones((3, 3), dtype=bool), shift=shift)

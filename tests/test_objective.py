@@ -3,6 +3,7 @@ import pytest
 
 from violina import (
     BenchmarkConfig,
+    CausalBand,
     CausalBandKernel,
     Dataset,
     StateSpaceModel,
@@ -18,13 +19,14 @@ from violina import (
     uniqueness_certificate,
 )
 from violina.kernel import band_offset_counts
-from violina.objective import _restricted_hessian_extremes
+from violina.objective import _restricted_hessian_extremes, _StartRelativeLoss
 from conftest import random_dataset, random_stable_model, random_theta, simulated_dataset
 from oracles import (
     exact_lipschitz,
     finite_difference_gradient,
     literal_lipschitz,
     literal_loss,
+    literal_residual,
     literal_smoothness_bound,
     restricted_hessian,
     stacked_rank,
@@ -364,3 +366,28 @@ def test_dataset_json_round_trip(rng):
     back = Dataset.from_dict(data.to_dict())
     assert back.q == data.q and back.m == data.m and back.size == data.size
     np.testing.assert_array_equal(back.trajectories[0].states, data.trajectories[0].states)
+
+
+@pytest.mark.parametrize("q, Q, dense_start", [(1, 3, False), (1, 3, True), (0, 1, False)],
+                         ids=["band-start", "dense-start", "Q1"])
+def test_engine_residual_matches_literal_theta(rng, q, Q, dense_start):
+    # The engine's reused Theta gives the bytes of Theta built from scratch,
+    # with negative kernel weights (whose kron has -0.0 off the diagonal),
+    # with the J block of a start outside the band, and without changing a
+    # residual it returned earlier.
+    n, k, m = 3, 2, 8
+    data = random_dataset(rng, n, k, m, q)
+    theta0 = random_theta(rng, n, k, m, q, Q)
+    kernel_after = None
+    if dense_start:
+        theta0 = StateSpaceModel(theta0.A, theta0.B, rng.normal(size=(m, m)))
+        kernel_after = CausalBand(q, Q).project(theta0.kernel)
+    engine = _StartRelativeLoss(data, theta0, q, Q, kernel_after)
+    assert engine.nz == Q - 1 + dense_start
+    points = [(rng.normal(size=(n, n)), rng.normal(size=(n, k)), -0.5 - rng.random(engine.nz))
+              for _ in range(2)]
+    F1 = engine.residual(*points[0])
+    kept = F1.copy()
+    F2 = engine.residual(*points[1])
+    assert F1.tobytes() == kept.tobytes() == literal_residual(engine, *points[0]).tobytes()
+    assert F2.tobytes() == literal_residual(engine, *points[1]).tobytes()

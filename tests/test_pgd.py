@@ -204,6 +204,21 @@ def test_desk_a2b_fit_pinned():
     assert abs(report.loss_curve[-1] - f) <= 1e-12 * (1.0 + f)
 
 
+def test_desk_a1b_fit_pinned():
+    # the desk fit with the symmetric masked projection: pinned like the a2b one
+    suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
+    train = suite.nonmarkov.train
+    spec = ConstraintSpec(SymmetricMaskedNonneg(suite.grid.neighbor_mask),
+                          NonnegativeDiagonal(), CausalBand(train.q, train.q + 1))
+    theta0 = default_initial_point(train.n, train.k, train.m, train.q, train.q + 1)
+    report = violina_fit(train, spec, PgdConfig(theta0=theta0, max_steps=1000))
+    assert report.steps == 1000
+    assert report.backtracks.sum() == 113
+    assert report.loss_curve[-1] == pytest.approx(5.353478438998e-4, rel=1e-10)
+    f = loss(report.theta_final, train)
+    assert abs(report.loss_curve[-1] - f) <= 1e-12 * (1.0 + f)
+
+
 def test_stationary_at_exact_model(rng):
     # dynamics chosen so every arithmetic step is exactly representable:
     # the residual, loss and gradient are bitwise zero and the iterate is a

@@ -19,6 +19,14 @@ from violina import (
     ShiftedGraphLaplacian,
     SymmetricMaskedNonneg,
     apply_kernel,
+    project_shifted_laplacian,
+    project_symmetric_masked_nonneg,
+)
+from violina.constraints import nearest_graph_laplacian
+from oracles import (
+    percall_graph_laplacian,
+    percall_shifted_laplacian,
+    percall_symmetric_masked_nonneg,
 )
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -79,6 +87,30 @@ def test_projection_variational_inequality(name, problem):
     PM = P(M)
     Z = P(Z0)
     assert np.sum((M - PM) * (Z - PM)) <= 1e-10 * (1.0 + np.linalg.norm(M) ** 2)
+
+
+@PROPERTY
+@given(problems())
+def test_projections_match_percall_references_bitwise(problem):
+    # validating once and keeping the invariants changes no bit of any
+    # projection, through the constraint sets or the module functions
+    mask, _, _, M, _, shift = problem
+    n = M.shape[0]
+    sym = percall_symmetric_masked_nonneg(M, mask)
+    pairs = [
+        (SymmetricMaskedNonneg(mask).project(M), sym),
+        (project_symmetric_masked_nonneg(M, mask), sym),
+        (nearest_graph_laplacian(M, mask), percall_graph_laplacian(M, mask)),
+    ]
+    for name, arg, matrix in [("identity", None, np.eye(n)),
+                              ("zero", np.zeros((n, n)), np.zeros((n, n))),
+                              (shift, shift, shift)]:
+        for column_sums in (True, False):
+            ref = percall_shifted_laplacian(M, mask, matrix, column_sums)
+            pairs.append((ShiftedGraphLaplacian(mask, name, column_sums).project(M), ref))
+            pairs.append((project_shifted_laplacian(M, mask, arg, column_sums), ref))
+    for got, ref in pairs:
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @st.composite
