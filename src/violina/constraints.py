@@ -59,9 +59,8 @@ def project_nonneg_diagonal(M: np.ndarray) -> np.ndarray:
     diagonal entries."""
     M = np.asarray(M, dtype=float)
     out = np.zeros_like(M)
-    d = min(M.shape)
-    idx = np.arange(d)
-    out[idx, idx] = np.maximum(M[idx, idx], 0.0)
+    cols = M.shape[1]
+    out.flat[: min(M.shape) * cols : cols + 1] = np.maximum(np.diagonal(M), 0.0)
     return out
 
 

@@ -117,10 +117,12 @@ def _check_shapes(theta: StateSpaceModel, data: Dataset):
 def residuals(theta: StateSpaceModel, data: Dataset) -> list[np.ndarray]:
     """Per-trajectory residuals ``E = Y D - (A X + B U)`` in dataset order."""
     _check_shapes(theta, data)
-    out = []
-    for mat in data.matrices:
-        out.append(apply_kernel(mat.Y, theta.kernel) - theta.A @ mat.X - theta.B @ mat.U)
-    return out
+    return _residuals(theta, data.matrices)
+
+
+def _residuals(theta: StateSpaceModel, matrices) -> list[np.ndarray]:
+    return [apply_kernel(mat.Y, theta.kernel) - theta.A @ mat.X - theta.B @ mat.U
+            for mat in matrices]
 
 
 def loss(theta: StateSpaceModel, data: Dataset) -> float:
@@ -206,19 +208,29 @@ class _StartRelativeLoss:
     W W^T`` for the ``r x r`` triangular factor ``R``, ``r = n (Q + 1) + k``
     (``n`` more with ``J``); it is reduced one trajectory at a time, as in the
     LQ data compression of subspace identification (Van Overschee & De Moor,
-    1996) and tall-skinny QR (Demmel et al., 2012).  With ``Theta = [-(A-A0),
-    -(B-B0), z_1 I, ..., I]`` the compressed residual is ``F = Theta R^T``,
-    the loss ``||F||^2``, and ``F R = Theta W W^T`` holds the gradient.
+    1996) and tall-skinny QR (Demmel et al., 2012).  With ``Theta = [A0 - A,
+    B0 - B, z_1 I, ..., z_nz I, I]`` the compressed residual is ``F = Theta
+    R^T``, the loss ``||F||^2``, and ``F R = Theta W W^T`` holds the gradient.
 
-    One evaluation costs ``O(n r^2)`` against ``O(N m n (n + k + Q))`` in
-    residual form, after a one-off ``O(N m r^2)`` compression; the residual
-    form is cheaper only when ``r`` approaches ``N m``.
+    Neither product is formed densely.  ``R`` is upper-triangular, so its
+    leading ``nk = n + k`` columns vanish below row ``nk``, and every other
+    block of ``Theta`` is a multiple of the identity:
+
+    - ``F = R[:, E]^T + sum_i z_i R[:, K_i]^T``, then ``F[:, :nk] += [A0 - A,
+      B0 - B] R[:nk, :nk]^T`` (``K_i``, ``E`` the column blocks of ``R``);
+    - ``[gA, gB] = -2 F[:, :nk] R[:nk, :nk]`` and ``gz_i = 2 <F, R[:, K_i]^T>``.
+
+    One evaluation costs ``O(n nk^2 + (nz + 1) n r)`` against ``O(N m n (n +
+    k + Q))`` in residual form, after a one-off ``O(N m r^2)`` compression;
+    the residual form is cheaper only when ``r`` approaches ``N m``.
     """
 
     def __init__(self, data: Dataset, theta0: StateSpaceModel, q: int, Q: int, kernel_after):
         self.A0, self.B0 = theta0.A, theta0.B
         self.nz = Q - 1 + (kernel_after is not None)
-        E0 = residuals(theta0, data)
+        _check_shapes(theta0, data)
+        matrices = data.matrices
+        E0 = _residuals(theta0, matrices)
         self.initial_loss = sum(float(np.sum(e * e)) for e in E0)
 
         def stack(mat, e0):
@@ -229,29 +241,35 @@ class _StartRelativeLoss:
             blocks.append(e0)
             return np.vstack(blocks)
 
-        n, k = data.n, data.k
-        self.R = _compress(map(stack, data.matrices, E0), n * (2 + self.nz) + k)
-        # Theta, private to the fit: only its A, B and z_i entries change
-        self._theta = np.zeros((n, self.R.shape[0]))
-        self._theta[:, -n:] = np.eye(n)
-        self._z_diag = (np.arange(n), n + k + n * np.arange(self.nz)[:, None] + np.arange(n))
+        n, nk = data.n, data.n + data.k
+        self.R = _compress(map(stack, matrices, E0), n * (2 + self.nz) + data.k)
+        self._R_nk = np.ascontiguousarray(self.R[:nk, :nk])
+        self._R_nk_T = np.ascontiguousarray(self._R_nk.T)
+        # one row per identity block, its n x r block of R^T flattened, E
+        # first: F starts as [1, z] times these rows
+        rows = self.R.T[nk:].reshape(self.nz + 1, -1)
+        self._blocks = np.concatenate([rows[-1:], rows[:-1]])
+        self._weights = np.ones(self.nz + 1)
+        self._P = np.empty((n, nk))
 
     def residual(self, A: np.ndarray, B: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Compressed residual ``F`` at ``(A, B)`` and kernel weights ``z``;
         the loss there is ``||F||^2``.  ``F`` is a new array on every call."""
-        n, k = self.B0.shape
-        theta = self._theta
-        np.subtract(self.A0, A, out=theta[:, :n])
-        np.subtract(self.B0, B, out=theta[:, n : n + k])
-        theta[self._z_diag] = z[:, None]
-        return theta @ self.R.T
+        n, nk = self._P.shape
+        w, P = self._weights, self._P
+        w[1:] = z
+        np.subtract(self.A0, A, out=P[:, :n])
+        np.subtract(self.B0, B, out=P[:, n:])
+        F = (w @ self._blocks).reshape(n, -1)
+        F[:, :nk] += P @ self._R_nk_T
+        return F
 
     def gradient(self, F: np.ndarray):
         """``(gA, gB, gz)`` at the point whose compressed residual is ``F``."""
-        n, k = self.B0.shape
-        G = 2.0 * (F @ self.R)
-        kernel_blocks = G[:, n + k : n + k + self.nz * n].reshape(n, self.nz, n)
-        return -G[:, :n], -G[:, n : n + k], np.trace(kernel_blocks, axis1=0, axis2=2)
+        n, nk = self._P.shape
+        G = F[:, :nk] @ self._R_nk
+        G *= -2.0
+        return G[:, :n], G[:, n:], 2.0 * (self._blocks[1:] @ F.reshape(-1))
 
 
 def lipschitz_constant(data: Dataset) -> float:

@@ -15,12 +15,16 @@ No iteration touches the trajectories either.  The loss is quadratic in
 compressed, relative to ``theta0``, into one ``r x r`` triangular factor with
 ``r = n (Q + 1) + k`` (``n`` more when the start kernel is outside the band
 form or differs from a ``Fixed`` one); see ``objective._StartRelativeLoss``.
-Each loss or gradient evaluation is then one ``n x r`` by ``r x r`` product,
-whatever the number ``N`` and length ``m`` of the trajectories.  The residual
-form of :mod:`.objective` costs ``O(N m n (n + k))`` per evaluation and is
-cheaper only when ``r`` approaches ``N m`` (the desk and paper benchmarks have
-``r / (N m)`` of 150/2400 and 500/20000); it stays the reference the tests
-compare the solver against.
+The weights ``Theta = [A0 - A, B0 - B, z_1 I, ..., z_nz I, I]`` of ``R^T`` are
+identity multiples outside their leading ``n + k`` columns, and those columns
+of ``R`` vanish below row ``n + k``, so each loss or gradient evaluation is one
+``n x (n + k)`` by ``(n + k) x (n + k)`` product plus ``nz + 1`` scaled ``n x
+r`` blocks, ``O(n (n + k)^2 + (nz + 1) n r)``, whatever the number ``N`` and
+length ``m`` of the trajectories.  The residual form of :mod:`.objective`
+costs ``O(N m n (n + k))`` per evaluation and is cheaper only when ``r``
+approaches ``N m`` (the desk and paper benchmarks have ``r / (N m)`` of
+150/2400 and 500/20000); it stays the reference the tests compare the solver
+against.
 """
 
 from __future__ import annotations

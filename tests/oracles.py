@@ -309,12 +309,36 @@ def literal_rank_scan(train, fit_index=0, pooled=False):
     return tuple(ranks), tuple(errors), svd.s
 
 
-def literal_residual(engine, A, B, z):
-    """The solver's compressed residual ``Theta R^T`` with ``Theta = [A0 - A,
-    B0 - B, z (x) I, I]`` assembled from scratch on every call."""
+def literal_theta(engine, A, B, z):
+    """The solver's dense weight matrix ``Theta = [A0 - A, B0 - B, z (x) I, I]``."""
     eye = np.eye(engine.A0.shape[0])
-    theta = np.hstack([engine.A0 - A, engine.B0 - B, np.kron(z, eye), eye])
-    return theta @ engine.R.T
+    return np.hstack([engine.A0 - A, engine.B0 - B, np.kron(z, eye), eye])
+
+
+def literal_residual(engine, A, B, z):
+    """The solver's compressed residual ``Theta R^T``, with ``Theta``
+    assembled from scratch and multiplied densely on every call."""
+    return literal_theta(engine, A, B, z) @ engine.R.T
+
+
+def literal_gradient(engine, F):
+    """The solver's ``(gA, gB, gz)`` read off the dense ``G = 2 F R``: minus
+    its leading column blocks, and the traces of its kernel blocks."""
+    n, k = engine.B0.shape
+    G = 2.0 * (F @ engine.R)
+    kernel_blocks = G[:, n + k : n + k + engine.nz * n].reshape(n, engine.nz, n)
+    return -G[:, :n], -G[:, n : n + k], np.trace(kernel_blocks, axis1=0, axis2=2)
+
+
+def literal_nonneg_diagonal(M):
+    """Projection onto nonnegative (rectangular) diagonal matrices by an
+    index gather and scatter."""
+    M = np.asarray(M, dtype=float)
+    out = np.zeros_like(M)
+    d = min(M.shape)
+    idx = np.arange(d)
+    out[idx, idx] = np.maximum(M[idx, idx], 0.0)
+    return out
 
 
 def _percall_mask(mask):

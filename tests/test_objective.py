@@ -19,15 +19,18 @@ from violina import (
     uniqueness_certificate,
 )
 from violina.kernel import band_offset_counts
+from violina.model import build_data_matrices
 from violina.objective import _restricted_hessian_extremes, _StartRelativeLoss
 from conftest import random_dataset, random_stable_model, random_theta, simulated_dataset
 from oracles import (
     exact_lipschitz,
     finite_difference_gradient,
+    literal_gradient,
     literal_lipschitz,
     literal_loss,
     literal_residual,
     literal_smoothness_bound,
+    literal_theta,
     restricted_hessian,
     stacked_rank,
 )
@@ -368,14 +371,16 @@ def test_dataset_json_round_trip(rng):
     np.testing.assert_array_equal(back.trajectories[0].states, data.trajectories[0].states)
 
 
-@pytest.mark.parametrize("q, Q, dense_start", [(1, 3, False), (1, 3, True), (0, 1, False)],
-                         ids=["band-start", "dense-start", "Q1"])
-def test_engine_residual_matches_literal_theta(rng, q, Q, dense_start):
-    # The engine's reused Theta gives the bytes of Theta built from scratch,
-    # with negative kernel weights (whose kron has -0.0 off the diagonal),
-    # with the J block of a start outside the band, and without changing a
-    # residual it returned earlier.
-    n, k, m = 3, 2, 8
+ENGINE_CASES = pytest.mark.parametrize(
+    "q, Q, dense_start, k", [(1, 3, False, 2), (1, 3, True, 2), (0, 1, False, 2), (1, 3, False, 5)],
+    ids=["band-start", "dense-start", "Q1", "k-gt-n"])
+
+
+def random_engine(rng, q, Q, dense_start, k):
+    """An engine on random data, with the ``J`` block of a start outside the
+    band when ``dense_start``, and two random points with negative kernel
+    weights."""
+    n, m = 3, 8
     data = random_dataset(rng, n, k, m, q)
     theta0 = random_theta(rng, n, k, m, q, Q)
     kernel_after = None
@@ -386,8 +391,58 @@ def test_engine_residual_matches_literal_theta(rng, q, Q, dense_start):
     assert engine.nz == Q - 1 + dense_start
     points = [(rng.normal(size=(n, n)), rng.normal(size=(n, k)), -0.5 - rng.random(engine.nz))
               for _ in range(2)]
+    return engine, points
+
+
+def product_bound(engine, left, right):
+    """Rounding bound ``2 r eps (|left| |right|)`` of a product over ``R``'s
+    ``r`` columns, summed in any order."""
+    r = engine.R.shape[0]
+    return 2.0 * r * np.finfo(float).eps * (np.abs(left) @ np.abs(right))
+
+
+@ENGINE_CASES
+def test_engine_residual_matches_literal_theta(rng, q, Q, dense_start, k):
+    # The block-structured residual agrees with the dense Theta R^T within the
+    # rounding of a length-r sum, and never changes a residual it returned
+    # earlier.
+    engine, points = random_engine(rng, q, Q, dense_start, k)
     F1 = engine.residual(*points[0])
     kept = F1.copy()
     F2 = engine.residual(*points[1])
-    assert F1.tobytes() == kept.tobytes() == literal_residual(engine, *points[0]).tobytes()
-    assert F2.tobytes() == literal_residual(engine, *points[1]).tobytes()
+    assert F1.tobytes() == kept.tobytes()
+    for F, point in zip((F1, F2), points):
+        bound = product_bound(engine, literal_theta(engine, *point), engine.R.T)
+        assert np.all(np.abs(F - literal_residual(engine, *point)) <= bound)
+
+
+@ENGINE_CASES
+def test_engine_gradient_matches_literal(rng, q, Q, dense_start, k):
+    # gA, gB within the bound of the dense 2 F R; each gz_i within that bound
+    # summed over the diagonal of its kernel block
+    engine, points = random_engine(rng, q, Q, dense_start, k)
+    n, nk = engine.A0.shape[0], engine.A0.shape[0] + k
+    for point in points:
+        F = engine.residual(*point)
+        bound = product_bound(engine, F, engine.R)
+        gA, gB, gz = engine.gradient(F)
+        lA, lB, lz = literal_gradient(engine, F)
+        assert gz.shape == lz.shape == (engine.nz,)
+        assert np.all(np.abs(gA - lA) <= bound[:, :n])
+        assert np.all(np.abs(gB - lB) <= bound[:, n:nk])
+        blocks = bound[:, nk : nk + engine.nz * n].reshape(n, engine.nz, n)
+        assert np.all(np.abs(gz - lz) <= np.trace(blocks, axis1=0, axis2=2))
+
+
+def test_engine_builds_the_data_matrices_once(rng, monkeypatch):
+    # the start residual and the stacks behind R share one Dataset.matrices
+    data = random_dataset(rng, N=3)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return build_data_matrices(*args)
+
+    monkeypatch.setattr("violina.objective.build_data_matrices", counting)
+    _StartRelativeLoss(data, random_theta(rng, Q=3), 1, 3, None)
+    assert len(built) == data.size

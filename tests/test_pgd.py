@@ -27,7 +27,9 @@ from violina import (
     project_symmetric_masked_nonneg,
     violina_fit,
 )
+from violina.objective import _StartRelativeLoss
 from conftest import random_stable_model, simulated_dataset
+from oracles import literal_gradient, literal_residual
 
 
 def _dense(D):
@@ -81,9 +83,14 @@ def reference_dense_fit(data, mask, project_D, cfg):
     return np.array(curve), np.array(steps), np.array(backs), (A, B, kern)
 
 
-@pytest.fixture(params=[(1, 3), (0, 1), (2, 4)], ids=lambda p: f"q{p[0]}-Q{p[1]}")
-def small_constrained_problem(rng, request):
-    q, Q = request.param
+SMALL_SHAPES = [(1, 3), (0, 1), (2, 4)]
+
+
+def small_shape_id(shape):
+    return f"q{shape[0]}-Q{shape[1]}"
+
+
+def constrained_problem(rng, q, Q):
     n, k, m = 3, 2, 12
     mask = np.ones((n, n), dtype=bool)
     truth = StateSpaceModel(
@@ -97,6 +104,11 @@ def small_constrained_problem(rng, request):
     cfg = PgdConfig(theta0=default_initial_point(n, k, m, q, Q),
                     t0=0.3, eta=1.05, max_steps=60)
     return data, spec, cfg, mask, q, Q
+
+
+@pytest.fixture(params=SMALL_SHAPES, ids=small_shape_id)
+def small_constrained_problem(rng, request):
+    return constrained_problem(rng, *request.param)
 
 
 def test_band_path_matches_dense_reference(small_constrained_problem):
@@ -217,6 +229,37 @@ def test_desk_a1b_fit_pinned():
     assert report.loss_curve[-1] == pytest.approx(5.353478438998e-4, rel=1e-10)
     f = loss(report.theta_final, train)
     assert abs(report.loss_curve[-1] - f) <= 1e-12 * (1.0 + f)
+
+
+def desk_problem(on_A):
+    """The desk train set with ``on_A`` on the neighbour mask, nonnegative
+    diagonal ``B`` and the band of the data, 1 000 steps from the default
+    start."""
+    suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
+    train = suite.nonmarkov.train
+    spec = ConstraintSpec(on_A(suite.grid.neighbor_mask), NonnegativeDiagonal(),
+                          CausalBand(train.q, train.q + 1))
+    theta0 = default_initial_point(train.n, train.k, train.m, train.q, train.q + 1)
+    return train, spec, PgdConfig(theta0=theta0, max_steps=1000)
+
+
+@pytest.mark.parametrize("problem", [ShiftedGraphLaplacian, SymmetricMaskedNonneg, *SMALL_SHAPES],
+                         ids=["desk-a2b", "desk-a1b", *map(small_shape_id, SMALL_SHAPES)])
+def test_fit_matches_literal_engine(rng, monkeypatch, problem):
+    # the block-structured engine takes the fit path of the dense Theta R^T
+    # and 2 F R: the same backtracks and stepsizes, losses within rounding
+    if isinstance(problem, tuple):
+        data, spec, cfg, *_ = constrained_problem(rng, *problem)
+    else:
+        data, spec, cfg = desk_problem(problem)
+    report = violina_fit(data, spec, cfg)
+    monkeypatch.setattr(_StartRelativeLoss, "residual", literal_residual)
+    monkeypatch.setattr(_StartRelativeLoss, "gradient", literal_gradient)
+    literal = violina_fit(data, spec, cfg)
+    np.testing.assert_array_equal(report.backtracks, literal.backtracks)
+    np.testing.assert_array_equal(report.stepsizes, literal.stepsizes)
+    gap = np.abs(report.loss_curve - literal.loss_curve)
+    assert np.all(gap <= 1e-14 * (1.0 + literal.loss_curve))
 
 
 def test_stationary_at_exact_model(rng):

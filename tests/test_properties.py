@@ -19,11 +19,13 @@ from violina import (
     ShiftedGraphLaplacian,
     SymmetricMaskedNonneg,
     apply_kernel,
+    project_nonneg_diagonal,
     project_shifted_laplacian,
     project_symmetric_masked_nonneg,
 )
 from violina.constraints import nearest_graph_laplacian
 from oracles import (
+    literal_nonneg_diagonal,
     percall_graph_laplacian,
     percall_shifted_laplacian,
     percall_symmetric_masked_nonneg,
@@ -111,6 +113,25 @@ def test_projections_match_percall_references_bitwise(problem):
             pairs.append((project_shifted_laplacian(M, mask, arg, column_sums), ref))
     for got, ref in pairs:
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """A square, tall, wide or single-row matrix of any float64 entries
+    (signed zeros, infinities and NaNs included), C- or F-ordered."""
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows, cols = draw(st.sampled_from([(a, a), (a + b, a), (a, a + b), (1, b)]))
+    transposed = draw(st.booleans())
+    M = draw(hnp.arrays(np.float64, (cols, rows) if transposed else (rows, cols)))
+    return M.T if transposed else M
+
+
+@PROPERTY
+@given(rectangular_matrices())
+def test_nonneg_diagonal_matches_literal_bitwise(M):
+    # the strided diagonal write gives the bytes of the index gather/scatter
+    got, ref = project_nonneg_diagonal(M), literal_nonneg_diagonal(M)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @st.composite
