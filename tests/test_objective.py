@@ -403,15 +403,17 @@ def product_bound(engine, left, right):
 
 @ENGINE_CASES
 def test_engine_residual_matches_literal_theta(rng, q, Q, dense_start, k):
-    # The block-structured residual agrees with the dense Theta R^T within the
-    # rounding of a length-r sum, and never changes a residual it returned
-    # earlier.
+    # The block-structured residual equals the dense Theta R^T bytewise when
+    # there are no kernel weights, agrees with it within the rounding of a
+    # length-r sum otherwise, and never changes a residual it returned earlier.
     engine, points = random_engine(rng, q, Q, dense_start, k)
     F1 = engine.residual(*points[0])
     kept = F1.copy()
     F2 = engine.residual(*points[1])
     assert F1.tobytes() == kept.tobytes()
     for F, point in zip((F1, F2), points):
+        if engine.nz == 0:
+            assert F.tobytes() == literal_residual(engine, *point).tobytes()
         bound = product_bound(engine, literal_theta(engine, *point), engine.R.T)
         assert np.all(np.abs(F - literal_residual(engine, *point)) <= bound)
 
