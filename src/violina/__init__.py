@@ -15,7 +15,6 @@ from .constraints import (
     ShiftedGraphLaplacian,
     SymmetricMaskedNonneg,
     project_nonneg_diagonal,
-    project_params,
     project_shifted_laplacian,
     project_symmetric_masked_nonneg,
 )
@@ -34,7 +33,6 @@ from .model import (
     Trajectory,
     arx_offset,
     build_data_matrices,
-    hankel_companion,
     relative_error,
 )
 from .objective import (

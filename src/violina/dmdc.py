@@ -53,11 +53,6 @@ def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.nda
     return _StackSvd(data, indices).solve(rank)
 
 
-def attainable_rank(data: Dataset, indices=None) -> int:
-    """Numerical rank of the stacked ``[X; U]`` matrix."""
-    return _StackSvd(data, indices).rank
-
-
 def as_model(A: np.ndarray, B: np.ndarray, m: int) -> StateSpaceModel:
     """Wrap a DMDc result as a Markovian state-space model."""
     return StateSpaceModel(A, B, CausalBandKernel.identity(m, 0, 1))

@@ -196,34 +196,6 @@ def build_data_matrices(traj: Trajectory, q: int, m: int) -> DataMatrices:
     return DataMatrices(X, Y, U)
 
 
-def hankel_companion(model: StateSpaceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Companion form of the stacked ``Q``-state recursion.
-
-    Returns ``(script_A, script_B)`` with shapes ``nQ x nQ`` and ``nQ x kQ``.
-    Identity blocks shift the stack; the bottom block-row is
-    ``(0, -c_{Q-1} I, ..., -c_2 I, A - c_1 I)``, aligned so that iterating the
-    stacked state reproduces the ARX recursion exactly (the deepest memory
-    lag is ``Q - 1``, so the oldest stack entry carries no coefficient).
-    """
-    if not isinstance(model.kernel, CausalBandKernel):
-        raise TypeError("companion form needs a band kernel")
-    n, k, Q = model.n, model.k, model.kernel.Q
-    coeffs = model.kernel.coeffs
-    sA = np.zeros((n * Q, n * Q))
-    for r in range(Q - 1):
-        sA[r * n : (r + 1) * n, (r + 1) * n : (r + 2) * n] = np.eye(n)
-    bottom = slice((Q - 1) * n, Q * n)
-    for p in range(1, Q - 1):
-        sA[bottom, p * n : (p + 1) * n] = -coeffs[Q - p - 1] * np.eye(n)
-    last = model.A.copy()
-    if Q > 1:
-        last -= coeffs[0] * np.eye(n)
-    sA[bottom, (Q - 1) * n : Q * n] = last
-    sB = np.zeros((n * Q, k * Q))
-    sB[bottom, (Q - 1) * k :] = model.B
-    return sA, sB
-
-
 def arx_offset(model: StateSpaceModel, initial_states: np.ndarray, m: int) -> np.ndarray:
     """Initial-value offset sequence of the pseudoinverse ARX-like form.
 

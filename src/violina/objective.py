@@ -216,8 +216,9 @@ class _StartRelativeLoss:
     leading ``nk = n + k`` columns vanish below row ``nk``, and every other
     block of ``Theta`` is a multiple of the identity:
 
-    - ``F = R[:, E]^T + sum_i z_i R[:, K_i]^T``, then ``F[:, :nk] += [A0 - A,
-      B0 - B] R[:nk, :nk]^T`` (``K_i``, ``E`` the column blocks of ``R``);
+    - ``F = R[:, E]^T + sum_i z_i R[:, K_i]^T``, then ``F[:, :nk] += P
+      R[:nk, :nk]^T`` for ``P = [A0 - A, B0 - B]`` (``K_i``, ``E`` the column
+      blocks of ``R``);
     - ``[gA, gB] = -2 F[:, :nk] R[:nk, :nk]`` and ``gz_i = 2 <F, R[:, K_i]^T>``.
 
     One evaluation costs ``O(n nk^2 + (nz + 1) n r)`` against ``O(N m n (n +
@@ -226,7 +227,6 @@ class _StartRelativeLoss:
     """
 
     def __init__(self, data: Dataset, theta0: StateSpaceModel, q: int, Q: int, kernel_after):
-        self.A0, self.B0 = theta0.A, theta0.B
         self.nz = Q - 1 + (kernel_after is not None)
         _check_shapes(theta0, data)
         matrices = data.matrices
@@ -251,26 +251,25 @@ class _StartRelativeLoss:
         # flattened: K_1 .. K_nz, then E; F starts as [z, 1] times these rows
         self._blocks = self.R.T[nk:].reshape(self.nz + 1, -1)
         self._weights = np.ones(self.nz + 1)
-        self._P = np.empty((n, nk))
 
-    def residual(self, A: np.ndarray, B: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Compressed residual ``F`` at ``(A, B)`` and kernel weights ``z``;
+    def residual(self, P: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Compressed residual ``F`` where ``Theta``'s leading ``n x (n + k)``
+        block is ``P = [A0 - A, B0 - B]`` and its kernel weights are ``z``;
         the loss there is ``||F||^2``.  ``F`` is a new array on every call."""
-        n, nk = self._P.shape
-        w, P = self._weights, self._P
+        n, nk = P.shape
+        w = self._weights
         w[:-1] = z
-        np.subtract(self.A0, A, out=P[:, :n])
-        np.subtract(self.B0, B, out=P[:, n:])
         F = (w @ self._blocks).reshape(n, -1)
         F[:, :nk] += P @ self._R_nk_T
         return F
 
     def gradient(self, F: np.ndarray):
-        """``(gA, gB, gz)`` at the point whose compressed residual is ``F``."""
-        n, nk = self._P.shape
+        """``(G, gz)`` at the point whose compressed residual is ``F``:
+        ``G = [gA, gB]`` is the ``n x (n + k)`` gradient in ``(A, B)``."""
+        nk = self._R_nk.shape[0]
         G = F[:, :nk] @ self._R_nk
         G *= -2.0
-        return G[:, :n], G[:, n:], 2.0 * (self._blocks[:-1] @ F.reshape(-1))
+        return G, 2.0 * (self._blocks[:-1] @ F.reshape(-1))
 
 
 def lipschitz_constant(data: Dataset) -> float:

@@ -25,10 +25,22 @@ costs ``O(N m n (n + k))`` per evaluation and is cheaper only when ``r``
 approaches ``N m`` (the desk and paper benchmarks have ``r / (N m)`` of
 150/2400 and 500/20000); it stays the reference the tests compare the solver
 against.
+
+Nor does a trial point touch the entries of ``(A, B)`` that the sets of ``A``
+and ``B`` hold constant (off the neighbour mask, off the diagonal): ``(A,
+B)`` move as one vector of the entries the sets can change (160 of 1 800 for
+the desk ``a2b`` fit), which each trial steps, projects with the sets'
+``project_support`` and takes its inner products on, after gathering the
+gradient at those entries from the engine's dense ``G``.  The first step
+also moves the start's entries off the supports to the sets' constants, and
+its surrogate counts that move, as it counts the start kernel's.  A set that
+has only ``project`` is free on every entry and projects the whole matrix
+once per trial point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +80,15 @@ class PgdConfig:
     stop_tol: float | None = None
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValueError(f"initial stepsize must be positive, got {self.t0}")
-        if not self.eta > 1:
-            raise ValueError(f"backtracking divisor must exceed 1, got {self.eta}")
+        if not 0 < self.t0 < math.inf:
+            raise ValueError(f"initial stepsize must be positive and finite, got {self.t0}")
+        if not 1 < self.eta < math.inf:
+            raise ValueError(f"backtracking divisor must be finite and exceed 1, got {self.eta}")
         if self.max_steps < 1:
             raise ValueError(f"need at least one step, got {self.max_steps}")
+        if self.stop_tol is not None and not 0 <= self.stop_tol < math.inf:
+            raise ValueError(
+                f"stopping tolerance must be finite and nonnegative, got {self.stop_tol}")
 
 
 @dataclass(eq=False)
@@ -117,6 +132,21 @@ def default_initial_point(n: int, k: int, m: int, q: int, Q: int) -> StateSpaceM
     return StateSpaceModel(np.eye(n), np.zeros((n, k)), CausalBandKernel.identity(m, q, Q))
 
 
+def _coordinates(cset, shape):
+    """``(index, base, project)`` of a set for ``A`` or ``B``: the flat
+    indices of its support, a matrix holding its constant elsewhere, and its
+    projection of the support values (see :mod:`.constraints`).  An object
+    with only ``project`` may change every entry; it projects the whole
+    matrix, once per call."""
+    if hasattr(cset, "project_support"):
+        return (*cset.support(shape), cset.project_support)
+
+    def project(v):
+        return np.asarray(cset.project(v.reshape(shape)), dtype=float).ravel()
+
+    return np.arange(int(np.prod(shape))), np.zeros(shape), project
+
+
 def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitReport:
     """Fit the parameter triple to the dataset by projected gradient descent.
 
@@ -146,12 +176,29 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
                        for D in (kern_after, theta.kernel))
         jump2 = float(np.sum((D_after - D0) ** 2))
 
+    # (A, B) move as the vector x of the entries their sets can change.
+    # index places x in the n x (n + k) layout of [A B], which the engine's
+    # P = [A0 - A, B0 - B] and gradient G share; every other entry of P holds
+    # A0 - base (B0 - base), its value from the first step on.
+    n, k = theta.B.shape
+    (iA, baseA, project_A), (iB, baseB, project_B) = (
+        _coordinates(cset, M.shape) for cset, M in ((spec.on_A, theta.A), (spec.on_B, theta.B)))
+    index = np.concatenate([iA // n * (n + k) + iA % n, iB // k * (n + k) + n + iB % k])
+    split = len(iA)
+    AB0 = np.hstack([theta.A, theta.B])
+    P = AB0 - np.hstack([baseA, baseB])
+    ab0 = AB0.ravel()[index]
+    # the first step also moves the start's entries off the supports to base
+    jump = -P
+    jump.ravel()[index] = 0.0
+    jump2 += float(np.sum(jump * jump))
+
     f = engine.initial_loss
     if not np.isfinite(f):
         raise SolverError("initial loss is not finite")
-    A, B, c = theta.A, theta.B, c_ref
+    x, c = ab0, c_ref
     z = np.zeros(engine.nz)
-    F = engine.residual(A, B, z)
+    F = engine.residual(np.zeros_like(P), z)
 
     loss_curve = [f]
     stepsizes = []
@@ -159,28 +206,29 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
     t = cfg.t0
 
     for step in range(cfg.max_steps):
-        gA, gB, gz = engine.gradient(F)
-        if not (np.isfinite(gA).all() and np.isfinite(gB).all()):
+        G, gz = engine.gradient(F)
+        if not np.isfinite(G).all():
             raise SolverError(f"gradient is not finite at step {step}")
+        g = G.ravel()[index]
+        jump_dot = float(np.sum(jump * G)) if step == 0 else 0.0
 
         n_back = 0
         while True:
-            A_new = spec.on_A.project(A - t * gA)
-            B_new = spec.on_B.project(B - t * gB)
+            y = x - t * g
+            x_new = np.concatenate([project_A(y[:split]), project_B(y[split:])])
             c_new = (c * counts - t * gz[: Q - 1]) / counts
             z_new = c_new - c_ref
             if moved:
                 z_new = np.append(z_new, 1.0)
-            F_new = engine.residual(A_new, B_new, z_new)
+            P.ravel()[index] = ab0 - x_new
+            F_new = engine.residual(P, z_new)
             f_new = float((F_new * F_new).sum())
             if not np.isfinite(f_new):
                 raise SolverError(f"loss became non-finite at step {step}")
 
-            dA = A_new - A
-            dB = B_new - B
-            gdot = float((dA * gA).sum() + (dB * gB).sum() + (z_new - z) @ gz)
-            dist2 = (float((dA * dA).sum() + (dB * dB).sum())
-                     + float(sum((c_new - c) ** 2 * counts)) + jump2)
+            dx = x_new - x
+            gdot = float(dx @ g + (z_new - z) @ gz) + jump_dot
+            dist2 = float(dx @ dx) + float(counts @ (c_new - c) ** 2) + jump2
             surrogate = f + gdot + dist2 / (2.0 * t)
 
             if f_new <= surrogate + _SURROGATE_SLACK * (1.0 + abs(f)):
@@ -194,16 +242,18 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
                 )
 
         f_prev = f
-        A, B, c, z, F, f, jump2 = A_new, B_new, c_new, z_new, F_new, f_new, 0.0
+        x, c, z, F, f, jump2 = x_new, c_new, z_new, F_new, f_new, 0.0
         loss_curve.append(f)
         stepsizes.append(t)
         backtracks.append(n_back)
         if cfg.stop_tol is not None and f_prev - f <= cfg.stop_tol * (1.0 + abs(f_prev)):
             break
 
+    baseA.flat[iA] = x[:split]
+    baseB.flat[iB] = x[split:]
     return FitReport(
         theta_final=StateSpaceModel(
-            A, B, spec.on_D.project(CausalBandKernel(m, q, Q, tuple(c)))),
+            baseA, baseB, spec.on_D.project(CausalBandKernel(m, q, Q, tuple(c)))),
         loss_curve=np.array(loss_curve),
         stepsizes=np.array(stepsizes),
         backtracks=np.array(backtracks, dtype=int),

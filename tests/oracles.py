@@ -7,7 +7,14 @@ against central finite differences, and losses against literal entry loops.
 
 import numpy as np
 
-from violina import TangentTuple, hessian_apply, loss, perturbed
+from violina import (
+    CausalBandKernel,
+    StateSpaceModel,
+    TangentTuple,
+    hessian_apply,
+    loss,
+    perturbed,
+)
 from violina.dmdc import _StackSvd, as_model
 from violina.model import relative_error
 
@@ -309,25 +316,27 @@ def literal_rank_scan(train, fit_index=0, pooled=False):
     return tuple(ranks), tuple(errors), svd.s
 
 
-def literal_theta(engine, A, B, z):
-    """The solver's dense weight matrix ``Theta = [A0 - A, B0 - B, z (x) I, I]``."""
-    eye = np.eye(engine.A0.shape[0])
-    return np.hstack([engine.A0 - A, engine.B0 - B, np.kron(z, eye), eye])
+def literal_theta(engine, P, z):
+    """The solver's dense weight matrix ``Theta = [P, z (x) I, I]`` with
+    ``P = [A0 - A, B0 - B]``."""
+    eye = np.eye(P.shape[0])
+    return np.hstack([P, np.kron(z, eye), eye])
 
 
-def literal_residual(engine, A, B, z):
+def literal_residual(engine, P, z):
     """The solver's compressed residual ``Theta R^T``, with ``Theta``
     assembled from scratch and multiplied densely on every call."""
-    return literal_theta(engine, A, B, z) @ engine.R.T
+    return literal_theta(engine, P, z) @ engine.R.T
 
 
 def literal_gradient(engine, F):
-    """The solver's ``(gA, gB, gz)`` read off the dense ``G = 2 F R``: minus
-    its leading column blocks, and the traces of its kernel blocks."""
-    n, k = engine.B0.shape
+    """The solver's ``(G, gz)`` read off the dense ``2 F R``: minus its
+    leading ``n + k`` columns, and the traces of its kernel blocks."""
+    n = F.shape[0]
+    nk = F.shape[1] - n * (engine.nz + 1)
     G = 2.0 * (F @ engine.R)
-    kernel_blocks = G[:, n + k : n + k + engine.nz * n].reshape(n, engine.nz, n)
-    return -G[:, :n], -G[:, n : n + k], np.trace(kernel_blocks, axis1=0, axis2=2)
+    kernel_blocks = G[:, nk : nk + engine.nz * n].reshape(n, engine.nz, n)
+    return -G[:, :nk], np.trace(kernel_blocks, axis1=0, axis2=2)
 
 
 def literal_nonneg_diagonal(M):
@@ -386,3 +395,45 @@ def percall_shifted_laplacian(M, mask, shift, column_sums=True):
     if not column_sums:
         return percall_shifted_laplacian(M.T, mask, shift.T).T
     return shift + percall_graph_laplacian(M - shift, mask)
+
+
+def hankel_companion(model):
+    """Companion form of the stacked ``Q``-state recursion.
+
+    Returns ``(script_A, script_B)`` with shapes ``nQ x nQ`` and ``nQ x kQ``.
+    Identity blocks shift the stack; the bottom block-row is
+    ``(0, -c_{Q-1} I, ..., -c_2 I, A - c_1 I)``, aligned so that iterating the
+    stacked state reproduces the ARX recursion exactly (the deepest memory
+    lag is ``Q - 1``, so the oldest stack entry carries no coefficient).
+    """
+    if not isinstance(model.kernel, CausalBandKernel):
+        raise TypeError("companion form needs a band kernel")
+    n, k, Q = model.n, model.k, model.kernel.Q
+    coeffs = model.kernel.coeffs
+    sA = np.zeros((n * Q, n * Q))
+    for r in range(Q - 1):
+        sA[r * n : (r + 1) * n, (r + 1) * n : (r + 2) * n] = np.eye(n)
+    bottom = slice((Q - 1) * n, Q * n)
+    for p in range(1, Q - 1):
+        sA[bottom, p * n : (p + 1) * n] = -coeffs[Q - p - 1] * np.eye(n)
+    last = model.A.copy()
+    if Q > 1:
+        last -= coeffs[0] * np.eye(n)
+    sA[bottom, (Q - 1) * n : Q * n] = last
+    sB = np.zeros((n * Q, k * Q))
+    sB[bottom, (Q - 1) * k :] = model.B
+    return sA, sB
+
+
+def attainable_rank(data, indices=None):
+    """Numerical rank of the stacked ``[X; U]`` matrix."""
+    return _StackSvd(data, indices).rank
+
+
+def project_params(theta, spec):
+    """Apply the factor projections independently; each factor is idempotent."""
+    return StateSpaceModel(
+        spec.on_A.project(theta.A),
+        spec.on_B.project(theta.B),
+        spec.on_D.project(theta.kernel),
+    )

@@ -418,7 +418,9 @@ def test_malformed_manifest_exit_2(suite_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting", [["--steps", "0"], ["--t0", "-1"], ["--t0", "nan"],
-                                     ["--eta", "0.5"], ["--bandwidth", "1"]],
+                                     ["--t0", "inf"], ["--eta", "0.5"], ["--eta", "inf"],
+                                     ["--stop-tol", "nan"], ["--stop-tol", "inf"],
+                                     ["--stop-tol", "-1"], ["--bandwidth", "1"]],
                          ids=lambda s: f"{s[0][2:]}={s[1]}")
 def test_bad_solver_settings_exit_2(suite_dir, tmp_path, capsys, setting):
     rc = main(["--quiet", "fit", "--train", str(suite_dir / "nonmarkov_train.json"),

@@ -12,7 +12,6 @@ from violina import (
     StateSpaceModel,
     SymmetricMaskedNonneg,
     project_nonneg_diagonal,
-    project_params,
     project_shifted_laplacian,
     project_symmetric_masked_nonneg,
 )
@@ -20,6 +19,7 @@ from violina.synth import BenchmarkConfig, build_cylinder_graph
 from violina.constraints import nearest_graph_laplacian
 from oracles import (
     laplacian_kkt_residual,
+    project_params,
     qp_graph_laplacian,
     qp_nonneg_diagonal,
     qp_symmetric_masked_nonneg,

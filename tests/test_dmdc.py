@@ -12,9 +12,8 @@ from violina import (
     dmdc_rank_scan,
     uniqueness_certificate,
 )
-from violina.dmdc import attainable_rank
 from conftest import random_stable_model, simulated_dataset
-from oracles import literal_rank_scan
+from oracles import attainable_rank, literal_rank_scan
 
 
 def test_exact_recovery_at_full_rank(rng):

@@ -7,11 +7,10 @@ from violina import (
     Trajectory,
     arx_offset,
     build_data_matrices,
-    hankel_companion,
     relative_error,
 )
 from conftest import random_stable_model, simulated_dataset
-from oracles import literal_simulate
+from oracles import hankel_companion, literal_simulate
 
 
 def dense_recursion_residual(model, traj, q, m):

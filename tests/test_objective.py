@@ -378,8 +378,8 @@ ENGINE_CASES = pytest.mark.parametrize(
 
 def random_engine(rng, q, Q, dense_start, k):
     """An engine on random data, with the ``J`` block of a start outside the
-    band when ``dense_start``, and two random points with negative kernel
-    weights."""
+    band when ``dense_start``, and two random points ``(P, z)``, ``P = [A0 -
+    A, B0 - B]``, with negative kernel weights."""
     n, m = 3, 8
     data = random_dataset(rng, n, k, m, q)
     theta0 = random_theta(rng, n, k, m, q, Q)
@@ -389,8 +389,7 @@ def random_engine(rng, q, Q, dense_start, k):
         kernel_after = CausalBand(q, Q).project(theta0.kernel)
     engine = _StartRelativeLoss(data, theta0, q, Q, kernel_after)
     assert engine.nz == Q - 1 + dense_start
-    points = [(rng.normal(size=(n, n)), rng.normal(size=(n, k)), -0.5 - rng.random(engine.nz))
-              for _ in range(2)]
+    points = [(rng.normal(size=(n, n + k)), -0.5 - rng.random(engine.nz)) for _ in range(2)]
     return engine, points
 
 
@@ -420,18 +419,18 @@ def test_engine_residual_matches_literal_theta(rng, q, Q, dense_start, k):
 
 @ENGINE_CASES
 def test_engine_gradient_matches_literal(rng, q, Q, dense_start, k):
-    # gA, gB within the bound of the dense 2 F R; each gz_i within that bound
-    # summed over the diagonal of its kernel block
+    # G = [gA, gB] within the bound of the dense 2 F R; each gz_i within that
+    # bound summed over the diagonal of its kernel block
     engine, points = random_engine(rng, q, Q, dense_start, k)
-    n, nk = engine.A0.shape[0], engine.A0.shape[0] + k
+    n, nk = points[0][0].shape
     for point in points:
         F = engine.residual(*point)
         bound = product_bound(engine, F, engine.R)
-        gA, gB, gz = engine.gradient(F)
-        lA, lB, lz = literal_gradient(engine, F)
+        G, gz = engine.gradient(F)
+        lG, lz = literal_gradient(engine, F)
+        assert G.shape == lG.shape == (n, nk)
         assert gz.shape == lz.shape == (engine.nz,)
-        assert np.all(np.abs(gA - lA) <= bound[:, :n])
-        assert np.all(np.abs(gB - lB) <= bound[:, n:nk])
+        assert np.all(np.abs(G - lG) <= bound[:, :nk])
         blocks = bound[:, nk : nk + engine.nz * n].reshape(n, engine.nz, n)
         assert np.all(np.abs(gz - lz) <= np.trace(blocks, axis1=0, axis2=2))
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,24 +24,32 @@ from violina import (
     gradient,
     lipschitz_constant,
     loss,
-    project_nonneg_diagonal,
-    project_symmetric_masked_nonneg,
     violina_fit,
 )
 from violina.objective import _StartRelativeLoss
 from conftest import random_stable_model, simulated_dataset
-from oracles import literal_gradient, literal_residual
+from oracles import (
+    literal_gradient,
+    literal_nonneg_diagonal,
+    literal_residual,
+    percall_shifted_laplacian,
+    percall_symmetric_masked_nonneg,
+)
 
 
 def _dense(D):
     return D if isinstance(D, np.ndarray) else D.to_dense()
 
 
-def reference_dense_fit(data, mask, project_D, cfg):
-    """Ambient reference: the same scheme run with dense kernel matrices,
-    recording losses, stepsizes and backtracks.  ``project_D`` maps a dense
-    matrix into the kernel's set; the start kernel may be dense or band.
-    Every iterate's surrogate condition and feasibility are asserted here."""
+def reference_dense_fit(data, project_A, project_B, project_D, cfg, exact_A=True):
+    """Ambient reference: the same scheme run with dense matrices and dense
+    kernel matrices, recording losses, stepsizes and backtracks.  Each
+    ``project_*`` maps a dense matrix into its factor's set; the start may
+    lie outside any of them, and its kernel may be dense or band.  Every
+    iterate's surrogate condition and feasibility are asserted here: each
+    ``B`` iterate is a fixed point of ``project_B``, and each ``A`` iterate
+    one of ``project_A``, exactly unless ``exact_A`` is false (the
+    Laplacian's projection reproduces its points only to rounding)."""
     A = cfg.theta0.A.copy()
     B = cfg.theta0.B.copy()
     kern = cfg.theta0.kernel
@@ -53,8 +62,8 @@ def reference_dense_fit(data, mask, project_D, cfg):
         g = gradient(theta, data)
         nb = 0
         while True:
-            A2 = project_symmetric_masked_nonneg(A - t * g.dA, mask)
-            B2 = project_nonneg_diagonal(B - t * g.dB)
+            A2 = project_A(A - t * g.dA)
+            B2 = project_B(B - t * g.dB)
             K2 = project_D(_dense(kern) - t * g.dD)
             f2 = loss(StateSpaceModel(A2, B2, K2), data)
             dD = _dense(K2) - _dense(kern)
@@ -70,12 +79,12 @@ def reference_dense_fit(data, mask, project_D, cfg):
         # accepted step satisfies the sufficient-decrease surrogate
         assert f2 <= surrogate + 1e-10 * (1.0 + abs(f))
         # iterate feasibility
-        assert np.array_equal(A2, A2.T)
-        assert (A2 - np.diag(np.diag(A2))).min() >= 0.0
-        assert np.all(A2[~mask] == 0.0)
-        diag_mask = np.eye(B2.shape[0], B2.shape[1], dtype=bool)
-        assert np.all(B2[~diag_mask] == 0.0)
-        assert np.diag(B2).min() >= 0.0
+        np.testing.assert_array_equal(project_B(B2), B2)
+        if exact_A:
+            np.testing.assert_array_equal(project_A(A2), A2)
+        else:
+            np.testing.assert_allclose(project_A(A2), A2, rtol=0.0,
+                                       atol=1e-12 * (1.0 + np.abs(A2).max()))
         A, B, kern = A2, B2, K2
         curve.append(f2)
         steps.append(t)
@@ -114,7 +123,9 @@ def small_constrained_problem(rng, request):
 def test_band_path_matches_dense_reference(small_constrained_problem):
     data, spec, cfg, mask, *_ = small_constrained_problem
     report = violina_fit(data, spec, cfg)
-    curve, steps, backs, (A, B, kern) = reference_dense_fit(data, mask, spec.on_D.project, cfg)
+    curve, steps, backs, (A, B, kern) = reference_dense_fit(
+        data, partial(percall_symmetric_masked_nonneg, mask=mask), literal_nonneg_diagonal,
+        spec.on_D.project, cfg)
     scale = 1.0 + np.abs(curve)
     assert np.max(np.abs(report.loss_curve - curve) / scale) <= 1e-12
     np.testing.assert_allclose(report.stepsizes, steps, rtol=1e-12)
@@ -141,10 +152,45 @@ def test_start_outside_the_set_matches_dense_reference(rng, start):
     spec = ConstraintSpec(SymmetricMaskedNonneg(mask), NonnegativeDiagonal(), on_D)
     cfg = PgdConfig(theta0=StateSpaceModel(np.eye(n), np.zeros((n, k)), D0), max_steps=60)
     report = violina_fit(data, spec, cfg)
-    curve, steps, backs, _ = reference_dense_fit(data, mask, on_D.project, cfg)
+    curve, steps, backs, _ = reference_dense_fit(
+        data, partial(percall_symmetric_masked_nonneg, mask=mask), literal_nonneg_diagonal,
+        on_D.project, cfg)
     np.testing.assert_array_equal(report.stepsizes, steps)
     np.testing.assert_array_equal(report.backtracks, backs)
     assert np.max(np.abs(report.loss_curve - curve) / (1.0 + np.abs(curve))) <= 1e-12
+
+
+@pytest.mark.parametrize("on_A", ["symmetric-masked", "laplacian"])
+def test_sparse_mask_start_off_the_support_matches_dense_reference(rng, on_A):
+    # A path mask leaves most of A off the support, and the start has entries
+    # there (and off the diagonal of B): the first step moves them to the
+    # sets' constants, and its surrogate must count that move, as the dense
+    # reference's does
+    n, k, m, q, Q = 5, 3, 12, 1, 3
+    mask = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    truth = random_stable_model(rng, n=n, k=k, m=m, q=q, Q=Q)
+    data = simulated_dataset(rng, truth, m, N=3)
+    cset, reference = {
+        "symmetric-masked": (SymmetricMaskedNonneg(mask),
+                             partial(percall_symmetric_masked_nonneg, mask=mask)),
+        "laplacian": (ShiftedGraphLaplacian(mask),
+                      partial(percall_shifted_laplacian, mask=mask, shift=np.eye(n))),
+    }[on_A]
+    spec = ConstraintSpec(cset, NonnegativeDiagonal(), CausalBand(q, Q))
+    theta0 = StateSpaceModel(0.5 * np.eye(n) + rng.normal(scale=0.1, size=(n, n)),
+                             rng.normal(scale=0.1, size=(n, k)),
+                             CausalBandKernel(m, q, Q, (0.1, -0.05)))
+    assert np.any(theta0.A[~mask] != 0.0)
+    cfg = PgdConfig(theta0=theta0, max_steps=60)
+    report = violina_fit(data, spec, cfg)
+    curve, steps, backs, (A, B, _) = reference_dense_fit(
+        data, reference, literal_nonneg_diagonal, spec.on_D.project, cfg,
+        exact_A=on_A == "symmetric-masked")
+    np.testing.assert_array_equal(report.stepsizes, steps)
+    np.testing.assert_array_equal(report.backtracks, backs)
+    assert np.max(np.abs(report.loss_curve - curve) / (1.0 + np.abs(curve))) <= 1e-12
+    np.testing.assert_allclose(report.theta_final.A, A, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(report.theta_final.B, B, rtol=0.0, atol=1e-12)
 
 
 def test_loss_curve_monotone(small_constrained_problem):
@@ -262,6 +308,41 @@ def test_fit_matches_literal_engine(rng, monkeypatch, problem):
     assert np.all(gap <= 1e-14 * (1.0 + literal.loss_curve))
 
 
+class ProjectOnly:
+    """A constraint set known only by ``project``, counting its calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def project(self, M):
+        self.calls += 1
+        return self.inner.project(M)
+
+
+@pytest.mark.parametrize("wrap_B", [False, True], ids=["A", "A-and-B"])
+@pytest.mark.parametrize("on_A", [ShiftedGraphLaplacian, SymmetricMaskedNonneg],
+                         ids=["desk-a2b", "desk-a1b"])
+def test_project_only_set_gives_the_same_fit(on_A, wrap_B):
+    # a set without support coordinates is free on every entry and projects
+    # the whole matrix once per trial point; its fit is the support path's
+    train, spec, cfg = desk_problem(on_A)
+    report = violina_fit(train, spec, cfg)
+    wrapped_A = ProjectOnly(spec.on_A)
+    wrapped_B = ProjectOnly(spec.on_B) if wrap_B else spec.on_B
+    delegated = violina_fit(train, ConstraintSpec(wrapped_A, wrapped_B, spec.on_D), cfg)
+    assert delegated.loss_curve.tobytes() == report.loss_curve.tobytes()
+    np.testing.assert_array_equal(delegated.stepsizes, report.stepsizes)
+    np.testing.assert_array_equal(delegated.backtracks, report.backtracks)
+    assert delegated.theta_final.A.tobytes() == report.theta_final.A.tobytes()
+    assert delegated.theta_final.B.tobytes() == report.theta_final.B.tobytes()
+    assert delegated.theta_final.kernel == report.theta_final.kernel
+    trials = report.steps + int(report.backtracks.sum())
+    assert wrapped_A.calls == trials
+    if wrap_B:
+        assert wrapped_B.calls == trials
+
+
 def test_stationary_at_exact_model(rng):
     # dynamics chosen so every arithmetic step is exactly representable:
     # the residual, loss and gradient are bitwise zero and the iterate is a
@@ -355,6 +436,15 @@ def test_config_validation(rng):
         PgdConfig(theta0=theta0, eta=1.0)
     with pytest.raises(ValueError):
         PgdConfig(theta0=theta0, max_steps=0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="initial stepsize"):
+            PgdConfig(theta0=theta0, t0=bad)
+        with pytest.raises(ValueError, match="backtracking divisor"):
+            PgdConfig(theta0=theta0, eta=bad)
+    for bad in (np.nan, np.inf, -1e-9):
+        with pytest.raises(ValueError, match="stopping tolerance"):
+            PgdConfig(theta0=theta0, stop_tol=bad)
+    PgdConfig(theta0=theta0, stop_tol=0.0)
 
 
 def test_curve_csv_layout(tmp_path, rng):

@@ -115,6 +115,51 @@ def test_projections_match_percall_references_bitwise(problem):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+def support_sets(mask, value):
+    """Every constraint set for ``A`` or ``B``, with the dense reference of
+    its projection where the tests keep one, keyed by name."""
+    n = mask.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return {
+        "full": (FullSpace(), lambda M: M),
+        "fixed": (Fixed(value), lambda M: value),
+        "symmetric-masked": (SymmetricMaskedNonneg(mask),
+                             lambda M: percall_symmetric_masked_nonneg(M, mask)),
+        "nonneg-diagonal": (NonnegativeDiagonal(), literal_nonneg_diagonal),
+        "laplacian-identity": (ShiftedGraphLaplacian(mask),
+                               lambda M: percall_shifted_laplacian(M, mask, eye)),
+        "laplacian-zero": (ShiftedGraphLaplacian(mask, shift="zero"),
+                           lambda M: percall_shifted_laplacian(M, mask, zero)),
+        "laplacian-explicit-rows": (
+            ShiftedGraphLaplacian(mask, shift=value, column_sums=False),
+            lambda M: percall_shifted_laplacian(M, mask, value, column_sums=False)),
+    }
+
+
+SUPPORT_NAMES = sorted(support_sets(np.ones((1, 1), dtype=bool), np.zeros((1, 1))))
+
+
+@pytest.mark.parametrize("name", SUPPORT_NAMES)
+@PROPERTY
+@given(problems())
+def test_support_projection_scattered_is_project_bitwise(name, problem):
+    # the solver steps only the support: the support projection written into
+    # the constant off it gives the bytes of project(M) and of the dense
+    # reference, and no entry off the support reaches it
+    mask, _, _, M, Z0, value = problem
+    cset, reference = support_sets(mask, value)[name]
+    index, base = cset.support(M.shape)
+    assert base.shape == M.shape and base.dtype == np.float64
+    scattered = base.copy()
+    scattered.flat[index] = cset.project_support(M.ravel()[index])
+    for ref in (cset.project(M), reference(M)):
+        ref = np.asarray(ref, dtype=float)
+        assert ref.shape == scattered.shape and ref.tobytes() == scattered.tobytes()
+    moved = Z0.copy()
+    moved.flat[index] = M.ravel()[index]
+    assert np.asarray(cset.project(moved)).tobytes() == scattered.tobytes()
+
+
 @st.composite
 def rectangular_matrices(draw):
     """A square, tall, wide or single-row matrix of any float64 entries
@@ -124,6 +169,15 @@ def rectangular_matrices(draw):
     transposed = draw(st.booleans())
     M = draw(hnp.arrays(np.float64, (cols, rows) if transposed else (rows, cols)))
     return M.T if transposed else M
+
+
+@pytest.mark.parametrize("cset", [FullSpace(), NonnegativeDiagonal()], ids=["full", "nonneg-diagonal"])
+@PROPERTY
+@given(rectangular_matrices())
+def test_rectangular_support_projection_scattered_is_project_bitwise(cset, M):
+    index, scattered = cset.support(M.shape)
+    scattered.flat[index] = cset.project_support(M.ravel()[index])
+    assert scattered.tobytes() == cset.project(M).tobytes()
 
 
 @PROPERTY

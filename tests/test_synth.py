@@ -8,10 +8,10 @@ from violina import (
     energy,
     energy_deviation,
     ground_truth_models,
-    hankel_companion,
     make_datasets,
     make_input,
 )
+from oracles import hankel_companion
 
 
 def neighbor_counts(grid):
