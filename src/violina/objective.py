@@ -192,7 +192,8 @@ def _compress(stacks, r: int) -> np.ndarray:
 
 
 class _StartRelativeLoss:
-    """The loss and gradient of :func:`violina_fit` from one triangular factor.
+    """The gradient of the loss of :func:`violina_fit` from the data's Gram
+    blocks.
 
     Relative to the start ``theta0 = (A0, B0, D0)`` the residual of each
     trajectory is ``E = E0 - (A - A0) X - (B - B0) U + sum_i z_i K_i``.
@@ -204,26 +205,27 @@ class _StartRelativeLoss:
     the band form (or a fixed kernel other than ``D0``) into the kernel the
     first projection returns.
 
-    Stacking ``W = [X; U; K_1; ...; E0]`` over all trajectories, ``R^T R =
-    W W^T`` for the ``r x r`` triangular factor ``R``, ``r = n (Q + 1) + k``
-    (``n`` more with ``J``); it is reduced one trajectory at a time, as in the
-    LQ data compression of subspace identification (Van Overschee & De Moor,
-    1996) and tall-skinny QR (Demmel et al., 2012).  With ``Theta = [A0 - A,
-    B0 - B, z_1 I, ..., z_nz I, I]`` the compressed residual is ``F = Theta
-    R^T``, the loss ``||F||^2``, and ``F R = Theta W W^T`` holds the gradient.
+    With ``W = [X; U; K_1; ...; K_nz; E0]``, ``r = n (nz + 2) + k`` rows, and
+    ``Theta = [P, z_1 I, ..., z_nz I, I]`` for ``P = [A0 - A, B0 - B]``, each
+    residual is ``Theta W``, the loss ``tr(Theta G Theta^T)`` and its
+    gradient in ``Theta`` is ``2 Theta G`` for the Gram matrix ``G = sum W
+    W^T``, accumulated one trajectory at a time.  Every block of ``Theta``
+    but ``P`` is a multiple of the identity, so only these blocks of ``G``
+    are kept: ``G_PP = G[:nk, :nk]`` (``nk = n + k``), the rows ``C_l`` of
+    identity block ``l`` in the columns of ``P``, and ``S``, the traces of
+    the ``n x n`` blocks pairing two identity blocks.  With ``w = [z, 1]``:
 
-    Neither product is formed densely.  ``R`` is upper-triangular, so its
-    leading ``nk = n + k`` columns vanish below row ``nk``, and every other
-    block of ``Theta`` is a multiple of the identity:
+    - ``[gA, gB] = -2 (P G_PP + sum_l w_l C_l)``;
+    - ``gz_l = 2 (<C_l, P> + (S w)_l)``, ``l < nz``.
 
-    - ``F = R[:, E]^T + sum_i z_i R[:, K_i]^T``, then ``F[:, :nk] += P
-      R[:nk, :nk]^T`` for ``P = [A0 - A, B0 - B]`` (``K_i``, ``E`` the column
-      blocks of ``R``);
-    - ``[gA, gB] = -2 F[:, :nk] R[:nk, :nk]`` and ``gz_i = 2 <F, R[:, K_i]^T>``.
-
-    One evaluation costs ``O(n nk^2 + (nz + 1) n r)`` against ``O(N m n (n +
-    k + Q))`` in residual form, after a one-off ``O(N m r^2)`` compression;
-    the residual form is cheaper only when ``r`` approaches ``N m``.
+    One evaluation is one ``n x nk`` by ``nk x nk`` product plus ``O((nz +
+    1) n nk)``, against ``O(N m n (n + k + Q))`` in residual form, after a
+    one-off ``O(N m r^2)`` accumulation.  No loss is evaluated here: it is
+    quadratic, so the solver moves it by the exact increment ``1/2 <Delta,
+    g + g_new>``, whose rounding is relative to the gradients, not to ``f``.
+    ``G`` squares the data (Bjorck, *Numerical Methods for Least Squares
+    Problems*, 1996), which the tests bound against the triangular-factor
+    form ``Theta R^T`` of ``tests/oracles.py``.
     """
 
     def __init__(self, data: Dataset, theta0: StateSpaceModel, q: int, Q: int, kernel_after):
@@ -233,43 +235,38 @@ class _StartRelativeLoss:
         E0 = _residuals(theta0, matrices)
         self.initial_loss = sum(float(np.sum(e * e)) for e in E0)
 
-        def stack(mat, e0):
+        n, nk = data.n, data.n + data.k
+        r = n * (2 + self.nz) + data.k
+        G = np.zeros((r, r))
+        for mat, e0 in zip(matrices, E0):
             blocks = [mat.X, mat.U, *_band_blocks(mat.Y, q, Q)]
             if kernel_after is not None:
                 blocks.append(apply_kernel(mat.Y, kernel_after)
                               - apply_kernel(mat.Y, theta0.kernel))
             blocks.append(e0)
-            return np.vstack(blocks)
+            W = np.vstack(blocks)
+            G += W @ W.T
+        # kept times -2 (and S times 2), which is exact, so that the gradient
+        # needs no scaling pass; C_l flattened, one row per identity block:
+        # K_1 .. K_nz, then E0
+        self._G_PP = -2.0 * G[:nk, :nk]
+        self._C = -2.0 * G[nk:, :nk].reshape(self.nz + 1, n * nk)
+        self._S = 2.0 * np.trace(G[nk:, nk:].reshape(self.nz + 1, n, self.nz + 1, n),
+                                 axis1=1, axis2=3)
+        self._w = np.ones(self.nz + 1)
 
-        n, nk = data.n, data.n + data.k
-        self.R = _compress(map(stack, matrices, E0), n * (2 + self.nz) + data.k)
-        self._R_nk = np.ascontiguousarray(self.R[:nk, :nk])
-        # a C-ordered transpose: P @ R_nk^T at n = 30, nk = 60 takes 8.5 us
-        # on it against 12 us on the transposed view (one BLAS thread)
-        self._R_nk_T = np.ascontiguousarray(self._R_nk.T)
-        # one row per identity block of Theta, its n x r block of R^T
-        # flattened: K_1 .. K_nz, then E; F starts as [z, 1] times these rows
-        self._blocks = self.R.T[nk:].reshape(self.nz + 1, -1)
-        self._weights = np.ones(self.nz + 1)
-
-    def residual(self, P: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Compressed residual ``F`` where ``Theta``'s leading ``n x (n + k)``
-        block is ``P = [A0 - A, B0 - B]`` and its kernel weights are ``z``;
-        the loss there is ``||F||^2``.  ``F`` is a new array on every call."""
-        n, nk = P.shape
-        w = self._weights
+    def gradient(self, P: np.ndarray, z: np.ndarray):
+        """``(G, gz)`` where ``Theta``'s leading ``n x (n + k)`` block is ``P =
+        [A0 - A, B0 - B]`` and its kernel weights are ``z``: ``G = [gA, gB]``
+        is the ``n x (n + k)`` gradient in ``(A, B)``, ``gz`` the one in
+        ``z``.  Both are new arrays on every call."""
+        w = self._w
         w[:-1] = z
-        F = (w @ self._blocks).reshape(n, -1)
-        F[:, :nk] += P @ self._R_nk_T
-        return F
-
-    def gradient(self, F: np.ndarray):
-        """``(G, gz)`` at the point whose compressed residual is ``F``:
-        ``G = [gA, gB]`` is the ``n x (n + k)`` gradient in ``(A, B)``."""
-        nk = self._R_nk.shape[0]
-        G = F[:, :nk] @ self._R_nk
-        G *= -2.0
-        return G, 2.0 * (self._blocks[:-1] @ F.reshape(-1))
+        G = P @ self._G_PP
+        G += (w @ self._C).reshape(P.shape)
+        gz = self._S[:-1] @ w
+        gz -= self._C[:-1] @ P.ravel()
+        return G, gz
 
 
 def lipschitz_constant(data: Dataset) -> float:

@@ -12,19 +12,19 @@ builds an ``m x m`` matrix or a kernel object.
 
 No iteration touches the trajectories either.  The loss is quadratic in
 ``(A, B)`` and the band coefficients, so before the first step the data are
-compressed, relative to ``theta0``, into one ``r x r`` triangular factor with
-``r = n (Q + 1) + k`` (``n`` more when the start kernel is outside the band
-form or differs from a ``Fixed`` one); see ``objective._StartRelativeLoss``.
-The weights ``Theta = [A0 - A, B0 - B, z_1 I, ..., z_nz I, I]`` of ``R^T`` are
-identity multiples outside their leading ``n + k`` columns, and those columns
-of ``R`` vanish below row ``n + k``, so each loss or gradient evaluation is one
-``n x (n + k)`` by ``(n + k) x (n + k)`` product plus ``nz + 1`` scaled ``n x
-r`` blocks, ``O(n (n + k)^2 + (nz + 1) n r)``, whatever the number ``N`` and
-length ``m`` of the trajectories.  The residual form of :mod:`.objective`
-costs ``O(N m n (n + k))`` per evaluation and is cheaper only when ``r``
-approaches ``N m`` (the desk and paper benchmarks have ``r / (N m)`` of
-150/2400 and 500/20000); it stays the reference the tests compare the solver
-against.
+reduced, relative to ``theta0``, to blocks of their ``r x r`` Gram matrix
+``G`` with ``r = n (Q + 1) + k`` (``n`` more when the start kernel is outside
+the band form or differs from a ``Fixed`` one); see
+``objective._StartRelativeLoss``.  Each trial point costs one gradient
+evaluation there: one ``n x (n + k)`` by ``(n + k) x (n + k)`` product plus
+``O((nz + 1) n (n + k))``, whatever the number ``N`` and length ``m`` of the
+trajectories.  Its loss is the previous loss plus the exact increment of a
+quadratic, ``1/2 <Delta, g + g_new>`` over the move ``Delta`` in ``(A, B, z)``,
+with the inner product in ``(A, B)`` taken over the dense ``n x (n + k)``
+layout, so the curve does not depend on the supports below.  An accepted
+trial's gradient is the next step's.  The residual form of :mod:`.objective`
+costs ``O(N m n (n + k))`` per evaluation; it stays the reference the tests
+compare the solver against, with the triangular-factor form ``Theta R^T``.
 
 Nor does a trial point touch the entries of ``(A, B)`` that the sets of ``A``
 and ``B`` hold constant (off the neighbour mask, off the diagonal): ``(A,
@@ -52,8 +52,8 @@ from .objective import Dataset, _StartRelativeLoss
 
 _MIN_STEPSIZE = 1e-300
 _MAX_BACKTRACKS = 200
-# Acceptance slack for the sufficient-decrease test: once the loss reaches the
-# floating-point noise floor of the residual evaluation, an exact comparison
+# Acceptance slack for the sufficient-decrease test: once the loss decrease
+# reaches the floating-point noise floor of its evaluation, an exact comparison
 # flips randomly and backtracking would divide the stepsize forever.  The
 # slack stays well inside the 1e-10 * (1 + f) tolerance of the monotonicity
 # and surrogate contracts.
@@ -150,7 +150,8 @@ def _coordinates(cset, shape):
 def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitReport:
     """Fit the parameter triple to the dataset by projected gradient descent.
 
-    Raises :class:`SolverError` on NaN losses or when backtracking underflows
+    Raises :class:`SolverError` on non-finite losses (a stepsize so large
+    that a trial point overflows, say) or when backtracking underflows
     (more than 200 divisions in one outer step, which signals an inconsistent
     projection).
     """
@@ -198,56 +199,62 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
         raise SolverError("initial loss is not finite")
     x, c = ab0, c_ref
     z = np.zeros(engine.nz)
-    F = engine.residual(np.zeros_like(P), z)
+    # P at the accepted point (zero at theta0); P itself holds the trial point
+    P_at = np.zeros_like(P)
+    G, gz = engine.gradient(P_at, z)
 
     loss_curve = [f]
     stepsizes = []
     backtracks = []
     t = cfg.t0
 
-    for step in range(cfg.max_steps):
-        G, gz = engine.gradient(F)
-        if not np.isfinite(G).all():
-            raise SolverError(f"gradient is not finite at step {step}")
-        g = G.ravel()[index]
-        jump_dot = float(np.sum(jump * G)) if step == 0 else 0.0
+    # A huge stepsize may overflow a trial point; its loss increment is then
+    # not finite, which raises SolverError below instead of a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.max_steps):
+            g = G.ravel()[index]
+            jump_dot = float(np.sum(jump * G)) if step == 0 else 0.0
 
-        n_back = 0
-        while True:
-            y = x - t * g
-            x_new = np.concatenate([project_A(y[:split]), project_B(y[split:])])
-            c_new = (c * counts - t * gz[: Q - 1]) / counts
-            z_new = c_new - c_ref
-            if moved:
-                z_new = np.append(z_new, 1.0)
-            P.ravel()[index] = ab0 - x_new
-            F_new = engine.residual(P, z_new)
-            f_new = float((F_new * F_new).sum())
-            if not np.isfinite(f_new):
-                raise SolverError(f"loss became non-finite at step {step}")
+            n_back = 0
+            while True:
+                y = x - t * g
+                x_new = np.concatenate([project_A(y[:split]), project_B(y[split:])])
+                c_new = (c * counts - t * gz[: Q - 1]) / counts
+                z_new = c_new - c_ref
+                if moved:
+                    z_new = np.append(z_new, 1.0)
+                P.ravel()[index] = ab0 - x_new
+                G_new, gz_new = engine.gradient(P, z_new)
+                # the loss is quadratic: its increment is exactly the mean
+                # gradient along the move, taken over the dense layout of P
+                dz = z_new - z
+                df = 0.5 * (float(np.vdot(P_at - P, G + G_new)) + float(dz @ (gz + gz_new)))
+                if not math.isfinite(df):
+                    raise SolverError(f"loss became non-finite at step {step}")
 
-            dx = x_new - x
-            gdot = float(dx @ g + (z_new - z) @ gz) + jump_dot
-            dist2 = float(dx @ dx) + float(counts @ (c_new - c) ** 2) + jump2
-            surrogate = f + gdot + dist2 / (2.0 * t)
+                dx = x_new - x
+                gdot = float(dx @ g + dz @ gz) + jump_dot
+                dist2 = float(dx @ dx) + float(counts @ (c_new - c) ** 2) + jump2
 
-            if f_new <= surrogate + _SURROGATE_SLACK * (1.0 + abs(f)):
+                if df <= gdot + dist2 / (2.0 * t) + _SURROGATE_SLACK * (1.0 + abs(f)):
+                    break
+                t /= cfg.eta
+                n_back += 1
+                if t < _MIN_STEPSIZE or n_back > _MAX_BACKTRACKS:
+                    raise SolverError(
+                        f"backtracking underflow at step {step} after {n_back} "
+                        f"divisions (projection inconsistent with the objective?)"
+                    )
+
+            f_prev = f
+            f += df
+            np.copyto(P_at, P)
+            x, c, z, G, gz, jump2 = x_new, c_new, z_new, G_new, gz_new, 0.0
+            loss_curve.append(f)
+            stepsizes.append(t)
+            backtracks.append(n_back)
+            if cfg.stop_tol is not None and f_prev - f <= cfg.stop_tol * (1.0 + abs(f_prev)):
                 break
-            t /= cfg.eta
-            n_back += 1
-            if t < _MIN_STEPSIZE or n_back > _MAX_BACKTRACKS:
-                raise SolverError(
-                    f"backtracking underflow at step {step} after {n_back} "
-                    f"divisions (projection inconsistent with the objective?)"
-                )
-
-        f_prev = f
-        x, c, z, F, f, jump2 = x_new, c_new, z_new, F_new, f_new, 0.0
-        loss_curve.append(f)
-        stepsizes.append(t)
-        backtracks.append(n_back)
-        if cfg.stop_tol is not None and f_prev - f <= cfg.stop_tol * (1.0 + abs(f_prev)):
-            break
 
     baseA.flat[iA] = x[:split]
     baseB.flat[iB] = x[split:]

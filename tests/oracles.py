@@ -8,6 +8,7 @@ against central finite differences, and losses against literal entry loops.
 import numpy as np
 
 from violina import (
+    CausalBand,
     CausalBandKernel,
     StateSpaceModel,
     TangentTuple,
@@ -16,6 +17,7 @@ from violina import (
     perturbed,
 )
 from violina.dmdc import _StackSvd, as_model
+from violina.kernel import band_offset_counts
 from violina.model import relative_error
 
 
@@ -316,27 +318,109 @@ def literal_rank_scan(train, fit_index=0, pooled=False):
     return tuple(ranks), tuple(errors), svd.s
 
 
-def literal_theta(engine, P, z):
+def literal_theta(P, z):
     """The solver's dense weight matrix ``Theta = [P, z (x) I, I]`` with
     ``P = [A0 - A, B0 - B]``."""
     eye = np.eye(P.shape[0])
     return np.hstack([P, np.kron(z, eye), eye])
 
 
-def literal_residual(engine, P, z):
-    """The solver's compressed residual ``Theta R^T``, with ``Theta``
-    assembled from scratch and multiplied densely on every call."""
-    return literal_theta(engine, P, z) @ engine.R.T
+def _dense_kernel(D):
+    return D if isinstance(D, np.ndarray) else D.to_dense()
 
 
-def literal_gradient(engine, F):
-    """The solver's ``(G, gz)`` read off the dense ``2 F R``: minus its
-    leading ``n + k`` columns, and the traces of its kernel blocks."""
-    n = F.shape[0]
-    nk = F.shape[1] - n * (engine.nz + 1)
-    G = 2.0 * (F @ engine.R)
-    kernel_blocks = G[:, nk : nk + engine.nz * n].reshape(n, engine.nz, n)
-    return -G[:, :nk], np.trace(kernel_blocks, axis1=0, axis2=2)
+class LiteralEngine:
+    """The fit's start-relative loss in triangular-factor form, every product
+    dense: ``R`` with ``R^T R = sum W W^T`` over the stacks ``W = [X; U; Y
+    Delta_1; ...; Y Delta_(Q-1); (J); E0]`` (``Delta_d`` the in-band ones of
+    super-diagonal ``d``, ``J = Y (D_after - D0)``), reduced one trajectory
+    at a time by Householder QR; the residual ``F = Theta R^T``, its loss
+    ``||F||^2`` and the gradient read off ``2 F R``.  ``row_norms`` holds the
+    Euclidean norm of each row of the stacked ``W``, for rounding bounds."""
+
+    def __init__(self, data, theta0, q, Q, kernel_after):
+        m = data.m
+        self.nz = Q - 1 + (kernel_after is not None)
+        deltas = [np.eye(m, k=d) for d in range(1, Q)]
+        for delta in deltas:
+            delta[:, :q] = 0.0
+        D0 = _dense_kernel(theta0.kernel)
+        R, sq = None, 0.0
+        for mat in data.matrices:
+            blocks = [mat.X, mat.U, *(mat.Y @ delta for delta in deltas)]
+            if kernel_after is not None:
+                blocks.append(mat.Y @ (_dense_kernel(kernel_after) - D0))
+            blocks.append(mat.Y @ D0 - theta0.A @ mat.X - theta0.B @ mat.U)
+            W = np.vstack(blocks)
+            sq = sq + np.sum(W * W, axis=1)
+            R = np.linalg.qr(W.T if R is None else np.vstack([R, W.T]), mode="r")
+        self.R, self.row_norms = R, np.sqrt(sq)
+
+    def residual(self, P, z):
+        return literal_theta(P, z) @ self.R.T
+
+    def gradient(self, F):
+        """``(G, gz)`` at the point whose residual is ``F``: minus the leading
+        ``n + k`` columns of ``2 F R``, and the traces of its kernel blocks."""
+        n = F.shape[0]
+        nk = self.R.shape[1] - n * (self.nz + 1)
+        G = 2.0 * (F @ self.R)
+        kernel_blocks = G[:, nk : nk + self.nz * n].reshape(n, self.nz, n)
+        return -G[:, :nk], np.trace(kernel_blocks, axis1=0, axis2=2)
+
+
+def literal_fit(data, spec, cfg):
+    """``violina_fit``'s scheme on a :class:`LiteralEngine`, with dense
+    ``[A B]``: every trial forms ``F`` and its loss ``||F||^2``, every step
+    its gradient, and each trial projects the whole of ``A`` and ``B``.
+    Returns the loss curve, the accepted stepsizes and the backtracks."""
+    theta = cfg.theta0
+    n = theta.n
+    kern_after = spec.on_D.project(theta.kernel)
+    moved = kern_after is not theta.kernel
+    if isinstance(spec.on_D, CausalBand):
+        q, Q, c_ref = spec.on_D.q, spec.on_D.Q, np.array(kern_after.coeffs)
+    else:
+        q, Q, c_ref = 0, 1, np.zeros(0)
+    counts = band_offset_counts(data.m, q, Q)
+    engine = LiteralEngine(data, theta, q, Q, kern_after if moved else None)
+    kernel_jump2 = 0.0
+    if moved:
+        kernel_jump2 = float(np.sum((_dense_kernel(kern_after) - _dense_kernel(theta.kernel)) ** 2))
+    AB0 = np.hstack([theta.A, theta.B])
+    AB, c, z = AB0, c_ref, np.zeros(engine.nz)
+    F = engine.residual(np.zeros_like(AB0), z)
+    f = float(np.sum(F * F))
+    t = cfg.t0
+    curve, steps, backs = [f], [], []
+    for step in range(cfg.max_steps):
+        G, gz = engine.gradient(F)
+        nb = 0
+        while True:
+            Y = AB - t * G
+            AB_new = np.hstack([spec.on_A.project(Y[:, :n]), spec.on_B.project(Y[:, n:])])
+            c_new = (c * counts - t * gz[: Q - 1]) / counts
+            z_new = np.append(c_new - c_ref, [1.0] * moved)
+            F_new = engine.residual(AB0 - AB_new, z_new)
+            f_new = float(np.sum(F_new * F_new))
+            d = AB_new - AB
+            gdot = float(np.sum(d * G) + (z_new - z) @ gz)
+            dist2 = float(np.sum(d * d) + counts @ (c_new - c) ** 2)
+            if step == 0:
+                dist2 += kernel_jump2
+            if f_new <= f + gdot + dist2 / (2.0 * t) + 1e-12 * (1.0 + abs(f)):
+                break
+            t /= cfg.eta
+            nb += 1
+            assert nb <= 200, "backtracking underflow"
+        f_prev = f
+        AB, c, z, F, f = AB_new, c_new, z_new, F_new, f_new
+        curve.append(f)
+        steps.append(t)
+        backs.append(nb)
+        if cfg.stop_tol is not None and f_prev - f <= cfg.stop_tol * (1.0 + abs(f_prev)):
+            break
+    return np.array(curve), np.array(steps), np.array(backs, dtype=int)
 
 
 def literal_nonneg_diagonal(M):

@@ -256,6 +256,25 @@ def test_simulate_overflow_exit_4_without_non_json_tokens(suite_dir, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t0", ["1e200", "1e308"])
+def test_fit_overflowing_stepsize_exit_4_with_one_error_line(suite_dir, tmp_path, t0):
+    # a huge finite stepsize overflows the first trial point; the fit stops
+    # with the numeric exit code and prints no numpy warning before it
+    src = str(Path(violina.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = tmp_path / "fit.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "violina.cli", "--quiet", "fit",
+         "--train", str(suite_dir / "markov_train.json"), "--constraints", "a2b",
+         "--mask", str(suite_dir / "manifest.json"), "--steps", "3", "--t0", t0,
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 4
+    assert run.stderr.splitlines() == ["numeric error: loss became non-finite at step 0"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["dataset", "model", "mask", "config", "plot-csv",
                                   "compare-csv"])
 def test_non_utf8_input_exit_2_names_the_file(suite_dir, tmp_path, capsys, kind):
@@ -621,4 +640,4 @@ def test_scipy_loaded_only_by_fit(tmp_path):
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {"import": False, "generate": False, "dmdc": False,
-                                      "evaluate": False, "simulate": False, "fit": True}
+                                      "evaluate": False, "simulate": False, "fit": False}

@@ -24,11 +24,10 @@ from violina.objective import _restricted_hessian_extremes, _StartRelativeLoss
 from conftest import random_dataset, random_stable_model, random_theta, simulated_dataset
 from oracles import (
     exact_lipschitz,
+    LiteralEngine,
     finite_difference_gradient,
-    literal_gradient,
     literal_lipschitz,
     literal_loss,
-    literal_residual,
     literal_smoothness_bound,
     literal_theta,
     restricted_hessian,
@@ -377,9 +376,10 @@ ENGINE_CASES = pytest.mark.parametrize(
 
 
 def random_engine(rng, q, Q, dense_start, k):
-    """An engine on random data, with the ``J`` block of a start outside the
-    band when ``dense_start``, and two random points ``(P, z)``, ``P = [A0 -
-    A, B0 - B]``, with negative kernel weights."""
+    """An engine and its factor-form oracle on random data, with the ``J``
+    block of a start outside the band when ``dense_start``, the number of
+    data columns, and two random points ``(P, z)``, ``P = [A0 - A, B0 -
+    B]``, with negative kernel weights."""
     n, m = 3, 8
     data = random_dataset(rng, n, k, m, q)
     theta0 = random_theta(rng, n, k, m, q, Q)
@@ -388,48 +388,31 @@ def random_engine(rng, q, Q, dense_start, k):
         theta0 = StateSpaceModel(theta0.A, theta0.B, rng.normal(size=(m, m)))
         kernel_after = CausalBand(q, Q).project(theta0.kernel)
     engine = _StartRelativeLoss(data, theta0, q, Q, kernel_after)
-    assert engine.nz == Q - 1 + dense_start
+    literal = LiteralEngine(data, theta0, q, Q, kernel_after)
+    assert engine.nz == literal.nz == Q - 1 + dense_start
     points = [(rng.normal(size=(n, n + k)), -0.5 - rng.random(engine.nz)) for _ in range(2)]
-    return engine, points
-
-
-def product_bound(engine, left, right):
-    """Rounding bound ``2 r eps (|left| |right|)`` of a product over ``R``'s
-    ``r`` columns, summed in any order."""
-    r = engine.R.shape[0]
-    return 2.0 * r * np.finfo(float).eps * (np.abs(left) @ np.abs(right))
-
-
-@ENGINE_CASES
-def test_engine_residual_matches_literal_theta(rng, q, Q, dense_start, k):
-    # The block-structured residual equals the dense Theta R^T bytewise when
-    # there are no kernel weights, agrees with it within the rounding of a
-    # length-r sum otherwise, and never changes a residual it returned earlier.
-    engine, points = random_engine(rng, q, Q, dense_start, k)
-    F1 = engine.residual(*points[0])
-    kept = F1.copy()
-    F2 = engine.residual(*points[1])
-    assert F1.tobytes() == kept.tobytes()
-    for F, point in zip((F1, F2), points):
-        if engine.nz == 0:
-            assert F.tobytes() == literal_residual(engine, *point).tobytes()
-        bound = product_bound(engine, literal_theta(engine, *point), engine.R.T)
-        assert np.all(np.abs(F - literal_residual(engine, *point)) <= bound)
+    return engine, literal, data.size * m, points
 
 
 @ENGINE_CASES
 def test_engine_gradient_matches_literal(rng, q, Q, dense_start, k):
-    # G = [gA, gB] within the bound of the dense 2 F R; each gz_i within that
-    # bound summed over the diagonal of its kernel block
-    engine, points = random_engine(rng, q, Q, dense_start, k)
+    # The Gram blocks and the factor R differ from the exact sum W W^T by
+    # the rounding of a length-M sum and of a backward-stable QR, each within
+    # (M + r) eps ||W_i|| ||W_j|| for rows i, j of the stacked W (M columns,
+    # r rows), and the products over them add as much again: each entry of
+    # G = [gA, gB] lies within 2 (M + r) eps (|Theta| w w^T) of the dense
+    # -2 Theta R^T R, w the row norms, and each gz_i within that bound
+    # summed over the diagonal of its kernel block.
+    engine, literal, M, points = random_engine(rng, q, Q, dense_start, k)
+    w = literal.row_norms
+    eps = np.finfo(float).eps
     n, nk = points[0][0].shape
     for point in points:
-        F = engine.residual(*point)
-        bound = product_bound(engine, F, engine.R)
-        G, gz = engine.gradient(F)
-        lG, lz = literal_gradient(engine, F)
+        G, gz = engine.gradient(*point)
+        lG, lz = literal.gradient(literal.residual(*point))
         assert G.shape == lG.shape == (n, nk)
         assert gz.shape == lz.shape == (engine.nz,)
+        bound = 2.0 * (M + len(w)) * eps * np.outer(np.abs(literal_theta(*point)) @ w, w)
         assert np.all(np.abs(G - lG) <= bound[:, :nk])
         blocks = bound[:, nk : nk + engine.nz * n].reshape(n, engine.nz, n)
         assert np.all(np.abs(gz - lz) <= np.trace(blocks, axis1=0, axis2=2))

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -18,6 +19,7 @@ from violina import (
     SolverError,
     StateSpaceModel,
     SymmetricMaskedNonneg,
+    Trajectory,
     build_benchmark_suite,
     default_initial_point,
     fractional_kernel,
@@ -26,12 +28,10 @@ from violina import (
     loss,
     violina_fit,
 )
-from violina.objective import _StartRelativeLoss
 from conftest import random_stable_model, simulated_dataset
 from oracles import (
-    literal_gradient,
+    literal_fit,
     literal_nonneg_diagonal,
-    literal_residual,
     percall_shifted_laplacian,
     percall_symmetric_masked_nonneg,
 )
@@ -277,35 +277,70 @@ def test_desk_a1b_fit_pinned():
     assert abs(report.loss_curve[-1] - f) <= 1e-12 * (1.0 + f)
 
 
-def desk_problem(on_A):
-    """The desk train set with ``on_A`` on the neighbour mask, nonnegative
-    diagonal ``B`` and the band of the data, 1 000 steps from the default
-    start."""
+def desk_problem(on_A, scale=1.0):
+    """The desk train set, states and inputs times ``scale``, with ``on_A`` on
+    the neighbour mask, nonnegative diagonal ``B`` and the band of the data,
+    1 000 steps from the default start with ``t0 = 0.3 / scale^2`` (the
+    loss and its curvature scale by ``scale^2``)."""
     suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
     train = suite.nonmarkov.train
+    if scale != 1.0:
+        train = Dataset([Trajectory(t.states * scale, t.inputs * scale)
+                         for t in train.trajectories], train.q, train.m)
     spec = ConstraintSpec(on_A(suite.grid.neighbor_mask), NonnegativeDiagonal(),
                           CausalBand(train.q, train.q + 1))
     theta0 = default_initial_point(train.n, train.k, train.m, train.q, train.q + 1)
-    return train, spec, PgdConfig(theta0=theta0, max_steps=1000)
+    return train, spec, PgdConfig(theta0=theta0, t0=0.3 / scale**2, max_steps=1000)
+
+
+def assert_fit_matches_literal(report, data, spec, cfg):
+    """The fit takes the path of :func:`oracles.literal_fit`, which forms
+    ``F = Theta R^T`` densely on every trial: the same backtracks and
+    stepsizes, losses within rounding."""
+    curve, steps, backs = literal_fit(data, spec, cfg)
+    np.testing.assert_array_equal(report.backtracks, backs)
+    np.testing.assert_array_equal(report.stepsizes, steps)
+    gap = np.abs(report.loss_curve - curve)
+    assert np.all(gap <= 1e-14 * (1.0 + curve))
 
 
 @pytest.mark.parametrize("problem", [ShiftedGraphLaplacian, SymmetricMaskedNonneg, *SMALL_SHAPES],
                          ids=["desk-a2b", "desk-a1b", *map(small_shape_id, SMALL_SHAPES)])
-def test_fit_matches_literal_engine(rng, monkeypatch, problem):
-    # the block-structured engine takes the fit path of the dense Theta R^T
-    # and 2 F R: the same backtracks and stepsizes, losses within rounding
+def test_fit_matches_literal_engine(rng, problem):
+    # the Gram engine and the loss increments take the fit path of the dense
+    # Theta R^T, its loss ||F||^2 and gradient 2 F R
     if isinstance(problem, tuple):
         data, spec, cfg, *_ = constrained_problem(rng, *problem)
     else:
         data, spec, cfg = desk_problem(problem)
-    report = violina_fit(data, spec, cfg)
-    monkeypatch.setattr(_StartRelativeLoss, "residual", literal_residual)
-    monkeypatch.setattr(_StartRelativeLoss, "gradient", literal_gradient)
-    literal = violina_fit(data, spec, cfg)
-    np.testing.assert_array_equal(report.backtracks, literal.backtracks)
-    np.testing.assert_array_equal(report.stepsizes, literal.stepsizes)
-    gap = np.abs(report.loss_curve - literal.loss_curve)
-    assert np.all(gap <= 1e-14 * (1.0 + literal.loss_curve))
+    assert_fit_matches_literal(violina_fit(data, spec, cfg), data, spec, cfg)
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e3, 1e4])
+def test_scaled_desk_fit_keeps_its_path_and_precision(scale):
+    # the Gram blocks square the data and the curve sums loss increments;
+    # on data scaled by up to 1e4 (losses up to 1.4e5) the fit still takes
+    # the factor form's path and ends within 1e-12 (1 + f) of objective.loss
+    train, spec, cfg = desk_problem(ShiftedGraphLaplacian, scale)
+    report = violina_fit(train, spec, cfg)
+    curve, steps, backs = literal_fit(train, spec, cfg)
+    np.testing.assert_array_equal(report.backtracks, backs)
+    np.testing.assert_array_equal(report.stepsizes, steps)
+    f = loss(report.theta_final, train)
+    assert abs(report.loss_curve[-1] - f) <= 1e-12 * (1.0 + f)
+
+
+def test_paper_cli_fit_matches_literal_engine():
+    # the paper-scale a1b fit of the benchmark's CLI chain (10 steps)
+    suite = build_benchmark_suite(BenchmarkConfig.paper_scale(seed=1))
+    train = suite.nonmarkov.train
+    spec = ConstraintSpec(SymmetricMaskedNonneg(suite.grid.neighbor_mask),
+                          NonnegativeDiagonal(), CausalBand(train.q, train.q + 1))
+    theta0 = default_initial_point(train.n, train.k, train.m, train.q, train.q + 1)
+    cfg = PgdConfig(theta0=theta0, max_steps=10)
+    report = violina_fit(train, spec, cfg)
+    assert report.backtracks.sum() == 146
+    assert_fit_matches_literal(report, train, spec, cfg)
 
 
 class ProjectOnly:
@@ -417,10 +452,24 @@ def test_backtracking_cap_raises(rng):
         violina_fit(data, spec, cfg)
 
 
+@pytest.mark.parametrize("t0", [1e200, 1e308])
+def test_overflowing_stepsize_raises_without_warnings(rng, t0):
+    # the first trial point overflows; the solver reports it as a non-finite
+    # loss, and no numpy warning escapes (warnings are errors here)
+    truth = random_stable_model(rng, n=2, k=1, m=10, q=0, Q=1)
+    data = simulated_dataset(rng, truth, 10, N=1)
+    spec = ConstraintSpec(ShiftedGraphLaplacian(np.ones((2, 2), dtype=bool)),
+                          NonnegativeDiagonal(), CausalBand(0, 1))
+    cfg = PgdConfig(theta0=default_initial_point(2, 1, 10, 0, 1), t0=t0, max_steps=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="loss became non-finite at step 0"):
+            violina_fit(data, spec, cfg)
+
+
 def test_nan_data_raises(rng):
     states = rng.normal(size=(2, 6))
     states[0, 3] = np.nan
-    from violina import Trajectory
     data = Dataset([Trajectory(states, rng.normal(size=(1, 5)))], 0, 5)
     spec = ConstraintSpec(FullSpace(), FullSpace(), CausalBand(0, 1))
     cfg = PgdConfig(theta0=default_initial_point(2, 1, 5, 0, 1), max_steps=3)
