@@ -24,8 +24,8 @@ from .constraints import (
     SymmetricMaskedNonneg,
 )
 from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
-from .kernel import CausalBandKernel
-from .model import StateSpaceModel, Trajectory, relative_error
+from .kernel import CausalBandKernel, json_floats
+from .model import StateSpaceModel, Trajectory, json_array, relative_error
 from .objective import Dataset
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
 from .svgplot import line_plot, panel_plot
@@ -46,28 +46,43 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ConfigError:
                        f"{exc.object[exc.start]:#04x})")
 
 
-def _load_json(path):
+def _load_json(path, object_hook=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
 
 
-def _parse_file(path, parse):
+def _parse_file(path, parse, object_hook=None):
     """``parse`` of the JSON in ``path``; malformed content (``ValueError`` or
     ``TypeError`` from the parser) is a configuration error naming the path."""
-    obj = _load_json(path)
+    obj = _load_json(path, object_hook)
     try:
         return parse(obj)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _trajectory_arrays(obj: dict) -> dict:
+    """``object_hook`` of the dataset reader: an object's ``states`` and
+    ``inputs`` become float arrays as soon as the parser closes the object,
+    so each trajectory's lists die before the next one is parsed.  A value
+    ``json_floats`` rejects stays as parsed, and ``Dataset.from_dict`` rejects
+    it with the message, trajectory index included, that the lists would give."""
+    for key in ("states", "inputs"):
+        if key in obj:
+            try:
+                obj[key] = json_floats(obj[key], repr(key))
+            except ValueError:
+                pass
+    return obj
+
+
 def _load_dataset(path) -> Dataset:
-    return _parse_file(path, Dataset.from_dict)
+    return _parse_file(path, Dataset.from_dict, _trajectory_arrays)
 
 
 def _load_model(path) -> StateSpaceModel:
@@ -75,12 +90,7 @@ def _load_model(path) -> StateSpaceModel:
 
 
 def _parse_mask(manifest) -> np.ndarray:
-    if "mask" not in manifest:
-        raise ValueError("missing field 'mask'")
-    mask = np.asarray(manifest["mask"], dtype=float)
-    if not np.all(np.isfinite(mask)):
-        raise ValueError("'mask' holds non-finite values")
-    return mask != 0
+    return json_array(manifest, "mask") != 0
 
 
 def _check_index(flag: str, value: int, size: int):
@@ -134,7 +144,8 @@ def cmd_generate(args) -> int:
         cfg = BenchmarkConfig.from_dict(cfg_dict)
         suite = build_benchmark_suite(cfg)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"benchmark config: {exc}") from exc
+        source = f"{args.config}: " if args.config else ""
+        raise ConfigError(f"{source}benchmark config: {exc}") from exc
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -30,6 +30,16 @@ def json_int(d: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def json_floats(value, name: str) -> np.ndarray:
+    """A parsed JSON value as a float array.  A ragged array (numpy's own
+    error), a string that is not a number, an object or an integer too large
+    for a float raises ``ValueError``; ``null`` becomes NaN."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def _row_start(q: int, d: int) -> int:
     """First row of super-diagonal ``d`` that lies inside the band support."""
     return max(0, q - d)
@@ -116,7 +126,7 @@ class CausalBandKernel:
         for key in ("m", "q", "Q", "coeffs"):
             if key not in d:
                 raise ValueError(f"kernel: missing field {key!r}")
-        coeffs = np.asarray(d["coeffs"], dtype=float)
+        coeffs = json_floats(d["coeffs"], "kernel: 'coeffs'")
         if coeffs.ndim != 1:
             raise ValueError(f"kernel: 'coeffs' must be a flat list, got shape {coeffs.shape}")
         try:

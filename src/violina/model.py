@@ -7,16 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel
+from .kernel import CausalBandKernel, json_floats
 
 
-def _finite_array(d: dict, key: str) -> np.ndarray:
+def json_array(d: dict, key: str) -> np.ndarray:
     """Field ``key`` of a parsed JSON object as a float array; a missing key,
-    a ragged array (numpy's own error) or a non-finite value raises
+    a value ``json_floats`` rejects or a non-finite value raises
     ``ValueError``."""
     if key not in d:
         raise ValueError(f"missing field {key!r}")
-    a = np.asarray(d[key], dtype=float)
+    a = json_floats(d[key], repr(key))
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{key!r} holds non-finite values")
     return a
@@ -63,7 +63,7 @@ class Trajectory:
     def from_dict(cls, d: dict) -> "Trajectory":
         """Parse a trajectory; a missing key, a ragged array (numpy's own
         error) or a non-finite value raises ``ValueError``."""
-        return cls(_finite_array(d, "states").T, _finite_array(d, "inputs").T)
+        return cls(json_array(d, "states").T, json_array(d, "inputs").T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +167,11 @@ class StateSpaceModel:
     def from_dict(cls, d: dict) -> "StateSpaceModel":
         """Parse a model; a missing key, a ragged array or a non-finite value
         raises ``ValueError``."""
-        A, B = _finite_array(d, "A"), _finite_array(d, "B")
+        A, B = json_array(d, "A"), json_array(d, "B")
         if "kernel" in d:
             kernel = CausalBandKernel.from_dict(d["kernel"])
         else:
-            kernel = _finite_array(d, "kernel_dense")
+            kernel = json_array(d, "kernel_dense")
         return cls(A, B, kernel)
 
 

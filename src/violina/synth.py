@@ -174,6 +174,8 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError(f"need m >= 2 time steps for h = 1 / (m - 1), got m={self.m}")
+        if self.m - 1 > sys.float_info.max:
+            raise ValueError("m is too large for a float, so h = 1 / (m - 1) is undefined")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

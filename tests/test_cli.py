@@ -62,6 +62,7 @@ def test_generate_bad_config_exit_2(tmp_path, capsys):
         ({"coeffs": [0.03]}, [], "expected 2 coefficients, got 1"),
         ({"w0": -1}, [], "need 0 < w0 <= w1"),
         ({"m": 1}, [], "need m >= 2"),
+        ({"m": 10 ** 400}, [], "m is too large for a float"),
         ({}, ["--seed", "-1"], "seed must be nonnegative, got -1"),
         ({"Lx": 5.5}, [], "'Lx' must be an integer, got 5.5"),
         ({"m": 30.0}, [], "'m' must be an integer, got 30.0"),
@@ -78,7 +79,8 @@ def test_generate_bad_config_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["--quiet", "generate", "--config", str(cfg),
                      "--out", str(tmp_path / "x"), *seed]) == 2, bad or seed
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}: benchmark config: " in err and message in err
 
 
 @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["no-seed", "seed"])
@@ -369,6 +371,84 @@ def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, caps
             assert str(path) in err and expected in err, err
 
 
+@pytest.fixture(scope="module")
+def desk_files(tmp_path_factory):
+    from violina import BenchmarkConfig, build_benchmark_suite
+    from violina.cli import _dump_dataset
+
+    system = build_benchmark_suite(BenchmarkConfig.desk_scale()).nonmarkov
+    out = tmp_path_factory.mktemp("desk")
+    for kind in ("train", "test"):
+        _dump_dataset(out / f"{kind}.json", getattr(system, kind))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["train", "test"])
+def test_dataset_reader_matches_list_path(desk_files, kind):
+    from violina.cli import _load_dataset
+
+    path = desk_files / f"{kind}.json"
+    read = _load_dataset(path).trajectories
+    listed = Dataset.from_dict(json.loads(path.read_text())).trajectories
+    for a, b in zip(read, listed, strict=True):
+        for x, y in ((a.states, b.states), (a.inputs, b.inputs)):
+            assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides)
+            assert x.tobytes() == y.tobytes()
+
+
+def test_dataset_reader_peak_memory(desk_files):
+    """The reader holds at most one trajectory's lists: its peak is the text
+    read before parsing (bytes and str), not the whole dataset as floats."""
+    import tracemalloc
+
+    from violina.cli import _load_dataset
+
+    path = desk_files / "train.json"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * path.stat().st_size
+
+
+def _set_cell(value):
+    return lambda d: d["trajectories"][1]["states"][3].__setitem__(0, value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_cell("a"), "trajectory 1: could not convert string to float: 'a'"),
+    (_set_cell(None), "trajectory 1: 'states' holds non-finite values"),
+    (_set_cell({"states": [[1.0]]}), "trajectory 1: 'states': float() argument must be"),
+    (_set_cell(10 ** 400), "trajectory 1: 'states': int too large to convert to float"),
+    (lambda d: d["trajectories"][1].__setitem__("inputs", [[1.0], [10 ** 400]]),
+     "trajectory 1: 'inputs': int too large to convert to float"),
+    (lambda d: d.update(states=[[1.0, 2.0], [3.0]]), None),
+    (lambda d: (d.update(d.pop("trajectories")[0]), d.pop("q")), "missing field 'q'"),
+], ids=["string-cell", "null-cell", "object-cell", "too-large-int", "too-large-input",
+        "top-level-states", "trajectory-at-top-level"])
+def test_dataset_reader_errors_match_list_path(suite_dir, tmp_path, capsys, edit, message):
+    """Each file exits as the list path ``Dataset.from_dict(json.load(...))``
+    parses it: 2 with its message, or 0 when it parses."""
+    d = json.loads((suite_dir / "markov_test.json").read_text())
+    edit(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    try:
+        Dataset.from_dict(json.loads(path.read_text()))
+        expected = (0, "")
+    except (ValueError, TypeError) as exc:
+        expected = (2, f"error: {path}: {exc}\n")
+    rc = main(["--quiet", "evaluate", "--model", str(suite_dir / "markov_model.json"),
+               "--dataset", str(path), "--report", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert (rc, err) == expected
+    assert (message or "") in err and (rc == 0) == (message is None)
+
+
 def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
     good = json.loads((suite_dir / "nonmarkov_model.json").read_text())
 
@@ -383,6 +463,10 @@ def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
         "'A' holds non-finite values": broken(
             lambda d: d["A"][3].__setitem__(0, float("nan"))),
         "'B' holds non-finite values": broken(lambda d: d.__setitem__("B", None)),
+        "'A': int too large to convert to float": broken(
+            lambda d: d["A"][3].__setitem__(0, 10 ** 400)),
+        "kernel: 'coeffs': int too large to convert to float": broken(
+            lambda d: d["kernel"]["coeffs"].__setitem__(0, -10 ** 400)),
         "kernel: missing field 'Q'": broken(lambda d: d["kernel"].pop("Q")),
         "kernel: 'coeffs' must be a flat list": broken(
             lambda d: d["kernel"].__setitem__("coeffs", [[0.1], [0.2]])),
@@ -423,6 +507,8 @@ def test_malformed_manifest_exit_2(suite_dir, tmp_path, capsys):
         "inhomogeneous": broken(lambda d: d["mask"][2].pop()),
         "'mask' holds non-finite values": broken(
             lambda d: d["mask"][2].__setitem__(0, float("nan"))),
+        "'mask': int too large to convert to float": broken(
+            lambda d: d["mask"][2].__setitem__(0, 10 ** 400)),
         "mask shape (9, 9)": broken(lambda d: d.__setitem__("mask", np.eye(9).tolist())),
         "mask must be symmetric": broken(lambda d: d["mask"][0].__setitem__(9, 1)),
     }
