@@ -1,10 +1,6 @@
 """Violina: constrained identification of linear time-invariant
 non-Markovian state-space models from multiple trajectories, with a DMDc
-baseline and a synthetic cylinder-grid diffusion benchmark.
-
-SciPy is imported only inside the functions that call it: the fit's data
-compression, ``left_pseudoinverse``, ``fractional_toeplitz`` and
-``arx_offset``.  Importing the package does not load it."""
+baseline and a synthetic cylinder-grid diffusion benchmark."""
 
 from .constraints import (
     CausalBand,

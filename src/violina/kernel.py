@@ -32,10 +32,15 @@ def json_int(d: dict, key: str, default: int | None = None) -> int:
 
 def json_floats(value, name: str) -> np.ndarray:
     """A parsed JSON value as a float array.  A ragged array (numpy's own
-    error), a string that is not a number, an object or an integer too large
-    for a float raises ``ValueError``; ``null`` becomes NaN."""
+    error), a string (even one that spells a number), an object or an
+    integer too large for a float raises ``ValueError``; ``null`` becomes
+    NaN."""
+    a = np.asarray(value)
+    if a.dtype.kind == "U" or (a.dtype == object
+                               and any(isinstance(v, str) for v in a.flat)):
+        raise ValueError(f"{name}: a string is not a number")
     try:
-        return np.asarray(value, dtype=float)
+        return a.astype(float, copy=False)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
@@ -107,13 +112,11 @@ class CausalBandKernel:
     def left_pseudoinverse(self) -> np.ndarray:
         """Left pseudoinverse: zero first ``q`` rows/columns, inverse of the
         trailing unit upper-triangular block elsewhere."""
-        import scipy.linalg
-
         m, q = self.m, self.q
-        block = self.to_dense()[q:, q:]
-        inv = scipy.linalg.solve_triangular(block, np.eye(m - q))
         out = np.zeros((m, m))
-        out[q:, q:] = inv
+        # LU of a unit upper-triangular matrix neither pivots nor updates, so
+        # this is the triangular solve against the identity, bit for bit
+        out[q:, q:] = np.linalg.inv(self.to_dense()[q:, q:])
         return out
 
     def to_dict(self) -> dict:
@@ -196,8 +199,6 @@ def fractional_toeplitz(alpha: float, m: int) -> np.ndarray:
     form an exact semigroup, ``T_a @ T_b == T_{a+b}``, in the nilpotent shift
     algebra.
     """
-    import scipy.linalg
-
     if alpha < 0:
         raise ValueError(f"fractional order must be nonnegative, got {alpha}")
     if m < 1:
@@ -206,9 +207,8 @@ def fractional_toeplitz(alpha: float, m: int) -> np.ndarray:
     w[0] = 1.0
     for k in range(1, m):
         w[k] = w[k - 1] * (k - 1 - alpha) / k
-    col = np.zeros(m)
-    col[0] = w[0]
-    return scipy.linalg.toeplitz(col, w)
+    i, j = np.indices((m, m))
+    return np.where(j >= i, w[j - i], 0.0)
 
 
 def fractional_kernel(alpha: float, m: int) -> np.ndarray:

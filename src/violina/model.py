@@ -1,5 +1,5 @@
 """Non-Markovian state-space models: ARX simulation, optimization data
-matrices, and the companion / pseudoinverse-offset transformations."""
+matrices, and the pseudoinverse-form initial-value offset."""
 
 from __future__ import annotations
 
@@ -203,8 +203,6 @@ def arx_offset(model: StateSpaceModel, initial_states: np.ndarray, m: int) -> np
     first ``q`` initial states; the stacked sequence annihilates the dense
     kernel: ``lambda @ D == 0``.
     """
-    import scipy.linalg
-
     if not isinstance(model.kernel, CausalBandKernel):
         raise TypeError("the ARX-like offset needs a band kernel")
     q = model.kernel.q
@@ -220,10 +218,7 @@ def arx_offset(model: StateSpaceModel, initial_states: np.ndarray, m: int) -> np
     if q == 0:
         return np.zeros((model.n, m))
     kern = CausalBandKernel(m, q, model.kernel.Q, model.kernel.coeffs)
-    D = kern.to_dense()
-    top, block = D[:q, q:], D[q:, q:]
-    # R = top @ inv(block), solved through the unit-triangular block
-    R = scipy.linalg.solve_triangular(block.T, top.T, lower=True).T
+    R = kern.to_dense()[:q, q:] @ kern.left_pseudoinverse()[q:, q:]
     X0 = initial[:, :q]
     return np.concatenate([-X0, X0 @ R], axis=1)
 

@@ -10,9 +10,6 @@ import numpy as np
 from .kernel import CausalBandKernel, apply_kernel, band_offset_counts, json_int
 from .model import DataMatrices, StateSpaceModel, Trajectory, build_data_matrices
 
-# LAPACK block size of the data compression (the fastest of 16..128 at r = 500)
-_QR_BLOCK = 32
-
 
 class Dataset:
     """A corpus of trajectories with the shared truncation parameters
@@ -179,15 +176,9 @@ def _band_blocks(Y: np.ndarray, q: int, Q: int) -> list[np.ndarray]:
 def _compress(stacks, r: int) -> np.ndarray:
     """The ``r x r`` upper-triangular ``R`` with ``R^T R = sum W W^T`` over
     the ``r``-row stacks ``W``, reduced one stack at a time."""
-    import scipy.linalg.lapack
-
-    R = np.zeros((r, r), order="F")
+    R = np.zeros((r, r))
     for W in stacks:
-        # R := triangle of qr([R; W^T]), exploiting the triangle of R
-        R, *_, info = scipy.linalg.lapack.dtpqrt(
-            0, min(r, _QR_BLOCK), R, W.T, overwrite_a=True, overwrite_b=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtpqrt failed with info={info}")
+        R = np.linalg.qr(np.vstack([R, W.T]), mode="r")
     return R
 
 

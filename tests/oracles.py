@@ -434,6 +434,21 @@ def literal_nonneg_diagonal(M):
     return out
 
 
+def literal_fractional_toeplitz(alpha, m):
+    """The fractional-difference Toeplitz factor entry by entry: row ``i``
+    carries ``w_0 = 1`` at column ``i`` and ``w_k = w_{k-1} (k - 1 - alpha) / k``
+    at column ``i + k``; every entry below the diagonal is zero."""
+    T = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        w = 1.0
+        for j in range(i, m):
+            k = j - i
+            if k > 0:
+                w = w * (k - 1 - alpha) / k
+            T[i][j] = w
+    return np.array(T)
+
+
 def _percall_mask(mask):
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:

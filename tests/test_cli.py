@@ -420,7 +420,12 @@ def _set_cell(value):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_set_cell("a"), "trajectory 1: could not convert string to float: 'a'"),
+    (_set_cell("a"), "trajectory 1: 'states': a string is not a number"),
+    (_set_cell("1.5"), "trajectory 1: 'states': a string is not a number"),
+    (lambda d: d["trajectories"][1]["inputs"][2].__setitem__(0, " 3 "),
+     "trajectory 1: 'inputs': a string is not a number"),
+    (lambda d: d["trajectories"][1]["states"][3].__setitem__(slice(0, 2), ["1.5", None]),
+     "trajectory 1: 'states': a string is not a number"),
     (_set_cell(None), "trajectory 1: 'states' holds non-finite values"),
     (_set_cell({"states": [[1.0]]}), "trajectory 1: 'states': float() argument must be"),
     (_set_cell(10 ** 400), "trajectory 1: 'states': int too large to convert to float"),
@@ -428,7 +433,8 @@ def _set_cell(value):
      "trajectory 1: 'inputs': int too large to convert to float"),
     (lambda d: d.update(states=[[1.0, 2.0], [3.0]]), None),
     (lambda d: (d.update(d.pop("trajectories")[0]), d.pop("q")), "missing field 'q'"),
-], ids=["string-cell", "null-cell", "object-cell", "too-large-int", "too-large-input",
+], ids=["string-cell", "number-string-cell", "number-string-input",
+        "string-next-to-null", "null-cell", "object-cell", "too-large-int", "too-large-input",
         "top-level-states", "trajectory-at-top-level"])
 def test_dataset_reader_errors_match_list_path(suite_dir, tmp_path, capsys, edit, message):
     """Each file exits as the list path ``Dataset.from_dict(json.load(...))``
@@ -467,6 +473,10 @@ def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
             lambda d: d["A"][3].__setitem__(0, 10 ** 400)),
         "kernel: 'coeffs': int too large to convert to float": broken(
             lambda d: d["kernel"]["coeffs"].__setitem__(0, -10 ** 400)),
+        "'A': a string is not a number": broken(
+            lambda d: d["A"][3].__setitem__(0, "0.5")),
+        "kernel: 'coeffs': a string is not a number": broken(
+            lambda d: d["kernel"]["coeffs"].__setitem__(0, "0.25")),
         "kernel: missing field 'Q'": broken(lambda d: d["kernel"].pop("Q")),
         "kernel: 'coeffs' must be a flat list": broken(
             lambda d: d["kernel"].__setitem__("coeffs", [[0.1], [0.2]])),
@@ -509,6 +519,8 @@ def test_malformed_manifest_exit_2(suite_dir, tmp_path, capsys):
             lambda d: d["mask"][2].__setitem__(0, float("nan"))),
         "'mask': int too large to convert to float": broken(
             lambda d: d["mask"][2].__setitem__(0, 10 ** 400)),
+        "'mask': a string is not a number": broken(
+            lambda d: d["mask"][2].__setitem__(0, "1")),
         "mask shape (9, 9)": broken(lambda d: d.__setitem__("mask", np.eye(9).tolist())),
         "mask must be symmetric": broken(lambda d: d["mask"][0].__setitem__(9, 1)),
     }
@@ -694,16 +706,33 @@ def test_plot_traces_out_of_range_exit_2(suite_dir, tmp_path, capsys, extra, pre
 
 _SCIPY_PROBE = """
 import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
 import violina, violina.cli
-loaded = {"import": "scipy" in sys.modules}
+done = []
 for name, argv in json.loads(sys.argv[1]):
     assert violina.cli.main(argv) == 0, name
-    loaded[name] = "scipy" in sys.modules
-print(json.dumps(loaded))
+    done.append(name)
+train = violina.cli._load_dataset(sys.argv[2])
+assert train.q > 0
+for mode in ("full", "fixed_d"):
+    violina.uniqueness_certificate(train, mode=mode)
+    done.append(mode)
+kernel = violina.CausalBandKernel(train.m, 2, 3, (0.03, -0.01))
+kernel.left_pseudoinverse()
+violina.fractional_kernel(1.7, 8)
+model = violina.StateSpaceModel(np.eye(train.n), np.zeros((train.n, train.k)), kernel)
+violina.arx_offset(model, np.ones((train.n, 3)), train.m)
+done += ["left_pseudoinverse", "fractional_kernel", "arx_offset"]
+assert sys.modules["scipy"] is None
+print(json.dumps(done))
 """
 
 
-def test_scipy_loaded_only_by_fit(tmp_path):
+def test_runs_without_scipy(tmp_path):
+    """``generate``, ``dmdc``, ``evaluate``, ``simulate``, ``fit``, both
+    certificates, ``left_pseudoinverse``, ``fractional_kernel`` and
+    ``arx_offset`` run with SciPy made unimportable."""
     cfg, out = tmp_path / "cfg.json", tmp_path / "suite"
     cfg.write_text(json.dumps(TINY))
     model, data = str(out / "markov_model.json"), str(out / "markov_test.json")
@@ -722,8 +751,10 @@ def test_scipy_loaded_only_by_fit(tmp_path):
     src = str(Path(violina.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(steps)],
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(steps),
+                          str(out / "nonmarkov_train.json")],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == {"import": False, "generate": False, "dmdc": False,
-                                      "evaluate": False, "simulate": False, "fit": False}
+    assert json.loads(run.stdout) == [
+        "generate", "dmdc", "evaluate", "simulate", "fit", "full", "fixed_d",
+        "left_pseudoinverse", "fractional_kernel", "arx_offset"]

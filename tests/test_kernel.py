@@ -9,7 +9,7 @@ from violina import (
     partial_identity,
     project_to_band,
 )
-from oracles import lstsq_band_projection
+from oracles import literal_fractional_toeplitz, lstsq_band_projection
 
 
 def test_dense_identity_when_no_band():
@@ -152,6 +152,14 @@ def test_fractional_toeplitz_semigroup(a, b):
     m = 32
     err = fractional_toeplitz(a, m) @ fractional_toeplitz(b, m) - fractional_toeplitz(a + b, m)
     assert np.max(np.abs(err)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 32])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 1.7, 2.5])
+def test_fractional_toeplitz_matches_literal_recurrence(alpha, m):
+    T = fractional_toeplitz(alpha, m)
+    assert T.dtype == np.float64 and T.shape == (m, m)
+    assert T.tobytes() == literal_fractional_toeplitz(alpha, m).tobytes()
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
