@@ -24,7 +24,7 @@ from .constraints import (
     SymmetricMaskedNonneg,
 )
 from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
-from .kernel import CausalBandKernel, json_floats
+from .kernel import CausalBandKernel
 from .model import StateSpaceModel, Trajectory, json_array, relative_error
 from .objective import Dataset
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
@@ -46,20 +46,23 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ConfigError:
                        f"{exc.object[exc.start]:#04x})")
 
 
-def _load_json(path, object_hook=None):
+def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_hook=object_hook)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
 
 
-def _parse_file(path, parse, object_hook=None):
+def _parse_file(path, parse):
     """``parse`` of the JSON in ``path``; malformed content (``ValueError`` or
     ``TypeError`` from the parser) is a configuration error naming the path."""
-    obj = _load_json(path, object_hook)
+    return _parse(path, parse, _load_json(path))
+
+
+def _parse(path, parse, obj):
     try:
         return parse(obj)
     except (ValueError, TypeError) as exc:
@@ -69,20 +72,199 @@ def _parse_file(path, parse, object_hook=None):
 def _trajectory_arrays(obj: dict) -> dict:
     """``object_hook`` of the dataset reader: an object's ``states`` and
     ``inputs`` become float arrays as soon as the parser closes the object,
-    so each trajectory's lists die before the next one is parsed.  A value
-    ``json_floats`` rejects stays as parsed, and ``Dataset.from_dict`` rejects
-    it with the message, trajectory index included, that the lists would give."""
+    so each trajectory's lists die before the next one is parsed.  Only an
+    array of numbers is converted, as ``kernel.json_floats`` converts it; any
+    other value stays as parsed, and ``Dataset.from_dict`` rejects it with the
+    message, trajectory index included, that the lists would give.  numpy
+    reads ``true`` and ``false`` next to numbers as 1 and 0, so the reader
+    never passes this hook the values of a text that holds them."""
     for key in ("states", "inputs"):
         if key in obj:
             try:
-                obj[key] = json_floats(obj[key], repr(key))
-            except ValueError:
-                pass
+                a = np.asarray(obj[key])
+            except ValueError:  # ragged
+                continue
+            if a.dtype.kind in "fiu":
+                obj[key] = a.astype(float, copy=False)
+    return obj
+
+
+_CHUNK = 1 << 20  # bytes of dataset text read at a time
+_JSON_SPACE = b" \t\n\r"
+_SCALAR_END = _JSON_SPACE + b',:[]{}"'
+
+
+class _ChunkedJson:
+    """The JSON text of a binary file, read ``_CHUNK`` bytes at a time and
+    decoded one value at a time.  ``buf[pos:]`` is the text not yet decoded;
+    each value's end is found by ``find`` over brackets and quotes, and once
+    its bytes are all in ``buf`` they are decoded as UTF-8, dropped from
+    ``buf`` and parsed by ``raw_decode``.  So the buffer holds the value being
+    read and at most one chunk besides.  UTF-8 never puts an ASCII byte
+    inside a multi-byte character, so the scan is byte-exact.  Text that is
+    not JSON, or not UTF-8, and a value other than a string whose text holds
+    ``true`` or ``false`` raise ``ValueError``."""
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos = fh, bytearray(), 0
+        self.decode = json.JSONDecoder(object_hook=_trajectory_arrays).raw_decode
+
+    def _fill(self) -> bool:
+        """Append the next chunk; False at the end of the file."""
+        chunk = self.fh.read(_CHUNK)
+        self.buf += chunk
+        return bool(chunk)
+
+    def char(self) -> bytes:
+        """The next byte after JSON whitespace, with ``pos`` at it; ``b""`` at
+        the end of the file."""
+        while True:
+            buf, i = self.buf, self.pos
+            while i < len(buf) and buf[i] in _JSON_SPACE:
+                i += 1
+            self.pos = i
+            if i < len(buf) or not self._fill():
+                return bytes(buf[i:i + 1])
+
+    def take(self, chars: bytes) -> bytes:
+        """Consume the next byte, which must be one of ``chars``."""
+        c = self.char()
+        if not c or c not in chars:
+            raise ValueError(f"expected one of {chars!r}")
+        self.pos += 1
+        return c
+
+    def _string_end(self, i: int) -> int:
+        """The index past the quote that closes the string whose text starts
+        at ``i``: the first quote after an even number of backslashes."""
+        while True:
+            j = self.buf.find(b'"', i)
+            if j < 0:
+                i = len(self.buf)
+                if not self._fill():
+                    raise ValueError("unterminated string")
+                continue
+            b = j
+            while self.buf[b - 1] == ord("\\"):
+                b -= 1
+            if (j - b) % 2 == 0:
+                return j + 1
+            i = j + 1
+
+    def _container_end(self, start: int) -> int:
+        """The index past the bracket that closes the one at ``start``.  In
+        JSON, brackets of the other kind nest inside, so only this kind is
+        followed, between the strings."""
+        opening = self.buf[start:start + 1]
+        closing = b"}" if opening == b"{" else b"]"
+        depth, i = 0, start
+        while True:
+            buf = self.buf
+            quote = buf.find(b'"', i)
+            stop = len(buf) if quote < 0 else quote
+            while True:  # the brackets before the quote, in order
+                j = buf.find(closing, i, stop)
+                o = buf.find(opening, i, stop if j < 0 else j)
+                if o >= 0:
+                    depth, i = depth + 1, o + 1
+                elif j >= 0:
+                    depth, i = depth - 1, j + 1
+                    if depth == 0:
+                        return i
+                else:
+                    break
+            if quote >= 0:
+                i = self._string_end(quote + 1)
+            elif self._fill():
+                i = stop
+            else:
+                raise ValueError("unterminated container")
+
+    def _scalar_end(self, i: int) -> int:
+        """The index past the number or literal that starts at ``i``."""
+        while True:
+            buf = self.buf
+            while i < len(buf) and buf[i] not in _SCALAR_END:
+                i += 1
+            if i < len(buf) or not self._fill():
+                return i
+
+    def value(self):
+        """Decode the JSON value that comes next."""
+        c = self.char()
+        del self.buf[:self.pos]
+        self.pos = 0
+        if c == b'"':
+            end = self._string_end(1)
+        elif c in (b"{", b"["):
+            end = self._container_end(0)
+        else:
+            end = self._scalar_end(0)
+        text = self.buf[:end].decode("utf-8")
+        del self.buf[:end]
+        # _trajectory_arrays would read a true or false next to numbers as 1
+        # or 0; "r" and "l" are in no number, and a search for one character
+        # is quick
+        if c != b'"' and ("r" in text and "true" in text or "l" in text and "false" in text):
+            raise ValueError("true or false in a value")
+        value, stop = self.decode(text)
+        if stop != len(text):
+            raise ValueError("unexpected text after a value")
+        return value
+
+    def array(self) -> list:
+        """Decode the JSON array that comes next, one element at a time."""
+        self.take(b"[")
+        items = []
+        if self.char() == b"]":
+            self.pos += 1
+            return items
+        while True:
+            items.append(self.value())
+            if self.take(b",]") == b"]":
+                return items
+
+
+def _read_dataset_json(fh) -> dict:
+    """The JSON object in the binary file ``fh``, holding one trajectory's
+    text at a time: the elements of a top-level ``trajectories`` array are
+    decoded one by one, every other member whole, each with the hook
+    ``_trajectory_arrays`` (the top level itself is not passed to it).  Any
+    text ``json.load`` rejects, a top level that is not an object and a
+    ``true`` or ``false`` outside the keys raise ``ValueError``."""
+    scan = _ChunkedJson(fh)
+    obj = {}
+    scan.take(b"{")
+    if scan.char() == b"}":
+        scan.pos += 1
+    else:
+        while True:
+            if scan.char() != b'"':
+                raise ValueError("expected a key")
+            key = scan.value()
+            scan.take(b":")
+            if key == "trajectories" and scan.char() == b"[":
+                obj[key] = scan.array()
+            else:
+                obj[key] = scan.value()
+            if scan.take(b",}") == b"}":
+                break
+    if scan.char():
+        raise ValueError("extra data")
     return obj
 
 
 def _load_dataset(path) -> Dataset:
-    return _parse_file(path, Dataset.from_dict, _trajectory_arrays)
+    """The dataset in ``path``, read one trajectory's text at a time.  A file
+    the chunked reader rejects is read again whole, as lists: that raises the
+    error (with its line number) that ``json.load`` gives, or parses a top
+    level that is not an object, or values that hold ``true`` or ``false``."""
+    try:
+        with open(path, "rb") as fh:
+            obj = _read_dataset_json(fh)
+    except ValueError:
+        return _parse_file(path, Dataset.from_dict)
+    return _parse(path, Dataset.from_dict, obj)
 
 
 def _load_model(path) -> StateSpaceModel:

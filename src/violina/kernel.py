@@ -32,17 +32,39 @@ def json_int(d: dict, key: str, default: int | None = None) -> int:
 
 def json_floats(value, name: str) -> np.ndarray:
     """A parsed JSON value as a float array.  A ragged array (numpy's own
-    error), a string (even one that spells a number), an object or an
-    integer too large for a float raises ``ValueError``; ``null`` becomes
-    NaN."""
+    error), a string (even one that spells a number), ``true`` or ``false``,
+    an object or an integer too large for a float raises ``ValueError``;
+    ``null`` becomes NaN."""
     a = np.asarray(value)
     if a.dtype.kind == "U" or (a.dtype == object
                                and any(isinstance(v, str) for v in a.flat)):
         raise ValueError(f"{name}: a string is not a number")
+    if _holds_bool(value, a):
+        raise ValueError(f"{name}: true/false is not a number")
     try:
         return a.astype(float, copy=False)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
+
+
+def _holds_bool(value, a: np.ndarray) -> bool:
+    """Whether the parsed JSON ``value``, which numpy reads as ``a``, holds a
+    ``bool``.  Next to numbers numpy reads ``True`` as 1 and ``False`` as 0,
+    so only the innermost lists of ``value`` where ``a`` holds a 0 or a 1
+    are looked at."""
+    if a.dtype.kind == "b":
+        return True
+    if a.dtype == object:
+        return any(isinstance(v, bool) for v in a.flat)
+    if a.ndim == 0 or isinstance(value, np.ndarray):
+        return False
+    for index in np.argwhere(((a == 0) | (a == 1)).any(axis=-1)):
+        row = value
+        for i in index:
+            row = row[i]
+        if bool in set(map(type, row)):
+            return True
+    return False
 
 
 def _row_start(q: int, d: int) -> int:

@@ -36,7 +36,7 @@ class Dataset:
     @property
     def matrices(self) -> tuple[DataMatrices, ...]:
         """The zero-padded data matrices per trajectory, built on each access."""
-        return tuple(build_data_matrices(t, self.q, self.m) for t in self.trajectories)
+        return tuple(_matrices(self))
 
     @property
     def n(self) -> int:
@@ -111,21 +111,29 @@ def _check_shapes(theta: StateSpaceModel, data: Dataset):
         raise ValueError(f"kernel dimension {km} does not match data m={data.m}")
 
 
+def _matrices(data: Dataset):
+    """The data matrices of each trajectory in dataset order, built one at a
+    time, so that a loop over them holds one trajectory's matrices."""
+    for traj in data.trajectories:
+        yield build_data_matrices(traj, data.q, data.m)
+
+
+def _residual(theta: StateSpaceModel, mat: DataMatrices) -> np.ndarray:
+    return apply_kernel(mat.Y, theta.kernel) - theta.A @ mat.X - theta.B @ mat.U
+
+
 def residuals(theta: StateSpaceModel, data: Dataset) -> list[np.ndarray]:
     """Per-trajectory residuals ``E = Y D - (A X + B U)`` in dataset order."""
     _check_shapes(theta, data)
-    return _residuals(theta, data.matrices)
-
-
-def _residuals(theta: StateSpaceModel, matrices) -> list[np.ndarray]:
-    return [apply_kernel(mat.Y, theta.kernel) - theta.A @ mat.X - theta.B @ mat.U
-            for mat in matrices]
+    return [_residual(theta, mat) for mat in _matrices(data)]
 
 
 def loss(theta: StateSpaceModel, data: Dataset) -> float:
     """Sum of squared Frobenius norms of the residuals, in fixed order."""
+    _check_shapes(theta, data)
     total = 0.0
-    for E in residuals(theta, data):
+    for mat in _matrices(data):
+        E = _residual(theta, mat)
         total += float(np.sum(E * E))
     return total
 
@@ -136,10 +144,12 @@ def gradient(theta: StateSpaceModel, data: Dataset) -> TangentTuple:
     The ``dD`` block is the full dense matrix; projection onto the kernel's
     feasible set is the solver's job, not the gradient's.
     """
+    _check_shapes(theta, data)
     gA = np.zeros((data.n, data.n))
     gB = np.zeros((data.n, data.k))
     gD = np.zeros((data.m, data.m))
-    for mat, E in zip(data.matrices, residuals(theta, data)):
+    for mat in _matrices(data):
+        E = _residual(theta, mat)
         gA -= 2.0 * E @ mat.X.T
         gB -= 2.0 * E @ mat.U.T
         gD += 2.0 * mat.Y.T @ E
@@ -151,7 +161,7 @@ def hessian_apply(delta: TangentTuple, data: Dataset) -> TangentTuple:
     gA = np.zeros((data.n, data.n))
     gB = np.zeros((data.n, data.k))
     gD = np.zeros((data.m, data.m))
-    for mat in data.matrices:
+    for mat in _matrices(data):
         e = mat.Y @ delta.dD - delta.dA @ mat.X - delta.dB @ mat.U
         gA -= 2.0 * e @ mat.X.T
         gB -= 2.0 * e @ mat.U.T
@@ -200,11 +210,17 @@ class _StartRelativeLoss:
     ``Theta = [P, z_1 I, ..., z_nz I, I]`` for ``P = [A0 - A, B0 - B]``, each
     residual is ``Theta W``, the loss ``tr(Theta G Theta^T)`` and its
     gradient in ``Theta`` is ``2 Theta G`` for the Gram matrix ``G = sum W
-    W^T``, accumulated one trajectory at a time.  Every block of ``Theta``
-    but ``P`` is a multiple of the identity, so only these blocks of ``G``
-    are kept: ``G_PP = G[:nk, :nk]`` (``nk = n + k``), the rows ``C_l`` of
-    identity block ``l`` in the columns of ``P``, and ``S``, the traces of
-    the ``n x n`` blocks pairing two identity blocks.  With ``w = [z, 1]``:
+    W^T``, accumulated one trajectory at a time: each trajectory's data
+    matrices and ``E0`` are built in the loop that adds its ``||E0||^2`` to
+    ``initial_loss`` (in dataset order) and its ``W W^T`` to ``G``, and are
+    dropped before the next trajectory's; every stack is written into one
+    ``r x m`` buffer.  So beside the dataset the accumulation holds one
+    trajectory's matrices, whatever the number of trajectories.  Every block
+    of ``Theta`` but ``P`` is a multiple of the identity, so only these
+    blocks of ``G`` are kept: ``G_PP = G[:nk, :nk]`` (``nk = n + k``), the
+    rows ``C_l`` of identity block ``l`` in the columns of ``P``, and ``S``,
+    the traces of the ``n x n`` blocks pairing two identity blocks.  With
+    ``w = [z, 1]``:
 
     - ``[gA, gB] = -2 (P G_PP + sum_l w_l C_l)``;
     - ``gz_l = 2 (<C_l, P> + (S w)_l)``, ``l < nz``.
@@ -222,20 +238,21 @@ class _StartRelativeLoss:
     def __init__(self, data: Dataset, theta0: StateSpaceModel, q: int, Q: int, kernel_after):
         self.nz = Q - 1 + (kernel_after is not None)
         _check_shapes(theta0, data)
-        matrices = data.matrices
-        E0 = _residuals(theta0, matrices)
-        self.initial_loss = sum(float(np.sum(e * e)) for e in E0)
-
         n, nk = data.n, data.n + data.k
         r = n * (2 + self.nz) + data.k
         G = np.zeros((r, r))
-        for mat, e0 in zip(matrices, E0):
+        W = np.empty((r, data.m))  # each trajectory's stack in turn
+        self.initial_loss = 0.0
+        for mat in _matrices(data):
+            e0 = _residual(theta0, mat)
+            self.initial_loss += float(np.sum(e0 * e0))
             blocks = [mat.X, mat.U, *_band_blocks(mat.Y, q, Q)]
             if kernel_after is not None:
                 blocks.append(apply_kernel(mat.Y, kernel_after)
                               - apply_kernel(mat.Y, theta0.kernel))
             blocks.append(e0)
-            W = np.vstack(blocks)
+            np.concatenate(blocks, out=W)
+            del mat, e0, blocks  # before the next trajectory's are built
             G += W @ W.T
         # kept times -2 (and S times 2), which is exact, so that the gradient
         # needs no scaling pass; C_l flattened, one row per identity block:
@@ -281,7 +298,7 @@ def lipschitz_constant(data: Dataset) -> float:
     Diagnostic only: the solver's backtracking never relies on it.
     """
     gram_y = np.zeros((data.m, data.m))
-    for mat in data.matrices:
+    for mat in _matrices(data):
         gram_y += mat.Y.T @ mat.Y
     lam_z = np.linalg.eigvalsh(fixed_d_hessian(data))[-1]
     lam_y = np.linalg.eigvalsh(gram_y)[-1]
@@ -292,7 +309,7 @@ def fixed_d_hessian(data: Dataset) -> np.ndarray:
     """Hessian of the fixed-kernel problem: ``sum_mu [X; U] [X; U]^T``."""
     dim = data.n + data.k
     H = np.zeros((dim, dim))
-    for mat in data.matrices:
+    for mat in _matrices(data):
         Z = np.vstack([mat.X, mat.U])
         H += Z @ Z.T
     return H
@@ -326,7 +343,7 @@ def _restricted_hessian_extremes(data: Dataset, q: int, Q: int) -> tuple[float, 
     n, a = data.n, data.n + data.k
     scale = 1.0 / np.sqrt(band_offset_counts(data.m, q, Q))
     R = _compress((np.vstack([mat.X, mat.U, *_band_blocks(mat.Y, q, Q)])
-                   for mat in data.matrices), a + n * (Q - 1))
+                   for mat in _matrices(data)), a + n * (Q - 1))
     sigma = np.linalg.svd(R[:a, :a], compute_uv=False)
     rank = int(np.sum(sigma > sigma[0] * max(a, data.size * data.m) * np.finfo(float).eps))
     G = R.T @ R

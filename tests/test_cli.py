@@ -433,9 +433,12 @@ def _set_cell(value):
      "trajectory 1: 'inputs': int too large to convert to float"),
     (lambda d: d.update(states=[[1.0, 2.0], [3.0]]), None),
     (lambda d: (d.update(d.pop("trajectories")[0]), d.pop("q")), "missing field 'q'"),
+    (_set_cell(True), "trajectory 1: 'states': true/false is not a number"),
+    (lambda d: d["trajectories"][1]["inputs"][2].__setitem__(0, False),
+     "trajectory 1: 'inputs': true/false is not a number"),
 ], ids=["string-cell", "number-string-cell", "number-string-input",
         "string-next-to-null", "null-cell", "object-cell", "too-large-int", "too-large-input",
-        "top-level-states", "trajectory-at-top-level"])
+        "top-level-states", "trajectory-at-top-level", "bool-cell", "bool-input"])
 def test_dataset_reader_errors_match_list_path(suite_dir, tmp_path, capsys, edit, message):
     """Each file exits as the list path ``Dataset.from_dict(json.load(...))``
     parses it: 2 with its message, or 0 when it parses."""
@@ -453,6 +456,169 @@ def test_dataset_reader_errors_match_list_path(suite_dir, tmp_path, capsys, edit
     err = capsys.readouterr().err
     assert (rc, err) == expected
     assert (message or "") in err and (rc == 0) == (message is None)
+
+
+def _list_path(path):
+    """Exit code, stderr and dataset of the CLI reading ``path`` as the list
+    path ``Dataset.from_dict(json.load(...))`` does."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            return 2, f"error: {path}: invalid JSON at line {exc.lineno}: {exc.msg}\n", None
+    try:
+        return 0, "", Dataset.from_dict(obj)
+    except (ValueError, TypeError) as exc:
+        return 2, f"error: {path}: {exc}\n", None
+
+
+def _trajectories_first(text, d):
+    return json.dumps({"trajectories": d["trajectories"], "q": d["q"], "m": d["m"]})
+
+
+def _escaped_key(text, d):
+    return text.replace('"states"', '"st\\u0061tes"')
+
+
+def _brackets_in_strings(text, d):
+    d = dict(d, note='{ } [ ] " \\ ]}', trajectories=list(d["trajectories"]))
+    d["trajectories"][0] = dict(d["trajectories"][0], label='}]"\\')
+    return json.dumps(d, indent=1)
+
+
+def _two_trajectory_keys(text, d):
+    first = json.dumps(d["trajectories"][:1])
+    return text.replace('"trajectories":', f'"trajectories":{first},"trajectories":', 1)
+
+
+def _truncated_in_trajectory_3(text, d):
+    starts = [i for i in range(len(text)) if text.startswith('{"inputs"', i)]
+    return text[: (starts[3] + starts[4]) // 2]
+
+
+def _late_syntax_error(text, d):
+    lines = json.dumps(d, indent=1).split("\n")
+    late = max(i for i, line in enumerate(lines) if line.endswith(","))
+    lines[late] = lines[late][:-1]
+    return "\n".join(lines)
+
+
+def _chunk_inside(needle, offset):
+    """The text unchanged, read in chunks that end ``offset`` characters into
+    the first ``needle``."""
+    return lambda text, d: (text, text.index(needle) + offset)
+
+
+@pytest.mark.parametrize("make", [
+    _trajectories_first,
+    lambda text, d: json.dumps(d, indent=1),
+    _escaped_key,
+    _brackets_in_strings,
+    _two_trajectory_keys,
+    lambda text, d: json.dumps(dict(d, trajectories=[])),
+    lambda text, d: text + " {}",
+    _truncated_in_trajectory_3,
+    _late_syntax_error,
+    _chunk_inside("e-", 1),
+    _chunk_inside('"inputs"', 3),
+    lambda text, d: (_escaped_key(text, d), _escaped_key(text, d).index("\\u0061") + 3),
+    lambda text, d: (_brackets_in_strings(text, d), 1),
+], ids=["trajectories-first", "indent-1", "escaped-key", "brackets-in-strings",
+        "two-trajectory-keys", "no-trajectories", "trailing-data", "truncated",
+        "late-syntax-error", "chunk-in-number", "chunk-in-key", "chunk-in-escape",
+        "one-byte-chunks"])
+def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, monkeypatch,
+                                                make):
+    """The chunked reader takes any layout of valid JSON without reading the
+    whole file, and on invalid JSON exits as the list path does, line number
+    included."""
+    import violina.cli as cli
+
+    text = (suite_dir / "markov_test.json").read_text()
+    made = make(text, json.loads(text))
+    text, chunk = made if isinstance(made, tuple) else (made, None)
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    path = tmp_path / "layout.json"
+    path.write_text(text)
+    expected_rc, expected_err, listed = _list_path(path)
+    chunked = []  # what the chunked reader returned: valid JSON is not read whole
+    read = cli._read_dataset_json
+    monkeypatch.setattr(cli, "_read_dataset_json",
+                        lambda fh: chunked.append(read(fh)) or chunked[-1])
+    rc = main(["--quiet", "evaluate", "--model", str(suite_dir / "markov_model.json"),
+               "--dataset", str(path), "--report", str(tmp_path / "r.csv")])
+    assert (rc, capsys.readouterr().err) == (expected_rc, expected_err)
+    try:
+        whole = json.loads(text, object_hook=cli._trajectory_arrays)
+    except json.JSONDecodeError:
+        assert not chunked
+    else:
+        def dump(obj):
+            return json.dumps(obj, default=lambda a: [str(a.dtype), a.shape, a.tolist()])
+        assert [dump(c) for c in chunked] == [dump(whole)]
+    if listed is not None:
+        for a, b in zip(cli._load_dataset(path).trajectories, listed.trajectories,
+                        strict=True):
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.inputs.tobytes() == b.inputs.tobytes()
+
+
+def test_dataset_reader_matches_list_path_on_edited_text(tmp_path, monkeypatch):
+    """Seeded random edits of a small dataset text, read in chunks of random
+    sizes: the reader gives what the list path gives, arrays or message."""
+    import random
+
+    import violina.cli as cli
+
+    base = {"q": 1, "m": 3, "note": 'a "{[x]}" \\', "trajectories": [
+        {"states": [[0.0, 1.0], [0.5, -2e-5], [1.5, 2.0], [3.0, 4.0]],
+         "inputs": [[0.0], [1.0], [0.0]], "label": "r\u00e9"},
+        {"inputs": [[1.0], [2.0], [3.0]], "states": [[1, 2], [3, 4], [5, 6], [7, 8]]}]}
+    texts = [json.dumps(base), json.dumps(base, indent=1), json.dumps(base, ensure_ascii=False)]
+    alphabet = ' \n{}[]",:\\0123456789.-eEtruefalsn\u00e9'
+    rng = random.Random(20261018)
+    path = tmp_path / "edited.json"
+
+    def outcome(read):
+        try:
+            return [(t.states.tobytes(), t.inputs.tobytes(), t.states.shape)
+                    for t in read().trajectories]
+        except cli.ConfigError as exc:
+            return str(exc)
+
+    for _ in range(500):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text) + 1)
+            text = rng.choice([text[:k] + text[k + 1:], text[:k], text[:k] + rng.choice(alphabet)
+                               + text[k:]])
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(cli, "_CHUNK", rng.choice([1, 2, 3, 7, 64, 1 << 20]))
+        assert outcome(lambda: cli._load_dataset(path)) == \
+            outcome(lambda: cli._parse_file(path, Dataset.from_dict)), text
+
+
+def test_dataset_reader_peak_holds_one_trajectory(desk_files):
+    """Beside the arrays it returns, the reader's peak is at most four times
+    the text of the largest trajectory plus one chunk."""
+    import tracemalloc
+
+    from violina.cli import _CHUNK, _load_dataset
+
+    path = desk_files / "train.json"
+    listed = json.loads(path.read_text())["trajectories"]
+    largest = max(len(json.dumps(t, sort_keys=True, separators=(",", ":"))) for t in listed)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data = _load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    arrays = sum(t.states.nbytes + t.inputs.nbytes for t in data.trajectories)
+    assert peak <= arrays + 4 * largest + _CHUNK
 
 
 def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
@@ -488,6 +654,13 @@ def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
             lambda d: d["kernel"].__setitem__("Q", True)),
         "kernel: 'm' must be an integer, got 30.0": broken(
             lambda d: d["kernel"].__setitem__("m", 30.0)),
+        "'A': true/false is not a number": broken(lambda d: d["A"][3].__setitem__(3, True)),
+        "'B': true/false is not a number": broken(lambda d: d["B"][0].__setitem__(1, False)),
+        "kernel: 'coeffs': true/false is not a number": broken(
+            lambda d: d["kernel"]["coeffs"].__setitem__(1, False)),
+        "'kernel_dense': true/false is not a number": broken(
+            lambda d: d.update(kernel_dense=[[True] + [0.0] * 29] + np.eye(30)[1:].tolist())
+            or d.pop("kernel")),
     }
     data = suite_dir / "nonmarkov_test.json"
     for i, (expected, model) in enumerate(cases.items()):
@@ -523,6 +696,10 @@ def test_malformed_manifest_exit_2(suite_dir, tmp_path, capsys):
             lambda d: d["mask"][2].__setitem__(0, "1")),
         "mask shape (9, 9)": broken(lambda d: d.__setitem__("mask", np.eye(9).tolist())),
         "mask must be symmetric": broken(lambda d: d["mask"][0].__setitem__(9, 1)),
+        "'mask': true/false is not a number": broken(
+            lambda d: d["mask"][0].__setitem__(d["mask"][0].index(1), True)),
+        "true/false is not a number": broken(
+            lambda d: d["mask"][0].__setitem__(0, False)),
     }
     for i, (expected, manifest) in enumerate(cases.items()):
         path = tmp_path / f"bad{i}.json"

@@ -430,3 +430,31 @@ def test_engine_builds_the_data_matrices_once(rng, monkeypatch):
     monkeypatch.setattr("violina.objective.build_data_matrices", counting)
     _StartRelativeLoss(data, random_theta(rng, Q=3), 1, 3, None)
     assert len(built) == data.size
+
+
+def _engine_peak(traj, copies):
+    """Traced peak of building the engine on ``copies`` of one desk
+    trajectory, above what the dataset (one shared trajectory) holds."""
+    import tracemalloc
+
+    from violina.pgd import default_initial_point
+
+    cfg = BenchmarkConfig.desk_scale()
+    data = Dataset([traj] * copies, cfg.q, cfg.m)
+    theta0 = default_initial_point(data.n, data.k, data.m, data.q, cfg.Q)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _StartRelativeLoss(data, theta0, cfg.q, cfg.Q, None)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_engine_memory_does_not_grow_with_the_trajectories():
+    # each trajectory's matrices, start residual and stack are dropped before
+    # the next one's are built
+    traj = build_benchmark_suite(BenchmarkConfig.desk_scale()).nonmarkov.train.trajectories[0]
+    few, many = _engine_peak(traj, 5), _engine_peak(traj, 20)
+    assert many <= 1.25 * few
