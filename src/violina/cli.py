@@ -24,8 +24,8 @@ from .constraints import (
     SymmetricMaskedNonneg,
 )
 from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
-from .kernel import CausalBandKernel
-from .model import StateSpaceModel, Trajectory, json_array, relative_error
+from .kernel import CausalBandKernel, json_floats
+from .model import StateSpaceModel, Trajectory, relative_error
 from .objective import Dataset
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
 from .svgplot import line_plot, panel_plot
@@ -272,7 +272,7 @@ def _load_model(path) -> StateSpaceModel:
 
 
 def _parse_mask(manifest) -> np.ndarray:
-    return json_array(manifest, "mask") != 0
+    return json_floats(manifest, "mask", 2) != 0
 
 
 def _check_index(flag: str, value: int, size: int):
@@ -286,6 +286,14 @@ def _dump_json(path, obj):
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def _check_finite(data: Dataset, where: str = ""):
+    """Raise ``ValueError`` naming the first trajectory of ``data`` whose
+    simulated states are not all finite; ``where`` prefixes the message."""
+    for i, traj in enumerate(data.trajectories):
+        if not np.all(np.isfinite(traj.states)):
+            raise ValueError(f"{where}trajectory {i}: the simulated states overflow")
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -325,10 +333,16 @@ def cmd_generate(args) -> int:
     try:
         cfg = BenchmarkConfig.from_dict(cfg_dict)
         suite = build_benchmark_suite(cfg)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         source = f"{args.config}: " if args.config else ""
         raise ConfigError(f"{source}benchmark config: {exc}") from exc
 
+    systems = (("markov", suite.markov), ("nonmarkov", suite.nonmarkov))
+    kinds = ("train", "test", "energy")
+    # a suite that overflows is refused before its first file is written
+    for name, system in systems:
+        for kind in kinds:
+            _check_finite(getattr(system, kind), f"{name} {kind} set: ")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -339,22 +353,21 @@ def cmd_generate(args) -> int:
         "models": {},
         "datasets": {},
     }
-    for name, system in (("markov", suite.markov), ("nonmarkov", suite.nonmarkov)):
+    for name, system in systems:
         model_file = f"{name}_model.json"
         _dump_json(out / model_file, system.model.to_dict())
         manifest["models"][name] = model_file
         manifest["datasets"][name] = {}
-        for kind, data in (("train", system.train), ("test", system.test),
-                           ("energy", system.energy)):
+        for kind in kinds:
             data_file = f"{name}_{kind}.json"
-            _dump_dataset(out / data_file, data)
+            _dump_dataset(out / data_file, getattr(system, kind))
             manifest["datasets"][name][kind] = data_file
     _dump_json(out / "manifest.json", manifest)
 
     if not args.quiet:
         print(f"suite written to {out}")
         print("  system     train  test  energy    n     m")
-        for name, system in (("markov", suite.markov), ("nonmarkov", suite.nonmarkov)):
+        for name, system in systems:
             print(f"  {name:<9} {system.train.size:>5} {system.test.size:>5} "
                   f"{system.energy.size:>7} {suite.grid.n:>4} {cfg.m:>5}")
     return EXIT_OK
@@ -452,13 +465,12 @@ def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
 
 def cmd_simulate(args) -> int:
     model, data = _load_model_and_dataset(args)
-    predicted = [_predict(model, traj, data.m) for traj in data.trajectories]
-    for i, pred in enumerate(predicted):
-        if not np.all(np.isfinite(pred.states)):
-            raise ValueError(f"trajectory {i}: the simulated states overflow")
-    _dump_dataset(args.out, Dataset(predicted, data.q, data.m))
+    predicted = Dataset([_predict(model, traj, data.m) for traj in data.trajectories],
+                        data.q, data.m)
+    _check_finite(predicted)
+    _dump_dataset(args.out, predicted)
     if not args.quiet:
-        print(f"simulated {len(predicted)} trajectories to {args.out}")
+        print(f"simulated {predicted.size} trajectories to {args.out}")
     return EXIT_OK
 
 
@@ -680,7 +692,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging model is reported by the one error line below, or as
+        # null in a report, not by numpy's warnings as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,60 +11,60 @@ threads.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 
+def _member(d: dict, key: str, default):
+    """``d[key]``, or ``default`` when ``key`` is missing.  A ``d`` that is not
+    a JSON object, and a missing key without a default, raise ``ValueError``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {reprlib.repr(d)}")
+    if key in d:
+        return d[key]
+    if default is None:
+        raise ValueError(f"missing field {key!r}")
+    return default
+
+
 def json_int(d: dict, key: str, default: int | None = None) -> int:
     """Field ``key`` of a parsed JSON object as an ``int``.  Only a JSON
-    integer counts: a missing key without ``default``, ``true`` or ``1.7``
-    raises ``ValueError`` naming the field."""
-    if key not in d:
-        if default is None:
-            raise ValueError(f"missing field {key!r}")
-        return default
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    integer counts: ``true``, ``1.7`` or ``"3"`` raises ``ValueError`` naming
+    the field, as do the faults of ``_member``."""
+    value = _member(d, key, default)
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
-def json_floats(value, name: str) -> np.ndarray:
-    """A parsed JSON value as a float array.  A ragged array (numpy's own
+def json_floats(d: dict, key: str, ndim: int, default=None) -> np.ndarray:
+    """Field ``key`` of a parsed JSON object as a finite float array with
+    ``ndim`` axes (``ndim=0`` for one number).  A ragged array (numpy's own
     error), a string (even one that spells a number), ``true`` or ``false``,
-    an object or an integer too large for a float raises ``ValueError``;
-    ``null`` becomes NaN."""
-    a = np.asarray(value)
-    if a.dtype.kind == "U" or (a.dtype == object
-                               and any(isinstance(v, str) for v in a.flat)):
-        raise ValueError(f"{name}: a string is not a number")
-    if _holds_bool(value, a):
-        raise ValueError(f"{name}: true/false is not a number")
+    an object, an integer too large for a float, ``null``, NaN, an infinity
+    and the wrong number of axes raise ``ValueError`` naming the field, as do
+    the faults of ``_member``.  An array, which the dataset reader makes only
+    of numbers, skips the type scan."""
+    value = _member(d, key, default)
+    name = repr(key)
+    if not isinstance(value, np.ndarray):
+        types = set(map(type, np.asarray(value, dtype=object).flat))
+        if str in types:
+            raise ValueError(f"{name}: a string is not a number")
+        if bool in types:
+            raise ValueError(f"{name}: true/false is not a number")
     try:
-        return a.astype(float, copy=False)
+        a = np.asarray(value).astype(float, copy=False)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
-
-
-def _holds_bool(value, a: np.ndarray) -> bool:
-    """Whether the parsed JSON ``value``, which numpy reads as ``a``, holds a
-    ``bool``.  Next to numbers numpy reads ``True`` as 1 and ``False`` as 0,
-    so only the innermost lists of ``value`` where ``a`` holds a 0 or a 1
-    are looked at."""
-    if a.dtype.kind == "b":
-        return True
-    if a.dtype == object:
-        return any(isinstance(v, bool) for v in a.flat)
-    if a.ndim == 0 or isinstance(value, np.ndarray):
-        return False
-    for index in np.argwhere(((a == 0) | (a == 1)).any(axis=-1)):
-        row = value
-        for i in index:
-            row = row[i]
-        if bool in set(map(type, row)):
-            return True
-    return False
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} holds non-finite values")
+    if a.ndim != ndim:
+        shape = ("a number", "a flat list", "a list of lists")[ndim]
+        raise ValueError(f"{name} must be {shape}, got shape {a.shape}")
+    return a
 
 
 def _row_start(q: int, d: int) -> int:
@@ -146,16 +146,11 @@ class CausalBandKernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CausalBandKernel":
-        """Parse a kernel; a missing key, a size that is not a JSON integer,
-        nested coefficients or a non-finite coefficient raises ``ValueError``."""
-        for key in ("m", "q", "Q", "coeffs"):
-            if key not in d:
-                raise ValueError(f"kernel: missing field {key!r}")
-        coeffs = json_floats(d["coeffs"], "kernel: 'coeffs'")
-        if coeffs.ndim != 1:
-            raise ValueError(f"kernel: 'coeffs' must be a flat list, got shape {coeffs.shape}")
+        """Parse a kernel; a field ``json_int`` or ``json_floats`` rejects
+        raises ``ValueError``."""
         try:
             m, q, Q = (json_int(d, key) for key in ("m", "q", "Q"))
+            coeffs = json_floats(d, "coeffs", 1)
         except ValueError as exc:
             raise ValueError(f"kernel: {exc}") from None
         return cls(m, q, Q, tuple(coeffs))

@@ -10,18 +10,6 @@ import numpy as np
 from .kernel import CausalBandKernel, json_floats
 
 
-def json_array(d: dict, key: str) -> np.ndarray:
-    """Field ``key`` of a parsed JSON object as a float array; a missing key,
-    a value ``json_floats`` rejects or a non-finite value raises
-    ``ValueError``."""
-    if key not in d:
-        raise ValueError(f"missing field {key!r}")
-    a = json_floats(d[key], repr(key))
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{key!r} holds non-finite values")
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One observed pair of time series: states ``x_0 .. x_m`` (columns of an
@@ -61,9 +49,9 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trajectory":
-        """Parse a trajectory; a missing key, a ragged array (numpy's own
-        error) or a non-finite value raises ``ValueError``."""
-        return cls(json_array(d, "states").T, json_array(d, "inputs").T)
+        """Parse a trajectory; a field ``json_floats`` rejects raises
+        ``ValueError``."""
+        return cls(json_floats(d, "states", 2).T, json_floats(d, "inputs", 2).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,13 +153,13 @@ class StateSpaceModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StateSpaceModel":
-        """Parse a model; a missing key, a ragged array or a non-finite value
-        raises ``ValueError``."""
-        A, B = json_array(d, "A"), json_array(d, "B")
+        """Parse a model; a field ``json_floats`` or the kernel's reader
+        rejects raises ``ValueError``."""
+        A, B = json_floats(d, "A", 2), json_floats(d, "B", 2)
         if "kernel" in d:
             kernel = CausalBandKernel.from_dict(d["kernel"])
         else:
-            kernel = json_array(d, "kernel_dense")
+            kernel = json_floats(d, "kernel_dense", 2)
         return cls(A, B, kernel)
 
 

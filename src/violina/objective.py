@@ -61,16 +61,16 @@ class Dataset:
     def from_dict(cls, d: dict) -> "Dataset":
         """Parse a dataset; malformed content raises ``ValueError``, naming
         the trajectory index when one trajectory is at fault."""
-        for key in ("q", "m", "trajectories"):
-            if key not in d:
-                raise ValueError(f"missing field {key!r}")
+        q, m = json_int(d, "q"), json_int(d, "m")
+        if not isinstance(d.get("trajectories"), list):
+            raise ValueError("'trajectories' must be a list of trajectories")
         trajs = []
         for i, t in enumerate(d["trajectories"]):
             try:
                 trajs.append(Trajectory.from_dict(t))
             except ValueError as exc:
                 raise ValueError(f"trajectory {i}: {exc}") from exc
-        return cls(trajs, json_int(d, "q"), json_int(d, "m"))
+        return cls(trajs, q, m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel, json_int
+from .kernel import CausalBandKernel, json_floats, json_int
 from .model import StateSpaceModel, Trajectory
 from .objective import Dataset
 
@@ -148,15 +148,6 @@ def make_datasets(model: StateSpaceModel, grid: CylinderGrid, m: int, h: float):
     )
 
 
-def _json_float(value, name: str) -> float:
-    """A finite JSON number as a ``float``; ``true``, a string, NaN or an
-    infinity raises ``ValueError`` naming the field."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Scale parameters of the benchmark; ``h = 1 / (m - 1)``."""
@@ -200,18 +191,15 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkConfig":
-        """Parse a config; a field of the wrong JSON type raises ``ValueError``
-        naming it."""
-        coeffs = d.get("coeffs", [0.03, -0.01])
-        if not isinstance(coeffs, list):
-            raise ValueError(f"'coeffs' must be a list, got {coeffs!r}")
+        """Parse a config; a field ``json_int`` or ``json_floats`` rejects
+        raises ``ValueError`` naming it."""
         return cls(
             Lx=json_int(d, "Lx"), Ly=json_int(d, "Ly"), m=json_int(d, "m"),
             seed=json_int(d, "seed", 42),
-            w0=_json_float(d.get("w0", 0.5), "'w0'"),
-            w1=_json_float(d.get("w1", 1.5), "'w1'"),
+            w0=float(json_floats(d, "w0", 0, 0.5)),
+            w1=float(json_floats(d, "w1", 0, 1.5)),
             q=json_int(d, "q", 2), Q=json_int(d, "Q", 3),
-            coeffs=tuple(_json_float(c, f"'coeffs'[{i}]") for i, c in enumerate(coeffs)),
+            coeffs=tuple(json_floats(d, "coeffs", 1, [0.03, -0.01]).tolist()),
         )
 
 

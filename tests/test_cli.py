@@ -68,12 +68,12 @@ def test_generate_bad_config_exit_2(tmp_path, capsys):
         ({"m": 30.0}, [], "'m' must be an integer, got 30.0"),
         ({"Q": "3"}, [], "'Q' must be an integer, got '3'"),
         ({"seed": True}, [], "'seed' must be an integer, got True"),
-        ({"w0": True}, [], "'w0' must be a finite number, got True"),
-        ({"w1": "1.5"}, [], "'w1' must be a finite number, got '1.5'"),
-        ({"w1": float("nan")}, [], "'w1' must be a finite number, got nan"),
-        ({"coeffs": ["0.03", True]}, [], "'coeffs'[0] must be a finite number, got '0.03'"),
-        ({"coeffs": [0.03, True]}, [], "'coeffs'[1] must be a finite number, got True"),
-        ({"coeffs": 0.03}, [], "'coeffs' must be a list, got 0.03"),
+        ({"w0": True}, [], "'w0': true/false is not a number"),
+        ({"w1": "1.5"}, [], "'w1': a string is not a number"),
+        ({"w1": float("nan")}, [], "'w1' holds non-finite values"),
+        ({"coeffs": ["0.03", True]}, [], "'coeffs': a string is not a number"),
+        ({"coeffs": [0.03, True]}, [], "'coeffs': true/false is not a number"),
+        ({"coeffs": 0.03}, [], "'coeffs' must be a flat list, got shape ()"),
     ]:
         cfg.write_text(json.dumps({**TINY, **bad}))
         capsys.readouterr()
@@ -258,6 +258,34 @@ def test_simulate_overflow_exit_4_without_non_json_tokens(suite_dir, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "generate"])
+def test_diverging_model_prints_only_the_error_line(suite_dir, tmp_path, command):
+    # simulate and generate exit 4 with one line and write no file; evaluate
+    # reports nan and exits 0; none of them prints a numpy warning
+    d = json.loads((suite_dir / "markov_model.json").read_text())
+    d["A"] = (1e200 * np.eye(len(d["A"]))).tolist()
+    model, cfg, out = tmp_path / "model.json", tmp_path / "cfg.json", tmp_path / "out"
+    model.write_text(json.dumps(d))
+    cfg.write_text(json.dumps({"Lx": 10, "Ly": 3, "m": 20, "coeffs": [1e308, 1e308]}))
+    data = ["--model", str(model), "--dataset", str(suite_dir / "markov_test.json")]
+    argv = {"simulate": ["simulate", *data, "--out", str(out)],
+            "evaluate": ["evaluate", *data, "--report", str(out)],
+            "generate": ["generate", "--config", str(cfg), "--out", str(out)]}[command]
+    src = str(Path(violina.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-m", "violina.cli", "--quiet", *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    if command == "evaluate":
+        assert (run.returncode, run.stderr) == (0, "")
+        assert "nan" in out.read_text()
+    else:
+        where = "nonmarkov train set: " if command == "generate" else ""
+        assert (run.returncode, run.stderr.splitlines()) == (
+            4, [f"numeric error: {where}trajectory 0: the simulated states overflow"])
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("t0", ["1e200", "1e308"])
 def test_fit_overflowing_stepsize_exit_4_with_one_error_line(suite_dir, tmp_path, t0):
     # a huge finite stepsize overflows the first trial point; the fit stops
@@ -356,6 +384,8 @@ def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, caps
         "'q' must be an integer, got 1.7": broken(lambda d: d.__setitem__("q", 1.7)),
         "'q' must be an integer, got True": broken(lambda d: d.__setitem__("q", True)),
         "'m' must be an integer, got 30.0": broken(lambda d: d.__setitem__("m", 30.0)),
+        "'q' must be an integer, got [[": broken(
+            lambda d: d.__setitem__("q", d["trajectories"][0]["states"])),
     }
     for i, (expected, data) in enumerate(cases.items()):
         path = tmp_path / f"bad{i}.json"
@@ -369,6 +399,7 @@ def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, caps
             assert main(["--quiet"] + argv) == 2, (expected, argv[0])
             err = capsys.readouterr().err
             assert str(path) in err and expected in err, err
+            assert len(err.encode()) < 1024, err
 
 
 @pytest.fixture(scope="module")
@@ -646,7 +677,7 @@ def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
         "kernel: missing field 'Q'": broken(lambda d: d["kernel"].pop("Q")),
         "kernel: 'coeffs' must be a flat list": broken(
             lambda d: d["kernel"].__setitem__("coeffs", [[0.1], [0.2]])),
-        "kernel coefficients must be finite": broken(
+        "kernel: 'coeffs' holds non-finite values": broken(
             lambda d: d["kernel"]["coeffs"].__setitem__(0, float("inf"))),
         "kernel: 'q' must be an integer, got 1.7": broken(
             lambda d: d["kernel"].__setitem__("q", 1.7)),
@@ -709,6 +740,119 @@ def test_malformed_manifest_exit_2(suite_dir, tmp_path, capsys):
         assert rc == 2, expected
         err = capsys.readouterr().err
         assert str(path) in err and expected in err, err
+
+
+# The mutation contract of the input files.  Each mutation replaces one value
+# of a valid desk file, or deletes one key, and every command that reads the
+# file must exit 2 with one error line that names the file (and the
+# trajectory, inside one), without writing anything.  The leaves no command
+# reads stay as they are: a model's n and k, and every manifest member but
+# mask.
+_BIG = 10 ** 400  # an integer too large for a float
+_DELETE = object()
+_REPLACEMENTS = {"true": True, "str": "1.5", "null": None, "list": [], "object": {},
+                 "big": _BIG}
+_FILES = {
+    # kind: (paths of numbers and arrays, paths of objects, optional keys)
+    "dataset": ([("q",), ("m",), ("trajectories",)] + [
+        ("trajectories", 1, key, *tail) for key in ("states", "inputs")
+        for tail in ((), (3,), (3, 0))], [(), ("trajectories", 1)], ()),
+    "model": ([("A",), ("A", 3), ("A", 3, 0), ("B",), ("B", 3), ("B", 3, 0),
+               ("kernel", "m"), ("kernel", "q"), ("kernel", "Q"), ("kernel", "coeffs"),
+               ("kernel", "coeffs", 0)], [(), ("kernel",)], ()),
+    "mask": ([("mask",), ("mask", 2), ("mask", 2, 0)], [()], ()),
+    "config": ([(key,) for key in ("Lx", "Ly", "m", "seed", "w0", "w1", "q", "Q",
+                                   "coeffs")] + [("coeffs", 0)], [()],
+               ("seed", "w0", "w1", "q", "Q", "coeffs")),
+}
+# a JSON integer of any size is a valid seed, and evaluate and simulate run
+# the recursion with the kernel's q and coeffs, so any m >= Q passes
+_ACCEPTED = {("config", ("seed",), "big"), ("model", ("kernel", "m"), "big")}
+
+
+def _mutations():
+    for kind, (leaves, objects, optional) in _FILES.items():
+        for path in leaves + objects:
+            values = dict(_REPLACEMENTS, **({"5": 5} if path in objects else {}))
+            if path and isinstance(path[-1], str) and path[-1] not in optional:
+                values["deleted"] = _DELETE
+            for label, value in values.items():
+                yield pytest.param(kind, path, label, value,
+                                   id=f"{kind}-{'.'.join(map(str, path)) or 'top'}-{label}")
+
+
+def _mutate(d, path, value):
+    if not path:
+        return value
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return d
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """The desk suite, its config, and its test set cut to two trajectories."""
+    root = tmp_path_factory.mktemp("contract")
+    assert main(["--quiet", "generate", "--preset", "desk", "--out", str(root)]) == 0
+    d = json.loads((root / "nonmarkov_test.json").read_text())
+    d["trajectories"] = d["trajectories"][:2]
+    (root / "dataset.json").write_text(json.dumps(d))
+    config = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+    return {"dataset": root / "dataset.json", "model": root / "nonmarkov_model.json",
+            "mask": root / "manifest.json", "config": config}
+
+
+@pytest.mark.parametrize("kind, path, label, value", _mutations())
+def test_mutated_input_exit_2(contract_files, tmp_path, capsys, kind, path, label, value):
+    files = {k: str(v) for k, v in contract_files.items()}
+    bad = tmp_path / "bad.json"
+    good = json.loads(contract_files[kind].read_text())
+    bad.write_text(json.dumps(_mutate(good, path, value)))
+    out = tmp_path / "out"
+    out.mkdir()
+    data, model, mask = (str(bad) if kind == k else files[k]
+                         for k in ("dataset", "model", "mask"))
+    commands = {
+        "dataset": [
+            ["fit", "--train", data, "--constraints", "a2b", "--mask", mask, "--steps", "1",
+             "--out", str(out / "fit.json"), "--curve", str(out / "curve.csv")],
+            ["dmdc", "--train", data, "--out", str(out / "dmdc.json"),
+             "--scan-csv", str(out / "scan.csv")],
+            ["evaluate", "--model", model, "--dataset", data, "--report", str(out / "r.csv"),
+             "--aggregate", str(out / "a.json")],
+            ["simulate", "--model", model, "--dataset", data, "--out", str(out / "p.json")],
+            ["plot", "--kind", "traces", "--truth", data, "--pred", files["dataset"],
+             "--out", str(out / "t.svg")],
+            ["plot", "--kind", "traces", "--truth", files["dataset"], "--pred", data,
+             "--out", str(out / "t.svg")],
+        ],
+        "model": [
+            ["evaluate", "--model", model, "--dataset", data, "--report", str(out / "r.csv"),
+             "--aggregate", str(out / "a.json")],
+            ["simulate", "--model", model, "--dataset", data, "--out", str(out / "p.json")],
+        ],
+        "mask": [["fit", "--train", data, "--constraints", constraints, "--mask", mask,
+                  "--steps", "1", "--out", str(out / "fit.json")]
+                 for constraints in ("a1b", "a2b")],
+        "config": [["generate", "--config", str(bad), "--out", str(out / "suite")]],
+    }[kind]
+    accepted = (kind, path, label) in _ACCEPTED
+    for argv in commands:
+        rc = main(["--quiet", *argv])
+        err = capsys.readouterr().err
+        if accepted:
+            assert (rc, err) == (0, ""), argv[0]
+            continue
+        assert rc == 2, (argv[0], err)
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: "), err
+        if path[:2] == ("trajectories", 1):
+            assert f"{bad}: trajectory 1: " in err, err
+        assert not any(out.iterdir()), argv[0]
 
 
 @pytest.mark.parametrize("setting", [["--steps", "0"], ["--t0", "-1"], ["--t0", "nan"],
