@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ from .model import StateSpaceModel, Trajectory, relative_error
 from .objective import Dataset
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
 from .svgplot import line_plot, panel_plot
-from .synth import BenchmarkConfig, build_benchmark_suite, energy_deviation
+from .synth import KINDS, BenchmarkConfig, energy_deviation, simulate_trajectories, suite_models
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -288,33 +291,78 @@ def _dump_json(path, obj):
         fh.write(text + "\n")
 
 
-def _check_finite(data: Dataset, where: str = ""):
-    """Raise ``ValueError`` naming the first trajectory of ``data`` whose
-    simulated states are not all finite; ``where`` prefixes the message."""
-    for i, traj in enumerate(data.trajectories):
-        if not np.all(np.isfinite(traj.states)):
-            raise ValueError(f"{where}trajectory {i}: the simulated states overflow")
-
-
 def _finite_or_none(x: float) -> float | None:
     """``x``, or ``None`` (JSON ``null``) when it is infinite or NaN."""
     return float(x) if np.isfinite(x) else None
 
 
-def _dump_dataset(path, data: Dataset):
-    """Write the bytes of ``_dump_json(path, data.to_dict())``, encoding one
-    trajectory at a time.  ``json.dump`` streams through the pure-Python
-    encoder; ``encode`` runs the C encoder, and one call per trajectory keeps
-    the text of a whole dataset out of memory.  A non-finite value raises
-    ``ValueError``, as in ``_dump_json``."""
+def _dump_dataset(path, trajectories, q: int | None = None, m: int | None = None,
+                  where: str = "") -> int:
+    """Write a dataset of ``trajectories``, any iterable of them with ``q``
+    and ``m`` or a ``Dataset``, which gives all three, and return how many
+    were written.  The bytes are ``_dump_json``'s of the dataset's
+    ``to_dict()``, but each trajectory is checked and written before the
+    next is taken, and each of its arrays is one call of the C encoder
+    (``json.dump`` would stream through the pure-Python one), so only one
+    array's lists and text are alive at a time.  States that are not all
+    finite raise ``ValueError`` naming the trajectory after the prefix
+    ``where``, and so does any other non-finite value."""
+    if isinstance(trajectories, Dataset):
+        trajectories, q, m = trajectories.trajectories, trajectories.q, trajectories.m
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+    i = -1
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"m":{encode(data.m)},"q":{encode(data.q)},"trajectories":[')
-        for i, traj in enumerate(data.trajectories):
-            if i:
-                fh.write(",")
-            fh.write(encode(traj.to_dict()))
+        fh.write(f'{{"m":{encode(m)},"q":{encode(q)},"trajectories":[')
+        for i, traj in enumerate(trajectories):
+            if not np.all(np.isfinite(traj.states)):
+                raise ValueError(f"{where}trajectory {i}: the simulated states overflow")
+            fh.write(',{"inputs":' if i else '{"inputs":')
+            fh.write(encode(traj.inputs.T.tolist()))
+            fh.write(',"states":')
+            fh.write(encode(traj.states.T.tolist()))
+            fh.write("}")
         fh.write("]}\n")
+    return i + 1
+
+
+@contextmanager
+def _publishing(out_dir=None):
+    """Stage output files and publish them together.  Yields ``stage``:
+    ``stage(target)`` is the temporary path, beside ``target``, to write
+    ``target``'s content to.  When the block ends without an error every
+    staged file is moved onto its target with ``os.replace``, so a target
+    that existed keeps its old bytes until the new ones are complete.  On
+    any error the temporaries are removed, and so are the directories that
+    making ``out_dir`` (when given) created; an ``OSError`` about a
+    temporary names its target instead."""
+    out = Path(out_dir) if out_dir is not None else None
+    made = [] if out is None else list(
+        itertools.takewhile(lambda p: not p.exists(), (out, *out.parents)))
+    staged = {}
+
+    def stage(target) -> Path:
+        target = Path(target)
+        temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        staged[str(temp)] = str(target)
+        return temp
+
+    try:
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        yield stage
+        for temp, target in staged.items():
+            os.replace(temp, target)
+    except BaseException as exc:
+        for temp in staged:
+            Path(temp).unlink(missing_ok=True)
+        for directory in made:  # deepest first; one that is not empty stays
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        if isinstance(exc, OSError) and str(exc.filename) in staged:
+            raise OSError(exc.errno, exc.strerror, staged[str(exc.filename)]) from exc
+        raise
 
 
 # ---------------------------------------------------------------- generate
@@ -332,44 +380,43 @@ def cmd_generate(args) -> int:
         cfg_dict["seed"] = args.seed
     try:
         cfg = BenchmarkConfig.from_dict(cfg_dict)
-        suite = build_benchmark_suite(cfg)
+        grid, *models = suite_models(cfg)
     except (TypeError, ValueError) as exc:
         source = f"{args.config}: " if args.config else ""
         raise ConfigError(f"{source}benchmark config: {exc}") from exc
 
-    systems = (("markov", suite.markov), ("nonmarkov", suite.nonmarkov))
-    kinds = ("train", "test", "energy")
-    # a suite that overflows is refused before its first file is written
-    for name, system in systems:
-        for kind in kinds:
-            _check_finite(getattr(system, kind), f"{name} {kind} set: ")
+    systems = tuple(zip(("markov", "nonmarkov"), models))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "grid": suite.grid.to_dict(),
+        "grid": grid.to_dict(),
         "h": cfg.h,
         "config": cfg.to_dict(),
-        "mask": suite.grid.neighbor_mask.astype(int).tolist(),
-        "models": {},
-        "datasets": {},
+        "mask": grid.neighbor_mask.astype(int).tolist(),
+        "models": {name: f"{name}_model.json" for name, _ in systems},
+        "datasets": {name: {kind: f"{name}_{kind}.json" for kind in KINDS}
+                     for name, _ in systems},
     }
-    for name, system in systems:
-        model_file = f"{name}_model.json"
-        _dump_json(out / model_file, system.model.to_dict())
-        manifest["models"][name] = model_file
-        manifest["datasets"][name] = {}
-        for kind in kinds:
-            data_file = f"{name}_{kind}.json"
-            _dump_dataset(out / data_file, getattr(system, kind))
-            manifest["datasets"][name][kind] = data_file
-    _dump_json(out / "manifest.json", manifest)
+    sizes = {}
+    # each trajectory is simulated, checked and written before the next one;
+    # a suite that overflows leaves no file and no directory of its own
+    with _publishing(out) as stage:
+        for name, model in systems:
+            _dump_json(stage(out / manifest["models"][name]), model.to_dict())
+            sets = itertools.groupby(simulate_trajectories(model, grid, cfg.m, cfg.h),
+                                     key=lambda pair: pair[0])
+            for kind, pairs in sets:
+                sizes[name, kind] = _dump_dataset(
+                    stage(out / manifest["datasets"][name][kind]),
+                    (traj for _, traj in pairs), model.kernel.q, cfg.m,
+                    f"{name} {kind} set: ")
+        _dump_json(stage(out / "manifest.json"), manifest)
 
     if not args.quiet:
         print(f"suite written to {out}")
         print("  system     train  test  energy    n     m")
-        for name, system in systems:
-            print(f"  {name:<9} {system.train.size:>5} {system.test.size:>5} "
-                  f"{system.energy.size:>7} {suite.grid.n:>4} {cfg.m:>5}")
+        for name, _ in systems:
+            print(f"  {name:<9} {sizes[name, 'train']:>5} {sizes[name, 'test']:>5} "
+                  f"{sizes[name, 'energy']:>7} {grid.n:>4} {cfg.m:>5}")
     return EXIT_OK
 
 
@@ -455,6 +502,10 @@ def _predict(model: StateSpaceModel, traj: Trajectory, m: int) -> Trajectory:
 
 
 def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
+    """The model and dataset of ``--model`` and ``--dataset``, whose state and
+    input counts must agree.  The kernel's ``m`` need not be the dataset's:
+    ``_predict`` runs the recursion, which reads only the kernel's ``q`` and
+    ``coeffs``, so a model runs on data of any length."""
     model, data = _load_model(args.model), _load_dataset(args.dataset)
     if (model.n, model.k) != (data.n, data.k):
         raise ConfigError(
@@ -465,12 +516,12 @@ def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
 
 def cmd_simulate(args) -> int:
     model, data = _load_model_and_dataset(args)
-    predicted = Dataset([_predict(model, traj, data.m) for traj in data.trajectories],
-                        data.q, data.m)
-    _check_finite(predicted)
-    _dump_dataset(args.out, predicted)
+    with _publishing() as stage:
+        size = _dump_dataset(stage(args.out),
+                             (_predict(model, traj, data.m) for traj in data.trajectories),
+                             data.q, data.m)
     if not args.quiet:
-        print(f"simulated {predicted.size} trajectories to {args.out}")
+        print(f"simulated {size} trajectories to {args.out}")
     return EXIT_OK
 
 

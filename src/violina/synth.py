@@ -118,8 +118,13 @@ def make_input(orientation: str, sigma: int, nu: int, xi: int,
     return out
 
 
-def make_datasets(model: StateSpaceModel, grid: CylinderGrid, m: int, h: float):
-    """Simulate the train, test and energy sets for one ground truth.
+KINDS = ("train", "test", "energy")
+
+
+def simulate_trajectories(model: StateSpaceModel, grid: CylinderGrid, m: int, h: float):
+    """Simulate the train, test and energy sets for one ground truth, one
+    trajectory at a time: yields ``(kind, trajectory)`` with ``kind`` in
+    ``KINDS``, each set complete before the next begins.
 
     Train: parallel inputs over sigma = +-1, nu in {3, 6}, every row xi, all
     from zero initial values.  The first train trajectory is the designated
@@ -130,22 +135,23 @@ def make_datasets(model: StateSpaceModel, grid: CylinderGrid, m: int, h: float):
     q = model.kernel.q
     n = grid.n
     zeros0 = np.zeros((n, q + 1))
-    train = []
     for sigma in (1, -1):
         for nu in (3, 6):
             for xi in range(grid.Ly):
                 U = make_input("parallel", sigma, nu, xi, grid.Lx, grid.Ly, m, h)
-                train.append(model.simulate(zeros0, U))
-    test = []
+                yield "train", model.simulate(zeros0, U)
     for nu in range(1, 9):
         U = make_input("perp", 1, nu, 0, grid.Lx, grid.Ly, m, h)
-        test.append(model.simulate(zeros0, U))
-    energy_traj = model.simulate(np.ones((n, q + 1)), np.zeros((n, m)))
-    return (
-        Dataset(train, q, m),
-        Dataset(test, q, m),
-        Dataset([energy_traj], q, m),
-    )
+        yield "test", model.simulate(zeros0, U)
+    yield "energy", model.simulate(np.ones((n, q + 1)), np.zeros((n, m)))
+
+
+def make_datasets(model: StateSpaceModel, grid: CylinderGrid, m: int, h: float):
+    """The train, test and energy datasets of ``simulate_trajectories``."""
+    sets = {kind: [] for kind in KINDS}
+    for kind, traj in simulate_trajectories(model, grid, m, h):
+        sets[kind].append(traj)
+    return tuple(Dataset(sets[kind], model.kernel.q, m) for kind in KINDS)
 
 
 @dataclass(frozen=True)
@@ -225,17 +231,20 @@ class BenchmarkSuite:
         return self.config.h
 
 
+def suite_models(config: BenchmarkConfig):
+    """The grid and the Markovian and non-Markovian ground truths of
+    ``config``; an invalid config raises ``ValueError``."""
+    grid = build_cylinder_graph(config.Lx, config.Ly, config.w0, config.w1, config.seed)
+    return (grid, *ground_truth_models(
+        grid, config.h, config.m, config.q, config.Q, config.coeffs))
+
+
 def build_benchmark_suite(config: BenchmarkConfig) -> BenchmarkSuite:
     """Generate the full suite for both ground truths from one seed."""
-    grid = build_cylinder_graph(config.Lx, config.Ly, config.w0, config.w1, config.seed)
-    markov_model, nonmarkov_model = ground_truth_models(
-        grid, config.h, config.m, config.q, config.Q, config.coeffs
-    )
-    systems = []
-    for model in (markov_model, nonmarkov_model):
-        train, test, energy = make_datasets(model, grid, config.m, config.h)
-        systems.append(SystemBenchmark(model, train, test, energy))
-    return BenchmarkSuite(grid, config, systems[0], systems[1])
+    grid, *models = suite_models(config)
+    systems = [SystemBenchmark(model, *make_datasets(model, grid, config.m, config.h))
+               for model in models]
+    return BenchmarkSuite(grid, config, *systems)
 
 
 def energy(traj: Trajectory) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import violina
-from violina import Dataset, StateSpaceModel
+from violina import Dataset, StateSpaceModel, Trajectory
 from violina.cli import main
 
 TINY = {"Lx": 5, "Ly": 2, "m": 30, "seed": 13, "q": 2, "Q": 3,
@@ -877,6 +877,131 @@ def test_dataset_writer_matches_json_dump(tmp_path):
     _dump_dataset(path, train)
     expected = json.dumps(train.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _writer_peak(path, traj, copies):
+    """Traced peak of writing a dataset of ``copies`` fresh copies of
+    ``traj``, each made as the writer asks for it."""
+    import tracemalloc
+
+    from violina.cli import _dump_dataset
+
+    fresh = (Trajectory(traj.states.copy(), traj.inputs.copy()) for _ in range(copies))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _dump_dataset(path, fresh, 2, traj.length)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_writer_memory_does_not_grow_with_the_trajectories(tmp_path):
+    # each trajectory is checked, encoded and written before the next is made
+    from violina import BenchmarkConfig, build_benchmark_suite
+
+    traj = build_benchmark_suite(BenchmarkConfig.desk_scale()).nonmarkov.train.trajectories[0]
+    few = _writer_peak(tmp_path / "few.json", traj, 5)
+    many = _writer_peak(tmp_path / "many.json", traj, 20)
+    assert many <= 1.25 * few
+
+
+def _dump(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_generate_writes_the_library_suite(tmp_path, seed):
+    """The streamed suite has the bytes of ``build_benchmark_suite``'s
+    objects, so both take their trajectories in one order."""
+    from violina import BenchmarkConfig, build_benchmark_suite
+
+    suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed))
+    out = tmp_path / "suite"
+    assert main(["--quiet", "generate", "--preset", "desk", "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    systems = {"markov": suite.markov, "nonmarkov": suite.nonmarkov}
+    kinds = ("train", "test", "energy")
+    expected = {"manifest.json": _dump({
+        "grid": suite.grid.to_dict(), "h": suite.h, "config": suite.config.to_dict(),
+        "mask": suite.grid.neighbor_mask.astype(int).tolist(),
+        "models": {name: f"{name}_model.json" for name in systems},
+        "datasets": {name: {kind: f"{name}_{kind}.json" for kind in kinds}
+                     for name in systems}})}
+    for name, system in systems.items():
+        expected[f"{name}_model.json"] = _dump(system.model.to_dict())
+        for kind in kinds:
+            expected[f"{name}_{kind}.json"] = _dump(getattr(system, kind).to_dict())
+    assert sorted(os.listdir(out)) == sorted(expected)
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def _snapshot(directory) -> dict:
+    return {p.name: p.read_bytes() if p.is_file() else None
+            for p in Path(directory).iterdir()}
+
+
+def test_failed_generate_keeps_the_old_suite(suite_dir, tmp_path, capsys, monkeypatch):
+    old = _snapshot(suite_dir)
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"Lx": 10, "Ly": 3, "m": 20, "coeffs": [1e308, 1e308]}))
+    capsys.readouterr()
+    assert main(["--quiet", "generate", "--config", str(cfg), "--out", str(suite_dir)]) == 4
+    assert capsys.readouterr().err == (
+        "numeric error: nonmarkov train set: trajectory 0: the simulated states overflow\n")
+    assert _snapshot(suite_dir) == old
+
+    # a write that fails in the second trajectory of the first dataset file,
+    # with the first model file complete
+    encode, calls, files = json.JSONEncoder.encode, [], []
+
+    def failing(self, o):
+        calls.append(o)
+        if len(calls) == 6:
+            files.extend(set(os.listdir(suite_dir)) - set(old))
+            raise OSError(28, "No space left on device")
+        return encode(self, o)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", failing)
+    assert main(["--quiet", "generate", "--config", str(tmp_path / "cfg.json"),
+                 "--seed", "5", "--out", str(suite_dir)]) == 3
+    assert capsys.readouterr().err == "io error: [Errno 28] No space left on device\n"
+    assert len(files) == 2
+    assert _snapshot(suite_dir) == old
+
+
+def test_simulate_publishes_only_a_complete_file(suite_dir, tmp_path, capsys):
+    model, data = str(suite_dir / "markov_model.json"), suite_dir / "markov_test.json"
+    pred = tmp_path / "pred.json"
+    assert main(["--quiet", "simulate", "--model", model, "--dataset", str(data),
+                 "--out", str(pred)]) == 0
+    # --out may be the dataset that is read
+    inplace = tmp_path / "inplace.json"
+    inplace.write_bytes(data.read_bytes())
+    assert main(["--quiet", "simulate", "--model", model, "--dataset", str(inplace),
+                 "--out", str(inplace)]) == 0
+    assert inplace.read_bytes() == pred.read_bytes()
+    # an overflow leaves an existing --out as it was
+    d = json.loads(Path(model).read_text())
+    d["A"] = (1e200 * np.eye(len(d["A"]))).tolist()
+    diverging = tmp_path / "diverging.json"
+    diverging.write_text(json.dumps(d))
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["--quiet", "simulate", "--model", str(diverging), "--dataset", str(data),
+                 "--out", str(pred)]) == 4
+    assert capsys.readouterr().err == (
+        "numeric error: trajectory 0: the simulated states overflow\n")
+    assert _snapshot(tmp_path) == before
+    # an error about the output names the path given, not a temporary one
+    missing = tmp_path / "nodir" / "x.json"
+    assert main(["--quiet", "simulate", "--model", model, "--dataset", str(data),
+                 "--out", str(missing)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.endswith(f"'{missing}'\n"), err
+    assert _snapshot(tmp_path) == before
 
 
 def test_fit_requires_mask_for_constrained_runs(suite_dir, tmp_path):
