@@ -12,6 +12,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -80,7 +81,9 @@ def _trajectory_arrays(obj: dict) -> dict:
     other value stays as parsed, and ``Dataset.from_dict`` rejects it with the
     message, trajectory index included, that the lists would give.  numpy
     reads ``true`` and ``false`` next to numbers as 1 and 0, so the reader
-    never passes this hook the values of a text that holds them."""
+    never passes this hook a trajectory whose text holds them; the other
+    objects it passes, the top level among them, are not read as
+    trajectories."""
     for key in ("states", "inputs"):
         if key in obj:
             try:
@@ -93,175 +96,89 @@ def _trajectory_arrays(obj: dict) -> dict:
 
 
 _CHUNK = 1 << 20  # bytes of dataset text read at a time
-_JSON_SPACE = b" \t\n\r"
-_SCALAR_END = _JSON_SPACE + b',:[]{}"'
-
-
-class _ChunkedJson:
-    """The JSON text of a binary file, read ``_CHUNK`` bytes at a time and
-    decoded one value at a time.  ``buf[pos:]`` is the text not yet decoded;
-    each value's end is found by ``find`` over brackets and quotes, and once
-    its bytes are all in ``buf`` they are decoded as UTF-8, dropped from
-    ``buf`` and parsed by ``raw_decode``.  So the buffer holds the value being
-    read and at most one chunk besides.  UTF-8 never puts an ASCII byte
-    inside a multi-byte character, so the scan is byte-exact.  Text that is
-    not JSON, or not UTF-8, and a value other than a string whose text holds
-    ``true`` or ``false`` raise ``ValueError``."""
-
-    def __init__(self, fh):
-        self.fh, self.buf, self.pos = fh, bytearray(), 0
-        self.decode = json.JSONDecoder(object_hook=_trajectory_arrays).raw_decode
-
-    def _fill(self) -> bool:
-        """Append the next chunk; False at the end of the file."""
-        chunk = self.fh.read(_CHUNK)
-        self.buf += chunk
-        return bool(chunk)
-
-    def char(self) -> bytes:
-        """The next byte after JSON whitespace, with ``pos`` at it; ``b""`` at
-        the end of the file."""
-        while True:
-            buf, i = self.buf, self.pos
-            while i < len(buf) and buf[i] in _JSON_SPACE:
-                i += 1
-            self.pos = i
-            if i < len(buf) or not self._fill():
-                return bytes(buf[i:i + 1])
-
-    def take(self, chars: bytes) -> bytes:
-        """Consume the next byte, which must be one of ``chars``."""
-        c = self.char()
-        if not c or c not in chars:
-            raise ValueError(f"expected one of {chars!r}")
-        self.pos += 1
-        return c
-
-    def _string_end(self, i: int) -> int:
-        """The index past the quote that closes the string whose text starts
-        at ``i``: the first quote after an even number of backslashes."""
-        while True:
-            j = self.buf.find(b'"', i)
-            if j < 0:
-                i = len(self.buf)
-                if not self._fill():
-                    raise ValueError("unterminated string")
-                continue
-            b = j
-            while self.buf[b - 1] == ord("\\"):
-                b -= 1
-            if (j - b) % 2 == 0:
-                return j + 1
-            i = j + 1
-
-    def _container_end(self, start: int) -> int:
-        """The index past the bracket that closes the one at ``start``.  In
-        JSON, brackets of the other kind nest inside, so only this kind is
-        followed, between the strings."""
-        opening = self.buf[start:start + 1]
-        closing = b"}" if opening == b"{" else b"]"
-        depth, i = 0, start
-        while True:
-            buf = self.buf
-            quote = buf.find(b'"', i)
-            stop = len(buf) if quote < 0 else quote
-            while True:  # the brackets before the quote, in order
-                j = buf.find(closing, i, stop)
-                o = buf.find(opening, i, stop if j < 0 else j)
-                if o >= 0:
-                    depth, i = depth + 1, o + 1
-                elif j >= 0:
-                    depth, i = depth - 1, j + 1
-                    if depth == 0:
-                        return i
-                else:
-                    break
-            if quote >= 0:
-                i = self._string_end(quote + 1)
-            elif self._fill():
-                i = stop
-            else:
-                raise ValueError("unterminated container")
-
-    def _scalar_end(self, i: int) -> int:
-        """The index past the number or literal that starts at ``i``."""
-        while True:
-            buf = self.buf
-            while i < len(buf) and buf[i] not in _SCALAR_END:
-                i += 1
-            if i < len(buf) or not self._fill():
-                return i
-
-    def value(self):
-        """Decode the JSON value that comes next."""
-        c = self.char()
-        del self.buf[:self.pos]
-        self.pos = 0
-        if c == b'"':
-            end = self._string_end(1)
-        elif c in (b"{", b"["):
-            end = self._container_end(0)
-        else:
-            end = self._scalar_end(0)
-        text = self.buf[:end].decode("utf-8")
-        del self.buf[:end]
-        # _trajectory_arrays would read a true or false next to numbers as 1
-        # or 0; "r" and "l" are in no number, and a search for one character
-        # is quick
-        if c != b'"' and ("r" in text and "true" in text or "l" in text and "false" in text):
-            raise ValueError("true or false in a value")
-        value, stop = self.decode(text)
-        if stop != len(text):
-            raise ValueError("unexpected text after a value")
-        return value
-
-    def array(self) -> list:
-        """Decode the JSON array that comes next, one element at a time."""
-        self.take(b"[")
-        items = []
-        if self.char() == b"]":
-            self.pos += 1
-            return items
-        while True:
-            items.append(self.value())
-            if self.take(b",]") == b"]":
-                return items
+_JSON_SPACE = re.compile(rb"[ \t\n\r]*")
 
 
 def _read_dataset_json(fh) -> dict:
     """The JSON object in the binary file ``fh``, holding one trajectory's
-    text at a time: the elements of a top-level ``trajectories`` array are
-    decoded one by one, every other member whole, each with the hook
-    ``_trajectory_arrays`` (the top level itself is not passed to it).  Any
-    text ``json.load`` rejects, a top level that is not an object and a
-    ``true`` or ``false`` outside the keys raise ``ValueError``."""
-    scan = _ChunkedJson(fh)
-    obj = {}
-    scan.take(b"{")
-    if scan.char() == b"}":
-        scan.pos += 1
-    else:
-        while True:
-            if scan.char() != b'"':
-                raise ValueError("expected a key")
-            key = scan.value()
-            scan.take(b":")
-            if key == "trajectories" and scan.char() == b"[":
-                obj[key] = scan.array()
-            else:
-                obj[key] = scan.value()
-            if scan.take(b",}") == b"}":
+    text at a time.  A trajectory whose members are arrays of numbers holds
+    no ``}`` of its own, so each element of ``trajectories`` is decoded alone
+    from the text up to its first ``}``; the members before the array, and
+    those after it, are decoded as one object each.  Every object goes
+    through ``_trajectory_arrays``.  UTF-8 puts no ASCII byte inside a
+    multi-byte character, so the byte searches are exact; each resumes where
+    the last one stopped.  Text ``json.load`` rejects, a trajectory holding
+    ``true``, ``false`` or a ``}`` of its own, and a second ``trajectories``
+    member raise ``ValueError``."""
+    decode = json.JSONDecoder(object_hook=_trajectory_arrays).decode
+    buf = bytearray()
+
+    def fill():
+        if not (chunk := fh.read(_CHUNK)):
+            raise ValueError("the text ends early")
+        buf.extend(chunk)
+
+    def find(sub: bytes, i: int) -> int:
+        """The index of the first ``sub`` at or after ``i``."""
+        while (j := buf.find(sub, i)) < 0:
+            i = max(i, len(buf) - len(sub) + 1)
+            fill()
+        return j
+
+    def char(i: int) -> int:
+        """The index of the first byte at or after ``i`` that is not JSON
+        whitespace."""
+        while (i := _JSON_SPACE.match(buf, i).end()) == len(buf):
+            fill()
+        return i
+
+    i = 0
+    while True:  # '"trajectories" : [', unless a backslash escapes its first quote
+        k = find(b'"trajectories"', i)
+        i = char(k + len(b'"trajectories"'))
+        if buf[k - 1:k] != b"\\" and buf[i] == ord(":"):
+            i = char(i + 1)
+            if buf[i] == ord("["):
                 break
-    if scan.char():
-        raise ValueError("extra data")
+    # a match inside a string or a nested object fails this decode
+    obj = decode(buf[:i + 1].decode("utf-8") + "]}")
+    del buf[:i + 1]
+    i = char(0)
+    if buf[i] != ord("]"):
+        while True:  # buf starts after the '[' or ',' before a trajectory
+            end = find(b"}", i) + 1
+            text = buf[:end].decode("utf-8")
+            del buf[:end]
+            # _trajectory_arrays would read a true or false next to numbers
+            # as 1 or 0; "r" and "l" are in no number, and a search for one
+            # character is quick
+            if "r" in text and "true" in text or "l" in text and "false" in text:
+                raise ValueError("true or false in a trajectory")
+            obj["trajectories"].append(decode(text))
+            del text  # before the next trajectory's text is read
+            i = char(0)
+            if buf[i] != ord(","):
+                break
+            del buf[:i + 1]
+            i = 0
+    if buf[i] != ord("]"):
+        raise ValueError("expected ',' or ']'")
+    rest = (buf[i + 1:] + fh.read()).decode("utf-8").lstrip(" \t\n\r")
+    sep, rest = rest[:1], rest[1:]  # '}', or ',' and one member at least
+    members = decode("{" + rest if sep == "," else "{}" + rest)
+    if sep not in (",", "}") or sep == "," and not members or "trajectories" in members:
+        raise ValueError("bad members after the trajectories")
+    obj.update(members)
     return obj
 
 
 def _load_dataset(path) -> Dataset:
-    """The dataset in ``path``, read one trajectory's text at a time.  A file
-    the chunked reader rejects is read again whole, as lists: that raises the
-    error (with its line number) that ``json.load`` gives, or parses a top
-    level that is not an object, or values that hold ``true`` or ``false``."""
+    """The dataset in ``path``, read one trajectory's text at a time by
+    ``_read_dataset_json``.  A file that reader rejects is read again whole,
+    as lists: that raises the error (with its line number) that ``json.load``
+    gives, or parses the layouts the reader does not take (a top level that
+    is not an object, a trajectory holding ``true``, ``false`` or a ``}`` of
+    its own, a second ``trajectories`` member)."""
     try:
         with open(path, "rb") as fh:
             obj = _read_dataset_json(fh)

@@ -157,16 +157,10 @@ def gradient(theta: StateSpaceModel, data: Dataset) -> TangentTuple:
 
 
 def hessian_apply(delta: TangentTuple, data: Dataset) -> TangentTuple:
-    """Hessian action on a tangent direction; independent of the base point."""
-    gA = np.zeros((data.n, data.n))
-    gB = np.zeros((data.n, data.k))
-    gD = np.zeros((data.m, data.m))
-    for mat in _matrices(data):
-        e = mat.Y @ delta.dD - delta.dA @ mat.X - delta.dB @ mat.U
-        gA -= 2.0 * e @ mat.X.T
-        gB -= 2.0 * e @ mat.U.T
-        gD += 2.0 * mat.Y.T @ e
-    return TangentTuple(gA, gB, gD)
+    """Hessian action on a tangent direction; independent of the base point.
+    The loss is a quadratic form in ``(A, B, D)``, so this is its gradient at
+    ``delta``."""
+    return gradient(StateSpaceModel(delta.dA, delta.dB, delta.dD), data)
 
 
 def _band_blocks(Y: np.ndarray, q: int, Q: int) -> list[np.ndarray]:

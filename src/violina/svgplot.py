@@ -120,13 +120,8 @@ def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
     ``series`` is an iterable of ``(label, xs, ys)`` or
     ``(label, xs, ys, dashed)`` tuples.
     """
-    panel = _Panel(series, width, height, 0, title, xlabel, ylabel, logy)
-    body = "\n".join(panel.parts)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n<rect width="100%" height="100%" '
-        f'fill="#fff"/>\n{body}\n</svg>\n'
-    )
+    return panel_plot([(title, series)], width=width, panel_height=height,
+                      xlabel=xlabel, ylabel=ylabel, logy=logy)
 
 
 def panel_plot(panels, *, width: int = 640, panel_height: int = 220,

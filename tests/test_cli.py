@@ -540,28 +540,32 @@ def _chunk_inside(needle, offset):
     return lambda text, d: (text, text.index(needle) + offset)
 
 
-@pytest.mark.parametrize("make", [
-    _trajectories_first,
-    lambda text, d: json.dumps(d, indent=1),
-    _escaped_key,
-    _brackets_in_strings,
-    _two_trajectory_keys,
-    lambda text, d: json.dumps(dict(d, trajectories=[])),
-    lambda text, d: text + " {}",
-    _truncated_in_trajectory_3,
-    _late_syntax_error,
-    _chunk_inside("e-", 1),
-    _chunk_inside('"inputs"', 3),
-    lambda text, d: (_escaped_key(text, d), _escaped_key(text, d).index("\\u0061") + 3),
-    lambda text, d: (_brackets_in_strings(text, d), 1),
+@pytest.mark.parametrize("make, streams", [
+    (_trajectories_first, True),
+    (lambda text, d: json.dumps(d, indent=1), True),
+    (_escaped_key, True),
+    (_brackets_in_strings, False),
+    (_two_trajectory_keys, False),
+    (lambda text, d: json.dumps(dict(d, trajectories=[])), True),
+    (lambda text, d: text + " {}", True),
+    (_truncated_in_trajectory_3, True),
+    (_late_syntax_error, True),
+    (_chunk_inside("e-", 1), True),
+    (_chunk_inside('"inputs"', 3), True),
+    (lambda text, d: (_escaped_key(text, d), _escaped_key(text, d).index("\\u0061") + 3), True),
+    (lambda text, d: (_brackets_in_strings(text, d), 1), False),
+    (lambda text, d: (text, 1), True),
+    (lambda text, d: (json.dumps(d, indent=1), 1), True),
 ], ids=["trajectories-first", "indent-1", "escaped-key", "brackets-in-strings",
         "two-trajectory-keys", "no-trajectories", "trailing-data", "truncated",
         "late-syntax-error", "chunk-in-number", "chunk-in-key", "chunk-in-escape",
-        "one-byte-chunks"])
+        "one-byte-chunks", "one-byte-chunks-canonical", "one-byte-chunks-indent-1"])
 def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, monkeypatch,
-                                                make):
-    """The chunked reader takes any layout of valid JSON without reading the
-    whole file, and on invalid JSON exits as the list path does, line number
+                                                make, streams):
+    """The chunked reader takes these layouts of valid JSON without reading
+    the whole file, and a trajectory holding a ``}`` of its own or a second
+    ``trajectories`` member (``streams`` false) is read whole by the list
+    path; on invalid JSON the CLI exits as the list path does, line number
     included."""
     import violina.cli as cli
 
@@ -573,7 +577,7 @@ def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, mon
     path = tmp_path / "layout.json"
     path.write_text(text)
     expected_rc, expected_err, listed = _list_path(path)
-    chunked = []  # what the chunked reader returned: valid JSON is not read whole
+    chunked = []  # what the chunked reader returned
     read = cli._read_dataset_json
     monkeypatch.setattr(cli, "_read_dataset_json",
                         lambda fh: chunked.append(read(fh)) or chunked[-1])
@@ -587,7 +591,7 @@ def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, mon
     else:
         def dump(obj):
             return json.dumps(obj, default=lambda a: [str(a.dtype), a.shape, a.tolist()])
-        assert [dump(c) for c in chunked] == [dump(whole)]
+        assert [dump(c) for c in chunked] == ([dump(whole)] if streams else [])
     if listed is not None:
         for a, b in zip(cli._load_dataset(path).trajectories, listed.trajectories,
                         strict=True):
@@ -630,9 +634,10 @@ def test_dataset_reader_matches_list_path_on_edited_text(tmp_path, monkeypatch):
             outcome(lambda: cli._parse_file(path, Dataset.from_dict)), text
 
 
-def test_dataset_reader_peak_holds_one_trajectory(desk_files):
+def test_dataset_reader_peak_holds_one_trajectory(desk_files, tmp_path):
     """Beside the arrays it returns, the reader's peak is at most four times
-    the text of the largest trajectory plus one chunk."""
+    the text of the largest trajectory plus one chunk, on the written layout
+    and on an ``indent=1`` re-dump of it."""
     import tracemalloc
 
     from violina.cli import _CHUNK, _load_dataset
@@ -640,16 +645,21 @@ def test_dataset_reader_peak_holds_one_trajectory(desk_files):
     path = desk_files / "train.json"
     listed = json.loads(path.read_text())["trajectories"]
     largest = max(len(json.dumps(t, sort_keys=True, separators=(",", ":"))) for t in listed)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        data = _load_dataset(path)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    arrays = sum(t.states.nbytes + t.inputs.nbytes for t in data.trajectories)
-    assert peak <= arrays + 4 * largest + _CHUNK
+    indented = tmp_path / "train-indent-1.json"
+    indented.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    # each trajectory's text in the re-dump ends at its first "}"
+    indented_largest = max(map(len, indented.read_text().split("}")))
+    for path, largest in ((path, largest), (indented, indented_largest)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            data = _load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        arrays = sum(t.states.nbytes + t.inputs.nbytes for t in data.trajectories)
+        assert peak <= arrays + 4 * largest + _CHUNK, path.name
 
 
 def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
@@ -1040,6 +1050,10 @@ def test_plot_curve_and_determinism(suite_dir, tmp_path):
     assert svg1.read_bytes() == svg2.read_bytes()
     text = svg1.read_text()
     assert text.startswith("<svg") and "polyline" in text
+    # one 640 x 420 panel: the background and one frame
+    assert text.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420" '
+                           'viewBox="0 0 640 420">')
+    assert text.count("<rect") == 2
 
 
 def test_plot_traces(suite_dir, tmp_path):
