@@ -28,9 +28,9 @@ from .constraints import (
     SymmetricMaskedNonneg,
 )
 from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
-from .kernel import CausalBandKernel, json_floats
+from .kernel import CausalBandKernel, json_floats, json_int
 from .model import StateSpaceModel, Trajectory, relative_error
-from .objective import Dataset
+from .objective import Dataset, _check_trajectory
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
 from .svgplot import line_plot, panel_plot
 from .synth import KINDS, BenchmarkConfig, energy_deviation, simulate_trajectories, suite_models
@@ -63,10 +63,7 @@ def _load_json(path):
 def _parse_file(path, parse):
     """``parse`` of the JSON in ``path``; malformed content (``ValueError`` or
     ``TypeError`` from the parser) is a configuration error naming the path."""
-    return _parse(path, parse, _load_json(path))
-
-
-def _parse(path, parse, obj):
+    obj = _load_json(path)
     try:
         return parse(obj)
     except (ValueError, TypeError) as exc:
@@ -99,17 +96,20 @@ _CHUNK = 1 << 20  # bytes of dataset text read at a time
 _JSON_SPACE = re.compile(rb"[ \t\n\r]*")
 
 
-def _read_dataset_json(fh) -> dict:
-    """The JSON object in the binary file ``fh``, holding one trajectory's
-    text at a time.  A trajectory whose members are arrays of numbers holds
-    no ``}`` of its own, so each element of ``trajectories`` is decoded alone
-    from the text up to its first ``}``; the members before the array, and
-    those after it, are decoded as one object each.  Every object goes
+def _read_dataset_json(fh):
+    """Yield the JSON objects of the dataset in the binary file ``fh``,
+    holding one trajectory's text at a time: first the members before
+    ``trajectories``, with ``trajectories`` as an empty list, then each
+    element of ``trajectories``.  A trajectory whose members are arrays of
+    numbers holds no ``}`` of its own, so each element is decoded alone from
+    the text up to its first ``}``.  After the last element the members after
+    the array are decoded as one object and checked.  Every object goes
     through ``_trajectory_arrays``.  UTF-8 puts no ASCII byte inside a
     multi-byte character, so the byte searches are exact; each resumes where
     the last one stopped.  Text ``json.load`` rejects, a trajectory holding
-    ``true``, ``false`` or a ``}`` of its own, and a second ``trajectories``
-    member raise ``ValueError``."""
+    ``true``, ``false`` or a ``}`` of its own, and a member after the array
+    that repeats one before it (a second ``trajectories``, say) raise
+    ``ValueError``, the last of them after every trajectory is yielded."""
     decode = json.JSONDecoder(object_hook=_trajectory_arrays).decode
     buf = bytearray()
 
@@ -141,21 +141,25 @@ def _read_dataset_json(fh) -> dict:
             if buf[i] == ord("["):
                 break
     # a match inside a string or a nested object fails this decode
-    obj = decode(buf[:i + 1].decode("utf-8") + "]}")
+    head = decode(buf[:i + 1].decode("utf-8") + "]}")
     del buf[:i + 1]
+    yield head
     i = char(0)
     if buf[i] != ord("]"):
         while True:  # buf starts after the '[' or ',' before a trajectory
             end = find(b"}", i) + 1
-            text = buf[:end].decode("utf-8")
+            with memoryview(buf) as view:  # released before buf is resized
+                text = str(view[:end], "utf-8")
             del buf[:end]
             # _trajectory_arrays would read a true or false next to numbers
             # as 1 or 0; "r" and "l" are in no number, and a search for one
             # character is quick
             if "r" in text and "true" in text or "l" in text and "false" in text:
                 raise ValueError("true or false in a trajectory")
-            obj["trajectories"].append(decode(text))
-            del text  # before the next trajectory's text is read
+            obj = decode(text)
+            del text  # before the consumer works on the trajectory
+            yield obj
+            del obj  # before the next trajectory's text is read
             i = char(0)
             if buf[i] != ord(","):
                 break
@@ -166,25 +170,88 @@ def _read_dataset_json(fh) -> dict:
     rest = (buf[i + 1:] + fh.read()).decode("utf-8").lstrip(" \t\n\r")
     sep, rest = rest[:1], rest[1:]  # '}', or ',' and one member at least
     members = decode("{" + rest if sep == "," else "{}" + rest)
-    if sep not in (",", "}") or sep == "," and not members or "trajectories" in members:
+    if sep not in (",", "}") or sep == "," and not members or members.keys() & head.keys():
         raise ValueError("bad members after the trajectories")
-    obj.update(members)
-    return obj
+
+
+class _Declined(Exception):
+    """A ``_DatasetStream`` declined the file named by its one argument: the
+    file is read whole by the list path, and the command runs again from its
+    start."""
+
+
+def _dataset_objects(path):
+    """``_read_dataset_json`` of the file ``path``, which is closed when the
+    objects end or are dropped."""
+    with open(path, "rb") as fh:
+        yield from _read_dataset_json(fh)
+
+
+class _DatasetStream:
+    """The dataset in ``path``, read one trajectory at a time.  It has the
+    ``q``, ``m``, ``n`` and ``k`` of a ``Dataset``, the first two from the
+    members before the trajectories and the others from the first
+    trajectory, which opening reads.  ``trajectories`` can be iterated once;
+    ``size`` counts the trajectories read so far, all of them at its end.
+    Each trajectory passes the checks of ``Dataset.from_dict`` and
+    ``Dataset.__init__``.  Any fault (one of those checks, a reader
+    ``ValueError``, a ``q`` or ``m`` missing before the trajectories, no
+    trajectory) raises ``_Declined`` instead of a message of its own."""
+
+    def __init__(self, path):
+        self.path, self.size = path, 1
+        self._objects = _dataset_objects(path)
+        try:
+            head = next(self._objects)
+            self.q, self.m = json_int(head, "q"), json_int(head, "m")
+            if not 0 <= self.q < self.m:
+                raise ValueError("need 0 <= q < m")
+            self._first = Trajectory.from_dict(next(self._objects))
+            self.n, self.k = self._first.n, self._first.k
+            _check_trajectory(0, self._first, self.n, self.k, self.m)
+        except (ValueError, TypeError, StopIteration):
+            self._decline(self._objects)
+
+    def _decline(self, objects):
+        objects.close()
+        raise _Declined(self.path) from None
+
+    @property
+    def trajectories(self):
+        if self._objects is None:
+            raise RuntimeError(f"the dataset stream of {self.path} is read once")
+        objects, self._objects = self._objects, None
+        return self._checked(objects)
+
+    def _checked(self, objects):
+        traj, self._first = self._first, None
+        yield traj
+        try:
+            for obj in objects:
+                traj = Trajectory.from_dict(obj)
+                _check_trajectory(self.size, traj, self.n, self.k, self.m)
+                self.size += 1
+                yield traj
+        except (ValueError, TypeError):
+            self._decline(objects)
+
+
+def _open_dataset(args, path) -> _DatasetStream | Dataset:
+    """The dataset in ``path``: a ``_DatasetStream``, or the ``Dataset`` the
+    list path read after a stream declined the file."""
+    return args.whole[path] if path in args.whole else _DatasetStream(path)
 
 
 def _load_dataset(path) -> Dataset:
-    """The dataset in ``path``, read one trajectory's text at a time by
-    ``_read_dataset_json``.  A file that reader rejects is read again whole,
-    as lists: that raises the error (with its line number) that ``json.load``
-    gives, or parses the layouts the reader does not take (a top level that
-    is not an object, a trajectory holding ``true``, ``false`` or a ``}`` of
-    its own, a second ``trajectories`` member)."""
+    """The whole dataset in ``path``, read by ``_DatasetStream``, or by the
+    list path when the stream declines the file: that raises the error (with
+    its line number) that ``json.load`` gives, or parses the layouts the
+    stream does not take."""
     try:
-        with open(path, "rb") as fh:
-            obj = _read_dataset_json(fh)
-    except ValueError:
+        stream = _DatasetStream(path)
+        return Dataset(stream.trajectories, stream.q, stream.m)
+    except _Declined:
         return _parse_file(path, Dataset.from_dict)
-    return _parse(path, Dataset.from_dict, obj)
 
 
 def _load_model(path) -> StateSpaceModel:
@@ -363,7 +430,7 @@ def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
 
 
 def cmd_fit(args) -> int:
-    train = _load_dataset(args.train)
+    train = _open_dataset(args, args.train)
     spec = _constraint_spec_from_args(args, train)
     try:
         theta0 = default_initial_point(train.n, train.k, train.m, train.q, spec.on_D.Q)
@@ -384,19 +451,20 @@ def cmd_fit(args) -> int:
 def cmd_dmdc(args) -> int:
     if args.rank is not None and args.scan_csv:
         raise ConfigError("--scan-csv needs the rank scan, which --rank skips")
-    train = _load_dataset(args.train)
-    if not args.pooled:
+    train = _open_dataset(args, args.train)
+    try:
+        if args.rank is not None:
+            rank, scan = args.rank, None
+            try:
+                A, B = dmdc_fit(train, rank, None if args.pooled else [args.fit_index])
+            except ValueError as exc:  # only an unattainable --rank
+                raise ConfigError(f"--rank: {exc}") from exc
+        else:
+            scan = dmdc_rank_scan(train, fit_index=args.fit_index, pooled=args.pooled)
+            rank, A, B = scan.best_rank, scan.A, scan.B
+    except IndexError:  # no trajectory --fit-index, known once all are read
         _check_index("--fit-index", args.fit_index, train.size)
-    indices = None if args.pooled else [args.fit_index]
-    if args.rank is not None:
-        rank, scan = args.rank, None
-        try:
-            A, B = dmdc_fit(train, rank, indices)
-        except ValueError as exc:  # only an unattainable --rank
-            raise ConfigError(f"--rank: {exc}") from exc
-    else:
-        scan = dmdc_rank_scan(train, fit_index=args.fit_index, pooled=args.pooled)
-        rank, A, B = scan.best_rank, scan.A, scan.B
+        raise
     _dump_json(args.out, as_model(A, B, train.m).to_dict())
     if args.scan_csv:
         with open(args.scan_csv, "w", encoding="utf-8", newline="") as fh:
@@ -423,7 +491,7 @@ def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
     input counts must agree.  The kernel's ``m`` need not be the dataset's:
     ``_predict`` runs the recursion, which reads only the kernel's ``q`` and
     ``coeffs``, so a model runs on data of any length."""
-    model, data = _load_model(args.model), _load_dataset(args.dataset)
+    model, data = _load_model(args.model), _open_dataset(args, args.dataset)
     if (model.n, model.k) != (data.n, data.k):
         raise ConfigError(
             f"{args.model}: model (n, k) = {(model.n, model.k)} does not match "
@@ -453,6 +521,8 @@ def cmd_evaluate(args) -> int:
         err = relative_error(pred.states, truth, first=q + 1)
         row = {"trajectory": i, "rel_error": err}
         if args.energy:
+            if i == 0:
+                e0 = float(traj.states[:, 0].sum())
             dev = energy_deviation(pred, Trajectory(truth, traj.inputs[:, : data.m]))
             row["max_abs_denergy"] = float(np.max(np.abs(dev)))
             energy_max = max(energy_max, row["max_abs_denergy"])
@@ -475,7 +545,6 @@ def cmd_evaluate(args) -> int:
         "trajectories": len(rows),
     }
     if args.energy:
-        e0 = float(data.trajectories[0].states[:, 0].sum())
         aggregate["max_energy_deviation"] = _finite_or_none(energy_max)
         # undefined for a zero-energy start
         aggregate["max_energy_deviation_rel"] = (
@@ -512,6 +581,16 @@ def _read_csv_series(path, x_col, y_col):
     return xs, ys
 
 
+def _trajectory_at(data, index: int) -> Trajectory | None:
+    """Trajectory ``index`` of ``data``, or ``None`` when there is none,
+    after every trajectory is read."""
+    kept = None
+    for i, traj in enumerate(data.trajectories):
+        if i == index:
+            kept = traj
+    return kept
+
+
 def cmd_plot(args) -> int:
     if args.kind == "curve":
         if not args.inputs:
@@ -526,8 +605,10 @@ def cmd_plot(args) -> int:
         for flag, path in (("--truth", args.truth), ("--pred", args.pred)):
             if path is None:
                 raise ConfigError(f"plot traces: need {flag} DATASET")
-        truth = _load_dataset(args.truth)
-        pred = _load_dataset(args.pred)
+        truth = _open_dataset(args, args.truth)
+        t_traj = _trajectory_at(truth, args.traj)
+        pred = _open_dataset(args, args.pred)
+        p_traj = _trajectory_at(pred, args.traj)
         _check_index("--traj", args.traj, min(truth.size, pred.size))
         n_cells = min(truth.n, pred.n)
         try:
@@ -539,8 +620,8 @@ def cmd_plot(args) -> int:
             raise ConfigError("plot traces: --cells is empty")
         for c in cells:
             _check_index("--cells entry", c, n_cells)
-        t_states = truth.trajectories[args.traj].states[:, : truth.m + 1]
-        p_states = pred.trajectories[args.traj].states[:, : truth.m + 1]
+        t_states = t_traj.states[:, : truth.m + 1]
+        p_states = p_traj.states[:, : truth.m + 1]
         ts = list(range(truth.m + 1))
         panels = [(f"cell {c}", [("truth", ts, t_states[c].tolist()),
                                  ("model", ts, p_states[c].tolist(), True)])
@@ -659,11 +740,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.whole = {}  # path -> the list path's Dataset, for files a stream declined
     try:
         # a diverging model is reported by the one error line below, or as
         # null in a report, not by numpy's warnings as well
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            while True:
+                try:
+                    return args.func(args)
+                except _Declined as exc:  # run again from the start, that file read whole
+                    path, = exc.args
+                    args.whole[path] = _parse_file(path, Dataset.from_dict)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,16 +22,8 @@ class Dataset:
             raise ValueError("a dataset needs at least one trajectory")
         if not 0 <= self.q < self.m:
             raise ValueError(f"need 0 <= q < m, got q={self.q}, m={self.m}")
-        n, k, m = self.n, self.k, self.m
         for i, traj in enumerate(self.trajectories):
-            if (traj.n, traj.k) != (n, k):
-                raise ValueError(
-                    f"trajectory {i} has shape ({traj.n}, {traj.k}), expected ({n}, {k})"
-                )
-            if traj.length < m:
-                raise ValueError(
-                    f"trajectory {i} has {traj.length + 1} states but m={m} needs {m + 1}"
-                )
+            _check_trajectory(i, traj, self.n, self.k, self.m)
 
     @property
     def matrices(self) -> tuple[DataMatrices, ...]:
@@ -71,6 +63,15 @@ class Dataset:
             except ValueError as exc:
                 raise ValueError(f"trajectory {i}: {exc}") from exc
         return cls(trajs, q, m)
+
+
+def _check_trajectory(i: int, traj: Trajectory, n: int, k: int, m: int):
+    """Raise ``ValueError`` naming trajectory ``i`` unless it has ``n``
+    states, ``k`` inputs and at least ``m + 1`` states in time."""
+    if (traj.n, traj.k) != (n, k):
+        raise ValueError(f"trajectory {i} has shape ({traj.n}, {traj.k}), expected ({n}, {k})")
+    if traj.length < m:
+        raise ValueError(f"trajectory {i} has {traj.length + 1} states but m={m} needs {m + 1}")
 
 
 @dataclass(frozen=True, eq=False)

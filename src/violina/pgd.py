@@ -150,6 +150,9 @@ def _coordinates(cset, shape):
 def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitReport:
     """Fit the parameter triple to the dataset by projected gradient descent.
 
+    ``data.trajectories`` is read once, in order, when the engine
+    accumulates its Gram blocks, so ``data`` may be a one-pass stream.
+
     Raises :class:`SolverError` on non-finite losses (a stepsize so large
     that a trial point overflows, say) or when backtracking underflows
     (more than 200 divisions in one outer step, which signals an inconsistent

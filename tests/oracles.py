@@ -304,7 +304,8 @@ def literal_rank_scan(train, fit_index=0, pooled=False):
     the truncated ``(A, B)`` re-simulates each train trajectory through
     ``StateSpaceModel.simulate``.  Returns the ranks, their mean relative
     errors and the singular values of the stacked ``[X; U]``."""
-    svd = _StackSvd(train, None if pooled else [fit_index])
+    svd = _StackSvd(train.trajectories if pooled else [train.trajectories[fit_index]],
+                    train.m)
     ranks, errors = [], []
     for r in range(1, svd.rank + 1):
         A, B = svd.solve(r)
@@ -526,7 +527,8 @@ def hankel_companion(model):
 
 def attainable_rank(data, indices=None):
     """Numerical rank of the stacked ``[X; U]`` matrix."""
-    return _StackSvd(data, indices).rank
+    trajs = data.trajectories if indices is None else [data.trajectories[i] for i in indices]
+    return _StackSvd(trajs, data.m).rank
 
 
 def project_params(theta, spec):

@@ -541,7 +541,7 @@ def _chunk_inside(needle, offset):
 
 
 @pytest.mark.parametrize("make, streams", [
-    (_trajectories_first, True),
+    (_trajectories_first, False),
     (lambda text, d: json.dumps(d, indent=1), True),
     (_escaped_key, True),
     (_brackets_in_strings, False),
@@ -563,8 +563,9 @@ def _chunk_inside(needle, offset):
 def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, monkeypatch,
                                                 make, streams):
     """The chunked reader takes these layouts of valid JSON without reading
-    the whole file, and a trajectory holding a ``}`` of its own or a second
-    ``trajectories`` member (``streams`` false) is read whole by the list
+    the whole file, and a trajectory holding a ``}`` of its own, a second
+    ``trajectories`` member or ``q`` and ``m`` after the array, which the
+    stream needs before it (``streams`` false), is read whole by the list
     path; on invalid JSON the CLI exits as the list path does, line number
     included."""
     import violina.cli as cli
@@ -577,20 +578,28 @@ def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, mon
     path = tmp_path / "layout.json"
     path.write_text(text)
     expected_rc, expected_err, listed = _list_path(path)
-    chunked = []  # what the chunked reader returned
+    yielded = []  # the objects the chunked reader yielded, then "end" if it ended
     read = cli._read_dataset_json
-    monkeypatch.setattr(cli, "_read_dataset_json",
-                        lambda fh: chunked.append(read(fh)) or chunked[-1])
+
+    def traced(fh):
+        for obj in read(fh):
+            yielded.append(obj)
+            yield obj
+        yielded.append("end")
+    monkeypatch.setattr(cli, "_read_dataset_json", traced)
     rc = main(["--quiet", "evaluate", "--model", str(suite_dir / "markov_model.json"),
                "--dataset", str(path), "--report", str(tmp_path / "r.csv")])
     assert (rc, capsys.readouterr().err) == (expected_rc, expected_err)
     try:
         whole = json.loads(text, object_hook=cli._trajectory_arrays)
     except json.JSONDecodeError:
-        assert not chunked
+        assert yielded[-1:] != ["end"]
     else:
         def dump(obj):
             return json.dumps(obj, default=lambda a: [str(a.dtype), a.shape, a.tolist()])
+        # the head, its trajectories filled in, when the reader read to the end
+        chunked = ([dict(yielded[0], trajectories=yielded[1:-1])]
+                   if yielded[-1:] == ["end"] else [])
         assert [dump(c) for c in chunked] == ([dump(whole)] if streams else [])
     if listed is not None:
         for a, b in zip(cli._load_dataset(path).trajectories, listed.trajectories,
@@ -660,6 +669,134 @@ def test_dataset_reader_peak_holds_one_trajectory(desk_files, tmp_path):
             tracemalloc.stop()
         arrays = sum(t.states.nbytes + t.inputs.nbytes for t in data.trajectories)
         assert peak <= arrays + 4 * largest + _CHUNK, path.name
+
+
+@pytest.fixture(scope="module")
+def copies_files(tmp_path_factory):
+    """The desk nonmarkov model, and datasets of 4 and 16 copies of its
+    first train trajectory."""
+    from violina import BenchmarkConfig, build_benchmark_suite
+    from violina.cli import _dump_dataset, _dump_json
+
+    system = build_benchmark_suite(BenchmarkConfig.desk_scale()).nonmarkov
+    traj = system.train.trajectories[0]
+    out = tmp_path_factory.mktemp("copies")
+    _dump_json(out / "model.json", system.model.to_dict())
+    for name, copies in (("few", 4), ("many", 16)):
+        _dump_dataset(out / f"{name}.json", [traj] * copies, system.train.q, system.train.m)
+    return out, traj
+
+
+def _command(name, out, dataset):
+    """The arguments of command ``name`` reading ``dataset``."""
+    model = str(out / "model.json")
+    return ["--quiet", *{
+        "fit": ["fit", "--train", dataset, "--constraints", "free", "--steps", "3",
+                "--out", str(out / "fit.json")],
+        "evaluate": ["evaluate", "--model", model, "--dataset", dataset, "--energy",
+                     "--report", str(out / "report.csv")],
+        "simulate": ["simulate", "--model", model, "--dataset", dataset,
+                     "--out", str(out / "sim.json")],
+        "plot": ["plot", "--kind", "traces", "--truth", dataset, "--pred", dataset,
+                 "--traj", "1", "--out", str(out / "traces.svg")],
+        "dmdc": ["dmdc", "--train", dataset, "--scan-csv", str(out / "scan.csv"),
+                 "--out", str(out / "dmdc.json")],
+    }[name]]
+
+
+def _main_peaks(name, out, monkeypatch):
+    """Traced peaks of command ``name`` on the 4-copy and the 16-copy
+    dataset, read in 16 KiB chunks, after one untraced run that makes the
+    first-call allocations."""
+    import tracemalloc
+
+    import violina.cli as cli
+
+    monkeypatch.setattr(cli, "_CHUNK", 1 << 14)
+    assert main(_command(name, out, str(out / "few.json"))) == 0
+    peaks = []
+    for dataset in ("few", "many"):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(_command(name, out, str(out / f"{dataset}.json"))) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("name", ["fit", "evaluate", "simulate", "plot"])
+def test_commands_hold_one_trajectory_at_a_time(copies_files, monkeypatch, name):
+    """Each trajectory is used and dropped as it is read, so 12 more
+    trajectories (1.2 MB of arrays) move the peak by at most half of one
+    trajectory's arrays (15 KB at most was seen)."""
+    out, traj = copies_files
+    few, many = _main_peaks(name, out, monkeypatch)
+    assert abs(many - few) <= (traj.states.nbytes + traj.inputs.nbytes) / 2, (few, many)
+
+
+def test_dmdc_keeps_states_and_reduced_inputs(copies_files, monkeypatch):
+    """The scan keeps each trajectory's states and its ``m x p`` product
+    ``u_t^T W_u``, not its inputs: 12 more trajectories add at most those
+    bytes, plus one trajectory's arrays."""
+    out, traj = copies_files
+    few, many = _main_peaks("dmdc", out, monkeypatch)
+    m = traj.length
+    p = len((out / "scan.csv").read_text().splitlines()) - 1  # the attainable rank
+    kept = 12 * (traj.states.nbytes + 8 * m * p)
+    assert many - few <= kept + traj.states.nbytes + traj.inputs.nbytes, (few, many)
+
+
+def test_dataset_stream_is_read_once(copies_files):
+    from violina.cli import _DatasetStream
+
+    out, traj = copies_files
+    stream = _DatasetStream(out / "few.json")
+    assert (stream.q, stream.m, stream.n, stream.k) == (2, traj.length, traj.n, traj.k)
+    assert [t.states.tobytes() for t in stream.trajectories] == [traj.states.tobytes()] * 4
+    assert stream.size == 4
+    with pytest.raises(RuntimeError, match="read once"):
+        stream.trajectories
+
+
+def _brace_in_trajectory_1(d):
+    d["trajectories"][1]["label"] = "}"
+    return json.dumps(d)
+
+
+def _second_trajectories_member(d):
+    text = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return text.replace('"trajectories":', '"trajectories":'
+                        + json.dumps(d["trajectories"][::-1]) + ',"trajectories":', 1)
+
+
+@pytest.mark.parametrize("make", [_brace_in_trajectory_1, _second_trajectories_member],
+                         ids=["brace-in-trajectory-1", "two-trajectory-members"])
+def test_declined_file_runs_again_on_the_list_path(suite_dir, tmp_path, make):
+    """A file the stream declines part way through (at trajectory 1, or at
+    the member after the array) gives ``fit``, ``dmdc`` and ``evaluate``
+    the bytes they give on the canonical dump of the list path's dataset."""
+    from violina.cli import _dump_dataset, _parse_file
+
+    path, canonical = tmp_path / "odd.json", tmp_path / "canonical.json"
+    path.write_text(make(json.loads((suite_dir / "markov_train.json").read_text())))
+    _dump_dataset(canonical, _parse_file(path, Dataset.from_dict))
+    outputs = []
+    for dataset in (path, canonical):
+        out = tmp_path / dataset.stem
+        out.mkdir()
+        for argv in (["fit", "--train", dataset, "--mask", suite_dir / "manifest.json",
+                      "--steps", "20", "--out", out / "fit.json", "--curve", out / "curve.csv"],
+                     ["dmdc", "--train", dataset, "--fit-index", "2",
+                      "--scan-csv", out / "scan.csv", "--out", out / "dmdc.json"],
+                     ["evaluate", "--model", out / "dmdc.json", "--dataset", dataset,
+                      "--energy", "--report", out / "report.csv",
+                      "--aggregate", out / "aggregate.json"]):
+            assert main(["--quiet", *map(str, argv)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
