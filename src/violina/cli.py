@@ -242,18 +242,6 @@ def _open_dataset(args, path) -> _DatasetStream | Dataset:
     return args.whole[path] if path in args.whole else _DatasetStream(path)
 
 
-def _load_dataset(path) -> Dataset:
-    """The whole dataset in ``path``, read by ``_DatasetStream``, or by the
-    list path when the stream declines the file: that raises the error (with
-    its line number) that ``json.load`` gives, or parses the layouts the
-    stream does not take."""
-    try:
-        stream = _DatasetStream(path)
-        return Dataset(stream.trajectories, stream.q, stream.m)
-    except _Declined:
-        return _parse_file(path, Dataset.from_dict)
-
-
 def _load_model(path) -> StateSpaceModel:
     return _parse_file(path, StateSpaceModel.from_dict)
 
@@ -451,19 +439,23 @@ def cmd_fit(args) -> int:
 def cmd_dmdc(args) -> int:
     if args.rank is not None and args.scan_csv:
         raise ConfigError("--scan-csv needs the rank scan, which --rank skips")
+    if args.pooled and args.fit_index is not None:
+        raise ConfigError("--fit-index picks the one trajectory to fit, "
+                          "but --pooled fits them all")
+    fit_index = 0 if args.fit_index is None else args.fit_index
     train = _open_dataset(args, args.train)
     try:
         if args.rank is not None:
             rank, scan = args.rank, None
             try:
-                A, B = dmdc_fit(train, rank, None if args.pooled else [args.fit_index])
+                A, B = dmdc_fit(train, rank, None if args.pooled else [fit_index])
             except ValueError as exc:  # only an unattainable --rank
                 raise ConfigError(f"--rank: {exc}") from exc
         else:
-            scan = dmdc_rank_scan(train, fit_index=args.fit_index, pooled=args.pooled)
+            scan = dmdc_rank_scan(train, fit_index=fit_index, pooled=args.pooled)
             rank, A, B = scan.best_rank, scan.A, scan.B
     except IndexError:  # no trajectory --fit-index, known once all are read
-        _check_index("--fit-index", args.fit_index, train.size)
+        _check_index("--fit-index", fit_index, train.size)
         raise
     _dump_json(args.out, as_model(A, B, train.m).to_dict())
     if args.scan_csv:
@@ -692,7 +684,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--rank", type=int, default=None,
                    help="fixed rank (default: scan for the best)")
-    p.add_argument("--fit-index", type=int, default=0)
+    p.add_argument("--fit-index", type=int, default=None,
+                   help="the fit trajectory (default 0); not with --pooled")
     p.add_argument("--pooled", action="store_true")
     p.add_argument("--scan-csv", help="rank-scan CSV output")
     p.add_argument("--out", required=True)

@@ -29,7 +29,9 @@ class _StackSvd:
     def __init__(self, trajectories, m: int):
         X, self.Y, U = _markovian_stack(trajectories, m)
         self.n = X.shape[0]
-        self.W, self.s, self.Vt = np.linalg.svd(np.vstack([X, U]), full_matrices=False)
+        Z = np.vstack([X, U])
+        del X, U  # not held through the factorisation
+        self.W, self.s, self.Vt = np.linalg.svd(Z, full_matrices=False)
         self.rank = int(np.sum(self.s > _RANK_RTOL * self.s[0])) if self.s[0] > 0 else 0
 
     def solve(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,6 +79,76 @@ class RankScanResult:
     B: np.ndarray
 
 
+_BUFFER_MULTIPLE = 4  # a rank chunk's state, at most, in one trajectory's scan arrays
+
+
+class _RankErrors:
+    """Running totals of each rank's relative self-reconstruction error, over
+    the trajectories added so far, under the rank-``r`` models of one SVD.
+
+    With ``[X; U] = W S V^T`` and ``P = Y V S^{-1}``, the rank-``r`` model is
+    ``A_r = P_r W_{n,r}^T``, ``B_r = P_r W_{u,r}^T``, so its states are
+    ``x_t = P_r g_t`` with ``g_t = (W_n^T P)_{rr} g_{t-1} + (W_u^T u_{t-1})_r``
+    and ``g_1 = (W_n^T x_0 + W_u^T u_0)_r``: every rank recurses in ``r``
+    coordinates.
+    """
+
+    def __init__(self, svd: _StackSvd, m: int):
+        self.m, self.n, self.p = m, svd.n, svd.rank
+        self.P = svd.Y @ (svd.Vt[: self.p].T / svd.s[: self.p])
+        self.Wn, self.Wu = svd.W[: self.n, : self.p], svd.W[self.n :, : self.p]
+        self.M = self.Wn.T @ self.P
+        self.totals = [0.0] * self.p
+        self.count = 0
+
+    def add(self, trajectories: list):
+        """Add the errors of ``trajectories``, a list that is emptied once each
+        is reduced to its ``x_0``, its states and its ``u_t^T W_u``.
+
+        The ranks of the batch recurse side by side: rank ``r`` of trajectory
+        ``i`` is column ``(r - lo, i)`` of chunk ``lo..hi``'s ``hi``-row
+        state, whose rows from ``r`` on stay zero, since each step writes
+        only the rows each rank has.  A chunk takes as many ranks as keep its
+        ``m x hi x ranks x batch`` state within ``_BUFFER_MULTIPLE`` times
+        one trajectory's ``m x (n + p)`` scan arrays (its states and
+        ``u_t^T W_u``), and at least one: chunks of one rank are the
+        rank-by-rank recursion batched over the trajectories.
+        """
+        m, n, p = self.m, self.n, self.p
+        inputs, starts, states = [], [], []
+        for traj in trajectories:
+            inputs.append(traj.inputs[:, :m].T @ self.Wu)
+            starts.append(traj.states[:, 0])
+            states.append(traj.states)
+        trajectories.clear()
+        # C[t] holds W_u^T u_t of every trajectory side by side: m x p x batch
+        C = np.stack(inputs, axis=2)
+        del inputs
+        batch = len(states)
+        g1 = self.Wn.T @ np.stack(starts, axis=1) + C[0]
+        width = max(1, _BUFFER_MULTIPLE * (n + p) // max(1, p * batch))  # the m's cancel
+        buffer = np.empty(m * p * min(width, p) * batch)
+        for lo in range(1, p + 1, width):
+            hi = min(lo + width - 1, p)
+            G = buffer[: m * hi * (hi - lo + 1) * batch].reshape(m, hi, -1, batch)
+            cols = G.reshape(m, hi, -1)
+            keep = True  # the rows of each rank: a chunk of one rank has no others
+            if hi > lo:
+                keep = (np.arange(hi)[:, None] < np.arange(lo, hi + 1))[..., None]
+                G[:, lo:] = 0.0  # rank r's rows from r on are never written
+            np.copyto(G[0], g1[:hi, None], where=keep)
+            Mh, MG = self.M[:hi, :hi], np.empty(G.shape[1:])
+            MG_cols = MG.reshape(hi, -1)
+            for last, new, c in zip(cols, G[1:], C[1:, :hi, None]):
+                np.matmul(Mh, last, out=MG_cols)
+                np.add(MG, c, out=new, where=keep)
+            for i, x in enumerate(states):
+                for r in range(lo, hi + 1):
+                    self.totals[r - 1] += relative_error(self.P[:, :r] @ G[:, :r, r - lo, i].T,
+                                                         x[:, 1 : m + 1])
+        self.count += batch
+
+
 def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0,
                    pooled: bool = False) -> RankScanResult:
     """Scan every attainable rank for the best mean self-reconstruction error.
@@ -89,63 +161,35 @@ def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0,
     from the same factorisation.
 
     ``train.trajectories`` is read once, to its end, so ``train`` may be a
-    one-pass stream.  The trajectories before the fit one are kept whole;
-    from the fit one on, each is reduced as it is read to its ``x_0``, its
-    ``u_t^T W_u`` and its states, and its inputs are dropped.  ``pooled``
-    keeps every trajectory, since the SVD needs them all.  A ``fit_index``
-    outside ``[0, size)`` raises ``IndexError``.
-
-    With ``[X; U] = W S V^T`` and ``P = Y V S^{-1}``, the rank-``r`` model is
-    ``A_r = P_r W_{n,r}^T``, ``B_r = P_r W_{u,r}^T``, so its states are
-    ``x_t = P_r g_t`` with ``g_t = (W_n^T P)_{rr} g_{t-1} + (W_u^T u_{t-1})_r``
-    and ``g_1 = (W_n^T x_0 + W_u^T u_0)_r``: every rank recurses in ``r``
-    coordinates, batched over the trajectories.
+    one-pass stream.  The trajectories before the fit one wait for its SVD;
+    from the fit one on, each is scored for every rank as it is read and
+    then dropped, its errors summed into running totals in dataset order.
+    ``pooled`` keeps every trajectory, since the SVD needs them all, and
+    scores them together after it.  A ``fit_index`` outside ``[0, size)``
+    raises ``IndexError``.  No full-state model is simulated: each rank
+    recurses in its ``r`` SVD coordinates (``_RankErrors``).
     """
     m = train.m
     svd = None
     waiting = []  # trajectories read before the SVD exists
-    inputs, starts, states = [], [], []  # per trajectory: u_t^T W_u, x_0, states
-
-    def reduce():
-        Wu = svd.W[svd.n:, :svd.rank]
-        for traj in waiting:
-            inputs.append(traj.inputs[:, :m].T @ Wu)
-            starts.append(traj.states[:, 0])
-            states.append(traj.states)
-        waiting.clear()
-
     for i, traj in enumerate(train.trajectories):
         waiting.append(traj)
         if svd is None and not pooled and i == fit_index:
             svd = _StackSvd(waiting[-1:], m)
+            scan = _RankErrors(svd, m)
         if svd is not None:
-            reduce()
+            while waiting:
+                scan.add([waiting.pop(0)])
     del traj  # the last one's inputs
     if pooled:
         svd = _StackSvd(waiting, m)
-        reduce()
+        scan = _RankErrors(svd, m)
+        scan.add(waiting)
     elif svd is None:
         raise IndexError(f"fit_index {fit_index} outside the valid range [0, {len(waiting)})")
     if svd.rank < 1:
         raise ValueError("fitting data has rank zero")
-    n, p = svd.n, svd.rank
-    P = svd.Y @ (svd.Vt[:p].T / svd.s[:p])
-    Wn = svd.W[:n, :p]
-    M = Wn.T @ P
-    # C[t] holds W_u^T u_t of every trajectory side by side: m x p x N
-    C = np.stack(inputs, axis=2)
-    g1 = Wn.T @ np.stack(starts, axis=1) + C[0]
-    G = np.empty_like(C)
-    errors = []
-    for r in range(1, p + 1):
-        Mr = M[:r, :r]
-        G[0, :r] = g1[:r]
-        for t in range(1, m):
-            np.matmul(Mr, G[t - 1, :r], out=G[t, :r])
-            G[t, :r] += C[t, :r]
-        total = 0.0
-        for i, x in enumerate(states):
-            total += relative_error(P[:, :r] @ G[:, :r, i].T, x[:, 1 : m + 1])
-        errors.append(total / len(states))
+    errors = [total / scan.count for total in scan.totals]
     best = int(np.argmin(errors)) + 1
-    return RankScanResult(best, tuple(range(1, p + 1)), tuple(errors), *svd.solve(best))
+    return RankScanResult(best, tuple(range(1, svd.rank + 1)), tuple(errors),
+                          *svd.solve(best))

@@ -15,6 +15,20 @@ TINY = {"Lx": 5, "Ly": 2, "m": 30, "seed": 13, "q": 2, "Q": 3,
         "coeffs": [0.03, -0.01], "w0": 0.5, "w1": 1.5}
 
 
+def _load_dataset(path) -> Dataset:
+    """The whole dataset in ``path``, read by the CLI's ``_DatasetStream``, or
+    by its list path when the stream declines the file: that raises the
+    error (with its line number) that ``json.load`` gives, or parses the
+    layouts the stream does not take."""
+    from violina import cli
+
+    try:
+        stream = cli._DatasetStream(path)
+        return Dataset(stream.trajectories, stream.q, stream.m)
+    except cli._Declined:
+        return cli._parse_file(path, Dataset.from_dict)
+
+
 @pytest.fixture
 def suite_dir(tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -416,8 +430,6 @@ def desk_files(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", ["train", "test"])
 def test_dataset_reader_matches_list_path(desk_files, kind):
-    from violina.cli import _load_dataset
-
     path = desk_files / f"{kind}.json"
     read = _load_dataset(path).trajectories
     listed = Dataset.from_dict(json.loads(path.read_text())).trajectories
@@ -431,8 +443,6 @@ def test_dataset_reader_peak_memory(desk_files):
     """The reader holds at most one trajectory's lists: its peak is the text
     read before parsing (bytes and str), not the whole dataset as floats."""
     import tracemalloc
-
-    from violina.cli import _load_dataset
 
     path = desk_files / "train.json"
     tracemalloc.start()
@@ -602,7 +612,7 @@ def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, mon
                    if yielded[-1:] == ["end"] else [])
         assert [dump(c) for c in chunked] == ([dump(whole)] if streams else [])
     if listed is not None:
-        for a, b in zip(cli._load_dataset(path).trajectories, listed.trajectories,
+        for a, b in zip(_load_dataset(path).trajectories, listed.trajectories,
                         strict=True):
             assert a.states.tobytes() == b.states.tobytes()
             assert a.inputs.tobytes() == b.inputs.tobytes()
@@ -639,7 +649,7 @@ def test_dataset_reader_matches_list_path_on_edited_text(tmp_path, monkeypatch):
                                + text[k:]])
         path.write_text(text, encoding="utf-8")
         monkeypatch.setattr(cli, "_CHUNK", rng.choice([1, 2, 3, 7, 64, 1 << 20]))
-        assert outcome(lambda: cli._load_dataset(path)) == \
+        assert outcome(lambda: _load_dataset(path)) == \
             outcome(lambda: cli._parse_file(path, Dataset.from_dict)), text
 
 
@@ -649,7 +659,7 @@ def test_dataset_reader_peak_holds_one_trajectory(desk_files, tmp_path):
     and on an ``indent=1`` re-dump of it."""
     import tracemalloc
 
-    from violina.cli import _CHUNK, _load_dataset
+    from violina.cli import _CHUNK
 
     path = desk_files / "train.json"
     listed = json.loads(path.read_text())["trajectories"]
@@ -727,7 +737,7 @@ def _main_peaks(name, out, monkeypatch):
     return peaks
 
 
-@pytest.mark.parametrize("name", ["fit", "evaluate", "simulate", "plot"])
+@pytest.mark.parametrize("name", ["fit", "dmdc", "evaluate", "simulate", "plot"])
 def test_commands_hold_one_trajectory_at_a_time(copies_files, monkeypatch, name):
     """Each trajectory is used and dropped as it is read, so 12 more
     trajectories (1.2 MB of arrays) move the peak by at most half of one
@@ -1252,6 +1262,18 @@ def test_dmdc_fit_index_out_of_range_exit_2(suite_dir, tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [["--fit-index", "99"], ["--fit-index", "-3", "--rank", "1"],
+                                   ["--fit-index", "0"]], ids=["99", "-3-fixed-rank", "0"])
+def test_dmdc_fit_index_with_pooled_exit_2(suite_dir, tmp_path, capsys, extra):
+    out = tmp_path / "dmdc.json"
+    rc = main(["--quiet", "dmdc", "--train", str(suite_dir / "markov_train.json"),
+               "--out", str(out), "--pooled", *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--fit-index" in err and "--pooled" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rank", ["0", "99"], ids=["rank=0", "rank=99"])
 @pytest.mark.parametrize("pooled", [[], ["--pooled"]], ids=["single", "pooled"])
 def test_dmdc_rank_out_of_range_exit_2(suite_dir, tmp_path, capsys, rank, pooled):
@@ -1310,7 +1332,8 @@ done = []
 for name, argv in json.loads(sys.argv[1]):
     assert violina.cli.main(argv) == 0, name
     done.append(name)
-train = violina.cli._load_dataset(sys.argv[2])
+stream = violina.cli._DatasetStream(sys.argv[2])
+train = violina.Dataset(stream.trajectories, stream.q, stream.m)
 assert train.q > 0
 for mode in ("full", "fixed_d"):
     violina.uniqueness_certificate(train, mode=mode)

@@ -124,6 +124,43 @@ def test_rank_scan_matches_separate_fits_on_desk_suite(monkeypatch):
     assert dmdc_rank_scan(suite.nonmarkov.train, pooled=True).best_rank == scan.best_rank
 
 
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_rank_scan_matches_oracle_with_later_fit_index(where):
+    """The trajectories before ``fit_index`` wait for its SVD, then are scored
+    in dataset order like the ones after it."""
+    suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
+    for system in (suite.markov, suite.nonmarkov):
+        fit_index = system.train.size // 2 if where == "middle" else system.train.size - 1
+        for pooled in (False, True):
+            scan, _ = assert_scan_matches_oracle(system.train, fit_index, pooled)
+            assert scan.ranks == tuple(range(1, attainable_rank(
+                system.train, None if pooled else [fit_index]) + 1))
+
+
+def test_rank_scan_chunks_its_ranks(rng):
+    """One trajectory with ``k > n`` attains rank ``p = n + k = 44``.  The
+    scan's traced peak stays within 10 times the trajectory's arrays (6.9
+    was seen), where an unchunked ``m x p x p`` state buffer alone is 44
+    times them."""
+    import tracemalloc
+
+    n, k, m = 4, 40, 200
+    truth = random_stable_model(rng, n=n, k=k, m=m, q=0, Q=1)
+    train = simulated_dataset(rng, truth, m, N=1, zero_initial=False)
+    traj = train.trajectories[0]
+    scan, _ = assert_scan_matches_oracle(train)  # also makes the first-call allocations
+    assert scan.ranks[-1] == n + k
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dmdc_rank_scan(train)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * (traj.states.nbytes + traj.inputs.nbytes), peak
+
+
 def _zero_trajectory_dataset(rng):
     truth = random_stable_model(rng, n=3, k=2, m=20, q=0, Q=1)
     data = simulated_dataset(rng, truth, 20, N=2, zero_initial=False)
