@@ -132,7 +132,7 @@ class _RankErrors:
             hi = min(lo + width - 1, p)
             G = buffer[: m * hi * (hi - lo + 1) * batch].reshape(m, hi, -1, batch)
             cols = G.reshape(m, hi, -1)
-            keep = True  # the rows of each rank: a chunk of one rank has no others
+            keep = True  # the rows each column's rank has: all of them in a one-rank chunk
             if hi > lo:
                 keep = (np.arange(hi)[:, None] < np.arange(lo, hi + 1))[..., None]
                 G[:, lo:] = 0.0  # rank r's rows from r on are never written
