@@ -12,7 +12,6 @@ import csv
 import itertools
 import json
 import os
-import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -93,23 +92,23 @@ def _trajectory_arrays(obj: dict) -> dict:
 
 
 _CHUNK = 1 << 20  # bytes of dataset text read at a time
-_JSON_SPACE = re.compile(rb"[ \t\n\r]*")
+_HEAD_END = b'"trajectories":['  # as _dump_dataset writes it
 
 
 def _read_dataset_json(fh):
     """Yield the JSON objects of the dataset in the binary file ``fh``,
-    holding one trajectory's text at a time: first the members before
-    ``trajectories``, with ``trajectories`` as an empty list, then each
-    element of ``trajectories``.  A trajectory whose members are arrays of
-    numbers holds no ``}`` of its own, so each element is decoded alone from
-    the text up to its first ``}``.  After the last element the members after
-    the array are decoded as one object and checked.  Every object goes
-    through ``_trajectory_arrays``.  UTF-8 puts no ASCII byte inside a
-    multi-byte character, so the byte searches are exact; each resumes where
-    the last one stopped.  Text ``json.load`` rejects, a trajectory holding
-    ``true``, ``false`` or a ``}`` of its own, and a member after the array
-    that repeats one before it (a second ``trajectories``, say) raise
-    ``ValueError``, the last of them after every trajectory is yielded."""
+    holding one trajectory's text at a time, when the file has the layout
+    ``_dump_dataset`` writes: first the members before the first
+    ``"trajectories":[``, with ``trajectories`` as an empty list, then each
+    element of the array.  A trajectory whose members are arrays of numbers
+    holds no ``}`` of its own, so each element is decoded alone from the
+    text up to its first ``}``, and a bare ``,`` or ``]`` follows it; after
+    the ``]`` come a ``}`` and only whitespace.  Every object goes through
+    ``_trajectory_arrays``.  UTF-8 puts no ASCII byte inside a multi-byte
+    character, so the byte searches are exact; each resumes where the last
+    one stopped.  Any other layout, text ``json.load`` rejects and a
+    trajectory holding ``true``, ``false`` or a ``}`` of its own raise
+    ``ValueError``, some of them after every trajectory is yielded."""
     decode = json.JSONDecoder(object_hook=_trajectory_arrays).decode
     buf = bytearray()
 
@@ -118,36 +117,24 @@ def _read_dataset_json(fh):
             raise ValueError("the text ends early")
         buf.extend(chunk)
 
-    def find(sub: bytes, i: int) -> int:
-        """The index of the first ``sub`` at or after ``i``."""
+    def find(sub: bytes) -> int:
+        """The index of the first ``sub`` in ``buf``."""
+        i = 0
         while (j := buf.find(sub, i)) < 0:
             i = max(i, len(buf) - len(sub) + 1)
             fill()
         return j
 
-    def char(i: int) -> int:
-        """The index of the first byte at or after ``i`` that is not JSON
-        whitespace."""
-        while (i := _JSON_SPACE.match(buf, i).end()) == len(buf):
-            fill()
-        return i
-
-    i = 0
-    while True:  # '"trajectories" : [', unless a backslash escapes its first quote
-        k = find(b'"trajectories"', i)
-        i = char(k + len(b'"trajectories"'))
-        if buf[k - 1:k] != b"\\" and buf[i] == ord(":"):
-            i = char(i + 1)
-            if buf[i] == ord("["):
-                break
+    i = find(_HEAD_END) + len(_HEAD_END)
     # a match inside a string or a nested object fails this decode
-    head = decode(buf[:i + 1].decode("utf-8") + "]}")
-    del buf[:i + 1]
+    head = decode(buf[:i].decode("utf-8") + "]}")
+    del buf[:i]
     yield head
-    i = char(0)
-    if buf[i] != ord("]"):
+    if not buf:
+        fill()
+    if buf[0] != ord("]"):
         while True:  # buf starts after the '[' or ',' before a trajectory
-            end = find(b"}", i) + 1
+            end = find(b"}") + 1
             with memoryview(buf) as view:  # released before buf is resized
                 text = str(view[:end], "utf-8")
             del buf[:end]
@@ -160,18 +147,13 @@ def _read_dataset_json(fh):
             del text  # before the consumer works on the trajectory
             yield obj
             del obj  # before the next trajectory's text is read
-            i = char(0)
-            if buf[i] != ord(","):
+            if not buf:
+                fill()
+            if buf[0] != ord(","):
                 break
-            del buf[:i + 1]
-            i = 0
-    if buf[i] != ord("]"):
-        raise ValueError("expected ',' or ']'")
-    rest = (buf[i + 1:] + fh.read()).decode("utf-8").lstrip(" \t\n\r")
-    sep, rest = rest[:1], rest[1:]  # '}', or ',' and one member at least
-    members = decode("{" + rest if sep == "," else "{}" + rest)
-    if sep not in (",", "}") or sep == "," and not members or members.keys() & head.keys():
-        raise ValueError("bad members after the trajectories")
+            del buf[:1]
+    if buf[0] != ord("]") or (buf[1:] + fh.read()).rstrip(b" \t\n\r") != b"}":
+        raise ValueError("expected ',' or ']}' and the end of the text")
 
 
 class _Declined(Exception):
@@ -242,14 +224,6 @@ def _open_dataset(args, path) -> _DatasetStream | Dataset:
     return args.whole[path] if path in args.whole else _DatasetStream(path)
 
 
-def _load_model(path) -> StateSpaceModel:
-    return _parse_file(path, StateSpaceModel.from_dict)
-
-
-def _parse_mask(manifest) -> np.ndarray:
-    return json_floats(manifest, "mask", 2) != 0
-
-
 def _check_index(flag: str, value: int, size: int):
     if not 0 <= value < size:
         raise ConfigError(f"{flag} {value} outside the valid range [0, {size})")
@@ -268,19 +242,16 @@ def _finite_or_none(x: float) -> float | None:
     return float(x) if np.isfinite(x) else None
 
 
-def _dump_dataset(path, trajectories, q: int | None = None, m: int | None = None,
-                  where: str = "") -> int:
-    """Write a dataset of ``trajectories``, any iterable of them with ``q``
-    and ``m`` or a ``Dataset``, which gives all three, and return how many
-    were written.  The bytes are ``_dump_json``'s of the dataset's
-    ``to_dict()``, but each trajectory is checked and written before the
-    next is taken, and each of its arrays is one call of the C encoder
-    (``json.dump`` would stream through the pure-Python one), so only one
-    array's lists and text are alive at a time.  States that are not all
-    finite raise ``ValueError`` naming the trajectory after the prefix
-    ``where``, and so does any other non-finite value."""
-    if isinstance(trajectories, Dataset):
-        trajectories, q, m = trajectories.trajectories, trajectories.q, trajectories.m
+def _dump_dataset(path, trajectories, q: int, m: int, where: str = "") -> int:
+    """Write a dataset of ``trajectories``, any iterable of them, with ``q``
+    and ``m``, and return how many were written.  The bytes are
+    ``_dump_json``'s of the dataset's ``to_dict()``, but each trajectory is
+    checked and written before the next is taken, and each of its arrays is
+    one call of the C encoder (``json.dump`` would stream through the
+    pure-Python one), so only one array's lists and text are alive at a
+    time.  States that are not all finite raise ``ValueError`` naming the
+    trajectory after the prefix ``where``, and so does any other non-finite
+    value."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
     i = -1
     with open(path, "w", encoding="utf-8") as fh:
@@ -401,7 +372,7 @@ def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
         return ConstraintSpec(FullSpace(), FullSpace(), on_D)
     if not args.mask:
         raise ConfigError(f"constraints {args.constraints!r} need --mask MANIFEST")
-    mask = _parse_file(args.mask, _parse_mask)
+    mask = _parse_file(args.mask, lambda manifest: json_floats(manifest, "mask", 2) != 0)
     if mask.shape != (train.n, train.n):
         raise ConfigError(
             f"{args.mask}: mask shape {mask.shape} does not match state dimension {train.n}"
@@ -410,8 +381,7 @@ def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
         if args.constraints == "a1b":
             on_A = SymmetricMaskedNonneg(mask)
         else:
-            shift = "identity" if args.laplacian_shift == "identity" else "zero"
-            on_A = ShiftedGraphLaplacian(mask, shift=shift)
+            on_A = ShiftedGraphLaplacian(mask, shift=args.laplacian_shift)
     except ValueError as exc:
         raise ConfigError(f"{args.mask}: {exc}") from exc
     return ConstraintSpec(on_A, NonnegativeDiagonal(), on_D)
@@ -483,7 +453,8 @@ def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
     input counts must agree.  The kernel's ``m`` need not be the dataset's:
     ``_predict`` runs the recursion, which reads only the kernel's ``q`` and
     ``coeffs``, so a model runs on data of any length."""
-    model, data = _load_model(args.model), _open_dataset(args, args.dataset)
+    model = _parse_file(args.model, StateSpaceModel.from_dict)
+    data = _open_dataset(args, args.dataset)
     if (model.n, model.k) != (data.n, data.k):
         raise ConfigError(
             f"{args.model}: model (n, k) = {(model.n, model.k)} does not match "

@@ -123,12 +123,6 @@ def _residual(theta: StateSpaceModel, mat: DataMatrices) -> np.ndarray:
     return apply_kernel(mat.Y, theta.kernel) - theta.A @ mat.X - theta.B @ mat.U
 
 
-def residuals(theta: StateSpaceModel, data: Dataset) -> list[np.ndarray]:
-    """Per-trajectory residuals ``E = Y D - (A X + B U)`` in dataset order."""
-    _check_shapes(theta, data)
-    return [_residual(theta, mat) for mat in _matrices(data)]
-
-
 def loss(theta: StateSpaceModel, data: Dataset) -> float:
     """Sum of squared Frobenius norms of the residuals, in fixed order."""
     _check_shapes(theta, data)

@@ -424,7 +424,8 @@ def desk_files(tmp_path_factory):
     system = build_benchmark_suite(BenchmarkConfig.desk_scale()).nonmarkov
     out = tmp_path_factory.mktemp("desk")
     for kind in ("train", "test"):
-        _dump_dataset(out / f"{kind}.json", getattr(system, kind))
+        data = getattr(system, kind)
+        _dump_dataset(out / f"{kind}.json", data.trajectories, data.q, data.m)
     return out
 
 
@@ -527,6 +528,11 @@ def _brackets_in_strings(text, d):
     return json.dumps(d, indent=1)
 
 
+def _brace_in_trajectory_1_compact(text, d):
+    d["trajectories"][1]["label"] = "}"
+    return json.dumps(d, separators=(",", ":"))
+
+
 def _two_trajectory_keys(text, d):
     first = json.dumps(d["trajectories"][:1])
     return text.replace('"trajectories":', f'"trajectories":{first},"trajectories":', 1)
@@ -552,12 +558,15 @@ def _chunk_inside(needle, offset):
 
 @pytest.mark.parametrize("make, streams", [
     (_trajectories_first, False),
-    (lambda text, d: json.dumps(d, indent=1), True),
+    (lambda text, d: json.dumps(d, indent=1), False),
     (_escaped_key, True),
     (_brackets_in_strings, False),
+    (_brace_in_trajectory_1_compact, False),
     (_two_trajectory_keys, False),
-    (lambda text, d: json.dumps(dict(d, trajectories=[])), True),
+    (lambda text, d: json.dumps(dict(d, trajectories=[])), False),
+    (lambda text, d: json.dumps(dict(d, trajectories=[]), separators=(",", ":")), True),
     (lambda text, d: text + " {}", True),
+    (lambda text, d: text[:-2] + ',"note":0}\n', False),
     (_truncated_in_trajectory_3, True),
     (_late_syntax_error, True),
     (_chunk_inside("e-", 1), True),
@@ -565,19 +574,19 @@ def _chunk_inside(needle, offset):
     (lambda text, d: (_escaped_key(text, d), _escaped_key(text, d).index("\\u0061") + 3), True),
     (lambda text, d: (_brackets_in_strings(text, d), 1), False),
     (lambda text, d: (text, 1), True),
-    (lambda text, d: (json.dumps(d, indent=1), 1), True),
+    (lambda text, d: (json.dumps(d, indent=1), 1), False),
 ], ids=["trajectories-first", "indent-1", "escaped-key", "brackets-in-strings",
-        "two-trajectory-keys", "no-trajectories", "trailing-data", "truncated",
+        "brace-in-trajectory-1-compact", "two-trajectory-keys", "no-trajectories",
+        "no-trajectories-compact", "trailing-data", "member-after-trajectories", "truncated",
         "late-syntax-error", "chunk-in-number", "chunk-in-key", "chunk-in-escape",
         "one-byte-chunks", "one-byte-chunks-canonical", "one-byte-chunks-indent-1"])
 def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, monkeypatch,
                                                 make, streams):
-    """The chunked reader takes these layouts of valid JSON without reading
-    the whole file, and a trajectory holding a ``}`` of its own, a second
-    ``trajectories`` member or ``q`` and ``m`` after the array, which the
-    stream needs before it (``streams`` false), is read whole by the list
-    path; on invalid JSON the CLI exits as the list path does, line number
-    included."""
+    """The chunked reader takes the layout ``_dump_dataset`` writes, in
+    chunks of any size, without reading the whole file; any other layout of
+    valid JSON (``streams`` false) is read whole by the list path, and so is
+    a trajectory holding a ``}`` of its own.  On invalid JSON the CLI exits
+    as the list path does, line number included."""
     import violina.cli as cli
 
     text = (suite_dir / "markov_test.json").read_text()
@@ -629,7 +638,8 @@ def test_dataset_reader_matches_list_path_on_edited_text(tmp_path, monkeypatch):
         {"states": [[0.0, 1.0], [0.5, -2e-5], [1.5, 2.0], [3.0, 4.0]],
          "inputs": [[0.0], [1.0], [0.0]], "label": "r\u00e9"},
         {"inputs": [[1.0], [2.0], [3.0]], "states": [[1, 2], [3, 4], [5, 6], [7, 8]]}]}
-    texts = [json.dumps(base), json.dumps(base, indent=1), json.dumps(base, ensure_ascii=False)]
+    texts = [json.dumps(base), json.dumps(base, indent=1), json.dumps(base, ensure_ascii=False),
+             json.dumps(base, separators=(",", ":"))]
     alphabet = ' \n{}[]",:\\0123456789.-eEtruefalsn\u00e9'
     rng = random.Random(20261018)
     path = tmp_path / "edited.json"
@@ -653,10 +663,9 @@ def test_dataset_reader_matches_list_path_on_edited_text(tmp_path, monkeypatch):
             outcome(lambda: cli._parse_file(path, Dataset.from_dict)), text
 
 
-def test_dataset_reader_peak_holds_one_trajectory(desk_files, tmp_path):
+def test_dataset_reader_peak_holds_one_trajectory(desk_files):
     """Beside the arrays it returns, the reader's peak is at most four times
-    the text of the largest trajectory plus one chunk, on the written layout
-    and on an ``indent=1`` re-dump of it."""
+    the text of the largest trajectory plus one chunk."""
     import tracemalloc
 
     from violina.cli import _CHUNK
@@ -664,21 +673,16 @@ def test_dataset_reader_peak_holds_one_trajectory(desk_files, tmp_path):
     path = desk_files / "train.json"
     listed = json.loads(path.read_text())["trajectories"]
     largest = max(len(json.dumps(t, sort_keys=True, separators=(",", ":"))) for t in listed)
-    indented = tmp_path / "train-indent-1.json"
-    indented.write_text(json.dumps(json.loads(path.read_text()), indent=1))
-    # each trajectory's text in the re-dump ends at its first "}"
-    indented_largest = max(map(len, indented.read_text().split("}")))
-    for path, largest in ((path, largest), (indented, indented_largest)):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            data = _load_dataset(path)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        arrays = sum(t.states.nbytes + t.inputs.nbytes for t in data.trajectories)
-        assert peak <= arrays + 4 * largest + _CHUNK, path.name
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data = _load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    arrays = sum(t.states.nbytes + t.inputs.nbytes for t in data.trajectories)
+    assert peak <= arrays + 4 * largest + _CHUNK, path.name
 
 
 @pytest.fixture(scope="module")
@@ -747,18 +751,6 @@ def test_commands_hold_one_trajectory_at_a_time(copies_files, monkeypatch, name)
     assert abs(many - few) <= (traj.states.nbytes + traj.inputs.nbytes) / 2, (few, many)
 
 
-def test_dmdc_keeps_states_and_reduced_inputs(copies_files, monkeypatch):
-    """The scan keeps each trajectory's states and its ``m x p`` product
-    ``u_t^T W_u``, not its inputs: 12 more trajectories add at most those
-    bytes, plus one trajectory's arrays."""
-    out, traj = copies_files
-    few, many = _main_peaks("dmdc", out, monkeypatch)
-    m = traj.length
-    p = len((out / "scan.csv").read_text().splitlines()) - 1  # the attainable rank
-    kept = 12 * (traj.states.nbytes + 8 * m * p)
-    assert many - few <= kept + traj.states.nbytes + traj.inputs.nbytes, (few, many)
-
-
 def test_dataset_stream_is_read_once(copies_files):
     from violina.cli import _DatasetStream
 
@@ -792,7 +784,8 @@ def test_declined_file_runs_again_on_the_list_path(suite_dir, tmp_path, make):
 
     path, canonical = tmp_path / "odd.json", tmp_path / "canonical.json"
     path.write_text(make(json.loads((suite_dir / "markov_train.json").read_text())))
-    _dump_dataset(canonical, _parse_file(path, Dataset.from_dict))
+    listed = _parse_file(path, Dataset.from_dict)
+    _dump_dataset(canonical, listed.trajectories, listed.q, listed.m)
     outputs = []
     for dataset in (path, canonical):
         out = tmp_path / dataset.stem
@@ -1031,7 +1024,7 @@ def test_dataset_writer_matches_json_dump(tmp_path):
 
     train = build_benchmark_suite(BenchmarkConfig.desk_scale()).nonmarkov.train
     path = tmp_path / "train.json"
-    _dump_dataset(path, train)
+    _dump_dataset(path, train.trajectories, train.q, train.m)
     expected = json.dumps(train.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
 
