@@ -92,14 +92,14 @@ def _trajectory_arrays(obj: dict) -> dict:
 
 
 _CHUNK = 1 << 20  # bytes of dataset text read at a time
-_HEAD_END = b'"trajectories":['  # as _dump_dataset writes it
+_HEAD_END = b',"trajectories":['  # _dump_dataset writes it after q
 
 
 def _read_dataset_json(fh):
     """Yield the JSON objects of the dataset in the binary file ``fh``,
     holding one trajectory's text at a time, when the file has the layout
     ``_dump_dataset`` writes: first the members before the first
-    ``"trajectories":[``, with ``trajectories`` as an empty list, then each
+    ``,"trajectories":[``, with ``trajectories`` as an empty list, then each
     element of the array.  A trajectory whose members are arrays of numbers
     holds no ``}`` of its own, so each element is decoded alone from the
     text up to its first ``}``, and a bare ``,`` or ``]`` follows it; after
@@ -126,7 +126,7 @@ def _read_dataset_json(fh):
         return j
 
     i = find(_HEAD_END) + len(_HEAD_END)
-    # a match inside a string or a nested object fails this decode
+    # the ',' leaves the quote unescaped: a match off the top level fails here
     head = decode(buf[:i].decode("utf-8") + "]}")
     del buf[:i]
     yield head
@@ -255,7 +255,7 @@ def _dump_dataset(path, trajectories, q: int, m: int, where: str = "") -> int:
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
     i = -1
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"m":{encode(m)},"q":{encode(q)},"trajectories":[')
+        fh.write(f'{{"m":{encode(m)},"q":{encode(q)}' + _HEAD_END.decode())
         for i, traj in enumerate(trajectories):
             if not np.all(np.isfinite(traj.states)):
                 raise ValueError(f"{where}trajectory {i}: the simulated states overflow")

@@ -478,26 +478,49 @@ def _set_cell(value):
     (_set_cell(True), "trajectory 1: 'states': true/false is not a number"),
     (lambda d: d["trajectories"][1]["inputs"][2].__setitem__(0, False),
      "trajectory 1: 'inputs': true/false is not a number"),
+    (lambda d: d["trajectories"][1].update(states=[r[:-1] for r in d["trajectories"][1]["states"]]),
+     "trajectory 1 has shape"),
+    (lambda d: d["trajectories"][1].update(states=d["trajectories"][1]["states"][:2],
+                                           inputs=d["trajectories"][1]["inputs"][:1]),
+     "trajectory 1 has 2 states but m="),
 ], ids=["string-cell", "number-string-cell", "number-string-input",
         "string-next-to-null", "null-cell", "object-cell", "too-large-int", "too-large-input",
-        "top-level-states", "trajectory-at-top-level", "bool-cell", "bool-input"])
-def test_dataset_reader_errors_match_list_path(suite_dir, tmp_path, capsys, edit, message):
-    """Each file exits as the list path ``Dataset.from_dict(json.load(...))``
-    parses it: 2 with its message, or 0 when it parses."""
+        "top-level-states", "trajectory-at-top-level", "bool-cell", "bool-input",
+        "narrow-trajectory", "short-trajectory"])
+def test_dataset_reader_errors_match_list_path(suite_dir, tmp_path, capsys, monkeypatch,
+                                              edit, message):
+    """Each file, in ``json.dumps``' default layout and in the compact one
+    the stream reads, exits as the list path
+    ``Dataset.from_dict(json.load(...))`` parses it: 2 with its message, or
+    0 when it parses.  The stream declines a compact file with a fault in
+    trajectory 1 after it has yielded trajectory 0."""
+    import violina.cli as cli
+
     d = json.loads((suite_dir / "markov_test.json").read_text())
     edit(d)
+    yielded = []
+    read = cli._read_dataset_json
+
+    def traced(fh):
+        for obj in read(fh):
+            yielded.append(obj)
+            yield obj
+    monkeypatch.setattr(cli, "_read_dataset_json", traced)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(d))
-    try:
-        Dataset.from_dict(json.loads(path.read_text()))
-        expected = (0, "")
-    except (ValueError, TypeError) as exc:
-        expected = (2, f"error: {path}: {exc}\n")
-    rc = main(["--quiet", "evaluate", "--model", str(suite_dir / "markov_model.json"),
-               "--dataset", str(path), "--report", str(tmp_path / "r.csv")])
-    err = capsys.readouterr().err
-    assert (rc, err) == expected
-    assert (message or "") in err and (rc == 0) == (message is None)
+    for separators in (None, (",", ":")):
+        path.write_text(json.dumps(d, separators=separators))
+        try:
+            Dataset.from_dict(json.loads(path.read_text()))
+            expected = (0, "")
+        except (ValueError, TypeError) as exc:
+            expected = (2, f"error: {path}: {exc}\n")
+        rc = main(["--quiet", "evaluate", "--model", str(suite_dir / "markov_model.json"),
+                   "--dataset", str(path), "--report", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert (rc, err) == expected, separators
+        assert (message or "") in err and (rc == 0) == (message is None)
+    if "trajectory 1" in (message or ""):
+        assert len(yielded) >= 2  # the head and trajectory 0 of the compact file
 
 
 def _list_path(path):
@@ -528,11 +551,6 @@ def _brackets_in_strings(text, d):
     return json.dumps(d, indent=1)
 
 
-def _brace_in_trajectory_1_compact(text, d):
-    d["trajectories"][1]["label"] = "}"
-    return json.dumps(d, separators=(",", ":"))
-
-
 def _two_trajectory_keys(text, d):
     first = json.dumps(d["trajectories"][:1])
     return text.replace('"trajectories":', f'"trajectories":{first},"trajectories":', 1)
@@ -561,12 +579,12 @@ def _chunk_inside(needle, offset):
     (lambda text, d: json.dumps(d, indent=1), False),
     (_escaped_key, True),
     (_brackets_in_strings, False),
-    (_brace_in_trajectory_1_compact, False),
     (_two_trajectory_keys, False),
     (lambda text, d: json.dumps(dict(d, trajectories=[])), False),
     (lambda text, d: json.dumps(dict(d, trajectories=[]), separators=(",", ":")), True),
     (lambda text, d: text + " {}", True),
     (lambda text, d: text[:-2] + ',"note":0}\n', False),
+    (lambda text, d: text.replace(',"trajectories":', ',"x\\"trajectories":', 1), False),
     (_truncated_in_trajectory_3, True),
     (_late_syntax_error, True),
     (_chunk_inside("e-", 1), True),
@@ -576,17 +594,17 @@ def _chunk_inside(needle, offset):
     (lambda text, d: (text, 1), True),
     (lambda text, d: (json.dumps(d, indent=1), 1), False),
 ], ids=["trajectories-first", "indent-1", "escaped-key", "brackets-in-strings",
-        "brace-in-trajectory-1-compact", "two-trajectory-keys", "no-trajectories",
-        "no-trajectories-compact", "trailing-data", "member-after-trajectories", "truncated",
-        "late-syntax-error", "chunk-in-number", "chunk-in-key", "chunk-in-escape",
-        "one-byte-chunks", "one-byte-chunks-canonical", "one-byte-chunks-indent-1"])
+        "two-trajectory-keys", "no-trajectories", "no-trajectories-compact", "trailing-data",
+        "member-after-trajectories", "escaped-quote-key", "truncated", "late-syntax-error",
+        "chunk-in-number", "chunk-in-key", "chunk-in-escape", "one-byte-chunks",
+        "one-byte-chunks-canonical", "one-byte-chunks-indent-1"])
 def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, monkeypatch,
                                                 make, streams):
     """The chunked reader takes the layout ``_dump_dataset`` writes, in
     chunks of any size, without reading the whole file; any other layout of
-    valid JSON (``streams`` false) is read whole by the list path, and so is
-    a trajectory holding a ``}`` of its own.  On invalid JSON the CLI exits
-    as the list path does, line number included."""
+    valid JSON (``streams`` false) is read whole by the list path.  On
+    invalid JSON the CLI exits as the list path does, line number
+    included."""
     import violina.cli as cli
 
     text = (suite_dir / "markov_test.json").read_text()
@@ -765,7 +783,7 @@ def test_dataset_stream_is_read_once(copies_files):
 
 def _brace_in_trajectory_1(d):
     d["trajectories"][1]["label"] = "}"
-    return json.dumps(d)
+    return json.dumps(d, separators=(",", ":"))
 
 
 def _second_trajectories_member(d):
