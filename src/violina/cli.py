@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,7 @@ def _trajectory_arrays(obj: dict) -> dict:
 
 
 _CHUNK = 1 << 20  # bytes of dataset text read at a time
-_HEAD_END = b',"trajectories":['  # _dump_dataset writes it after q
+_HEAD_END = b',"trajectories":['  # _dump_datasets writes it after q
 
 
 def _read_dataset_json(fh):
@@ -242,30 +242,48 @@ def _finite_or_none(x: float) -> float | None:
     return float(x) if np.isfinite(x) else None
 
 
-def _dump_dataset(path, trajectories, q: int, m: int, where: str = "") -> int:
-    """Write a dataset of ``trajectories``, any iterable of them, with ``q``
-    and ``m``, and return how many were written.  The bytes are
-    ``_dump_json``'s of the dataset's ``to_dict()``, but each trajectory is
-    checked and written before the next is taken, and each of its arrays is
-    one call of the C encoder (``json.dump`` would stream through the
-    pure-Python one), so only one array's lists and text are alive at a
-    time.  States that are not all finite raise ``ValueError`` naming the
-    trajectory after the prefix ``where``, and so does any other non-finite
-    value."""
+def _dump_datasets(targets, groups, m: int) -> int:
+    """Write one dataset of length ``m`` per ``(path, q, where)`` in
+    ``targets`` and return how many trajectories each got.  ``groups`` is
+    any iterable of tuples of trajectories, one per target in its order,
+    which all share the inputs of the first.  The bytes of each file are
+    ``_dump_json``'s of its dataset's ``to_dict()``, but each group is
+    written before the next is taken: its inputs are encoded once and that
+    text goes into every file, then each target's states are checked,
+    encoded and written in turn.  Each array is one call of the C encoder
+    (``json.dump`` would stream through the pure-Python one), so only one
+    group's arrays and one array's lists and text are alive at a time.
+    States that are not all finite raise ``ValueError`` naming the
+    trajectory after the target's prefix ``where``, and so does any other
+    non-finite value."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
     i = -1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"m":{encode(m)},"q":{encode(q)}' + _HEAD_END.decode())
-        for i, traj in enumerate(trajectories):
-            if not np.all(np.isfinite(traj.states)):
-                raise ValueError(f"{where}trajectory {i}: the simulated states overflow")
-            fh.write(',{"inputs":' if i else '{"inputs":')
-            fh.write(encode(traj.inputs.T.tolist()))
-            fh.write(',"states":')
-            fh.write(encode(traj.states.T.tolist()))
-            fh.write("}")
-        fh.write("]}\n")
+    with ExitStack() as files:
+        fhs = [files.enter_context(open(path, "w", encoding="utf-8")) for path, _, _ in targets]
+        for fh, (_, q, _) in zip(fhs, targets):
+            fh.write(f'{{"m":{encode(m)},"q":{encode(q)}' + _HEAD_END.decode())
+        for i, group in enumerate(groups):
+            inputs = encode(group[0].inputs.T.tolist())
+            for fh in fhs:
+                fh.write(',{"inputs":' if i else '{"inputs":')
+                fh.write(inputs)
+                fh.write(',"states":')
+            del inputs
+            for fh, traj, (_, _, where) in zip(fhs, group, targets):
+                if not np.all(np.isfinite(traj.states)):
+                    raise ValueError(f"{where}trajectory {i}: the simulated states overflow")
+                fh.write(encode(traj.states.T.tolist()))
+                fh.write("}")
+        for fh in fhs:
+            fh.write("]}\n")
     return i + 1
+
+
+def _dump_dataset(path, trajectories, q: int, m: int, where: str = "") -> int:
+    """Write a dataset of ``trajectories``, any iterable of them, with ``q``
+    and ``m``, and return how many were written: ``_dump_datasets`` with
+    one target."""
+    return _dump_datasets([(path, q, where)], ((traj,) for traj in trajectories), m)
 
 
 @contextmanager
@@ -340,26 +358,29 @@ def cmd_generate(args) -> int:
                      for name, _ in systems},
     }
     sizes = {}
-    # each trajectory is simulated, checked and written before the next one;
-    # a suite that overflows leaves no file and no directory of its own
+    # each input drives both ground truths, whose states are checked and
+    # written before the next input is made, so the overflow reported is the
+    # first in input order (train, test, energy), markov before nonmarkov
+    # for one input; a suite that overflows leaves no file and no directory
+    # of its own
     with _publishing(out) as stage:
+        sets = itertools.groupby(simulate_trajectories(models, grid, cfg.m, cfg.h),
+                                 key=lambda pair: pair[0])
+        for kind, pairs in sets:
+            sizes[kind] = _dump_datasets(
+                [(stage(out / manifest["datasets"][name][kind]), model.kernel.q,
+                  f"{name} {kind} set: ") for name, model in systems],
+                (group for _, group in pairs), cfg.m)
         for name, model in systems:
             _dump_json(stage(out / manifest["models"][name]), model.to_dict())
-            sets = itertools.groupby(simulate_trajectories(model, grid, cfg.m, cfg.h),
-                                     key=lambda pair: pair[0])
-            for kind, pairs in sets:
-                sizes[name, kind] = _dump_dataset(
-                    stage(out / manifest["datasets"][name][kind]),
-                    (traj for _, traj in pairs), model.kernel.q, cfg.m,
-                    f"{name} {kind} set: ")
         _dump_json(stage(out / "manifest.json"), manifest)
 
     if not args.quiet:
         print(f"suite written to {out}")
         print("  system     train  test  energy    n     m")
         for name, _ in systems:
-            print(f"  {name:<9} {sizes[name, 'train']:>5} {sizes[name, 'test']:>5} "
-                  f"{sizes[name, 'energy']:>7} {grid.n:>4} {cfg.m:>5}")
+            print(f"  {name:<9} {sizes['train']:>5} {sizes['test']:>5} "
+                  f"{sizes['energy']:>7} {grid.n:>4} {cfg.m:>5}")
     return EXIT_OK
 
 

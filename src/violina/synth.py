@@ -121,10 +121,12 @@ def make_input(orientation: str, sigma: int, nu: int, xi: int,
 KINDS = ("train", "test", "energy")
 
 
-def simulate_trajectories(model: StateSpaceModel, grid: CylinderGrid, m: int, h: float):
-    """Simulate the train, test and energy sets for one ground truth, one
-    trajectory at a time: yields ``(kind, trajectory)`` with ``kind`` in
-    ``KINDS``, each set complete before the next begins.
+def simulate_trajectories(models, grid: CylinderGrid, m: int, h: float):
+    """Simulate the train, test and energy sets of every ground truth in
+    ``models``, one input at a time: yields ``(kind, trajectories)`` with
+    ``kind`` in ``KINDS`` and one trajectory per model, in the order of
+    ``models``, all driven by the one input array built for them.  Each set
+    is complete before the next begins.
 
     Train: parallel inputs over sigma = +-1, nu in {3, 6}, every row xi, all
     from zero initial values.  The first train trajectory is the designated
@@ -132,24 +134,27 @@ def simulate_trajectories(model: StateSpaceModel, grid: CylinderGrid, m: int, h:
     sigma=+1, xi=0, nu = 1..8.  Energy: zero input from all-ones initial
     values.
     """
-    q = model.kernel.q
     n = grid.n
-    zeros0 = np.zeros((n, q + 1))
+
+    def run(x0: float, U: np.ndarray):  # every state starts at x0
+        return tuple(model.simulate(np.full((n, model.kernel.q + 1), x0), U)
+                     for model in models)
+
     for sigma in (1, -1):
         for nu in (3, 6):
             for xi in range(grid.Ly):
-                U = make_input("parallel", sigma, nu, xi, grid.Lx, grid.Ly, m, h)
-                yield "train", model.simulate(zeros0, U)
+                yield "train", run(0.0, make_input("parallel", sigma, nu, xi,
+                                                   grid.Lx, grid.Ly, m, h))
     for nu in range(1, 9):
-        U = make_input("perp", 1, nu, 0, grid.Lx, grid.Ly, m, h)
-        yield "test", model.simulate(zeros0, U)
-    yield "energy", model.simulate(np.ones((n, q + 1)), np.zeros((n, m)))
+        yield "test", run(0.0, make_input("perp", 1, nu, 0, grid.Lx, grid.Ly, m, h))
+    yield "energy", run(1.0, np.zeros((n, m)))
 
 
 def make_datasets(model: StateSpaceModel, grid: CylinderGrid, m: int, h: float):
-    """The train, test and energy datasets of ``simulate_trajectories``."""
+    """The train, test and energy datasets of ``model``, from
+    ``simulate_trajectories`` with that one model."""
     sets = {kind: [] for kind in KINDS}
-    for kind, traj in simulate_trajectories(model, grid, m, h):
+    for kind, (traj,) in simulate_trajectories((model,), grid, m, h):
         sets[kind].append(traj)
     return tuple(Dataset(sets[kind], model.kernel.q, m) for kind in KINDS)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -980,7 +981,10 @@ def test_mutated_input_exit_2(contract_files, tmp_path, capsys, kind, path, labe
     files = {k: str(v) for k, v in contract_files.items()}
     bad = tmp_path / "bad.json"
     good = json.loads(contract_files[kind].read_text())
-    bad.write_text(json.dumps(_mutate(good, path, value)))
+    mutated = _mutate(good, path, value)
+    texts = [json.dumps(mutated)]
+    if kind == "dataset":  # also in the layout the stream reads, not only the list path
+        texts.append(json.dumps(mutated, separators=(",", ":")))
     out = tmp_path / "out"
     out.mkdir()
     data, model, mask = (str(bad) if kind == k else files[k]
@@ -1010,13 +1014,14 @@ def test_mutated_input_exit_2(contract_files, tmp_path, capsys, kind, path, labe
         "config": [["generate", "--config", str(bad), "--out", str(out / "suite")]],
     }[kind]
     accepted = (kind, path, label) in _ACCEPTED
-    for argv in commands:
+    for text, argv in itertools.product(texts, commands):
+        bad.write_text(text)
         rc = main(["--quiet", *argv])
         err = capsys.readouterr().err
         if accepted:
             assert (rc, err) == (0, ""), argv[0]
             continue
-        assert rc == 2, (argv[0], err)
+        assert rc == 2, (argv[0], text[:40], err)
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: "), err
         if path[:2] == ("trajectories", 1):
             assert f"{bad}: trajectory 1: " in err, err
@@ -1104,6 +1109,56 @@ def test_generate_writes_the_library_suite(tmp_path, seed):
     assert sorted(os.listdir(out)) == sorted(expected)
     for name, data in expected.items():
         assert (out / name).read_bytes() == data, name
+
+
+def test_generate_encodes_each_input_once(tmp_path, monkeypatch):
+    """Both ground truths are driven by the same inputs, so each input array
+    is encoded once for both files: a desk suite has 21 inputs (12 train,
+    8 test, 1 energy) of ``m`` rows each, and 42 state arrays of ``m + 1``
+    rows."""
+    from collections import Counter
+
+    encode, rows = json.JSONEncoder.encode, Counter()
+
+    def counting(self, o):
+        if isinstance(o, list):
+            rows[len(o)] += 1
+        return encode(self, o)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    assert main(["--quiet", "generate", "--preset", "desk", "--out", str(tmp_path)]) == 0
+    assert rows == {200: 21, 201: 42}
+
+
+def _generate_peak(tmp_path, grid):
+    """Traced peak of ``generate --config`` on ``grid`` with ``m = 200``,
+    after one untraced run that makes the first-call allocations."""
+    import tracemalloc
+
+    tmp_path.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**grid, "m": 200}))
+    argv = ["--quiet", "generate", "--config", str(cfg), "--out", str(tmp_path / "suite")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_holds_one_input_at_a_time(tmp_path):
+    """Two grids of 30 cells, whose train sets hold 12 and 24 trajectories:
+    each input's trajectories are written and dropped before the next input
+    is made, so the peaks differ by at most half of one trajectory's arrays,
+    the bound of ``test_commands_hold_one_trajectory_at_a_time``."""
+    few = _generate_peak(tmp_path / "few", {"Lx": 10, "Ly": 3})
+    many = _generate_peak(tmp_path / "many", {"Lx": 5, "Ly": 6})
+    one = (30 * 201 + 30 * 200) * 8  # the states and inputs of one trajectory
+    assert abs(many - few) <= one / 2, (few, many)
 
 
 def _snapshot(directory) -> dict:
