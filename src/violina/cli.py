@@ -27,7 +27,7 @@ from .constraints import (
     SymmetricMaskedNonneg,
 )
 from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
-from .kernel import CausalBandKernel, json_floats, json_int
+from .kernel import CausalBandKernel, json_floats, json_int, pack_floats, packed
 from .model import StateSpaceModel, Trajectory, relative_error
 from .objective import Dataset, _check_trajectory
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
@@ -69,28 +69,6 @@ def _parse_file(path, parse):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _trajectory_arrays(obj: dict) -> dict:
-    """``object_hook`` of the dataset reader: an object's ``states`` and
-    ``inputs`` become float arrays as soon as the parser closes the object,
-    so each trajectory's lists die before the next one is parsed.  Only an
-    array of numbers is converted, as ``kernel.json_floats`` converts it; any
-    other value stays as parsed, and ``Dataset.from_dict`` rejects it with the
-    message, trajectory index included, that the lists would give.  numpy
-    reads ``true`` and ``false`` next to numbers as 1 and 0, so the reader
-    never passes this hook a trajectory whose text holds them; the other
-    objects it passes, the top level among them, are not read as
-    trajectories."""
-    for key in ("states", "inputs"):
-        if key in obj:
-            try:
-                a = np.asarray(obj[key])
-            except ValueError:  # ragged
-                continue
-            if a.dtype.kind in "fiu":
-                obj[key] = a.astype(float, copy=False)
-    return obj
-
-
 _CHUNK = 1 << 20  # bytes of dataset text read at a time
 _HEAD_END = b',"trajectories":['  # _dump_datasets writes it after q
 
@@ -100,16 +78,16 @@ def _read_dataset_json(fh):
     holding one trajectory's text at a time, when the file has the layout
     ``_dump_dataset`` writes: first the members before the first
     ``,"trajectories":[``, with ``trajectories`` as an empty list, then each
-    element of the array.  A trajectory whose members are arrays of numbers
-    holds no ``}`` of its own, so each element is decoded alone from the
-    text up to its first ``}``, and a bare ``,`` or ``]`` follows it; after
-    the ``]`` come a ``}`` and only whitespace.  Every object goes through
-    ``_trajectory_arrays``.  UTF-8 puts no ASCII byte inside a multi-byte
-    character, so the byte searches are exact; each resumes where the last
-    one stopped.  Any other layout, text ``json.load`` rejects and a
-    trajectory holding ``true``, ``false`` or a ``}`` of its own raise
-    ``ValueError``, some of them after every trajectory is yielded."""
-    decode = json.JSONDecoder(object_hook=_trajectory_arrays).decode
+    element of the array.  A trajectory whose ``states`` and ``inputs`` are
+    packed (``kernel.packed``) holds no ``}`` of its own, so each element is
+    decoded alone from the text up to its first ``}``, and a bare ``,`` or
+    ``]`` follows it; after the ``]`` come a ``}`` and only whitespace.
+    UTF-8 puts no ASCII byte inside a multi-byte character, so the byte
+    searches are exact; each resumes where the last one stopped.  Any other
+    layout, text ``json.load`` rejects and a trajectory whose arrays are not
+    both packed raise ``ValueError``, some of them after every trajectory is
+    yielded."""
+    decode = json.JSONDecoder().decode
     buf = bytearray()
 
     def fill():
@@ -138,13 +116,11 @@ def _read_dataset_json(fh):
             with memoryview(buf) as view:  # released before buf is resized
                 text = str(view[:end], "utf-8")
             del buf[:end]
-            # _trajectory_arrays would read a true or false next to numbers
-            # as 1 or 0; "r" and "l" are in no number, and a search for one
-            # character is quick
-            if "r" in text and "true" in text or "l" in text and "false" in text:
-                raise ValueError("true or false in a trajectory")
             obj = decode(text)
             del text  # before the consumer works on the trajectory
+            # text that ends at its first '}' decodes to nothing but an object
+            if not (packed(obj.get("states")) and packed(obj.get("inputs"))):
+                raise ValueError("a trajectory not in the packed layout")
             yield obj
             del obj  # before the next trajectory's text is read
             if not buf:
@@ -248,11 +224,11 @@ def _dump_datasets(targets, groups, m: int) -> int:
     any iterable of tuples of trajectories, one per target in its order,
     which all share the inputs of the first.  The bytes of each file are
     ``_dump_json``'s of its dataset's ``to_dict()``, but each group is
-    written before the next is taken: its inputs are encoded once and that
-    text goes into every file, then each target's states are checked,
-    encoded and written in turn.  Each array is one call of the C encoder
-    (``json.dump`` would stream through the pure-Python one), so only one
-    group's arrays and one array's lists and text are alive at a time.
+    written before the next is taken: its inputs are packed and encoded once
+    and that text goes into every file, then each target's states are
+    checked, packed, encoded and written in turn.  Each array is one call of
+    the C encoder (``json.dump`` would stream through the pure-Python one),
+    so only one group's arrays and one array's text are alive at a time.
     States that are not all finite raise ``ValueError`` naming the
     trajectory after the target's prefix ``where``, and so does any other
     non-finite value."""
@@ -263,7 +239,7 @@ def _dump_datasets(targets, groups, m: int) -> int:
         for fh, (_, q, _) in zip(fhs, targets):
             fh.write(f'{{"m":{encode(m)},"q":{encode(q)}' + _HEAD_END.decode())
         for i, group in enumerate(groups):
-            inputs = encode(group[0].inputs.T.tolist())
+            inputs = encode(pack_floats(group[0].inputs.T))
             for fh in fhs:
                 fh.write(',{"inputs":' if i else '{"inputs":')
                 fh.write(inputs)
@@ -272,7 +248,7 @@ def _dump_datasets(targets, groups, m: int) -> int:
             for fh, traj, (_, _, where) in zip(fhs, group, targets):
                 if not np.all(np.isfinite(traj.states)):
                     raise ValueError(f"{where}trajectory {i}: the simulated states overflow")
-                fh.write(encode(traj.states.T.tolist()))
+                fh.write(encode(pack_floats(traj.states.T)))
                 fh.write("}")
         for fh in fhs:
             fh.write("]}\n")

@@ -98,6 +98,8 @@ class _GraphLaplacian:
         # the column (row) of each mask entry, whose sum it enters
         self._group = cols if column_sums else rows
         self._diag = np.flatnonzero(rows == cols)
+        # the bound of each mask entry: none on the diagonal, 0 off it
+        self._floor = np.where(rows == cols, -np.inf, 0.0)
         off = np.flatnonzero(rows != cols)
         counts = np.bincount(self._group[off], minlength=n)
         # column j holds the positions of column j's off-diagonal entries
@@ -120,9 +122,7 @@ class _GraphLaplacian:
         w = np.sort(np.concatenate((v, self._neg_inf))[self._slots], axis=0)[::-1]
         active = self._ranks * w > diag + np.cumsum(w, axis=0)
         lam = (diag + np.where(active, w, 0.0).sum(axis=0)) / (active.sum(axis=0) + 1)
-        out = np.maximum(v - lam[self._group], 0.0)
-        out[self._diag] = diag - lam
-        return out
+        return np.maximum(v - lam[self._group], self._floor)
 
 
 def project_symmetric_masked_nonneg(M: np.ndarray, mask: np.ndarray) -> np.ndarray:

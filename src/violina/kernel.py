@@ -10,6 +10,7 @@ threads.
 
 from __future__ import annotations
 
+import binascii
 import math
 import reprlib
 from dataclasses import dataclass
@@ -45,16 +46,14 @@ def json_floats(d: dict, key: str, ndim: int, default=None) -> np.ndarray:
     error), a string (even one that spells a number), ``true`` or ``false``,
     an object, an integer too large for a float, ``null``, NaN, an infinity
     and the wrong number of axes raise ``ValueError`` naming the field, as do
-    the faults of ``_member``.  An array, which the dataset reader makes only
-    of numbers, skips the type scan."""
+    the faults of ``_member``."""
     value = _member(d, key, default)
     name = repr(key)
-    if not isinstance(value, np.ndarray):
-        types = set(map(type, np.asarray(value, dtype=object).flat))
-        if str in types:
-            raise ValueError(f"{name}: a string is not a number")
-        if bool in types:
-            raise ValueError(f"{name}: true/false is not a number")
+    types = set(map(type, np.asarray(value, dtype=object).flat))
+    if str in types:
+        raise ValueError(f"{name}: a string is not a number")
+    if bool in types:
+        raise ValueError(f"{name}: true/false is not a number")
     try:
         a = np.asarray(value).astype(float, copy=False)
     except (TypeError, OverflowError) as exc:
@@ -64,6 +63,58 @@ def json_floats(d: dict, key: str, ndim: int, default=None) -> np.ndarray:
     if a.ndim != ndim:
         shape = ("a number", "a flat list", "a list of lists")[ndim]
         raise ValueError(f"{name} must be {shape}, got shape {a.shape}")
+    return a
+
+
+def packed(value) -> bool:
+    """Whether a parsed JSON value has the packed layout of a float array,
+    ``[rows, cols, "<base64>"]``: a list of three whose last item is a
+    string.  A list of lists of numbers never has it."""
+    return type(value) is list and len(value) == 3 and type(value[2]) is str
+
+
+def pack_floats(a: np.ndarray) -> list:
+    """The packed layout of the finite 2-D float array ``a``: its shape and
+    the RFC 4648 base64 text, without line breaks, of its little-endian
+    float64 bytes in row-major order.  Non-finite values raise
+    ``ValueError``, as JSON has no token for them."""
+    a = np.asarray(a, dtype="<f8")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("a packed array holds non-finite values")
+    rows, cols = a.shape
+    return [rows, cols, binascii.b2a_base64(a.tobytes(), newline=False).decode("ascii")]
+
+
+def json_table(d: dict, key: str) -> np.ndarray:
+    """Field ``key`` of a parsed JSON object as a finite 2-D float array,
+    from either layout: the packed one (``packed``), or a list of lists of
+    numbers, which ``json_floats`` reads.  Packed, ``rows`` and ``cols`` must
+    be nonnegative JSON integers, the text the padded base64, with no other
+    character, of exactly ``8 * rows * cols`` bytes, and the values finite;
+    anything else raises ``ValueError`` naming the field.  The array owns
+    its data, C-ordered, as ``json_floats`` returns it."""
+    value = _member(d, key, None)
+    if not packed(value):
+        return json_floats(d, key, 2)
+    name = repr(key)
+    rows, cols, text = value
+    for what, size in (("rows", rows), ("cols", cols)):
+        if type(size) is not int or size < 0:
+            raise ValueError(f"{name}: {what} must be a nonnegative integer, "
+                             f"got {reprlib.repr(size)}")
+    try:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+        raise ValueError(f"{name}: not base64: {exc}") from None
+    size = 8 * rows * cols
+    if len(raw) != size:
+        raise ValueError(f"{name}: {len(raw)} bytes, but {rows} x {cols} floats take {size}")
+    if len(text) != 4 * -(-size // 3):  # strict_mode takes padding after the last group
+        raise ValueError(f"{name}: base64 padding after the last group")
+    # a copy, in native byte order, not a view on the bytes
+    a = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} holds non-finite values")
     return a
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel, json_floats
+from .kernel import CausalBandKernel, json_floats, json_table, pack_floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,13 +45,15 @@ class Trajectory:
         return self.inputs.shape[1]
 
     def to_dict(self) -> dict:
-        return {"states": self.states.T.tolist(), "inputs": self.inputs.T.tolist()}
+        """The time-major ``states.T`` and ``inputs.T`` in the packed layout
+        (``kernel.pack_floats``)."""
+        return {"states": pack_floats(self.states.T), "inputs": pack_floats(self.inputs.T)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trajectory":
-        """Parse a trajectory; a field ``json_floats`` rejects raises
-        ``ValueError``."""
-        return cls(json_floats(d, "states", 2).T, json_floats(d, "inputs", 2).T)
+        """Parse a trajectory whose arrays are packed or lists of numbers; a
+        field ``json_table`` rejects raises ``ValueError``."""
+        return cls(json_table(d, "states").T, json_table(d, "inputs").T)
 
 
 @dataclass(frozen=True, eq=False)

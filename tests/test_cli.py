@@ -30,6 +30,19 @@ def _load_dataset(path) -> Dataset:
         return cli._parse_file(path, Dataset.from_dict)
 
 
+def _numbers(t: dict) -> dict:
+    """The parsed trajectory ``t`` with its arrays as lists of numbers, the
+    layout of data written by other programs."""
+    traj = Trajectory.from_dict(t)
+    return dict(t, states=traj.states.T.tolist(), inputs=traj.inputs.T.tolist())
+
+
+def _as_numbers(d: dict) -> dict:
+    """The parsed dataset ``d`` with every trajectory's arrays as lists of
+    numbers."""
+    return dict(d, trajectories=[_numbers(t) for t in d["trajectories"]])
+
+
 @pytest.fixture
 def suite_dir(tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -243,7 +256,8 @@ def test_evaluate_and_compare_write_null_for_non_finite(suite_dir, tmp_path, cap
     # all-zero truth under a model driven by nonzero inputs: every error is inf
     d = json.loads((suite_dir / "markov_test.json").read_text())
     for traj in d["trajectories"]:
-        traj["states"] = [[0.0] * len(row) for row in traj["states"]]
+        rows, cols, _ = traj["states"]
+        traj["states"] = [[0.0] * cols for _ in range(rows)]
     dataset, report, agg = tmp_path / "zero.json", tmp_path / "r.csv", tmp_path / "a.json"
     dataset.write_text(json.dumps(d))
     assert main(["--quiet", "evaluate", "--model", str(suite_dir / "markov_model.json"),
@@ -376,7 +390,7 @@ def test_model_dataset_size_mismatch_exit_2(suite_dir, tmp_path, capsys, command
 
 
 def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, capsys):
-    good = json.loads((suite_dir / "markov_test.json").read_text())
+    good = _as_numbers(json.loads((suite_dir / "markov_test.json").read_text()))
 
     def broken(edit):
         d = json.loads(json.dumps(good))
@@ -462,6 +476,18 @@ def _set_cell(value):
     return lambda d: d["trajectories"][1]["states"][3].__setitem__(0, value)
 
 
+def _packed_1(**change):
+    """Trajectory 1 packed again, each array ``key`` in ``change`` replaced
+    by ``change[key]`` of it."""
+    from violina.kernel import pack_floats
+
+    def edit(d):
+        t = d["trajectories"][1]
+        for key in ("states", "inputs"):
+            t[key] = pack_floats(change.get(key, lambda a: a)(np.array(t[key])))
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set_cell("a"), "trajectory 1: 'states': a string is not a number"),
     (_set_cell("1.5"), "trajectory 1: 'states': a string is not a number"),
@@ -484,20 +510,28 @@ def _set_cell(value):
     (lambda d: d["trajectories"][1].update(states=d["trajectories"][1]["states"][:2],
                                            inputs=d["trajectories"][1]["inputs"][:1]),
      "trajectory 1 has 2 states but m="),
+    (_packed_1(states=lambda a: a[:, :-1]), "trajectory 1 has shape"),
+    (_packed_1(states=lambda a: a[:2], inputs=lambda a: a[:1]),
+     "trajectory 1 has 2 states but m="),
 ], ids=["string-cell", "number-string-cell", "number-string-input",
         "string-next-to-null", "null-cell", "object-cell", "too-large-int", "too-large-input",
         "top-level-states", "trajectory-at-top-level", "bool-cell", "bool-input",
-        "narrow-trajectory", "short-trajectory"])
+        "narrow-trajectory", "short-trajectory", "packed-narrow-trajectory",
+        "packed-short-trajectory"])
 def test_dataset_reader_errors_match_list_path(suite_dir, tmp_path, capsys, monkeypatch,
                                               edit, message):
     """Each file, in ``json.dumps``' default layout and in the compact one
     the stream reads, exits as the list path
     ``Dataset.from_dict(json.load(...))`` parses it: 2 with its message, or
-    0 when it parses.  The stream declines a compact file with a fault in
-    trajectory 1 after it has yielded trajectory 0."""
+    0 when it parses.  Trajectory 1 is edited as lists of numbers, and
+    packed again by the ``packed-`` cases.  The stream declines a compact
+    file with a fault in trajectory 1 after it has yielded trajectory 0,
+    and, when trajectory 1 is packed, after its own checks of it."""
     import violina.cli as cli
+    from violina.kernel import packed
 
     d = json.loads((suite_dir / "markov_test.json").read_text())
+    d["trajectories"][1] = _numbers(d["trajectories"][1])
     edit(d)
     yielded = []
     read = cli._read_dataset_json
@@ -521,7 +555,9 @@ def test_dataset_reader_errors_match_list_path(suite_dir, tmp_path, capsys, monk
         assert (rc, err) == expected, separators
         assert (message or "") in err and (rc == 0) == (message is None)
     if "trajectory 1" in (message or ""):
-        assert len(yielded) >= 2  # the head and trajectory 0 of the compact file
+        # the head and trajectory 0 of the compact file, and trajectory 1
+        # when it is packed
+        assert len(yielded) == 2 + packed(d["trajectories"][1]["states"])
 
 
 def _list_path(path):
@@ -588,24 +624,27 @@ def _chunk_inside(needle, offset):
     (lambda text, d: text.replace(',"trajectories":', ',"x\\"trajectories":', 1), False),
     (_truncated_in_trajectory_3, True),
     (_late_syntax_error, True),
-    (_chunk_inside("e-", 1), True),
+    (_chunk_inside('"states":[', 11), True),
     (_chunk_inside('"inputs"', 3), True),
     (lambda text, d: (_escaped_key(text, d), _escaped_key(text, d).index("\\u0061") + 3), True),
     (lambda text, d: (_brackets_in_strings(text, d), 1), False),
     (lambda text, d: (text, 1), True),
     (lambda text, d: (json.dumps(d, indent=1), 1), False),
+    (_chunk_inside('"inputs":[', 20), True),
+    (lambda text, d: json.dumps(_as_numbers(d), separators=(",", ":")), False),
 ], ids=["trajectories-first", "indent-1", "escaped-key", "brackets-in-strings",
         "two-trajectory-keys", "no-trajectories", "no-trajectories-compact", "trailing-data",
         "member-after-trajectories", "escaped-quote-key", "truncated", "late-syntax-error",
         "chunk-in-number", "chunk-in-key", "chunk-in-escape", "one-byte-chunks",
-        "one-byte-chunks-canonical", "one-byte-chunks-indent-1"])
+        "one-byte-chunks-canonical", "one-byte-chunks-indent-1", "chunk-in-base64",
+        "numbers-compact"])
 def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, monkeypatch,
                                                 make, streams):
     """The chunked reader takes the layout ``_dump_dataset`` writes, in
     chunks of any size, without reading the whole file; any other layout of
-    valid JSON (``streams`` false) is read whole by the list path.  On
-    invalid JSON the CLI exits as the list path does, line number
-    included."""
+    valid JSON (``streams`` false), lists of numbers in place of packed
+    arrays among them, is read whole by the list path.  On invalid JSON the
+    CLI exits as the list path does, line number included."""
     import violina.cli as cli
 
     text = (suite_dir / "markov_test.json").read_text()
@@ -629,16 +668,14 @@ def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, mon
                "--dataset", str(path), "--report", str(tmp_path / "r.csv")])
     assert (rc, capsys.readouterr().err) == (expected_rc, expected_err)
     try:
-        whole = json.loads(text, object_hook=cli._trajectory_arrays)
+        whole = json.loads(text)
     except json.JSONDecodeError:
         assert yielded[-1:] != ["end"]
     else:
-        def dump(obj):
-            return json.dumps(obj, default=lambda a: [str(a.dtype), a.shape, a.tolist()])
         # the head, its trajectories filled in, when the reader read to the end
         chunked = ([dict(yielded[0], trajectories=yielded[1:-1])]
                    if yielded[-1:] == ["end"] else [])
-        assert [dump(c) for c in chunked] == ([dump(whole)] if streams else [])
+        assert chunked == ([whole] if streams else [])
     if listed is not None:
         for a, b in zip(_load_dataset(path).trajectories, listed.trajectories,
                         strict=True):
@@ -647,19 +684,25 @@ def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, mon
 
 
 def test_dataset_reader_matches_list_path_on_edited_text(tmp_path, monkeypatch):
-    """Seeded random edits of a small dataset text, read in chunks of random
-    sizes: the reader gives what the list path gives, arrays or message."""
+    """Seeded random edits of a small dataset text, its arrays as lists of
+    numbers or packed, read in chunks of random sizes: the reader gives what
+    the list path gives, arrays or message."""
     import random
 
     import violina.cli as cli
+    from violina.kernel import pack_floats
 
     base = {"q": 1, "m": 3, "note": 'a "{[x]}" \\', "trajectories": [
         {"states": [[0.0, 1.0], [0.5, -2e-5], [1.5, 2.0], [3.0, 4.0]],
          "inputs": [[0.0], [1.0], [0.0]], "label": "r\u00e9"},
         {"inputs": [[1.0], [2.0], [3.0]], "states": [[1, 2], [3, 4], [5, 6], [7, 8]]}]}
+    packed = dict(base, trajectories=[
+        dict(t, **{key: pack_floats(np.array(t[key], dtype=float)) for key in ("states", "inputs")})
+        for t in base["trajectories"]])
     texts = [json.dumps(base), json.dumps(base, indent=1), json.dumps(base, ensure_ascii=False),
-             json.dumps(base, separators=(",", ":"))]
-    alphabet = ' \n{}[]",:\\0123456789.-eEtruefalsn\u00e9'
+             json.dumps(base, separators=(",", ":")), json.dumps(packed, separators=(",", ":")),
+             json.dumps(packed, sort_keys=True, separators=(",", ":"))]
+    alphabet = ' \n{}[]",:\\0123456789.-eEtruefalsn\u00e9A+/='
     rng = random.Random(20261018)
     path = tmp_path / "edited.json"
 
@@ -821,6 +864,74 @@ def test_declined_file_runs_again_on_the_list_path(suite_dir, tmp_path, make):
     assert outputs[0] == outputs[1]
 
 
+_RUN_ALL = """
+import json, sys
+from violina.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"failed: {argv}")
+"""
+
+
+def test_number_array_files_give_the_same_bytes(tmp_path):
+    """On the desk suite, with one BLAS thread, every command that reads a
+    dataset writes the same bytes whether the suite is as ``generate`` wrote
+    it or rewritten with lists of numbers, which the list path reads; and
+    the stream's arrays are the list path's in dtype, shape and strides, and
+    own their data."""
+    import shutil
+
+    from violina import cli
+
+    packed, numbers = tmp_path / "packed", tmp_path / "numbers"
+    assert main(["--quiet", "generate", "--preset", "desk", "--out", str(packed)]) == 0
+    shutil.copytree(packed, numbers)
+    for path in packed.glob("*_*.json"):
+        if not path.name.endswith("_model.json"):
+            d = _as_numbers(json.loads(path.read_text()))
+            (numbers / path.name).write_text(json.dumps(d, separators=(",", ":")))
+    for name in ("nonmarkov_train.json", "markov_test.json", "nonmarkov_energy.json"):
+        stream = cli._DatasetStream(packed / name)
+        listed = cli._parse_file(numbers / name, Dataset.from_dict)
+        for a, b in zip(stream.trajectories, listed.trajectories, strict=True):
+            for x, y in ((a.states, b.states), (a.inputs, b.inputs)):
+                assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides)
+                assert x.tobytes() == y.tobytes()
+                assert x.base.flags.owndata and x.base.base is None
+    commands = []
+    for suite in (packed, numbers):
+        out = suite / "out"
+        out.mkdir()
+        train, test = str(suite / "nonmarkov_train.json"), str(suite / "nonmarkov_test.json")
+        fit = ["fit", "--train", train, "--mask", str(suite / "manifest.json"), "--steps", "200"]
+        commands += [["--quiet", *map(str, argv)] for argv in (
+            [*fit, "--constraints", "a1b", "--out", out / "a1b.json", "--curve", out / "a1b.csv"],
+            [*fit, "--constraints", "a2b", "--out", out / "a2b.json", "--curve", out / "a2b.csv"],
+            ["dmdc", "--train", train, "--scan-csv", out / "scan.csv", "--out", out / "dmdc.json"],
+            ["dmdc", "--train", train, "--pooled", "--scan-csv", out / "pooled.csv",
+             "--out", out / "pooled.json"],
+            ["evaluate", "--model", out / "a2b.json", "--dataset", test,
+             "--report", out / "report.csv", "--aggregate", out / "aggregate.json"],
+            ["evaluate", "--model", suite / "nonmarkov_model.json", "--energy",
+             "--dataset", suite / "nonmarkov_energy.json", "--report", out / "energy.csv",
+             "--aggregate", out / "energy.json"],
+            ["simulate", "--model", out / "a2b.json", "--dataset", test,
+             "--out", out / "sim.json"],
+            ["plot", "--kind", "traces", "--truth", test, "--pred", out / "sim.json",
+             "--traj", "3", "--cells", "0,7", "--out", out / "traces.svg"])]
+    src = str(Path(violina.__file__).resolve().parents[1])
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS")}
+    env = dict(os.environ, **threads, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(commands)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    outputs = [{f.name: f.read_bytes() for f in (suite / "out").iterdir()}
+               for suite in (packed, numbers)]
+    assert len(outputs[0]) == 14 and outputs[0] == outputs[1]
+
+
 def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
     good = json.loads((suite_dir / "nonmarkov_model.json").read_text())
 
@@ -916,7 +1027,8 @@ def test_malformed_manifest_exit_2(suite_dir, tmp_path, capsys):
 # file must exit 2 with one error line that names the file (and the
 # trajectory, inside one), without writing anything.  The leaves no command
 # reads stay as they are: a model's n and k, and every manifest member but
-# mask.
+# mask.  A "dataset" file holds lists of numbers, which the list path reads;
+# a "packed" file is in the layout violina writes, which the stream reads.
 _BIG = 10 ** 400  # an integer too large for a float
 _DELETE = object()
 _REPLACEMENTS = {"true": True, "str": "1.5", "null": None, "list": [], "object": {},
@@ -939,7 +1051,54 @@ _FILES = {
 _ACCEPTED = {("config", ("seed",), "big"), ("model", ("kernel", "m"), "big")}
 
 
+def _raw(edit):
+    """A replacement of a packed array by the one whose float64 values are
+    ``edit`` of the old ones, packed as ``kernel.pack_floats`` packs them but
+    without its finiteness check."""
+    import binascii
+
+    def replace(old):
+        rows, cols, text = old
+        a = edit(np.frombuffer(binascii.a2b_base64(text), dtype="<f8").reshape(rows, cols))
+        return [*a.shape, binascii.b2a_base64(a.tobytes(), newline=False).decode()]
+    return replace
+
+
+def _set_first(value):
+    def edit(a):
+        a = a.copy()
+        a.flat[0] = value
+        return a
+    return edit
+
+
+# (path, label, replacement of the old value) in trajectory 1 of a packed file
+_PACKED = [(("trajectories", 1, key), label, value) for key in ("states", "inputs")
+           for label, value in (
+               ("alphabet", lambda v: [v[0], v[1], v[2][:8] + "*" + v[2][8:]]),
+               ("line-break", lambda v: [v[0], v[1], v[2][:76] + "\n" + v[2][76:]]),
+               ("padding-extra", lambda v: [v[0], v[1], v[2] + "="]),
+               ("padding-inside", lambda v: [v[0], v[1], v[2][:6] + "=" + v[2][7:]]),
+               ("not-ascii", lambda v: [v[0], v[1], "\u00e9" + v[2][1:]]),
+               ("short-bytes", lambda v: [v[0], v[1], _raw(lambda a: a[:-1])(v)[2]]),
+               ("nan", _raw(_set_first(np.nan))),
+               ("inf", _raw(_set_first(-np.inf))),
+               ("rows-float", lambda v: [float(v[0]), v[1], v[2]]),
+               ("cols-float", lambda v: [v[0], float(v[1]), v[2]]),
+               ("rows-true", lambda v: [True, v[1], v[2]]),
+               ("cols-true", lambda v: [v[0], True, v[2]]),
+               ("rows-negative", lambda v: [-1, v[1], v[2]]),
+               ("cols-negative", lambda v: [v[0], -1, v[2]]),
+               ("shape-negated", lambda v: [-v[0], -v[1], v[2]]),
+               ("transposed", lambda v: [v[1], v[0], v[2]]))] + [
+    (("trajectories", 1, "states"), "one-state-fewer", _raw(lambda a: a[:-1])),
+    (("trajectories", 1, "inputs"), "one-input-more", _raw(lambda a: np.vstack([a, a[-1:]])))]
+
+
 def _mutations():
+    for path, label, value in _PACKED:
+        yield pytest.param("packed", path, label, value,
+                           id=f"packed-{'.'.join(map(str, path))}-{label}")
     for kind, (leaves, objects, optional) in _FILES.items():
         for path in leaves + objects:
             values = dict(_REPLACEMENTS, **({"5": 5} if path in objects else {}))
@@ -958,6 +1117,8 @@ def _mutate(d, path, value):
         parent = parent[key]
     if value is _DELETE:
         del parent[path[-1]]
+    elif callable(value):
+        parent[path[-1]] = value(parent[path[-1]])
     else:
         parent[path[-1]] = value
     return d
@@ -965,30 +1126,47 @@ def _mutate(d, path, value):
 
 @pytest.fixture(scope="module")
 def contract_files(tmp_path_factory):
-    """The desk suite, its config, and its test set cut to two trajectories."""
+    """The desk suite, its config, and its test set cut to two trajectories,
+    as lists of numbers and in the layout violina writes."""
     root = tmp_path_factory.mktemp("contract")
     assert main(["--quiet", "generate", "--preset", "desk", "--out", str(root)]) == 0
     d = json.loads((root / "nonmarkov_test.json").read_text())
     d["trajectories"] = d["trajectories"][:2]
-    (root / "dataset.json").write_text(json.dumps(d))
+    (root / "dataset.json").write_text(json.dumps(_as_numbers(d)))
+    (root / "packed.json").write_text(json.dumps(d, sort_keys=True, separators=(",", ":")))
     config = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
-    return {"dataset": root / "dataset.json", "model": root / "nonmarkov_model.json",
-            "mask": root / "manifest.json", "config": config}
+    return {"dataset": root / "dataset.json", "packed": root / "packed.json",
+            "model": root / "nonmarkov_model.json", "mask": root / "manifest.json",
+            "config": config}
 
 
 @pytest.mark.parametrize("kind, path, label, value", _mutations())
-def test_mutated_input_exit_2(contract_files, tmp_path, capsys, kind, path, label, value):
+def test_mutated_input_exit_2(contract_files, tmp_path, capsys, monkeypatch, kind, path,
+                              label, value):
+    import violina.cli as cli
+
     files = {k: str(v) for k, v in contract_files.items()}
     bad = tmp_path / "bad.json"
     good = json.loads(contract_files[kind].read_text())
     mutated = _mutate(good, path, value)
     texts = [json.dumps(mutated)]
-    if kind == "dataset":  # also in the layout the stream reads, not only the list path
+    if kind == "dataset":  # also compact, the layout the stream's head takes
         texts.append(json.dumps(mutated, separators=(",", ":")))
+    if kind == "packed":  # only the layout violina writes, which the stream reads
+        texts = [json.dumps(mutated, sort_keys=True, separators=(",", ":"))]
     out = tmp_path / "out"
     out.mkdir()
-    data, model, mask = (str(bad) if kind == k else files[k]
+    role = {"packed": "dataset"}.get(kind, kind)  # the file bad.json stands for
+    data, model, mask = (str(bad) if role == k else files[k]
                          for k in ("dataset", "model", "mask"))
+    yielded = []
+    read = cli._read_dataset_json
+
+    def traced(fh):
+        for obj in read(fh):
+            yielded.append(fh.name)
+            yield obj
+    monkeypatch.setattr(cli, "_read_dataset_json", traced)
     commands = {
         "dataset": [
             ["fit", "--train", data, "--constraints", "a2b", "--mask", mask, "--steps", "1",
@@ -1012,7 +1190,7 @@ def test_mutated_input_exit_2(contract_files, tmp_path, capsys, kind, path, labe
                   "--steps", "1", "--out", str(out / "fit.json")]
                  for constraints in ("a1b", "a2b")],
         "config": [["generate", "--config", str(bad), "--out", str(out / "suite")]],
-    }[kind]
+    }[role]
     accepted = (kind, path, label) in _ACCEPTED
     for text, argv in itertools.product(texts, commands):
         bad.write_text(text)
@@ -1026,6 +1204,9 @@ def test_mutated_input_exit_2(contract_files, tmp_path, capsys, kind, path, labe
         if path[:2] == ("trajectories", 1):
             assert f"{bad}: trajectory 1: " in err, err
         assert not any(out.iterdir()), argv[0]
+        if kind == "packed":  # the stream read the head and trajectory 0 at least
+            assert yielded.count(str(bad)) >= 2, argv[0]
+        yielded.clear()
 
 
 @pytest.mark.parametrize("setting", [["--steps", "0"], ["--t0", "-1"], ["--t0", "nan"],
@@ -1115,14 +1296,16 @@ def test_generate_encodes_each_input_once(tmp_path, monkeypatch):
     """Both ground truths are driven by the same inputs, so each input array
     is encoded once for both files: a desk suite has 21 inputs (12 train,
     8 test, 1 energy) of ``m`` rows each, and 42 state arrays of ``m + 1``
-    rows."""
+    rows, each encoded packed."""
     from collections import Counter
+
+    from violina.kernel import packed
 
     encode, rows = json.JSONEncoder.encode, Counter()
 
     def counting(self, o):
-        if isinstance(o, list):
-            rows[len(o)] += 1
+        if packed(o):
+            rows[o[0]] += 1
         return encode(self, o)
 
     monkeypatch.setattr(json.JSONEncoder, "encode", counting)
@@ -1176,8 +1359,9 @@ def test_failed_generate_keeps_the_old_suite(suite_dir, tmp_path, capsys, monkey
         "numeric error: nonmarkov train set: trajectory 0: the simulated states overflow\n")
     assert _snapshot(suite_dir) == old
 
-    # a write that fails in the second trajectory of the first dataset file,
-    # with the first model file complete
+    # a write that fails at the sixth encoder call: after m and q of both
+    # train heads and the first input, at the first input's markov states,
+    # with markov_train and nonmarkov_train staged and no model file
     encode, calls, files = json.JSONEncoder.encode, [], []
 
     def failing(self, o):
