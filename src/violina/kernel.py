@@ -10,6 +10,7 @@ threads.
 
 from __future__ import annotations
 
+import base64
 import binascii
 import math
 import reprlib
@@ -68,9 +69,11 @@ def json_floats(d: dict, key: str, ndim: int, default=None) -> np.ndarray:
 
 def packed(value) -> bool:
     """Whether a parsed JSON value has the packed layout of a float array,
-    ``[rows, cols, "<base64>"]``: a list of three whose last item is a
-    string.  A list of lists of numbers never has it."""
-    return type(value) is list and len(value) == 3 and type(value[2]) is str
+    ``[rows, cols, "<base64>"]``: a list of three whose first two items are
+    not lists and whose last is a string.  A list of rows never has it, even
+    a malformed one such as ``[[0.0], [1.0], "1.5"]``."""
+    return (type(value) is list and len(value) == 3 and type(value[0]) is not list
+            and type(value[1]) is not list and type(value[2]) is str)
 
 
 def pack_floats(a: np.ndarray) -> list:
@@ -103,13 +106,13 @@ def json_table(d: dict, key: str) -> np.ndarray:
             raise ValueError(f"{name}: {what} must be a nonnegative integer, "
                              f"got {reprlib.repr(size)}")
     try:
-        raw = binascii.a2b_base64(text, strict_mode=True)
+        raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a character that is not ASCII
         raise ValueError(f"{name}: not base64: {exc}") from None
     size = 8 * rows * cols
     if len(raw) != size:
         raise ValueError(f"{name}: {len(raw)} bytes, but {rows} x {cols} floats take {size}")
-    if len(text) != 4 * -(-size // 3):  # strict_mode takes padding after the last group
+    if len(text) != 4 * -(-size // 3):  # the decoder may take padding after the last group
         raise ValueError(f"{name}: base64 padding after the last group")
     # a copy, in native byte order, not a view on the bytes
     a = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(float)

@@ -415,6 +415,9 @@ def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, caps
         "'m' must be an integer, got 30.0": broken(lambda d: d.__setitem__("m", 30.0)),
         "'q' must be an integer, got [[": broken(
             lambda d: d.__setitem__("q", d["trajectories"][0]["states"])),
+        # three rows, the last a string, are rows, not a packed array
+        "trajectory 1: 'inputs': a string is not a number": broken(
+            lambda d: d["trajectories"][1].__setitem__("inputs", [[0.0], [1.0], "1.5"])),
     }
     for i, (expected, data) in enumerate(cases.items()):
         path = tmp_path / f"bad{i}.json"

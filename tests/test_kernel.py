@@ -193,3 +193,62 @@ def test_kernel_coefficient_count_validation():
 def test_kernel_json_round_trip():
     k = CausalBandKernel(6, 1, 3, (0.2, -0.1))
     assert CausalBandKernel.from_dict(k.to_dict()) == k
+
+
+def _lenient_b64decode(s, altchars=None, validate=False):
+    """``base64.b64decode`` as Python 3.10 has it, before ``a2b_base64``
+    gained its strict mode: with ``validate``, only a pattern check of the
+    text, then a decode that takes padding after the last group."""
+    import binascii
+    import re
+
+    s = s.encode("ascii") if isinstance(s, str) else bytes(s)
+    if validate and not re.fullmatch(b"[A-Za-z0-9+/]*={0,2}", s):
+        raise binascii.Error("Non-base64 digit found")
+    return binascii.a2b_base64(s)
+
+
+_TEXT_FAULTS = {
+    "alphabet": lambda t: t[:4] + "*" + t[4:],
+    "line-break": lambda t: t[:8] + "\n" + t[8:],
+    "blank": lambda t: t + " ",
+    "padding-extra": lambda t: t + "=",
+    "padding-group": lambda t: t + "====",
+    "padding-inside": lambda t: t[:2] + "=" + t[3:],
+    "padding-missing": lambda t: t.rstrip("=") if t.endswith("=") else t[:-1],
+    "group-missing": lambda t: t[:-4],
+    "not-ascii": lambda t: "é" + t[1:],
+}
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["stdlib", "py310-decoder"])
+@pytest.mark.parametrize("rows", [1, 2, 3])  # one, two and no padding characters
+def test_json_table_refuses_bad_base64_on_either_decoder(monkeypatch, rows, lenient):
+    """A packed array is read the same, and every malformed text refused,
+    whether ``base64.b64decode`` checks strictly itself (Python 3.11+) or
+    only the alphabet (3.10): the text- and byte-length checks of
+    ``json_table`` hold the rest."""
+    import base64
+
+    from violina.kernel import json_table, pack_floats
+
+    if lenient:
+        monkeypatch.setattr(base64, "b64decode", _lenient_b64decode)
+    a = np.arange(1.0, 2.0 * rows + 1).reshape(rows, 2) / 7
+    good = pack_floats(a)
+    assert good[2].count("=") == (0, 2, 1)[16 * rows % 3]
+    read = json_table({"x": good}, "x")
+    assert read.tobytes() == a.tobytes() and read.flags.owndata
+    for label, fault in _TEXT_FAULTS.items():
+        text = fault(good[2])
+        assert text != good[2], label
+        with pytest.raises(ValueError, match="^'x'"):
+            json_table({"x": [rows, 2, text]}, "x")
+
+
+def test_packed_needs_a_shape_not_rows():
+    from violina.kernel import packed
+
+    assert packed([3, 1, "AAAA"]) and packed([True, -1, ""])
+    assert not packed([[0.0], [1.0], "1.5"]) and not packed([0.0, [1.0], "1.5"])
+    assert not packed([[0.0], [1.0], [1.5]]) and not packed([1, 1, "A", "B"])
