@@ -27,7 +27,7 @@ from .constraints import (
     SymmetricMaskedNonneg,
 )
 from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
-from .kernel import CausalBandKernel, json_floats, json_int, pack_floats, packed
+from .kernel import CausalBandKernel, json_floats, json_int, pack_json, packed
 from .model import StateSpaceModel, Trajectory, relative_error
 from .objective import Dataset, _check_trajectory
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
@@ -224,34 +224,36 @@ def _dump_datasets(targets, groups, m: int) -> int:
     any iterable of tuples of trajectories, one per target in its order,
     which all share the inputs of the first.  The bytes of each file are
     ``_dump_json``'s of its dataset's ``to_dict()``, but each group is
-    written before the next is taken: its inputs are packed and encoded once
-    and that text goes into every file, then each target's states are
-    checked, packed, encoded and written in turn.  Each array is one call of
-    the C encoder (``json.dump`` would stream through the pure-Python one),
-    so only one group's arrays and one array's text are alive at a time.
-    States that are not all finite raise ``ValueError`` naming the
-    trajectory after the target's prefix ``where``, and so does any other
-    non-finite value."""
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+    written before the next is taken: its inputs are packed once
+    (``kernel.pack_json``) and those bytes go into every file, then each
+    target's states are packed and written in turn.  The files are written
+    in binary and no JSON encoder runs, so only one group's arrays and one
+    array's text are alive at a time.  States that are not all finite raise
+    ``ValueError`` naming the trajectory after the target's prefix
+    ``where``; a non-finite input raises ``pack_json``'s."""
     i = -1
     with ExitStack() as files:
-        fhs = [files.enter_context(open(path, "w", encoding="utf-8")) for path, _, _ in targets]
+        fhs = [files.enter_context(open(path, "wb")) for path, _, _ in targets]
         for fh, (_, q, _) in zip(fhs, targets):
-            fh.write(f'{{"m":{encode(m)},"q":{encode(q)}' + _HEAD_END.decode())
+            fh.write(b'{"m":%d,"q":%d' % (m, q) + _HEAD_END)
         for i, group in enumerate(groups):
-            inputs = encode(pack_floats(group[0].inputs.T))
+            inputs = pack_json(group[0].inputs.T)
             for fh in fhs:
-                fh.write(',{"inputs":' if i else '{"inputs":')
+                fh.write(b',{"inputs":' if i else b'{"inputs":')
                 fh.write(inputs)
-                fh.write(',"states":')
+                fh.write(b',"states":')
             del inputs
             for fh, traj, (_, _, where) in zip(fhs, group, targets):
-                if not np.all(np.isfinite(traj.states)):
-                    raise ValueError(f"{where}trajectory {i}: the simulated states overflow")
-                fh.write(encode(pack_floats(traj.states.T)))
-                fh.write("}")
+                try:
+                    states = pack_json(traj.states.T)
+                except ValueError:
+                    raise ValueError(
+                        f"{where}trajectory {i}: the simulated states overflow") from None
+                fh.write(states)
+                del states
+                fh.write(b"}")
         for fh in fhs:
-            fh.write("]}\n")
+            fh.write(b"]}\n")
     return i + 1
 
 

@@ -76,16 +76,30 @@ def packed(value) -> bool:
             and type(value[1]) is not list and type(value[2]) is str)
 
 
-def pack_floats(a: np.ndarray) -> list:
-    """The packed layout of the finite 2-D float array ``a``: its shape and
-    the RFC 4648 base64 text, without line breaks, of its little-endian
-    float64 bytes in row-major order.  Non-finite values raise
-    ``ValueError``, as JSON has no token for them."""
+def _base64_floats(a: np.ndarray) -> tuple[int, int, bytes]:
+    """The shape of the finite 2-D float array ``a`` and the RFC 4648 base64
+    text, without line breaks, of its little-endian float64 bytes in
+    row-major order.  Non-finite values raise ``ValueError``, as JSON has no
+    token for them."""
     a = np.asarray(a, dtype="<f8")
     if not np.all(np.isfinite(a)):
         raise ValueError("a packed array holds non-finite values")
     rows, cols = a.shape
-    return [rows, cols, binascii.b2a_base64(a.tobytes(), newline=False).decode("ascii")]
+    return rows, cols, binascii.b2a_base64(a.tobytes(), newline=False)
+
+
+def pack_floats(a: np.ndarray) -> list:
+    """The packed layout of the finite 2-D float array ``a``:
+    ``[rows, cols, "<base64>"]`` (``_base64_floats``)."""
+    rows, cols, text = _base64_floats(a)
+    return [rows, cols, text.decode("ascii")]
+
+
+def pack_json(a: np.ndarray) -> bytes:
+    """The compact JSON text of ``pack_floats(a)`` as ASCII bytes, put
+    together without an encoder: base64 text holds no character JSON
+    escapes, so these are the bytes ``json.dumps`` gives for it."""
+    return b'[%d,%d,"%s"]' % _base64_floats(a)
 
 
 def json_table(d: dict, key: str) -> np.ndarray:

@@ -132,17 +132,26 @@ class StateSpaceModel:
         m = inputs.shape[1]
         if m < q + 1:
             raise ValueError(f"need at least q+1={q + 1} inputs, got {m}")
-        # B u_{t-1} of every step in one product, written straight into the
-        # states: a work buffer freed on every call fragments the heap
+        # B u_{t-1} of every step in one product into the n x (m+1) states,
+        # whose layout the product's bits depend on; the recursion then runs
+        # on a time-major copy, one contiguous row per state, with no
+        # temporaries, and its result is copied back
         x = np.empty((self.n, m + 1))
         x[:, : q + 1] = initial
         np.matmul(self.B, inputs[:, q:], out=x[:, q + 1 :])
-        memory = [(j, c) for j, c in enumerate(coeffs, start=1) if c != 0.0]
+        rows = x.T.copy()
+        tmp = np.empty(self.n)
+        # each c as a 0-d array, which np.multiply takes faster than a float
+        memory = [(j, np.array(c)) for j, c in enumerate(coeffs, start=1) if c != 0.0]
         for t in range(q + 1, m + 1):
-            x[:, t] += self.A @ x[:, t - 1]
+            row = rows[t]
+            np.dot(self.A, rows[t - 1], out=tmp)
+            row += tmp
             for j, c in memory:
                 if t - j >= 0:
-                    x[:, t] -= c * x[:, t - j]
+                    np.multiply(c, rows[t - j], out=tmp)
+                    row -= tmp
+        x[...] = rows.T
         return Trajectory(x, inputs)
 
     def to_dict(self) -> dict:

@@ -299,6 +299,25 @@ def literal_simulate(model, initial_states, inputs):
     return x
 
 
+def column_simulate(model, initial_states, inputs):
+    """``StateSpaceModel.simulate``'s states as its column-major loop formed
+    them: ``B u_{t-1}`` of every step in one product into the ``n x (m+1)``
+    states, then each step on a state column.  Its bits are the contract of
+    the time-major recursion."""
+    q = model.kernel.q
+    m = inputs.shape[1]
+    x = np.empty((model.n, m + 1))
+    x[:, : q + 1] = initial_states
+    np.matmul(model.B, inputs[:, q:], out=x[:, q + 1 :])
+    memory = [(j, c) for j, c in enumerate(model.kernel.coeffs, start=1) if c != 0.0]
+    for t in range(q + 1, m + 1):
+        x[:, t] += model.A @ x[:, t - 1]
+        for j, c in memory:
+            if t - j >= 0:
+                x[:, t] -= c * x[:, t - j]
+    return x
+
+
 def literal_rank_scan(train, fit_index=0, pooled=False):
     """The DMDc rank scan by full-state simulation: for every attainable rank,
     the truncated ``(A, B)`` re-simulates each train trajectory through

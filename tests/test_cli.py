@@ -1236,6 +1236,36 @@ def test_dataset_writer_matches_json_dump(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+def test_dataset_writer_pads_base64_as_json_dump(tmp_path):
+    """Arrays of 1, 2 and 3 floats hold 8, 16 and 24 bytes, whose base64
+    ends in two, one and no ``=``: the writer's bytes are ``json.dumps``'s
+    for each, and the extreme values and ``-0.0`` read back with their
+    bits.  Non-finite states raise ``ValueError`` naming the trajectory."""
+    from violina.cli import _dump_dataset
+
+    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    pads = set()
+    for m in (1, 2):  # inputs of m floats, states of m + 1
+        trajs = [Trajectory(np.roll(values, i)[None, : m + 1], np.roll(values, -i)[None, :m])
+                 for i in range(4)]
+        data = Dataset(trajs, 0, m)
+        path = tmp_path / f"m{m}.json"
+        assert _dump_dataset(path, trajs, 0, m) == 4
+        expected = json.dumps(data.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        back = Dataset.from_dict(json.loads(path.read_text()))
+        for got, traj in zip(back.trajectories, trajs):
+            assert got.states.tobytes() == traj.states.tobytes()
+            assert got.inputs.tobytes() == traj.inputs.tobytes()
+        pads |= {len(text) - len(text.rstrip("=")) for t in data.to_dict()["trajectories"]
+                 for _, _, text in t.values()}
+    assert pads == {0, 1, 2}
+    for bad in (np.inf, -np.inf, np.nan):
+        overflow = Trajectory(np.array([[1.0, bad]]), np.array([[0.0]]))
+        with pytest.raises(ValueError, match=r"^x: trajectory 1: the simulated states overflow$"):
+            _dump_dataset(tmp_path / "bad.json", [trajs[0], overflow], 0, 1, "x: ")
+
+
 def _writer_peak(path, traj, copies):
     """Traced peak of writing a dataset of ``copies`` fresh copies of
     ``traj``, each made as the writer asks for it."""
@@ -1295,23 +1325,40 @@ def test_generate_writes_the_library_suite(tmp_path, seed):
         assert (out / name).read_bytes() == data, name
 
 
+def test_generate_keeps_the_column_loop_bits(tmp_path, monkeypatch):
+    """The desk datasets ``generate`` writes have the bytes of datasets
+    simulated by the column-major loop of ``oracles.column_simulate``."""
+    from oracles import column_simulate
+
+    from violina import BenchmarkConfig, build_benchmark_suite
+
+    out = tmp_path / "suite"
+    assert main(["--quiet", "generate", "--preset", "desk", "--out", str(out)]) == 0
+    monkeypatch.setattr(StateSpaceModel, "simulate", lambda self, initial, inputs: Trajectory(
+        column_simulate(self, initial, inputs), inputs))
+    suite = build_benchmark_suite(BenchmarkConfig.desk_scale())
+    for name, system in (("markov", suite.markov), ("nonmarkov", suite.nonmarkov)):
+        for kind in ("train", "test", "energy"):
+            data = _dump(getattr(system, kind).to_dict())
+            assert (out / f"{name}_{kind}.json").read_bytes() == data, (name, kind)
+
+
 def test_generate_encodes_each_input_once(tmp_path, monkeypatch):
     """Both ground truths are driven by the same inputs, so each input array
-    is encoded once for both files: a desk suite has 21 inputs (12 train,
+    is packed once for both files: a desk suite has 21 inputs (12 train,
     8 test, 1 energy) of ``m`` rows each, and 42 state arrays of ``m + 1``
-    rows, each encoded packed."""
+    rows, each packed by ``pack_json``."""
     from collections import Counter
 
-    from violina.kernel import packed
+    import violina.cli as cli
 
-    encode, rows = json.JSONEncoder.encode, Counter()
+    pack, rows = cli.pack_json, Counter()
 
-    def counting(self, o):
-        if packed(o):
-            rows[o[0]] += 1
-        return encode(self, o)
+    def counting(a):
+        rows[a.shape[0]] += 1
+        return pack(a)
 
-    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    monkeypatch.setattr(cli, "pack_json", counting)
     assert main(["--quiet", "generate", "--preset", "desk", "--out", str(tmp_path)]) == 0
     assert rows == {200: 21, 201: 42}
 
@@ -1362,19 +1409,21 @@ def test_failed_generate_keeps_the_old_suite(suite_dir, tmp_path, capsys, monkey
         "numeric error: nonmarkov train set: trajectory 0: the simulated states overflow\n")
     assert _snapshot(suite_dir) == old
 
-    # a write that fails at the sixth encoder call: after m and q of both
-    # train heads and the first input, at the first input's markov states,
-    # with markov_train and nonmarkov_train staged and no model file
-    encode, calls, files = json.JSONEncoder.encode, [], []
+    # a write that fails at the second packed array: after the first input,
+    # at the first input's markov states, with markov_train and
+    # nonmarkov_train staged and no model file
+    import violina.cli as cli
 
-    def failing(self, o):
-        calls.append(o)
-        if len(calls) == 6:
+    pack, calls, files = cli.pack_json, [], []
+
+    def failing(a):
+        calls.append(a)
+        if len(calls) == 2:
             files.extend(set(os.listdir(suite_dir)) - set(old))
             raise OSError(28, "No space left on device")
-        return encode(self, o)
+        return pack(a)
 
-    monkeypatch.setattr(json.JSONEncoder, "encode", failing)
+    monkeypatch.setattr(cli, "pack_json", failing)
     assert main(["--quiet", "generate", "--config", str(tmp_path / "cfg.json"),
                  "--seed", "5", "--out", str(suite_dir)]) == 3
     assert capsys.readouterr().err == "io error: [Errno 28] No space left on device\n"

@@ -10,7 +10,7 @@ from violina import (
     relative_error,
 )
 from conftest import random_stable_model, simulated_dataset
-from oracles import hankel_companion, literal_simulate
+from oracles import column_simulate, hankel_companion, literal_simulate
 
 
 def dense_recursion_residual(model, traj, q, m):
@@ -117,6 +117,35 @@ def test_simulate_matches_literal_oracle(rng, q, Q, zero_coeff, zero_start):
     inputs = rng.normal(size=(n, m))
     assert np.array_equal(diag.simulate(initial, inputs).states,
                           literal_simulate(diag, initial, inputs))
+
+
+@pytest.mark.parametrize("q, Q", [(q, Q) for q in range(3) for Q in range(max(q, 1), 5)])
+def test_simulate_matches_column_oracle_with_dense_b(rng, q, Q):
+    """A dense ``B`` makes ``B U``'s bits depend on the layout of the product,
+    so the time-major recursion must keep the column loop's bits exactly,
+    for inputs that own their data and for column slices of wider ones."""
+    n, m = 100, 120
+    model = random_stable_model(rng, n=n, k=n, m=m, q=q, Q=Q, coeff_scale=0.1)
+    initial = rng.normal(size=(n, q + 1))
+    wide = rng.normal(size=(n, 2 * m + 3))
+    for inputs in (rng.normal(size=(n, m)), wide[:, 3 : m + 3], wide[:, 1::2][:, :m]):
+        states = model.simulate(initial, inputs).states
+        assert states.flags.c_contiguous
+        assert np.array_equal(states, column_simulate(model, initial, inputs))
+
+
+@pytest.mark.parametrize("preset", ["desk_scale", "paper_scale"])
+def test_simulate_matches_column_oracle_on_ground_truths(rng, preset):
+    from violina import BenchmarkConfig
+    from violina.synth import suite_models
+
+    cfg = getattr(BenchmarkConfig, preset)()
+    _, *models = suite_models(cfg)
+    for model in models:
+        initial = rng.normal(size=(model.n, model.kernel.q + 1))
+        inputs = rng.normal(size=(model.k, cfg.m))
+        assert np.array_equal(model.simulate(initial, inputs).states,
+                              column_simulate(model, initial, inputs))
 
 
 def test_simulate_shape_errors():
