@@ -12,6 +12,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -27,7 +28,7 @@ from .constraints import (
     SymmetricMaskedNonneg,
 )
 from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
-from .kernel import CausalBandKernel, json_floats, json_int, pack_json, packed
+from .kernel import CausalBandKernel, json_floats, json_int, pack_json
 from .model import StateSpaceModel, Trajectory, relative_error
 from .objective import Dataset, _check_trajectory
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
@@ -71,6 +72,10 @@ def _parse_file(path, parse):
 
 _CHUNK = 1 << 20  # bytes of dataset text read at a time
 _HEAD_END = b',"trajectories":['  # _dump_datasets writes it after q
+# the bytes _dump_datasets writes before each array of a trajectory, and
+# the packed array's head: nonnegative integers as %d writes them
+_MEMBERS = ((b'{"inputs":', "inputs"), (b',"states":', "states"))
+_PACKED_HEAD = re.compile(rb'\[(0|[1-9][0-9]*),(0|[1-9][0-9]*),"')
 
 
 def _read_dataset_json(fh):
@@ -78,16 +83,20 @@ def _read_dataset_json(fh):
     holding one trajectory's text at a time, when the file has the layout
     ``_dump_dataset`` writes: first the members before the first
     ``,"trajectories":[``, with ``trajectories`` as an empty list, then each
-    element of the array.  A trajectory whose ``states`` and ``inputs`` are
-    packed (``kernel.packed``) holds no ``}`` of its own, so each element is
-    decoded alone from the text up to its first ``}``, and a bare ``,`` or
-    ``]`` follows it; after the ``]`` come a ``}`` and only whitespace.
-    UTF-8 puts no ASCII byte inside a multi-byte character, so the byte
-    searches are exact; each resumes where the last one stopped.  Any other
-    layout, text ``json.load`` rejects and a trajectory whose arrays are not
-    both packed raise ``ValueError``, some of them after every trajectory is
-    yielded."""
-    decode = json.JSONDecoder().decode
+    element of the array.  Only the head goes through the JSON decoder.  A
+    trajectory must be exactly the bytes the writer writes,
+    ``{"inputs":[R,C,"…"],"states":[R,C,"…"]}`` with ``R`` and ``C``
+    nonnegative integers without a sign or leading zero, and a bare ``,``
+    or ``]`` follows it; after the ``]`` come a ``}`` and only whitespace.
+    It is split by byte searches, and each array's text leaves the buffer
+    once its closing quote is found, into ``{"inputs": [R, C, "…"],
+    "states": [R, C, "…"]}`` with the ASCII text between the quotes as it
+    stands: ``kernel.json_table`` refuses any character JSON would unescape
+    or reject there, as none is base64.  UTF-8 puts no ASCII byte inside a
+    multi-byte character, so the byte searches are exact; each resumes
+    where the last one stopped.  Any other layout, text ``json.load``
+    rejects and a trajectory in any other layout raise ``ValueError``,
+    some of them after every trajectory is yielded."""
     buf = bytearray()
 
     def fill():
@@ -95,36 +104,45 @@ def _read_dataset_json(fh):
             raise ValueError("the text ends early")
         buf.extend(chunk)
 
-    def find(sub: bytes) -> int:
-        """The index of the first ``sub`` in ``buf``."""
-        i = 0
+    def find(sub: bytes, i: int = 0) -> int:
+        """The index of the first ``sub`` in ``buf`` from ``i`` on."""
         while (j := buf.find(sub, i)) < 0:
             i = max(i, len(buf) - len(sub) + 1)
             fill()
         return j
 
+    def packed(start: bytes) -> list:
+        """The array after ``start`` at the head of ``buf`` as ``[R, C,
+        text]``; its bytes leave ``buf`` before the next array's are read."""
+        quote = find(b'"', len(start))
+        head = buf.startswith(start) and _PACKED_HEAD.fullmatch(buf, len(start), quote + 1)
+        close = find(b'"', quote + 1) if head else 0
+        while len(buf) < close + 2:
+            fill()
+        if not head or buf[close + 1] != ord("]"):
+            raise ValueError("a trajectory not in the packed layout")
+        with memoryview(buf) as view:  # released before buf is resized
+            array = [int(head[1]), int(head[2]), str(view[quote + 1 : close], "ascii")]
+        del buf[: close + 2]
+        return array
+
     i = find(_HEAD_END) + len(_HEAD_END)
     # the ',' leaves the quote unescaped: a match off the top level fails here
-    head = decode(buf[:i].decode("utf-8") + "]}")
+    head = json.JSONDecoder().decode(buf[:i].decode("utf-8") + "]}")
     del buf[:i]
     yield head
     if not buf:
         fill()
     if buf[0] != ord("]"):
         while True:  # buf starts after the '[' or ',' before a trajectory
-            end = find(b"}") + 1
-            with memoryview(buf) as view:  # released before buf is resized
-                text = str(view[:end], "utf-8")
-            del buf[:end]
-            obj = decode(text)
-            del text  # before the consumer works on the trajectory
-            # text that ends at its first '}' decodes to nothing but an object
-            if not (packed(obj.get("states")) and packed(obj.get("inputs"))):
+            obj = {key: packed(start) for start, key in _MEMBERS}
+            while len(buf) < 2:  # the '}', and the ',' or ']' after it
+                fill()
+            if buf[0] != ord("}"):
                 raise ValueError("a trajectory not in the packed layout")
+            del buf[:1]
             yield obj
             del obj  # before the next trajectory's text is read
-            if not buf:
-                fill()
             if buf[0] != ord(","):
                 break
             del buf[:1]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import CausalBandKernel
-from .model import StateSpaceModel, build_data_matrices, relative_error
+from .model import StateSpaceModel, build_data_matrices
 from .objective import Dataset
 
 _RANK_RTOL = 1e-12
@@ -79,18 +79,29 @@ class RankScanResult:
     B: np.ndarray
 
 
-_BUFFER_MULTIPLE = 4  # a rank chunk's state, at most, in one trajectory's scan arrays
+_BLOCKS = 8  # time blocks of a chunk's recursion: eight times the ranks fit its buffer
+
+
+def _group_size(n: int, k: int, m: int, p: int) -> int:
+    """How many reduced trajectories (``_RankErrors.hold``) are scored in one
+    batch: as many as fit in the floats of one trajectory's states and
+    inputs, and at least one."""
+    return max(1, (n * (m + 1) + k * m) // (m * (p + min(n, p)) + n + 2))
 
 
 class _RankErrors:
     """Running totals of each rank's relative self-reconstruction error, over
-    the trajectories added so far, under the rank-``r`` models of one SVD.
+    the trajectories scored so far, under the rank-``r`` models of one SVD.
 
     With ``[X; U] = W S V^T`` and ``P = Y V S^{-1}``, the rank-``r`` model is
     ``A_r = P_r W_{n,r}^T``, ``B_r = P_r W_{u,r}^T``, so its states are
     ``x_t = P_r g_t`` with ``g_t = (W_n^T P)_{rr} g_{t-1} + (W_u^T u_{t-1})_r``
     and ``g_1 = (W_n^T x_0 + W_u^T u_0)_r``: every rank recurses in ``r``
-    coordinates.
+    coordinates.  With the thin QR ``P = Q R``, its error is scored in rank
+    space too: ``||P_r G_r^T - x||^2 = ||R_{:,:r} G_r^T - Q^T x||^2 +
+    ||x - Q Q^T x||^2``, so a trajectory is kept only as ``x_0``, its
+    ``u_t^T W_u``, ``x^T Q`` and the two norms ``||x - Q Q^T x||`` (of the
+    formed residual) and ``||x||``.
     """
 
     def __init__(self, svd: _StackSvd, m: int):
@@ -98,54 +109,87 @@ class _RankErrors:
         self.P = svd.Y @ (svd.Vt[: self.p].T / svd.s[: self.p])
         self.Wn, self.Wu = svd.W[: self.n, : self.p], svd.W[self.n :, : self.p]
         self.M = self.Wn.T @ self.P
+        self.Q, self.R = np.linalg.qr(self.P)
         self.totals = [0.0] * self.p
         self.count = 0
+        self.group = []  # reduced trajectories that wait to be scored
+        self.group_size = _group_size(self.n, len(svd.W) - self.n, m, self.p)
 
-    def add(self, trajectories: list):
-        """Add the errors of ``trajectories``, a list that is emptied once each
-        is reduced to its ``x_0``, its states and its ``u_t^T W_u``.
+    def hold(self, traj):
+        """Reduce ``traj`` and keep it in the group; a full group is scored
+        (``add``), so the totals grow in dataset order."""
+        m = self.m
+        x = traj.states[:, 1 : m + 1]
+        xQ = x.T @ self.Q
+        self.group.append((traj.inputs[:, :m].T @ self.Wu, traj.states[:, 0].copy(), xQ,
+                           np.linalg.norm(x - self.Q @ xQ.T) ** 2, np.linalg.norm(x)))
+        if len(self.group) == self.group_size:
+            self.add(self.group)
 
-        The ranks of the batch recurse side by side: rank ``r`` of trajectory
+    def means(self) -> list[float]:
+        """Each rank's mean error over every trajectory held."""
+        if self.group:
+            self.add(self.group)
+        return [total / self.count for total in self.totals]
+
+    def add(self, group: list):
+        """Add the errors of ``group``, a list of reduced trajectories, which
+        is emptied.
+
+        The ranks of the group recurse side by side: rank ``r`` of trajectory
         ``i`` is column ``(r - lo, i)`` of chunk ``lo..hi``'s ``hi``-row
         state, whose rows from ``r`` on stay zero, since each step writes
-        only the rows each rank has.  A chunk takes as many ranks as keep its
-        ``m x hi x ranks x batch`` state within ``_BUFFER_MULTIPLE`` times
-        one trajectory's ``m x (n + p)`` scan arrays (its states and
-        ``u_t^T W_u``), and at least one: chunks of one rank are the
-        rank-by-rank recursion batched over the trajectories.
+        only the rows each rank has.  A chunk recurses ``m / _BLOCKS`` steps
+        at a time in one buffer, each block's squared errors summed before
+        the next overwrites it, and takes as many ranks as keep that buffer
+        within ``m x (n + p)`` floats, the size of one trajectory's states
+        and ``u_t^T W_u``, and at least one: chunks of one rank are the
+        rank-by-rank recursion batched over the group.
         """
         m, n, p = self.m, self.n, self.p
-        inputs, starts, states = [], [], []
-        for traj in trajectories:
-            inputs.append(traj.inputs[:, :m].T @ self.Wu)
-            starts.append(traj.states[:, 0])
-            states.append(traj.states)
-        trajectories.clear()
+        inputs, starts, xQ, perps, norms = zip(*group)
+        group.clear()
         # C[t] holds W_u^T u_t of every trajectory side by side: m x p x batch
         C = np.stack(inputs, axis=2)
         del inputs
-        batch = len(states)
+        xQ = np.stack(xQ)  # batch x m x min(n, p)
+        batch = len(starts)
         g1 = self.Wn.T @ np.stack(starts, axis=1) + C[0]
-        width = max(1, _BUFFER_MULTIPLE * (n + p) // max(1, p * batch))  # the m's cancel
-        buffer = np.empty(m * p * min(width, p) * batch)
+        steps = -(-m // _BLOCKS)
+        width = max(1, _BLOCKS * (n + p) // max(1, p * batch))  # the m's cancel
+        buffer = np.empty(steps * p * min(width, p) * batch)
         for lo in range(1, p + 1, width):
             hi = min(lo + width - 1, p)
-            G = buffer[: m * hi * (hi - lo + 1) * batch].reshape(m, hi, -1, batch)
-            cols = G.reshape(m, hi, -1)
+            G = buffer[: steps * hi * (hi - lo + 1) * batch].reshape(steps, hi, -1, batch)
+            cols = G.reshape(steps, hi, -1)
             keep = True  # the rows each column's rank has: all of them in a one-rank chunk
             if hi > lo:
                 keep = (np.arange(hi)[:, None] < np.arange(lo, hi + 1))[..., None]
                 G[:, lo:] = 0.0  # rank r's rows from r on are never written
-            np.copyto(G[0], g1[:hi, None], where=keep)
             Mh, MG = self.M[:hi, :hi], np.empty(G.shape[1:])
             MG_cols = MG.reshape(hi, -1)
-            for last, new, c in zip(cols, G[1:], C[1:, :hi, None]):
-                np.matmul(Mh, last, out=MG_cols)
-                np.add(MG, c, out=new, where=keep)
-            for i, x in enumerate(states):
+            squares = np.zeros((hi - lo + 1, batch))
+            for t0 in range(0, m, steps):  # G[j] is step t0 + j, G[-1] the last block's end
+                t1 = min(t0 + steps, m)
+                if t0 == 0:
+                    np.copyto(G[0], g1[:hi, None], where=keep)
+                else:
+                    np.matmul(Mh, cols[-1], out=MG_cols)
+                    np.add(MG, C[t0, :hi, None], out=G[0], where=keep)
+                for last, new, c in zip(cols, G[1 : t1 - t0], C[t0 + 1 : t1, :hi, None]):
+                    np.matmul(Mh, last, out=MG_cols)
+                    np.add(MG, c, out=new, where=keep)
                 for r in range(lo, hi + 1):
-                    self.totals[r - 1] += relative_error(self.P[:, :r] @ G[:, :r, r - lo, i].T,
-                                                         x[:, 1 : m + 1])
+                    # batch x steps x min(n, p): R_r g_t - Q^T x_t, time-major
+                    D = np.matmul(G[: t1 - t0, :r, r - lo].transpose(2, 0, 1), self.R[:, :r].T)
+                    D -= xQ[:, t0:t1]
+                    D *= D
+                    squares[r - lo] += D.reshape(batch, -1).sum(axis=1)  # pairwise
+            for r, row in enumerate(squares, lo):
+                for square, perp, norm in zip(row, perps, norms):
+                    num = np.sqrt(square + perp)
+                    self.totals[r - 1] += (float(num / norm) if norm != 0.0
+                                           else 0.0 if num == 0.0 else float("inf"))
         self.count += batch
 
 
@@ -162,12 +206,14 @@ def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0,
 
     ``train.trajectories`` is read once, to its end, so ``train`` may be a
     one-pass stream.  The trajectories before the fit one wait for its SVD;
-    from the fit one on, each is scored for every rank as it is read and
-    then dropped, its errors summed into running totals in dataset order.
-    ``pooled`` keeps every trajectory, since the SVD needs them all, and
-    scores them together after it.  A ``fit_index`` outside ``[0, size)``
-    raises ``IndexError``.  No full-state model is simulated: each rank
-    recurses in its ``r`` SVD coordinates (``_RankErrors``).
+    from the fit one on, each is reduced to its rank-space form as it is
+    read and then dropped, and the reduced ones are scored for every rank a
+    group at a time, their errors summed into running totals in dataset
+    order.  ``pooled`` keeps every trajectory, since the SVD needs them
+    all, and reduces them after it into one group.  A ``fit_index`` outside ``[0, size)``
+    raises ``IndexError``.  No full-state model is simulated nor any state
+    mapped back to ``n`` coordinates: each rank recurses, and its error is
+    taken, in ``r`` SVD coordinates (``_RankErrors``).
     """
     m = train.m
     svd = None
@@ -179,17 +225,19 @@ def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0,
             scan = _RankErrors(svd, m)
         if svd is not None:
             while waiting:
-                scan.add([waiting.pop(0)])
+                scan.hold(waiting.pop(0))
     del traj  # the last one's inputs
     if pooled:
         svd = _StackSvd(waiting, m)
         scan = _RankErrors(svd, m)
-        scan.add(waiting)
+        scan.group_size = len(waiting)  # all of them are held for the SVD anyway
     elif svd is None:
         raise IndexError(f"fit_index {fit_index} outside the valid range [0, {len(waiting)})")
+    while waiting:  # every trajectory when pooled
+        scan.hold(waiting.pop(0))
     if svd.rank < 1:
         raise ValueError("fitting data has rank zero")
-    errors = [total / scan.count for total in scan.totals]
+    errors = scan.means()
     best = int(np.argmin(errors)) + 1
     return RankScanResult(best, tuple(range(1, svd.rank + 1)), tuple(errors),
                           *svd.solve(best))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -458,6 +459,30 @@ def test_dataset_reader_matches_list_path(desk_files, kind):
             assert x.tobytes() == y.tobytes()
 
 
+def test_dataset_reader_yields_json_loads_of_each_trajectory(monkeypatch):
+    """The byte split of each trajectory gives what ``json.loads`` gives:
+    ``[int, int, str]`` per array, for base64 with 0, 2 and 1 ``=`` and for
+    arrays with no rows or no columns, read in chunks of several sizes."""
+    import io
+
+    import violina.cli as cli
+    from violina.kernel import pack_json
+
+    arrays = [np.arange(3.0).reshape(3, 1), np.array([[-0.0, 5e-324]]),
+              np.arange(4.0).reshape(2, 2) / 3, np.empty((0, 2)), np.empty((3, 0))]
+    assert [pack_json(a).count(b"=") for a in arrays] == [0, 2, 1, 0, 0]
+    text = (b'{"m":2,"q":0' + cli._HEAD_END
+            + b",".join(b'{"inputs":%s,"states":%s}' % (pack_json(u), pack_json(x))
+                        for u, x in itertools.product(arrays, repeat=2)) + b"]}\n")
+    whole = json.loads(text)["trajectories"]
+    for chunk in (1, 7, 1 << 20):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        head, *objects = cli._read_dataset_json(io.BytesIO(text))
+        assert head == {"m": 2, "q": 0, "trajectories": []}
+        assert [list(o.items()) for o in objects] == [list(o.items()) for o in whole]
+        assert {tuple(map(type, a)) for o in objects for a in o.values()} == {(int, int, str)}
+
+
 def test_dataset_reader_peak_memory(desk_files):
     """The reader holds at most one trajectory's lists: its peak is the text
     read before parsing (bytes and str), not the whole dataset as floats."""
@@ -614,10 +639,36 @@ def _chunk_inside(needle, offset):
     return lambda text, d: (text, text.index(needle) + offset)
 
 
+def _trajectory_1_at(text) -> int:
+    return text.index('{"inputs"', text.index('{"inputs"') + 1)
+
+
+def _in_trajectory_1(old, new):
+    """The text with the first ``old`` in trajectory 1 made ``new``."""
+    def make(text, d):
+        i = _trajectory_1_at(text)
+        assert old in text[i:]
+        return text[:i] + text[i:].replace(old, new, 1)
+    return make
+
+
+def _states_first_in_trajectory_1(text, d):
+    t = d["trajectories"][1]
+    d["trajectories"][1] = {"states": t["states"], "inputs": t["inputs"]}
+    return json.dumps(d, separators=(",", ":"))
+
+
+def _states_rows_in_trajectory_1(rows):
+    def make(text, d):
+        i = _trajectory_1_at(text)
+        return text[:i] + re.sub(r'"states":\[[0-9]+,', f'"states":[{rows},', text[i:], count=1)
+    return make
+
+
 @pytest.mark.parametrize("make, streams", [
     (_trajectories_first, False),
     (lambda text, d: json.dumps(d, indent=1), False),
-    (_escaped_key, True),
+    (_escaped_key, False),
     (_brackets_in_strings, False),
     (_two_trajectory_keys, False),
     (lambda text, d: json.dumps(dict(d, trajectories=[])), False),
@@ -629,25 +680,36 @@ def _chunk_inside(needle, offset):
     (_late_syntax_error, True),
     (_chunk_inside('"states":[', 11), True),
     (_chunk_inside('"inputs"', 3), True),
-    (lambda text, d: (_escaped_key(text, d), _escaped_key(text, d).index("\\u0061") + 3), True),
+    (lambda text, d: (_escaped_key(text, d), _escaped_key(text, d).index("\\u0061") + 3), False),
     (lambda text, d: (_brackets_in_strings(text, d), 1), False),
     (lambda text, d: (text, 1), True),
     (lambda text, d: (json.dumps(d, indent=1), 1), False),
     (_chunk_inside('"inputs":[', 20), True),
     (lambda text, d: json.dumps(_as_numbers(d), separators=(",", ":")), False),
+    (_in_trajectory_1('"states":[', '"states": ['), False),
+    (_in_trajectory_1(',"states"', ', "states"'), False),
+    (_in_trajectory_1(',"', ', "'), False),
+    (_states_first_in_trajectory_1, False),
+    (_in_trajectory_1('"]}', '"],"x":0}'), False),
+    (_in_trajectory_1('"states"', '"statas"'), False),
+    (_states_rows_in_trajectory_1("01"), False),
+    (_states_rows_in_trajectory_1("-1"), False),
+    (_states_rows_in_trajectory_1("1e3"), False),
 ], ids=["trajectories-first", "indent-1", "escaped-key", "brackets-in-strings",
         "two-trajectory-keys", "no-trajectories", "no-trajectories-compact", "trailing-data",
         "member-after-trajectories", "escaped-quote-key", "truncated", "late-syntax-error",
         "chunk-in-number", "chunk-in-key", "chunk-in-escape", "one-byte-chunks",
         "one-byte-chunks-canonical", "one-byte-chunks-indent-1", "chunk-in-base64",
-        "numbers-compact"])
+        "numbers-compact", "space-after-colon", "space-after-comma", "space-in-array-head",
+        "states-first", "extra-member", "a-in-key", "rows-01", "rows-minus-1", "rows-1e3"])
 def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, monkeypatch,
                                                 make, streams):
     """The chunked reader takes the layout ``_dump_dataset`` writes, in
     chunks of any size, without reading the whole file; any other layout of
     valid JSON (``streams`` false), lists of numbers in place of packed
-    arrays among them, is read whole by the list path.  On invalid JSON the
-    CLI exits as the list path does, line number included."""
+    arrays, an escape in a key and one byte off in a trajectory among them,
+    is read whole by the list path.  On invalid JSON the CLI exits as the
+    list path does, line number included."""
     import violina.cli as cli
 
     text = (suite_dir / "markov_test.json").read_text()
@@ -814,6 +876,37 @@ def test_commands_hold_one_trajectory_at_a_time(copies_files, monkeypatch, name)
     out, traj = copies_files
     few, many = _main_peaks(name, out, monkeypatch)
     assert abs(many - few) <= (traj.states.nbytes + traj.inputs.nbytes) / 2, (few, many)
+
+
+def test_python_3_10_decoder_streams_the_same_bytes(desk_files, tmp_path, monkeypatch):
+    """Under ``base64.b64decode`` as Python 3.10 has it (``conftest``), the
+    stream reads every trajectory of the desk suite, and ``fit``, ``dmdc``
+    and ``evaluate`` write the bytes they write with the stdlib decoder."""
+    import base64
+
+    from conftest import lenient_b64decode
+    from violina.cli import _DatasetStream
+
+    train, test = desk_files / "train.json", desk_files / "test.json"
+    outputs = []
+    for decoder in (base64.b64decode, lenient_b64decode):
+        monkeypatch.setattr(base64, "b64decode", decoder)
+        for path in (train, test):
+            stream = _DatasetStream(path)
+            assert sum(1 for _ in stream.trajectories) == stream.size == len(
+                json.loads(path.read_text())["trajectories"])
+        out = tmp_path / decoder.__name__
+        out.mkdir()
+        for argv in (["fit", "--train", train, "--constraints", "free", "--steps", "5",
+                      "--out", out / "fit.json", "--curve", out / "curve.csv"],
+                     ["dmdc", "--train", train, "--scan-csv", out / "scan.csv",
+                      "--out", out / "dmdc.json"],
+                     ["evaluate", "--model", out / "dmdc.json", "--dataset", test,
+                      "--energy", "--report", out / "report.csv",
+                      "--aggregate", out / "aggregate.json"]):
+            assert main(["--quiet", *map(str, argv)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 def test_dataset_stream_is_read_once(copies_files):

@@ -195,6 +195,39 @@ def test_rank_scan_matches_oracle_on_small_cases(rng, make, pooled):
         assert errors == tuple(e * 2 / 3 for e in single_errors)
 
 
+@pytest.mark.parametrize("size", [1, 2, None], ids=["groups-of-1", "groups-of-2", "one-group"])
+def test_rank_scan_groups_match_oracle(rng, monkeypatch, size):
+    """The scan scores reduced trajectories a group at a time; groups of 1,
+    2 and all trajectories give the oracle's ranks, best rank, ``(A, B)``
+    and errors, on the desk suites and with ``p > n`` (a square ``Q``), and
+    a zero trajectory still adds exactly 0.  ``pooled`` holds every
+    trajectory for its SVD, so it scores them in one group."""
+    import violina.dmdc as dmdc
+
+    sizes = []
+    add = dmdc._RankErrors.add
+
+    def counted(self, group):
+        sizes.append(len(group))
+        add(self, group)
+    monkeypatch.setattr(dmdc._RankErrors, "add", counted)
+    monkeypatch.setattr(dmdc, "_group_size", lambda *shape: size or 10 ** 9)
+    suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
+    wide = _wide_input_dataset(rng)
+    for train in (suite.markov.train, suite.nonmarkov.train, wide):
+        for pooled in (False, True):
+            sizes.clear()
+            assert_scan_matches_oracle(train, pooled=pooled)
+            N = train.size
+            assert sizes == ([size] * (N // size) + [N % size] * (N % size > 0)
+                             if size and not pooled else [N])
+    assert dmdc_rank_scan(wide).ranks[-1] > wide.n
+    zero = _zero_trajectory_dataset(rng)
+    _, errors = assert_scan_matches_oracle(zero)
+    _, single_errors = assert_scan_matches_oracle(Dataset(zero.trajectories[:2], 0, zero.m))
+    assert errors == tuple(e * 2 / 3 for e in single_errors)
+
+
 def test_markovian_pairing_used_even_for_lagged_datasets(rng):
     # same trajectories, different dataset q: DMDc must not depend on q
     truth = random_stable_model(rng, n=2, k=1, m=12, q=0, Q=1)

@@ -9,6 +9,7 @@ from violina import (
     partial_identity,
     project_to_band,
 )
+from conftest import lenient_b64decode
 from oracles import literal_fractional_toeplitz, lstsq_band_projection
 
 
@@ -195,19 +196,6 @@ def test_kernel_json_round_trip():
     assert CausalBandKernel.from_dict(k.to_dict()) == k
 
 
-def _lenient_b64decode(s, altchars=None, validate=False):
-    """``base64.b64decode`` as Python 3.10 has it, before ``a2b_base64``
-    gained its strict mode: with ``validate``, only a pattern check of the
-    text, then a decode that takes padding after the last group."""
-    import binascii
-    import re
-
-    s = s.encode("ascii") if isinstance(s, str) else bytes(s)
-    if validate and not re.fullmatch(b"[A-Za-z0-9+/]*={0,2}", s):
-        raise binascii.Error("Non-base64 digit found")
-    return binascii.a2b_base64(s)
-
-
 _TEXT_FAULTS = {
     "alphabet": lambda t: t[:4] + "*" + t[4:],
     "line-break": lambda t: t[:8] + "\n" + t[8:],
@@ -233,7 +221,7 @@ def test_json_table_refuses_bad_base64_on_either_decoder(monkeypatch, rows, leni
     from violina.kernel import json_table, pack_floats
 
     if lenient:
-        monkeypatch.setattr(base64, "b64decode", _lenient_b64decode)
+        monkeypatch.setattr(base64, "b64decode", lenient_b64decode)
     a = np.arange(1.0, 2.0 * rows + 1).reshape(rows, 2) / 7
     good = pack_floats(a)
     assert good[2].count("=") == (0, 2, 1)[16 * rows % 3]
