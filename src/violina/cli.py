@@ -72,10 +72,12 @@ def _parse_file(path, parse):
 
 _CHUNK = 1 << 20  # bytes of dataset text read at a time
 _HEAD_END = b',"trajectories":['  # _dump_datasets writes it after q
-# the bytes _dump_datasets writes before each array of a trajectory, and
-# the packed array's head: nonnegative integers as %d writes them
+# the bytes _dump_datasets writes before each array of a trajectory, the
+# packed array's head, and what follows its text up to the next ']': nothing,
+# or the stored columns; each number a nonnegative integer as %d writes it
 _MEMBERS = ((b'{"inputs":', "inputs"), (b',"states":', "states"))
 _PACKED_HEAD = re.compile(rb'\[(0|[1-9][0-9]*),(0|[1-9][0-9]*),"')
+_PACKED_TAIL = re.compile(rb'(?:,\[((?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*|))?')
 
 
 def _read_dataset_json(fh):
@@ -86,17 +88,19 @@ def _read_dataset_json(fh):
     element of the array.  Only the head goes through the JSON decoder.  A
     trajectory must be exactly the bytes the writer writes,
     ``{"inputs":[R,C,"…"],"states":[R,C,"…"]}`` with ``R`` and ``C``
-    nonnegative integers without a sign or leading zero, and a bare ``,``
-    or ``]`` follows it; after the ``]`` come a ``}`` and only whitespace.
-    It is split by byte searches, and each array's text leaves the buffer
-    once its closing quote is found, into ``{"inputs": [R, C, "…"],
-    "states": [R, C, "…"]}`` with the ASCII text between the quotes as it
-    stands: ``kernel.json_table`` refuses any character JSON would unescape
-    or reject there, as none is base64.  UTF-8 puts no ASCII byte inside a
-    multi-byte character, so the byte searches are exact; each resumes
-    where the last one stopped.  Any other layout, text ``json.load``
-    rejects and a trajectory in any other layout raise ``ValueError``,
-    some of them after every trajectory is yielded."""
+    nonnegative integers without a sign or leading zero, each array with or
+    without a fourth item ``,[…]`` of such integers joined by ``,``, and a
+    bare ``,`` or ``]`` follows it; after the ``]`` come a ``}`` and only
+    whitespace.  It is split by byte searches, and each array's text leaves
+    the buffer once its end is found, into ``{"inputs": [R, C, "…"],
+    "states": [R, C, "…"]}``, with the fourth item as a list of ints, and
+    with the ASCII text between the quotes as it stands:
+    ``kernel.json_table`` refuses any character JSON would unescape or
+    reject there, as none is base64, and checks the columns.  UTF-8 puts
+    no ASCII byte inside a multi-byte character, so the byte searches are
+    exact; each resumes where the last one stopped.  Any other layout,
+    text ``json.load`` rejects and a trajectory in any other layout raise
+    ``ValueError``, some of them after every trajectory is yielded."""
     buf = bytearray()
 
     def fill():
@@ -113,17 +117,26 @@ def _read_dataset_json(fh):
 
     def packed(start: bytes) -> list:
         """The array after ``start`` at the head of ``buf`` as ``[R, C,
-        text]``; its bytes leave ``buf`` before the next array's are read."""
+        text]`` or ``[R, C, text, [j0, …]]``; its bytes leave ``buf``
+        before the next array's are read."""
         quote = find(b'"', len(start))
         head = buf.startswith(start) and _PACKED_HEAD.fullmatch(buf, len(start), quote + 1)
-        close = find(b'"', quote + 1) if head else 0
-        while len(buf) < close + 2:
+        if not head:
+            raise ValueError("a trajectory not in the packed layout")
+        close = find(b'"', quote + 1)
+        end = find(b"]", close + 1)  # the array's ']', or its column list's
+        tail = _PACKED_TAIL.fullmatch(buf, close + 1, end)
+        columns = tail and tail[1]
+        end += columns is not None  # then the array's ']' follows the list's
+        while len(buf) <= end:
             fill()
-        if not head or buf[close + 1] != ord("]"):
+        if not tail or buf[end] != ord("]"):
             raise ValueError("a trajectory not in the packed layout")
         with memoryview(buf) as view:  # released before buf is resized
             array = [int(head[1]), int(head[2]), str(view[quote + 1 : close], "ascii")]
-        del buf[: close + 2]
+        if columns is not None:
+            array.append([int(j) for j in columns.split(b",")] if columns else [])
+        del buf[: end + 1]
         return array
 
     i = find(_HEAD_END) + len(_HEAD_END)
@@ -243,8 +256,9 @@ def _dump_datasets(targets, groups, m: int) -> int:
     which all share the inputs of the first.  The bytes of each file are
     ``_dump_json``'s of its dataset's ``to_dict()``, but each group is
     written before the next is taken: its inputs are packed once
-    (``kernel.pack_json``) and those bytes go into every file, then each
-    target's states are packed and written in turn.  The files are written
+    (``kernel.pack_json``, which leaves out the columns that are all
+    ``+0.0``) and those bytes go into every file, then each target's
+    states are packed and written in turn.  The files are written
     in binary and no JSON encoder runs, so only one group's arrays and one
     array's text are alive at a time.  States that are not all finite raise
     ``ValueError`` naming the trajectory after the target's prefix

@@ -69,69 +69,95 @@ def json_floats(d: dict, key: str, ndim: int, default=None) -> np.ndarray:
 
 def packed(value) -> bool:
     """Whether a parsed JSON value has the packed layout of a float array,
-    ``[rows, cols, "<base64>"]``: a list of three whose first two items are
-    not lists and whose last is a string.  A list of rows never has it, even
-    a malformed one such as ``[[0.0], [1.0], "1.5"]``."""
-    return (type(value) is list and len(value) == 3 and type(value[0]) is not list
-            and type(value[1]) is not list and type(value[2]) is str)
+    ``[rows, cols, "<base64>"]`` or ``[rows, cols, "<base64>", [j0, j1,
+    …]]``: a list of three or four whose first two items are not lists,
+    whose third is a string and whose fourth, if any, is a list.  A list of
+    rows never has it, even a malformed one such as ``[[0.0], [1.0], "1.5"]``."""
+    return (type(value) is list and len(value) in (3, 4) and type(value[0]) is not list
+            and type(value[1]) is not list and type(value[2]) is str
+            and all(type(item) is list for item in value[3:]))
 
 
-def _base64_floats(a: np.ndarray) -> tuple[int, int, bytes]:
-    """The shape of the finite 2-D float array ``a`` and the RFC 4648 base64
-    text, without line breaks, of its little-endian float64 bytes in
-    row-major order.  Non-finite values raise ``ValueError``, as JSON has no
-    token for them."""
+def _base64_floats(a: np.ndarray) -> tuple[int, int, bytes, list | None]:
+    """The shape of the finite 2-D float array ``a``, the RFC 4648 base64
+    text, without line breaks, of the little-endian float64 bytes of its
+    stored columns in row-major order, and the ascending list of those
+    columns.  A column whose float64 bits are all zero (``+0.0``, not
+    ``-0.0``) is not stored; when every column is, the list is ``None``.
+    Non-finite values raise ``ValueError``, as JSON has no token for them."""
     a = np.asarray(a, dtype="<f8")
     if not np.all(np.isfinite(a)):
         raise ValueError("a packed array holds non-finite values")
     rows, cols = a.shape
-    return rows, cols, binascii.b2a_base64(a.tobytes(), newline=False)
+    stored = a.view("<u8").any(axis=0)
+    columns = None if stored.all() else np.flatnonzero(stored).tolist()
+    if columns is not None:
+        a = a[:, columns]
+    return rows, cols, binascii.b2a_base64(a.tobytes(), newline=False), columns
 
 
 def pack_floats(a: np.ndarray) -> list:
     """The packed layout of the finite 2-D float array ``a``:
-    ``[rows, cols, "<base64>"]`` (``_base64_floats``)."""
-    rows, cols, text = _base64_floats(a)
-    return [rows, cols, text.decode("ascii")]
+    ``[rows, cols, "<base64>"]``, with the list of stored columns as a
+    fourth item when an all-zero column is left out (``_base64_floats``)."""
+    rows, cols, text, columns = _base64_floats(a)
+    value = [rows, cols, text.decode("ascii")]
+    return value if columns is None else [*value, columns]
 
 
 def pack_json(a: np.ndarray) -> bytes:
     """The compact JSON text of ``pack_floats(a)`` as ASCII bytes, put
     together without an encoder: base64 text holds no character JSON
     escapes, so these are the bytes ``json.dumps`` gives for it."""
-    return b'[%d,%d,"%s"]' % _base64_floats(a)
+    rows, cols, text, columns = _base64_floats(a)
+    listed = b"" if columns is None else b",[%s]" % b",".join(b"%d" % j for j in columns)
+    return b'[%d,%d,"%s"%s]' % (rows, cols, text, listed)
 
 
 def json_table(d: dict, key: str) -> np.ndarray:
     """Field ``key`` of a parsed JSON object as a finite 2-D float array,
     from either layout: the packed one (``packed``), or a list of lists of
     numbers, which ``json_floats`` reads.  Packed, ``rows`` and ``cols`` must
-    be nonnegative JSON integers, the text the padded base64, with no other
-    character, of exactly ``8 * rows * cols`` bytes, and the values finite;
-    anything else raises ``ValueError`` naming the field.  The array owns
-    its data, C-ordered, as ``json_floats`` returns it."""
+    be nonnegative JSON integers and the list of stored columns, if given,
+    strictly increasing JSON integers in ``[0, cols)``; every other column
+    holds ``+0.0``.  The text must be the padded base64, with no other
+    character, of exactly ``8 * rows`` bytes per stored column, and the
+    values finite; anything else raises ``ValueError`` naming the field.
+    The array owns its data, C-ordered, as ``json_floats`` returns it."""
     value = _member(d, key, None)
     if not packed(value):
         return json_floats(d, key, 2)
     name = repr(key)
-    rows, cols, text = value
+    rows, cols, text, *listed = value
     for what, size in (("rows", rows), ("cols", cols)):
         if type(size) is not int or size < 0:
             raise ValueError(f"{name}: {what} must be a nonnegative integer, "
                              f"got {reprlib.repr(size)}")
+    columns = listed[0] if listed else None
+    if columns is not None and not (all(type(j) is int for j in columns) and all(
+            i < j for i, j in zip([-1, *columns], [*columns, cols]))):
+        raise ValueError(f"{name}: the stored columns must be increasing integers "
+                         f"in [0, {cols}), got {reprlib.repr(columns)}")
+    width = cols if columns is None else len(columns)
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a character that is not ASCII
         raise ValueError(f"{name}: not base64: {exc}") from None
-    size = 8 * rows * cols
+    size = 8 * rows * width
     if len(raw) != size:
-        raise ValueError(f"{name}: {len(raw)} bytes, but {rows} x {cols} floats take {size}")
+        raise ValueError(f"{name}: {len(raw)} bytes, but {rows} x {width} floats take {size}")
     if len(text) != 4 * -(-size // 3):  # the decoder may take padding after the last group
         raise ValueError(f"{name}: base64 padding after the last group")
-    # a copy, in native byte order, not a view on the bytes
-    a = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(float)
-    if not np.all(np.isfinite(a)):
+    block = np.frombuffer(raw, dtype="<f8").reshape(rows, width)
+    if not np.all(np.isfinite(block)):
         raise ValueError(f"{name} holds non-finite values")
+    if columns is None:
+        return block.astype(float)  # a copy, in native byte order, not a view on the bytes
+    try:  # the text need not hold the zero columns, so a short one may ask for any size
+        a = np.zeros((rows, cols))
+    except (MemoryError, ValueError):
+        raise ValueError(f"{name}: {rows} x {cols} floats do not fit in memory") from None
+    a[:, columns] = block
     return a
 
 

@@ -461,16 +461,21 @@ def test_dataset_reader_matches_list_path(desk_files, kind):
 
 def test_dataset_reader_yields_json_loads_of_each_trajectory(monkeypatch):
     """The byte split of each trajectory gives what ``json.loads`` gives:
-    ``[int, int, str]`` per array, for base64 with 0, 2 and 1 ``=`` and for
-    arrays with no rows or no columns, read in chunks of several sizes."""
+    ``[int, int, str]`` per array, or ``[int, int, str, [int, …]]`` when
+    all-zero columns are left out, for base64 with 0, 2 and 1 ``=`` in
+    either form, for arrays with no rows or no columns and for empty,
+    one-column and two-column lists, read in chunks of several sizes."""
     import io
 
     import violina.cli as cli
     from violina.kernel import pack_json
 
     arrays = [np.arange(3.0).reshape(3, 1), np.array([[-0.0, 5e-324]]),
-              np.arange(4.0).reshape(2, 2) / 3, np.empty((0, 2)), np.empty((3, 0))]
-    assert [pack_json(a).count(b"=") for a in arrays] == [0, 2, 1, 0, 0]
+              np.arange(4.0).reshape(2, 2) / 3, np.empty((3, 0)), np.empty((0, 2)),
+              np.zeros((2, 3)), np.array([[0.0, 1.5]]), np.array([[0.0, 1.5], [0.0, -2.0]]),
+              np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 3.0, 0.0], [4.0, 0.0, 0.0, 0.0]])]
+    assert [pack_json(a).count(b"=") for a in arrays] == [0, 2, 1, 0, 0, 0, 1, 2, 0]
+    assert [pack_json(a).count(b"[") for a in arrays] == [1, 1, 1, 1, 2, 2, 2, 2, 2]
     text = (b'{"m":2,"q":0' + cli._HEAD_END
             + b",".join(b'{"inputs":%s,"states":%s}' % (pack_json(u), pack_json(x))
                         for u, x in itertools.product(arrays, repeat=2)) + b"]}\n")
@@ -480,7 +485,86 @@ def test_dataset_reader_yields_json_loads_of_each_trajectory(monkeypatch):
         head, *objects = cli._read_dataset_json(io.BytesIO(text))
         assert head == {"m": 2, "q": 0, "trajectories": []}
         assert [list(o.items()) for o in objects] == [list(o.items()) for o in whole]
-        assert {tuple(map(type, a)) for o in objects for a in o.values()} == {(int, int, str)}
+        items = [a for o in objects for a in o.values()]
+        assert {tuple(map(type, a)) for a in items} == {(int, int, str), (int, int, str, list)}
+        assert {type(j) for a in items if len(a) == 4 for j in a[3]} == {int}
+
+
+def test_stream_reads_left_out_columns_bit_exact(tmp_path, monkeypatch):
+    """Arrays with ``+0.0`` columns, which the writer leaves out, with
+    ``-0.0`` and ``5e-324`` columns, which it stores, and all-zero inputs
+    (``[]``) go through the stream, in chunks of several sizes, with every
+    bit, and the list path reads the same."""
+    import violina.cli as cli
+
+    tiny = 5e-324
+    states = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, tiny, -tiny]])
+    trajs = [Trajectory(states, np.array([[0.0] * 3, [-0.0] * 3, [tiny, 1.0, tiny], [0.0] * 3])),
+             Trajectory(states[::-1], np.zeros((4, 3))),
+             Trajectory(states + 1.0, np.array([[0.0, -0.0, 0.0], [0.0] * 3, [2.0] * 3, [tiny] * 3]))]
+    path = tmp_path / "columns.json"
+    assert cli._dump_dataset(path, trajs, 0, 3) == 3
+    text = path.read_bytes()
+    assert text == (json.dumps(Dataset(trajs, 0, 3).to_dict(), sort_keys=True,
+                               separators=(",", ":")) + "\n").encode()
+    lists = [t[key][3] for t in json.loads(text)["trajectories"] for key in ("inputs", "states")
+             if len(t[key]) == 4]
+    assert lists == [[1, 2], [0, 2], [], [0, 2], [0, 2, 3]]
+    listed = cli._parse_file(path, Dataset.from_dict).trajectories
+    for chunk in (1, 7, 1 << 20):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        stream = cli._DatasetStream(path)
+        for got, traj, other in zip(stream.trajectories, trajs, listed, strict=True):
+            for key in ("states", "inputs"):
+                x, y, z = (getattr(t, key) for t in (got, traj, other))
+                assert x.tobytes() == y.tobytes() == z.tobytes() and x.shape == y.shape
+
+
+def _packed_whole(d: dict) -> dict:
+    """The parsed dataset ``d`` with every array packed whole,
+    ``[rows, cols, "<base64>"]``, the layout violina wrote before it left
+    all-zero columns out."""
+    import binascii
+
+    def whole(a):
+        return [*a.shape, binascii.b2a_base64(a.astype("<f8").tobytes(), newline=False).decode()]
+
+    trajs = map(Trajectory.from_dict, d["trajectories"])
+    return dict(d, trajectories=[{"inputs": whole(t.inputs.T), "states": whole(t.states.T)}
+                                 for t in trajs])
+
+
+def test_three_item_suite_reads_as_the_new_one(contract_files, tmp_path):
+    """Every dataset of the desk suite, rewritten with its arrays packed
+    whole and, from there, with lists of numbers, reads bitwise as the new
+    file, through the stream and the list path.  The new files leave the
+    all-zero input columns out (all of them in the energy sets), are
+    smaller, and hold the same states items."""
+    from violina import cli
+    from violina.synth import KINDS
+
+    suite = contract_files["model"].parent
+    for name in (f"{system}_{kind}.json" for system in ("markov", "nonmarkov") for kind in KINDS):
+        new = json.loads((suite / name).read_text())
+        old = _packed_whole(new)
+        whole, numbers = tmp_path / name, tmp_path / f"numbers_{name}"
+        whole.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n")
+        numbers.write_text(json.dumps(_as_numbers(old)))
+        assert whole.stat().st_size > (suite / name).stat().st_size
+        assert [t["states"] for t in new["trajectories"]] == \
+            [t["states"] for t in old["trajectories"]]
+        assert {len(t["inputs"]) for t in new["trajectories"]} == {4}
+        if name.endswith("_energy.json"):
+            assert {(t["inputs"][2], len(t["inputs"][3])) for t in new["trajectories"]} == {("", 0)}
+        reads = [list(cli._DatasetStream(suite / name).trajectories),
+                 list(cli._DatasetStream(whole).trajectories),
+                 cli._parse_file(suite / name, Dataset.from_dict).trajectories,
+                 cli._parse_file(whole, Dataset.from_dict).trajectories,
+                 cli._parse_file(numbers, Dataset.from_dict).trajectories]
+        for trajs in zip(*reads, strict=True):
+            for key in ("states", "inputs"):
+                assert len({(a.dtype, a.shape, a.strides, a.tobytes())
+                            for a in (getattr(t, key) for t in trajs)}) == 1, (name, key)
 
 
 def test_dataset_reader_peak_memory(desk_files):
@@ -665,6 +749,17 @@ def _states_rows_in_trajectory_1(rows):
     return make
 
 
+def _columns_in_trajectory_1(columns):
+    """The text with the column list of trajectory 1's inputs, the first
+    list in it, spelled ``columns``."""
+    def make(text, d):
+        i = _trajectory_1_at(text)
+        tail, count = re.subn(r'",\[[0-9,]*\]\]', f'",[{columns}]]', text[i:], count=1)
+        assert count == 1 and tail.index(columns) < tail.index('"states"')
+        return text[:i] + tail
+    return make
+
+
 @pytest.mark.parametrize("make, streams", [
     (_trajectories_first, False),
     (lambda text, d: json.dumps(d, indent=1), False),
@@ -695,21 +790,30 @@ def _states_rows_in_trajectory_1(rows):
     (_states_rows_in_trajectory_1("01"), False),
     (_states_rows_in_trajectory_1("-1"), False),
     (_states_rows_in_trajectory_1("1e3"), False),
+    (_columns_in_trajectory_1("0, 5"), False),
+    (_columns_in_trajectory_1("01,5"), False),
+    (_columns_in_trajectory_1("0,1e3"), False),
+    (_columns_in_trajectory_1("-0,5"), False),
+    (_columns_in_trajectory_1("0,7"), True),
 ], ids=["trajectories-first", "indent-1", "escaped-key", "brackets-in-strings",
         "two-trajectory-keys", "no-trajectories", "no-trajectories-compact", "trailing-data",
         "member-after-trajectories", "escaped-quote-key", "truncated", "late-syntax-error",
         "chunk-in-number", "chunk-in-key", "chunk-in-escape", "one-byte-chunks",
         "one-byte-chunks-canonical", "one-byte-chunks-indent-1", "chunk-in-base64",
         "numbers-compact", "space-after-colon", "space-after-comma", "space-in-array-head",
-        "states-first", "extra-member", "a-in-key", "rows-01", "rows-minus-1", "rows-1e3"])
+        "states-first", "extra-member", "a-in-key", "rows-01", "rows-minus-1", "rows-1e3",
+        "space-in-columns", "columns-01", "columns-1e3", "columns-minus-0",
+        "columns-moved"])
 def test_dataset_reader_layouts_match_list_path(suite_dir, tmp_path, capsys, monkeypatch,
                                                 make, streams):
     """The chunked reader takes the layout ``_dump_dataset`` writes, in
     chunks of any size, without reading the whole file; any other layout of
     valid JSON (``streams`` false), lists of numbers in place of packed
-    arrays, an escape in a key and one byte off in a trajectory among them,
-    is read whole by the list path.  On invalid JSON the CLI exits as the
-    list path does, line number included."""
+    arrays, an escape in a key and one byte off in a trajectory or its
+    column list among them, is read whole by the list path.  On invalid
+    JSON the CLI exits as the list path does, line number included.  A
+    column list that moves the data (``columns-moved``) streams, and both
+    paths put it in the listed column."""
     import violina.cli as cli
 
     text = (suite_dir / "markov_test.json").read_text()
@@ -1148,15 +1252,17 @@ _ACCEPTED = {("config", ("seed",), "big"), ("model", ("kernel", "m"), "big")}
 
 
 def _raw(edit):
-    """A replacement of a packed array by the one whose float64 values are
-    ``edit`` of the old ones, packed as ``kernel.pack_floats`` packs them but
-    without its finiteness check."""
+    """A replacement of a packed array by the one whose stored float64 values
+    are ``edit`` of the old ones, packed as ``kernel.pack_floats`` packs them
+    but without its finiteness check, and with the old list of stored
+    columns, if any.  ``edit`` keeps the number of columns."""
     import binascii
 
     def replace(old):
-        rows, cols, text = old
-        a = edit(np.frombuffer(binascii.a2b_base64(text), dtype="<f8").reshape(rows, cols))
-        return [*a.shape, binascii.b2a_base64(a.tobytes(), newline=False).decode()]
+        rows, cols, text, *columns = old
+        width = len(columns[0]) if columns else cols
+        a = edit(np.frombuffer(binascii.a2b_base64(text), dtype="<f8").reshape(rows, width))
+        return [len(a), cols, binascii.b2a_base64(a.tobytes(), newline=False).decode(), *columns]
     return replace
 
 
@@ -1168,27 +1274,49 @@ def _set_first(value):
     return edit
 
 
-# (path, label, replacement of the old value) in trajectory 1 of a packed file
+def _columns(edit):
+    """A replacement of a packed array with stored columns ``[j0, …]`` by
+    the one whose list is ``edit`` of it."""
+    def replace(old):
+        assert len(old) == 4 and len(old[3]) >= 2, old
+        return [*old[:3], edit(old[3])]
+    return replace
+
+
+# (path, label, replacement of the old value) in trajectory 1 of a packed
+# file, whose inputs leave out their all-zero columns and whose states do not
 _PACKED = [(("trajectories", 1, key), label, value) for key in ("states", "inputs")
            for label, value in (
-               ("alphabet", lambda v: [v[0], v[1], v[2][:8] + "*" + v[2][8:]]),
-               ("line-break", lambda v: [v[0], v[1], v[2][:76] + "\n" + v[2][76:]]),
-               ("padding-extra", lambda v: [v[0], v[1], v[2] + "="]),
-               ("padding-inside", lambda v: [v[0], v[1], v[2][:6] + "=" + v[2][7:]]),
-               ("not-ascii", lambda v: [v[0], v[1], "\u00e9" + v[2][1:]]),
-               ("short-bytes", lambda v: [v[0], v[1], _raw(lambda a: a[:-1])(v)[2]]),
+               ("alphabet", lambda v: [v[0], v[1], v[2][:8] + "*" + v[2][8:], *v[3:]]),
+               ("line-break", lambda v: [v[0], v[1], v[2][:76] + "\n" + v[2][76:], *v[3:]]),
+               ("padding-extra", lambda v: [v[0], v[1], v[2] + "=", *v[3:]]),
+               ("padding-inside", lambda v: [v[0], v[1], v[2][:6] + "=" + v[2][7:], *v[3:]]),
+               ("not-ascii", lambda v: [v[0], v[1], "\u00e9" + v[2][1:], *v[3:]]),
+               ("short-bytes", lambda v: [v[0], v[1], _raw(lambda a: a[:-1])(v)[2], *v[3:]]),
                ("nan", _raw(_set_first(np.nan))),
                ("inf", _raw(_set_first(-np.inf))),
-               ("rows-float", lambda v: [float(v[0]), v[1], v[2]]),
-               ("cols-float", lambda v: [v[0], float(v[1]), v[2]]),
-               ("rows-true", lambda v: [True, v[1], v[2]]),
-               ("cols-true", lambda v: [v[0], True, v[2]]),
-               ("rows-negative", lambda v: [-1, v[1], v[2]]),
-               ("cols-negative", lambda v: [v[0], -1, v[2]]),
-               ("shape-negated", lambda v: [-v[0], -v[1], v[2]]),
-               ("transposed", lambda v: [v[1], v[0], v[2]]))] + [
+               ("rows-float", lambda v: [float(v[0]), v[1], v[2], *v[3:]]),
+               ("cols-float", lambda v: [v[0], float(v[1]), v[2], *v[3:]]),
+               ("rows-true", lambda v: [True, v[1], v[2], *v[3:]]),
+               ("cols-true", lambda v: [v[0], True, v[2], *v[3:]]),
+               ("rows-negative", lambda v: [-1, v[1], v[2], *v[3:]]),
+               ("cols-negative", lambda v: [v[0], -1, v[2], *v[3:]]),
+               ("shape-negated", lambda v: [-v[0], -v[1], v[2], *v[3:]]),
+               ("transposed", lambda v: [v[1], v[0], v[2], *v[3:]]))] + [
     (("trajectories", 1, "states"), "one-state-fewer", _raw(lambda a: a[:-1])),
-    (("trajectories", 1, "inputs"), "one-input-more", _raw(lambda a: np.vstack([a, a[-1:]])))]
+    (("trajectories", 1, "inputs"), "one-input-more", _raw(lambda a: np.vstack([a, a[-1:]])))] + [
+    (("trajectories", 1, "inputs"), f"columns-{label}", value) for label, value in (
+        ("not-a-list", lambda v: [*v[:3], ",".join(map(str, v[3]))]),
+        ("float", _columns(lambda c: [c[0], float(c[1]), *c[2:]])),
+        ("true", _columns(lambda c: [True, *c[1:]])),
+        ("negative", _columns(lambda c: [-1, *c[1:]])),
+        ("cols", _columns(lambda c: [*c[:-1], 30])),
+        ("duplicate", _columns(lambda c: [c[0], c[0], *c[2:]])),
+        ("decreasing", _columns(lambda c: [c[1], c[0], *c[2:]])),
+        ("one-more", _columns(lambda c: [*c, 29])),
+        ("one-fewer", _columns(lambda c: c[:-1])),
+        ("empty", _columns(lambda c: [])),
+        ("huge", lambda v: [v[0], 10 ** 15, "", []]))]
 
 
 def _mutations():

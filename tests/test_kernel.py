@@ -240,3 +240,65 @@ def test_packed_needs_a_shape_not_rows():
     assert packed([3, 1, "AAAA"]) and packed([True, -1, ""])
     assert not packed([[0.0], [1.0], "1.5"]) and not packed([0.0, [1.0], "1.5"])
     assert not packed([[0.0], [1.0], [1.5]]) and not packed([1, 1, "A", "B"])
+    assert packed([3, 2, "AAAA", [1]]) and packed([0, 2, "", []])
+    assert not packed([1, 1, "A", 0]) and not packed([[0.0], [1.0], "1.5", [2.0]])
+    assert not packed([1, 1, "A", [0], []])
+
+
+def test_packed_columns_round_trip_bit_exact():
+    """Columns whose bits are all zero (``+0.0``) are left out and every
+    other one, ``-0.0`` and ``5e-324`` columns too, is stored; with none
+    left out the form is the three-item one.  ``pack_json`` gives the bytes
+    ``json.dumps`` gives for ``pack_floats``, and ``json_table`` gives back
+    every bit, C-ordered, in an array that owns its data."""
+    import json
+
+    from violina.kernel import json_table, pack_floats, pack_json
+
+    a = np.array([[0.0, -0.0, 5e-324, 0.0, 1.5], [0.0, 0.0, 0.0, 0.0, -5e-324]])
+    cases = {"mixed": (a, [1, 2, 4]), "fortran": (np.asfortranarray(a), [1, 2, 4]),
+             "stored": (a[:, 1:3], None), "negative-zero": (np.full((2, 2), -0.0), None),
+             "zero": (np.zeros((3, 2)), []), "no-rows": (np.zeros((0, 2)), []),
+             "no-columns": (a[:, :0], None)}
+    for label, (b, columns) in cases.items():
+        value = pack_floats(b)
+        assert (value[3] if len(value) == 4 else None) == columns, label
+        assert pack_json(b) == json.dumps(value, separators=(",", ":")).encode(), label
+        read = json_table(json.loads(json.dumps({"x": value})), "x")
+        assert read.tobytes() == np.ascontiguousarray(b).tobytes() and read.shape == b.shape
+        assert read.flags.c_contiguous and read.flags.owndata, label
+    assert pack_floats(a[:, [1, 2, 4]])[2] == pack_floats(a)[2]
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["stdlib", "py310-decoder"])
+def test_json_table_checks_the_stored_columns(monkeypatch, lenient):
+    """The list of stored columns must be strictly increasing JSON integers
+    in ``[0, cols)``, and it sets the byte count; the text checks hold as
+    in the three-item form, on either decoder."""
+    import base64
+
+    from violina.kernel import json_table, pack_floats
+
+    if lenient:
+        monkeypatch.setattr(base64, "b64decode", lenient_b64decode)
+    a = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0]]) / 7
+    good = pack_floats(a)
+    assert good[::3] == [2, [0, 2]] and good[2].count("=") == 1
+    assert json_table({"x": good}, "x").tobytes() == a.tobytes()
+    wrong = r"^'x': the stored columns must be increasing integers in \[0, 3\), got "
+    for columns, message in [
+            ([0.0, 2], wrong), ([True, 2], wrong), ([0, "2"], wrong), ([-1, 2], wrong),
+            ([0, 3], wrong), ([2, 2], wrong), ([2, 0], wrong), ([0, [2]], wrong),
+            ([0, 1, 2], r"^'x': 32 bytes, but 2 x 3 floats take 48$"),
+            ([0], r"^'x': 32 bytes, but 2 x 1 floats take 16$"),
+            ([], r"^'x': 32 bytes, but 2 x 0 floats take 0$")]:
+        with pytest.raises(ValueError, match=message):
+            json_table({"x": [*good[:3], columns]}, "x")
+    with pytest.raises(ValueError, match="^'x': a string is not a number$"):
+        json_table({"x": [*good[:3], "0,2"]}, "x")
+    for rows, cols in ((2, 10 ** 15), (10 ** 10, 10 ** 10)):  # too large to allocate or to index
+        with pytest.raises(ValueError, match=f"^'x': {rows} x {cols} floats do not fit in memory$"):
+            json_table({"x": [rows, cols, "", []]}, "x")
+    for label, fault in _TEXT_FAULTS.items():
+        with pytest.raises(ValueError, match="^'x'"):
+            json_table({"x": [2, 3, fault(good[2]), [0, 2]]}, "x")
