@@ -412,7 +412,7 @@ def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
         if args.constraints == "a1b":
             on_A = SymmetricMaskedNonneg(mask)
         else:
-            on_A = ShiftedGraphLaplacian(mask, shift=args.laplacian_shift)
+            on_A = ShiftedGraphLaplacian(mask)
     except ValueError as exc:
         raise ConfigError(f"{args.mask}: {exc}") from exc
     return ConstraintSpec(on_A, NonnegativeDiagonal(), on_D)
@@ -443,17 +443,17 @@ def cmd_dmdc(args) -> int:
     if args.pooled and args.fit_index is not None:
         raise ConfigError("--fit-index picks the one trajectory to fit, "
                           "but --pooled fits them all")
-    fit_index = 0 if args.fit_index is None else args.fit_index
+    fit_index = None if args.pooled else args.fit_index or 0
     train = _open_dataset(args, args.train)
     try:
         if args.rank is not None:
             rank, scan = args.rank, None
             try:
-                A, B = dmdc_fit(train, rank, None if args.pooled else [fit_index])
+                A, B = dmdc_fit(train, rank, None if fit_index is None else [fit_index])
             except ValueError as exc:  # only an unattainable --rank
                 raise ConfigError(f"--rank: {exc}") from exc
         else:
-            scan = dmdc_rank_scan(train, fit_index=fit_index, pooled=args.pooled)
+            scan = dmdc_rank_scan(train, fit_index)
             rank, A, B = scan.best_rank, scan.A, scan.B
     except IndexError:  # no trajectory --fit-index, known once all are read
         _check_index("--fit-index", fit_index, train.size)
@@ -671,13 +671,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="training dataset JSON")
     p.add_argument("--constraints", choices=("a1b", "a2b", "free"), default="a1b")
     p.add_argument("--mask", help="manifest JSON carrying the neighbor mask")
-    p.add_argument("--laplacian-shift", choices=("identity", "zero"), default="identity")
     p.add_argument("--bandwidth", type=int, default=None,
                    help="kernel bandwidth Q (default: q + 1)")
-    p.add_argument("--t0", type=float, default=0.3)
-    p.add_argument("--eta", type=float, default=1.05)
-    p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--stop-tol", type=float, default=None)
+    p.add_argument("--t0", type=float, default=PgdConfig.t0)
+    p.add_argument("--eta", type=float, default=PgdConfig.eta)
+    p.add_argument("--steps", type=int, default=PgdConfig.max_steps)
+    p.add_argument("--stop-tol", type=float, default=PgdConfig.stop_tol)
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--curve", help="learning-curve CSV")
     p.set_defaults(func=cmd_fit)

@@ -224,8 +224,7 @@ class SymmetricMaskedNonneg:
         s = 0.5 * (v + v[self._transpose])
         return np.where(self._off, np.maximum(s, 0.0), s)
 
-    def project(self, M):
-        return _scatter(self, M)
+    project = _scatter
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,8 +268,7 @@ class ShiftedGraphLaplacian:
         shift = self._shift_support
         return shift + self._laplacian.project_support(v - shift)
 
-    def project(self, M):
-        return _scatter(self, M)
+    project = _scatter
 
 
 @dataclass(frozen=True)
@@ -284,8 +282,7 @@ class NonnegativeDiagonal:
     def project_support(self, v):
         return np.maximum(v, 0.0)
 
-    def project(self, M):
-        return _scatter(self, M)
+    project = _scatter
 
 
 @dataclass(frozen=True)

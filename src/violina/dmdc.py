@@ -104,8 +104,8 @@ class _RankErrors:
     formed residual) and ``||x||``.
     """
 
-    def __init__(self, svd: _StackSvd, m: int):
-        self.m, self.n, self.p = m, svd.n, svd.rank
+    def __init__(self, svd: _StackSvd, m: int, group_size: int | None = None):
+        self.svd, self.m, self.n, self.p = svd, m, svd.n, svd.rank
         self.P = svd.Y @ (svd.Vt[: self.p].T / svd.s[: self.p])
         self.Wn, self.Wu = svd.W[: self.n, : self.p], svd.W[self.n :, : self.p]
         self.M = self.Wn.T @ self.P
@@ -113,28 +113,29 @@ class _RankErrors:
         self.totals = [0.0] * self.p
         self.count = 0
         self.group = []  # reduced trajectories that wait to be scored
-        self.group_size = _group_size(self.n, len(svd.W) - self.n, m, self.p)
+        self.group_size = group_size or _group_size(self.n, len(svd.W) - self.n, m, self.p)
 
     def hold(self, traj):
-        """Reduce ``traj`` and keep it in the group; a full group is scored
-        (``add``), so the totals grow in dataset order."""
+        """Reduce ``traj`` and keep it in the group; a full group, of
+        ``group_size`` (by default ``_group_size``), is scored (``add``), so
+        the totals grow in dataset order."""
         m = self.m
         x = traj.states[:, 1 : m + 1]
         xQ = x.T @ self.Q
         self.group.append((traj.inputs[:, :m].T @ self.Wu, traj.states[:, 0].copy(), xQ,
                            np.linalg.norm(x - self.Q @ xQ.T) ** 2, np.linalg.norm(x)))
         if len(self.group) == self.group_size:
-            self.add(self.group)
+            self.add()
 
     def means(self) -> list[float]:
         """Each rank's mean error over every trajectory held."""
         if self.group:
-            self.add(self.group)
+            self.add()
         return [total / self.count for total in self.totals]
 
-    def add(self, group: list):
-        """Add the errors of ``group``, a list of reduced trajectories, which
-        is emptied.
+    def add(self):
+        """Add the errors of the reduced trajectories in ``group``, which is
+        emptied.
 
         The ranks of the group recurse side by side: rank ``r`` of trajectory
         ``i`` is column ``(r - lo, i)`` of chunk ``lo..hi``'s ``hi``-row
@@ -147,8 +148,8 @@ class _RankErrors:
         rank-by-rank recursion batched over the group.
         """
         m, n, p = self.m, self.n, self.p
-        inputs, starts, xQ, perps, norms = zip(*group)
-        group.clear()
+        inputs, starts, xQ, perps, norms = zip(*self.group)
+        self.group.clear()
         # C[t] holds W_u^T u_t of every trajectory side by side: m x p x batch
         C = np.stack(inputs, axis=2)
         del inputs
@@ -193,48 +194,43 @@ class _RankErrors:
         self.count += batch
 
 
-def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0,
-                   pooled: bool = False) -> RankScanResult:
+def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0) -> RankScanResult:
     """Scan every attainable rank for the best mean self-reconstruction error.
 
     The fit uses trajectory ``fit_index`` (default the first one, which the
-    benchmark orders to carry the designated fitting input) or the pooled
-    train set when ``pooled`` is true.  Each candidate model re-simulates all
-    train trajectories from their own initial value and inputs; ties go to
-    the smaller rank.  The result carries the best rank's ``(A, B)``, solved
-    from the same factorisation.
+    benchmark orders to carry the designated fitting input), or the pooled
+    train set when ``fit_index`` is ``None``.  Each candidate model
+    re-simulates all train trajectories from their own initial value and
+    inputs; ties go to the smaller rank.  The result carries the best rank's
+    ``(A, B)``, solved from the same factorisation.
 
     ``train.trajectories`` is read once, to its end, so ``train`` may be a
     one-pass stream.  The trajectories before the fit one wait for its SVD;
     from the fit one on, each is reduced to its rank-space form as it is
     read and then dropped, and the reduced ones are scored for every rank a
     group at a time, their errors summed into running totals in dataset
-    order.  ``pooled`` keeps every trajectory, since the SVD needs them
-    all, and reduces them after it into one group.  A ``fit_index`` outside ``[0, size)``
-    raises ``IndexError``.  No full-state model is simulated nor any state
-    mapped back to ``n`` coordinates: each rank recurses, and its error is
-    taken, in ``r`` SVD coordinates (``_RankErrors``).
+    order.  The pooled fit keeps every trajectory, since the SVD needs them
+    all, and reduces them after it into one group.  A ``fit_index`` outside
+    ``[0, size)`` raises ``IndexError``.  No full-state model is simulated
+    nor any state mapped back to ``n`` coordinates: each rank recurses, and
+    its error is taken, in ``r`` SVD coordinates (``_RankErrors``).
     """
     m = train.m
-    svd = None
-    waiting = []  # trajectories read before the SVD exists
+    scan, waiting = None, []  # the trajectories read before the SVD exists
     for i, traj in enumerate(train.trajectories):
         waiting.append(traj)
-        if svd is None and not pooled and i == fit_index:
-            svd = _StackSvd(waiting[-1:], m)
-            scan = _RankErrors(svd, m)
-        if svd is not None:
-            while waiting:
-                scan.hold(waiting.pop(0))
+        if i == fit_index:
+            scan = _RankErrors(_StackSvd(waiting[-1:], m), m)
+        while scan is not None and waiting:
+            scan.hold(waiting.pop(0))
     del traj  # the last one's inputs
-    if pooled:
-        svd = _StackSvd(waiting, m)
-        scan = _RankErrors(svd, m)
-        scan.group_size = len(waiting)  # all of them are held for the SVD anyway
-    elif svd is None:
+    if fit_index is None:  # all of them are held for the SVD anyway: one group
+        scan = _RankErrors(_StackSvd(waiting, m), m, group_size=len(waiting))
+    elif scan is None:
         raise IndexError(f"fit_index {fit_index} outside the valid range [0, {len(waiting)})")
     while waiting:  # every trajectory when pooled
         scan.hold(waiting.pop(0))
+    svd = scan.svd
     if svd.rank < 1:
         raise ValueError("fitting data has rank zero")
     errors = scan.means()

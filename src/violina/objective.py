@@ -355,10 +355,13 @@ def uniqueness_certificate(data: Dataset, mode: str = "fixed_d",
     ``full`` restricts the Hessian to ``A``, ``B`` and the feasible band
     directions (bandwidth ``Q``, default ``q + 1``) and reports its smallest
     eigenvalue.  ``fixed_d`` is ``Q = 1``, a fixed kernel: eigenvalues twice
-    those of :func:`fixed_d_hessian`.  Either way ``rank_condition`` states
-    whether the stacked ``[X; U]`` has full row rank ``n + k``.
+    those of :func:`fixed_d_hessian`; any other ``Q`` with it raises
+    ``ValueError``.  Either way ``rank_condition`` states whether the stacked
+    ``[X; U]`` has full row rank ``n + k``.
     """
     if mode == "fixed_d":
+        if Q not in (None, 1):
+            raise ValueError(f"mode 'fixed_d' fixes the kernel (Q = 1), got Q={Q}")
         Q = 1
     elif mode != "full":
         raise ValueError(f"unknown mode {mode!r}, expected 'fixed_d' or 'full'")

@@ -1,7 +1,7 @@
 """Small deterministic SVG line plots (no plotting dependency).
 
 Numbers are formatted with a fixed precision, so identical inputs always
-produce identical bytes.
+produce identical bytes.  Titles and labels are written as XML-escaped text.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class _Panel:
     """One set of axes; renders into SVG fragments at a vertical offset."""
 
     def __init__(self, series, width, height, y_off, title, xlabel, ylabel, logy):
+        from xml.sax.saxutils import escape  # on use: it imports urllib.request, 25 ms
         self.parts = []
         xs_all, ys_all = [], []
         plotted = []
@@ -90,14 +91,14 @@ class _Panel:
                 f'dominant-baseline="middle" fill="#333">{label}</text>')
         if title:
             add(f'<text x="{width / 2:.6g}" y="{y_off + 16}" font-size="12" '
-                f'text-anchor="middle" fill="#000">{title}</text>')
+                f'text-anchor="middle" fill="#000">{escape(title)}</text>')
         if xlabel:
             add(f'<text x="{width / 2:.6g}" y="{y_off + height - 8}" font-size="11" '
-                f'text-anchor="middle" fill="#000">{xlabel}</text>')
+                f'text-anchor="middle" fill="#000">{escape(xlabel)}</text>')
         if ylabel:
             yc = y_off + height / 2
             add(f'<text x="14" y="{yc:.6g}" font-size="11" text-anchor="middle" '
-                f'fill="#000" transform="rotate(-90 14 {yc:.6g})">{ylabel}</text>')
+                f'fill="#000" transform="rotate(-90 14 {yc:.6g})">{escape(ylabel)}</text>')
         for i, (label, pairs, dashed) in enumerate(plotted):
             color = PALETTE[i % len(PALETTE)]
             pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pairs)
@@ -110,7 +111,8 @@ class _Panel:
             dash = ' stroke-dasharray="5,3"' if dashed else ""
             add(f'<line x1="{right - 110}" y1="{ly}" x2="{right - 86}" y2="{ly}" '
                 f'stroke="{color}" stroke-width="1.5"{dash}/>')
-            add(f'<text x="{right - 80}" y="{ly + 3}" font-size="10" fill="#333">{label}</text>')
+            add(f'<text x="{right - 80}" y="{ly + 3}" font-size="10" '
+                f'fill="#333">{escape(label)}</text>')
 
 
 def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",

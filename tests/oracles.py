@@ -318,13 +318,14 @@ def column_simulate(model, initial_states, inputs):
     return x
 
 
-def literal_rank_scan(train, fit_index=0, pooled=False):
+def literal_rank_scan(train, fit_index=0):
     """The DMDc rank scan by full-state simulation: for every attainable rank,
-    the truncated ``(A, B)`` re-simulates each train trajectory through
+    the truncated ``(A, B)`` of trajectory ``fit_index`` (all of them when it
+    is ``None``) re-simulates each train trajectory through
     ``StateSpaceModel.simulate``.  Returns the ranks, their mean relative
     errors and the singular values of the stacked ``[X; U]``."""
-    svd = _StackSvd(train.trajectories if pooled else [train.trajectories[fit_index]],
-                    train.m)
+    svd = _StackSvd(train.trajectories if fit_index is None
+                    else [train.trajectories[fit_index]], train.m)
     ranks, errors = [], []
     for r in range(1, svd.rank + 1):
         A, B = svd.solve(r)

@@ -1694,7 +1694,7 @@ def test_fit_requires_mask_for_constrained_runs(suite_dir, tmp_path):
 def test_fit_a2b_identity_shift_unit_column_sums(suite_dir, tmp_path):
     model = tmp_path / "a2.json"
     rc = main(["--quiet", "fit", "--train", str(suite_dir / "markov_train.json"),
-               "--constraints", "a2b", "--laplacian-shift", "identity",
+               "--constraints", "a2b",
                "--mask", str(suite_dir / "manifest.json"),
                "--steps", "30", "--out", str(model)])
     assert rc == 0
@@ -1724,6 +1724,21 @@ def test_plot_curve_and_determinism(suite_dir, tmp_path):
     assert text.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420" '
                            'viewBox="0 0 640 420">')
     assert text.count("<rect") == 2
+
+
+def test_plot_curve_escapes_text(tmp_path):
+    """A file name with ``&``, a title and column headers with ``<`` reach
+    the SVG as escaped text, so it parses as XML and reads back verbatim."""
+    from xml.etree import ElementTree
+
+    csv = tmp_path / "a&b.csv"
+    csv.write_text("t<0,y<1\n0,1\n1,2\n", encoding="utf-8")
+    svg = tmp_path / "p.svg"
+    assert main(["--quiet", "plot", "--kind", "curve", str(csv), "--title", "x < y",
+                 "--x-col", "t<0", "--y-col", "y<1", "--out", str(svg)]) == 0
+    texts = [el.text for el in ElementTree.fromstring(svg.read_text()).iter()
+             if el.tag.endswith("text")]
+    assert {"x < y", "t<0", "y<1", "a&b"} <= set(texts)
 
 
 def test_plot_traces(suite_dir, tmp_path):
@@ -1795,6 +1810,16 @@ def test_dmdc_fit_index_with_pooled_exit_2(suite_dir, tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--fit-index" in err and "--pooled" in err
     assert not out.exists()
+
+
+def test_fit_laplacian_shift_option_is_gone(suite_dir, tmp_path, capsys):
+    # a2b always uses the identity shift; the option is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["--quiet", "fit", "--train", str(suite_dir / "markov_train.json"),
+              "--constraints", "a2b", "--laplacian-shift", "identity",
+              "--mask", str(suite_dir / "manifest.json"), "--out", str(tmp_path / "m.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --laplacian-shift" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rank", ["0", "99"], ids=["rank=0", "rank=99"])

@@ -88,19 +88,47 @@ def test_rank_scan_single_feasible_rank(rng):
 def test_rank_scan_records_whole_curve(rng):
     truth = random_stable_model(rng, n=2, k=1, m=12, q=0, Q=1)
     train = simulated_dataset(rng, truth, 12, N=2, zero_initial=False)
-    scan = dmdc_rank_scan(train, pooled=True)
+    scan = dmdc_rank_scan(train, fit_index=None)
     assert len(scan.errors) == len(scan.ranks) == attainable_rank(train)
 
 
-def assert_scan_matches_oracle(train, fit_index=0, pooled=False):
+def _fit_indices(fit_index):
+    """The ``dmdc_fit`` indices of a scan's ``fit_index`` (``None``: pooled)."""
+    return None if fit_index is None else [fit_index]
+
+
+def test_pooled_scan_is_fit_index_none():
+    """``fit_index=None`` is the pooled scan: one SVD of every trajectory and
+    all of them scored in one group, bit for bit, with ``dmdc_fit``'s
+    pooled ``(A, B)`` at the best rank."""
+    import violina.dmdc as dmdc
+
+    suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
+    for train in (suite.markov.train, suite.nonmarkov.train):
+        trajs = train.trajectories
+        svd = dmdc._StackSvd(trajs, train.m)
+        pooled = dmdc._RankErrors(svd, train.m, group_size=len(trajs))
+        for traj in trajs:
+            pooled.hold(traj)
+        errors = tuple(pooled.means())
+        scan = dmdc_rank_scan(train, fit_index=None)
+        assert scan.ranks == tuple(range(1, svd.rank + 1))
+        assert scan.errors == errors
+        assert scan.best_rank == int(np.argmin(errors)) + 1
+        A, B = dmdc_fit(train, scan.best_rank)
+        np.testing.assert_array_equal(scan.A, A)
+        np.testing.assert_array_equal(scan.B, B)
+
+
+def assert_scan_matches_oracle(train, fit_index=0):
     """The scan against the full-state oracle: ranks, best rank and ``(A, B)``
     exactly; every error within ``100 eps (s_1 / s_r) (1 + e_r)``, the rounding
     the rank-``r`` conditioning allows."""
-    scan = dmdc_rank_scan(train, fit_index=fit_index, pooled=pooled)
-    ranks, errors, s = literal_rank_scan(train, fit_index=fit_index, pooled=pooled)
+    scan = dmdc_rank_scan(train, fit_index=fit_index)
+    ranks, errors, s = literal_rank_scan(train, fit_index=fit_index)
     assert scan.ranks == ranks
     assert scan.best_rank == ranks[int(np.argmin(errors))]
-    A, B = dmdc_fit(train, scan.best_rank, None if pooled else [fit_index])
+    A, B = dmdc_fit(train, scan.best_rank, _fit_indices(fit_index))
     np.testing.assert_array_equal(scan.A, A)
     np.testing.assert_array_equal(scan.B, B)
     e = np.asarray(errors)
@@ -113,15 +141,15 @@ def assert_scan_matches_oracle(train, fit_index=0, pooled=False):
 def test_rank_scan_matches_separate_fits_on_desk_suite(monkeypatch):
     suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
     for system in (suite.markov, suite.nonmarkov):
-        for pooled in (False, True):
-            scan, _ = assert_scan_matches_oracle(system.train, pooled=pooled)
+        for fit_index in (0, None):
+            scan, _ = assert_scan_matches_oracle(system.train, fit_index)
             assert scan.ranks == tuple(range(1, attainable_rank(
-                system.train, None if pooled else [0]) + 1))
+                system.train, _fit_indices(fit_index)) + 1))
 
     def no_simulate(*args):
         raise AssertionError("the scan simulates no full-state model")
     monkeypatch.setattr(StateSpaceModel, "simulate", no_simulate)
-    assert dmdc_rank_scan(suite.nonmarkov.train, pooled=True).best_rank == scan.best_rank
+    assert dmdc_rank_scan(suite.nonmarkov.train, fit_index=None).best_rank == scan.best_rank
 
 
 @pytest.mark.parametrize("where", ["middle", "last"])
@@ -130,11 +158,11 @@ def test_rank_scan_matches_oracle_with_later_fit_index(where):
     in dataset order like the ones after it."""
     suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
     for system in (suite.markov, suite.nonmarkov):
-        fit_index = system.train.size // 2 if where == "middle" else system.train.size - 1
-        for pooled in (False, True):
-            scan, _ = assert_scan_matches_oracle(system.train, fit_index, pooled)
+        later = system.train.size // 2 if where == "middle" else system.train.size - 1
+        for fit_index in (later, None):
+            scan, _ = assert_scan_matches_oracle(system.train, fit_index)
             assert scan.ranks == tuple(range(1, attainable_rank(
-                system.train, None if pooled else [fit_index]) + 1))
+                system.train, _fit_indices(fit_index)) + 1))
 
 
 def test_rank_scan_chunks_its_ranks(rng):
@@ -180,18 +208,18 @@ def _lagged_dataset(rng):  # q > 0: the scan still pairs single steps
 
 @pytest.mark.parametrize("make", [_zero_trajectory_dataset, _wide_input_dataset,
                                   _lagged_dataset], ids=["zero-trajectory", "k>n", "q>0"])
-@pytest.mark.parametrize("pooled", [False, True], ids=["single", "pooled"])
-def test_rank_scan_matches_oracle_on_small_cases(rng, make, pooled):
+@pytest.mark.parametrize("fit_index", [0, None], ids=["single", "pooled"])
+def test_rank_scan_matches_oracle_on_small_cases(rng, make, fit_index):
     train = make(rng)
-    scan, errors = assert_scan_matches_oracle(train, pooled=pooled)
+    scan, errors = assert_scan_matches_oracle(train, fit_index)
     if make is _wide_input_dataset:
         assert scan.ranks[-1] > train.n
     if make is _lagged_dataset:
         assert scan.errors == dmdc_rank_scan(Dataset(train.trajectories, 0, train.m),
-                                             pooled=pooled).errors
-    if make is _zero_trajectory_dataset and not pooled:  # the zero one adds error 0.0
+                                             fit_index).errors
+    if make is _zero_trajectory_dataset and fit_index == 0:  # the zero one adds error 0.0
         single = Dataset(train.trajectories[:2], 0, train.m)
-        _, single_errors = assert_scan_matches_oracle(single, pooled=pooled)
+        _, single_errors = assert_scan_matches_oracle(single, fit_index)
         assert errors == tuple(e * 2 / 3 for e in single_errors)
 
 
@@ -200,27 +228,27 @@ def test_rank_scan_groups_match_oracle(rng, monkeypatch, size):
     """The scan scores reduced trajectories a group at a time; groups of 1,
     2 and all trajectories give the oracle's ranks, best rank, ``(A, B)``
     and errors, on the desk suites and with ``p > n`` (a square ``Q``), and
-    a zero trajectory still adds exactly 0.  ``pooled`` holds every
+    a zero trajectory still adds exactly 0.  The pooled scan holds every
     trajectory for its SVD, so it scores them in one group."""
     import violina.dmdc as dmdc
 
     sizes = []
     add = dmdc._RankErrors.add
 
-    def counted(self, group):
-        sizes.append(len(group))
-        add(self, group)
+    def counted(self):
+        sizes.append(len(self.group))
+        add(self)
     monkeypatch.setattr(dmdc._RankErrors, "add", counted)
     monkeypatch.setattr(dmdc, "_group_size", lambda *shape: size or 10 ** 9)
     suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
     wide = _wide_input_dataset(rng)
     for train in (suite.markov.train, suite.nonmarkov.train, wide):
-        for pooled in (False, True):
+        for fit_index in (0, None):
             sizes.clear()
-            assert_scan_matches_oracle(train, pooled=pooled)
+            assert_scan_matches_oracle(train, fit_index)
             N = train.size
             assert sizes == ([size] * (N // size) + [N % size] * (N % size > 0)
-                             if size and not pooled else [N])
+                             if size and fit_index == 0 else [N])
     assert dmdc_rank_scan(wide).ranks[-1] > wide.n
     zero = _zero_trajectory_dataset(rng)
     _, errors = assert_scan_matches_oracle(zero)

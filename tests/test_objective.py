@@ -331,6 +331,13 @@ def test_band_offset_counts():
             band_offset_counts(6, q, Q)
 
 
+def test_uniqueness_fixed_d_rejects_a_bandwidth(rng):
+    data = random_dataset(rng, n=2, k=1, m=5, q=0, N=1)
+    with pytest.raises(ValueError, match="fixed_d.*Q=3"):
+        uniqueness_certificate(data, mode="fixed_d", Q=3)
+    assert uniqueness_certificate(data, "fixed_d", Q=1) == uniqueness_certificate(data)
+
+
 def test_uniqueness_full_mode_rejects_bad_bandwidth(rng):
     data = random_dataset(rng, n=2, k=1, m=5, q=0, N=1)
     for Q in (0, 6):
