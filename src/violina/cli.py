@@ -473,23 +473,23 @@ def cmd_dmdc(args) -> int:
 # ---------------------------------------------------- simulate / evaluate
 
 def _predict(model: StateSpaceModel, traj: Trajectory, m: int) -> Trajectory:
-    if not isinstance(model.kernel, CausalBandKernel):
-        raise ValueError("cannot simulate a model with a dense kernel")
-    q = model.kernel.q
-    return model.simulate(traj.states[:, : q + 1], traj.inputs[:, :m])
+    return model.simulate(traj.states[:, : model.kernel.q + 1], traj.inputs[:, :m])
 
 
 def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
     """The model and dataset of ``--model`` and ``--dataset``, whose state and
     input counts must agree.  The kernel's ``m`` need not be the dataset's:
     ``_predict`` runs the recursion, which reads only the kernel's ``q`` and
-    ``coeffs``, so a model runs on data of any length."""
+    ``coeffs``, so a model runs on data of any length.  A model with a dense
+    kernel has no recursion and raises ``ValueError``."""
     model = _parse_file(args.model, StateSpaceModel.from_dict)
     data = _open_dataset(args, args.dataset)
     if (model.n, model.k) != (data.n, data.k):
         raise ConfigError(
             f"{args.model}: model (n, k) = {(model.n, model.k)} does not match "
             f"{args.dataset}: dataset (n, k) = {(data.n, data.k)}")
+    if not isinstance(model.kernel, CausalBandKernel):
+        raise ValueError("cannot simulate a model with a dense kernel")
     return model, data
 
 
@@ -506,13 +506,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, data = _load_model_and_dataset(args)
-    q = model.kernel.q if isinstance(model.kernel, CausalBandKernel) else 0
     rows = []
     energy_max = 0.0
     for i, traj in enumerate(data.trajectories):
         pred = _predict(model, traj, data.m)
         truth = traj.states[:, : data.m + 1]
-        err = relative_error(pred.states, truth, first=q + 1)
+        err = relative_error(pred.states, truth, first=model.kernel.q + 1)
         row = {"trajectory": i, "rel_error": err}
         if args.energy:
             if i == 0:
@@ -595,7 +594,7 @@ def cmd_plot(args) -> int:
             series.append((Path(path).stem, xs, ys))
         svg = line_plot(series, title=args.title, xlabel=args.x_col,
                         ylabel=args.y_col, logy=not args.linear)
-    elif args.kind == "traces":
+    else:  # traces
         for flag, path in (("--truth", args.truth), ("--pred", args.pred)):
             if path is None:
                 raise ConfigError(f"plot traces: need {flag} DATASET")
@@ -621,8 +620,6 @@ def cmd_plot(args) -> int:
                                  ("model", ts, p_states[c].tolist(), True)])
                   for c in cells]
         svg = panel_plot(panels, xlabel="t", ylabel="state")
-    else:
-        raise ConfigError(f"unknown plot kind {args.kind!r}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(svg)
     if not args.quiet:

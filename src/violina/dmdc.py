@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import CausalBandKernel
-from .model import StateSpaceModel, build_data_matrices
+from .model import StateSpaceModel, build_data_matrices, error_ratio
 from .objective import Dataset
 
 _RANK_RTOL = 1e-12
@@ -188,9 +188,7 @@ class _RankErrors:
                     squares[r - lo] += D.reshape(batch, -1).sum(axis=1)  # pairwise
             for r, row in enumerate(squares, lo):
                 for square, perp, norm in zip(row, perps, norms):
-                    num = np.sqrt(square + perp)
-                    self.totals[r - 1] += (float(num / norm) if norm != 0.0
-                                           else 0.0 if num == 0.0 else float("inf"))
+                    self.totals[r - 1] += error_ratio(np.sqrt(square + perp), norm)
         self.count += batch
 
 

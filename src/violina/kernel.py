@@ -161,9 +161,10 @@ def json_table(d: dict, key: str) -> np.ndarray:
     return a
 
 
-def _row_start(q: int, d: int) -> int:
-    """First row of super-diagonal ``d`` that lies inside the band support."""
-    return max(0, q - d)
+def band_start(q: int, d: int) -> int:
+    """First column of super-diagonal ``d`` that lies inside the band support
+    of a kernel with nullity ``q``; its row is ``band_start(q, d) - d``."""
+    return max(q, d)
 
 
 def band_offset_counts(m: int, q: int, Q: int) -> np.ndarray:
@@ -172,7 +173,7 @@ def band_offset_counts(m: int, q: int, Q: int) -> np.ndarray:
     or a super-diagonal has no in-band entry."""
     if Q < 1:
         raise ValueError(f"bandwidth must be at least 1, got Q={Q}")
-    counts = [m - d - _row_start(q, d) for d in range(1, Q)]
+    counts = [m - band_start(q, d) for d in range(1, Q)]
     if min(counts, default=1) <= 0:
         raise ValueError(f"degenerate band offsets for q={q}, Q={Q}, m={m}")
     return np.array(counts, dtype=float)
@@ -220,9 +221,8 @@ class CausalBandKernel:
         E = np.zeros((self.m, self.m))
         for d in range(self.Q):
             c = 1.0 if d == 0 else self.coeffs[d - 1]
-            k0 = _row_start(self.q, d)
-            rows = np.arange(k0, self.m - d)
-            E[rows, rows + d] = c
+            cols = np.arange(band_start(self.q, d), self.m)
+            E[cols - d, cols] = c
         return E
 
     def left_pseudoinverse(self) -> np.ndarray:
@@ -272,7 +272,7 @@ def project_to_band(M: np.ndarray, q: int, Q: int) -> CausalBandKernel:
     m = M.shape[0]
     coeffs = []
     for d in range(1, Q):
-        vals = np.diagonal(M, offset=d)[_row_start(q, d):]
+        vals = np.diagonal(M, offset=d)[band_start(q, d) - d:]
         if vals.size and np.all(vals == vals[0]):
             # an exactly constant diagonal must average to itself bit-for-bit
             coeffs.append(float(vals[0]))
@@ -298,7 +298,7 @@ def apply_kernel(Y: np.ndarray, kernel) -> np.ndarray:
         c = 1.0 if d == 0 else kernel.coeffs[d - 1]
         if d > 0 and c == 0.0:
             continue
-        j0 = max(kernel.q, d)
+        j0 = band_start(kernel.q, d)
         out[:, j0:] += c * Y[:, j0 - d : m - d]
     return out
 

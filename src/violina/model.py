@@ -87,9 +87,7 @@ class StateSpaceModel:
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError(f"B must have {A.shape[0]} rows, got shape {B.shape}")
         kernel = self.kernel
-        if isinstance(kernel, CausalBandKernel):
-            pass
-        else:
+        if not isinstance(kernel, CausalBandKernel):
             kernel = np.asarray(kernel, dtype=float)
             if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
                 raise ValueError(f"dense kernel must be square, got shape {kernel.shape}")
@@ -115,18 +113,10 @@ class StateSpaceModel:
         with states at negative times treated as zero.  ``initial_states``
         must be ``n x (q+1)`` and ``inputs`` ``k x m`` with ``m >= q + 1``.
         """
-        if not isinstance(self.kernel, CausalBandKernel):
-            raise TypeError("simulation needs a band kernel; this model holds a dense one")
+        initial = self._initial_states(initial_states, "simulation")
         q = self.kernel.q
         coeffs = self.kernel.coeffs
-        initial = np.asarray(initial_states, dtype=float)
         inputs = np.asarray(inputs, dtype=float)
-        if initial.ndim == 1:
-            initial = initial[:, None]
-        if initial.shape != (self.n, q + 1):
-            raise ValueError(
-                f"expected {self.n}x{q + 1} initial states, got shape {initial.shape}"
-            )
         if inputs.ndim != 2 or inputs.shape[0] != self.k:
             raise ValueError(f"expected {self.k}-row inputs, got shape {inputs.shape}")
         m = inputs.shape[1]
@@ -153,6 +143,22 @@ class StateSpaceModel:
                     row -= tmp
         x[...] = rows.T
         return Trajectory(x, inputs)
+
+    def _initial_states(self, initial_states, use: str) -> np.ndarray:
+        """``initial_states`` as the ``n x (q + 1)`` float array that ``use``
+        of the band kernel with nullity ``q`` needs, a 1-D one as one column.
+        A dense kernel raises ``TypeError``, any other shape ``ValueError``."""
+        if not isinstance(self.kernel, CausalBandKernel):
+            raise TypeError(f"{use} needs a band kernel; this model holds a dense one")
+        q = self.kernel.q
+        initial = np.asarray(initial_states, dtype=float)
+        if initial.ndim == 1:
+            initial = initial[:, None]
+        if initial.shape != (self.n, q + 1):
+            raise ValueError(
+                f"expected {self.n}x{q + 1} initial states, got shape {initial.shape}"
+            )
+        return initial
 
     def to_dict(self) -> dict:
         d = {"n": self.n, "k": self.k, "A": self.A.tolist(), "B": self.B.tolist()}
@@ -202,16 +208,8 @@ def arx_offset(model: StateSpaceModel, initial_states: np.ndarray, m: int) -> np
     first ``q`` initial states; the stacked sequence annihilates the dense
     kernel: ``lambda @ D == 0``.
     """
-    if not isinstance(model.kernel, CausalBandKernel):
-        raise TypeError("the ARX-like offset needs a band kernel")
+    initial = model._initial_states(initial_states, "the ARX-like offset")
     q = model.kernel.q
-    initial = np.asarray(initial_states, dtype=float)
-    if initial.ndim == 1:
-        initial = initial[:, None]
-    if initial.shape != (model.n, q + 1):
-        raise ValueError(
-            f"expected {model.n}x{q + 1} initial states, got shape {initial.shape}"
-        )
     if m <= q:
         raise ValueError(f"need m > q, got m={m}, q={q}")
     if q == 0:
@@ -224,8 +222,14 @@ def arx_offset(model: StateSpaceModel, initial_states: np.ndarray, m: int) -> np
 
 def relative_error(predicted: np.ndarray, truth: np.ndarray, first: int = 0) -> float:
     """Relative Frobenius error over state columns ``first`` onward."""
-    num = np.linalg.norm(predicted[:, first:] - truth[:, first:])
-    den = np.linalg.norm(truth[:, first:])
+    return error_ratio(np.linalg.norm(predicted[:, first:] - truth[:, first:]),
+                       np.linalg.norm(truth[:, first:]))
+
+
+def error_ratio(num: float, den: float) -> float:
+    """The relative error ``num / den`` of an error norm ``num`` against a
+    truth norm ``den``; a zero truth gives 0 for a zero error and infinity
+    otherwise."""
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return float(num / den)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel, apply_kernel, band_offset_counts, json_int
+from .kernel import CausalBandKernel, apply_kernel, band_offset_counts, band_start, json_int
 from .model import DataMatrices, StateSpaceModel, Trajectory, build_data_matrices
 
 
@@ -158,27 +158,22 @@ def hessian_apply(delta: TangentTuple, data: Dataset) -> TangentTuple:
     return gradient(StateSpaceModel(delta.dA, delta.dB, delta.dD), data)
 
 
-def _band_blocks(Y: np.ndarray, q: int, Q: int) -> list[np.ndarray]:
-    """The band shifts ``S_d Y = Y Delta_d`` for ``d = 1 .. Q-1``, where
-    ``Delta_d`` is one on the in-band entries of super-diagonal ``d``: the
-    ``d``-th term of :func:`apply_kernel` for nullity ``q``."""
-    m = Y.shape[1]
-    out = []
+def _write_stack(W: np.ndarray, mat: DataMatrices, q: int, Q: int) -> int:
+    """Write one trajectory's stack ``[X; U; S_1 Y; ...; S_{Q-1} Y]`` into
+    the leading rows of ``W`` and return its row count.  The band shift
+    ``S_d Y = Y Delta_d``, with ``Delta_d`` one on the in-band entries of
+    super-diagonal ``d``, is the ``d``-th term of :func:`apply_kernel` for
+    nullity ``q``."""
+    n, k, m = mat.X.shape[0], mat.U.shape[0], W.shape[1]
+    W[:n] = mat.X
+    W[n : n + k] = mat.U
+    r = n + k
     for d in range(1, Q):
-        j0 = max(q, d)
-        shifted = np.zeros_like(Y)
-        shifted[:, j0:] = Y[:, j0 - d : m - d]
-        out.append(shifted)
-    return out
-
-
-def _compress(stacks, r: int) -> np.ndarray:
-    """The ``r x r`` upper-triangular ``R`` with ``R^T R = sum W W^T`` over
-    the ``r``-row stacks ``W``, reduced one stack at a time."""
-    R = np.zeros((r, r))
-    for W in stacks:
-        R = np.linalg.qr(np.vstack([R, W.T]), mode="r")
-    return R
+        j0 = band_start(q, d)
+        W[r : r + n, :j0] = 0.0
+        W[r : r + n, j0:] = mat.Y[:, j0 - d : m - d]
+        r += n
+    return r
 
 
 class _StartRelativeLoss:
@@ -189,11 +184,11 @@ class _StartRelativeLoss:
     trajectory is ``E = E0 - (A - A0) X - (B - B0) U + sum_i z_i K_i``.
     ``E0`` is the residual at ``theta0`` in residual form, so an exactly
     fitted start has a bitwise-zero loss and gradient.  The kernel blocks
-    ``K_i`` are the band shifts ``S_d Y`` for ``d = 1 .. Q-1`` (the ``d``-th
-    term of :func:`apply_kernel` for nullity ``q``) and, when ``kernel_after``
-    is given, ``J = Y D_after - Y D0``, which carries a start kernel outside
-    the band form (or a fixed kernel other than ``D0``) into the kernel the
-    first projection returns.
+    ``K_i`` are the band shifts ``S_d Y``, ``d = 1 .. Q-1``, of
+    :func:`_write_stack` and, when ``kernel_after`` is given, ``J = Y
+    D_after - Y D0``, which carries a start kernel outside the band form (or
+    a fixed kernel other than ``D0``) into the kernel the first projection
+    returns.
 
     With ``W = [X; U; K_1; ...; K_nz; E0]``, ``r = n (nz + 2) + k`` rows, and
     ``Theta = [P, z_1 I, ..., z_nz I, I]`` for ``P = [A0 - A, B0 - B]``, each
@@ -235,13 +230,12 @@ class _StartRelativeLoss:
         for mat in _matrices(data):
             e0 = _residual(theta0, mat)
             self.initial_loss += float(np.sum(e0 * e0))
-            blocks = [mat.X, mat.U, *_band_blocks(mat.Y, q, Q)]
+            rows = _write_stack(W, mat, q, Q)
             if kernel_after is not None:
-                blocks.append(apply_kernel(mat.Y, kernel_after)
-                              - apply_kernel(mat.Y, theta0.kernel))
-            blocks.append(e0)
-            np.concatenate(blocks, out=W)
-            del mat, e0, blocks  # before the next trajectory's are built
+                W[rows : rows + n] = (apply_kernel(mat.Y, kernel_after)
+                                      - apply_kernel(mat.Y, theta0.kernel))
+            W[-n:] = e0
+            del mat, e0  # before the next trajectory's are built
             G += W @ W.T
         # kept times -2 (and S times 2), which is exact, so that the gradient
         # needs no scaling pass; C_l flattened, one row per identity block:
@@ -297,9 +291,9 @@ def lipschitz_constant(data: Dataset) -> float:
 def fixed_d_hessian(data: Dataset) -> np.ndarray:
     """Hessian of the fixed-kernel problem: ``sum_mu [X; U] [X; U]^T``."""
     dim = data.n + data.k
-    H = np.zeros((dim, dim))
+    H, Z = np.zeros((dim, dim)), np.empty((dim, data.m))
     for mat in _matrices(data):
-        Z = np.vstack([mat.X, mat.U])
+        _write_stack(Z, mat, data.q, 1)
         H += Z @ Z.T
     return H
 
@@ -331,8 +325,11 @@ def _restricted_hessian_extremes(data: Dataset, q: int, Q: int) -> tuple[float, 
     """
     n, a = data.n, data.n + data.k
     scale = 1.0 / np.sqrt(band_offset_counts(data.m, q, Q))
-    R = _compress((np.vstack([mat.X, mat.U, *_band_blocks(mat.Y, q, Q)])
-                   for mat in _matrices(data)), a + n * (Q - 1))
+    r = a + n * (Q - 1)
+    R, W = np.zeros((r, r)), np.empty((r, data.m))
+    for mat in _matrices(data):  # R^T R = sum W W^T, reduced one stack at a time
+        _write_stack(W, mat, q, Q)
+        R = np.linalg.qr(np.vstack([R, W.T]), mode="r")
     sigma = np.linalg.svd(R[:a, :a], compute_uv=False)
     rank = int(np.sum(sigma > sigma[0] * max(a, data.size * data.m) * np.finfo(float).eps))
     G = R.T @ R

@@ -37,7 +37,9 @@ def _log_ticks(lo: float, hi: float):
 
 
 class _Panel:
-    """One set of axes; renders into SVG fragments at a vertical offset."""
+    """One set of axes; renders into SVG fragments at a vertical offset.  A
+    point not finite on either axis (or, on a log axis, with ``y <= 0``) is
+    left out."""
 
     def __init__(self, series, width, height, y_off, title, xlabel, ylabel, logy):
         from xml.sax.saxutils import escape  # on use: it imports urllib.request, 25 ms
@@ -47,10 +49,8 @@ class _Panel:
         for item in series:
             label, xs, ys = item[0], list(item[1]), list(item[2])
             dashed = bool(item[3]) if len(item) > 3 else False
-            if logy:
-                pairs = [(x, math.log10(y)) for x, y in zip(xs, ys) if y > 0]
-            else:
-                pairs = list(zip(xs, ys))
+            pairs = [(x, math.log10(y) if logy else y) for x, y in zip(xs, ys)
+                     if math.isfinite(x) and math.isfinite(y) and (y > 0 or not logy)]
             if not pairs:
                 continue
             plotted.append((label, pairs, dashed))

@@ -73,13 +73,69 @@ def build_cylinder_graph(Lx: int, Ly: int, w0: float, w1: float, seed: int) -> C
     return CylinderGrid(Lx, Ly, float(w0), float(w1), int(seed), K, L)
 
 
-def ground_truth_models(grid: CylinderGrid, h: float, m: int, q: int = 2,
-                        Q: int = 3, coeffs=(0.03, -0.01)):
+@dataclass(frozen=True)
+class BenchmarkConfig:
+    """Scale parameters of the benchmark; ``h = 1 / (m - 1)``."""
+
+    Lx: int
+    Ly: int
+    m: int
+    seed: int = 42
+    w0: float = 0.5
+    w1: float = 1.5
+    q: int = 2
+    Q: int = 3
+    coeffs: tuple[float, ...] = (0.03, -0.01)
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError(f"need m >= 2 time steps for h = 1 / (m - 1), got m={self.m}")
+        if self.m - 1 > sys.float_info.max:
+            raise ValueError("m is too large for a float, so h = 1 / (m - 1) is undefined")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+    @property
+    def h(self) -> float:
+        return 1.0 / (self.m - 1)
+
+    # the presets' ``seed=seed`` defaults are the field default above
+    @classmethod
+    def desk_scale(cls, seed: int = seed) -> "BenchmarkConfig":
+        return cls(Lx=10, Ly=3, m=200, seed=seed)
+
+    @classmethod
+    def paper_scale(cls, seed: int = seed) -> "BenchmarkConfig":
+        return cls(Lx=20, Ly=5, m=1000, seed=seed)
+
+    def to_dict(self) -> dict:
+        return {
+            "Lx": self.Lx, "Ly": self.Ly, "m": self.m, "seed": self.seed,
+            "w0": self.w0, "w1": self.w1, "q": self.q, "Q": self.Q,
+            "coeffs": list(self.coeffs),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BenchmarkConfig":
+        """Parse a config, defaulting missing fields; a field ``json_int`` or
+        ``json_floats`` rejects raises ``ValueError`` naming it."""
+        return cls(
+            Lx=json_int(d, "Lx"), Ly=json_int(d, "Ly"), m=json_int(d, "m"),
+            seed=json_int(d, "seed", cls.seed),
+            w0=float(json_floats(d, "w0", 0, cls.w0)),
+            w1=float(json_floats(d, "w1", 0, cls.w1)),
+            q=json_int(d, "q", cls.q), Q=json_int(d, "Q", cls.Q),
+            coeffs=tuple(json_floats(d, "coeffs", 1, cls.coeffs).tolist()),
+        )
+
+
+def ground_truth_models(grid: CylinderGrid, h: float, m: int, q: int = BenchmarkConfig.q,
+                        Q: int = BenchmarkConfig.Q, coeffs=BenchmarkConfig.coeffs):
     """Markovian and non-Markovian ground truths on the grid.
 
     Both share ``A = I + L h`` and ``B = I h``; the Markovian kernel is the
     plain identity, the non-Markovian one carries the given band
-    coefficients.
+    coefficients (by default the suite's, ``BenchmarkConfig``'s).
     """
     if h <= 0:
         raise ValueError(f"time step must be positive, got {h}")
@@ -157,61 +213,6 @@ def make_datasets(model: StateSpaceModel, grid: CylinderGrid, m: int, h: float):
     for kind, (traj,) in simulate_trajectories((model,), grid, m, h):
         sets[kind].append(traj)
     return tuple(Dataset(sets[kind], model.kernel.q, m) for kind in KINDS)
-
-
-@dataclass(frozen=True)
-class BenchmarkConfig:
-    """Scale parameters of the benchmark; ``h = 1 / (m - 1)``."""
-
-    Lx: int
-    Ly: int
-    m: int
-    seed: int = 42
-    w0: float = 0.5
-    w1: float = 1.5
-    q: int = 2
-    Q: int = 3
-    coeffs: tuple[float, ...] = (0.03, -0.01)
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"need m >= 2 time steps for h = 1 / (m - 1), got m={self.m}")
-        if self.m - 1 > sys.float_info.max:
-            raise ValueError("m is too large for a float, so h = 1 / (m - 1) is undefined")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.m - 1)
-
-    @classmethod
-    def desk_scale(cls, seed: int = 42) -> "BenchmarkConfig":
-        return cls(Lx=10, Ly=3, m=200, seed=seed)
-
-    @classmethod
-    def paper_scale(cls, seed: int = 42) -> "BenchmarkConfig":
-        return cls(Lx=20, Ly=5, m=1000, seed=seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "Lx": self.Lx, "Ly": self.Ly, "m": self.m, "seed": self.seed,
-            "w0": self.w0, "w1": self.w1, "q": self.q, "Q": self.Q,
-            "coeffs": list(self.coeffs),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchmarkConfig":
-        """Parse a config; a field ``json_int`` or ``json_floats`` rejects
-        raises ``ValueError`` naming it."""
-        return cls(
-            Lx=json_int(d, "Lx"), Ly=json_int(d, "Ly"), m=json_int(d, "m"),
-            seed=json_int(d, "seed", 42),
-            w0=float(json_floats(d, "w0", 0, 0.5)),
-            w1=float(json_floats(d, "w1", 0, 1.5)),
-            q=json_int(d, "q", 2), Q=json_int(d, "Q", 3),
-            coeffs=tuple(json_floats(d, "coeffs", 1, [0.03, -0.01]).tolist()),
-        )
 
 
 @dataclass(frozen=True, eq=False)

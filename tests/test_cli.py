@@ -1787,6 +1787,86 @@ def test_malformed_csv_exit_2(tmp_path, capsys, body, got):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("linear", [[], ["--linear"]], ids=["log", "linear"])
+def test_plot_curve_skips_non_finite_points(tmp_path, capsys, linear):
+    """``evaluate`` writes ``inf`` and ``nan`` for a diverging model: those
+    points are left out on either axis, and a CSV of nothing else has
+    nothing to plot."""
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("step,loss\n0,1.5\n1,inf\n2,nan\n3,0.5\ninf,2.0\nnan,3.0\n4,-inf\n")
+    svg = tmp_path / "mixed.svg"
+    assert main(["--quiet", "plot", "--kind", "curve", str(mixed), "--out", str(svg),
+                 *linear]) == 0
+    text = svg.read_text()
+    assert not re.search(r"\b(nan|inf)\b", text)
+    points, = re.findall(r'<polyline points="([^"]*)"', text)
+    assert len(points.split()) == 2  # steps 0 and 3
+    bad = tmp_path / "bad.csv"
+    bad.write_text("step,loss\n0,inf\n1,nan\nnan,1.0\n")
+    out = tmp_path / "bad.svg"
+    assert main(["--quiet", "plot", "--kind", "curve", str(bad), "--out", str(out),
+                 *linear]) == 4
+    err = capsys.readouterr().err
+    assert err == "numeric error: nothing to plot: no finite data points\n"
+    assert not out.exists()
+
+
+def test_plot_curve_missing_columns_exit_2(tmp_path, capsys):
+    csv = tmp_path / "other.csv"
+    csv.write_text("a,b\n0,1\n")
+    svg = tmp_path / "x.svg"
+    assert main(["--quiet", "plot", "--kind", "curve", str(csv), "--out", str(svg)]) == 2
+    assert f"{csv}: need columns 'step' and 'loss'" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+def test_plot_traces_blank_cells_exit_2(suite_dir, tmp_path, capsys):
+    svg = tmp_path / "traces.svg"
+    test = str(suite_dir / "markov_test.json")
+    assert main(["--quiet", "plot", "--kind", "traces", "--truth", test, "--pred", test,
+                 "--cells", " , ", "--out", str(svg)]) == 2
+    assert "plot traces: --cells is empty" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_dense_kernel_model_exit_4(suite_dir, tmp_path, capsys, command):
+    """A ``kernel_dense`` model has no ARX recursion: both commands refuse it
+    with one error line and write nothing."""
+    d = json.loads((suite_dir / "nonmarkov_model.json").read_text())
+    d["kernel_dense"] = StateSpaceModel.from_dict(d).kernel.to_dense().tolist()
+    del d["kernel"]
+    model = tmp_path / "dense.json"
+    model.write_text(json.dumps(d))
+    outputs = {"evaluate": ["--report", str(tmp_path / "r.csv"),
+                            "--aggregate", str(tmp_path / "a.json")],
+               "simulate": ["--out", str(tmp_path / "sim.json")]}[command]
+    assert main(["--quiet", command, "--model", str(model),
+                 "--dataset", str(suite_dir / "nonmarkov_test.json"), *outputs]) == 4
+    assert capsys.readouterr().err == \
+        "numeric error: cannot simulate a model with a dense kernel\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "dense.json", "suite"]
+
+
+def test_dmdc_rank_zero_fit_trajectory(suite_dir, tmp_path, capsys):
+    """An all-zero fit trajectory leaves DMDc no rank to scan (exit 4), and
+    a fixed ``--rank`` names the attainable rank 0 (exit 2)."""
+    data = _load_dataset(suite_dir / "markov_train.json")
+    first = data.trajectories[0]
+    zero = Trajectory(np.zeros_like(first.states), np.zeros_like(first.inputs))
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps(Dataset([zero, *data.trajectories[1:]], data.q,
+                                        data.m).to_dict()))
+    out = tmp_path / "dmdc.json"
+    argv = ["--quiet", "dmdc", "--train", str(train), "--out", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "numeric error: fitting data has rank zero\n"
+    assert main([*argv, "--rank", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--rank" in err and "the attainable rank is 0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [["--fit-index", "99"], ["--fit-index", "-1"],
                                    ["--fit-index", "8", "--rank", "2"]],
                          ids=["99", "-1", "8-fixed-rank"])

@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from violina import (
     BenchmarkConfig,
+    CausalBandKernel,
     build_benchmark_suite,
     build_cylinder_graph,
     energy,
@@ -189,3 +193,19 @@ def test_energy_deviation_length_mismatch(rng):
     t2 = Trajectory(rng.normal(size=(2, 6)), rng.normal(size=(1, 5)))
     with pytest.raises(ValueError):
         energy_deviation(t1, t2)
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper"])
+def test_preset_files_are_the_presets(preset):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{preset}.json"
+    parsed = BenchmarkConfig.from_dict(json.loads(path.read_text()))
+    assert parsed == getattr(BenchmarkConfig, f"{preset}_scale")()
+
+
+def test_config_defaults_are_the_field_defaults():
+    cfg = BenchmarkConfig(Lx=4, Ly=1, m=20)
+    assert BenchmarkConfig.from_dict({"Lx": 4, "Ly": 1, "m": 20}) == cfg
+    assert BenchmarkConfig.desk_scale().seed == BenchmarkConfig.paper_scale().seed == cfg.seed
+    grid = build_cylinder_graph(4, 1, cfg.w0, cfg.w1, cfg.seed)
+    _, nonmarkov = ground_truth_models(grid, cfg.h, cfg.m)
+    assert nonmarkov.kernel == CausalBandKernel(cfg.m, cfg.q, cfg.Q, cfg.coeffs)
