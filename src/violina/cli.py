@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import itertools
 import json
 import os
@@ -32,7 +33,7 @@ from .kernel import CausalBandKernel, json_floats, json_int, pack_json
 from .model import StateSpaceModel, Trajectory, relative_error
 from .objective import Dataset, _check_trajectory
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
-from .svgplot import line_plot, panel_plot
+from .svgplot import panel_plot
 from .synth import KINDS, BenchmarkConfig, energy_deviation, simulate_trajectories, suite_models
 
 EXIT_OK = 0
@@ -244,6 +245,17 @@ def _dump_json(path, obj):
         fh.write(text + "\n")
 
 
+def _dump_csv(path, header, rows):
+    """Write ``header`` and then each row of ``rows`` as a comma-joined line:
+    an integer cell (Python or numpy) as ``str``, any other as
+    ``repr(float(cell))``, so ``inf`` and ``nan`` stay as they are."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(x) if isinstance(x, (int, np.integer)) else repr(float(x))
+                              for x in row) + "\n")
+
+
 def _finite_or_none(x: float) -> float | None:
     """``x``, or ``None`` (JSON ``null``) when it is infinite or NaN."""
     return float(x) if np.isfinite(x) else None
@@ -302,25 +314,29 @@ def _publishing(out_dir=None):
     ``stage(target)`` is the temporary path, beside ``target``, to write
     ``target``'s content to.  When the block ends without an error every
     staged file is moved onto its target with ``os.replace``, so a target
-    that existed keeps its old bytes until the new ones are complete.  On
-    any error the temporaries are removed, and so are the directories that
-    making ``out_dir`` (when given) created; an ``OSError`` about a
-    temporary names its target instead."""
+    that existed keeps its old bytes until the new ones are complete; a
+    target that is a directory raises ``IsADirectoryError`` before any
+    moves.  On any error the temporaries are removed, and so are the
+    directories that making ``out_dir`` (when given) created; an
+    ``OSError`` about a temporary names its target instead."""
     out = Path(out_dir) if out_dir is not None else None
     made = [] if out is None else list(
         itertools.takewhile(lambda p: not p.exists(), (out, *out.parents)))
     staged = {}
 
     def stage(target) -> Path:
-        target = Path(target)
-        temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        staged[str(temp)] = str(target)
+        path = Path(target)
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        staged[str(temp)] = os.fspath(target)
         return temp
 
     try:
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
         yield stage
+        for target in staged.values():
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
         for temp, target in staged.items():
             os.replace(temp, target)
     except BaseException as exc:
@@ -428,9 +444,13 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"solver settings: {exc}") from exc
     report = violina_fit(train, spec, cfg)
-    _dump_json(args.out, report.theta_final.to_dict())
-    if args.curve:
-        report.write_curve_csv(args.curve)
+    with _publishing() as stage:
+        _dump_json(stage(args.out), report.theta_final.to_dict())
+        if args.curve:
+            _dump_csv(stage(args.curve), ("step", "loss", "stepsize", "backtracks"),
+                      zip(range(report.steps + 1), report.loss_curve,
+                          (report.initial_stepsize, *report.stepsizes),
+                          (0, *report.backtracks)))
     if not args.quiet:
         print(f"fit: {report.steps} steps, loss {report.loss_curve[0]:.6e} -> "
               f"{report.loss_curve[-1]:.6e}, model written to {args.out}")
@@ -458,12 +478,11 @@ def cmd_dmdc(args) -> int:
     except IndexError:  # no trajectory --fit-index, known once all are read
         _check_index("--fit-index", fit_index, train.size)
         raise
-    _dump_json(args.out, as_model(A, B, train.m).to_dict())
-    if args.scan_csv:
-        with open(args.scan_csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write("rank,mean_self_reconstruction_error\n")
-            for r, err in zip(scan.ranks, scan.errors):
-                fh.write(f"{r},{err!r}\n")
+    with _publishing() as stage:
+        _dump_json(stage(args.out), as_model(A, B, train.m).to_dict())
+        if args.scan_csv:
+            _dump_csv(stage(args.scan_csv), ("rank", "mean_self_reconstruction_error"),
+                      zip(scan.ranks, scan.errors))
     if not args.quiet:
         note = f" (scanned {len(scan.ranks)} ranks)" if scan is not None else ""
         print(f"dmdc: rank {rank}{note}, model written to {args.out}")
@@ -506,30 +525,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, data = _load_model_and_dataset(args)
+    header = ("trajectory", "rel_error") + (("max_abs_denergy",) if args.energy else ())
     rows = []
     energy_max = 0.0
     for i, traj in enumerate(data.trajectories):
         pred = _predict(model, traj, data.m)
         truth = traj.states[:, : data.m + 1]
-        err = relative_error(pred.states, truth, first=model.kernel.q + 1)
-        row = {"trajectory": i, "rel_error": err}
+        row = (i, relative_error(pred.states, truth, first=model.kernel.q + 1))
         if args.energy:
             if i == 0:
                 e0 = float(traj.states[:, 0].sum())
             dev = energy_deviation(pred, Trajectory(truth, traj.inputs[:, : data.m]))
-            row["max_abs_denergy"] = float(np.max(np.abs(dev)))
-            energy_max = max(energy_max, row["max_abs_denergy"])
+            row += (float(np.max(np.abs(dev))),)
+            energy_max = max(energy_max, row[2])
         rows.append(row)
 
-    fields = list(rows[0].keys())
-    with open(args.report, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                str(row[f]) if f == "trajectory" else repr(float(row[f]))
-                for f in fields) + "\n")
-
-    errors = [row["rel_error"] for row in rows]
+    errors = [row[1] for row in rows]
     mean_error = float(np.mean(errors))
     # JSON has no infinity or NaN: a value that is not finite is written as null
     aggregate = {
@@ -542,8 +553,10 @@ def cmd_evaluate(args) -> int:
         # undefined for a zero-energy start
         aggregate["max_energy_deviation_rel"] = (
             _finite_or_none(energy_max / abs(e0)) if e0 else None)
-    if args.aggregate:
-        _dump_json(args.aggregate, aggregate)
+    with _publishing() as stage:
+        _dump_csv(stage(args.report), header, rows)
+        if args.aggregate:
+            _dump_json(stage(args.aggregate), aggregate)
     if not args.quiet:
         print(f"evaluate: mean rel error {mean_error:.6e} over {len(rows)} trajectories")
     return EXIT_OK
@@ -592,8 +605,8 @@ def cmd_plot(args) -> int:
         for path in args.inputs:
             xs, ys = _read_csv_series(path, args.x_col, args.y_col)
             series.append((Path(path).stem, xs, ys))
-        svg = line_plot(series, title=args.title, xlabel=args.x_col,
-                        ylabel=args.y_col, logy=not args.linear)
+        svg = panel_plot([(args.title, series)], panel_height=420, xlabel=args.x_col,
+                         ylabel=args.y_col, logy=not args.linear)
     else:  # traces
         for flag, path in (("--truth", args.truth), ("--pred", args.pred)):
             if path is None:
@@ -620,8 +633,8 @@ def cmd_plot(args) -> int:
                                  ("model", ts, p_states[c].tolist(), True)])
                   for c in cells]
         svg = panel_plot(panels, xlabel="t", ylabel="state")
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
+    with _publishing() as stage:
+        stage(args.out).write_text(svg, encoding="utf-8", newline="")
     if not args.quiet:
         print(f"plot written to {args.out}")
     return EXIT_OK
@@ -638,7 +651,8 @@ def cmd_compare(args) -> int:
     result = {"mean_a": _finite_or_none(means["a"]), "mean_b": _finite_or_none(means["b"]),
               "ratio_a_over_b": ratio}
     if args.out:
-        _dump_json(args.out, result)
+        with _publishing() as stage:
+            _dump_json(stage(args.out), result)
     if not args.quiet:
         print(f"compare: mean_a={means['a']:.6e} mean_b={means['b']:.6e} "
               f"ratio={'undefined' if ratio is None else f'{ratio:.4f}'}")

@@ -210,10 +210,8 @@ class CausalBandKernel:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def identity(cls, m: int, q: int = 0, Q: int | None = None) -> "CausalBandKernel":
+    def identity(cls, m: int, q: int, Q: int) -> "CausalBandKernel":
         """Kernel with all free coefficients zero (dense form is ``1_m^q``)."""
-        if Q is None:
-            Q = max(q, 1)
         return cls(m, q, Q, (0.0,) * (Q - 1))
 
     def to_dense(self) -> np.ndarray:

@@ -110,22 +110,6 @@ class FitReport:
     def steps(self) -> int:
         return len(self.stepsizes)
 
-    def curve_rows(self):
-        """Rows ``(step, loss, stepsize, backtracks)`` for the curve CSV."""
-        rows = [(0, float(self.loss_curve[0]), float(self.initial_stepsize), 0)]
-        for i in range(self.steps):
-            rows.append(
-                (i + 1, float(self.loss_curve[i + 1]), float(self.stepsizes[i]),
-                 int(self.backtracks[i]))
-            )
-        return rows
-
-    def write_curve_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("step,loss,stepsize,backtracks\n")
-            for step, loss_value, stepsize, nback in self.curve_rows():
-                fh.write(f"{step},{loss_value!r},{stepsize!r},{nback}\n")
-
 
 def default_initial_point(n: int, k: int, m: int, q: int, Q: int) -> StateSpaceModel:
     """The standard start: identity A, zero B, identity-like kernel."""

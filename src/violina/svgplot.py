@@ -115,20 +115,10 @@ class _Panel:
                 f'fill="#333">{escape(label)}</text>')
 
 
-def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
-              logy: bool = False, width: int = 640, height: int = 420) -> str:
-    """Render one panel of polylines.
-
-    ``series`` is an iterable of ``(label, xs, ys)`` or
-    ``(label, xs, ys, dashed)`` tuples.
-    """
-    return panel_plot([(title, series)], width=width, panel_height=height,
-                      xlabel=xlabel, ylabel=ylabel, logy=logy)
-
-
 def panel_plot(panels, *, width: int = 640, panel_height: int = 220,
                xlabel: str = "", ylabel: str = "", logy: bool = False) -> str:
-    """Vertically stacked panels; each entry is ``(title, series)``."""
+    """Vertically stacked panels; each entry is ``(title, series)``, with
+    ``series`` of ``(label, xs, ys)`` or ``(label, xs, ys, dashed)``."""
     panels = list(panels)
     if not panels:
         raise ValueError("nothing to plot: no panels")

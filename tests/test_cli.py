@@ -567,21 +567,27 @@ def test_three_item_suite_reads_as_the_new_one(contract_files, tmp_path):
                             for a in (getattr(t, key) for t in trajs)}) == 1, (name, key)
 
 
-def test_dataset_reader_peak_memory(desk_files):
-    """The reader holds at most one trajectory's lists: its peak is the text
-    read before parsing (bytes and str), not the whole dataset as floats."""
+def test_dataset_reader_peak_memory(desk_files, monkeypatch):
+    """Read 16 KiB at a time, far less than the file, the reader never holds
+    the whole text: beside the arrays it returns, its peak is below half the
+    file's size, for the train and the test set."""
     import tracemalloc
 
-    path = desk_files / "train.json"
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        _load_dataset(path)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.2 * path.stat().st_size
+    from violina import cli
+
+    monkeypatch.setattr(cli, "_CHUNK", 1 << 14)
+    for kind in ("train", "test"):
+        path = desk_files / f"{kind}.json"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            data = _load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        arrays = sum(t.states.nbytes + t.inputs.nbytes for t in data.trajectories)
+        assert peak <= arrays + path.stat().st_size / 2, (kind, peak, arrays)
 
 
 def _set_cell(value):
@@ -894,13 +900,15 @@ def test_dataset_reader_matches_list_path_on_edited_text(tmp_path, monkeypatch):
             outcome(lambda: cli._parse_file(path, Dataset.from_dict)), text
 
 
-def test_dataset_reader_peak_holds_one_trajectory(desk_files):
+def test_dataset_reader_peak_holds_one_trajectory(desk_files, monkeypatch):
     """Beside the arrays it returns, the reader's peak is at most four times
-    the text of the largest trajectory plus one chunk."""
+    the text of the largest trajectory plus one chunk of 16 KiB, about a
+    fifth of that text."""
     import tracemalloc
 
-    from violina.cli import _CHUNK
+    from violina import cli
 
+    monkeypatch.setattr(cli, "_CHUNK", 1 << 14)
     path = desk_files / "train.json"
     listed = json.loads(path.read_text())["trajectories"]
     largest = max(len(json.dumps(t, sort_keys=True, separators=(",", ":"))) for t in listed)
@@ -913,7 +921,7 @@ def test_dataset_reader_peak_holds_one_trajectory(desk_files):
     finally:
         tracemalloc.stop()
     arrays = sum(t.states.nbytes + t.inputs.nbytes for t in data.trajectories)
-    assert peak <= arrays + 4 * largest + _CHUNK, path.name
+    assert peak <= arrays + 4 * largest + cli._CHUNK, (peak, arrays, largest)
 
 
 @pytest.fixture(scope="module")
@@ -1682,6 +1690,65 @@ def test_simulate_publishes_only_a_complete_file(suite_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("io error: ") and err.endswith(f"'{missing}'\n"), err
     assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("second", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["fit", "dmdc", "evaluate"])
+def test_failed_second_output_publishes_nothing(suite_dir, tmp_path, capsys, command, second):
+    """When the second output of ``fit``, ``dmdc`` or ``evaluate`` cannot be
+    written (its directory is missing, or it is a directory), the command
+    exits 3 naming that path, the first output is neither created nor
+    changed, and no temporary is left."""
+    train = str(suite_dir / "markov_train.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    first = out / "first"
+    if second == "missing":
+        target = tmp_path / "nodir" / "second"
+    else:
+        target = out / "second"
+        target.mkdir()
+    argv = {
+        "fit": ["fit", "--train", train, "--constraints", "free", "--steps", "3",
+                "--out", first, "--curve", target],
+        "dmdc": ["dmdc", "--train", train, "--out", first, "--scan-csv", target],
+        "evaluate": ["evaluate", "--model", suite_dir / "markov_model.json",
+                     "--dataset", suite_dir / "markov_test.json",
+                     "--report", first, "--aggregate", target],
+    }[command]
+    for old in (None, b"older bytes\n"):
+        if old is not None:
+            first.write_bytes(old)
+        before = _snapshot(out)
+        capsys.readouterr()
+        assert main(["--quiet", *map(str, argv)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.endswith(f"'{target}'\n"), err
+        assert _snapshot(out) == before
+        assert not list(tmp_path.rglob(".*.tmp"))
+
+
+def test_fit_curve_csv_layout(tmp_path, rng):
+    """``fit --curve`` writes a header, the initial point and one row per
+    step; the step and backtracks columns are integers, with no ``.0``."""
+    from conftest import random_stable_model, simulated_dataset
+    from violina.cli import _dump_dataset
+
+    truth = random_stable_model(rng, n=2, k=1, m=8, q=0, Q=1)
+    data = simulated_dataset(rng, truth, 8, N=1)
+    train = tmp_path / "train.json"
+    _dump_dataset(train, data.trajectories, data.q, data.m)
+    path = tmp_path / "curve.csv"
+    assert main(["--quiet", "fit", "--train", str(train), "--constraints", "free",
+                 "--steps", "4", "--out", str(tmp_path / "model.json"),
+                 "--curve", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,loss,stepsize,backtracks"
+    assert len(lines) == 6  # header + initial point + 4 steps
+    assert lines[1].startswith("0,")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert all(re.fullmatch(r"0|[1-9][0-9]*", row[3]) for row in rows), lines
 
 
 def test_fit_requires_mask_for_constrained_runs(suite_dir, tmp_path):

@@ -494,17 +494,3 @@ def test_config_validation(rng):
         with pytest.raises(ValueError, match="stopping tolerance"):
             PgdConfig(theta0=theta0, stop_tol=bad)
     PgdConfig(theta0=theta0, stop_tol=0.0)
-
-
-def test_curve_csv_layout(tmp_path, rng):
-    truth = random_stable_model(rng, n=2, k=1, m=8, q=0, Q=1)
-    data = simulated_dataset(rng, truth, 8, N=1)
-    spec = ConstraintSpec(FullSpace(), FullSpace(), CausalBand(0, 1))
-    cfg = PgdConfig(theta0=default_initial_point(2, 1, 8, 0, 1), max_steps=4)
-    report = violina_fit(data, spec, cfg)
-    path = tmp_path / "curve.csv"
-    report.write_curve_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,loss,stepsize,backtracks"
-    assert len(lines) == 6  # header + initial point + 4 steps
-    assert lines[1].startswith("0,")
