@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -164,29 +164,20 @@ def _read_dataset_json(fh):
         raise ValueError("expected ',' or ']}' and the end of the text")
 
 
-class _Declined(Exception):
-    """A ``_DatasetStream`` declined the file named by its one argument: the
-    file is read whole by the list path, and the command runs again from its
-    start."""
-
-
 def _dataset_objects(path):
-    """``_read_dataset_json`` of the file ``path``, which is closed when the
-    objects end or are dropped."""
+    """``_read_dataset_json`` of the file ``path``; closing them closes it."""
     with open(path, "rb") as fh:
         yield from _read_dataset_json(fh)
 
 
 class _DatasetStream:
-    """The dataset in ``path``, read one trajectory at a time.  It has the
-    ``q``, ``m``, ``n`` and ``k`` of a ``Dataset``, the first two from the
-    members before the trajectories and the others from the first
-    trajectory, which opening reads.  ``trajectories`` can be iterated once;
-    ``size`` counts the trajectories read so far, all of them at its end.
-    Each trajectory passes the checks of ``Dataset.from_dict`` and
-    ``Dataset.__init__``.  Any fault (one of those checks, a reader
-    ``ValueError``, a ``q`` or ``m`` missing before the trajectories, no
-    trajectory) raises ``_Declined`` instead of a message of its own."""
+    """The dataset in ``path``, read one trajectory at a time: ``q`` and
+    ``m`` from the members before the trajectories, ``n`` and ``k`` from the
+    first trajectory, which opening reads.  ``trajectories`` is iterated
+    once, each passing the checks of ``Dataset.from_dict``; ``size`` counts
+    those read.  Where the reader stops taking the file, the stream goes on
+    in place on the list path, raising its ``ConfigError``, or one of its
+    own if a later member replaces ``q``, ``m`` or a trajectory read."""
 
     def __init__(self, path):
         self.path, self.size = path, 1
@@ -199,12 +190,9 @@ class _DatasetStream:
             self._first = Trajectory.from_dict(next(self._objects))
             self.n, self.k = self._first.n, self._first.k
             _check_trajectory(0, self._first, self.n, self.k, self.m)
-        except (ValueError, TypeError, StopIteration):
-            self._decline(self._objects)
-
-    def _decline(self, objects):
-        objects.close()
-        raise _Declined(self.path) from None
+        except BaseException:
+            self._objects.close()
+            raise
 
     @property
     def trajectories(self):
@@ -222,14 +210,28 @@ class _DatasetStream:
                 _check_trajectory(self.size, traj, self.n, self.k, self.m)
                 self.size += 1
                 yield traj
+            return
         except (ValueError, TypeError):
-            self._decline(objects)
+            objects.close()
+        whole = _parse_file(self.path, Dataset.from_dict)
+        with closing(_dataset_objects(self.path)) as again:  # the text this stream took
+            taken = map(Trajectory.from_dict, itertools.islice(again, 1, self.size + 1))
+            if Dataset(taken, self.q, self.m).to_dict() != Dataset(
+                    whole.trajectories[: self.size], whole.q, whole.m).to_dict():
+                raise ConfigError(f"{self.path}: a later 'q', 'm' or 'trajectories' "
+                                  "member replaces data already read")
+        for traj in whole.trajectories[self.size:]:
+            self.size += 1
+            yield traj
 
 
-def _open_dataset(args, path) -> _DatasetStream | Dataset:
-    """The dataset in ``path``: a ``_DatasetStream``, or the ``Dataset`` the
-    list path read after a stream declined the file."""
-    return args.whole[path] if path in args.whole else _DatasetStream(path)
+def _open_dataset(path) -> _DatasetStream | Dataset:
+    """A ``_DatasetStream`` of ``path``, or the list path's ``Dataset`` when
+    the stream cannot open it.  No other code knows there are two readers."""
+    try:
+        return _DatasetStream(path)
+    except (ValueError, TypeError, StopIteration):
+        return _parse_file(path, Dataset.from_dict)
 
 
 def _check_index(flag: str, value: int, size: int):
@@ -311,20 +313,22 @@ def _dump_dataset(path, trajectories, q: int, m: int, where: str = "") -> int:
 @contextmanager
 def _publishing(out_dir=None):
     """Stage output files and publish them together.  Yields ``stage``:
-    ``stage(target)`` is the temporary path, beside ``target``, to write
-    ``target``'s content to.  When the block ends without an error every
-    staged file is moved onto its target with ``os.replace``, so a target
-    that existed keeps its old bytes until the new ones are complete; a
-    target that is a directory raises ``IsADirectoryError`` before any
-    moves.  On any error the temporaries are removed, and so are the
-    directories that making ``out_dir`` (when given) created; an
-    ``OSError`` about a temporary names its target instead."""
+    ``stage(target)``, the temporary path beside ``target`` to write to,
+    which refuses a target resolving to one already staged (``ConfigError``).
+    When the block ends without an error every staged file is moved onto its
+    target with ``os.replace``, so a target that existed keeps its old bytes
+    until the new ones are complete; a target that is a directory raises
+    ``IsADirectoryError`` before any moves.  On any error the temporaries are
+    removed, and so are the directories that making ``out_dir`` (when given)
+    created; an ``OSError`` about a temporary names its target instead."""
     out = Path(out_dir) if out_dir is not None else None
     made = [] if out is None else list(
         itertools.takewhile(lambda p: not p.exists(), (out, *out.parents)))
     staged = {}
 
     def stage(target) -> Path:
+        if os.path.realpath(target) in map(os.path.realpath, staged.values()):
+            raise ConfigError(f"{target}: two outputs of the command name this file")
         path = Path(target)
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         staged[str(temp)] = os.fspath(target)
@@ -435,7 +439,7 @@ def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
 
 
 def cmd_fit(args) -> int:
-    train = _open_dataset(args, args.train)
+    train = _open_dataset(args.train)
     spec = _constraint_spec_from_args(args, train)
     try:
         theta0 = default_initial_point(train.n, train.k, train.m, train.q, spec.on_D.Q)
@@ -464,7 +468,7 @@ def cmd_dmdc(args) -> int:
         raise ConfigError("--fit-index picks the one trajectory to fit, "
                           "but --pooled fits them all")
     fit_index = None if args.pooled else args.fit_index or 0
-    train = _open_dataset(args, args.train)
+    train = _open_dataset(args.train)
     try:
         if args.rank is not None:
             rank, scan = args.rank, None
@@ -502,7 +506,7 @@ def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
     ``coeffs``, so a model runs on data of any length.  A model with a dense
     kernel has no recursion and raises ``ValueError``."""
     model = _parse_file(args.model, StateSpaceModel.from_dict)
-    data = _open_dataset(args, args.dataset)
+    data = _open_dataset(args.dataset)
     if (model.n, model.k) != (data.n, data.k):
         raise ConfigError(
             f"{args.model}: model (n, k) = {(model.n, model.k)} does not match "
@@ -611,9 +615,9 @@ def cmd_plot(args) -> int:
         for flag, path in (("--truth", args.truth), ("--pred", args.pred)):
             if path is None:
                 raise ConfigError(f"plot traces: need {flag} DATASET")
-        truth = _open_dataset(args, args.truth)
+        truth = _open_dataset(args.truth)
         t_traj = _trajectory_at(truth, args.traj)
-        pred = _open_dataset(args, args.pred)
+        pred = _open_dataset(args.pred)
         p_traj = _trajectory_at(pred, args.traj)
         _check_index("--traj", args.traj, min(truth.size, pred.size))
         n_cells = min(truth.n, pred.n)
@@ -745,17 +749,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args.whole = {}  # path -> the list path's Dataset, for files a stream declined
     try:
         # a diverging model is reported by the one error line below, or as
         # null in a report, not by numpy's warnings as well
         with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                try:
-                    return args.func(args)
-                except _Declined as exc:  # run again from the start, that file read whole
-                    path, = exc.args
-                    args.whole[path] = _parse_file(path, Dataset.from_dict)
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

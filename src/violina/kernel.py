@@ -268,10 +268,11 @@ def project_to_band(M: np.ndarray, q: int, Q: int) -> CausalBandKernel:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     m = M.shape[0]
+    CausalBandKernel.identity(m, q, Q)  # refuses a band the matrix cannot hold, before any mean
     coeffs = []
     for d in range(1, Q):
         vals = np.diagonal(M, offset=d)[band_start(q, d) - d:]
-        if vals.size and np.all(vals == vals[0]):
+        if np.all(vals == vals[0]):
             # an exactly constant diagonal must average to itself bit-for-bit
             coeffs.append(float(vals[0]))
         else:

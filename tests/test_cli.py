@@ -18,17 +18,15 @@ TINY = {"Lx": 5, "Ly": 2, "m": 30, "seed": 13, "q": 2, "Q": 3,
 
 
 def _load_dataset(path) -> Dataset:
-    """The whole dataset in ``path``, read by the CLI's ``_DatasetStream``, or
-    by its list path when the stream declines the file: that raises the
-    error (with its line number) that ``json.load`` gives, or parses the
-    layouts the stream does not take."""
+    """The whole dataset in ``path``, read by the CLI's ``_open_dataset``:
+    the stream, which continues on the list path when it stops taking the
+    file, or the list path when the stream cannot open it.  The list path
+    raises the error (with its line number) that ``json.load`` gives, or
+    parses the layouts the stream does not take."""
     from violina import cli
 
-    try:
-        stream = cli._DatasetStream(path)
-        return Dataset(stream.trajectories, stream.q, stream.m)
-    except cli._Declined:
-        return cli._parse_file(path, Dataset.from_dict)
+    data = cli._open_dataset(path)
+    return Dataset(data.trajectories, data.q, data.m)
 
 
 def _numbers(t: dict) -> dict:
@@ -642,9 +640,10 @@ def test_dataset_reader_errors_match_list_path(suite_dir, tmp_path, capsys, monk
     the stream reads, exits as the list path
     ``Dataset.from_dict(json.load(...))`` parses it: 2 with its message, or
     0 when it parses.  Trajectory 1 is edited as lists of numbers, and
-    packed again by the ``packed-`` cases.  The stream declines a compact
-    file with a fault in trajectory 1 after it has yielded trajectory 0,
-    and, when trajectory 1 is packed, after its own checks of it."""
+    packed again by the ``packed-`` cases.  The stream stops taking a
+    compact file with a fault in trajectory 1, and continues on the list
+    path, after it has yielded trajectory 0, and, when trajectory 1 is
+    packed, after its own checks of it."""
     import violina.cli as cli
     from violina.kernel import packed
 
@@ -1047,9 +1046,10 @@ def _second_trajectories_member(d):
 @pytest.mark.parametrize("make", [_brace_in_trajectory_1, _second_trajectories_member],
                          ids=["brace-in-trajectory-1", "two-trajectory-members"])
 def test_declined_file_runs_again_on_the_list_path(suite_dir, tmp_path, make):
-    """A file the stream declines part way through (at trajectory 1, or at
-    the member after the array) gives ``fit``, ``dmdc`` and ``evaluate``
-    the bytes they give on the canonical dump of the list path's dataset."""
+    """A file the stream stops taking part way through (at trajectory 1), or
+    at its first trajectory (one in another layout, in the first of two
+    ``trajectories`` members), gives ``fit``, ``dmdc`` and ``evaluate`` the
+    bytes they give on the canonical dump of the list path's dataset."""
     from violina.cli import _dump_dataset, _parse_file
 
     path, canonical = tmp_path / "odd.json", tmp_path / "canonical.json"
@@ -1070,6 +1070,104 @@ def test_declined_file_runs_again_on_the_list_path(suite_dir, tmp_path, make):
             assert main(["--quiet", *map(str, argv)]) == 0
         outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert outputs[0] == outputs[1]
+
+
+def _with_member(text, member):
+    """``text``, a JSON object, with ``member`` added at its end."""
+    end = text.rindex("}")
+    return text[:end] + "," + member + text[end:]
+
+
+def _fewer_after_trajectory_2(text, d):
+    """The brace moved to trajectory 2, so the stream takes two
+    trajectories, and a later member with only the first of them."""
+    trajs = [dict(t) for t in d["trajectories"]]
+    trajs[2]["label"] = trajs[1].pop("label")
+    text = json.dumps(dict(d, trajectories=trajs), separators=(",", ":"))
+    return _with_member(text, '"trajectories":' + json.dumps(trajs[:1]))
+
+
+@pytest.mark.parametrize("make, refused", [
+    (lambda text, d: _with_member(text, '"trajectories":' + json.dumps(d["trajectories"][::-1])),
+     True),
+    (lambda text, d: _with_member(text, '"q":1'), True),
+    (_fewer_after_trajectory_2, True),
+    (lambda text, d: _with_member(text, '"trajectories":' + json.dumps(d["trajectories"][:1])),
+     False),
+    (lambda text, d: _with_member(text, '"trajectories":'
+                                  + json.dumps(d["trajectories"][:1] + d["trajectories"][2:])),
+     False),
+    (lambda text, d: _with_member(text, '"q":0'), False),
+    (lambda text, d: text[:-40], False),
+    (lambda text, d: text.replace('"label":"}"', '"label":"}"' + ',"states":0', 1), False),
+], ids=["other-trajectories", "other-q", "fewer-trajectories", "only-the-one-read",
+        "same-first-trajectory", "same-q", "truncated-late", "bad-trajectory-1"])
+def test_stream_continues_on_the_list_path_where_they_agree(suite_dir, tmp_path, capsys, make,
+                                                            refused):
+    """A file the stream stops taking at trajectory 1 continues on the list
+    path in place.  A later member that replaces ``q``, ``m`` or the
+    trajectories already read is refused, as the command has used them;
+    otherwise ``evaluate`` exits as on the list path, message and line
+    number included, and writes what it writes on the canonical dump of the
+    list path's dataset."""
+    from violina.cli import _dump_dataset
+
+    def evaluate(dataset):
+        report = tmp_path / f"{dataset.stem}.csv"
+        rc = main(["--quiet", "evaluate", "--model", str(suite_dir / "markov_model.json"),
+                   "--dataset", str(dataset), "--report", str(report)])
+        return rc, capsys.readouterr().err, report.read_bytes() if rc == 0 else None
+
+    d = json.loads((suite_dir / "markov_test.json").read_text())
+    path, canonical = tmp_path / "odd.json", tmp_path / "canonical.json"
+    path.write_text(make(_brace_in_trajectory_1(d), d))
+    expected_rc, expected_err, listed = _list_path(path)
+    rc, err, report = evaluate(path)
+    if refused:
+        assert (expected_rc, rc, err) == (0, 2, f"error: {path}: a later 'q', 'm' or "
+                                          "'trajectories' member replaces data already read\n")
+    else:
+        assert (rc, err) == (expected_rc, expected_err)
+    if rc == 0:
+        _dump_dataset(canonical, listed.trajectories, listed.q, listed.m)
+        assert report == evaluate(canonical)[2]
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
+def _counted(monkeypatch, module, names) -> dict:
+    """Replace each function ``names`` of ``module`` by one that counts its
+    calls into the returned dict."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return counted
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fit", "dmdc", "evaluate", "simulate", "plot"])
+def test_each_command_does_its_work_once(suite_dir, tmp_path, monkeypatch, name):
+    """On files the stream stops taking at trajectory 1, every command runs
+    once, and so do the fit and the rank scan: the stream continues on the
+    list path in place, and ``plot --kind traces`` reads two such files."""
+    import violina.cli as cli
+
+    d = json.loads((suite_dir / "markov_train.json").read_text())
+    for stem in ("odd", "odd2"):
+        (tmp_path / f"{stem}.json").write_text(_brace_in_trajectory_1(d))
+    (tmp_path / "model.json").write_bytes((suite_dir / "markov_model.json").read_bytes())
+    argv = _command(name, tmp_path, str(tmp_path / "odd.json"))
+    if name == "plot":
+        argv[argv.index("--pred") + 1] = str(tmp_path / "odd2.json")
+    commands = [n for n in vars(cli) if n.startswith("cmd_")]
+    calls = _counted(monkeypatch, cli, ["violina_fit", "dmdc_rank_scan", *commands])
+    assert main(argv) == 0
+    work = {"fit": {"violina_fit": 1}, "dmdc": {"dmdc_rank_scan": 1}}.get(name, {})
+    assert {n: c for n, c in calls.items() if c} == {f"cmd_{name}": 1, **work}
 
 
 _RUN_ALL = """
@@ -1724,6 +1822,37 @@ def test_failed_second_output_publishes_nothing(suite_dir, tmp_path, capsys, com
         assert main(["--quiet", *map(str, argv)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("io error: ") and err.endswith(f"'{target}'\n"), err
+        assert _snapshot(out) == before
+        assert not list(tmp_path.rglob(".*.tmp"))
+
+
+@pytest.mark.parametrize("spelling", ["first", "./first", "../out/first"])
+@pytest.mark.parametrize("command", ["fit", "dmdc", "evaluate"])
+def test_two_outputs_naming_one_file_publish_nothing(suite_dir, tmp_path, capsys, monkeypatch,
+                                                     command, spelling):
+    """When both outputs of ``fit``, ``dmdc`` or ``evaluate`` name one file,
+    however spelled, the command exits 2 naming the second, writes
+    nothing, leaves an older file its bytes and leaves no temporary."""
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    argv = {
+        "fit": ["fit", "--train", suite_dir / "markov_train.json", "--constraints", "free",
+                "--steps", "3", "--out", "first", "--curve", spelling],
+        "dmdc": ["dmdc", "--train", suite_dir / "markov_train.json", "--out", "first",
+                 "--scan-csv", spelling],
+        "evaluate": ["evaluate", "--model", suite_dir / "markov_model.json",
+                     "--dataset", suite_dir / "markov_test.json",
+                     "--report", "first", "--aggregate", spelling],
+    }[command]
+    for old in (None, b"older bytes\n"):
+        if old is not None:
+            (out / "first").write_bytes(old)
+        before = _snapshot(out)
+        capsys.readouterr()
+        assert main(["--quiet", *map(str, argv)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {spelling}: two outputs of the command name this file\n")
         assert _snapshot(out) == before
         assert not list(tmp_path.rglob(".*.tmp"))
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,17 @@ def test_projection_of_zero_matrix_forces_unit_diagonal():
     k = project_to_band(np.zeros((4, 4)), 0, 2)
     assert k.coeffs == (0.0,)
     assert np.array_equal(np.diag(k.to_dense()), np.ones(4))
+
+
+@pytest.mark.parametrize("q, Q", [(0, 5), (2, 4), (3, 3)])
+def test_projection_refuses_a_band_the_matrix_cannot_hold(q, Q):
+    """A band wider than the matrix, or one with no unit-diagonal column,
+    raises the kernel's ``ValueError`` before any diagonal is averaged, so
+    no numpy warning about an empty mean comes first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="kernel shape must satisfy|leaves no unit-diagonal"):
+            project_to_band(np.eye(3), q, Q)
 
 
 def test_projection_matches_least_squares_oracle(rng):

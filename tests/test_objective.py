@@ -426,7 +426,7 @@ def test_engine_gradient_matches_literal(rng, q, Q, dense_start, k):
 
 
 def test_engine_builds_the_data_matrices_once(rng, monkeypatch):
-    # the start residual and the stacks behind R share one Dataset.matrices
+    # the start residual and the Gram stack share one build per trajectory
     data = random_dataset(rng, N=3)
     built = []
 
