@@ -439,19 +439,20 @@ def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
 
 
 def cmd_fit(args) -> int:
-    train = _open_dataset(args.train)
-    spec = _constraint_spec_from_args(args, train)
-    try:
-        theta0 = default_initial_point(train.n, train.k, train.m, train.q, spec.on_D.Q)
-        cfg = PgdConfig(theta0=theta0, t0=args.t0, eta=args.eta, max_steps=args.steps,
-                        stop_tol=args.stop_tol)
-    except ValueError as exc:
-        raise ConfigError(f"solver settings: {exc}") from exc
-    report = violina_fit(train, spec, cfg)
     with _publishing() as stage:
-        _dump_json(stage(args.out), report.theta_final.to_dict())
-        if args.curve:
-            _dump_csv(stage(args.curve), ("step", "loss", "stepsize", "backtracks"),
+        out, curve = stage(args.out), stage(args.curve) if args.curve else None
+        train = _open_dataset(args.train)
+        spec = _constraint_spec_from_args(args, train)
+        try:
+            theta0 = default_initial_point(train.n, train.k, train.m, train.q, spec.on_D.Q)
+            cfg = PgdConfig(theta0=theta0, t0=args.t0, eta=args.eta, max_steps=args.steps,
+                            stop_tol=args.stop_tol)
+        except ValueError as exc:
+            raise ConfigError(f"solver settings: {exc}") from exc
+        report = violina_fit(train, spec, cfg)
+        _dump_json(out, report.theta_final.to_dict())
+        if curve:
+            _dump_csv(curve, ("step", "loss", "stepsize", "backtracks"),
                       zip(range(report.steps + 1), report.loss_curve,
                           (report.initial_stepsize, *report.stepsizes),
                           (0, *report.backtracks)))
@@ -468,24 +469,25 @@ def cmd_dmdc(args) -> int:
         raise ConfigError("--fit-index picks the one trajectory to fit, "
                           "but --pooled fits them all")
     fit_index = None if args.pooled else args.fit_index or 0
-    train = _open_dataset(args.train)
-    try:
-        if args.rank is not None:
-            rank, scan = args.rank, None
-            try:
-                A, B = dmdc_fit(train, rank, None if fit_index is None else [fit_index])
-            except ValueError as exc:  # only an unattainable --rank
-                raise ConfigError(f"--rank: {exc}") from exc
-        else:
-            scan = dmdc_rank_scan(train, fit_index)
-            rank, A, B = scan.best_rank, scan.A, scan.B
-    except IndexError:  # no trajectory --fit-index, known once all are read
-        _check_index("--fit-index", fit_index, train.size)
-        raise
     with _publishing() as stage:
-        _dump_json(stage(args.out), as_model(A, B, train.m).to_dict())
-        if args.scan_csv:
-            _dump_csv(stage(args.scan_csv), ("rank", "mean_self_reconstruction_error"),
+        out, scan_csv = stage(args.out), stage(args.scan_csv) if args.scan_csv else None
+        train = _open_dataset(args.train)
+        try:
+            if args.rank is not None:
+                rank, scan = args.rank, None
+                try:
+                    A, B = dmdc_fit(train, rank, None if fit_index is None else [fit_index])
+                except ValueError as exc:  # only an unattainable --rank
+                    raise ConfigError(f"--rank: {exc}") from exc
+            else:
+                scan = dmdc_rank_scan(train, fit_index)
+                rank, A, B = scan.best_rank, scan.A, scan.B
+        except IndexError:  # no trajectory --fit-index, known once all are read
+            _check_index("--fit-index", fit_index, train.size)
+            raise
+        _dump_json(out, as_model(A, B, train.m).to_dict())
+        if scan_csv:
+            _dump_csv(scan_csv, ("rank", "mean_self_reconstruction_error"),
                       zip(scan.ranks, scan.errors))
     if not args.quiet:
         note = f" (scanned {len(scan.ranks)} ranks)" if scan is not None else ""
@@ -528,39 +530,41 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model, data = _load_model_and_dataset(args)
-    header = ("trajectory", "rel_error") + (("max_abs_denergy",) if args.energy else ())
-    rows = []
-    energy_max = 0.0
-    for i, traj in enumerate(data.trajectories):
-        pred = _predict(model, traj, data.m)
-        truth = traj.states[:, : data.m + 1]
-        row = (i, relative_error(pred.states, truth, first=model.kernel.q + 1))
-        if args.energy:
-            if i == 0:
-                e0 = float(traj.states[:, 0].sum())
-            dev = energy_deviation(pred, Trajectory(truth, traj.inputs[:, : data.m]))
-            row += (float(np.max(np.abs(dev))),)
-            energy_max = max(energy_max, row[2])
-        rows.append(row)
-
-    errors = [row[1] for row in rows]
-    mean_error = float(np.mean(errors))
-    # JSON has no infinity or NaN: a value that is not finite is written as null
-    aggregate = {
-        "mean_rel_error": _finite_or_none(mean_error),
-        "max_rel_error": _finite_or_none(np.max(errors)),
-        "trajectories": len(rows),
-    }
-    if args.energy:
-        aggregate["max_energy_deviation"] = _finite_or_none(energy_max)
-        # undefined for a zero-energy start
-        aggregate["max_energy_deviation_rel"] = (
-            _finite_or_none(energy_max / abs(e0)) if e0 else None)
     with _publishing() as stage:
-        _dump_csv(stage(args.report), header, rows)
-        if args.aggregate:
-            _dump_json(stage(args.aggregate), aggregate)
+        report_csv = stage(args.report)
+        aggregate_json = stage(args.aggregate) if args.aggregate else None
+        model, data = _load_model_and_dataset(args)
+        header = ("trajectory", "rel_error") + (("max_abs_denergy",) if args.energy else ())
+        rows = []
+        energy_max = 0.0
+        for i, traj in enumerate(data.trajectories):
+            pred = _predict(model, traj, data.m)
+            truth = traj.states[:, : data.m + 1]
+            row = (i, relative_error(pred.states, truth, first=model.kernel.q + 1))
+            if args.energy:
+                if i == 0:
+                    e0 = float(traj.states[:, 0].sum())
+                dev = energy_deviation(pred, Trajectory(truth, traj.inputs[:, : data.m]))
+                row += (float(np.max(np.abs(dev))),)
+                energy_max = max(energy_max, row[2])
+            rows.append(row)
+
+        errors = [row[1] for row in rows]
+        mean_error = float(np.mean(errors))
+        # JSON has no infinity or NaN: a value that is not finite is written as null
+        aggregate = {
+            "mean_rel_error": _finite_or_none(mean_error),
+            "max_rel_error": _finite_or_none(np.max(errors)),
+            "trajectories": len(rows),
+        }
+        if args.energy:
+            aggregate["max_energy_deviation"] = _finite_or_none(energy_max)
+            # undefined for a zero-energy start
+            aggregate["max_energy_deviation_rel"] = (
+                _finite_or_none(energy_max / abs(e0)) if e0 else None)
+        _dump_csv(report_csv, header, rows)
+        if aggregate_json:
+            _dump_json(aggregate_json, aggregate)
     if not args.quiet:
         print(f"evaluate: mean rel error {mean_error:.6e} over {len(rows)} trajectories")
     return EXIT_OK

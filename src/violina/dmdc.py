@@ -79,7 +79,7 @@ class RankScanResult:
     B: np.ndarray
 
 
-_BLOCKS = 8  # time blocks of a chunk's recursion: eight times the ranks fit its buffer
+_BLOCKS = 8  # time blocks of a rank's recursion: they bound its buffer and fix each error sum
 
 
 def _group_size(n: int, k: int, m: int, p: int) -> int:
@@ -137,17 +137,12 @@ class _RankErrors:
         """Add the errors of the reduced trajectories in ``group``, which is
         emptied.
 
-        The ranks of the group recurse side by side: rank ``r`` of trajectory
-        ``i`` is column ``(r - lo, i)`` of chunk ``lo..hi``'s ``hi``-row
-        state, whose rows from ``r`` on stay zero, since each step writes
-        only the rows each rank has.  A chunk recurses ``m / _BLOCKS`` steps
-        at a time in one buffer, each block's squared errors summed before
-        the next overwrites it, and takes as many ranks as keep that buffer
-        within ``m x (n + p)`` floats, the size of one trajectory's states
-        and ``u_t^T W_u``, and at least one: chunks of one rank are the
-        rank-by-rank recursion batched over the group.
+        Each rank recurses by itself over the whole group, ``m / _BLOCKS``
+        steps at a time in one ``steps x r x batch`` buffer: a block starts
+        from the state that ended the block before, and its squared errors
+        are summed before the next block overwrites it.
         """
-        m, n, p = self.m, self.n, self.p
+        m, p = self.m, self.p
         inputs, starts, xQ, perps, norms = zip(*self.group)
         self.group.clear()
         # C[t] holds W_u^T u_t of every trajectory side by side: m x p x batch
@@ -157,38 +152,26 @@ class _RankErrors:
         batch = len(starts)
         g1 = self.Wn.T @ np.stack(starts, axis=1) + C[0]
         steps = -(-m // _BLOCKS)
-        width = max(1, _BLOCKS * (n + p) // max(1, p * batch))  # the m's cancel
-        buffer = np.empty(steps * p * min(width, p) * batch)
-        for lo in range(1, p + 1, width):
-            hi = min(lo + width - 1, p)
-            G = buffer[: steps * hi * (hi - lo + 1) * batch].reshape(steps, hi, -1, batch)
-            cols = G.reshape(steps, hi, -1)
-            keep = True  # the rows each column's rank has: all of them in a one-rank chunk
-            if hi > lo:
-                keep = (np.arange(hi)[:, None] < np.arange(lo, hi + 1))[..., None]
-                G[:, lo:] = 0.0  # rank r's rows from r on are never written
-            Mh, MG = self.M[:hi, :hi], np.empty(G.shape[1:])
-            MG_cols = MG.reshape(hi, -1)
-            squares = np.zeros((hi - lo + 1, batch))
-            for t0 in range(0, m, steps):  # G[j] is step t0 + j, G[-1] the last block's end
+        buffer = np.empty(steps * p * batch)
+        for r in range(1, p + 1):
+            G = buffer[: steps * r * batch].reshape(steps, r, batch)
+            M, square = self.M[:r, :r], np.zeros(batch)
+            G[0], first = g1[:r], 1  # step 0 is g_1 itself
+            for t0 in range(0, m, steps):  # G[j] is step t0 + j
                 t1 = min(t0 + steps, m)
-                if t0 == 0:
-                    np.copyto(G[0], g1[:hi, None], where=keep)
-                else:
-                    np.matmul(Mh, cols[-1], out=MG_cols)
-                    np.add(MG, C[t0, :hi, None], out=G[0], where=keep)
-                for last, new, c in zip(cols, G[1 : t1 - t0], C[t0 + 1 : t1, :hi, None]):
-                    np.matmul(Mh, last, out=MG_cols)
-                    np.add(MG, c, out=new, where=keep)
-                for r in range(lo, hi + 1):
-                    # batch x steps x min(n, p): R_r g_t - Q^T x_t, time-major
-                    D = np.matmul(G[: t1 - t0, :r, r - lo].transpose(2, 0, 1), self.R[:, :r].T)
-                    D -= xQ[:, t0:t1]
-                    D *= D
-                    squares[r - lo] += D.reshape(batch, -1).sum(axis=1)  # pairwise
-            for r, row in enumerate(squares, lo):
-                for square, perp, norm in zip(row, perps, norms):
-                    self.totals[r - 1] += error_ratio(np.sqrt(square + perp), norm)
+                # at j = 0, G[j - 1] = G[-1] is the last block's end
+                for j, c in zip(range(first, t1 - t0), C[t0 + first : t1, :r]):
+                    g = G[j]
+                    M.dot(G[j - 1], out=g)
+                    g += c
+                first = 0
+                # batch x steps x min(n, p): R_r g_t - Q^T x_t, time-major
+                D = np.matmul(G[: t1 - t0].transpose(2, 0, 1), self.R[:, :r].T)
+                D -= xQ[:, t0:t1]
+                D *= D
+                square += D.reshape(batch, -1).sum(axis=1)  # pairwise
+            for sq, perp, norm in zip(square, perps, norms):
+                self.totals[r - 1] += error_ratio(np.sqrt(sq + perp), norm)
         self.count += batch
 
 

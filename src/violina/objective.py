@@ -27,7 +27,9 @@ class Dataset:
 
     @property
     def matrices(self) -> tuple[DataMatrices, ...]:
-        """The zero-padded data matrices per trajectory, built on each access."""
+        """The zero-padded data matrices per trajectory, built on each access.
+        No code in ``src/`` calls it, but the benchmark's ``kernel.apply``
+        layer (``perfbench/worker.py::probe_layers``) does."""
         return tuple(_matrices(self))
 
     @property

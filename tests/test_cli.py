@@ -1857,6 +1857,42 @@ def test_two_outputs_naming_one_file_publish_nothing(suite_dir, tmp_path, capsys
         assert not list(tmp_path.rglob(".*.tmp"))
 
 
+@pytest.mark.parametrize("command", ["fit", "dmdc", "evaluate"])
+def test_two_outputs_naming_one_file_are_refused_before_any_read(desk_files, tmp_path, capsys,
+                                                                 monkeypatch, command):
+    """``fit``, ``dmdc`` and ``evaluate`` refuse two outputs that name one
+    file before they read an input: a missing ``--train`` or ``--dataset``
+    gives that exit 2, not the read's exit 3, and on the desk sets the fit,
+    the rank scan or the first prediction is never reached."""
+    import violina.cli as cli
+    from violina.dmdc import as_model
+
+    train = _load_dataset(desk_files / "train.json")
+    model = tmp_path / "model.json"
+    cli._dump_json(model, as_model(np.zeros((train.n, train.n)), np.zeros((train.n, train.k)),
+                                   train.m).to_dict())
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command did its work before checking its outputs")
+    monkeypatch.setattr(cli, {"fit": "violina_fit", "dmdc": "dmdc_rank_scan",
+                              "evaluate": "_predict"}[command], never)
+    monkeypatch.chdir(tmp_path)
+    valid = desk_files / ("test.json" if command == "evaluate" else "train.json")
+    for data in (tmp_path / "missing.json", valid):
+        argv = {
+            "fit": ["fit", "--train", data, "--constraints", "free", "--out", "P",
+                    "--curve", "./P"],
+            "dmdc": ["dmdc", "--train", data, "--out", "P", "--scan-csv", "./P"],
+            "evaluate": ["evaluate", "--model", model, "--dataset", data, "--report", "P",
+                         "--aggregate", "./P"],
+        }[command]
+        capsys.readouterr()
+        assert main(["--quiet", *map(str, argv)]) == 2
+        assert capsys.readouterr().err == "error: ./P: two outputs of the command name this file\n"
+        assert not (tmp_path / "P").exists()
+        assert not list(tmp_path.rglob(".*.tmp"))
+
+
 def test_fit_curve_csv_layout(tmp_path, rng):
     """``fit --curve`` writes a header, the initial point and one row per
     step; the step and backtracks columns are integers, with no ``.0``."""
@@ -2042,6 +2078,28 @@ def test_dense_kernel_model_exit_4(suite_dir, tmp_path, capsys, command):
     assert capsys.readouterr().err == \
         "numeric error: cannot simulate a model with a dense kernel\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "dense.json", "suite"]
+
+
+@pytest.mark.parametrize("fit", [["--fit-index", "0"], ["--fit-index", "5"], ["--pooled"]],
+                         ids=["fit-index-0", "fit-index-5", "pooled"])
+def test_dmdc_writes_the_library_scan_bit_for_bit(desk_files, tmp_path, fit):
+    """``dmdc`` reads its train set through the stream, yet writes the bytes
+    of ``dmdc_rank_scan`` on the list path's dataset: each ``scan.csv`` row
+    is ``rank,repr(error)`` and ``dmdc.json`` is the best rank's model."""
+    from violina.cli import _dump_json
+    from violina.dmdc import as_model, dmdc_rank_scan
+
+    train = desk_files / "train.json"
+    out, scan_csv = tmp_path / "dmdc.json", tmp_path / "scan.csv"
+    assert main(["--quiet", "dmdc", "--train", str(train), *fit, "--scan-csv", str(scan_csv),
+                 "--out", str(out)]) == 0
+    data = Dataset.from_dict(json.loads(train.read_text()))
+    scan = dmdc_rank_scan(data, None if fit == ["--pooled"] else int(fit[1]))
+    assert scan_csv.read_text().splitlines() == [
+        "rank,mean_self_reconstruction_error",
+        *(f"{rank},{error!r}" for rank, error in zip(scan.ranks, scan.errors))]
+    _dump_json(tmp_path / "library.json", as_model(scan.A, scan.B, data.m).to_dict())
+    assert out.read_bytes() == (tmp_path / "library.json").read_bytes()
 
 
 def test_dmdc_rank_zero_fit_trajectory(suite_dir, tmp_path, capsys):

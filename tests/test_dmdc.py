@@ -167,9 +167,10 @@ def test_rank_scan_matches_oracle_with_later_fit_index(where):
 
 def test_rank_scan_chunks_its_ranks(rng):
     """One trajectory with ``k > n`` attains rank ``p = n + k = 44``.  The
-    scan's traced peak stays within 10 times the trajectory's arrays (6.9
-    was seen), where an unchunked ``m x p x p`` state buffer alone is 44
-    times them."""
+    scan's traced peak stays within 10 times the trajectory's arrays (3.7
+    was seen), since it holds one rank's ``m / 8 x r`` buffer at a time:
+    every rank's ``m x r`` states held at once would alone be about 22
+    times them, and an ``m x p x p`` state buffer 44 times."""
     import tracemalloc
 
     n, k, m = 4, 40, 200
