@@ -12,6 +12,7 @@ import csv
 import errno
 import itertools
 import json
+import operator
 import os
 import re
 import sys
@@ -30,7 +31,7 @@ from .constraints import (
 )
 from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
 from .kernel import CausalBandKernel, json_floats, json_int, pack_json
-from .model import StateSpaceModel, Trajectory, relative_error
+from .model import LOCKSTEP, StateSpaceModel, Trajectory, relative_error
 from .objective import Dataset, _check_trajectory
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
 from .svgplot import panel_plot
@@ -273,16 +274,17 @@ def _dump_datasets(targets, groups, m: int) -> int:
     (``kernel.pack_json``, which leaves out the columns that are all
     ``+0.0``) and those bytes go into every file, then each target's
     states are packed and written in turn.  The files are written
-    in binary and no JSON encoder runs, so only one group's arrays and one
-    array's text are alive at a time.  States that are not all finite raise
-    ``ValueError`` naming the trajectory after the target's prefix
-    ``where``; a non-finite input raises ``pack_json``'s."""
+    in binary and no JSON encoder runs, so one array's text is alive at a
+    time, and no group is held while the next is taken.  States that are
+    not all finite raise ``ValueError`` naming the trajectory after the
+    target's prefix ``where``; a non-finite input raises ``pack_json``'s."""
     i = -1
     with ExitStack() as files:
         fhs = [files.enter_context(open(path, "wb")) for path, _, _ in targets]
         for fh, (_, q, _) in zip(fhs, targets):
             fh.write(b'{"m":%d,"q":%d' % (m, q) + _HEAD_END)
-        for i, group in enumerate(groups):
+        for group in groups:  # no enumerate: it would hold the last group
+            i += 1
             inputs = pack_json(group[0].inputs.T)
             for fh in fhs:
                 fh.write(b',{"inputs":' if i else b'{"inputs":')
@@ -298,6 +300,7 @@ def _dump_datasets(targets, groups, m: int) -> int:
                 fh.write(states)
                 del states
                 fh.write(b"}")
+            del group, traj  # so none of it is held while the next group is made
         for fh in fhs:
             fh.write(b"]}\n")
     return i + 1
@@ -306,8 +309,9 @@ def _dump_datasets(targets, groups, m: int) -> int:
 def _dump_dataset(path, trajectories, q: int, m: int, where: str = "") -> int:
     """Write a dataset of ``trajectories``, any iterable of them, with ``q``
     and ``m``, and return how many were written: ``_dump_datasets`` with
-    one target."""
-    return _dump_datasets([(path, q, where)], ((traj,) for traj in trajectories), m)
+    one target.  ``map``, unlike a generator expression, holds no
+    trajectory while it takes the next."""
+    return _dump_datasets([(path, q, where)], map(lambda traj: (traj,), trajectories), m)
 
 
 @contextmanager
@@ -497,16 +501,29 @@ def cmd_dmdc(args) -> int:
 
 # ---------------------------------------------------- simulate / evaluate
 
-def _predict(model: StateSpaceModel, traj: Trajectory, m: int) -> Trajectory:
-    return model.simulate(traj.states[:, : model.kernel.q + 1], traj.inputs[:, :m])
+def _predictions(model: StateSpaceModel, trajectories, m: int):
+    """Yield ``(traj, prediction)`` for each trajectory of the iterable
+    ``trajectories``: the model run from its first ``q + 1`` states on its
+    first ``m`` inputs, ``LOCKSTEP`` trajectories at a time.  Each pair
+    leaves this generator as it is yielded, so a chunk is released before
+    the next one is read."""
+    q = model.kernel.q
+    trajectories = iter(trajectories)
+    while chunk := list(itertools.islice(trajectories, LOCKSTEP)):
+        preds = model.simulate_many([traj.states[:, : q + 1] for traj in chunk],
+                                    [traj.inputs[:, :m] for traj in chunk])
+        while chunk:
+            yield chunk.pop(0), preds.pop(0)
 
 
 def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
     """The model and dataset of ``--model`` and ``--dataset``, whose state and
-    input counts must agree.  The kernel's ``m`` need not be the dataset's:
-    ``_predict`` runs the recursion, which reads only the kernel's ``q`` and
-    ``coeffs``, so a model runs on data of any length.  A model with a dense
-    kernel has no recursion and raises ``ValueError``."""
+    input counts must agree, and whose ``m`` must give the recursion at
+    least the ``q + 1`` inputs it needs.  The kernel's ``m`` need not be the
+    dataset's: ``_predictions`` runs the recursion, which reads only the
+    kernel's ``q`` and ``coeffs``, so a model runs on data of any such
+    length.  A model with a dense kernel has no recursion and raises
+    ``ValueError``."""
     model = _parse_file(args.model, StateSpaceModel.from_dict)
     data = _open_dataset(args.dataset)
     if (model.n, model.k) != (data.n, data.k):
@@ -515,6 +532,10 @@ def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
             f"{args.dataset}: dataset (n, k) = {(data.n, data.k)}")
     if not isinstance(model.kernel, CausalBandKernel):
         raise ValueError("cannot simulate a model with a dense kernel")
+    if data.m < model.kernel.q + 1:
+        raise ConfigError(
+            f"{args.model}: model q = {model.kernel.q} needs at least "
+            f"q+1 = {model.kernel.q + 1} inputs, but {args.dataset}: dataset m = {data.m}")
     return model, data
 
 
@@ -522,7 +543,8 @@ def cmd_simulate(args) -> int:
     model, data = _load_model_and_dataset(args)
     with _publishing() as stage:
         size = _dump_dataset(stage(args.out),
-                             (_predict(model, traj, data.m) for traj in data.trajectories),
+                             map(operator.itemgetter(1),
+                                 _predictions(model, data.trajectories, data.m)),
                              data.q, data.m)
     if not args.quiet:
         print(f"simulated {size} trajectories to {args.out}")
@@ -537,17 +559,17 @@ def cmd_evaluate(args) -> int:
         header = ("trajectory", "rel_error") + (("max_abs_denergy",) if args.energy else ())
         rows = []
         energy_max = 0.0
-        for i, traj in enumerate(data.trajectories):
-            pred = _predict(model, traj, data.m)
+        for traj, pred in _predictions(model, data.trajectories, data.m):
             truth = traj.states[:, : data.m + 1]
-            row = (i, relative_error(pred.states, truth, first=model.kernel.q + 1))
+            row = (len(rows), relative_error(pred.states, truth, first=model.kernel.q + 1))
             if args.energy:
-                if i == 0:
+                if not rows:
                     e0 = float(traj.states[:, 0].sum())
                 dev = energy_deviation(pred, Trajectory(truth, traj.inputs[:, : data.m]))
                 row += (float(np.max(np.abs(dev))),)
                 energy_max = max(energy_max, row[2])
             rows.append(row)
+            del traj, pred, truth  # not held while the next chunk is simulated
 
         errors = [row[1] for row in rows]
         mean_error = float(np.mean(errors))

@@ -9,6 +9,12 @@ import numpy as np
 
 from .kernel import CausalBandKernel, json_floats, json_table, pack_floats
 
+# the most trajectories a streaming caller passes to one simulate_many call;
+# memory, not speed, sets it: a chunk's trajectories and the time-major copy
+# of their states (0.8 MB per trajectory and array at paper scale) are held
+# until the chunk is used, so the peak of generate grows with it
+LOCKSTEP = 4
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -112,37 +118,78 @@ class StateSpaceModel:
 
         with states at negative times treated as zero.  ``initial_states``
         must be ``n x (q+1)`` and ``inputs`` ``k x m`` with ``m >= q + 1``.
+        The one-trajectory case of ``simulate_many``.
         """
-        initial = self._initial_states(initial_states, "simulation")
+        return self.simulate_many([initial_states], [inputs])[0]
+
+    def simulate_many(self, initial_states, inputs) -> list[Trajectory]:
+        """``simulate`` of each pair of ``initial_states`` and ``inputs``, two
+        sequences of one length whose input arrays share one ``m``, with the
+        recursions run in lockstep.  A pair ``simulate`` refuses, or inputs
+        of another length than the first's, raise ``ValueError`` naming the
+        pair's index.  Every trajectory has the bits it has alone."""
+        initial_states, inputs = list(initial_states), list(inputs)
+        if len(initial_states) != len(inputs):
+            raise ValueError(f"got {len(initial_states)} initial states "
+                             f"and {len(inputs)} inputs")
+        starts, arrays = [], []
+        for i, (initial, u) in enumerate(zip(initial_states, inputs)):
+            try:
+                starts.append(self._initial_states(initial, "simulation"))
+                arrays.append(self._inputs(u, arrays[0].shape[1] if arrays else None))
+            except ValueError as exc:
+                raise ValueError(f"trajectory {i}: {exc}") from None
+        if not arrays:
+            return []
         q = self.kernel.q
-        coeffs = self.kernel.coeffs
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.ndim != 2 or inputs.shape[0] != self.k:
-            raise ValueError(f"expected {self.k}-row inputs, got shape {inputs.shape}")
-        m = inputs.shape[1]
-        if m < q + 1:
-            raise ValueError(f"need at least q+1={q + 1} inputs, got {m}")
-        # B u_{t-1} of every step in one product into the n x (m+1) states,
-        # whose layout the product's bits depend on; the recursion then runs
-        # on a time-major copy, one contiguous row per state, with no
-        # temporaries, and its result is copied back
-        x = np.empty((self.n, m + 1))
-        x[:, : q + 1] = initial
-        np.matmul(self.B, inputs[:, q:], out=x[:, q + 1 :])
-        rows = x.T.copy()
-        tmp = np.empty(self.n)
+        m = arrays[0].shape[1]
+        # B u_{t-1} of every step in one product into each trajectory's
+        # n x (m+1) states, whose layout the product's bits depend on; the
+        # recursion then runs on a time-major copy of all of them, step t
+        # one contiguous N x n x 1 block, with no temporaries, and its result
+        # is copied back
+        rows = np.empty((m + 1, len(arrays), self.n, 1))
+        states = []
+        for i, (initial, u) in enumerate(zip(starts, arrays)):
+            x = np.empty((self.n, m + 1))
+            x[:, : q + 1] = initial
+            np.matmul(self.B, u[:, q:], out=x[:, q + 1 :])
+            rows[:, i, :, 0] = x.T
+            states.append(x)
+        # np.matmul of A and a stack of n x 1 columns makes one matrix-vector
+        # product per column, with the bits of np.dot(A, x); the product A X
+        # of the N states as one matrix rounds differently.  One trajectory
+        # runs on 1-D rows through np.dot itself, which numpy calls faster
+        steps, product = (rows[:, 0, :, 0], np.dot) if len(arrays) == 1 else (rows, np.matmul)
+        tmp = np.empty(steps.shape[1:])
         # each c as a 0-d array, which np.multiply takes faster than a float
-        memory = [(j, np.array(c)) for j, c in enumerate(coeffs, start=1) if c != 0.0]
+        memory = [(j, np.array(c)) for j, c in enumerate(self.kernel.coeffs, start=1)
+                  if c != 0.0]
         for t in range(q + 1, m + 1):
-            row = rows[t]
-            np.dot(self.A, rows[t - 1], out=tmp)
+            row = steps[t]
+            product(self.A, steps[t - 1], out=tmp)
             row += tmp
             for j, c in memory:
                 if t - j >= 0:
-                    np.multiply(c, rows[t - j], out=tmp)
+                    np.multiply(c, steps[t - j], out=tmp)
                     row -= tmp
-        x[...] = rows.T
-        return Trajectory(x, inputs)
+        for i, x in enumerate(states):
+            x[...] = rows[:, i, :, 0].T
+        return [Trajectory(x, u) for x, u in zip(states, arrays)]
+
+    def _inputs(self, inputs, m: int | None) -> np.ndarray:
+        """``inputs`` as the ``k``-row float array a simulation needs, with
+        at least ``q + 1`` columns, and ``m`` of them when ``m`` is given;
+        otherwise ``ValueError``."""
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.ndim != 2 or inputs.shape[0] != self.k:
+            raise ValueError(f"expected {self.k}-row inputs, got shape {inputs.shape}")
+        q = self.kernel.q
+        if m is not None and inputs.shape[1] != m:
+            raise ValueError(f"{inputs.shape[1]} inputs, but the first trajectory has {m}")
+        if inputs.shape[1] < q + 1:
+            raise ValueError(f"need at least q+1={q + 1} inputs, got {inputs.shape[1]}")
+        return inputs
 
     def _initial_states(self, initial_states, use: str) -> np.ndarray:
         """``initial_states`` as the ``n x (q + 1)`` float array that ``use``

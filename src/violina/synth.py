@@ -8,13 +8,14 @@ drawn before the upward edge), so a given seed reproduces the suite bitwise.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import CausalBandKernel, json_floats, json_int
-from .model import StateSpaceModel, Trajectory
+from .model import LOCKSTEP, StateSpaceModel, Trajectory
 from .objective import Dataset
 
 
@@ -179,10 +180,13 @@ KINDS = ("train", "test", "energy")
 
 def simulate_trajectories(models, grid: CylinderGrid, m: int, h: float):
     """Simulate the train, test and energy sets of every ground truth in
-    ``models``, one input at a time: yields ``(kind, trajectories)`` with
-    ``kind`` in ``KINDS`` and one trajectory per model, in the order of
+    ``models`` and yield them one input at a time: ``(kind, trajectories)``
+    with ``kind`` in ``KINDS`` and one trajectory per model, in the order of
     ``models``, all driven by the one input array built for them.  Each set
-    is complete before the next begins.
+    is complete before the next begins.  Each model simulates up to
+    ``LOCKSTEP`` inputs of a set together (``simulate_many``), and a chunk's
+    trajectories leave this generator as they are yielded, before the next
+    chunk is made.
 
     Train: parallel inputs over sigma = +-1, nu in {3, 6}, every row xi, all
     from zero initial values.  The first train trajectory is the designated
@@ -191,19 +195,18 @@ def simulate_trajectories(models, grid: CylinderGrid, m: int, h: float):
     values.
     """
     n = grid.n
-
-    def run(x0: float, U: np.ndarray):  # every state starts at x0
-        return tuple(model.simulate(np.full((n, model.kernel.q + 1), x0), U)
-                     for model in models)
-
-    for sigma in (1, -1):
-        for nu in (3, 6):
-            for xi in range(grid.Ly):
-                yield "train", run(0.0, make_input("parallel", sigma, nu, xi,
-                                                   grid.Lx, grid.Ly, m, h))
-    for nu in range(1, 9):
-        yield "test", run(0.0, make_input("perp", 1, nu, 0, grid.Lx, grid.Ly, m, h))
-    yield "energy", run(1.0, np.zeros((n, m)))
+    train = (make_input("parallel", sigma, nu, xi, grid.Lx, grid.Ly, m, h)
+             for sigma in (1, -1) for nu in (3, 6) for xi in range(grid.Ly))
+    test = (make_input("perp", 1, nu, 0, grid.Lx, grid.Ly, m, h) for nu in range(1, 9))
+    energy = (np.zeros((n, m)) for _ in range(1))  # made when its set begins
+    for kind, x0, inputs in (("train", 0.0, train), ("test", 0.0, test),
+                             ("energy", 1.0, energy)):
+        while chunk := list(itertools.islice(inputs, LOCKSTEP)):
+            runs = [model.simulate_many([np.full((n, model.kernel.q + 1), x0)] * len(chunk),
+                                        chunk) for model in models]
+            chunk.clear()
+            while runs[0]:
+                yield kind, tuple(run.pop(0) for run in runs)
 
 
 def make_datasets(model: StateSpaceModel, grid: CylinderGrid, m: int, h: float):

@@ -388,6 +388,33 @@ def test_model_dataset_size_mismatch_exit_2(suite_dir, tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_dataset_shorter_than_the_model_memory_exit_2(suite_dir, tmp_path, capsys, command):
+    """A dataset whose ``m`` is below the model's ``q + 1`` cannot start
+    the recursion: a model/dataset mismatch, refused before any output is
+    written; ``m = q + 1`` runs."""
+    from violina.cli import _dump_dataset
+
+    model = suite_dir / "nonmarkov_model.json"  # q = 2
+    first = _load_dataset(suite_dir / "nonmarkov_test.json").trajectories[0]
+    for m, rc in ((2, 2), (3, 0)):
+        dataset = tmp_path / f"m{m}.json"
+        _dump_dataset(dataset, [Trajectory(first.states[:, : m + 1], first.inputs[:, :m])], 0, m)
+        out = tmp_path / f"out{m}"
+        dest = ["--report", str(out)] if command == "evaluate" else ["--out", str(out)]
+        capsys.readouterr()
+        assert main(["--quiet", command, "--model", str(model), "--dataset", str(dataset),
+                     *dest]) == rc
+        if rc:
+            assert capsys.readouterr().err == (
+                f"error: {model}: model q = 2 needs at least q+1 = 3 inputs, "
+                f"but {dataset}: dataset m = 2\n")
+            assert not out.exists()
+            assert not list(tmp_path.rglob(".*.tmp"))
+        else:
+            assert out.exists()
+
+
 def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, capsys):
     good = _as_numbers(json.loads((suite_dir / "markov_test.json").read_text()))
 
@@ -981,9 +1008,11 @@ def _main_peaks(name, out, monkeypatch):
 
 @pytest.mark.parametrize("name", ["fit", "dmdc", "evaluate", "simulate", "plot"])
 def test_commands_hold_one_trajectory_at_a_time(copies_files, monkeypatch, name):
-    """Each trajectory is used and dropped as it is read, so 12 more
+    """Each trajectory is used and dropped as it is read, or, where
+    ``evaluate`` and ``simulate`` predict ``LOCKSTEP`` trajectories
+    together, each chunk before the next one is read, so 12 more
     trajectories (1.2 MB of arrays) move the peak by at most half of one
-    trajectory's arrays (15 KB at most was seen)."""
+    trajectory's arrays (17 KB at most was seen)."""
     out, traj = copies_files
     few, many = _main_peaks(name, out, monkeypatch)
     assert abs(many - few) <= (traj.states.nbytes + traj.inputs.nbytes) / 2, (few, many)
@@ -1654,15 +1683,17 @@ def test_generate_writes_the_library_suite(tmp_path, seed):
 
 def test_generate_keeps_the_column_loop_bits(tmp_path, monkeypatch):
     """The desk datasets ``generate`` writes have the bytes of datasets
-    simulated by the column-major loop of ``oracles.column_simulate``."""
+    simulated by the column-major loop of ``oracles.column_simulate``, one
+    trajectory at a time, in place of the lockstep ``simulate_many`` that
+    ``synth.simulate_trajectories`` calls."""
     from oracles import column_simulate
 
     from violina import BenchmarkConfig, build_benchmark_suite
 
     out = tmp_path / "suite"
     assert main(["--quiet", "generate", "--preset", "desk", "--out", str(out)]) == 0
-    monkeypatch.setattr(StateSpaceModel, "simulate", lambda self, initial, inputs: Trajectory(
-        column_simulate(self, initial, inputs), inputs))
+    monkeypatch.setattr(StateSpaceModel, "simulate_many", lambda self, initial, inputs: [
+        Trajectory(column_simulate(self, x0, u), u) for x0, u in zip(initial, inputs)])
     suite = build_benchmark_suite(BenchmarkConfig.desk_scale())
     for name, system in (("markov", suite.markov), ("nonmarkov", suite.nonmarkov)):
         for kind in ("train", "test", "energy"):
@@ -1712,9 +1743,10 @@ def _generate_peak(tmp_path, grid):
 
 def test_generate_holds_one_input_at_a_time(tmp_path):
     """Two grids of 30 cells, whose train sets hold 12 and 24 trajectories:
-    each input's trajectories are written and dropped before the next input
-    is made, so the peaks differ by at most half of one trajectory's arrays,
-    the bound of ``test_commands_hold_one_trajectory_at_a_time``."""
+    each input's trajectories are written and dropped before the next is
+    taken, and each chunk of ``LOCKSTEP`` inputs before the next chunk is
+    simulated, so the peaks differ by at most half of one trajectory's
+    arrays, the bound of ``test_commands_hold_one_trajectory_at_a_time``."""
     few = _generate_peak(tmp_path / "few", {"Lx": 10, "Ly": 3})
     many = _generate_peak(tmp_path / "many", {"Lx": 5, "Ly": 6})
     one = (30 * 201 + 30 * 200) * 8  # the states and inputs of one trajectory
@@ -1875,7 +1907,7 @@ def test_two_outputs_naming_one_file_are_refused_before_any_read(desk_files, tmp
     def never(*args, **kwargs):
         raise AssertionError("the command did its work before checking its outputs")
     monkeypatch.setattr(cli, {"fit": "violina_fit", "dmdc": "dmdc_rank_scan",
-                              "evaluate": "_predict"}[command], never)
+                              "evaluate": "_predictions"}[command], never)
     monkeypatch.chdir(tmp_path)
     valid = desk_files / ("test.json" if command == "evaluate" else "train.json")
     for data in (tmp_path / "missing.json", valid):

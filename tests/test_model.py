@@ -148,6 +148,50 @@ def test_simulate_matches_column_oracle_on_ground_truths(rng, preset):
                               column_simulate(model, initial, inputs))
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+@pytest.mark.parametrize("q, Q", [(q, Q) for q in range(3) for Q in range(max(q, 1), 5)])
+def test_simulate_many_matches_column_oracle(rng, N, q, Q):
+    """Each trajectory of the lockstep recursion has the bits of the
+    column-major loop run on it alone: a dense ``B``, each trajectory its
+    own initial states, inputs that own their data or are column slices of
+    wider arrays, and the memory with and without a zero coefficient."""
+    n, m = 30, 50
+    model = random_stable_model(rng, n=n, k=n, m=m, q=q, Q=Q, coeff_scale=0.1)
+    models = [model]
+    if Q > 1:
+        coeffs = (0.0, *model.kernel.coeffs[1:])
+        models.append(StateSpaceModel(model.A, model.B, CausalBandKernel(m, q, Q, coeffs)))
+    initial = [rng.normal(size=(n, q + 1)) for _ in range(N)]
+    inputs = []
+    for i in range(N):
+        wide = rng.normal(size=(n, 2 * m + 3))
+        inputs.append((wide[:, :m].copy(), wide[:, 3 : m + 3], wide[:, 1::2][:, :m])[i % 3])
+    for model in models:
+        trajs = model.simulate_many(initial, inputs)
+        assert len(trajs) == N
+        for x0, u, traj in zip(initial, inputs, trajs):
+            assert traj.states.flags.c_contiguous
+            assert np.array_equal(traj.states, column_simulate(model, x0, u))
+            assert np.array_equal(traj.inputs, u)
+
+
+def test_simulate_many_names_the_faulty_trajectory():
+    model = StateSpaceModel([[0.5]], [[1.0]], CausalBandKernel(4, 1, 2, (0.1,)))
+    x0, u = np.zeros((1, 2)), np.ones((1, 4))
+    with pytest.raises(ValueError, match=r"^trajectory 2: expected 1x2 initial states"):
+        model.simulate_many([x0, x0, np.zeros((1, 1))], [u] * 3)
+    with pytest.raises(ValueError, match=r"^trajectory 1: expected 1-row inputs"):
+        model.simulate_many([x0] * 2, [u, np.ones((2, 4))])
+    with pytest.raises(ValueError,
+                       match=r"^trajectory 1: 5 inputs, but the first trajectory has 4$"):
+        model.simulate_many([x0] * 3, [u, np.ones((1, 5)), u])
+    with pytest.raises(ValueError, match=r"^trajectory 0: need at least q\+1=2 inputs, got 1$"):
+        model.simulate_many([x0], [np.ones((1, 1))])
+    with pytest.raises(ValueError, match=r"^got 2 initial states and 1 inputs$"):
+        model.simulate_many([x0] * 2, [u])
+    assert model.simulate_many([], []) == []
+
+
 def test_simulate_shape_errors():
     model = StateSpaceModel([[0.5]], [[1.0]], CausalBandKernel(4, 1, 2, (0.1,)))
     with pytest.raises(ValueError):
