@@ -12,7 +12,6 @@ import csv
 import errno
 import itertools
 import json
-import operator
 import os
 import re
 import sys
@@ -31,7 +30,7 @@ from .constraints import (
 )
 from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
 from .kernel import CausalBandKernel, json_floats, json_int, pack_json
-from .model import LOCKSTEP, StateSpaceModel, Trajectory, relative_error
+from .model import StateSpaceModel, Trajectory, relative_error
 from .objective import Dataset, _check_trajectory
 from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
 from .svgplot import panel_plot
@@ -309,9 +308,8 @@ def _dump_datasets(targets, groups, m: int) -> int:
 def _dump_dataset(path, trajectories, q: int, m: int, where: str = "") -> int:
     """Write a dataset of ``trajectories``, any iterable of them, with ``q``
     and ``m``, and return how many were written: ``_dump_datasets`` with
-    one target.  ``map``, unlike a generator expression, holds no
-    trajectory while it takes the next."""
-    return _dump_datasets([(path, q, where)], map(lambda traj: (traj,), trajectories), m)
+    one target."""
+    return _dump_datasets([(path, q, where)], ((traj,) for traj in trajectories), m)
 
 
 @contextmanager
@@ -501,26 +499,15 @@ def cmd_dmdc(args) -> int:
 
 # ---------------------------------------------------- simulate / evaluate
 
-def _predictions(model: StateSpaceModel, trajectories, m: int):
-    """Yield ``(traj, prediction)`` for each trajectory of the iterable
-    ``trajectories``: the model run from its first ``q + 1`` states on its
-    first ``m`` inputs, ``LOCKSTEP`` trajectories at a time.  Each pair
-    leaves this generator as it is yielded, so a chunk is released before
-    the next one is read."""
-    q = model.kernel.q
-    trajectories = iter(trajectories)
-    while chunk := list(itertools.islice(trajectories, LOCKSTEP)):
-        preds = model.simulate_many([traj.states[:, : q + 1] for traj in chunk],
-                                    [traj.inputs[:, :m] for traj in chunk])
-        while chunk:
-            yield chunk.pop(0), preds.pop(0)
+def _predict(model: StateSpaceModel, traj: Trajectory, m: int) -> Trajectory:
+    return model.simulate(traj.states[:, : model.kernel.q + 1], traj.inputs[:, :m])
 
 
 def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
     """The model and dataset of ``--model`` and ``--dataset``, whose state and
     input counts must agree, and whose ``m`` must give the recursion at
     least the ``q + 1`` inputs it needs.  The kernel's ``m`` need not be the
-    dataset's: ``_predictions`` runs the recursion, which reads only the
+    dataset's: ``_predict`` runs the recursion, which reads only the
     kernel's ``q`` and ``coeffs``, so a model runs on data of any such
     length.  A model with a dense kernel has no recursion and raises
     ``ValueError``."""
@@ -543,8 +530,7 @@ def cmd_simulate(args) -> int:
     model, data = _load_model_and_dataset(args)
     with _publishing() as stage:
         size = _dump_dataset(stage(args.out),
-                             map(operator.itemgetter(1),
-                                 _predictions(model, data.trajectories, data.m)),
+                             (_predict(model, traj, data.m) for traj in data.trajectories),
                              data.q, data.m)
     if not args.quiet:
         print(f"simulated {size} trajectories to {args.out}")
@@ -559,17 +545,17 @@ def cmd_evaluate(args) -> int:
         header = ("trajectory", "rel_error") + (("max_abs_denergy",) if args.energy else ())
         rows = []
         energy_max = 0.0
-        for traj, pred in _predictions(model, data.trajectories, data.m):
+        for i, traj in enumerate(data.trajectories):
+            pred = _predict(model, traj, data.m)
             truth = traj.states[:, : data.m + 1]
-            row = (len(rows), relative_error(pred.states, truth, first=model.kernel.q + 1))
+            row = (i, relative_error(pred.states, truth, first=model.kernel.q + 1))
             if args.energy:
-                if not rows:
+                if i == 0:
                     e0 = float(traj.states[:, 0].sum())
                 dev = energy_deviation(pred, Trajectory(truth, traj.inputs[:, : data.m]))
                 row += (float(np.max(np.abs(dev))),)
                 energy_max = max(energy_max, row[2])
             rows.append(row)
-            del traj, pred, truth  # not held while the next chunk is simulated
 
         errors = [row[1] for row in rows]
         mean_error = float(np.mean(errors))

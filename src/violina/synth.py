@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import CausalBandKernel, json_floats, json_int
-from .model import LOCKSTEP, StateSpaceModel, Trajectory
+from .model import StateSpaceModel, Trajectory
 from .objective import Dataset
 
 
@@ -177,6 +177,12 @@ def make_input(orientation: str, sigma: int, nu: int, xi: int,
 
 KINDS = ("train", "test", "energy")
 
+# the most inputs of a set each ground truth simulates in one simulate_many
+# call; memory, not speed, sets it: a chunk's trajectories and the time-major
+# copy of their states (0.8 MB per trajectory and array at paper scale) are
+# held until the chunk is written, so the peak of generate grows with it
+_LOCKSTEP = 4
+
 
 def simulate_trajectories(models, grid: CylinderGrid, m: int, h: float):
     """Simulate the train, test and energy sets of every ground truth in
@@ -184,7 +190,7 @@ def simulate_trajectories(models, grid: CylinderGrid, m: int, h: float):
     with ``kind`` in ``KINDS`` and one trajectory per model, in the order of
     ``models``, all driven by the one input array built for them.  Each set
     is complete before the next begins.  Each model simulates up to
-    ``LOCKSTEP`` inputs of a set together (``simulate_many``), and a chunk's
+    ``_LOCKSTEP`` inputs of a set together (``simulate_many``), and a chunk's
     trajectories leave this generator as they are yielded, before the next
     chunk is made.
 
@@ -201,7 +207,7 @@ def simulate_trajectories(models, grid: CylinderGrid, m: int, h: float):
     energy = (np.zeros((n, m)) for _ in range(1))  # made when its set begins
     for kind, x0, inputs in (("train", 0.0, train), ("test", 0.0, test),
                              ("energy", 1.0, energy)):
-        while chunk := list(itertools.islice(inputs, LOCKSTEP)):
+        while chunk := list(itertools.islice(inputs, _LOCKSTEP)):
             runs = [model.simulate_many([np.full((n, model.kernel.q + 1), x0)] * len(chunk),
                                         chunk) for model in models]
             chunk.clear()

@@ -1008,11 +1008,9 @@ def _main_peaks(name, out, monkeypatch):
 
 @pytest.mark.parametrize("name", ["fit", "dmdc", "evaluate", "simulate", "plot"])
 def test_commands_hold_one_trajectory_at_a_time(copies_files, monkeypatch, name):
-    """Each trajectory is used and dropped as it is read, or, where
-    ``evaluate`` and ``simulate`` predict ``LOCKSTEP`` trajectories
-    together, each chunk before the next one is read, so 12 more
+    """Each trajectory is used and dropped as it is read, so 12 more
     trajectories (1.2 MB of arrays) move the peak by at most half of one
-    trajectory's arrays (17 KB at most was seen)."""
+    trajectory's arrays (15 KB at most was seen)."""
     out, traj = copies_files
     few, many = _main_peaks(name, out, monkeypatch)
     assert abs(many - few) <= (traj.states.nbytes + traj.inputs.nbytes) / 2, (few, many)
@@ -1744,8 +1742,8 @@ def _generate_peak(tmp_path, grid):
 def test_generate_holds_one_input_at_a_time(tmp_path):
     """Two grids of 30 cells, whose train sets hold 12 and 24 trajectories:
     each input's trajectories are written and dropped before the next is
-    taken, and each chunk of ``LOCKSTEP`` inputs before the next chunk is
-    simulated, so the peaks differ by at most half of one trajectory's
+    taken, and each chunk of ``synth._LOCKSTEP`` inputs before the next
+    chunk is simulated, so the peaks differ by at most half of one trajectory's
     arrays, the bound of ``test_commands_hold_one_trajectory_at_a_time``."""
     few = _generate_peak(tmp_path / "few", {"Lx": 10, "Ly": 3})
     many = _generate_peak(tmp_path / "many", {"Lx": 5, "Ly": 6})
@@ -1907,7 +1905,7 @@ def test_two_outputs_naming_one_file_are_refused_before_any_read(desk_files, tmp
     def never(*args, **kwargs):
         raise AssertionError("the command did its work before checking its outputs")
     monkeypatch.setattr(cli, {"fit": "violina_fit", "dmdc": "dmdc_rank_scan",
-                              "evaluate": "_predictions"}[command], never)
+                              "evaluate": "_predict"}[command], never)
     monkeypatch.chdir(tmp_path)
     valid = desk_files / ("test.json" if command == "evaluate" else "train.json")
     for data in (tmp_path / "missing.json", valid):

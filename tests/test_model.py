@@ -185,8 +185,8 @@ def test_simulate_many_names_the_faulty_trajectory():
     with pytest.raises(ValueError,
                        match=r"^trajectory 1: 5 inputs, but the first trajectory has 4$"):
         model.simulate_many([x0] * 3, [u, np.ones((1, 5)), u])
-    with pytest.raises(ValueError, match=r"^trajectory 0: need at least q\+1=2 inputs, got 1$"):
-        model.simulate_many([x0], [np.ones((1, 1))])
+    with pytest.raises(ValueError, match=r"^need at least q\+1=2 inputs, got 1$"):
+        model.simulate_many([x0], [np.ones((1, 1))])  # one pair: no index
     with pytest.raises(ValueError, match=r"^got 2 initial states and 1 inputs$"):
         model.simulate_many([x0] * 2, [u])
     assert model.simulate_many([], []) == []
@@ -194,11 +194,11 @@ def test_simulate_many_names_the_faulty_trajectory():
 
 def test_simulate_shape_errors():
     model = StateSpaceModel([[0.5]], [[1.0]], CausalBandKernel(4, 1, 2, (0.1,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected 1x2 initial states"):
         model.simulate(np.zeros((1, 1)), np.ones((1, 4)))  # needs q+1 = 2 columns
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected 1-row inputs, got shape \(2, 4\)$"):
         model.simulate(np.zeros((1, 2)), np.ones((2, 4)))  # wrong input rows
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need at least q\+1=2 inputs, got 1$"):
         model.simulate(np.zeros((1, 2)), np.ones((1, 1)))  # too few inputs
 
 
