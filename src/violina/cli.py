@@ -73,12 +73,29 @@ def _parse_file(path, parse):
 
 _CHUNK = 1 << 20  # bytes of dataset text read at a time
 _HEAD_END = b',"trajectories":['  # _dump_datasets writes it after q
-# the bytes _dump_datasets writes before each array of a trajectory, the
-# packed array's head, and what follows its text up to the next ']': nothing,
-# or the stored columns; each number a nonnegative integer as %d writes it
-_MEMBERS = ((b'{"inputs":', "inputs"), (b',"states":', "states"))
-_PACKED_HEAD = re.compile(rb'\[(0|[1-9][0-9]*),(0|[1-9][0-9]*),"')
-_PACKED_TAIL = re.compile(rb'(?:,\[((?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*|))?')
+# the pieces of each array of a trajectory after its member's name: the
+# head, the base64 text and the tail, which is ']' or the stored columns
+# ',[j0,…]]', then the ',' before "states", or the '}' and what follows it;
+# each number a nonnegative integer as %d writes it
+_ARRAY_HEAD = re.compile(rb':\[(0|[1-9][0-9]*),(0|[1-9][0-9]*),\Z')
+_TAIL = rb'(?:,\[((?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*|)\])?\]'
+_MEMBERS = (("inputs", re.compile(_TAIL + rb',\Z')),
+            ("states", re.compile(_TAIL + rb'\}(.*)\Z', re.S)))
+
+
+def _pieces(fh):
+    """Yield the bytes of the binary file ``fh`` between consecutive ``"``,
+    before the first and after the last, reading ``_CHUNK`` bytes at a time
+    and copying each byte once, into a ``bytearray`` per piece."""
+    piece = bytearray()
+    while chunk := fh.read(_CHUNK):
+        view, i = memoryview(chunk), 0
+        while (j := chunk.find(b'"', i)) >= 0:
+            piece += view[i:j]
+            yield piece
+            piece, i = bytearray(), j + 1
+        piece += view[i:]
+    yield piece
 
 
 def _read_dataset_json(fh):
@@ -90,77 +107,50 @@ def _read_dataset_json(fh):
     trajectory must be exactly the bytes the writer writes,
     ``{"inputs":[R,C,"…"],"states":[R,C,"…"]}`` with ``R`` and ``C``
     nonnegative integers without a sign or leading zero, each array with or
-    without a fourth item ``,[…]`` of such integers joined by ``,``, and a
-    bare ``,`` or ``]`` follows it; after the ``]`` come a ``}`` and only
-    whitespace.  It is split by byte searches, and each array's text leaves
-    the buffer once its end is found, into ``{"inputs": [R, C, "…"],
-    "states": [R, C, "…"]}``, with the fourth item as a list of ints, and
-    with the ASCII text between the quotes as it stands:
+    without a fourth item ``,[…]`` of such integers joined by ``,``; after
+    the last come ``]}`` and only whitespace.  As each array's base64 text
+    lies between two quotes, a trajectory is the eight pieces (``_pieces``)
+    from its name ``inputs`` on, each checked alone, and it is yielded, once
+    a byte follows its ``}``, as ``{"inputs": [R, C, "…"], "states": […]}``
+    with the fourth item as a list of ints and the ASCII text as it stands:
     ``kernel.json_table`` refuses any character JSON would unescape or
     reject there, as none is base64, and checks the columns.  UTF-8 puts
-    no ASCII byte inside a multi-byte character, so the byte searches are
-    exact; each resumes where the last one stopped.  Any other layout,
-    text ``json.load`` rejects and a trajectory in any other layout raise
-    ``ValueError``, some of them after every trajectory is yielded."""
-    buf = bytearray()
-
-    def fill():
-        if not (chunk := fh.read(_CHUNK)):
-            raise ValueError("the text ends early")
-        buf.extend(chunk)
-
-    def find(sub: bytes, i: int = 0) -> int:
-        """The index of the first ``sub`` in ``buf`` from ``i`` on."""
-        while (j := buf.find(sub, i)) < 0:
-            i = max(i, len(buf) - len(sub) + 1)
-            fill()
-        return j
-
-    def packed(start: bytes) -> list:
-        """The array after ``start`` at the head of ``buf`` as ``[R, C,
-        text]`` or ``[R, C, text, [j0, …]]``; its bytes leave ``buf``
-        before the next array's are read."""
-        quote = find(b'"', len(start))
-        head = buf.startswith(start) and _PACKED_HEAD.fullmatch(buf, len(start), quote + 1)
-        if not head:
-            raise ValueError("a trajectory not in the packed layout")
-        close = find(b'"', quote + 1)
-        end = find(b"]", close + 1)  # the array's ']', or its column list's
-        tail = _PACKED_TAIL.fullmatch(buf, close + 1, end)
-        columns = tail and tail[1]
-        end += columns is not None  # then the array's ']' follows the list's
-        while len(buf) <= end:
-            fill()
-        if not tail or buf[end] != ord("]"):
-            raise ValueError("a trajectory not in the packed layout")
-        with memoryview(buf) as view:  # released before buf is resized
-            array = [int(head[1]), int(head[2]), str(view[quote + 1 : close], "ascii")]
-        if columns is not None:
-            array.append([int(j) for j in columns.split(b",")] if columns else [])
-        del buf[: end + 1]
-        return array
-
-    i = find(_HEAD_END) + len(_HEAD_END)
+    no ASCII byte inside a multi-byte character, so the cuts are exact.
+    Any other layout, text ``json.load`` rejects and a trajectory in any
+    other layout raise ``ValueError``, some of them after every trajectory
+    is yielded."""
+    pieces = _pieces(fh)
+    comma, name, bracket = _HEAD_END.split(b'"')
+    front = []  # the pieces up to the first _HEAD_END
+    for piece in pieces:
+        front.append(piece)
+        if (piece.startswith(bracket) and len(front) > 2 and front[-2] == name
+                and front[-3].endswith(comma)):
+            break
+    else:
+        raise ValueError("the text ends early")
+    piece, front[-1] = piece[len(bracket):], bracket
     # the ',' leaves the quote unescaped: a match off the top level fails here
-    head = json.JSONDecoder().decode(buf[:i].decode("utf-8") + "]}")
-    del buf[:i]
-    yield head
-    if not buf:
-        fill()
-    if buf[0] != ord("]"):
-        while True:  # buf starts after the '[' or ',' before a trajectory
-            obj = {key: packed(start) for start, key in _MEMBERS}
-            while len(buf) < 2:  # the '}', and the ',' or ']' after it
-                fill()
-            if buf[0] != ord("}"):
+    yield json.JSONDecoder().decode(b'"'.join(front).decode("utf-8") + "]}")
+    lead = b"{"  # the piece before a trajectory's "inputs"
+    while piece == lead:
+        obj = {}
+        for key, tail in _MEMBERS:
+            # unpacking fewer than four raises ValueError: the text ends early
+            member, shape, text, piece = itertools.islice(pieces, 4)
+            shape, tail = _ARRAY_HEAD.match(shape), tail.match(piece)
+            if member != key.encode() or not (shape and tail):
                 raise ValueError("a trajectory not in the packed layout")
-            del buf[:1]
-            yield obj
-            del obj  # before the next trajectory's text is read
-            if buf[0] != ord(","):
-                break
-            del buf[:1]
-    if buf[0] != ord("]") or (buf[1:] + fh.read()).rstrip(b" \t\n\r") != b"}":
+            obj[key] = [int(shape[1]), int(shape[2]), str(text, "ascii")]
+            del text  # its bytes, before the next array's are read
+            if tail[1] is not None:
+                obj[key].append([int(j) for j in tail[1].split(b",")] if tail[1] else [])
+        piece, lead = tail[2], b",{"
+        if not piece and next(pieces, None) is None:  # no byte after the '}'
+            raise ValueError("the text ends early")
+        yield obj
+        del obj  # before the next trajectory's text is read
+    if piece.rstrip(b" \t\n\r") != b"]}" or next(pieces, None) is not None:
         raise ValueError("expected ',' or ']}' and the end of the text")
 
 
@@ -371,11 +361,11 @@ def cmd_generate(args) -> int:
             raise ConfigError(f"{args.config}: the benchmark config must be a JSON object")
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
+    source = f"{args.config}: " if args.config else ""
     try:
         cfg = BenchmarkConfig.from_dict(cfg_dict)
         grid, *models = suite_models(cfg)
-    except (TypeError, ValueError) as exc:
-        source = f"{args.config}: " if args.config else ""
+    except (TypeError, ValueError, MemoryError) as exc:
         raise ConfigError(f"{source}benchmark config: {exc}") from exc
 
     systems = tuple(zip(("markov", "nonmarkov"), models))
@@ -395,17 +385,20 @@ def cmd_generate(args) -> int:
     # first in input order (train, test, energy), markov before nonmarkov
     # for one input; a suite that overflows leaves no file and no directory
     # of its own
-    with _publishing(out) as stage:
-        sets = itertools.groupby(simulate_trajectories(models, grid, cfg.m, cfg.h),
-                                 key=lambda pair: pair[0])
-        for kind, pairs in sets:
-            sizes[kind] = _dump_datasets(
-                [(stage(out / manifest["datasets"][name][kind]), model.kernel.q,
-                  f"{name} {kind} set: ") for name, model in systems],
-                (group for _, group in pairs), cfg.m)
-        for name, model in systems:
-            _dump_json(stage(out / manifest["models"][name]), model.to_dict())
-        _dump_json(stage(out / "manifest.json"), manifest)
+    try:
+        with _publishing(out) as stage:
+            sets = itertools.groupby(simulate_trajectories(models, grid, cfg.m, cfg.h),
+                                     key=lambda pair: pair[0])
+            for kind, pairs in sets:
+                sizes[kind] = _dump_datasets(
+                    [(stage(out / manifest["datasets"][name][kind]), model.kernel.q,
+                      f"{name} {kind} set: ") for name, model in systems],
+                    (group for _, group in pairs), cfg.m)
+            for name, model in systems:
+                _dump_json(stage(out / manifest["models"][name]), model.to_dict())
+            _dump_json(stage(out / "manifest.json"), manifest)
+    except MemoryError as exc:  # an array of the config's size, as in make_input
+        raise ConfigError(f"{source}benchmark config: {exc}") from exc
 
     if not args.quiet:
         print(f"suite written to {out}")

@@ -177,6 +177,10 @@ class Fixed:
 
     value: object
 
+    def __post_init__(self):
+        if not isinstance(self.value, CausalBandKernel):  # a float array stays itself
+            object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
+
     def _check(self, shape):
         if isinstance(self.value, np.ndarray) and tuple(shape) != self.value.shape:
             raise ValueError(

@@ -3,7 +3,11 @@
 These deliberately avoid the library's computational paths: projections are
 checked against an active-set quadratic-program enumeration, gradients
 against central finite differences, and losses against literal entry loops.
+The dataset reader is checked against the byte-offset parser it replaced.
 """
+
+import json
+import re
 
 import numpy as np
 
@@ -16,6 +20,7 @@ from violina import (
     loss,
     perturbed,
 )
+from violina.cli import _HEAD_END
 from violina.dmdc import _StackSvd, as_model
 from violina.kernel import band_offset_counts
 from violina.model import relative_error
@@ -558,3 +563,77 @@ def project_params(theta, spec):
         spec.on_B.project(theta.B),
         spec.on_D.project(theta.kernel),
     )
+
+
+# the bytes violina writes before each array of a trajectory, the packed
+# array's head, and what follows its text up to the next ']': nothing, or the
+# stored columns; each number a nonnegative integer as %d writes it
+_MEMBERS = ((b'{"inputs":', "inputs"), (b',"states":', "states"))
+_PACKED_HEAD = re.compile(rb'\[(0|[1-9][0-9]*),(0|[1-9][0-9]*),"')
+_PACKED_TAIL = re.compile(rb'(?:,\[((?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*|))?')
+
+
+def byte_offset_dataset_json(fh, chunk):
+    """The objects of the dataset text in the binary file ``fh`` as the
+    byte-offset parser reads them, ``chunk`` bytes at a time, one
+    ``bytearray`` cut at the offsets its searches find: the head up to the
+    first ``,"trajectories":[`` through the JSON decoder, then each
+    trajectory exactly ``{"inputs":[R,C,"…"],"states":[R,C,"…"]}``, each
+    array with or without a fourth item ``,[j0,…]``, and a ``}`` with one
+    byte after it before it is yielded.  Any other text raises
+    ``ValueError``, some of it after trajectories were yielded."""
+    buf = bytearray()
+
+    def fill():
+        if not (data := fh.read(chunk)):
+            raise ValueError("the text ends early")
+        buf.extend(data)
+
+    def find(sub: bytes, i: int = 0) -> int:
+        while (j := buf.find(sub, i)) < 0:
+            i = max(i, len(buf) - len(sub) + 1)
+            fill()
+        return j
+
+    def packed(start: bytes) -> list:
+        quote = find(b'"', len(start))
+        head = buf.startswith(start) and _PACKED_HEAD.fullmatch(buf, len(start), quote + 1)
+        if not head:
+            raise ValueError("a trajectory not in the packed layout")
+        close = find(b'"', quote + 1)
+        end = find(b"]", close + 1)  # the array's ']', or its column list's
+        tail = _PACKED_TAIL.fullmatch(buf, close + 1, end)
+        columns = tail and tail[1]
+        end += columns is not None  # then the array's ']' follows the list's
+        while len(buf) <= end:
+            fill()
+        if not tail or buf[end] != ord("]"):
+            raise ValueError("a trajectory not in the packed layout")
+        with memoryview(buf) as view:  # released before buf is resized
+            array = [int(head[1]), int(head[2]), str(view[quote + 1 : close], "ascii")]
+        if columns is not None:
+            array.append([int(j) for j in columns.split(b",")] if columns else [])
+        del buf[: end + 1]
+        return array
+
+    i = find(_HEAD_END) + len(_HEAD_END)
+    head = json.JSONDecoder().decode(buf[:i].decode("utf-8") + "]}")
+    del buf[:i]
+    yield head
+    if not buf:
+        fill()
+    if buf[0] != ord("]"):
+        while True:  # buf starts after the '[' or ',' before a trajectory
+            obj = {key: packed(start) for start, key in _MEMBERS}
+            while len(buf) < 2:  # the '}', and the ',' or ']' after it
+                fill()
+            if buf[0] != ord("}"):
+                raise ValueError("a trajectory not in the packed layout")
+            del buf[:1]
+            yield obj
+            del obj
+            if buf[0] != ord(","):
+                break
+            del buf[:1]
+    if buf[0] != ord("]") or (buf[1:] + fh.read()).rstrip(b" \t\n\r") != b"}":
+        raise ValueError("expected ',' or ']}' and the end of the text")

@@ -120,6 +120,24 @@ def test_generate_config_not_an_object_exit_2(tmp_path, capsys, seed, text):
     assert f"{cfg}: the benchmark config must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, size", [
+    ({"Lx": 100000, "Ly": 1000, "m": 10}, "71.1 PiB"),
+    ({"Lx": 3, "Ly": 1, "m": 1000000000000000}, "7.11 PiB"),
+], ids=["grid", "length"])
+def test_generate_config_too_large_to_allocate_exit_2(tmp_path, capsys, config, size):
+    """A config whose arrays exceed any address space, the grid's Laplacian
+    (``build_cylinder_graph``) or one input's time axis (``make_input``),
+    exits 2 with one line naming the config, and leaves no output
+    directory."""
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out" / "suite"
+    assert main(["--quiet", "generate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: benchmark config: Unable to allocate {size}")
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
 def test_generate_missing_file_exit_3(tmp_path):
     assert main(["--quiet", "generate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x")]) == 3
@@ -924,6 +942,65 @@ def test_dataset_reader_matches_list_path_on_edited_text(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_CHUNK", rng.choice([1, 2, 3, 7, 64, 1 << 20]))
         assert outcome(lambda: _load_dataset(path)) == \
             outcome(lambda: cli._parse_file(path, Dataset.from_dict)), text
+
+
+def _reading(read, text: bytes) -> tuple[list, bool]:
+    """The objects ``read`` yields from ``text``, and whether it raised
+    ``ValueError`` after them."""
+    import io
+
+    objects = []
+    try:
+        for obj in read(io.BytesIO(text)):
+            objects.append(obj)
+    except ValueError:
+        return objects, True
+    return objects, False
+
+
+def test_dataset_reader_matches_byte_offset_oracle(monkeypatch):
+    """Seeded random deletions, insertions and replacements, most of them at
+    or beside a structural byte, and truncations of a short dataset text of
+    the edge arrays, under several heads (extra, escaped and repeated
+    members): read in chunks of several sizes, the reader yields the
+    objects the byte-offset parser it replaced yields, in order, and raises
+    after exactly as many of them on exactly the same texts."""
+    import random
+
+    import violina.cli as cli
+    from oracles import byte_offset_dataset_json
+    from violina.kernel import pack_json
+
+    arrays = [np.arange(3.0).reshape(3, 1), np.array([[-0.0, 5e-324]]),
+              np.arange(4.0).reshape(2, 2) / 3, np.empty((3, 0)), np.empty((0, 2)),
+              np.zeros((2, 3)), np.array([[0.0, 1.5]]), np.array([[0.0, 1.5], [0.0, -2.0]]),
+              np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 3.0, 0.0], [4.0, 0.0, 0.0, 0.0]])]
+    body = b",".join(b'{"inputs":%s,"states":%s}' % (pack_json(u), pack_json(x))
+                     for u, x in zip(arrays[0::2], arrays[1::2] + arrays[:1])) + b"]}\n"
+    heads = [b'{"m":2,"q":0', b'{"label":"r\xc3\xa9","m":2,"q":0', b'{"m":2,"\\u0071":0',
+             b'{"m":2,"note":"a,\\"trajectories\\":[","q":0', b'{"m":2,"q":0,"q":1',
+             b'{"m":2,"q":0,"trajectories":[]']
+    texts = [head + cli._HEAD_END + body for head in heads]
+    structural = b'"{}[],:'
+    alphabet = [bytes([c]) for c in b'"{}[],: \n\\0123456789eA+/='] + [b"\xc3\xa9"]
+    rng = random.Random(20261020)
+    whole = late = 0  # texts read to the end, and raising after a trajectory
+    for _ in range(4000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            marks = [i for i, c in enumerate(text) if c in structural]
+            k = rng.choice(marks) + rng.randint(0, 1) if marks and rng.random() < 0.7 \
+                else rng.randrange(len(text) + 1)
+            byte = rng.choice(alphabet)
+            text = rng.choice([text[:k] + text[k + 1:], text[:k] + byte + text[k:],
+                               text[:k] + byte + text[k + 1:], text[:k]])
+        expected = _reading(lambda fh: byte_offset_dataset_json(fh, 1 << 20), text)
+        whole += not expected[1]
+        late += expected[1] and len(expected[0]) > 1
+        for chunk in (1, 2, 3, 7, 64, 1 << 20):
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            assert _reading(cli._read_dataset_json, text) == expected, (chunk, text)
+    assert whole > 100 and late > 500, (whole, late)
 
 
 def test_dataset_reader_peak_holds_one_trajectory(desk_files, monkeypatch):

@@ -7,6 +7,7 @@ from violina import (
     Trajectory,
     arx_offset,
     build_data_matrices,
+    fractional_kernel,
     relative_error,
 )
 from conftest import random_stable_model, simulated_dataset
@@ -324,3 +325,40 @@ def test_model_json_round_trip(rng):
     back_traj = Trajectory.from_dict(traj.to_dict())
     assert np.array_equal(back_traj.states, traj.states)
     assert np.array_equal(back_traj.inputs, traj.inputs)
+
+
+def test_dense_kernel_model_round_trips_bit_for_bit(rng):
+    """A model with a dense kernel writes it as ``kernel_dense`` and reads
+    back, through ``json``, with every bit of ``A``, ``B`` and the kernel."""
+    import json
+
+    model = StateSpaceModel(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)),
+                            fractional_kernel(0.5, 6) + np.array(5e-324))
+    d = model.to_dict()
+    assert "kernel_dense" in d and "kernel" not in d
+    back = StateSpaceModel.from_dict(json.loads(json.dumps(d)))
+    for a, b in ((back.A, model.A), (back.B, model.B), (back.kernel, model.kernel)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("use, run", [
+    ("simulation", lambda model: model.simulate(np.zeros((3, 1)), np.zeros((2, 6)))),
+    ("the ARX-like offset", lambda model: arx_offset(model, np.zeros((3, 1)), 6)),
+], ids=["simulate", "arx_offset"])
+def test_dense_kernel_model_refuses_the_recursion(rng, use, run):
+    """The ARX recursion needs a band kernel: ``simulate`` and
+    ``arx_offset`` on a dense-kernel model raise ``TypeError`` naming the
+    use."""
+    model = StateSpaceModel(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), np.eye(6))
+    with pytest.raises(TypeError, match=f"^{use} needs a band kernel"):
+        run(model)
+
+
+def test_one_dimensional_initial_state_simulates_as_one_column(rng):
+    """Without nullity the one initial state may be given 1-D, and the
+    trajectory is the one from that state as an ``n x 1`` column."""
+    model = random_stable_model(rng, n=3, k=2, m=6, q=0, Q=3)
+    x0, u = rng.normal(size=3), rng.normal(size=(2, 6))
+    flat, column = model.simulate(x0, u), model.simulate(x0[:, None], u)
+    assert flat.states.tobytes() == column.states.tobytes()
+    assert np.array_equal(flat.states[:, 0], x0)

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -494,3 +495,21 @@ def test_config_validation(rng):
         with pytest.raises(ValueError, match="stopping tolerance"):
             PgdConfig(theta0=theta0, stop_tol=bad)
     PgdConfig(theta0=theta0, stop_tol=0.0)
+
+
+@pytest.mark.parametrize("value, shape", [([[1.0]], (1, 1)), (0.0, ())], ids=["list", "scalar"])
+def test_fixed_value_not_an_array_is_shape_checked(rng, value, shape):
+    """A ``Fixed`` value given as a list or a number is held as a float
+    array, so a fit whose ``A`` it does not fit raises ``ValueError`` naming
+    both shapes, and a 3 x 3 list projects to a float array."""
+    n, k, m, q = 3, 2, 12, 1
+    data = simulated_dataset(rng, random_stable_model(rng, n=n, k=k, m=m, q=q, Q=3), m)
+    spec = ConstraintSpec(Fixed(value), FullSpace(), CausalBand(q, 3))
+    cfg = PgdConfig(theta0=default_initial_point(n, k, m, q, 3), max_steps=2)
+    with pytest.raises(ValueError, match=rf"^fixed constraint of shape {re.escape(str(shape))} "
+                                         rf"bound to input of shape \(3, 3\)$"):
+        violina_fit(data, spec, cfg)
+    listed = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    out = Fixed(listed).project(np.zeros((3, 3)))
+    assert isinstance(out, np.ndarray) and out.dtype == float
+    assert np.array_equal(out, np.diag([1.0, 2.0, 3.0]))
