@@ -413,7 +413,10 @@ def cmd_generate(args) -> int:
 
 def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
     Q = args.bandwidth if args.bandwidth is not None else train.q + 1
-    on_D = CausalBand(train.q, Q)
+    try:
+        on_D = CausalBand(train.q, Q)
+    except ValueError as exc:
+        raise ConfigError(f"solver settings: {exc}") from exc
     if args.constraints == "free":
         return ConstraintSpec(FullSpace(), FullSpace(), on_D)
     if not args.mask:

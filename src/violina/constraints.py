@@ -1,13 +1,24 @@
 """Declarative convex constraint sets for (A, B, D) and their Euclidean
 projections.
 
-A set for ``A`` or ``B`` changes only some entries of the matrix, its
-*support*, and holds every other entry at a constant.  It exposes both parts,
-so that the solver can step the support alone:
+A set for ``A`` or ``B`` states its structure once, as its affine hull in
+coordinates: every member is an offset plus a sum of coordinates times
+fixed sparse directions, each coordinate bounded below by ``0`` or ``-inf``.
+``hull(shape)`` returns the flat arrays ``(entries, coords, values, lower,
+offset)``:
 
-- ``support(shape)`` returns ``(index, base)``: the flat (C-order) indices of
-  the support, and a new matrix of that shape holding the set's constant at
-  every other entry;
+- ``entries``, ``coords`` and ``values`` hold one item per touched entry:
+  its flat (C-order) index, the coordinate it belongs to and its
+  coefficient;
+- ``lower`` holds one bound per coordinate;
+- ``offset`` is a new matrix of that shape.
+
+The solver steps only the entries that the coordinates touch, the set's
+*support*, and holds every other entry at the offset:
+
+- ``support(shape)`` returns ``(index, base)``, derived from the hull by
+  :func:`_support`: the touched flat indices in ascending order, and the
+  offset;
 - ``project_support(v)`` projects the values ``v`` at those indices.
 
 ``project(M)`` is that projection written into ``base`` (:func:`_scatter`),
@@ -17,6 +28,7 @@ so each set has one implementation of its projection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,9 +65,33 @@ def _check_support_shape(shape, mask: np.ndarray) -> None:
         raise ValueError(f"matrix shape {tuple(shape)} does not match mask {mask.shape}")
 
 
-def _read_only(index: np.ndarray) -> np.ndarray:
-    index.setflags(write=False)
-    return index
+def _read_only(*arrays: np.ndarray):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
+def _support(cset, shape):
+    """``(index, base)`` of a set for ``A`` or ``B``, derived from
+    ``cset.hull(shape)``: the flat indices that its coordinates touch, in
+    ascending order, and its offset.
+
+    A Laplacian also keeps in its support the diagonal of an isolated mask
+    cell (``_isolated``): no coordinate touches that entry, but the
+    projection computes it, as ``M_jj - (M_jj + 0.0)``, which keeps a
+    ``-0.0``.  The index is derived once for each shape and kept in
+    ``cset._indices``, so that a projection derives nothing;
+    :class:`SymmetricMaskedNonneg` and :class:`ShiftedGraphLaplacian` derive
+    it when they are built.
+    """
+    entries, _, _, _, offset = cset.hull(shape)
+    index = cset._indices.get(offset.shape)
+    if index is None:
+        touched = np.zeros(offset.size, dtype=bool)
+        touched[entries] = True
+        touched[getattr(cset, "_isolated", entries[:0])] = True
+        index = cset._indices[offset.shape] = _read_only(np.flatnonzero(touched))
+    return index, offset
 
 
 def _scatter(cset, M) -> np.ndarray:
@@ -63,7 +99,7 @@ def _scatter(cset, M) -> np.ndarray:
     projection written into its value off the support."""
     M = np.asarray(M, dtype=float)
     index, out = cset.support(M.shape)
-    out.flat[index] = cset.project_support(M.ravel()[index])
+    out.put(index, cset.project_support(M.ravel()[index]))
     return out
 
 
@@ -88,23 +124,36 @@ class _GraphLaplacian:
     the dense ``n x n`` matrix with ``-inf`` off the mask, bit for bit: the
     sorted entries, their running sums and the active sums are the same, in
     the same order, and only the number of trailing ``-inf`` differs.
+
+    Its hull has one coordinate per off-diagonal mask entry ``(i, j)``, with
+    ``+1`` there and ``-1`` on the diagonal entry of the sum it enters,
+    ``(j, j)`` (``(i, i)`` for row sums), bounded by ``0``; the offset is
+    zero.  Its support is the mask entries, in which ``project_support``
+    lays out its arrays: the diagonal of an isolated cell, which no
+    coordinate touches, stays in it (``_isolated``).
     """
 
     def __init__(self, mask: np.ndarray, column_sums: bool = True):
         n = mask.shape[0]
         self.mask = mask
-        self.index = _read_only(np.flatnonzero(mask))
-        rows, cols = np.divmod(self.index, n)
+        self._indices = {}
+        entries = np.flatnonzero(mask)
+        rows, cols = np.divmod(entries, n)
         # the column (row) of each mask entry, whose sum it enters
         self._group = cols if column_sums else rows
         self._diag = np.flatnonzero(rows == cols)
         # the bound of each mask entry: none on the diagonal, 0 off it
         self._floor = np.where(rows == cols, -np.inf, 0.0)
         off = np.flatnonzero(rows != cols)
+        k = len(off)
+        self._hull = _read_only(
+            np.concatenate((entries[off], self._group[off] * (n + 1))),
+            np.tile(np.arange(k), 2), np.repeat([1.0, -1.0], k), np.zeros(k))
         counts = np.bincount(self._group[off], minlength=n)
+        self._isolated = _read_only(np.flatnonzero(counts == 0) * (n + 1))
         # column j holds the positions of column j's off-diagonal entries
         # among the mask entries; the rest point at the -inf appended to them
-        self._slots = np.full((counts.max(initial=0) + 1, n), len(self.index))
+        self._slots = np.full((counts.max(initial=0) + 1, n), len(entries))
         for j in range(n):
             column = off[self._group[off] == j]
             self._slots[: len(column), j] = column
@@ -112,12 +161,14 @@ class _GraphLaplacian:
         # k + 1 for the k-th largest off-diagonal entry of a column
         self._ranks = np.arange(2, self._slots.shape[0] + 2)[:, None]
 
-    def support(self, shape):
+    def hull(self, shape):
         _check_support_shape(shape, self.mask)
-        return self.index, np.zeros(shape)
+        return (*self._hull, np.zeros(shape))
+
+    support = _support
 
     def project_support(self, v):
-        """The projection of the mask entries ``v``, in the order of ``index``."""
+        """The projection of the mask entries ``v``, in ascending order."""
         diag = v[self._diag]
         w = np.sort(np.concatenate((v, self._neg_inf))[self._slots], axis=0)[::-1]
         active = self._ranks * w > diag + np.cumsum(w, axis=0)
@@ -158,10 +209,16 @@ def project_shifted_laplacian(M: np.ndarray, mask: np.ndarray,
 
 @dataclass(frozen=True)
 class FullSpace:
-    """No constraint."""
+    """No constraint: every entry is an unbounded coordinate."""
 
-    def support(self, shape):
-        return np.arange(int(np.prod(shape))), np.zeros(shape)
+    _indices = {}  # by shape, shared: every instance is the same set
+
+    def hull(self, shape):
+        size = int(np.prod(shape))
+        every = np.arange(size)
+        return every, every, np.ones(size), np.full(size, -np.inf), np.zeros(shape)
+
+    support = _support
 
     def project_support(self, v):
         return np.asarray(v, dtype=float)
@@ -173,13 +230,15 @@ class FullSpace:
 @dataclass(frozen=True, eq=False)
 class Fixed:
     """The singleton set ``{value}``; the value may be a band kernel or a
-    dense matrix (for the D factor) or a plain matrix (for A or B)."""
+    dense matrix (for the D factor) or a plain matrix (for A or B).  Its hull
+    has no coordinate, and its offset is a copy of the value."""
 
     value: object
 
     def __post_init__(self):
         if not isinstance(self.value, CausalBandKernel):  # a float array stays itself
             object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
+        object.__setattr__(self, "_indices", {})
 
     def _check(self, shape):
         if isinstance(self.value, np.ndarray) and tuple(shape) != self.value.shape:
@@ -188,9 +247,12 @@ class Fixed:
                 f"input of shape {tuple(shape)}"
             )
 
-    def support(self, shape):
+    def hull(self, shape):
         self._check(shape)
-        return np.zeros(0, dtype=np.intp), np.array(self.value, dtype=float)
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, np.zeros(0), np.zeros(0), np.array(self.value, dtype=float)
+
+    support = _support
 
     def project_support(self, v):
         return v
@@ -205,24 +267,38 @@ class Fixed:
 class SymmetricMaskedNonneg:
     """Symmetric, supported on the neighbor mask, nonnegative off-diagonal.
 
-    The mask is validated once; ``mask`` is a read-only copy of it."""
+    Its hull has one unbounded coordinate per diagonal entry and one per
+    mask pair ``i < j``, touching ``(i, j)`` and ``(j, i)`` and bounded by
+    ``0``; the offset is zero.  The mask is validated once; ``mask`` is a
+    read-only copy of it."""
 
     mask: np.ndarray
 
     def __post_init__(self):
         mask = _check_mask(self.mask)
         n = mask.shape[0]
-        index = _read_only(np.flatnonzero(mask))
-        rows, cols = np.divmod(index, n)
+        # one coordinate per mask entry on or above the diagonal: a diagonal
+        # entry, unbounded, or a pair that also touches its transpose, bounded by 0
+        rows, cols = np.divmod(np.flatnonzero(mask), n)
+        rows, cols = rows[rows <= cols], cols[rows <= cols]
+        pair = np.flatnonzero(rows != cols)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_indices", {})
+        object.__setattr__(self, "_hull", _read_only(
+            np.concatenate((rows * n + cols, cols[pair] * n + rows[pair])),
+            np.concatenate((np.arange(len(rows)), pair)),
+            np.ones(len(rows) + len(pair)), np.where(rows == cols, -np.inf, 0.0)))
+        index, _ = self.support(mask.shape)
+        rows, cols = np.divmod(index, n)
         # the position of each mask entry's transpose among the mask entries
         object.__setattr__(self, "_transpose", np.searchsorted(index, cols * n + rows))
         object.__setattr__(self, "_off", rows != cols)
 
-    def support(self, shape):
+    def hull(self, shape):
         _check_support_shape(shape, self.mask)
-        return self._index, np.zeros(shape)
+        return (*self._hull, np.zeros(shape))
+
+    support = _support
 
     def project_support(self, v):
         s = 0.5 * (v + v[self._transpose])
@@ -239,7 +315,10 @@ class ShiftedGraphLaplacian:
     the mask's shape with finite entries.  The mask and shift are validated
     once; ``mask`` is a read-only copy of the mask.  Off the mask ``A``
     equals the shift; on it the projection is ``shift + P(M - shift)`` for
-    the Laplacian projection ``P`` of :class:`_GraphLaplacian`.
+    the Laplacian projection ``P`` of :class:`_GraphLaplacian`, whose
+    coordinates are this set's; its offset is ``shift + 0.0``, as the dense
+    ``shift + P(M - shift)`` has off the mask, so an explicit ``-0.0`` in the
+    shift comes out as ``0.0``.
     """
 
     mask: np.ndarray
@@ -258,15 +337,18 @@ class ShiftedGraphLaplacian:
             shift = _check_shift(self.shift, n)
         laplacian = _GraphLaplacian(mask, self.column_sums)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_indices", {})
         object.__setattr__(self, "_laplacian", laplacian)
+        object.__setattr__(self, "_isolated", laplacian._isolated)
         object.__setattr__(self, "_shift", shift)
-        object.__setattr__(self, "_shift_support", shift.ravel()[laplacian.index])
+        index, _ = self.support(mask.shape)
+        object.__setattr__(self, "_shift_support", shift.ravel()[index])
 
-    def support(self, shape):
+    def hull(self, shape):
         _check_support_shape(shape, self.mask)
-        # shift + 0.0, as the dense shift + P(M - shift) has off the mask:
-        # an explicit -0.0 in the shift comes out as 0.0
-        return self._laplacian.index, self._shift + 0.0
+        return (*self._laplacian._hull, self._shift + 0.0)
+
+    support = _support
 
     def project_support(self, v):
         shift = self._shift_support
@@ -277,16 +359,30 @@ class ShiftedGraphLaplacian:
 
 @dataclass(frozen=True)
 class NonnegativeDiagonal:
-    """Diagonal matrices with nonnegative entries."""
+    """Diagonal matrices with nonnegative entries: each diagonal entry is a
+    coordinate bounded by ``0``."""
 
-    def support(self, shape):
-        rows, cols = shape
-        return np.arange(min(rows, cols)) * (cols + 1), np.zeros(shape)
+    _indices = {}  # by shape, shared: every instance is the same set
+
+    def hull(self, shape):
+        if len(shape) != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {tuple(shape)}")
+        return (*_diagonal_coordinates(*shape), np.zeros(shape))
+
+    support = _support
 
     def project_support(self, v):
         return np.maximum(v, 0.0)
 
     project = _scatter
+
+
+@lru_cache
+def _diagonal_coordinates(rows: int, cols: int):
+    """The hull of :class:`NonnegativeDiagonal` without its offset."""
+    diagonal = np.arange(min(rows, cols))
+    return _read_only(diagonal * (cols + 1), diagonal, np.ones(len(diagonal)),
+                      np.zeros(len(diagonal)))
 
 
 @dataclass(frozen=True)
@@ -295,6 +391,11 @@ class CausalBand:
 
     q: int
     Q: int
+
+    def __post_init__(self):
+        if not 0 <= self.q <= self.Q or self.Q < 1:
+            raise ValueError(f"band shape must satisfy 0 <= q <= Q with Q >= 1, "
+                             f"got q={self.q}, Q={self.Q}")
 
     def project(self, D):
         if isinstance(D, CausalBandKernel):

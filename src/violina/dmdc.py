@@ -48,7 +48,8 @@ def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.nda
     pseudoinverse: ``[A B] = Y V_r S_r^{-1} W_r^T`` with ``[X; U] ~ W S V^T``.
 
     ``indices`` restricts the stack to the trajectories at those positions,
-    in that order; a position outside ``[0, size)`` raises ``IndexError``.
+    in that order; a position outside ``[0, size)`` raises ``IndexError``,
+    and an empty ``indices`` raises ``ValueError``.
     ``data.trajectories`` is read once, to its end, and only the stacked
     trajectories are kept, so ``data`` may be a one-pass stream.  Raises
     ``ValueError`` when ``rank`` lies outside ``[1, attainable rank]`` (the
@@ -57,6 +58,8 @@ def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.nda
     """
     if indices is None:
         return _StackSvd(data.trajectories, data.m).solve(rank)
+    if not len(indices):
+        raise ValueError("no trajectory chosen to fit")
     kept = {i: traj for i, traj in enumerate(data.trajectories) if i in indices}
     if missing := set(indices) - kept.keys():
         raise IndexError(f"no trajectory at position {min(missing)}")

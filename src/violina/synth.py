@@ -138,8 +138,8 @@ def ground_truth_models(grid: CylinderGrid, h: float, m: int, q: int = Benchmark
     plain identity, the non-Markovian one carries the given band
     coefficients (by default the suite's, ``BenchmarkConfig``'s).
     """
-    if h <= 0:
-        raise ValueError(f"time step must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise ValueError(f"time step must be positive and finite, got {h}")
     A = np.eye(grid.n) + grid.laplacian * h
     B = np.eye(grid.n) * h
     markov = StateSpaceModel(A, B, CausalBandKernel.identity(m, 0, 1))

@@ -4,7 +4,18 @@ import re
 import numpy as np
 import pytest
 
-from violina import CausalBandKernel, Dataset, StateSpaceModel, Trajectory
+from violina import (
+    CausalBandKernel,
+    Dataset,
+    Fixed,
+    FullSpace,
+    NonnegativeDiagonal,
+    StateSpaceModel,
+    SymmetricMaskedNonneg,
+    Trajectory,
+)
+from violina.constraints import _scatter
+from oracles import lift
 
 
 def random_dataset(rng, n=3, k=2, m=8, q=1, N=2):
@@ -53,6 +64,24 @@ def lenient_b64decode(s, altchars=None, validate=False):
     if validate and not re.fullmatch(b"[A-Za-z0-9+/]*={0,2}", s):
         raise binascii.Error("Non-base64 digit found")
     return binascii.a2b_base64(s)
+
+
+def assert_lifted_point_is_fixed(cset, shape, rng):
+    """``offset + sum x_c d_c`` with every ``x_c`` at or above its bound, some
+    bounded ones exactly 0, is a member of ``cset``, so the projection
+    returns it: bit for bit where the projection is separable, and within
+    rounding where it re-sums a Laplacian's diagonal."""
+    hull = cset.hull(shape)
+    lower = hull[3]
+    x = np.where(lower == 0.0, np.abs(rng.normal(size=len(lower))), rng.normal(size=len(lower)))
+    x[(lower == 0.0) & (rng.random(len(lower)) < 0.3)] = 0.0
+    member = lift(hull, x)
+    projected = cset.project(member) if hasattr(cset, "project") else _scatter(cset, member)
+    if isinstance(cset, (FullSpace, Fixed, NonnegativeDiagonal, SymmetricMaskedNonneg)):
+        assert projected.tobytes() == member.tobytes(), cset
+    else:
+        np.testing.assert_allclose(projected, member, rtol=0.0,
+                                   atol=1e-14 * (1.0 + np.abs(member).max()))
 
 
 @pytest.fixture

@@ -14,6 +14,10 @@ import numpy as np
 from violina import (
     CausalBand,
     CausalBandKernel,
+    Fixed,
+    FullSpace,
+    NonnegativeDiagonal,
+    ShiftedGraphLaplacian,
     StateSpaceModel,
     TangentTuple,
     hessian_apply,
@@ -520,6 +524,40 @@ def percall_shifted_laplacian(M, mask, shift, column_sums=True):
     if not column_sums:
         return percall_shifted_laplacian(M.T, mask, shift.T).T
     return shift + percall_graph_laplacian(M - shift, mask)
+
+
+def literal_support(cset, shape):
+    """``(index, base)`` of a set for ``A`` or ``B`` by the rule each class
+    stated for itself before the support was derived from the hull: every
+    entry, the diagonal, the mask entries or none, and a new matrix holding
+    zero, the shift plus ``0.0`` or a copy of the fixed value."""
+    shape = tuple(shape)
+    if isinstance(cset, FullSpace):
+        return np.arange(int(np.prod(shape))), np.zeros(shape)
+    if isinstance(cset, NonnegativeDiagonal):
+        rows, cols = shape
+        return np.arange(min(rows, cols)) * (cols + 1), np.zeros(shape)
+    if isinstance(cset, Fixed):
+        assert shape == np.shape(cset.value)
+        return np.zeros(0, dtype=np.intp), np.array(cset.value, dtype=float)
+    assert shape == cset.mask.shape
+    base = np.zeros(shape)
+    if isinstance(cset, ShiftedGraphLaplacian):
+        shift = cset.shift
+        if isinstance(shift, str):
+            shift = np.eye(shape[0]) if shift == "identity" else base
+        base = np.array(shift, dtype=float) + 0.0
+    return np.flatnonzero(cset.mask), base
+
+
+def lift(hull, x):
+    """The member ``offset + sum_c x_c d_c`` of a hull ``(entries, coords,
+    values, lower, offset)`` at the coordinates ``x``, summed entry by entry
+    with ``np.add.at``."""
+    entries, coords, values, _, offset = hull
+    flat = np.ravel(offset).copy()
+    np.add.at(flat, entries, values * x[coords])
+    return flat.reshape(offset.shape)
 
 
 def hankel_companion(model):

@@ -1646,7 +1646,8 @@ def test_mutated_input_exit_2(contract_files, tmp_path, capsys, monkeypatch, kin
 @pytest.mark.parametrize("setting", [["--steps", "0"], ["--t0", "-1"], ["--t0", "nan"],
                                      ["--t0", "inf"], ["--eta", "0.5"], ["--eta", "inf"],
                                      ["--stop-tol", "nan"], ["--stop-tol", "inf"],
-                                     ["--stop-tol", "-1"], ["--bandwidth", "1"]],
+                                     ["--stop-tol", "-1"], ["--bandwidth", "1"],
+                                     ["--bandwidth", "0"]],
                          ids=lambda s: f"{s[0][2:]}={s[1]}")
 def test_bad_solver_settings_exit_2(suite_dir, tmp_path, capsys, setting):
     rc = main(["--quiet", "fit", "--train", str(suite_dir / "nonmarkov_train.json"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,15 @@ from violina import (
     project_symmetric_masked_nonneg,
 )
 from violina.synth import BenchmarkConfig, build_cylinder_graph
-from violina.constraints import nearest_graph_laplacian
+from violina.constraints import (
+    _check_mask,
+    _GraphLaplacian,
+    nearest_graph_laplacian,
+)
+from conftest import assert_lifted_point_is_fixed
 from oracles import (
     laplacian_kkt_residual,
+    literal_support,
     project_params,
     qp_graph_laplacian,
     qp_nonneg_diagonal,
@@ -270,3 +278,94 @@ def test_constraint_set_keeps_a_read_only_mask_copy(rng, make):
 def test_explicit_shift_checked_at_construction(shift, message):
     with pytest.raises(ValueError, match=message):
         ShiftedGraphLaplacian(np.ones((3, 3), dtype=bool), shift=shift)
+
+
+DESK_MASK = grid_mask(BenchmarkConfig.desk_scale(1))
+PAPER_MASK = grid_mask(BenchmarkConfig.paper_scale(1))
+ISOLATED_MASK = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=bool)
+
+
+def masked_sets(mask, rng):
+    """Every masked set for ``A`` on ``mask``, keyed by name: both sums, the
+    identity, zero and an explicit shift with some ``-0.0`` entries."""
+    n = mask.shape[0]
+    shift = np.where(rng.random((n, n)) < 0.3, -0.0, rng.normal(size=(n, n)))
+    sets = {"symmetric-masked": SymmetricMaskedNonneg(mask)}
+    for column_sums, sums in ((True, "columns"), (False, "rows")):
+        for name, arg in (("identity", "identity"), ("zero", "zero"), ("explicit", shift)):
+            sets[f"laplacian-{name}-{sums}"] = ShiftedGraphLaplacian(mask, arg, column_sums)
+        sets[f"graph-laplacian-{sums}"] = _GraphLaplacian(_check_mask(mask), column_sums)
+    return sets
+
+
+def shaped_sets(rng):
+    """``(set, shape)`` pairs of the sets free of a mask, on square and
+    rectangular shapes."""
+    value = np.where(rng.random((3, 5)) < 0.3, -0.0, rng.normal(size=(3, 5)))
+    shapes = [(30, 30), (100, 100), (3, 5), (5, 3), (1, 4), (4, 1)]
+    return ([(FullSpace(), s) for s in shapes] + [(NonnegativeDiagonal(), s) for s in shapes]
+            + [(Fixed(value), (3, 5))])
+
+
+def every_set(mask, rng):
+    return [(cset, mask.shape) for cset in masked_sets(mask, rng).values()] + shaped_sets(rng)
+
+
+@pytest.mark.parametrize("mask", [DESK_MASK, PAPER_MASK, ISOLATED_MASK],
+                         ids=["desk", "paper", "isolated-cell"])
+def test_support_derived_from_hull_is_the_literal_rule(rng, mask):
+    for cset, shape in every_set(mask, rng):
+        for _ in range(2):  # derived once, then kept
+            index, base = cset.support(shape)
+            literal_index, literal_base = literal_support(cset, shape)
+            assert index.dtype == np.intp and np.array_equal(index, literal_index), cset
+            assert base.shape == shape and base.tobytes() == literal_base.tobytes(), cset
+        assert cset.support(shape)[1] is not base  # the base is a new matrix
+
+
+@pytest.mark.parametrize("mask", [DESK_MASK, PAPER_MASK, ISOLATED_MASK],
+                         ids=["desk", "paper", "isolated-cell"])
+def test_hull_arrays_are_well_formed(rng, mask):
+    for cset, shape in every_set(mask, rng):
+        entries, coords, values, lower, offset = cset.hull(shape)
+        assert len(entries) == len(coords) == len(values)
+        assert entries.dtype == coords.dtype == np.intp
+        assert values.dtype == lower.dtype == np.float64 and offset.shape == shape
+        assert np.all((lower == 0.0) | (lower == -np.inf))
+        # every coordinate touches an entry, inside the matrix, once
+        assert np.array_equal(np.unique(coords), np.arange(len(lower)))
+        assert np.all((0 <= entries) & (entries < offset.size))
+        assert len(set(zip(entries.tolist(), coords.tolist()))) == len(entries)
+        assert cset.hull(shape)[4] is not offset
+
+
+@pytest.mark.parametrize("mask, counts", [
+    (DESK_MASK, (80, 100, 30)),
+    (PAPER_MASK, (280, 360, 100)),
+], ids=["desk", "paper"])
+def test_hull_coordinate_counts(mask, counts):
+    n = mask.shape[0]
+    sets = (SymmetricMaskedNonneg(mask), ShiftedGraphLaplacian(mask), NonnegativeDiagonal())
+    assert tuple(len(cset.hull((n, n))[3]) for cset in sets) == counts
+
+
+@pytest.mark.parametrize("mask", [DESK_MASK, PAPER_MASK, ISOLATED_MASK],
+                         ids=["desk", "paper", "isolated-cell"])
+def test_lifted_hull_points_are_fixed_points(rng, mask):
+    for cset, shape in every_set(mask, rng):
+        assert_lifted_point_is_fixed(cset, shape, rng)
+
+
+@pytest.mark.parametrize("M", [np.float64(2.0), np.ones(3), np.ones((2, 2, 2))],
+                         ids=["0-D", "1-D", "3-D"])
+def test_nonneg_diagonal_needs_a_matrix(M):
+    message = rf"expected a 2-D matrix, got shape {re.escape(str(np.shape(M)))}"
+    for project in (NonnegativeDiagonal().project, project_nonneg_diagonal):
+        with pytest.raises(ValueError, match=message):
+            project(M)
+
+
+@pytest.mark.parametrize("q, Q", [(0, 0), (3, 2), (-1, 1)])
+def test_causal_band_refuses_impossible_bands(q, Q):
+    with pytest.raises(ValueError, match=rf"0 <= q <= Q with Q >= 1, got q={q}, Q={Q}"):
+        CausalBand(q, Q)

@@ -25,6 +25,14 @@ def test_exact_recovery_at_full_rank(rng):
     assert np.max(np.abs(B - truth.B)) <= 1e-8 * max(1, np.max(np.abs(truth.B)))
 
 
+def test_fit_refuses_an_empty_choice_of_trajectories(rng):
+    truth = random_stable_model(rng, n=3, k=2, m=20, q=0, Q=1)
+    data = simulated_dataset(rng, truth, 20, N=2)
+    for indices in ([], (), np.zeros(0, dtype=int)):
+        with pytest.raises(ValueError, match="no trajectory chosen to fit"):
+            dmdc_fit(data, 1, indices)
+
+
 def test_zero_targets_give_zero_model(rng):
     states = np.zeros((2, 7))
     states[:, 0] = 0.0

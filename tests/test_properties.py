@@ -23,9 +23,11 @@ from violina import (
     project_shifted_laplacian,
     project_symmetric_masked_nonneg,
 )
-from violina.constraints import nearest_graph_laplacian
+from violina.constraints import _check_mask, _GraphLaplacian, nearest_graph_laplacian
+from conftest import assert_lifted_point_is_fixed
 from oracles import (
     literal_nonneg_diagonal,
+    literal_support,
     percall_graph_laplacian,
     percall_shifted_laplacian,
     percall_symmetric_masked_nonneg,
@@ -158,6 +160,32 @@ def test_support_projection_scattered_is_project_bitwise(name, problem):
     moved = Z0.copy()
     moved.flat[index] = M.ravel()[index]
     assert np.asarray(cset.project(moved)).tobytes() == scattered.tobytes()
+
+
+def hull_sets(mask, value):
+    """Every set with a hull on ``mask``, the bare Laplacian included."""
+    sets = [cset for cset, _ in support_sets(mask, value).values()]
+    return sets + [_GraphLaplacian(_check_mask(mask), sums) for sums in (True, False)]
+
+
+@PROPERTY
+@given(problems())
+def test_support_derived_from_hull_is_the_literal_rule(problem):
+    # the drawn masks have isolated cells, whose diagonal no Laplacian
+    # coordinate touches; the support keeps it, as the literal rule does
+    mask, _, _, M, _, value = problem
+    for cset in hull_sets(mask, value):
+        index, base = cset.support(M.shape)
+        literal_index, literal_base = literal_support(cset, M.shape)
+        assert np.array_equal(index, literal_index) and base.tobytes() == literal_base.tobytes()
+
+
+@PROPERTY
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_lifted_hull_points_are_fixed_points(problem, seed):
+    mask, _, _, M, _, value = problem
+    for cset in hull_sets(mask, value):
+        assert_lifted_point_is_fixed(cset, M.shape, np.random.default_rng(seed))
 
 
 @st.composite

@@ -73,6 +73,13 @@ def test_graph_validation():
         build_cylinder_graph(4, 1, 2.0, 1.5, seed=0)
 
 
+@pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0])
+def test_ground_truth_refuses_a_time_step_that_is_not_positive_and_finite(h):
+    grid = build_cylinder_graph(4, 1, 0.5, 1.5, seed=0)
+    with pytest.raises(ValueError, match=f"time step must be positive and finite, got {h}"):
+        ground_truth_models(grid, h, m=10)
+
+
 def test_ground_truth_matrices():
     grid = build_cylinder_graph(5, 2, 0.5, 1.5, seed=5)
     h = 0.01
