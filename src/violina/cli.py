@@ -447,7 +447,10 @@ def cmd_fit(args) -> int:
                             stop_tol=args.stop_tol)
         except ValueError as exc:
             raise ConfigError(f"solver settings: {exc}") from exc
-        report = violina_fit(train, spec, cfg)
+        try:
+            report = violina_fit(train, spec, cfg)
+        except MemoryError as exc:  # the engine's Gram matrix grows with the bandwidth
+            raise ConfigError(f"solver settings: bandwidth {spec.on_D.Q}: {exc}") from exc
         _dump_json(out, report.theta_final.to_dict())
         if curve:
             _dump_csv(curve, ("step", "loss", "stepsize", "backtracks"),

@@ -14,15 +14,14 @@ offset)``:
 - ``offset`` is a new matrix of that shape.
 
 The solver steps only the entries that the coordinates touch, the set's
-*support*, and holds every other entry at the offset:
-
-- ``support(shape)`` returns ``(index, base)``, derived from the hull by
-  :func:`_support`: the touched flat indices in ascending order, and the
-  offset;
-- ``project_support(v)`` projects the values ``v`` at those indices.
-
-``project(M)`` is that projection written into ``base`` (:func:`_scatter`),
-so each set has one implementation of its projection.
+*support*, and holds every other entry at the offset.  :func:`coordinates`
+derives all it needs from the hull: the support's flat indices in ascending
+order, the offset, and the projection of the values there.  A separable
+hull's projection averages each coordinate's entries and clips them at its
+bound; the Laplacian, whose diagonal entries every coordinate of their
+column shares, projects with its own ``_project``.  ``project(M)`` is that
+projection written into the offset (:func:`_scatter`), so each set has one
+implementation of its projection.
 """
 
 from __future__ import annotations
@@ -71,109 +70,60 @@ def _read_only(*arrays: np.ndarray):
     return arrays[0] if len(arrays) == 1 else arrays
 
 
-def _support(cset, shape):
-    """``(index, base)`` of a set for ``A`` or ``B``, derived from
-    ``cset.hull(shape)``: the flat indices that its coordinates touch, in
-    ascending order, and its offset.
+def coordinates(cset, shape):
+    """``(index, base, project)`` of a set for ``A`` or ``B``, derived from
+    ``cset.hull(shape)``: the flat indices that its coordinates touch (and its
+    ``_isolated`` ones), in ascending order, its offset, and the projection
+    of the values at ``index``.  A set with ``_project`` projects with it; any
+    other's hull must be separable (:func:`_separable`).  The index and the
+    projection are derived once per shape and kept in ``cset._cache``, so
+    that a projection derives nothing."""
+    entries, coords, values, lower, offset = cset.hull(shape)
+    derived = cset._cache.get(offset.shape)
+    if derived is None:
+        index = _read_only(np.union1d(entries, getattr(cset, "_isolated", entries[:0])))
+        project = getattr(cset, "_project", None) or _separable(
+            index, entries, coords, values, lower)
+        derived = cset._cache[offset.shape] = index, project
+    return derived[0], offset, derived[1]
 
-    A Laplacian also keeps in its support the diagonal of an isolated mask
-    cell (``_isolated``): no coordinate touches that entry, but the
-    projection computes it, as ``M_jj - (M_jj + 0.0)``, which keeps a
-    ``-0.0``.  The index is derived once for each shape and kept in
-    ``cset._indices``, so that a projection derives nothing;
-    :class:`SymmetricMaskedNonneg` and :class:`ShiftedGraphLaplacian` derive
-    it when they are built.
-    """
-    entries, _, _, _, offset = cset.hull(shape)
-    index = cset._indices.get(offset.shape)
-    if index is None:
-        touched = np.zeros(offset.size, dtype=bool)
-        touched[entries] = True
-        touched[getattr(cset, "_isolated", entries[:0])] = True
-        index = cset._indices[offset.shape] = _read_only(np.flatnonzero(touched))
-    return index, offset
+
+def _separable(index, entries, coords, values, lower):
+    """The projection of the values at ``index`` onto a hull whose
+    coordinates each touch one entry, or two, all with coefficient 1, and no
+    entry twice; any other hull raises ``ValueError``.  A pair takes its mean
+    ``0.5 * (v + v[partner])``, and a lone entry stays ``v`` (so a huge value
+    does not overflow), each clipped at its coordinate's bound."""
+    counts = np.bincount(coords, minlength=len(lower))
+    for broken, problem in ((len(entries) != len(index), "an entry is touched twice"),
+                            (np.any(counts > 2), "a coordinate touches more than two entries"),
+                            (np.any(values != 1.0), "a coefficient is not 1")):
+        if broken:
+            raise ValueError(f"hull is not separable: {problem}")
+    at = np.searchsorted(index, entries)  # each item's place in the support
+    floor = lower[coords[np.argsort(at)]]  # each support entry's bound
+    if not np.any(counts == 2):
+        return lambda v: np.maximum(v, floor)
+    # the two items of each pair, adjacent once the items are sorted by coordinate
+    first = (np.cumsum(counts) - counts)[counts == 2, None]
+    ends = at[np.argsort(coords, kind="stable")][first + [0, 1]]  # one row per pair
+    pair, partner = ends.ravel(), ends[:, ::-1].ravel()
+
+    def project(v):
+        s = v.copy()
+        s[pair] = 0.5 * (v[pair] + v[partner])
+        return np.maximum(s, floor, out=s)
+
+    return project
 
 
 def _scatter(cset, M) -> np.ndarray:
-    """The projection of the whole matrix ``M`` onto ``cset``: its support
-    projection written into its value off the support."""
+    """The projection of the whole matrix ``M`` onto ``cset``: its
+    projection at the index written into its offset."""
     M = np.asarray(M, dtype=float)
-    index, out = cset.support(M.shape)
-    out.put(index, cset.project_support(M.ravel()[index]))
+    index, out, project = coordinates(cset, M.shape)
+    out.put(index, project(M.ravel()[index]))
     return out
-
-
-class _GraphLaplacian:
-    """Graph Laplacians on a validated mask, with zero column sums (or row
-    sums), projected on the mask entries alone.
-
-    Each sum splits the projection into one problem per column.  Column
-    ``j`` of the projection is ``max(M_ij - lam_j, 0)`` at the off-diagonal
-    mask entries and ``M_jj - lam_j`` on the diagonal, where the scalar
-    ``lam_j`` makes the column sum to zero.  As in projection onto the
-    simplex (Duchi et al., 2008; Condat, 2016), sorting the off-diagonal
-    entries ``w`` of a column in descending order finds ``lam_j``: entry
-    ``k`` (1-based) is positive exactly when ``(k + 1) w_(k) > M_jj + w_(1) +
-    ... + w_(k)``, a condition that holds for a prefix of ``k``.
-
-    The off-diagonal entries of column ``j`` sit in column ``j`` of a
-    ``slots x n`` array with one more slot than the largest column needs, so
-    that every column ends in an empty slot, as a dense column ends in its
-    diagonal; empty slots hold ``-inf``, which is never active.  All columns
-    are sorted at once.  The arithmetic is that of sorting every column of
-    the dense ``n x n`` matrix with ``-inf`` off the mask, bit for bit: the
-    sorted entries, their running sums and the active sums are the same, in
-    the same order, and only the number of trailing ``-inf`` differs.
-
-    Its hull has one coordinate per off-diagonal mask entry ``(i, j)``, with
-    ``+1`` there and ``-1`` on the diagonal entry of the sum it enters,
-    ``(j, j)`` (``(i, i)`` for row sums), bounded by ``0``; the offset is
-    zero.  Its support is the mask entries, in which ``project_support``
-    lays out its arrays: the diagonal of an isolated cell, which no
-    coordinate touches, stays in it (``_isolated``).
-    """
-
-    def __init__(self, mask: np.ndarray, column_sums: bool = True):
-        n = mask.shape[0]
-        self.mask = mask
-        self._indices = {}
-        entries = np.flatnonzero(mask)
-        rows, cols = np.divmod(entries, n)
-        # the column (row) of each mask entry, whose sum it enters
-        self._group = cols if column_sums else rows
-        self._diag = np.flatnonzero(rows == cols)
-        # the bound of each mask entry: none on the diagonal, 0 off it
-        self._floor = np.where(rows == cols, -np.inf, 0.0)
-        off = np.flatnonzero(rows != cols)
-        k = len(off)
-        self._hull = _read_only(
-            np.concatenate((entries[off], self._group[off] * (n + 1))),
-            np.tile(np.arange(k), 2), np.repeat([1.0, -1.0], k), np.zeros(k))
-        counts = np.bincount(self._group[off], minlength=n)
-        self._isolated = _read_only(np.flatnonzero(counts == 0) * (n + 1))
-        # column j holds the positions of column j's off-diagonal entries
-        # among the mask entries; the rest point at the -inf appended to them
-        self._slots = np.full((counts.max(initial=0) + 1, n), len(entries))
-        for j in range(n):
-            column = off[self._group[off] == j]
-            self._slots[: len(column), j] = column
-        self._neg_inf = np.array([-np.inf])
-        # k + 1 for the k-th largest off-diagonal entry of a column
-        self._ranks = np.arange(2, self._slots.shape[0] + 2)[:, None]
-
-    def hull(self, shape):
-        _check_support_shape(shape, self.mask)
-        return (*self._hull, np.zeros(shape))
-
-    support = _support
-
-    def project_support(self, v):
-        """The projection of the mask entries ``v``, in ascending order."""
-        diag = v[self._diag]
-        w = np.sort(np.concatenate((v, self._neg_inf))[self._slots], axis=0)[::-1]
-        active = self._ranks * w > diag + np.cumsum(w, axis=0)
-        lam = (diag + np.where(active, w, 0.0).sum(axis=0)) / (active.sum(axis=0) + 1)
-        return np.maximum(v - lam[self._group], self._floor)
 
 
 def project_symmetric_masked_nonneg(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -186,12 +136,6 @@ def project_nonneg_diagonal(M: np.ndarray) -> np.ndarray:
     """Projection onto (rectangular) diagonal matrices with nonnegative
     diagonal entries."""
     return NonnegativeDiagonal().project(M)
-
-
-def nearest_graph_laplacian(M: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Exact projection onto ``{L: support in mask, off-diag >= 0, column
-    sums = 0}``; see :class:`_GraphLaplacian`."""
-    return _scatter(_GraphLaplacian(_check_mask(mask)), M)
 
 
 def project_shifted_laplacian(M: np.ndarray, mask: np.ndarray,
@@ -211,17 +155,12 @@ def project_shifted_laplacian(M: np.ndarray, mask: np.ndarray,
 class FullSpace:
     """No constraint: every entry is an unbounded coordinate."""
 
-    _indices = {}  # by shape, shared: every instance is the same set
+    _cache = {}  # by shape, shared: every instance is the same set
 
     def hull(self, shape):
         size = int(np.prod(shape))
         every = np.arange(size)
         return every, every, np.ones(size), np.full(size, -np.inf), np.zeros(shape)
-
-    support = _support
-
-    def project_support(self, v):
-        return np.asarray(v, dtype=float)
 
     def project(self, M):
         return np.asarray(M, dtype=float)
@@ -238,7 +177,7 @@ class Fixed:
     def __post_init__(self):
         if not isinstance(self.value, CausalBandKernel):  # a float array stays itself
             object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
-        object.__setattr__(self, "_indices", {})
+        object.__setattr__(self, "_cache", {})
 
     def _check(self, shape):
         if isinstance(self.value, np.ndarray) and tuple(shape) != self.value.shape:
@@ -251,11 +190,6 @@ class Fixed:
         self._check(shape)
         none = np.zeros(0, dtype=np.intp)
         return none, none, np.zeros(0), np.zeros(0), np.array(self.value, dtype=float)
-
-    support = _support
-
-    def project_support(self, v):
-        return v
 
     def project(self, M):
         if isinstance(M, np.ndarray):
@@ -283,42 +217,57 @@ class SymmetricMaskedNonneg:
         rows, cols = rows[rows <= cols], cols[rows <= cols]
         pair = np.flatnonzero(rows != cols)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_indices", {})
+        object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_hull", _read_only(
             np.concatenate((rows * n + cols, cols[pair] * n + rows[pair])),
             np.concatenate((np.arange(len(rows)), pair)),
             np.ones(len(rows) + len(pair)), np.where(rows == cols, -np.inf, 0.0)))
-        index, _ = self.support(mask.shape)
-        rows, cols = np.divmod(index, n)
-        # the position of each mask entry's transpose among the mask entries
-        object.__setattr__(self, "_transpose", np.searchsorted(index, cols * n + rows))
-        object.__setattr__(self, "_off", rows != cols)
 
     def hull(self, shape):
         _check_support_shape(shape, self.mask)
         return (*self._hull, np.zeros(shape))
-
-    support = _support
-
-    def project_support(self, v):
-        s = 0.5 * (v + v[self._transpose])
-        return np.where(self._off, np.maximum(s, 0.0), s)
 
     project = _scatter
 
 
 @dataclass(frozen=True, eq=False)
 class ShiftedGraphLaplacian:
-    """``A`` such that ``A - shift`` is a graph Laplacian on the mask.
+    """``A`` such that ``A - shift`` is a graph Laplacian on the mask, with
+    zero column sums (or row sums); the zero shift is the bare Laplacian.
 
     ``shift`` is ``"identity"``, ``"zero"``, or an explicit square matrix of
     the mask's shape with finite entries.  The mask and shift are validated
-    once; ``mask`` is a read-only copy of the mask.  Off the mask ``A``
-    equals the shift; on it the projection is ``shift + P(M - shift)`` for
-    the Laplacian projection ``P`` of :class:`_GraphLaplacian`, whose
-    coordinates are this set's; its offset is ``shift + 0.0``, as the dense
-    ``shift + P(M - shift)`` has off the mask, so an explicit ``-0.0`` in the
-    shift comes out as ``0.0``.
+    once; ``mask`` is a read-only copy of the mask.
+
+    Its hull has one coordinate per off-diagonal mask entry ``(i, j)``, with
+    ``+1`` there and ``-1`` on the diagonal entry of the sum it enters,
+    ``(j, j)`` (``(i, i)`` for row sums), bounded by ``0``.  Its offset is
+    ``shift + 0.0``, as the dense ``shift + P(M - shift)`` has off the mask,
+    so an explicit ``-0.0`` in the shift comes out as ``0.0``.  Its index is
+    the mask entries: it keeps the diagonal of an isolated cell
+    (``_isolated``), which no coordinate touches but ``P`` computes, as ``M_jj
+    - (M_jj + 0.0)``, which keeps a ``-0.0``.
+
+    A diagonal entry is in every coordinate of its column, so the hull is
+    not separable and ``_project`` gives ``shift + P(M - shift)`` on the
+    mask entries.  Each sum splits the Laplacian projection ``P`` into one
+    problem per column.  Column ``j`` of ``P(M)`` is ``max(M_ij - lam_j,
+    0)`` at the off-diagonal mask entries and ``M_jj - lam_j`` on the
+    diagonal, where the scalar ``lam_j`` makes the column sum to zero.  As
+    in projection onto the simplex (Duchi et al., 2008; Condat, 2016),
+    sorting the off-diagonal entries ``w`` of a column in descending order
+    finds ``lam_j``: entry ``k`` (1-based) is positive exactly when ``(k +
+    1) w_(k) > M_jj + w_(1) + ... + w_(k)``, a condition that holds for a
+    prefix of ``k``.
+
+    The off-diagonal entries of column ``j`` sit in column ``j`` of a
+    ``slots x n`` array with one more slot than the largest column needs, so
+    that every column ends in an empty slot, as a dense column ends in its
+    diagonal; empty slots hold ``-inf``, which is never active.  All columns
+    are sorted at once.  The arithmetic is that of sorting every column of
+    the dense ``n x n`` matrix with ``-inf`` off the mask, bit for bit: the
+    sorted entries, their running sums and the active sums are the same, in
+    the same order, and only the number of trailing ``-inf`` differs.
     """
 
     mask: np.ndarray
@@ -335,24 +284,46 @@ class ShiftedGraphLaplacian:
             shift = np.eye(n) if self.shift == "identity" else np.zeros((n, n))
         else:
             shift = _check_shift(self.shift, n)
-        laplacian = _GraphLaplacian(mask, self.column_sums)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_indices", {})
-        object.__setattr__(self, "_laplacian", laplacian)
-        object.__setattr__(self, "_isolated", laplacian._isolated)
-        object.__setattr__(self, "_shift", shift)
-        index, _ = self.support(mask.shape)
-        object.__setattr__(self, "_shift_support", shift.ravel()[index])
+        entries = np.flatnonzero(mask)
+        rows, cols = np.divmod(entries, n)
+        # the column (row) of each mask entry, whose sum it enters
+        group = cols if self.column_sums else rows
+        off = np.flatnonzero(rows != cols)
+        k = len(off)
+        counts = np.bincount(group[off], minlength=n)
+        # column j holds the positions of column j's off-diagonal entries
+        # among the mask entries; the rest point at the -inf appended to them
+        slots = np.full((counts.max(initial=0) + 1, n), len(entries))
+        for j in range(n):
+            column = off[group[off] == j]
+            slots[: len(column), j] = column
+        # not vars(self).update: a real instance dict slows every attribute read
+        for name, value in dict(
+            mask=mask, _cache={}, _shift=shift, _shift_support=shift.ravel()[entries],
+            _hull=_read_only(np.concatenate((entries[off], group[off] * (n + 1))),
+                             np.tile(np.arange(k), 2), np.repeat([1.0, -1.0], k), np.zeros(k)),
+            _isolated=_read_only(np.flatnonzero(counts == 0) * (n + 1)),
+            _group=group, _diag=np.flatnonzero(rows == cols), _slots=slots,
+            # the bound of each mask entry: none on the diagonal, 0 off it
+            _floor=np.where(rows == cols, -np.inf, 0.0), _neg_inf=np.array([-np.inf]),
+            # k + 1 for the k-th largest off-diagonal entry of a column
+            _ranks=np.arange(2, slots.shape[0] + 2)[:, None]).items():
+            object.__setattr__(self, name, value)
 
     def hull(self, shape):
         _check_support_shape(shape, self.mask)
-        return (*self._laplacian._hull, self._shift + 0.0)
+        return (*self._hull, self._shift + 0.0)
 
-    support = _support
-
-    def project_support(self, v):
+    def _project(self, v):
+        """``shift + P(v - shift)`` for the mask entries ``v``, in ascending
+        order."""
         shift = self._shift_support
-        return shift + self._laplacian.project_support(v - shift)
+        v = v - shift
+        diag = v[self._diag]
+        w = np.sort(np.concatenate((v, self._neg_inf))[self._slots], axis=0)[::-1]
+        active = self._ranks * w > diag + np.cumsum(w, axis=0)
+        lam = (diag + np.where(active, w, 0.0).sum(axis=0)) / (active.sum(axis=0) + 1)
+        return shift + np.maximum(v - lam[self._group], self._floor)
 
     project = _scatter
 
@@ -362,17 +333,12 @@ class NonnegativeDiagonal:
     """Diagonal matrices with nonnegative entries: each diagonal entry is a
     coordinate bounded by ``0``."""
 
-    _indices = {}  # by shape, shared: every instance is the same set
+    _cache = {}  # by shape, shared: every instance is the same set
 
     def hull(self, shape):
         if len(shape) != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {tuple(shape)}")
         return (*_diagonal_coordinates(*shape), np.zeros(shape))
-
-    support = _support
-
-    def project_support(self, v):
-        return np.maximum(v, 0.0)
 
     project = _scatter
 

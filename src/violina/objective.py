@@ -68,8 +68,10 @@ class Dataset:
 
 
 def _check_trajectory(i: int, traj: Trajectory, n: int, k: int, m: int):
-    """Raise ``ValueError`` naming trajectory ``i`` unless it has ``n``
+    """Raise ``ValueError`` naming trajectory ``i`` unless it has ``n >= 1``
     states, ``k`` inputs and at least ``m + 1`` states in time."""
+    if n == 0:
+        raise ValueError(f"trajectory {i} has no state variable (n = 0)")
     if (traj.n, traj.k) != (n, k):
         raise ValueError(f"trajectory {i} has shape ({traj.n}, {traj.k}), expected ({n}, {k})")
     if traj.length < m:

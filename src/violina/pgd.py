@@ -29,13 +29,13 @@ compare the solver against, with the triangular-factor form ``Theta R^T``.
 Nor does a trial point touch the entries of ``(A, B)`` that the sets of ``A``
 and ``B`` hold constant (off the neighbour mask, off the diagonal): ``(A,
 B)`` move as one vector of the entries the sets can change (160 of 1 800 for
-the desk ``a2b`` fit), which each trial steps, projects with the sets'
-``project_support`` and takes its inner products on, after gathering the
-gradient at those entries from the engine's dense ``G``.  The first step
-also moves the start's entries off the supports to the sets' constants, and
-its surrogate counts that move, as it counts the start kernel's.  A set that
-has only ``project`` is free on every entry and projects the whole matrix
-once per trial point.
+the desk ``a2b`` fit), which each trial steps, projects with the projections
+that ``constraints.coordinates`` derives from the sets' hulls, and takes its
+inner products on, after gathering the gradient at those entries from the
+engine's dense ``G``.  The first step also moves the start's entries off the
+supports to the sets' constants, and its surrogate counts that move, as it
+counts the start kernel's.  A set that has only ``project`` and no ``hull``
+is free on every entry and projects the whole matrix once per trial point.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import CausalBand, ConstraintSpec
+from .constraints import CausalBand, ConstraintSpec, coordinates
 from .kernel import CausalBandKernel, band_offset_counts
 from .model import StateSpaceModel
 from .objective import Dataset, _StartRelativeLoss
@@ -117,13 +117,11 @@ def default_initial_point(n: int, k: int, m: int, q: int, Q: int) -> StateSpaceM
 
 
 def _coordinates(cset, shape):
-    """``(index, base, project)`` of a set for ``A`` or ``B``: the flat
-    indices of its support, a matrix holding its constant elsewhere, and its
-    projection of the support values (see :mod:`.constraints`).  An object
-    with only ``project`` may change every entry; it projects the whole
-    matrix, once per call."""
-    if hasattr(cset, "project_support"):
-        return (*cset.support(shape), cset.project_support)
+    """``(index, base, project)`` of a set for ``A`` or ``B``, derived from its
+    hull by :func:`.constraints.coordinates`.  An object with only ``project``
+    may change every entry; it projects the whole matrix, once per call."""
+    if hasattr(cset, "hull"):
+        return coordinates(cset, shape)
 
     def project(v):
         return np.asarray(cset.project(v.reshape(shape)), dtype=float).ravel()

@@ -14,7 +14,6 @@ from violina import (
     SymmetricMaskedNonneg,
     Trajectory,
 )
-from violina.constraints import _scatter
 from oracles import lift
 
 
@@ -76,7 +75,7 @@ def assert_lifted_point_is_fixed(cset, shape, rng):
     x = np.where(lower == 0.0, np.abs(rng.normal(size=len(lower))), rng.normal(size=len(lower)))
     x[(lower == 0.0) & (rng.random(len(lower)) < 0.3)] = 0.0
     member = lift(hull, x)
-    projected = cset.project(member) if hasattr(cset, "project") else _scatter(cset, member)
+    projected = cset.project(member)
     if isinstance(cset, (FullSpace, Fixed, NonnegativeDiagonal, SymmetricMaskedNonneg)):
         assert projected.tobytes() == member.tobytes(), cset
     else:

@@ -433,6 +433,27 @@ def test_dataset_shorter_than_the_model_memory_exit_2(suite_dir, tmp_path, capsy
             assert out.exists()
 
 
+@pytest.mark.parametrize("layout", ["packed", "numbers"])
+@pytest.mark.parametrize("k", [2, 0])
+@pytest.mark.parametrize("command", ["fit", "dmdc"])
+def test_dataset_without_state_variables_exit_2(tmp_path, capsys, layout, k, command):
+    """A dataset whose trajectories have no state variable (``n = 0``) is
+    refused where trajectories are checked, by the stream and by the list
+    path alike, with one line and no output file."""
+    from violina.cli import _dump_dataset
+
+    dataset = tmp_path / "n0.json"
+    _dump_dataset(dataset, [Trajectory(np.zeros((0, 6)), np.ones((k, 5)))], 0, 5)
+    if layout == "numbers":
+        dataset.write_text(json.dumps(_as_numbers(json.loads(dataset.read_text()))))
+    out = tmp_path / "model.json"
+    extra = ["--constraints", "free", "--steps", "2"] if command == "fit" else []
+    rc = main(["--quiet", command, "--train", str(dataset), *extra, "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (
+        2, f"error: {dataset}: trajectory 0 has no state variable (n = 0)\n")
+    assert not out.exists()
+
+
 def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, capsys):
     good = _as_numbers(json.loads((suite_dir / "markov_test.json").read_text()))
 
@@ -1655,6 +1676,40 @@ def test_bad_solver_settings_exit_2(suite_dir, tmp_path, capsys, setting):
                "--out", str(tmp_path / "m.json")])
     assert rc == 2
     assert "solver settings" in capsys.readouterr().err
+
+
+class _NoRoom:
+    """numpy, but with no memory for an array of more than 10 000 entries:
+    ``zeros`` raises ``MemoryError`` with numpy's message instead of
+    allocating it."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def zeros(shape, *args, **kwargs):
+        if np.prod(shape) > 10_000:
+            raise MemoryError(f"Unable to allocate for an array with shape {shape} "
+                              "and data type float64")
+        return np.zeros(shape, *args, **kwargs)
+
+
+def test_fit_bandwidth_too_large_for_memory_exit_2(suite_dir, tmp_path, capsys, monkeypatch):
+    """A bandwidth whose Gram matrix (``r x r`` with ``r = n (Q + 1) + k``,
+    220 x 220 here) cannot be allocated exits 2 with one line naming the
+    bandwidth, and writes no file.  The allocation is made to fail, not
+    attempted."""
+    from violina import objective
+
+    monkeypatch.setattr(objective, "np", _NoRoom())
+    out, curve = tmp_path / "m.json", tmp_path / "c.csv"
+    rc = main(["--quiet", "fit", "--train", str(suite_dir / "nonmarkov_train.json"),
+               "--mask", str(suite_dir / "manifest.json"), "--bandwidth", "20",
+               "--out", str(out), "--curve", str(curve)])
+    assert (rc, capsys.readouterr().err) == (2, (
+        "error: solver settings: bandwidth 20: Unable to allocate for an array with "
+        "shape (220, 220) and data type float64\n"))
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "suite"]
 
 
 def test_dataset_writer_matches_json_dump(tmp_path):

@@ -18,11 +18,7 @@ from violina import (
     project_symmetric_masked_nonneg,
 )
 from violina.synth import BenchmarkConfig, build_cylinder_graph
-from violina.constraints import (
-    _check_mask,
-    _GraphLaplacian,
-    nearest_graph_laplacian,
-)
+from violina.constraints import coordinates
 from conftest import assert_lifted_point_is_fixed
 from oracles import (
     laplacian_kkt_residual,
@@ -39,6 +35,11 @@ def random_mask(rng, n):
     mask = mask | mask.T
     np.fill_diagonal(mask, True)
     return mask
+
+
+def zero_laplacian(M, mask):
+    """The projection onto the graph Laplacians on ``mask``: the zero shift."""
+    return ShiftedGraphLaplacian(mask, "zero").project(M)
 
 
 def test_symmetric_masked_examples():
@@ -120,30 +121,30 @@ def test_laplacian_matches_qp_oracle(rng):
         n = int(rng.integers(2, 4))
         mask = random_mask(rng, n)
         M = rng.normal(size=(n, n))
-        out = nearest_graph_laplacian(M, mask)
+        out = zero_laplacian(M, mask)
         np.testing.assert_allclose(out, qp_graph_laplacian(M, mask), atol=1e-10)
     one = np.ones((1, 1), dtype=bool)
-    np.testing.assert_allclose(nearest_graph_laplacian(np.array([[2.5]]), one),
+    np.testing.assert_allclose(zero_laplacian(np.array([[2.5]]), one),
                                qp_graph_laplacian(np.array([[2.5]]), one), atol=1e-10)
 
 
 def test_laplacian_feasibility_and_idempotence(rng):
     mask = random_mask(rng, 5)
     M = rng.normal(size=(5, 5))
-    out = nearest_graph_laplacian(M, mask)
+    out = zero_laplacian(M, mask)
     assert np.max(np.abs(out.sum(axis=0))) <= 1e-10
     off = out - np.diag(np.diag(out))
     assert off.min() >= -1e-10
     assert np.all(out[~mask] == 0.0)
-    again = nearest_graph_laplacian(out, mask)
+    again = zero_laplacian(out, mask)
     np.testing.assert_allclose(again, out, atol=1e-10)
 
 
 def test_laplacian_nonexpansive(rng):
     mask = random_mask(rng, 4)
     M1, M2 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-    P1 = nearest_graph_laplacian(M1, mask)
-    P2 = nearest_graph_laplacian(M2, mask)
+    P1 = zero_laplacian(M1, mask)
+    P2 = zero_laplacian(M2, mask)
     assert np.linalg.norm(P1 - P2) <= np.linalg.norm(M1 - M2) + 1e-10
 
 
@@ -175,7 +176,7 @@ def test_laplacian_kkt_on_cylinder_masks(rng, mask):
         # a diffusion-like A - I plus noise, so active and inactive entries both occur
         M = 0.1 * np.where(mask, rng.random((n, n)), 0.0) - np.eye(n) \
             + scale * rng.normal(size=(n, n))
-        P = nearest_graph_laplacian(M, mask)
+        P = zero_laplacian(M, mask)
         assert laplacian_kkt_residual(M, P, mask) <= 1e-12 * (1 + np.linalg.norm(M))
     # the residual is not blind: shifting mass from the diagonal to a positive
     # entry keeps P feasible but breaks stationarity
@@ -294,7 +295,6 @@ def masked_sets(mask, rng):
     for column_sums, sums in ((True, "columns"), (False, "rows")):
         for name, arg in (("identity", "identity"), ("zero", "zero"), ("explicit", shift)):
             sets[f"laplacian-{name}-{sums}"] = ShiftedGraphLaplacian(mask, arg, column_sums)
-        sets[f"graph-laplacian-{sums}"] = _GraphLaplacian(_check_mask(mask), column_sums)
     return sets
 
 
@@ -316,11 +316,11 @@ def every_set(mask, rng):
 def test_support_derived_from_hull_is_the_literal_rule(rng, mask):
     for cset, shape in every_set(mask, rng):
         for _ in range(2):  # derived once, then kept
-            index, base = cset.support(shape)
+            index, base, _ = coordinates(cset, shape)
             literal_index, literal_base = literal_support(cset, shape)
             assert index.dtype == np.intp and np.array_equal(index, literal_index), cset
             assert base.shape == shape and base.tobytes() == literal_base.tobytes(), cset
-        assert cset.support(shape)[1] is not base  # the base is a new matrix
+        assert coordinates(cset, shape)[1] is not base  # the base is a new matrix
 
 
 @pytest.mark.parametrize("mask", [DESK_MASK, PAPER_MASK, ISOLATED_MASK],
@@ -369,3 +369,66 @@ def test_nonneg_diagonal_needs_a_matrix(M):
 def test_causal_band_refuses_impossible_bands(q, Q):
     with pytest.raises(ValueError, match=rf"0 <= q <= Q with Q >= 1, got q={q}, Q={Q}"):
         CausalBand(q, Q)
+
+
+@pytest.mark.parametrize("mask, message", [
+    (np.ones((2, 3), dtype=bool), r"^mask must be square, got shape \(2, 3\)$"),
+    (np.array([[1, 1], [1, 0]], dtype=bool), "^mask must include the diagonal$"),
+], ids=["square", "diagonal"])
+def test_masked_sets_check_the_mask(mask, message):
+    for make in (SymmetricMaskedNonneg, ShiftedGraphLaplacian):
+        with pytest.raises(ValueError, match=message):
+            make(mask)
+
+
+@pytest.mark.parametrize("make", [SymmetricMaskedNonneg, ShiftedGraphLaplacian])
+def test_masked_sets_check_the_matrix_shape(make):
+    with pytest.raises(ValueError, match=r"^matrix shape \(4, 4\) does not match mask \(3, 3\)$"):
+        make(np.ones((3, 3), dtype=bool)).project(np.zeros((4, 4)))
+
+
+class HullOnly:
+    """A user-defined set for ``A`` given by its hull arrays alone, with a
+    zero offset and no projection of its own."""
+
+    def __init__(self, entries, coords, values, lower):
+        self._cache = {}
+        self.arrays = (np.array(entries), np.array(coords), np.array(values, dtype=float),
+                       np.array(lower, dtype=float))
+
+    def hull(self, shape):
+        return (*self.arrays, np.zeros(shape))
+
+
+@pytest.mark.parametrize("entries, coords, values, problem", [
+    ([0, 3, 3], [0, 0, 1], [1.0, 1.0, 1.0], "an entry is touched twice"),
+    ([0, 1, 2], [0, 0, 0], [1.0, 1.0, 1.0], "a coordinate touches more than two entries"),
+    ([0, 3], [0, 1], [1.0, 2.0], "a coefficient is not 1"),
+], ids=["entry-twice", "three-entries", "coefficient"])
+def test_hull_that_is_not_separable_is_refused(entries, coords, values, problem):
+    from violina.pgd import _coordinates
+
+    toy = HullOnly(entries, coords, values, np.zeros(max(coords) + 1))
+    for derive in (coordinates, _coordinates):  # the solver asks the same function
+        with pytest.raises(ValueError, match=f"^hull is not separable: {problem}$"):
+            derive(toy, (2, 2))
+
+
+def test_separable_hull_averages_pairs_and_clips_at_the_bounds():
+    # (0, 0) free, (0, 1) and (1, 0) one pair bounded by 0, (1, 1) bounded by 0
+    toy = HullOnly([3, 0, 2, 1], [2, 0, 1, 1], np.ones(4), [-np.inf, 0.0, 0.0])
+    index, base, project = coordinates(toy, (2, 2))
+    assert index.tolist() == [0, 1, 2, 3] and base.tobytes() == np.zeros((2, 2)).tobytes()
+    assert project(np.array([-5.0, 1.0, -3.0, -2.0])).tolist() == [-5.0, 0.0, 0.0, 0.0]
+    assert project(np.array([-5.0, 3.0, -1.0, 2.0])).tolist() == [-5.0, 1.0, 1.0, 2.0]
+    M = np.array([[-5.0, 3.0], [-1.0, 2.0]])
+    full = SymmetricMaskedNonneg(np.ones((2, 2), dtype=bool)).project(M)
+    assert full.tobytes() == project(M.ravel()).reshape(2, 2).tobytes()
+
+
+def test_lone_entries_are_not_doubled():
+    # a diagonal entry is a coordinate of its own: 0.5 * (v + v) would
+    # overflow to inf above 8.9e307
+    M = np.array([[1e308, 1.0], [1.0, -1e308]])
+    P = SymmetricMaskedNonneg(np.ones((2, 2), dtype=bool)).project(M)
+    assert P.tobytes() == M.tobytes()

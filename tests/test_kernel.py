@@ -315,3 +315,23 @@ def test_json_table_checks_the_stored_columns(monkeypatch, lenient):
     for label, fault in _TEXT_FAULTS.items():
         with pytest.raises(ValueError, match="^'x'"):
             json_table({"x": [2, 3, fault(good[2]), [0, 2]]}, "x")
+
+
+def test_kernel_refuses_non_finite_coefficients():
+    with pytest.raises(ValueError, match="^kernel coefficients must be finite$"):
+        CausalBandKernel(5, 1, 3, (np.nan, 0.0))
+
+
+def test_band_projection_needs_a_square_matrix():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        project_to_band(np.zeros((2, 3)), 0, 1)
+
+
+def test_apply_kernel_checks_the_left_factor():
+    with pytest.raises(ValueError, match=r"^expected 2x5 left factor, got shape \(2, 4\)$"):
+        apply_kernel(np.zeros((2, 4)), CausalBandKernel.identity(5, 0, 1))
+
+
+def test_fractional_toeplitz_needs_a_positive_dimension():
+    with pytest.raises(ValueError, match="^matrix dimension must be positive, got 0$"):
+        fractional_toeplitz(0.5, 0)

@@ -362,3 +362,31 @@ def test_one_dimensional_initial_state_simulates_as_one_column(rng):
     flat, column = model.simulate(x0, u), model.simulate(x0[:, None], u)
     assert flat.states.tobytes() == column.states.tobytes()
     assert np.array_equal(flat.states[:, 0], x0)
+
+
+def test_trajectory_arrays_must_be_2d():
+    with pytest.raises(ValueError, match="^states and inputs must be 2-D arrays$"):
+        Trajectory(np.zeros(3), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("A, B, kernel, message", [
+    (np.zeros((2, 3)), np.zeros((2, 1)), np.eye(4), r"^A must be square, got shape \(2, 3\)$"),
+    (np.eye(2), np.zeros((3, 1)), np.eye(4), r"^B must have 2 rows, got shape \(3, 1\)$"),
+    (np.eye(2), np.zeros((2, 1)), np.zeros((2, 3)),
+     r"^dense kernel must be square, got shape \(2, 3\)$"),
+], ids=["A", "B", "kernel"])
+def test_model_checks_its_shapes(A, B, kernel, message):
+    with pytest.raises(ValueError, match=message):
+        StateSpaceModel(A, B, kernel)
+
+
+def test_build_data_matrices_needs_q_below_m(rng):
+    traj = Trajectory(rng.normal(size=(2, 4)), rng.normal(size=(1, 3)))
+    with pytest.raises(ValueError, match=r"^need 0 <= q < m, got q=3, m=3$"):
+        build_data_matrices(traj, 3, 3)
+
+
+def test_arx_offset_needs_m_above_q(rng):
+    model = random_stable_model(rng, n=2, k=1, m=6, q=2, Q=3)
+    with pytest.raises(ValueError, match=r"^need m > q, got m=2, q=2$"):
+        arx_offset(model, np.zeros((2, 3)), 2)

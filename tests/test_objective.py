@@ -465,3 +465,8 @@ def test_engine_memory_does_not_grow_with_the_trajectories():
     traj = build_benchmark_suite(BenchmarkConfig.desk_scale()).nonmarkov.train.trajectories[0]
     few, many = _engine_peak(traj, 5), _engine_peak(traj, 20)
     assert many <= 1.25 * few
+
+
+def test_uniqueness_certificate_refuses_an_unknown_mode(rng):
+    with pytest.raises(ValueError, match="^unknown mode 'exact', expected 'fixed_d' or 'full'$"):
+        uniqueness_certificate(random_dataset(rng), mode="exact")

@@ -23,12 +23,11 @@ from violina import (
     project_shifted_laplacian,
     project_symmetric_masked_nonneg,
 )
-from violina.constraints import _check_mask, _GraphLaplacian, nearest_graph_laplacian
+from violina.constraints import coordinates
 from conftest import assert_lifted_point_is_fixed
 from oracles import (
     literal_nonneg_diagonal,
     literal_support,
-    percall_graph_laplacian,
     percall_shifted_laplacian,
     percall_symmetric_masked_nonneg,
 )
@@ -104,7 +103,6 @@ def test_projections_match_percall_references_bitwise(problem):
     pairs = [
         (SymmetricMaskedNonneg(mask).project(M), sym),
         (project_symmetric_masked_nonneg(M, mask), sym),
-        (nearest_graph_laplacian(M, mask), percall_graph_laplacian(M, mask)),
     ]
     for name, arg, matrix in [("identity", None, np.eye(n)),
                               ("zero", np.zeros((n, n)), np.zeros((n, n))),
@@ -150,10 +148,10 @@ def test_support_projection_scattered_is_project_bitwise(name, problem):
     # reference, and no entry off the support reaches it
     mask, _, _, M, Z0, value = problem
     cset, reference = support_sets(mask, value)[name]
-    index, base = cset.support(M.shape)
+    index, base, project = coordinates(cset, M.shape)
     assert base.shape == M.shape and base.dtype == np.float64
     scattered = base.copy()
-    scattered.flat[index] = cset.project_support(M.ravel()[index])
+    scattered.flat[index] = project(M.ravel()[index])
     for ref in (cset.project(M), reference(M)):
         ref = np.asarray(ref, dtype=float)
         assert ref.shape == scattered.shape and ref.tobytes() == scattered.tobytes()
@@ -163,9 +161,8 @@ def test_support_projection_scattered_is_project_bitwise(name, problem):
 
 
 def hull_sets(mask, value):
-    """Every set with a hull on ``mask``, the bare Laplacian included."""
-    sets = [cset for cset, _ in support_sets(mask, value).values()]
-    return sets + [_GraphLaplacian(_check_mask(mask), sums) for sums in (True, False)]
+    """Every set with a hull on ``mask``."""
+    return [cset for cset, _ in support_sets(mask, value).values()]
 
 
 @PROPERTY
@@ -175,7 +172,7 @@ def test_support_derived_from_hull_is_the_literal_rule(problem):
     # coordinate touches; the support keeps it, as the literal rule does
     mask, _, _, M, _, value = problem
     for cset in hull_sets(mask, value):
-        index, base = cset.support(M.shape)
+        index, base, _ = coordinates(cset, M.shape)
         literal_index, literal_base = literal_support(cset, M.shape)
         assert np.array_equal(index, literal_index) and base.tobytes() == literal_base.tobytes()
 
@@ -203,8 +200,8 @@ def rectangular_matrices(draw):
 @PROPERTY
 @given(rectangular_matrices())
 def test_rectangular_support_projection_scattered_is_project_bitwise(cset, M):
-    index, scattered = cset.support(M.shape)
-    scattered.flat[index] = cset.project_support(M.ravel()[index])
+    index, scattered, project = coordinates(cset, M.shape)
+    scattered.flat[index] = project(M.ravel()[index])
     assert scattered.tobytes() == cset.project(M).tobytes()
 
 

@@ -216,3 +216,9 @@ def test_config_defaults_are_the_field_defaults():
     grid = build_cylinder_graph(4, 1, cfg.w0, cfg.w1, cfg.seed)
     _, nonmarkov = ground_truth_models(grid, cfg.h, cfg.m)
     assert nonmarkov.kernel == CausalBandKernel(cfg.m, cfg.q, cfg.Q, cfg.coeffs)
+
+
+@pytest.mark.parametrize("sigma", [0, 2])
+def test_make_input_refuses_sigma_other_than_plus_minus_one(sigma):
+    with pytest.raises(ValueError, match=f"^sigma must be \\+1 or -1, got {sigma}$"):
+        make_input("parallel", sigma, 1, 0, Lx=4, Ly=2, m=8, h=0.1)
