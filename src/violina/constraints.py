@@ -81,7 +81,9 @@ def coordinates(cset, shape):
     entries, coords, values, lower, offset = cset.hull(shape)
     derived = cset._cache.get(offset.shape)
     if derived is None:
-        index = _read_only(np.union1d(entries, getattr(cset, "_isolated", entries[:0])))
+        mark = np.zeros(offset.size, dtype=bool)
+        mark[entries] = mark[getattr(cset, "_isolated", entries[:0])] = True
+        index = _read_only(np.flatnonzero(mark))
         project = getattr(cset, "_project", None) or _separable(
             index, entries, coords, values, lower)
         derived = cset._cache[offset.shape] = index, project
@@ -92,8 +94,8 @@ def _separable(index, entries, coords, values, lower):
     """The projection of the values at ``index`` onto a hull whose
     coordinates each touch one entry, or two, all with coefficient 1, and no
     entry twice; any other hull raises ``ValueError``.  A pair takes its mean
-    ``0.5 * (v + v[partner])``, and a lone entry stays ``v`` (so a huge value
-    does not overflow), each clipped at its coordinate's bound."""
+    ``0.5 * (v + v[partner])`` and a lone entry stays ``v`` (no overflow),
+    each clipped at its coordinate's bound; with no pair or bound, ``v`` itself."""
     counts = np.bincount(coords, minlength=len(lower))
     for broken, problem in ((len(entries) != len(index), "an entry is touched twice"),
                             (np.any(counts > 2), "a coordinate touches more than two entries"),
@@ -103,7 +105,7 @@ def _separable(index, entries, coords, values, lower):
     at = np.searchsorted(index, entries)  # each item's place in the support
     floor = lower[coords[np.argsort(at)]]  # each support entry's bound
     if not np.any(counts == 2):
-        return lambda v: np.maximum(v, floor)
+        return (lambda v: v) if np.all(floor == -np.inf) else (lambda v: np.maximum(v, floor))
     # the two items of each pair, adjacent once the items are sorted by coordinate
     first = (np.cumsum(counts) - counts)[counts == 2, None]
     ends = at[np.argsort(coords, kind="stable")][first + [0, 1]]  # one row per pair
@@ -305,7 +307,7 @@ class ShiftedGraphLaplacian:
             _isolated=_read_only(np.flatnonzero(counts == 0) * (n + 1)),
             _group=group, _diag=np.flatnonzero(rows == cols), _slots=slots,
             # the bound of each mask entry: none on the diagonal, 0 off it
-            _floor=np.where(rows == cols, -np.inf, 0.0), _neg_inf=np.array([-np.inf]),
+            _floor=np.where(rows == cols, -np.inf, 0.0),
             # k + 1 for the k-th largest off-diagonal entry of a column
             _ranks=np.arange(2, slots.shape[0] + 2)[:, None]).items():
             object.__setattr__(self, name, value)
@@ -318,12 +320,17 @@ class ShiftedGraphLaplacian:
         """``shift + P(v - shift)`` for the mask entries ``v``, in ascending
         order."""
         shift = self._shift_support
-        v = v - shift
+        buf = np.empty(len(v) + 1)  # per call: the set is shared, so keeps no scratch
+        buf[-1] = -np.inf  # every empty slot's
+        v = np.subtract(v, shift, out=buf[:-1])
         diag = v[self._diag]
-        w = np.sort(np.concatenate((v, self._neg_inf))[self._slots], axis=0)[::-1]
-        active = self._ranks * w > diag + np.cumsum(w, axis=0)
-        lam = (diag + np.where(active, w, 0.0).sum(axis=0)) / (active.sum(axis=0) + 1)
-        return shift + np.maximum(v - lam[self._group], self._floor)
+        w = buf[self._slots]
+        w.sort(axis=0)
+        w = w[::-1]
+        # cumsum, and the sum of np.where(active, w, 0.0), bit for bit
+        active = self._ranks * w > diag + np.add.accumulate(w, axis=0)
+        lam = (diag + np.add.reduce(w, 0, where=active)) / (np.add.reduce(active, 0) + 1)
+        return np.add(np.maximum(v - lam[self._group], self._floor, out=v), shift, out=v)
 
     project = _scatter
 

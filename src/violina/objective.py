@@ -248,7 +248,7 @@ class _StartRelativeLoss:
         self._C = -2.0 * G[nk:, :nk].reshape(self.nz + 1, n * nk)
         self._S = 2.0 * np.trace(G[nk:, nk:].reshape(self.nz + 1, n, self.nz + 1, n),
                                  axis1=1, axis2=3)
-        self._w = np.ones(self.nz + 1)
+        self._w, self._S_z, self._C_z = np.ones(self.nz + 1), self._S[:-1], self._C[:-1]
 
     def gradient(self, P: np.ndarray, z: np.ndarray):
         """``(G, gz)`` where ``Theta``'s leading ``n x (n + k)`` block is ``P =
@@ -259,8 +259,8 @@ class _StartRelativeLoss:
         w[:-1] = z
         G = P @ self._G_PP
         G += (w @ self._C).reshape(P.shape)
-        gz = self._S[:-1] @ w
-        gz -= self._C[:-1] @ P.ravel()
+        gz = self._S_z @ w
+        gz -= self._C_z @ P.ravel()
         return G, gz
 
 

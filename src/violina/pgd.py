@@ -27,15 +27,16 @@ costs ``O(N m n (n + k))`` per evaluation; it stays the reference the tests
 compare the solver against, with the triangular-factor form ``Theta R^T``.
 
 Nor does a trial point touch the entries of ``(A, B)`` that the sets of ``A``
-and ``B`` hold constant (off the neighbour mask, off the diagonal): ``(A,
-B)`` move as one vector of the entries the sets can change (160 of 1 800 for
-the desk ``a2b`` fit), which each trial steps, projects with the projections
-that ``constraints.coordinates`` derives from the sets' hulls, and takes its
-inner products on, after gathering the gradient at those entries from the
-engine's dense ``G``.  The first step also moves the start's entries off the
-supports to the sets' constants, and its surrogate counts that move, as it
-counts the start kernel's.  A set that has only ``project`` and no ``hull``
-is free on every entry and projects the whole matrix once per trial point.
+and ``B`` hold constant (off the neighbour mask, off the diagonal).  The
+entries the sets can change (160 of 1 800 for the desk ``a2b`` fit) and the
+band coefficients move as one vector ``u``, weighted by 1 and the in-band
+counts ``w``: a trial steps it to ``(u w - t g) / w``, projects its ``A`` and
+``B`` slices with the projections that ``constraints.coordinates`` derives
+from the sets' hulls, and takes the surrogate's ``du @ g`` and ``(du w) @
+du`` on it.  The first step also moves the start's entries off the supports
+to the sets' constants and ``J``'s weight from 0 to 1; its surrogate counts
+both, as it counts the start kernel's move.  A set that has only ``project``
+and no ``hull`` is free on every entry and projects the whole matrix once.
 """
 
 from __future__ import annotations
@@ -162,15 +163,16 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
                        for D in (kern_after, theta.kernel))
         jump2 = float(np.sum((D_after - D0) ** 2))
 
-    # (A, B) move as the vector x of the entries their sets can change.
-    # index places x in the n x (n + k) layout of [A B], which the engine's
-    # P = [A0 - A, B0 - B] and gradient G share; every other entry of P holds
-    # A0 - base (B0 - base), its value from the first step on.
+    # u holds the entries of (A, B) that their sets can change, then the band
+    # coefficients, weighted by w.  index places the entries in the n x (n + k)
+    # layout of [A B] that the engine's P = [A0 - A, B0 - B] and gradient G
+    # share; every other entry of P holds A0 - base (B0 - base), its value
+    # from the first step on.
     n, k = theta.B.shape
     (iA, baseA, project_A), (iB, baseB, project_B) = (
         _coordinates(cset, M.shape) for cset, M in ((spec.on_A, theta.A), (spec.on_B, theta.B)))
     index = np.concatenate([iA // n * (n + k) + iA % n, iB // k * (n + k) + n + iB % k])
-    split = len(iA)
+    split, nx, nc = len(iA), len(index), len(c_ref)
     AB0 = np.hstack([theta.A, theta.B])
     P = AB0 - np.hstack([baseA, baseB])
     ab0 = AB0.ravel()[index]
@@ -182,11 +184,12 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
     f = engine.initial_loss
     if not np.isfinite(f):
         raise SolverError("initial loss is not finite")
-    x, c = ab0, c_ref
+    u, w = np.concatenate([ab0, c_ref]), np.concatenate([np.ones(nx), counts])
     z = np.zeros(engine.nz)
     # P at the accepted point (zero at theta0); P itself holds the trial point
     P_at = np.zeros_like(P)
     G, gz = engine.gradient(P_at, z)
+    jump_dot = float(np.sum(jump * G)) + (float(gz[-1]) if moved else 0.0)  # J's weight 0 -> 1
 
     loss_curve = [f]
     stepsizes = []
@@ -197,18 +200,18 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
     # not finite, which raises SolverError below instead of a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.max_steps):
-            g = G.ravel()[index]
-            jump_dot = float(np.sum(jump * G)) if step == 0 else 0.0
+            g, uw = np.concatenate([G.ravel()[index], gz[:nc]]), u * w
 
             n_back = 0
             while True:
-                y = x - t * g
-                x_new = np.concatenate([project_A(y[:split]), project_B(y[split:])])
-                c_new = (c * counts - t * gz[: Q - 1]) / counts
-                z_new = c_new - c_ref
+                u_new = uw - t * g
+                u_new[nx:] /= counts  # (u w - t g) / w, as w = 1 before nx
+                u_new[:split] = project_A(u_new[:split])
+                u_new[split:nx] = project_B(u_new[split:nx])
+                z_new = u_new[nx:] - c_ref
                 if moved:
                     z_new = np.append(z_new, 1.0)
-                P.ravel()[index] = ab0 - x_new
+                P.ravel()[index] = ab0 - u_new[:nx]
                 G_new, gz_new = engine.gradient(P, z_new)
                 # the loss is quadratic: its increment is exactly the mean
                 # gradient along the move, taken over the dense layout of P
@@ -217,9 +220,9 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
                 if not math.isfinite(df):
                     raise SolverError(f"loss became non-finite at step {step}")
 
-                dx = x_new - x
-                gdot = float(dx @ g + dz @ gz) + jump_dot
-                dist2 = float(dx @ dx) + float(counts @ (c_new - c) ** 2) + jump2
+                du = u_new - u
+                gdot = float(du @ g) + jump_dot
+                dist2 = float((du * w) @ du) + jump2
 
                 if df <= gdot + dist2 / (2.0 * t) + _SURROGATE_SLACK * (1.0 + abs(f)):
                     break
@@ -234,18 +237,18 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
             f_prev = f
             f += df
             np.copyto(P_at, P)
-            x, c, z, G, gz, jump2 = x_new, c_new, z_new, G_new, gz_new, 0.0
+            u, z, G, gz, jump_dot, jump2 = u_new, z_new, G_new, gz_new, 0.0, 0.0
             loss_curve.append(f)
             stepsizes.append(t)
             backtracks.append(n_back)
             if cfg.stop_tol is not None and f_prev - f <= cfg.stop_tol * (1.0 + abs(f_prev)):
                 break
 
-    baseA.flat[iA] = x[:split]
-    baseB.flat[iB] = x[split:]
+    baseA.flat[iA] = u[:split]
+    baseB.flat[iB] = u[split:nx]
     return FitReport(
         theta_final=StateSpaceModel(
-            baseA, baseB, spec.on_D.project(CausalBandKernel(m, q, Q, tuple(c)))),
+            baseA, baseB, spec.on_D.project(CausalBandKernel(m, q, Q, tuple(u[nx:])))),
         loss_curve=np.array(loss_curve),
         stepsizes=np.array(stepsizes),
         backtracks=np.array(backtracks, dtype=int),

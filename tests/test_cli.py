@@ -2390,14 +2390,16 @@ model = violina.StateSpaceModel(np.eye(train.n), np.zeros((train.n, train.k)), k
 violina.arx_offset(model, np.ones((train.n, 3)), train.m)
 done += ["left_pseudoinverse", "fractional_kernel", "arx_offset"]
 assert sys.modules["scipy"] is None
+assert "numpy.ma" not in sys.modules  # np.unique loads it; no command needs it
 print(json.dumps(done))
 """
 
 
 def test_runs_without_scipy(tmp_path):
-    """``generate``, ``dmdc``, ``evaluate``, ``simulate``, ``fit``, both
-    certificates, ``left_pseudoinverse``, ``fractional_kernel`` and
-    ``arx_offset`` run with SciPy made unimportable."""
+    """``generate``, ``dmdc``, ``evaluate``, ``simulate``, ``fit`` (free and
+    ``a2b``), both certificates, ``left_pseudoinverse``, ``fractional_kernel``
+    and ``arx_offset`` run with SciPy made unimportable, and none of them
+    loads ``numpy.ma``."""
     cfg, out = tmp_path / "cfg.json", tmp_path / "suite"
     cfg.write_text(json.dumps(TINY))
     model, data = str(out / "markov_model.json"), str(out / "markov_test.json")
@@ -2411,6 +2413,9 @@ def test_runs_without_scipy(tmp_path):
                       "--out", str(tmp_path / "pred.json")]),
         ("fit", ["--train", str(out / "markov_train.json"), "--constraints", "free",
                  "--steps", "2", "--out", str(tmp_path / "fit.json")]),
+        ("fit", ["--train", str(out / "markov_train.json"), "--constraints", "a2b",
+                 "--mask", str(out / "manifest.json"), "--steps", "2",
+                 "--out", str(tmp_path / "fit_a2b.json")]),
     ]
     steps = [(name, ["--quiet", name, *argv]) for name, argv in steps]
     src = str(Path(violina.__file__).resolve().parents[1])
@@ -2421,5 +2426,5 @@ def test_runs_without_scipy(tmp_path):
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == [
-        "generate", "dmdc", "evaluate", "simulate", "fit", "full", "fixed_d",
+        "generate", "dmdc", "evaluate", "simulate", "fit", "fit", "full", "fixed_d",
         "left_pseudoinverse", "fractional_kernel", "arx_offset"]

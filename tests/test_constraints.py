@@ -23,6 +23,7 @@ from conftest import assert_lifted_point_is_fixed
 from oracles import (
     laplacian_kkt_residual,
     literal_support,
+    percall_shifted_laplacian,
     project_params,
     qp_graph_laplacian,
     qp_nonneg_diagonal,
@@ -184,6 +185,30 @@ def test_laplacian_kkt_on_cylinder_masks(rng, mask):
     P[i, j] += 1e-6
     P[j, j] -= 1e-6
     assert laplacian_kkt_residual(M, P, mask) >= 1e-6
+
+
+def test_laplacian_matches_dense_oracle_bitwise_on_wide_columns(rng):
+    # random masks up to n = 15, so that columns hold up to 14 neighbours;
+    # rounded entries tie within a column, and +0.0 and -0.0 both occur in
+    # the matrix and the shift
+    widest = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 16))
+        mask = rng.random((n, n)) < rng.uniform(0.2, 1.0)
+        mask = mask | mask.T
+        np.fill_diagonal(mask, True)
+        widest = max(widest, int(mask.sum(axis=0).max()) - 1)
+        M = np.round(rng.normal(size=(n, n)), 1)
+        M[rng.random((n, n)) < 0.2] = 0.0
+        M[rng.random((n, n)) < 0.2] = -0.0
+        explicit = np.where(rng.random((n, n)) < 0.3, -0.0, np.round(rng.normal(size=(n, n)), 1))
+        for shift, matrix in (("identity", np.eye(n)), ("zero", np.zeros((n, n))),
+                              (explicit, explicit)):
+            for column_sums in (True, False):
+                got = ShiftedGraphLaplacian(mask, shift, column_sums).project(M)
+                ref = percall_shifted_laplacian(M, mask, matrix, column_sums)
+                assert got.tobytes() == ref.tobytes(), (mask, M, shift, column_sums)
+    assert widest >= 12
 
 
 def test_causal_band_constraint_projection(rng):
@@ -354,6 +379,32 @@ def test_hull_coordinate_counts(mask, counts):
 def test_lifted_hull_points_are_fixed_points(rng, mask):
     for cset, shape in every_set(mask, rng):
         assert_lifted_point_is_fixed(cset, shape, rng)
+
+
+@pytest.mark.parametrize("mask", [DESK_MASK, PAPER_MASK, ISOLATED_MASK],
+                         ids=["desk", "paper", "isolated-cell"])
+def test_projections_share_no_memory(rng, mask):
+    # the sets are frozen and shared, so none may keep a scratch array: a
+    # projection returns memory of its own, not its argument's or an earlier
+    # result's.  By design FullSpace's projections return their argument, not
+    # a copy (no bound, no pair: nothing to project), and Fixed its value.
+    for cset, shape in every_set(mask, rng):
+        index, _, project = coordinates(cset, shape)
+        M = rng.normal(size=shape)
+        v = M.ravel()[index]
+        if isinstance(cset, FullSpace):
+            assert project(v) is v and cset.project(M) is M
+            continue
+        calls = [(project, v), (cset.project, M)]
+        if isinstance(cset, Fixed):
+            assert not np.shares_memory(cset.project(M), M)
+            calls.pop()
+        for call, arg in calls:
+            first, second = call(arg), call(arg)
+            assert first.tobytes() == second.tobytes(), cset
+            assert not np.shares_memory(first, arg), cset
+            assert not np.shares_memory(second, arg), cset
+            assert not np.shares_memory(first, second), cset
 
 
 @pytest.mark.parametrize("M", [np.float64(2.0), np.ones(3), np.ones((2, 2, 2))],
