@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import CausalBandKernel, project_to_band
+from .kernel import CausalBandKernel, check_ints, project_to_band
 
 
 def _check_mask(mask: np.ndarray) -> np.ndarray:
@@ -171,14 +171,16 @@ class FullSpace:
 @dataclass(frozen=True, eq=False)
 class Fixed:
     """The singleton set ``{value}``; the value may be a band kernel or a
-    dense matrix (for the D factor) or a plain matrix (for A or B).  Its hull
-    has no coordinate, and its offset is a copy of the value."""
+    dense matrix (for the D factor) or a plain matrix (for A or B).  A matrix
+    is kept as a read-only float copy, which ``project`` returns, so that
+    neither the caller's array nor a fitted model's kernel can change the
+    set.  Its hull has no coordinate, and its offset is a copy of the value."""
 
     value: object
 
     def __post_init__(self):
-        if not isinstance(self.value, CausalBandKernel):  # a float array stays itself
-            object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
+        if not isinstance(self.value, CausalBandKernel):
+            object.__setattr__(self, "value", _read_only(np.array(self.value, dtype=float)))
         object.__setattr__(self, "_cache", {})
 
     def _check(self, shape):
@@ -309,7 +311,7 @@ class ShiftedGraphLaplacian:
             # the bound of each mask entry: none on the diagonal, 0 off it
             _floor=np.where(rows == cols, -np.inf, 0.0),
             # k + 1 for the k-th largest off-diagonal entry of a column
-            _ranks=np.arange(2, slots.shape[0] + 2)[:, None]).items():
+            _ranks=np.arange(2.0, slots.shape[0] + 2)[:, None]).items():
             object.__setattr__(self, name, value)
 
     def hull(self, shape):
@@ -327,10 +329,16 @@ class ShiftedGraphLaplacian:
         w = buf[self._slots]
         w.sort(axis=0)
         w = w[::-1]
-        # cumsum, and the sum of np.where(active, w, 0.0), bit for bit
-        active = self._ranks * w > diag + np.add.accumulate(w, axis=0)
-        lam = (diag + np.add.reduce(w, 0, where=active)) / (np.add.reduce(active, 0) + 1)
-        return np.add(np.maximum(v - lam[self._group], self._floor, out=v), shift, out=v)
+        # cumsum, and the sum of np.where(active, w, 0.0), bit for bit; each
+        # sum adds diag last, which commutes the one addition of diag + sum
+        acc = np.add.accumulate(w, axis=0)
+        acc += diag
+        active = self._ranks * w > acc
+        lam = np.add.reduce(w, 0, where=active)
+        lam += diag
+        lam /= np.add.reduce(active, 0, dtype=float) + 1.0
+        np.subtract(v, lam[self._group], out=v)
+        return np.add(np.maximum(v, self._floor, out=v), shift, out=v)
 
     project = _scatter
 
@@ -366,6 +374,7 @@ class CausalBand:
     Q: int
 
     def __post_init__(self):
+        check_ints(q=self.q, Q=self.Q)
         if not 0 <= self.q <= self.Q or self.Q < 1:
             raise ValueError(f"band shape must satisfy 0 <= q <= Q with Q >= 1, "
                              f"got q={self.q}, Q={self.Q}")

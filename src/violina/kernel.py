@@ -41,6 +41,14 @@ def json_int(d: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def check_ints(**fields) -> None:
+    """Raise ``ValueError`` naming the first field whose value is not an
+    integer: a Python or numpy integer counts, a ``bool`` or a float does not."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+
+
 def json_floats(d: dict, key: str, ndim: int, default=None) -> np.ndarray:
     """Field ``key`` of a parsed JSON object as a finite float array with
     ``ndim`` axes (``ndim=0`` for one number).  A ragged array (numpy's own

@@ -215,9 +215,12 @@ class _StartRelativeLoss:
 
     One evaluation is one ``n x nk`` by ``nk x nk`` product plus ``O((nz +
     1) n nk)``, against ``O(N m n (n + k + Q))`` in residual form, after a
-    one-off ``O(N m r^2)`` accumulation.  No loss is evaluated here: it is
-    quadratic, so the solver moves it by the exact increment ``1/2 <Delta,
-    g + g_new>``, whose rounding is relative to the gradients, not to ``f``.
+    one-off ``O(N m r^2)`` accumulation.  Its products use ``np.dot``, not
+    ``@``: the same BLAS routine and bits, without the matmul ufunc's
+    dispatch, which at desk size costs as much as the arithmetic.  No loss
+    is evaluated here: it is quadratic, so the solver moves it by the exact
+    increment ``1/2 <Delta, g + g_new>``, whose rounding is relative to the
+    gradients, not to ``f``.
     ``G`` squares the data (Bjorck, *Numerical Methods for Least Squares
     Problems*, 1996), which the tests bound against the triangular-factor
     form ``Theta R^T`` of ``tests/oracles.py``.
@@ -255,12 +258,12 @@ class _StartRelativeLoss:
         [A0 - A, B0 - B]`` and its kernel weights are ``z``: ``G = [gA, gB]``
         is the ``n x (n + k)`` gradient in ``(A, B)``, ``gz`` the one in
         ``z``.  Both are new arrays on every call."""
-        w = self._w
+        w, dot = self._w, np.dot
         w[:-1] = z
-        G = P @ self._G_PP
-        G += (w @ self._C).reshape(P.shape)
-        gz = self._S_z @ w
-        gz -= self._C_z @ P.ravel()
+        G = dot(P, self._G_PP)
+        G += dot(w, self._C).reshape(P.shape)
+        gz = dot(self._S_z, w)
+        gz -= dot(self._C_z, P.ravel())
         return G, gz
 
 

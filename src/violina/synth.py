@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel, json_floats, json_int
+from .kernel import CausalBandKernel, check_ints, json_floats, json_int
 from .model import StateSpaceModel, Trajectory
 from .objective import Dataset
 
@@ -89,6 +89,7 @@ class BenchmarkConfig:
     coeffs: tuple[float, ...] = (0.03, -0.01)
 
     def __post_init__(self):
+        check_ints(Lx=self.Lx, Ly=self.Ly, m=self.m, seed=self.seed, q=self.q, Q=self.Q)
         if self.m < 2:
             raise ValueError(f"need m >= 2 time steps for h = 1 / (m - 1), got m={self.m}")
         if self.m - 1 > sys.float_info.max:

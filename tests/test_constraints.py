@@ -236,7 +236,7 @@ def test_project_params_identity_and_fixed(rng):
     fixed_A = rng.normal(size=(2, 2))
     spec = ConstraintSpec(Fixed(fixed_A), FullSpace(), Fixed(theta.kernel))
     out = project_params(theta, spec)
-    assert out.A is fixed_A
+    assert out.A is spec.on_A.value and out.A.tobytes() == fixed_A.tobytes()
 
 
 def test_project_params_composite_invariants(rng):
@@ -258,6 +258,16 @@ def test_project_params_composite_invariants(rng):
 def test_constraint_spec_rejects_bad_d_factor():
     with pytest.raises(ValueError):
         ConstraintSpec(FullSpace(), FullSpace(), FullSpace())
+
+
+@pytest.mark.parametrize("field, q, Q", [("q", 2.0, 3), ("Q", 2, 3.0), ("q", True, 3),
+                                           ("Q", 0, np.float64(1.0))])
+def test_causal_band_refuses_a_width_that_is_not_an_integer(field, q, Q):
+    """A float or a bool ``q`` or ``Q`` is refused at construction, naming
+    the field, not by a slice in the middle of a fit; numpy integers count."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        CausalBand(q, Q)
+    assert CausalBand(np.int64(2), np.int32(3)) == CausalBand(2, 3)
 
 
 def test_fixed_shape_mismatch():

@@ -29,6 +29,7 @@ from violina import (
     loss,
     violina_fit,
 )
+from violina import pgd
 from conftest import random_stable_model, simulated_dataset
 from oracles import (
     literal_fit,
@@ -224,7 +225,8 @@ def test_fixed_dense_kernel_fit_matches_objective(rng):
     spec = ConstraintSpec(FullSpace(), FullSpace(), Fixed(D))
     cfg = PgdConfig(theta0=default_initial_point(n, k, m, q, 3), max_steps=15)
     report = assert_curve_matches_objective(data, spec, cfg)
-    assert report.theta_final.kernel is D
+    assert report.theta_final.kernel is spec.on_D.value
+    assert report.theta_final.kernel.tobytes() == D.tobytes()
     assert report.loss_curve[-1] < report.loss_curve[1]
 
 
@@ -495,6 +497,58 @@ def test_config_validation(rng):
         with pytest.raises(ValueError, match="stopping tolerance"):
             PgdConfig(theta0=theta0, stop_tol=bad)
     PgdConfig(theta0=theta0, stop_tol=0.0)
+
+
+@pytest.mark.parametrize("value", [10.0, 10.5, True, "10", None])
+def test_config_refuses_a_max_steps_that_is_not_an_integer(value):
+    """A float or a bool step count is refused at construction, naming the
+    field, not by ``range`` after the data pass; a numpy integer counts."""
+    theta0 = default_initial_point(2, 1, 5, 0, 1)
+    with pytest.raises(ValueError, match="^max_steps must be an integer"):
+        PgdConfig(theta0=theta0, max_steps=value)
+    assert PgdConfig(theta0=theta0, max_steps=np.int64(10)).max_steps == 10
+
+
+def test_fixed_kernel_is_a_read_only_copy(rng):
+    """A fitted model's ``Fixed`` kernel cannot be edited in place, and the
+    caller's array, which stays writable, is not the set's value."""
+    n, k, m, q = 3, 2, 12, 1
+    data = simulated_dataset(rng, random_stable_model(rng, n=n, k=k, m=m, q=q, Q=3), m)
+    D = fractional_kernel(0.5, m)
+    before = D.copy()
+    spec = ConstraintSpec(FullSpace(), FullSpace(), Fixed(D))
+    cfg = PgdConfig(theta0=default_initial_point(n, k, m, q, 3), max_steps=2)
+    fitted = violina_fit(data, spec, cfg).theta_final.kernel
+    with pytest.raises(ValueError, match="read-only"):
+        fitted[0, 0] = 2.0
+    D[0, 0] = 2.0
+    assert spec.on_D.value.tobytes() == before.tobytes()
+    assert violina_fit(data, spec, cfg).theta_final.kernel.tobytes() == before.tobytes()
+
+
+def test_start_kernel_equal_to_the_fixed_one_does_not_move(rng, monkeypatch):
+    """A start kernel equal to the ``Fixed`` kernel, but not the set's own
+    copy, is not moved: the engine carries no ``J`` block, and the fit is
+    bitwise the one from the copy itself."""
+    n, k, m, q = 3, 2, 12, 1
+    data = simulated_dataset(rng, random_stable_model(rng, n=n, k=k, m=m, q=q, Q=3), m, N=3)
+    D = fractional_kernel(0.5, m)
+    spec = ConstraintSpec(FullSpace(), FullSpace(), Fixed(D))
+    A0, B0 = np.eye(n), np.zeros((n, k))
+    weights = []
+
+    class Engine(pgd._StartRelativeLoss):
+        def __init__(self, *args):
+            super().__init__(*args)
+            weights.append(self.nz)
+
+    monkeypatch.setattr(pgd, "_StartRelativeLoss", Engine)
+    fits = [violina_fit(data, spec, PgdConfig(theta0=StateSpaceModel(A0, B0, D0), max_steps=30))
+            for D0 in (spec.on_D.value, D, D.copy())]
+    assert weights == [0, 0, 0]
+    for first, *rest in zip(*[(r.loss_curve, r.stepsizes, r.theta_final.A, r.theta_final.B)
+                              for r in fits]):
+        assert all(first.tobytes() == other.tobytes() for other in rest)
 
 
 @pytest.mark.parametrize("value, shape", [([[1.0]], (1, 1)), (0.0, ())], ids=["list", "scalar"])

@@ -209,6 +209,18 @@ def test_preset_files_are_the_presets(preset):
     assert parsed == getattr(BenchmarkConfig, f"{preset}_scale")()
 
 
+@pytest.mark.parametrize("field, value", [("Lx", 10.0), ("Ly", 3.0), ("m", 200.0), ("seed", 1.5),
+                                          ("q", 2.0), ("Q", 3.0), ("seed", True)])
+def test_config_refuses_a_size_that_is_not_an_integer(field, value):
+    """A float or a bool in an integer field is refused at construction,
+    naming the field, not inside ``build_benchmark_suite``; numpy integers
+    count."""
+    sizes = dict(Lx=10, Ly=3, m=200)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        BenchmarkConfig(**dict(sizes, **{field: value}))
+    assert BenchmarkConfig(**{key: np.int64(v) for key, v in sizes.items()}).m == 200
+
+
 def test_config_defaults_are_the_field_defaults():
     cfg = BenchmarkConfig(Lx=4, Ly=1, m=20)
     assert BenchmarkConfig.from_dict({"Lx": 4, "Ly": 1, "m": 20}) == cfg
