@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel
+from .kernel import CausalBandKernel, check_ints
 from .model import StateSpaceModel, build_data_matrices, error_ratio
 from .objective import Dataset
 
@@ -49,7 +49,7 @@ def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.nda
 
     ``indices`` restricts the stack to the trajectories at those positions,
     in that order; a position outside ``[0, size)`` raises ``IndexError``,
-    and an empty ``indices`` raises ``ValueError``.
+    a float or ``bool`` position or an empty ``indices`` ``ValueError``.
     ``data.trajectories`` is read once, to its end, and only the stacked
     trajectories are kept, so ``data`` may be a one-pass stream.  Raises
     ``ValueError`` when ``rank`` lies outside ``[1, attainable rank]`` (the
@@ -60,6 +60,7 @@ def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.nda
         return _StackSvd(data.trajectories, data.m).solve(rank)
     if not len(indices):
         raise ValueError("no trajectory chosen to fit")
+    check_ints(**{f"indices[{j}]": i for j, i in enumerate(indices)})
     kept = {i: traj for i, traj in enumerate(data.trajectories) if i in indices}
     if missing := set(indices) - kept.keys():
         raise IndexError(f"no trajectory at position {min(missing)}")
@@ -195,10 +196,13 @@ def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0) -> RankScanResult:
     group at a time, their errors summed into running totals in dataset
     order.  The pooled fit keeps every trajectory, since the SVD needs them
     all, and reduces them after it into one group.  A ``fit_index`` outside
-    ``[0, size)`` raises ``IndexError``.  No full-state model is simulated
-    nor any state mapped back to ``n`` coordinates: each rank recurses, and
-    its error is taken, in ``r`` SVD coordinates (``_RankErrors``).
+    ``[0, size)`` raises ``IndexError``, a float or a ``bool``
+    ``ValueError``.  No full-state model is simulated nor any state mapped
+    back to ``n`` coordinates: each rank recurses, and its error is taken,
+    in ``r`` SVD coordinates (``_RankErrors``).
     """
+    if fit_index is not None:
+        check_ints(fit_index=fit_index)
     m = train.m
     scan, waiting = None, []  # the trajectories read before the SVD exists
     for i, traj in enumerate(train.trajectories):

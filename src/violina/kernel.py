@@ -203,6 +203,7 @@ class CausalBandKernel:
 
     def __post_init__(self):
         m, q, Q = self.m, self.q, self.Q
+        check_ints(m=m, q=q, Q=Q)
         if q < 0 or Q < 1 or q > Q or Q > m:
             raise ValueError(
                 f"kernel shape must satisfy 0 <= q <= Q <= m with Q >= 1, "

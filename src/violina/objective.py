@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel, apply_kernel, band_offset_counts, band_start, json_int
+from .kernel import (CausalBandKernel, apply_kernel, band_offset_counts, band_start, check_ints,
+                     json_int)
 from .model import DataMatrices, StateSpaceModel, Trajectory, build_data_matrices
 
 
@@ -17,6 +18,7 @@ class Dataset:
     it references must exist).  It holds only the trajectories."""
 
     def __init__(self, trajectories, q: int, m: int):
+        check_ints(q=q, m=m)
         self.trajectories, self.q, self.m = tuple(trajectories), int(q), int(m)
         if not self.trajectories:
             raise ValueError("a dataset needs at least one trajectory")

@@ -20,27 +20,29 @@ evaluation there: one ``n x (n + k)`` by ``(n + k) x (n + k)`` product plus
 ``O((nz + 1) n (n + k))``, whatever the number ``N`` and length ``m`` of the
 trajectories.  Its loss is the previous loss plus the exact increment of a
 quadratic, ``1/2 <Delta, g + g_new>`` over the move ``Delta`` in ``(A, B, z)``,
-with the inner product in ``(A, B)`` taken over the dense ``n x (n + k)``
-layout, so the curve does not depend on the supports below.  An accepted
-trial's gradient is the next step's.  The residual form of :mod:`.objective`
-costs ``O(N m n (n + k))`` per evaluation; it stays the reference the tests
-compare the solver against, with the triangular-factor form ``Theta R^T``.
+and it is accepted when that increment stays below the surrogate
+``<Delta, g> + |Delta|^2 / (2 t)``.  The whole test takes ``Delta`` in
+``(A, B)`` on the dense ``n x (n + k)`` layout and weights each entry of ``z``
+by the squared length of the kernel direction it moves (these directions are
+orthogonal), so it does not depend on the supports below.  As ``P`` and
+``z`` are taken relative to ``theta0``, the first step's move of the start
+onto the sets is part of ``Delta`` like any other move.  An accepted trial's
+gradient is the next step's.  The residual form of :mod:`.objective` costs
+``O(N m n (n + k))`` per evaluation; it stays the reference the tests compare
+the solver against, with the triangular-factor form ``Theta R^T``.
 
 Nor does a trial point touch the entries of ``(A, B)`` that the sets of ``A``
 and ``B`` hold constant (off the neighbour mask, off the diagonal).  The
 entries the sets can change (160 of 1 800 for the desk ``a2b`` fit) and the
 band coefficients move as one vector ``u``, weighted by 1 and the in-band
-counts ``w``: a trial steps it to ``(u w - t g) / w``, projects its ``A`` and
-``B`` slices with the projections that ``constraints.coordinates`` derives
-from the sets' hulls, and takes the surrogate's ``du . g`` and ``(du w) .
-du`` on it.  The trial path takes its products with ``np.dot``, not ``@``:
-both call the same BLAS routine on these operands and give the same bits,
-but ``np.dot`` skips the matmul ufunc's dispatch, which at desk size is a
-visible share of a trial of some 50 small numpy calls.  The first step also
-moves the start's entries off the supports to the sets' constants and
-``J``'s weight from 0 to 1; its surrogate counts both, as it counts the start
-kernel's move.  A set that has only ``project`` and no ``hull`` is free on
-every entry and projects the whole matrix once.
+counts ``w``: a trial steps it to ``(u w - t g) / w`` and projects its ``A``
+and ``B`` slices with the projections that ``constraints.coordinates``
+derives from the sets' hulls.  The trial path takes its products with
+``np.dot``, not ``@``: both call the same BLAS routine on these operands and
+give the same bits, but ``np.dot`` skips the matmul ufunc's dispatch, which at
+desk size is a visible share of a trial of some 50 small numpy calls.  A set
+that has only ``project`` and no ``hull`` is free on every entry and projects
+the whole matrix once.
 """
 
 from __future__ import annotations
@@ -162,13 +164,13 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
         q, Q, c_ref = 0, 1, np.zeros(0)
     counts = band_offset_counts(m, q, Q)
     engine = _StartRelativeLoss(data, theta, q, Q, kern_after if moved else None)
-    # The first step's kernel move is D0 -> kern_after plus a band move; the
-    # band projection is orthogonal, so its squared length adds this constant.
-    jump2 = 0.0
+    # dz's weights: the in-band counts of the band coefficients, then J's
+    # |D_after - D0|^2, which the band projection makes orthogonal to them
+    wz = counts
     if moved:
         D_after, D0 = (D if isinstance(D, np.ndarray) else D.to_dense()
                        for D in (kern_after, theta.kernel))
-        jump2 = float(np.sum((D_after - D0) ** 2))
+        wz = np.append(counts, np.sum((D_after - D0) ** 2))
 
     # u holds the entries of (A, B) that their sets can change, then the band
     # coefficients, weighted by w.  index places the entries in the n x (n + k)
@@ -183,24 +185,16 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
     AB0 = np.hstack([theta.A, theta.B])
     P = AB0 - np.hstack([baseA, baseB])
     ab0 = AB0.ravel()[index]
-    # the first step also moves the start's entries off the supports to base
-    jump = -P
-    jump.ravel()[index] = 0.0
-    jump2 += float(np.sum(jump * jump))
 
     f = engine.initial_loss
     if not np.isfinite(f):
         raise SolverError("initial loss is not finite")
     u, w = np.concatenate([ab0, c_ref]), np.concatenate([np.ones(nx), counts])
-    z = np.zeros(engine.nz)
-    # P at the accepted point (zero at theta0); P itself holds the trial point
-    P_at = np.zeros_like(P)
+    # z and P at the accepted point (zero at theta0); P itself holds the trial point
+    z, P_at = np.zeros(engine.nz), np.zeros_like(P)
     G, gz = engine.gradient(P_at, z)
-    jump_dot = float(np.sum(jump * G)) + (float(gz[-1]) if moved else 0.0)  # J's weight 0 -> 1
 
-    loss_curve = [f]
-    stepsizes = []
-    backtracks = []
+    loss_curve, stepsizes, backtracks = [f], [], []
     t = cfg.t0
     # P is contiguous, so P_flat is a view of it
     P_flat, gradient, dot, vdot = P.ravel(), engine.gradient, np.dot, np.vdot
@@ -222,16 +216,14 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
                     z_new = np.append(z_new, 1.0)
                 P_flat[index] = ab0 - u_new[:nx]
                 G_new, gz_new = gradient(P, z_new)
-                # the loss is quadratic: its increment is exactly the mean
-                # gradient along the move, taken over the dense layout of P
-                dz = z_new - z
-                df = 0.5 * (float(vdot(P_at - P, G + G_new)) + float(dot(dz, gz + gz_new)))
+                # the loss is quadratic: its increment is exactly the mean gradient
+                # along the move.  The whole test takes the move on P's dense layout
+                dP, dz = P_at - P, z_new - z
+                df = 0.5 * (float(vdot(dP, G + G_new)) + float(dot(dz, gz + gz_new)))
                 if not math.isfinite(df):
                     raise SolverError(f"loss became non-finite at step {step}")
-
-                du = u_new - u
-                gdot = float(dot(du, g)) + jump_dot
-                dist2 = float(dot(du * w, du)) + jump2
+                gdot = float(vdot(dP, G)) + float(dot(dz, gz))
+                dist2 = float(vdot(dP, dP)) + float(dot(dz * wz, dz))
 
                 if df <= gdot + dist2 / (2.0 * t) + _SURROGATE_SLACK * (1.0 + abs(f)):
                     break
@@ -246,7 +238,7 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
             f_prev = f
             f += df
             np.copyto(P_at, P)
-            u, z, G, gz, jump_dot, jump2 = u_new, z_new, G_new, gz_new, 0.0, 0.0
+            u, z, G, gz = u_new, z_new, G_new, gz_new
             loss_curve.append(f)
             stepsizes.append(t)
             backtracks.append(n_back)

@@ -33,6 +33,29 @@ def test_fit_refuses_an_empty_choice_of_trajectories(rng):
             dmdc_fit(data, 1, indices)
 
 
+@pytest.mark.parametrize("indices", [[True], [1.0], [0, np.float64(1.0)]])
+def test_fit_refuses_a_position_that_is_not_an_integer(rng, indices):
+    """A bool or a float position is refused, naming it, not taken as the
+    trajectory it compares equal to; numpy integers count."""
+    truth = random_stable_model(rng, n=3, k=2, m=20, q=0, Q=1)
+    data = simulated_dataset(rng, truth, 20, N=2)
+    with pytest.raises(ValueError, match=rf"^indices\[{len(indices) - 1}\] must be an integer"):
+        dmdc_fit(data, 1, indices)
+    for numpy_int, python_int in zip(dmdc_fit(data, 2, [np.int64(1)]), dmdc_fit(data, 2, [1])):
+        assert numpy_int.tobytes() == python_int.tobytes()
+
+
+@pytest.mark.parametrize("fit_index", [True, 1.0, np.float64(0.0)])
+def test_rank_scan_refuses_a_fit_index_that_is_not_an_integer(rng, fit_index):
+    truth = random_stable_model(rng, n=3, k=2, m=20, q=0, Q=1)
+    data = simulated_dataset(rng, truth, 20, N=2)
+    with pytest.raises(ValueError, match="^fit_index must be an integer"):
+        dmdc_rank_scan(data, fit_index=fit_index)
+    numpy_int, python_int = (dmdc_rank_scan(data, fit_index=i) for i in (np.int64(1), 1))
+    assert numpy_int.errors == python_int.errors
+    assert numpy_int.A.tobytes() == python_int.A.tobytes()
+
+
 def test_zero_targets_give_zero_model(rng):
     states = np.zeros((2, 7))
     states[:, 0] = 0.0

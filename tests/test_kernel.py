@@ -199,6 +199,18 @@ def test_kernel_shape_validation(m, q, Q):
         CausalBandKernel(m, q, Q, (0.0,) * max(Q - 1, 0))
 
 
+@pytest.mark.parametrize("field, m, q, Q", [("m", 6.0, 0, 1), ("q", 6, 0.0, 1), ("Q", 6, 0, 1.0),
+                                           ("m", True, 0, 1), ("q", 6, False, 1),
+                                           ("Q", 6, 1, np.float64(1.0))])
+def test_kernel_refuses_a_shape_that_is_not_an_integer(field, m, q, Q):
+    """A float or a bool ``m``, ``q`` or ``Q`` is refused at construction,
+    naming the field, not by ``to_dense`` later; numpy integers count."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        CausalBandKernel(m, q, Q)
+    kernel = CausalBandKernel(np.int64(6), np.int32(1), np.int64(3), (0.2, -0.1))
+    assert np.array_equal(kernel.to_dense(), CausalBandKernel(6, 1, 3, (0.2, -0.1)).to_dense())
+
+
 def test_kernel_coefficient_count_validation():
     with pytest.raises(ValueError):
         CausalBandKernel(5, 1, 3, (0.1,))

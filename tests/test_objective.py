@@ -174,6 +174,18 @@ def test_additivity_over_trajectories(rng):
     np.testing.assert_array_equal(gj.dD, g1.dD + g2.dD)
 
 
+@pytest.mark.parametrize("field, q, m", [("q", 1.5, 6), ("m", 0, 6.9), ("q", True, 6),
+                                         ("m", 0, np.float64(6.0))])
+def test_dataset_refuses_a_size_that_is_not_an_integer(rng, field, q, m):
+    """A float or a bool ``q`` or ``m`` is refused, naming the field, not
+    rounded down to an integer; numpy integers count."""
+    trajs = random_dataset(rng, q=0, m=6).trajectories
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        Dataset(trajs, q, m)
+    data = Dataset(trajs, np.int64(1), np.int32(6))
+    assert (type(data.q), type(data.m), data.q, data.m) == (int, int, 1, 6)
+
+
 def test_lipschitz_zero_dataset():
     traj = Trajectory(np.zeros((2, 5)), np.zeros((1, 4)))
     assert lipschitz_constant(Dataset([traj], 0, 4)) == 0.0

@@ -358,13 +358,35 @@ class ProjectOnly:
         return self.inner.project(M)
 
 
+def _start_off_supports(train, spec, cfg):
+    """``A`` and ``B`` with entries off the mask and off the diagonal."""
+    A, B, kernel = cfg.theta0.A + 0.02, cfg.theta0.B + 0.02, cfg.theta0.kernel
+    return spec, replace(cfg, theta0=StateSpaceModel(A, B, kernel))
+
+
+def _start_dense_kernel(train, spec, cfg):
+    kernel = cfg.theta0.kernel.to_dense() + np.triu(np.full((train.m, train.m), 0.01))
+    return spec, replace(cfg, theta0=StateSpaceModel(cfg.theta0.A, cfg.theta0.B, kernel))
+
+
+def _start_off_fixed_kernel(train, spec, cfg):
+    return replace(spec, on_D=Fixed(fractional_kernel(0.5, train.m))), cfg
+
+
 @pytest.mark.parametrize("wrap_B", [False, True], ids=["A", "A-and-B"])
-@pytest.mark.parametrize("on_A", [ShiftedGraphLaplacian, SymmetricMaskedNonneg],
-                         ids=["desk-a2b", "desk-a1b"])
-def test_project_only_set_gives_the_same_fit(on_A, wrap_B):
+@pytest.mark.parametrize("on_A, start", [
+    pytest.param(on_A, start, id=f"desk-{kind}{name}")
+    for kind, on_A in (("a2b", ShiftedGraphLaplacian), ("a1b", SymmetricMaskedNonneg))
+    for name, start in (("", None), ("-off-supports", _start_off_supports),
+                        ("-dense-kernel", _start_dense_kernel),
+                        ("-fixed-kernel", _start_off_fixed_kernel))])
+def test_project_only_set_gives_the_same_fit(on_A, start, wrap_B):
     # a set without support coordinates is free on every entry and projects
-    # the whole matrix once per trial point; its fit is the support path's
+    # the whole matrix once per trial point; its fit is the support path's,
+    # also from a start off the set, whose first step moves it onto the set
     train, spec, cfg = desk_problem(on_A)
+    if start is not None:
+        spec, cfg = start(train, spec, cfg)
     report = violina_fit(train, spec, cfg)
     wrapped_A = ProjectOnly(spec.on_A)
     wrapped_B = ProjectOnly(spec.on_B) if wrap_B else spec.on_B
@@ -374,7 +396,8 @@ def test_project_only_set_gives_the_same_fit(on_A, wrap_B):
     np.testing.assert_array_equal(delegated.backtracks, report.backtracks)
     assert delegated.theta_final.A.tobytes() == report.theta_final.A.tobytes()
     assert delegated.theta_final.B.tobytes() == report.theta_final.B.tobytes()
-    assert delegated.theta_final.kernel == report.theta_final.kernel
+    assert (_dense(delegated.theta_final.kernel).tobytes()
+            == _dense(report.theta_final.kernel).tobytes())
     trials = report.steps + int(report.backtracks.sum())
     assert wrapped_A.calls == trials
     if wrap_B:
