@@ -16,25 +16,17 @@ import os
 import re
 import sys
 from contextlib import ExitStack, closing, contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .constraints import (
-    CausalBand,
-    ConstraintSpec,
-    FullSpace,
-    NonnegativeDiagonal,
-    ShiftedGraphLaplacian,
-    SymmetricMaskedNonneg,
-)
-from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
 from .kernel import CausalBandKernel, json_floats, json_int, pack_json
 from .model import StateSpaceModel, Trajectory, relative_error
 from .objective import Dataset, _check_trajectory
-from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
-from .svgplot import panel_plot
-from .synth import KINDS, BenchmarkConfig, energy_deviation, simulate_trajectories, suite_models
+
+# Each command imports the rest of the package it runs (synth, constraints,
+# pgd, dmdc, svgplot) when it runs, so a child process loads only its own.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -351,6 +343,8 @@ def _publishing(out_dir=None):
 # ---------------------------------------------------------------- generate
 
 def cmd_generate(args) -> int:
+    from .synth import KINDS, BenchmarkConfig, simulate_trajectories, suite_models
+
     if args.preset:
         cfg = (BenchmarkConfig.desk_scale() if args.preset == "desk"
                else BenchmarkConfig.paper_scale())
@@ -411,7 +405,10 @@ def cmd_generate(args) -> int:
 
 # --------------------------------------------------------------------- fit
 
-def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
+def _constraint_spec_from_args(args, train: Dataset):
+    from .constraints import (CausalBand, ConstraintSpec, FullSpace, NonnegativeDiagonal,
+                              ShiftedGraphLaplacian, SymmetricMaskedNonneg)
+
     Q = args.bandwidth if args.bandwidth is not None else train.q + 1
     try:
         on_D = CausalBand(train.q, Q)
@@ -437,20 +434,25 @@ def _constraint_spec_from_args(args, train: Dataset) -> ConstraintSpec:
 
 
 def cmd_fit(args) -> int:
+    from .pgd import PgdConfig, SolverError, default_initial_point, violina_fit
+
     with _publishing() as stage:
         out, curve = stage(args.out), stage(args.curve) if args.curve else None
         train = _open_dataset(args.train)
         spec = _constraint_spec_from_args(args, train)
         try:
             theta0 = default_initial_point(train.n, train.k, train.m, train.q, spec.on_D.Q)
-            cfg = PgdConfig(theta0=theta0, t0=args.t0, eta=args.eta, max_steps=args.steps,
-                            stop_tol=args.stop_tol)
+            # the settings given; PgdConfig holds the defaults of the others
+            cfg = PgdConfig(theta0=theta0, **{f.name: getattr(args, f.name)
+                                              for f in fields(PgdConfig) if hasattr(args, f.name)})
         except ValueError as exc:
             raise ConfigError(f"solver settings: {exc}") from exc
         try:
             report = violina_fit(train, spec, cfg)
         except MemoryError as exc:  # the engine's Gram matrix grows with the bandwidth
             raise ConfigError(f"solver settings: bandwidth {spec.on_D.Q}: {exc}") from exc
+        except SolverError as exc:  # a numeric failure, which main reports as such
+            raise ValueError(str(exc)) from exc
         _dump_json(out, report.theta_final.to_dict())
         if curve:
             _dump_csv(curve, ("step", "loss", "stepsize", "backtracks"),
@@ -464,6 +466,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_dmdc(args) -> int:
+    from .dmdc import as_model, dmdc_fit, dmdc_rank_scan
+
     if args.rank is not None and args.scan_csv:
         raise ConfigError("--scan-csv needs the rank scan, which --rank skips")
     if args.pooled and args.fit_index is not None:
@@ -544,6 +548,8 @@ def cmd_evaluate(args) -> int:
         header = ("trajectory", "rel_error") + (("max_abs_denergy",) if args.energy else ())
         rows = []
         energy_max = 0.0
+        if args.energy:
+            from .synth import energy_deviation
         for i, traj in enumerate(data.trajectories):
             pred = _predict(model, traj, data.m)
             truth = traj.states[:, : data.m + 1]
@@ -613,6 +619,8 @@ def _trajectory_at(data, index: int) -> Trajectory | None:
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import panel_plot
+
     if args.kind == "curve":
         if not args.inputs:
             raise ConfigError("plot curve: need at least one CSV input")
@@ -699,10 +707,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", help="manifest JSON carrying the neighbor mask")
     p.add_argument("--bandwidth", type=int, default=None,
                    help="kernel bandwidth Q (default: q + 1)")
-    p.add_argument("--t0", type=float, default=PgdConfig.t0)
-    p.add_argument("--eta", type=float, default=PgdConfig.eta)
-    p.add_argument("--steps", type=int, default=PgdConfig.max_steps)
-    p.add_argument("--stop-tol", type=float, default=PgdConfig.stop_tol)
+    # the solver settings, named as PgdConfig's fields; one not given stays
+    # out of args, so that PgdConfig alone holds the defaults
+    p.add_argument("--t0", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--eta", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--steps", dest="max_steps", metavar="STEPS", type=int,
+                   default=argparse.SUPPRESS)
+    p.add_argument("--stop-tol", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--curve", help="learning-curve CSV")
     p.set_defaults(func=cmd_fit)
@@ -771,7 +782,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, TypeError, SolverError, np.linalg.LinAlgError) as exc:
+    except (ValueError, TypeError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

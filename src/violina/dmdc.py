@@ -54,8 +54,10 @@ def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.nda
     trajectories are kept, so ``data`` may be a one-pass stream.  Raises
     ``ValueError`` when ``rank`` lies outside ``[1, attainable rank]`` (the
     numerical rank: singular values below ``1e-12`` of the largest do not
-    count), naming the attainable rank.
+    count), naming the attainable rank, and before any trajectory is read
+    when ``rank`` is not an integer.
     """
+    check_ints(rank=rank)
     if indices is None:
         return _StackSvd(data.trajectories, data.m).solve(rank)
     if not len(indices):

@@ -258,7 +258,12 @@ class CausalBandKernel:
 
 
 def partial_identity(m: int, q: int = 0) -> np.ndarray:
-    """Identity with the first ``q`` rows and columns zeroed (``1_m^q``)."""
+    """Identity with the first ``q`` rows and columns zeroed (``1_m^q``).
+    Raises ``ValueError`` for an ``m`` or ``q`` that is not an integer, or a
+    ``q`` outside ``[0, m]``."""
+    check_ints(m=m, q=q)
+    if not 0 <= q <= m:
+        raise ValueError(f"q must lie in [0, m] = [0, {m}], got {q}")
     out = np.zeros((m, m))
     idx = np.arange(q, m)
     out[idx, idx] = 1.0
@@ -316,10 +321,12 @@ def fractional_toeplitz(alpha: float, m: int) -> np.ndarray:
 
     Super-diagonal ``k`` carries ``(-1)^k * binom(alpha, k)``.  These factors
     form an exact semigroup, ``T_a @ T_b == T_{a+b}``, in the nilpotent shift
-    algebra.
+    algebra.  Raises ``ValueError`` for an order ``alpha`` that is negative
+    or not finite and an ``m`` that is not a positive integer.
     """
-    if alpha < 0:
-        raise ValueError(f"fractional order must be nonnegative, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"fractional order alpha must be finite and nonnegative, got {alpha}")
+    check_ints(m=m)
     if m < 1:
         raise ValueError(f"matrix dimension must be positive, got {m}")
     w = np.zeros(m)

@@ -131,6 +131,11 @@ class BenchmarkConfig:
         )
 
 
+def _check_time_step(h: float):
+    if not 0 < h < np.inf:
+        raise ValueError(f"time step must be positive and finite, got {h}")
+
+
 def ground_truth_models(grid: CylinderGrid, h: float, m: int, q: int = BenchmarkConfig.q,
                         Q: int = BenchmarkConfig.Q, coeffs=BenchmarkConfig.coeffs):
     """Markovian and non-Markovian ground truths on the grid.
@@ -139,8 +144,7 @@ def ground_truth_models(grid: CylinderGrid, h: float, m: int, q: int = Benchmark
     plain identity, the non-Markovian one carries the given band
     coefficients (by default the suite's, ``BenchmarkConfig``'s).
     """
-    if not 0 < h < np.inf:
-        raise ValueError(f"time step must be positive and finite, got {h}")
+    _check_time_step(h)
     A = np.eye(grid.n) + grid.laplacian * h
     B = np.eye(grid.n) * h
     markov = StateSpaceModel(A, B, CausalBandKernel.identity(m, 0, 1))
@@ -154,8 +158,10 @@ def make_input(orientation: str, sigma: int, nu: int, xi: int,
 
     Cell ``(x, y)`` at time ``t`` receives ``sigma^x * delta(xi, y) *
     sin(2 pi nu t h)`` for the parallel orientation; the perpendicular one
-    swaps the roles of ``x`` and ``y``.
+    swaps the roles of ``x`` and ``y``.  A time step ``h`` that is not
+    positive and finite raises ``ValueError``, as in ``ground_truth_models``.
     """
+    _check_time_step(h)
     if sigma not in (1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma}")
     n = Lx * Ly

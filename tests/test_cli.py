@@ -1280,6 +1280,8 @@ def test_each_command_does_its_work_once(suite_dir, tmp_path, monkeypatch, name)
     once, and so do the fit and the rank scan: the stream continues on the
     list path in place, and ``plot --kind traces`` reads two such files."""
     import violina.cli as cli
+    import violina.dmdc
+    import violina.pgd
 
     d = json.loads((suite_dir / "markov_train.json").read_text())
     for stem in ("odd", "odd2"):
@@ -1289,8 +1291,11 @@ def test_each_command_does_its_work_once(suite_dir, tmp_path, monkeypatch, name)
     if name == "plot":
         argv[argv.index("--pred") + 1] = str(tmp_path / "odd2.json")
     commands = [n for n in vars(cli) if n.startswith("cmd_")]
-    calls = _counted(monkeypatch, cli, ["violina_fit", "dmdc_rank_scan", *commands])
+    counts = [_counted(monkeypatch, violina.pgd, ["violina_fit"]),
+              _counted(monkeypatch, violina.dmdc, ["dmdc_rank_scan"]),
+              _counted(monkeypatch, cli, commands)]
     assert main(argv) == 0
+    calls = {name: c for count in counts for name, c in count.items()}
     work = {"fit": {"violina_fit": 1}, "dmdc": {"dmdc_rank_scan": 1}}.get(name, {})
     assert {n: c for n, c in calls.items() if c} == {f"cmd_{name}": 1, **work}
 
@@ -2028,6 +2033,8 @@ def test_two_outputs_naming_one_file_are_refused_before_any_read(desk_files, tmp
     gives that exit 2, not the read's exit 3, and on the desk sets the fit,
     the rank scan or the first prediction is never reached."""
     import violina.cli as cli
+    import violina.dmdc
+    import violina.pgd
     from violina.dmdc import as_model
 
     train = _load_dataset(desk_files / "train.json")
@@ -2037,8 +2044,11 @@ def test_two_outputs_naming_one_file_are_refused_before_any_read(desk_files, tmp
 
     def never(*args, **kwargs):
         raise AssertionError("the command did its work before checking its outputs")
-    monkeypatch.setattr(cli, {"fit": "violina_fit", "dmdc": "dmdc_rank_scan",
-                              "evaluate": "_predict"}[command], never)
+    # each command looks its work up where it runs: fit and dmdc in the module
+    # they import when they run
+    monkeypatch.setattr(*{"fit": (violina.pgd, "violina_fit"),
+                          "dmdc": (violina.dmdc, "dmdc_rank_scan"),
+                          "evaluate": (cli, "_predict")}[command], never)
     monkeypatch.chdir(tmp_path)
     valid = desk_files / ("test.json" if command == "evaluate" else "train.json")
     for data in (tmp_path / "missing.json", valid):
@@ -2428,3 +2438,54 @@ def test_runs_without_scipy(tmp_path):
     assert json.loads(run.stdout) == [
         "generate", "dmdc", "evaluate", "simulate", "fit", "fit", "full", "fixed_d",
         "left_pseudoinverse", "fractional_kernel", "arx_offset"]
+
+
+_LOADS_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("violina", "numpy"))
+import violina
+assert loaded() == ["violina"], loaded()
+import violina.cli
+imported = loaded()
+violina.cli._build_parser().parse_args(argv)
+assert loaded() == imported, "parsing the arguments loaded a module"
+assert violina.cli.main(argv) == 0
+print(json.dumps([m for m in loaded() if m.startswith("violina.")]))
+"""
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    """In a fresh interpreter ``import violina`` loads neither numpy nor any
+    submodule, ``violina.cli`` loads the dataset reader's modules and
+    parsing a command line loads nothing more; each command then loads
+    only the modules it runs."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "suite"
+    cfg.write_text(json.dumps(TINY))
+    train, test = str(out / "markov_train.json"), str(out / "markov_test.json")
+    model, curve, report = (str(tmp_path / name) for name in ("model.json", "curve.csv", "r.csv"))
+    evaluate = ["evaluate", "--model", model, "--dataset", test, "--report", report]
+    steps = [
+        (["generate", "--config", str(cfg), "--out", str(out)], ["synth"]),
+        (["fit", "--train", train, "--constraints", "a2b", "--mask", str(out / "manifest.json"),
+          "--steps", "2", "--out", model, "--curve", curve], ["constraints", "pgd"]),
+        (["dmdc", "--train", train, "--out", str(tmp_path / "dmdc.json")], ["dmdc"]),
+        (evaluate, []),
+        ([*evaluate, "--energy"], ["synth"]),
+        (["simulate", "--model", model, "--dataset", test, "--out", str(tmp_path / "pred.json")],
+         []),
+        (["plot", "--kind", "traces", "--truth", test, "--pred", str(tmp_path / "pred.json"),
+          "--out", str(tmp_path / "traces.svg")], ["svgplot"]),
+        (["plot", "--out", str(tmp_path / "curve.svg"), curve], ["svgplot"]),
+        (["compare", "--a", report, "--b", report], []),
+    ]
+    src = str(Path(violina.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for argv, own in steps:
+        run = subprocess.run([sys.executable, "-c", _LOADS_PROBE, json.dumps(["--quiet", *argv])],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == sorted(
+            f"violina.{name}" for name in ["cli", "kernel", "model", "objective", *own]), argv

@@ -45,6 +45,29 @@ def test_fit_refuses_a_position_that_is_not_an_integer(rng, indices):
         assert numpy_int.tobytes() == python_int.tobytes()
 
 
+class _Unread:
+    """A dataset whose trajectories must not be read."""
+    m = 20
+
+    @property
+    def trajectories(self):
+        raise AssertionError("a trajectory was read")
+
+
+@pytest.mark.parametrize("rank", [True, 2.0, np.float64(1.0), None])
+def test_fit_refuses_a_rank_that_is_not_an_integer(rng, rank):
+    """A bool, float or missing rank is refused, naming it, before any
+    trajectory is read, not taken as the rank it compares equal to or
+    failing inside the truncation; numpy integers count."""
+    for indices in (None, [0]):
+        with pytest.raises(ValueError, match="^rank must be an integer"):
+            dmdc_fit(_Unread(), rank, indices)
+    truth = random_stable_model(rng, n=3, k=2, m=20, q=0, Q=1)
+    data = simulated_dataset(rng, truth, 20, N=2)
+    for numpy_int, python_int in zip(dmdc_fit(data, np.int64(2), [1]), dmdc_fit(data, 2, [1])):
+        assert numpy_int.tobytes() == python_int.tobytes()
+
+
 @pytest.mark.parametrize("fit_index", [True, 1.0, np.float64(0.0)])
 def test_rank_scan_refuses_a_fit_index_that_is_not_an_integer(rng, fit_index):
     truth = random_stable_model(rng, n=3, k=2, m=20, q=0, Q=1)

@@ -344,6 +344,39 @@ def test_apply_kernel_checks_the_left_factor():
         apply_kernel(np.zeros((2, 4)), CausalBandKernel.identity(5, 0, 1))
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_fractional_refuses_an_order_that_is_not_finite(alpha):
+    """A NaN order is refused, not turned into a matrix of NaN, and an
+    infinite one is refused before its ceiling is taken."""
+    for factory in (fractional_toeplitz, fractional_kernel):
+        with pytest.raises(ValueError, match="^fractional order alpha must be finite and "
+                                             f"nonnegative, got {alpha}$"):
+            factory(alpha, 5)
+
+
+@pytest.mark.parametrize("m", [5.0, True, np.float64(5.0)])
+def test_fractional_refuses_a_dimension_that_is_not_an_integer(m):
+    for factory in (fractional_toeplitz, fractional_kernel):
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            factory(0.5, m)
+    assert np.array_equal(fractional_kernel(0.5, np.int64(5)), fractional_kernel(0.5, 5))
+
+
+@pytest.mark.parametrize("m, q, message", [(5, 6, r"^q must lie in \[0, m\] = \[0, 5\], got 6$"),
+                                           (5, -1, r"^q must lie in \[0, m\] = \[0, 5\], got -1$"),
+                                           (5.0, 1, "^m must be an integer"),
+                                           (5, 1.0, "^q must be an integer"),
+                                           (5, True, "^q must be an integer")])
+def test_partial_identity_refuses_a_q_it_cannot_zero(m, q, message):
+    """``q`` must be an integer in ``[0, m]``: past ``m`` it would give the
+    zero matrix, and below 0 the identity."""
+    with pytest.raises(ValueError, match=message):
+        partial_identity(m, q)
+    assert np.array_equal(partial_identity(5, 0), np.eye(5))
+    assert np.array_equal(partial_identity(5, 5), np.zeros((5, 5)))
+    assert np.array_equal(partial_identity(np.int64(5), np.int32(2)), np.diag([0, 0, 1, 1, 1.0]))
+
+
 def test_fractional_toeplitz_needs_a_positive_dimension():
     with pytest.raises(ValueError, match="^matrix dimension must be positive, got 0$"):
         fractional_toeplitz(0.5, 0)

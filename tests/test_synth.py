@@ -234,3 +234,11 @@ def test_config_defaults_are_the_field_defaults():
 def test_make_input_refuses_sigma_other_than_plus_minus_one(sigma):
     with pytest.raises(ValueError, match=f"^sigma must be \\+1 or -1, got {sigma}$"):
         make_input("parallel", sigma, 1, 0, Lx=4, Ly=2, m=8, h=0.1)
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0])
+def test_make_input_refuses_a_time_step_that_is_not_positive_and_finite(h):
+    """``make_input`` refuses the time steps ``ground_truth_models`` does,
+    with its message, instead of returning a NaN or constant forcing."""
+    with pytest.raises(ValueError, match=f"^time step must be positive and finite, got {h}$"):
+        make_input("parallel", 1, 1, 0, Lx=4, Ly=2, m=8, h=h)
