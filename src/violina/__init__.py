@@ -20,12 +20,12 @@ _EXPORTS = {
         "partial_identity", "project_to_band",
     ),
     "model": (
-        "DataMatrices", "StateSpaceModel", "Trajectory", "arx_offset", "build_data_matrices",
-        "relative_error",
+        "DataMatrices", "Dataset", "StateSpaceModel", "Trajectory", "arx_offset",
+        "build_data_matrices", "relative_error",
     ),
     "objective": (
-        "Dataset", "TangentTuple", "UniquenessReport", "fixed_d_hessian", "gradient",
-        "hessian_apply", "lipschitz_constant", "loss", "perturbed", "uniqueness_certificate",
+        "TangentTuple", "UniquenessReport", "fixed_d_hessian", "gradient", "hessian_apply",
+        "lipschitz_constant", "loss", "perturbed", "uniqueness_certificate",
     ),
     "pgd": ("FitReport", "PgdConfig", "SolverError", "default_initial_point", "violina_fit"),
     "synth": (

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import CausalBandKernel, json_floats, json_int, pack_json
-from .model import StateSpaceModel, Trajectory, relative_error
-from .objective import Dataset, _check_trajectory
+from .model import Dataset, StateSpaceModel, Trajectory, _check_trajectory, relative_error
 
 # Each command imports the rest of the package it runs (synth, constraints,
 # pgd, dmdc, svgplot) when it runs, so a child process loads only its own.

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import CausalBandKernel, check_ints
-from .model import StateSpaceModel, build_data_matrices, error_ratio
-from .objective import Dataset
+from .model import Dataset, StateSpaceModel, build_data_matrices, error_ratio
 
 _RANK_RTOL = 1e-12
 

@@ -7,77 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (CausalBandKernel, apply_kernel, band_offset_counts, band_start, check_ints,
-                     json_int)
-from .model import DataMatrices, StateSpaceModel, Trajectory, build_data_matrices
-
-
-class Dataset:
-    """A corpus of trajectories with the shared truncation parameters
-    ``0 <= q < m``; ``m`` may not exceed any trajectory length (the columns
-    it references must exist).  It holds only the trajectories."""
-
-    def __init__(self, trajectories, q: int, m: int):
-        check_ints(q=q, m=m)
-        self.trajectories, self.q, self.m = tuple(trajectories), int(q), int(m)
-        if not self.trajectories:
-            raise ValueError("a dataset needs at least one trajectory")
-        if not 0 <= self.q < self.m:
-            raise ValueError(f"need 0 <= q < m, got q={self.q}, m={self.m}")
-        for i, traj in enumerate(self.trajectories):
-            _check_trajectory(i, traj, self.n, self.k, self.m)
-
-    @property
-    def matrices(self) -> tuple[DataMatrices, ...]:
-        """The zero-padded data matrices per trajectory, built on each access.
-        No code in ``src/`` calls it, but the benchmark's ``kernel.apply``
-        layer (``perfbench/worker.py::probe_layers``) does."""
-        return tuple(_matrices(self))
-
-    @property
-    def n(self) -> int:
-        return self.trajectories[0].n
-
-    @property
-    def k(self) -> int:
-        return self.trajectories[0].k
-
-    @property
-    def size(self) -> int:
-        return len(self.trajectories)
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "m": self.m,
-            "trajectories": [t.to_dict() for t in self.trajectories],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Dataset":
-        """Parse a dataset; malformed content raises ``ValueError``, naming
-        the trajectory index when one trajectory is at fault."""
-        q, m = json_int(d, "q"), json_int(d, "m")
-        if not isinstance(d.get("trajectories"), list):
-            raise ValueError("'trajectories' must be a list of trajectories")
-        trajs = []
-        for i, t in enumerate(d["trajectories"]):
-            try:
-                trajs.append(Trajectory.from_dict(t))
-            except ValueError as exc:
-                raise ValueError(f"trajectory {i}: {exc}") from exc
-        return cls(trajs, q, m)
-
-
-def _check_trajectory(i: int, traj: Trajectory, n: int, k: int, m: int):
-    """Raise ``ValueError`` naming trajectory ``i`` unless it has ``n >= 1``
-    states, ``k`` inputs and at least ``m + 1`` states in time."""
-    if n == 0:
-        raise ValueError(f"trajectory {i} has no state variable (n = 0)")
-    if (traj.n, traj.k) != (n, k):
-        raise ValueError(f"trajectory {i} has shape ({traj.n}, {traj.k}), expected ({n}, {k})")
-    if traj.length < m:
-        raise ValueError(f"trajectory {i} has {traj.length + 1} states but m={m} needs {m + 1}")
+from .kernel import CausalBandKernel, apply_kernel, band_offset_counts, band_start
+from .model import DataMatrices, Dataset, StateSpaceModel, build_data_matrices
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,8 +54,8 @@ import numpy as np
 
 from .constraints import CausalBand, ConstraintSpec, coordinates
 from .kernel import CausalBandKernel, band_offset_counts, check_ints
-from .model import StateSpaceModel
-from .objective import Dataset, _StartRelativeLoss
+from .model import Dataset, StateSpaceModel
+from .objective import _StartRelativeLoss
 
 _MIN_STEPSIZE = 1e-300
 _MAX_BACKTRACKS = 200

@@ -9,14 +9,14 @@ drawn before the upward edge), so a given seed reproduces the suite bitwise.
 from __future__ import annotations
 
 import itertools
+import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .kernel import CausalBandKernel, check_ints, json_floats, json_int
-from .model import StateSpaceModel, Trajectory
-from .objective import Dataset
+from .model import Dataset, StateSpaceModel, Trajectory
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +119,14 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkConfig":
-        """Parse a config, defaulting missing fields; a field ``json_int`` or
-        ``json_floats`` rejects raises ``ValueError`` naming it."""
+        """Parse a config, defaulting missing fields; a member that is no
+        field, or a field ``json_int`` or ``json_floats`` rejects, raises
+        ``ValueError`` naming it."""
+        names = [f.name for f in fields(cls)]
+        unknown = next((key for key in d if key not in names), None)
+        if unknown is not None:
+            raise ValueError(f"unknown member {reprlib.repr(unknown)}; "
+                             f"a config holds only {', '.join(names)}")
         return cls(
             Lx=json_int(d, "Lx"), Ly=json_int(d, "Ly"), m=json_int(d, "m"),
             seed=json_int(d, "seed", cls.seed),

@@ -101,6 +101,8 @@ def test_generate_bad_config_exit_2(tmp_path, capsys):
         ({"coeffs": ["0.03", True]}, [], "'coeffs': a string is not a number"),
         ({"coeffs": [0.03, True]}, [], "'coeffs': true/false is not a number"),
         ({"coeffs": 0.03}, [], "'coeffs' must be a flat list, got shape ()"),
+        ({"seeed": 5, "coefs": [0.5, 0.5]}, [], "unknown member 'seeed'; a config holds only "
+         "Lx, Ly, m, seed, w0, w1, q, Q, coeffs"),
     ]:
         cfg.write_text(json.dumps({**TINY, **bad}))
         capsys.readouterr()
@@ -2449,6 +2451,8 @@ import violina
 assert loaded() == ["violina"], loaded()
 import violina.cli
 imported = loaded()
+assert [m for m in imported if m.startswith("violina")] == [
+    "violina", "violina.cli", "violina.kernel", "violina.model"], imported
 violina.cli._build_parser().parse_args(argv)
 assert loaded() == imported, "parsing the arguments loaded a module"
 assert violina.cli.main(argv) == 0
@@ -2469,7 +2473,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     steps = [
         (["generate", "--config", str(cfg), "--out", str(out)], ["synth"]),
         (["fit", "--train", train, "--constraints", "a2b", "--mask", str(out / "manifest.json"),
-          "--steps", "2", "--out", model, "--curve", curve], ["constraints", "pgd"]),
+          "--steps", "2", "--out", model, "--curve", curve], ["constraints", "objective", "pgd"]),
         (["dmdc", "--train", train, "--out", str(tmp_path / "dmdc.json")], ["dmdc"]),
         (evaluate, []),
         ([*evaluate, "--energy"], ["synth"]),
@@ -2488,4 +2492,4 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
                              capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout) == sorted(
-            f"violina.{name}" for name in ["cli", "kernel", "model", "objective", *own]), argv
+            f"violina.{name}" for name in ["cli", "kernel", "model", *own]), argv

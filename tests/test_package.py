@@ -16,9 +16,9 @@ PUBLIC = {
     "dmdc": ["RankScanResult", "dmdc_fit", "dmdc_rank_scan"],
     "kernel": ["CausalBandKernel", "apply_kernel", "fractional_kernel", "fractional_toeplitz",
                "partial_identity", "project_to_band"],
-    "model": ["DataMatrices", "StateSpaceModel", "Trajectory", "arx_offset",
+    "model": ["DataMatrices", "Dataset", "StateSpaceModel", "Trajectory", "arx_offset",
               "build_data_matrices", "relative_error"],
-    "objective": ["Dataset", "TangentTuple", "UniquenessReport", "fixed_d_hessian", "gradient",
+    "objective": ["TangentTuple", "UniquenessReport", "fixed_d_hessian", "gradient",
                   "hessian_apply", "lipschitz_constant", "loss", "perturbed",
                   "uniqueness_certificate"],
     "pgd": ["FitReport", "PgdConfig", "SolverError", "default_initial_point", "violina_fit"],
@@ -41,6 +41,12 @@ def test_each_name_is_its_submodules_object(module):
         assert getattr(violina, name) is getattr(home, name), name
         assert vars(violina)[name] is getattr(home, name), name  # kept after the first lookup
     assert getattr(violina, module) is home
+
+
+def test_the_loss_module_uses_the_data_layers_dataset():
+    from violina import model, objective
+
+    assert objective.Dataset is model.Dataset
 
 
 def test_dir_and_star_import_list_the_public_names():
