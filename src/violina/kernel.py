@@ -1,9 +1,22 @@
-"""Banded causal Toeplitz memory kernels.
+"""Banded causal Toeplitz memory kernels, and the readers and packers of
+the JSON fields every file of violina holds.
 
 A memory kernel is an upper-triangular Toeplitz matrix whose first ``q``
 columns are zero and whose main diagonal is one.  Only the ``Q - 1``
 super-diagonal coefficients are free, so kernels are stored compactly and
 expanded to a dense matrix only where an operation genuinely needs one.
+
+A float array is written packed, as base64 of its float64 bytes
+(``pack_floats``, ``pack_json``), and read back by ``json_table``.  The
+reader decodes through ``_PAIRS``, a read-only table of every pair of
+base64 characters built at import: two lookups per 4-character group,
+written straight into the array it returns, the last group's ``=`` read as
+zero bits and its bytes cut to the count the shape needs.  Any text the
+table declines (a character outside the alphabet, ``=`` anywhere but at
+the end, a length other than the canonical one, a character that is not
+ASCII, or a big-endian host) goes through ``base64.b64decode`` as before,
+so every array and every error message is the decoder's own.
+
 All functions here are pure; values are immutable and safe to share across
 threads.
 """
@@ -14,6 +27,7 @@ import base64
 import binascii
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +79,7 @@ def json_floats(d: dict, key: str, ndim: int, default=None) -> np.ndarray:
         raise ValueError(f"{name}: true/false is not a number")
     try:
         a = np.asarray(value).astype(float, copy=False)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, ValueError) as exc:  # ValueError: a ragged array
         raise ValueError(f"{name}: {exc}") from exc
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} holds non-finite values")
@@ -122,6 +136,75 @@ def pack_json(a: np.ndarray) -> bytes:
     return b'[%d,%d,"%s"%s]' % (rows, cols, text, listed)
 
 
+_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_OUTSIDE = 0xFFFFFFFF  # the entry of a pair with a character outside the alphabet
+_GROUPS = 1 << 12  # 4-character groups per block: 48 KiB of working arrays
+
+
+def _pair_table() -> np.ndarray:
+    """The read-only ``uint32`` table of every pair of characters, indexed by
+    the little-endian ``uint16`` of the pair: the pair's 12 bits, the first
+    character's 6 leading, shifted left by 8, or ``_OUTSIDE`` when either
+    character is not in the RFC 4648 alphabet."""
+    six = np.full(256, 1 << 20, dtype=np.uint32)  # outside: past the bits of every pair
+    six[np.frombuffer(_ALPHABET, dtype=np.uint8)] = np.arange(64, dtype=np.uint32) << 8
+    table = np.add.outer(six, six << 6).ravel()  # row: the second character, column: the first
+    table[table >= 1 << 20] = _OUTSIDE
+    table.flags.writeable = False
+    return table
+
+
+_PAIRS = _pair_table()
+
+
+def _pair_floats(text: str, rows: int, width: int) -> np.ndarray | None:
+    """The ``rows x width`` float array whose little-endian float64 bytes
+    the base64 ``text`` holds, decoded through ``_PAIRS``: a fresh C-ordered
+    array, bit for bit what ``base64.b64decode`` gives.  The last group's
+    ``=`` reads as ``A`` (zero bits), and its bytes are cut to those the
+    shape needs.  ``None`` when the table path declines the text: a length
+    other than the canonical ``4 * ceil(8 * rows * width / 3)``, a character
+    that is not ASCII or not in the alphabet (``=`` too, but for the padding
+    of the last group), a shape numpy cannot build, or a big-endian host."""
+    size = 8 * rows * width
+    groups = -(-size // 3)
+    if sys.byteorder != "little" or not text.isascii() or len(text) != 4 * groups:
+        return None
+    try:
+        out = np.empty((rows, width))
+    except ValueError:
+        return None
+    if not size:
+        return out
+    encoded = text.encode("ascii")
+    body, pad = groups - 1, 3 * groups - size
+    last = encoded[4 * body:]
+    if last[4 - pad:] != b"=" * pad:
+        return None
+    end = _PAIRS[np.frombuffer(last[:4 - pad] + b"A" * pad, dtype="<u2")]
+    if end.max() == _OUTSIDE:
+        return None
+    raw = out.reshape(-1).view(np.uint8)
+    pairs = np.frombuffer(encoded, dtype="<u2", count=2 * body).reshape(body, 2)
+    # group g's three bytes, big-endian in the top of word g at byte 3 g; its
+    # low byte is the next group's first, which the next word writes over (a
+    # 1-D assignment writes in index order), and the last group's after the loop
+    words = np.ndarray((body,), dtype=">u4", buffer=raw, strides=(3,))
+    lookups = np.empty((min(body, _GROUPS), 2), dtype=np.uint32)
+    word = np.empty(len(lookups), dtype=np.uint32)
+    for g in range(0, body, len(lookups)):
+        pair, w = lookups[:body - g], word[:body - g]
+        np.take(_PAIRS, pairs[g:g + len(pair)], out=pair, mode="clip")  # a uint16 never clips
+        if pair.max() == _OUTSIDE:
+            return None
+        np.left_shift(pair[:, 0], 12, out=w)
+        w |= pair[:, 1]
+        words[g:g + len(w)] = w
+    tail = (int(end[0]) << 12 | int(end[1])).to_bytes(4, "big")
+    raw[3 * body:] = np.frombuffer(tail, dtype=np.uint8, count=size - 3 * body)
+    return out
+
+
 def json_table(d: dict, key: str) -> np.ndarray:
     """Field ``key`` of a parsed JSON object as a finite 2-D float array,
     from either layout: the packed one (``packed``), or a list of lists of
@@ -130,8 +213,11 @@ def json_table(d: dict, key: str) -> np.ndarray:
     strictly increasing JSON integers in ``[0, cols)``; every other column
     holds ``+0.0``.  The text must be the padded base64, with no other
     character, of exactly ``8 * rows`` bytes per stored column, and the
-    values finite; anything else raises ``ValueError`` naming the field.
-    The array owns its data, C-ordered, as ``json_floats`` returns it."""
+    values finite; anything else, a shape numpy cannot build too, raises
+    ``ValueError`` naming the field.  The text is decoded through the pair
+    table (``_pair_floats``); text that path declines goes through
+    ``base64.b64decode``, whose faults this reports.  The array owns its
+    data, C-ordered, as ``json_floats`` returns it."""
     value = _member(d, key, None)
     if not packed(value):
         return json_floats(d, key, 2)
@@ -147,20 +233,25 @@ def json_table(d: dict, key: str) -> np.ndarray:
         raise ValueError(f"{name}: the stored columns must be increasing integers "
                          f"in [0, {cols}), got {reprlib.repr(columns)}")
     width = cols if columns is None else len(columns)
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
-        raise ValueError(f"{name}: not base64: {exc}") from None
-    size = 8 * rows * width
-    if len(raw) != size:
-        raise ValueError(f"{name}: {len(raw)} bytes, but {rows} x {width} floats take {size}")
-    if len(text) != 4 * -(-size // 3):  # the decoder may take padding after the last group
-        raise ValueError(f"{name}: base64 padding after the last group")
-    block = np.frombuffer(raw, dtype="<f8").reshape(rows, width)
+    block = _pair_floats(text, rows, width)
+    if block is None:
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+            raise ValueError(f"{name}: not base64: {exc}") from None
+        size = 8 * rows * width
+        if len(raw) != size:
+            raise ValueError(f"{name}: {len(raw)} bytes, but {rows} x {width} floats take {size}")
+        if len(text) != 4 * -(-size // 3):  # the decoder may take padding after the last group
+            raise ValueError(f"{name}: base64 padding after the last group")
+        try:  # a copy, in native byte order, not a view on the bytes
+            block = np.frombuffer(raw, dtype="<f8").reshape(rows, width).astype(float)
+        except ValueError as exc:  # a shape numpy cannot build
+            raise ValueError(f"{name}: {exc}") from None
     if not np.all(np.isfinite(block)):
         raise ValueError(f"{name} holds non-finite values")
     if columns is None:
-        return block.astype(float)  # a copy, in native byte order, not a view on the bytes
+        return block
     try:  # the text need not hold the zero columns, so a short one may ask for any size
         a = np.zeros((rows, cols))
     except (MemoryError, ValueError):

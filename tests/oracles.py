@@ -3,9 +3,12 @@
 These deliberately avoid the library's computational paths: projections are
 checked against an active-set quadratic-program enumeration, gradients
 against central finite differences, and losses against literal entry loops.
-The dataset reader is checked against the byte-offset parser it replaced.
+The dataset reader is checked against the byte-offset parser it replaced,
+and the packed-array decoder against the ``base64.b64decode`` path it
+replaced.
 """
 
+import base64
 import json
 import re
 
@@ -675,3 +678,21 @@ def byte_offset_dataset_json(fh, chunk):
             del buf[:1]
     if buf[0] != ord("]") or (buf[1:] + fh.read()).rstrip(b" \t\n\r") != b"}":
         raise ValueError("expected ',' or ']}' and the end of the text")
+
+
+def stdlib_packed_block(name, text, rows, width):
+    """The ``rows x width`` float block of a packed array's base64 ``text``,
+    decoded as ``kernel.json_table`` did before its pair table: through
+    ``base64.b64decode(text, validate=True)``, then the byte count and the
+    text length, each fault raising the ``ValueError`` it raised, naming
+    ``name``.  A read-only view on the decoded bytes."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{name}: not base64: {exc}") from None
+    size = 8 * rows * width
+    if len(raw) != size:
+        raise ValueError(f"{name}: {len(raw)} bytes, but {rows} x {width} floats take {size}")
+    if len(text) != 4 * -(-size // 3):
+        raise ValueError(f"{name}: base64 padding after the last group")
+    return np.frombuffer(raw, dtype="<f8").reshape(rows, width)

@@ -485,6 +485,10 @@ def test_malformed_dataset_exit_2_names_the_trajectory(suite_dir, tmp_path, caps
         # three rows, the last a string, are rows, not a packed array
         "trajectory 1: 'inputs': a string is not a number": broken(
             lambda d: d["trajectories"][1].__setitem__("inputs", [[0.0], [1.0], "1.5"])),
+        "trajectory 1: 'inputs': setting an array element with a sequence": broken(
+            lambda d: d["trajectories"][1]["inputs"][2].pop()),
+        "trajectory 0: 'states': Maximum allowed dimension exceeded": broken(
+            lambda d: d["trajectories"][0].__setitem__("states", [10 ** 30, 2, "", []])),
     }
     for i, (expected, data) in enumerate(cases.items()):
         path = tmp_path / f"bad{i}.json"
@@ -523,6 +527,30 @@ def test_dataset_reader_matches_list_path(desk_files, kind):
         for x, y in ((a.states, b.states), (a.inputs, b.inputs)):
             assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides)
             assert x.tobytes() == y.tobytes()
+
+
+def test_canonical_sets_never_fall_back(desk_files, monkeypatch):
+    """Every array violina writes has the canonical base64, so the pair table
+    decodes all of it, the padded last groups too: with ``base64.b64decode``
+    made to raise, the desk train and test sets read through the stream and
+    through the list path to the arrays they read to with it."""
+    import base64
+
+    paths = [desk_files / f"{kind}.json" for kind in ("train", "test")]
+    texts = [a[2] for p in paths for t in json.loads(p.read_text())["trajectories"]
+             for a in t.values()]
+    assert any(t.endswith("=") for t in texts) and not all(t.endswith("=") for t in texts)
+    expected = [_load_dataset(p).trajectories for p in paths]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("base64.b64decode decoded a canonical text")
+
+    monkeypatch.setattr(base64, "b64decode", refuse)
+    for path, want in zip(paths, expected):
+        for read in (_load_dataset(path), Dataset.from_dict(json.loads(path.read_text()))):
+            for a, b in zip(read.trajectories, want, strict=True):
+                assert a.states.tobytes() == b.states.tobytes()
+                assert a.inputs.tobytes() == b.inputs.tobytes()
 
 
 def test_dataset_reader_yields_json_loads_of_each_trajectory(monkeypatch):
@@ -1381,6 +1409,7 @@ def test_malformed_model_exit_2(suite_dir, tmp_path, capsys):
     cases = {
         "missing field 'A'": broken(lambda d: d.pop("A")),
         "inhomogeneous": broken(lambda d: d["A"][3].pop()),
+        "'A': setting an array element with a sequence": broken(lambda d: d["A"][5].pop()),
         "'A' holds non-finite values": broken(
             lambda d: d["A"][3].__setitem__(0, float("nan"))),
         "'B' holds non-finite values": broken(lambda d: d.__setitem__("B", None)),
@@ -1437,6 +1466,8 @@ def test_malformed_manifest_exit_2(suite_dir, tmp_path, capsys):
     cases = {
         "missing field 'mask'": broken(lambda d: d.pop("mask")),
         "inhomogeneous": broken(lambda d: d["mask"][2].pop()),
+        "'mask': setting an array element with a sequence": broken(
+            lambda d: d["mask"][4].pop()),
         "'mask' holds non-finite values": broken(
             lambda d: d["mask"][2].__setitem__(0, float("nan"))),
         "'mask': int too large to convert to float": broken(

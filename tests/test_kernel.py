@@ -12,7 +12,7 @@ from violina import (
     project_to_band,
 )
 from conftest import lenient_b64decode
-from oracles import literal_fractional_toeplitz, lstsq_band_projection
+from oracles import literal_fractional_toeplitz, lstsq_band_projection, stdlib_packed_block
 
 
 def test_dense_identity_when_no_band():
@@ -221,6 +221,15 @@ def test_kernel_json_round_trip():
     assert CausalBandKernel.from_dict(k.to_dict()) == k
 
 
+def _foreign(group: str, position: int):
+    """The fault that puts ``*`` at ``position`` (0 to 3) of the ``first``,
+    a ``middle`` or the ``last`` 4-character group of a text."""
+    def fault(t):
+        i = 4 * {"first": 0, "middle": len(t) // 8, "last": len(t) // 4 - 1}[group] + position
+        return t[:i] + "*" + t[i + 1:]
+    return fault
+
+
 _TEXT_FAULTS = {
     "alphabet": lambda t: t[:4] + "*" + t[4:],
     "line-break": lambda t: t[:8] + "\n" + t[8:],
@@ -231,6 +240,8 @@ _TEXT_FAULTS = {
     "padding-missing": lambda t: t.rstrip("=") if t.endswith("=") else t[:-1],
     "group-missing": lambda t: t[:-4],
     "not-ascii": lambda t: "é" + t[1:],
+    **{f"foreign-{group}-{position}": _foreign(group, position)
+       for group in ("first", "middle", "last") for position in range(4)},
 }
 
 
@@ -240,7 +251,9 @@ def test_json_table_refuses_bad_base64_on_either_decoder(monkeypatch, rows, leni
     """A packed array is read the same, and every malformed text refused,
     whether ``base64.b64decode`` checks strictly itself (Python 3.11+) or
     only the alphabet (3.10): the text- and byte-length checks of
-    ``json_table`` hold the rest."""
+    ``json_table`` hold the rest.  Each text the pair table declines, a
+    foreign character in any place of the first, a middle or the last group
+    too, is refused with the message of the ``base64.b64decode`` path."""
     import base64
 
     from violina.kernel import json_table, pack_floats
@@ -255,8 +268,11 @@ def test_json_table_refuses_bad_base64_on_either_decoder(monkeypatch, rows, leni
     for label, fault in _TEXT_FAULTS.items():
         text = fault(good[2])
         assert text != good[2], label
-        with pytest.raises(ValueError, match="^'x'"):
+        with pytest.raises(ValueError, match="^'x'") as stdlib:
+            stdlib_packed_block("'x'", text, rows, 2)
+        with pytest.raises(ValueError, match="^'x'") as refused:
             json_table({"x": [rows, 2, text]}, "x")
+        assert str(refused.value) == str(stdlib.value), label
 
 
 def test_packed_needs_a_shape_not_rows():

@@ -4,9 +4,11 @@ Examples are derandomized and capped so the suite stays deterministic and
 fast: every run draws the same inputs.
 """
 
+import base64
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,6 +26,7 @@ from violina import (
     project_symmetric_masked_nonneg,
 )
 from violina.constraints import coordinates
+from violina.kernel import _pair_floats, json_table
 from conftest import assert_lifted_point_is_fixed
 from oracles import (
     literal_nonneg_diagonal,
@@ -230,3 +233,57 @@ def test_apply_kernel_matches_dense_product(case):
     scale = 1.0 + np.abs(Y).max() * (1.0 + np.abs(K.coeffs).sum())
     np.testing.assert_allclose(apply_kernel(Y, K), Y @ K.to_dense(),
                                rtol=0.0, atol=1e-13 * scale)
+
+
+# signed zeros, subnormals, the smallest normal and the largest finite values
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+               1.797e308, -1.797e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def packed_tables(draw, padding):
+    """A packed array whose text ends in ``padding`` ``=``: finite float64
+    values of every bit pattern, the edge values among them, in ``rows x
+    width`` stored columns (some shapes span several decoder blocks), at
+    times with the bits set that the last character holds beyond the last
+    byte, and the array as ``json_table`` takes it, whole or with its
+    stored columns listed among more."""
+    rows = draw(st.integers(0, 40) | st.sampled_from([1535, 1536, 1537, 3071, 3072, 3073]))
+    width = draw(st.integers(0, 5))
+    assume(rows * width % 3 == padding)  # 8 n bytes leave n % 3 "=" in the base64
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.integers(0, 2**64, size=(rows, width), dtype=np.uint64).view(np.float64)
+    block[~np.isfinite(block)] = 1.0
+    edge = rng.random(block.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    block[edge] = rng.choice(EDGE_FLOATS, size=int(edge.sum()))
+    text = base64.b64encode(block.tobytes()).decode()
+    assert text.count("=") == padding
+    if padding and draw(st.booleans()):  # set the bits of the last character no byte holds
+        alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+        last = alphabet[alphabet.index(text[-padding - 1]) | (1 << 2 * padding) - 1]
+        text = text[:-padding - 1] + last + "=" * padding
+    if not draw(st.booleans()):
+        return text, rows, width, [rows, width, text]
+    cols = width + draw(st.integers(0, 3))
+    columns = sorted(rng.choice(cols, size=width, replace=False).tolist())
+    return text, rows, width, [rows, cols, text, columns]
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@PROPERTY
+@given(st.data())
+def test_pair_table_decodes_the_bits_of_b64decode(padding, data):
+    """``json_table`` reads a packed array through the pair table to
+    ``np.frombuffer(base64.b64decode(text, validate=True), "<f8")`` bit for
+    bit, in stored columns among ``+0.0`` ones when a list names them, in a
+    fresh C-ordered float array of the packed shape."""
+    text, rows, width, value = data.draw(packed_tables(padding))
+    expected = np.frombuffer(base64.b64decode(text, validate=True), "<f8").reshape(rows, width)
+    table = _pair_floats(text, rows, width)
+    assert table is not None and table.tobytes() == expected.tobytes()
+    read = json_table({"x": value}, "x")
+    assert read.dtype == np.float64 and read.shape == (rows, value[1])
+    assert read.flags.c_contiguous and read.flags.owndata
+    columns = value[3] if len(value) == 4 else list(range(width))
+    assert read[:, columns].tobytes() == expected.tobytes()
+    assert not np.delete(read, columns, axis=1).view(np.uint64).any()
