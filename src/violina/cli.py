@@ -448,7 +448,7 @@ def cmd_fit(args) -> int:
             raise ConfigError(f"solver settings: {exc}") from exc
         try:
             report = violina_fit(train, spec, cfg)
-        except MemoryError as exc:  # the engine's Gram matrix grows with the bandwidth
+        except MemoryError as exc:  # the engine's stack buffer grows with the bandwidth
             raise ConfigError(f"solver settings: bandwidth {spec.on_D.Q}: {exc}") from exc
         except SolverError as exc:  # a numeric failure, which main reports as such
             raise ValueError(str(exc)) from exc

@@ -367,8 +367,10 @@ def project_to_band(M: np.ndarray, q: int, Q: int) -> CausalBandKernel:
     Each free super-diagonal coefficient is the mean of the corresponding
     in-band entries of ``M``; the main diagonal is forced to one and
     everything else to zero.  Averaging over the in-band rows is the exact
-    least-squares solution for this affine set.
+    least-squares solution for this affine set.  A ``q`` or ``Q`` that is
+    not an integer raises ``ValueError`` naming it.
     """
+    check_ints(q=q, Q=Q)
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")

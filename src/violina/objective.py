@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel, apply_kernel, band_offset_counts, band_start
+from .kernel import CausalBandKernel, apply_kernel, band_offset_counts, band_start, check_ints
 from .model import DataMatrices, Dataset, StateSpaceModel, build_data_matrices
 
 
@@ -95,22 +95,28 @@ def hessian_apply(delta: TangentTuple, data: Dataset) -> TangentTuple:
     return gradient(StateSpaceModel(delta.dA, delta.dB, delta.dD), data)
 
 
-def _write_stack(W: np.ndarray, mat: DataMatrices, q: int, Q: int) -> int:
-    """Write one trajectory's stack ``[X; U; S_1 Y; ...; S_{Q-1} Y]`` into
-    the leading rows of ``W`` and return its row count.  The band shift
-    ``S_d Y = Y Delta_d``, with ``Delta_d`` one on the in-band entries of
-    super-diagonal ``d``, is the ``d``-th term of :func:`apply_kernel` for
-    nullity ``q``."""
-    n, k, m = mat.X.shape[0], mat.U.shape[0], W.shape[1]
-    W[:n] = mat.X
-    W[n : n + k] = mat.U
-    r = n + k
-    for d in range(1, Q):
-        j0 = band_start(q, d)
-        W[r : r + n, :j0] = 0.0
-        W[r : r + n, j0:] = mat.Y[:, j0 - d : m - d]
-        r += n
-    return r
+def _stacks(data: Dataset, q: int, Q: int, extra: int = 0):
+    """Each trajectory's stack ``W = [X; U; S_1 Y; ...; S_{Q-1} Y]``, with
+    ``extra`` more rows left to the caller, and its ``Y``, in dataset order.
+    Both are written straight from the trajectory's state and input windows
+    into two buffers made once, so they hold the values of
+    :func:`build_data_matrices` and the caller reads them before it takes
+    the next trajectory.  The band shift ``S_d Y = Y Delta_d``, with
+    ``Delta_d`` one on the in-band entries of super-diagonal ``d``, is the
+    ``d``-th term of :func:`apply_kernel` for nullity ``q``.  The columns of
+    the stack and of ``Y`` that no trajectory fills stay zero, as made."""
+    n, k, m, p = data.n, data.k, data.m, data.q
+    W, Y = np.zeros((n * Q + k + extra, m)), np.zeros((n, m))
+    for traj in data.trajectories:
+        W[:n, p:] = traj.states[:, p:m]
+        W[n : n + k, p:] = traj.inputs[:, p:m]
+        Y[:, p:] = traj.states[:, p + 1 : m + 1]
+        r = n + k
+        for d in range(1, Q):
+            j0 = band_start(q, d)
+            W[r : r + n, j0:] = Y[:, j0 - d : m - d]
+            r += n
+        yield W, Y
 
 
 class _StartRelativeLoss:
@@ -122,69 +128,76 @@ class _StartRelativeLoss:
     ``E0`` is the residual at ``theta0`` in residual form, so an exactly
     fitted start has a bitwise-zero loss and gradient.  The kernel blocks
     ``K_i`` are the band shifts ``S_d Y``, ``d = 1 .. Q-1``, of
-    :func:`_write_stack` and, when ``kernel_after`` is given, ``J = Y
-    D_after - Y D0``, which carries a start kernel outside the band form (or
-    a fixed kernel other than ``D0``) into the kernel the first projection
-    returns.
+    :func:`_stacks` and, when ``kernel_after`` is given, ``J = Y D_after - Y
+    D0``, which carries a start kernel outside the band form (or a fixed
+    kernel other than ``D0``) into the kernel the first projection returns.
 
     With ``W = [X; U; K_1; ...; K_nz; E0]``, ``r = n (nz + 2) + k`` rows, and
     ``Theta = [P, z_1 I, ..., z_nz I, I]`` for ``P = [A0 - A, B0 - B]``, each
     residual is ``Theta W``, the loss ``tr(Theta G Theta^T)`` and its
     gradient in ``Theta`` is ``2 Theta G`` for the Gram matrix ``G = sum W
-    W^T``, accumulated one trajectory at a time: each trajectory's data
-    matrices and ``E0`` are built in the loop that adds its ``||E0||^2`` to
-    ``initial_loss`` (in dataset order) and its ``W W^T`` to ``G``, and are
-    dropped before the next trajectory's; every stack is written into one
-    ``r x m`` buffer.  So beside the dataset the accumulation holds one
-    trajectory's matrices, whatever the number of trajectories.  Every block
-    of ``Theta`` but ``P`` is a multiple of the identity, so only these
-    blocks of ``G`` are kept: ``G_PP = G[:nk, :nk]`` (``nk = n + k``), the
-    rows ``C_l`` of identity block ``l`` in the columns of ``P``, and ``S``,
-    the traces of the ``n x n`` blocks pairing two identity blocks.  With
-    ``w = [z, 1]``:
+    W^T``.  Every block of ``Theta`` but ``P`` is a multiple of the
+    identity, so only these blocks of ``G`` are needed, and only they are
+    summed: ``G_PP = sum Z Z^T`` for ``Z = [X; U]`` (``nk = n + k`` rows),
+    ``C = sum K Z^T`` for the rows ``K = [K_1; ...; K_nz; E0]``, whose
+    ``n``-row block ``l`` is ``C_l``, and ``S``, the Frobenius products
+    ``<K_l, K_l'>`` of those blocks, which are the traces of the ``n x n``
+    blocks of ``G`` pairing two identity blocks.  With ``w = [z, 1]``:
 
     - ``[gA, gB] = -2 (P G_PP + sum_l w_l C_l)``;
     - ``gz_l = 2 (<C_l, P> + (S w)_l)``, ``l < nz``.
 
-    One evaluation is one ``n x nk`` by ``nk x nk`` product plus ``O((nz +
-    1) n nk)``, against ``O(N m n (n + k + Q))`` in residual form, after a
-    one-off ``O(N m r^2)`` accumulation.  Its products use ``np.dot``, not
-    ``@``: the same BLAS routine and bits, without the matmul ufunc's
-    dispatch, which at desk size costs as much as the arithmetic.  No loss
-    is evaluated here: it is quadratic, so the solver moves it by the exact
-    increment ``1/2 <Delta, g + g_new>``, whose rounding is relative to the
-    gradients, not to ``f``.
+    The sums run one trajectory at a time, in dataset order, over stacks
+    that :func:`_stacks` writes into one ``r x m`` buffer.  ``E0`` is formed
+    in its last ``n`` rows in residual form's order, its products with
+    ``A0`` and ``B0`` written in place, and its ``||E0||^2`` is added to
+    ``initial_loss``.  So beside the dataset the accumulation holds one
+    trajectory's stack and no ``r x r`` array, whatever the number of
+    trajectories, and it costs ``O(N m nk (nk + n (nz + 1)))``.  One
+    evaluation is one ``n x nk`` by ``nk x nk`` product plus ``O((nz + 1) n
+    nk)``, against ``O(N m n (n + k + Q))`` in residual form.  Its products
+    use ``np.dot``, not ``@``: the same BLAS routine and bits, without the
+    matmul ufunc's dispatch, which at desk size costs as much as the
+    arithmetic.  No loss is evaluated here: it is quadratic, so the solver
+    moves it by the exact increment ``1/2 <Delta, g + g_new>``, whose
+    rounding is relative to the gradients, not to ``f``.
     ``G`` squares the data (Bjorck, *Numerical Methods for Least Squares
     Problems*, 1996), which the tests bound against the triangular-factor
     form ``Theta R^T`` of ``tests/oracles.py``.
     """
 
     def __init__(self, data: Dataset, theta0: StateSpaceModel, q: int, Q: int, kernel_after):
-        self.nz = Q - 1 + (kernel_after is not None)
+        moved = kernel_after is not None
+        self.nz = Q - 1 + moved
         _check_shapes(theta0, data)
-        n, nk = data.n, data.n + data.k
-        r = n * (2 + self.nz) + data.k
-        G = np.zeros((r, r))
-        W = np.empty((r, data.m))  # each trajectory's stack in turn
+        n, nk, l = data.n, data.n + data.k, self.nz + 1
+        G_PP, C, S = np.zeros((nk, nk)), np.zeros((l * n, nk)), np.zeros((l, l))
+        # each trajectory's products, written in place
+        G_i, C_i, S_i = np.empty_like(G_PP), np.empty_like(C), np.empty_like(S)
+        T = np.empty((n, data.m))
         self.initial_loss = 0.0
-        for mat in _matrices(data):
-            e0 = _residual(theta0, mat)
-            self.initial_loss += float(np.sum(e0 * e0))
-            rows = _write_stack(W, mat, q, Q)
-            if kernel_after is not None:
-                W[rows : rows + n] = (apply_kernel(mat.Y, kernel_after)
-                                      - apply_kernel(mat.Y, theta0.kernel))
-            W[-n:] = e0
-            del mat, e0  # before the next trajectory's are built
-            G += W @ W.T
+        for W, Y in _stacks(data, q, Q, n * (1 + moved)):  # (J and) E0 after the band
+            Z, K, E = W[:nk], W[nk:], W[-n:]
+            E[...] = apply_kernel(Y, theta0.kernel)
+            if moved:
+                np.subtract(apply_kernel(Y, kernel_after), E, out=W[-2 * n : -n])
+            np.matmul(theta0.A, Z[:n], out=T)
+            E -= T
+            np.matmul(theta0.B, Z[n:], out=T)
+            E -= T
+            self.initial_loss += float(np.sum(np.multiply(E, E, out=T)))
+            G_PP += np.matmul(Z, Z.T, out=G_i)
+            C += np.matmul(K, Z.T, out=C_i)
+            blocks = K.reshape(l, n * data.m)  # one row per n-row block of K
+            S += np.matmul(blocks, blocks.T, out=S_i)
         # kept times -2 (and S times 2), which is exact, so that the gradient
         # needs no scaling pass; C_l flattened, one row per identity block:
         # K_1 .. K_nz, then E0
-        self._G_PP = -2.0 * G[:nk, :nk]
-        self._C = -2.0 * G[nk:, :nk].reshape(self.nz + 1, n * nk)
-        self._S = 2.0 * np.trace(G[nk:, nk:].reshape(self.nz + 1, n, self.nz + 1, n),
-                                 axis1=1, axis2=3)
-        self._w, self._S_z, self._C_z = np.ones(self.nz + 1), self._S[:-1], self._C[:-1]
+        G_PP *= -2.0
+        C *= -2.0
+        S *= 2.0
+        self._G_PP, self._C, self._S = G_PP, C.reshape(l, n * nk), S
+        self._w, self._S_z, self._C_z = np.ones(l), self._S[:-1], self._C[:-1]
 
     def gradient(self, P: np.ndarray, z: np.ndarray):
         """``(G, gz)`` where ``Theta``'s leading ``n x (n + k)`` block is ``P =
@@ -230,10 +243,8 @@ def lipschitz_constant(data: Dataset) -> float:
 
 def fixed_d_hessian(data: Dataset) -> np.ndarray:
     """Hessian of the fixed-kernel problem: ``sum_mu [X; U] [X; U]^T``."""
-    dim = data.n + data.k
-    H, Z = np.zeros((dim, dim)), np.empty((dim, data.m))
-    for mat in _matrices(data):
-        _write_stack(Z, mat, data.q, 1)
+    H = np.zeros((data.n + data.k,) * 2)
+    for Z, _ in _stacks(data, data.q, 1):
         H += Z @ Z.T
     return H
 
@@ -265,10 +276,8 @@ def _restricted_hessian_extremes(data: Dataset, q: int, Q: int) -> tuple[float, 
     """
     n, a = data.n, data.n + data.k
     scale = 1.0 / np.sqrt(band_offset_counts(data.m, q, Q))
-    r = a + n * (Q - 1)
-    R, W = np.zeros((r, r)), np.empty((r, data.m))
-    for mat in _matrices(data):  # R^T R = sum W W^T, reduced one stack at a time
-        _write_stack(W, mat, q, Q)
+    R = np.zeros((a + n * (Q - 1),) * 2)
+    for W, _ in _stacks(data, q, Q):  # R^T R = sum W W^T, reduced one stack at a time
         R = np.linalg.qr(np.vstack([R, W.T]), mode="r")
     sigma = np.linalg.svd(R[:a, :a], compute_uv=False)
     rank = int(np.sum(sigma > sigma[0] * max(a, data.size * data.m) * np.finfo(float).eps))
@@ -294,8 +303,11 @@ def uniqueness_certificate(data: Dataset, mode: str = "fixed_d",
     eigenvalue.  ``fixed_d`` is ``Q = 1``, a fixed kernel: eigenvalues twice
     those of :func:`fixed_d_hessian`; any other ``Q`` with it raises
     ``ValueError``.  Either way ``rank_condition`` states whether the stacked
-    ``[X; U]`` has full row rank ``n + k``.
+    ``[X; U]`` has full row rank ``n + k``.  A ``Q`` that is not an integer
+    raises ``ValueError`` naming it.
     """
+    if Q is not None:
+        check_ints(Q=Q)
     if mode == "fixed_d":
         if Q not in (None, 1):
             raise ValueError(f"mode 'fixed_d' fixes the kernel (Q = 1), got Q={Q}")

@@ -120,7 +120,9 @@ class FitReport:
 
 
 def default_initial_point(n: int, k: int, m: int, q: int, Q: int) -> StateSpaceModel:
-    """The standard start: identity A, zero B, identity-like kernel."""
+    """The standard start: identity A, zero B, identity-like kernel.  An
+    argument that is not an integer raises ``ValueError`` naming it."""
+    check_ints(n=n, k=k, m=m, q=q, Q=Q)
     return StateSpaceModel(np.eye(n), np.zeros((n, k)), CausalBandKernel.identity(m, q, Q))
 
 

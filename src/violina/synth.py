@@ -52,7 +52,9 @@ class CylinderGrid:
 def build_cylinder_graph(Lx: int, Ly: int, w0: float, w1: float, seed: int) -> CylinderGrid:
     """Draw weights in ``[w0, w1]`` once per undirected edge and assemble the
     adjacency and Laplacian (off-diagonals nonnegative, zero row and column
-    sums)."""
+    sums).  An ``Lx``, ``Ly`` or ``seed`` that is not an integer raises
+    ``ValueError`` naming it."""
+    check_ints(Lx=Lx, Ly=Ly, seed=seed)
     if Lx < 3:
         raise ValueError(f"circumference must be at least 3 cells, got {Lx}")
     if Ly < 1:
@@ -165,8 +167,10 @@ def make_input(orientation: str, sigma: int, nu: int, xi: int,
     Cell ``(x, y)`` at time ``t`` receives ``sigma^x * delta(xi, y) *
     sin(2 pi nu t h)`` for the parallel orientation; the perpendicular one
     swaps the roles of ``x`` and ``y``.  A time step ``h`` that is not
-    positive and finite raises ``ValueError``, as in ``ground_truth_models``.
+    positive and finite raises ``ValueError``, as in ``ground_truth_models``,
+    and so does any other argument that is not an integer, naming it.
     """
+    check_ints(sigma=sigma, nu=nu, xi=xi, Lx=Lx, Ly=Ly, m=m)
     _check_time_step(h)
     if sigma not in (1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma}")

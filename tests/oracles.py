@@ -4,8 +4,9 @@ These deliberately avoid the library's computational paths: projections are
 checked against an active-set quadratic-program enumeration, gradients
 against central finite differences, and losses against literal entry loops.
 The dataset reader is checked against the byte-offset parser it replaced,
-and the packed-array decoder against the ``base64.b64decode`` path it
-replaced.
+the packed-array decoder against the ``base64.b64decode`` path it
+replaced, and the fit engine's Gram blocks against one whole Gram matrix
+per trajectory.
 """
 
 import base64
@@ -29,8 +30,8 @@ from violina import (
 )
 from violina.cli import _HEAD_END
 from violina.dmdc import _StackSvd, as_model
-from violina.kernel import band_offset_counts
-from violina.model import relative_error
+from violina.kernel import apply_kernel, band_offset_counts
+from violina.model import build_data_matrices, relative_error
 
 
 def project_polyhedral(v, A_eq, b_eq, nonneg_idx):
@@ -400,6 +401,43 @@ class LiteralEngine:
         G = 2.0 * (F @ self.R)
         kernel_blocks = G[:, nk : nk + self.nz * n].reshape(n, self.nz, n)
         return -G[:, :nk], np.trace(kernel_blocks, axis1=0, axis2=2)
+
+
+def literal_stacks(data, q, Q):
+    """Each trajectory's ``build_data_matrices`` and, stacked from them, its
+    ``W = [X; U; S_1 Y; ...; S_(Q-1) Y]``, ``S_d Y`` holding ``Y``'s
+    columns moved ``d`` to the right from column ``max(q, d)`` on: fresh
+    arrays per trajectory, in dataset order."""
+    m = data.m
+    for traj in data.trajectories:
+        mat = build_data_matrices(traj, data.q, m)
+        shifts = [np.zeros_like(mat.Y) for _ in range(1, Q)]
+        for d, shift in enumerate(shifts, start=1):
+            shift[:, max(q, d):] = mat.Y[:, max(q, d) - d : m - d]
+        yield mat, np.vstack([mat.X, mat.U, *shifts])
+
+
+def gram_blocks(data, theta0, q, Q, kernel_after):
+    """The fit engine's sums the long way: one whole Gram matrix ``W W^T``
+    per trajectory of the stack ``W = [X; U; S_1 Y; ...; S_(Q-1) Y; (J);
+    E0]`` of :func:`literal_stacks`, ``E0 = Y D0 - A0 X - B0 U`` in residual
+    form and ``J = Y D_after - Y D0``, then sliced.  Returns ``(G_PP, C, S,
+    initial_loss, row_norms)``: the leading ``n + k`` block, the rows of
+    the identity blocks in its columns, the traces of the ``n x n`` blocks
+    pairing two identity blocks, ``sum ||E0||^2`` in dataset order, and the
+    Euclidean norm of each row of the stacked ``W``, all unscaled."""
+    n, nk = data.n, data.n + data.k
+    nz = Q - 1 + (kernel_after is not None)
+    G, f0 = 0.0, 0.0
+    for mat, W in literal_stacks(data, q, Q):
+        YD0 = apply_kernel(mat.Y, theta0.kernel)
+        e0 = YD0 - theta0.A @ mat.X - theta0.B @ mat.U
+        f0 += float(np.sum(e0 * e0))
+        J = [] if kernel_after is None else [apply_kernel(mat.Y, kernel_after) - YD0]
+        W = np.vstack([W, *J, e0])
+        G = G + W @ W.T
+    S = np.trace(G[nk:, nk:].reshape(nz + 1, n, nz + 1, n), axis1=1, axis2=3)
+    return G[:nk, :nk], G[nk:, :nk], S, f0, np.sqrt(np.diag(G))
 
 
 def literal_fit(data, spec, cfg):

@@ -1717,7 +1717,7 @@ def test_bad_solver_settings_exit_2(suite_dir, tmp_path, capsys, setting):
 
 
 class _NoRoom:
-    """numpy, but with no memory for an array of more than 10 000 entries:
+    """numpy, but with no memory for an array of more than 5 000 entries:
     ``zeros`` raises ``MemoryError`` with numpy's message instead of
     allocating it."""
 
@@ -1726,17 +1726,17 @@ class _NoRoom:
 
     @staticmethod
     def zeros(shape, *args, **kwargs):
-        if np.prod(shape) > 10_000:
+        if np.prod(shape) > 5_000:
             raise MemoryError(f"Unable to allocate for an array with shape {shape} "
                               "and data type float64")
         return np.zeros(shape, *args, **kwargs)
 
 
 def test_fit_bandwidth_too_large_for_memory_exit_2(suite_dir, tmp_path, capsys, monkeypatch):
-    """A bandwidth whose Gram matrix (``r x r`` with ``r = n (Q + 1) + k``,
-    220 x 220 here) cannot be allocated exits 2 with one line naming the
-    bandwidth, and writes no file.  The allocation is made to fail, not
-    attempted."""
+    """A bandwidth whose stack buffer (``r x m`` with ``r = n (Q + 1) + k``
+    rows, 220 x 30 here), the engine's largest array, cannot be allocated
+    exits 2 with one line naming the bandwidth, and writes no file.  The
+    allocation is made to fail, not attempted."""
     from violina import objective
 
     monkeypatch.setattr(objective, "np", _NoRoom())
@@ -1746,7 +1746,7 @@ def test_fit_bandwidth_too_large_for_memory_exit_2(suite_dir, tmp_path, capsys, 
                "--out", str(out), "--curve", str(curve)])
     assert (rc, capsys.readouterr().err) == (2, (
         "error: solver settings: bandwidth 20: Unable to allocate for an array with "
-        "shape (220, 220) and data type float64\n"))
+        "shape (220, 30) and data type float64\n"))
     assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "suite"]
 
 

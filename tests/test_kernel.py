@@ -396,3 +396,14 @@ def test_partial_identity_refuses_a_q_it_cannot_zero(m, q, message):
 def test_fractional_toeplitz_needs_a_positive_dimension():
     with pytest.raises(ValueError, match="^matrix dimension must be positive, got 0$"):
         fractional_toeplitz(0.5, 0)
+
+
+@pytest.mark.parametrize("field, q, Q", [("Q", 1, 2.0), ("q", 1.0, 2), ("q", True, 2),
+                                         ("Q", 1, np.float64(3.0))])
+def test_project_to_band_refuses_a_width_that_is_not_an_integer(field, q, Q):
+    """A float or a bool ``q`` or ``Q`` is refused naming the field, not by
+    a ``TypeError`` from the coefficients; numpy integers count."""
+    M = np.eye(4)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        project_to_band(M, q, Q)
+    assert project_to_band(M, np.int64(1), np.int32(2)) == project_to_band(M, 1, 2)

@@ -6,11 +6,13 @@ from violina import (
     CausalBand,
     CausalBandKernel,
     Dataset,
+    Fixed,
     StateSpaceModel,
     TangentTuple,
     Trajectory,
     build_benchmark_suite,
     fixed_d_hessian,
+    fractional_kernel,
     gradient,
     hessian_apply,
     lipschitz_constant,
@@ -19,15 +21,16 @@ from violina import (
     uniqueness_certificate,
 )
 from violina.kernel import band_offset_counts
-from violina.model import build_data_matrices
 from violina.objective import _restricted_hessian_extremes, _StartRelativeLoss
 from conftest import random_dataset, random_stable_model, random_theta, simulated_dataset
 from oracles import (
     exact_lipschitz,
     LiteralEngine,
     finite_difference_gradient,
+    gram_blocks,
     literal_lipschitz,
     literal_loss,
+    literal_stacks,
     literal_smoothness_bound,
     literal_theta,
     restricted_hessian,
@@ -437,18 +440,82 @@ def test_engine_gradient_matches_literal(rng, q, Q, dense_start, k):
         assert np.all(np.abs(gz - lz) <= np.trace(blocks, axis1=0, axis2=2))
 
 
-def test_engine_builds_the_data_matrices_once(rng, monkeypatch):
-    # the start residual and the Gram stack share one build per trajectory
+class _ReadOnce(tuple):
+    """A dataset's trajectories that can be iterated once, recording each
+    trajectory taken; indexing, which ``Dataset.n`` and ``k`` use, is not
+    a read."""
+
+    def __iter__(self):
+        assert not hasattr(self, "taken"), "the trajectories were iterated twice"
+        self.taken = []
+        for traj in super().__iter__():
+            self.taken.append(traj)
+            yield traj
+
+
+def test_engine_reads_each_trajectory_once(rng):
+    # the start residual and the Gram blocks share one read of each trajectory
     data = random_dataset(rng, N=3)
-    built = []
-
-    def counting(*args):
-        built.append(args)
-        return build_data_matrices(*args)
-
-    monkeypatch.setattr("violina.objective.build_data_matrices", counting)
+    trajectories = data.trajectories
+    data.trajectories = _ReadOnce(trajectories)
     _StartRelativeLoss(data, random_theta(rng, Q=3), 1, 3, None)
-    assert len(built) == data.size
+    assert list(map(id, data.trajectories.taken)) == list(map(id, trajectories))
+
+
+GRAM_CASES = pytest.mark.parametrize(
+    "data_q, q, Q, start, k",
+    [(1, 1, 3, "band", 2), (1, 1, 3, "dense", 2), (0, 0, 1, "band", 2), (1, 1, 3, "band", 5),
+     (1, 0, 1, "fixed", 2), (0, 2, 4, "band", 2)],
+    ids=["band-start", "dense-start", "Q1", "k-gt-n", "fixed", "band-q-differs"])
+
+
+@GRAM_CASES
+def test_engine_blocks_match_the_whole_gram_matrix(rng, data_q, q, Q, start, k):
+    # The engine sums only the blocks it keeps, the oracle slices W W^T.
+    # Each entry of either is a sum of the same p products in another
+    # order, so each lies within (p + N) eps sum |a b| of the exact sum:
+    # p = M products of two rows of the stacked W for G_PP and C, bounded by
+    # the product of their norms w_i w_j, and p = n M for an entry of S,
+    # bounded by the sum of w_i w_j over the rows of its two n-row blocks.
+    # The initial loss is the same residual-form sum, bit for bit.
+    n, m, N = 3, 8, 2
+    data = random_dataset(rng, n, k, m, data_q, N)
+    theta0 = random_theta(rng, n, k, m, data_q, data_q + 2)
+    kernel_after = None
+    if start == "dense":
+        theta0 = StateSpaceModel(theta0.A, theta0.B, rng.normal(size=(m, m)))
+        kernel_after = CausalBand(q, Q).project(theta0.kernel)
+    elif start == "fixed":
+        kernel_after = Fixed(fractional_kernel(0.5, m)).project(theta0.kernel)
+    engine = _StartRelativeLoss(data, theta0, q, Q, kernel_after)
+    G_PP, C, S, f0, w = gram_blocks(data, theta0, q, Q, kernel_after)
+    nk, l, M, eps = n + k, engine.nz + 1, N * m, np.finfo(float).eps
+    assert engine.nz == Q - 1 + (start != "band")
+    bound = 2.0 * (M + N) * eps * np.outer(w, w)
+    assert np.all(np.abs(-0.5 * engine._G_PP - G_PP) <= bound[:nk, :nk])
+    assert np.all(np.abs(-0.5 * engine._C.reshape(l * n, nk) - C) <= bound[nk:, :nk])
+    blocks = w[nk:].reshape(l, n)
+    trace_bound = 2.0 * (n * M + N) * eps * blocks @ blocks.T
+    assert np.all(np.abs(0.5 * engine._S - S) <= trace_bound)
+    assert engine.initial_loss == f0
+
+
+@pytest.mark.parametrize("name", ["markov", "nonmarkov"])
+def test_stacks_have_the_parents_bits_on_the_desk_train_set(name, monkeypatch):
+    """One writer owns the stack: ``fixed_d_hessian`` is bitwise the
+    engine's ``G_PP`` block, and the certificates are bitwise the ones
+    reduced from stacks built from ``build_data_matrices``."""
+    from violina import objective
+
+    train = getattr(build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1)), name).train
+    q, Q = train.q, train.q + 1
+    engine = _StartRelativeLoss(train, random_theta(np.random.default_rng(0), train.n, train.k,
+                                                    train.m, q, Q), q, Q, None)
+    assert fixed_d_hessian(train).tobytes() == (-0.5 * engine._G_PP).tobytes()
+    reports = [uniqueness_certificate(train, mode) for mode in ("fixed_d", "full")]
+    monkeypatch.setattr(objective, "_stacks", lambda data, q, Q: (
+        (W, mat.Y) for mat, W in literal_stacks(data, q, Q)))
+    assert reports == [uniqueness_certificate(train, mode) for mode in ("fixed_d", "full")]
 
 
 def _engine_peak(traj, copies):
@@ -482,3 +549,15 @@ def test_engine_memory_does_not_grow_with_the_trajectories():
 def test_uniqueness_certificate_refuses_an_unknown_mode(rng):
     with pytest.raises(ValueError, match="^unknown mode 'exact', expected 'fixed_d' or 'full'$"):
         uniqueness_certificate(random_dataset(rng), mode="exact")
+
+
+@pytest.mark.parametrize("mode, Q", [("full", 1.5), ("full", True), ("fixed_d", True),
+                                     ("fixed_d", 1.0), ("full", np.float64(2.0))])
+def test_uniqueness_certificate_refuses_a_bandwidth_that_is_not_an_integer(rng, mode, Q):
+    """A float or a bool ``Q`` is refused naming the field, in either mode:
+    ``True`` does not run as ``Q = 1``; numpy integers count."""
+    data = random_dataset(rng, n=2, k=1, m=5, q=0, N=1)
+    with pytest.raises(ValueError, match="^Q must be an integer"):
+        uniqueness_certificate(data, mode=mode, Q=Q)
+    same = uniqueness_certificate(data, "full", Q=np.int64(2))
+    assert same == uniqueness_certificate(data, "full", Q=2)

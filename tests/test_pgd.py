@@ -590,3 +590,15 @@ def test_fixed_value_not_an_array_is_shape_checked(rng, value, shape):
     out = Fixed(listed).project(np.zeros((3, 3)))
     assert isinstance(out, np.ndarray) and out.dtype == float
     assert np.array_equal(out, np.diag([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("field, args", [("n", (2.0, 1, 5, 1, 2)), ("k", (2, 1.0, 5, 1, 2)),
+                                         ("m", (2, 1, 5.0, 1, 2)), ("q", (2, 1, 5, True, 2)),
+                                         ("Q", (2, 1, 5, 1, np.float64(2.0)))])
+def test_default_initial_point_refuses_a_size_that_is_not_an_integer(field, args):
+    """A float or a bool size is refused naming the field, not by a
+    ``TypeError`` from ``np.eye`` or the kernel; numpy integers count."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        default_initial_point(*args)
+    theta = default_initial_point(*map(np.int64, (2, 1, 5, 1, 2)))
+    assert theta.kernel == default_initial_point(2, 1, 5, 1, 2).kernel

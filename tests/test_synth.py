@@ -242,3 +242,33 @@ def test_make_input_refuses_a_time_step_that_is_not_positive_and_finite(h):
     with its message, instead of returning a NaN or constant forcing."""
     with pytest.raises(ValueError, match=f"^time step must be positive and finite, got {h}$"):
         make_input("parallel", 1, 1, 0, Lx=4, Ly=2, m=8, h=h)
+
+
+@pytest.mark.parametrize("field, Lx, Ly, seed", [("Lx", 4.0, 2, 1), ("Ly", 4, 2.0, 1),
+                                                 ("seed", 4, 2, 1.0), ("Lx", True, 2, 1),
+                                                 ("Ly", 4, np.float64(2.0), 1)])
+def test_cylinder_graph_refuses_a_size_that_is_not_an_integer(field, Lx, Ly, seed):
+    """A float or a bool ``Lx``, ``Ly`` or ``seed`` is refused naming the
+    field, not by ``range`` or ``np.zeros`` later; numpy integers count."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        build_cylinder_graph(Lx, Ly, 0.5, 1.5, seed)
+    grid = build_cylinder_graph(np.int64(4), np.int32(2), 0.5, 1.5, np.int64(1))
+    assert np.array_equal(grid.laplacian, build_cylinder_graph(4, 2, 0.5, 1.5, 1).laplacian)
+
+
+@pytest.mark.parametrize("field, args", [("sigma", (1.0, 1, 0, 4, 2, 8)),
+                                         ("nu", (1, 1.5, 0, 4, 2, 8)),
+                                         ("xi", (1, 1, 0.0, 4, 2, 8)),
+                                         ("xi", (1, 1, True, 4, 2, 8)),
+                                         ("Lx", (1, 1, 0, 4.0, 2, 8)),
+                                         ("Ly", (1, 1, 0, 4, 2.0, 8)),
+                                         ("m", (1, 1, 0, 4, 2, 10.5))])
+def test_make_input_refuses_an_argument_that_is_not_an_integer(field, args):
+    """A float or a bool index, frequency, size or sign is refused naming
+    the field, not by an ``IndexError`` or a ``TypeError`` later; numpy
+    integers count."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        make_input("parallel", *args, h=0.1)
+    assert np.array_equal(make_input("parallel", np.int64(-1), np.int64(2), np.int64(1),
+                                     np.int64(4), np.int64(2), np.int64(8), 0.1),
+                          make_input("parallel", -1, 2, 1, 4, 2, 8, 0.1))
