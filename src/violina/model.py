@@ -229,8 +229,10 @@ def build_data_matrices(traj: Trajectory, q: int, m: int) -> DataMatrices:
     """Assemble the zero-padded data matrices from a trajectory.
 
     ``X = [0_{n x q}, x_q, ..., x_{m-1}]``, ``Y = [0_{n x q}, x_{q+1}, ..., x_m]``,
-    ``U = [0_{k x q}, u_q, ..., u_{m-1}]``.
+    ``U = [0_{k x q}, u_q, ..., u_{m-1}]``.  A ``q`` or ``m`` that is not an
+    integer raises ``ValueError`` naming it.
     """
+    check_ints(q=q, m=m)
     if not 0 <= q < m:
         raise ValueError(f"need 0 <= q < m, got q={q}, m={m}")
     if traj.length < m:

@@ -95,28 +95,53 @@ def hessian_apply(delta: TangentTuple, data: Dataset) -> TangentTuple:
     return gradient(StateSpaceModel(delta.dA, delta.dB, delta.dD), data)
 
 
-def _stacks(data: Dataset, q: int, Q: int, extra: int = 0):
+def _stacks(data: Dataset, q: int, Q: int, extra: int = 0, driven: bool = False):
     """Each trajectory's stack ``W = [X; U; S_1 Y; ...; S_{Q-1} Y]``, with
-    ``extra`` more rows left to the caller, and its ``Y``, in dataset order.
-    Both are written straight from the trajectory's state and input windows
-    into two buffers made once, so they hold the values of
-    :func:`build_data_matrices` and the caller reads them before it takes
-    the next trajectory.  The band shift ``S_d Y = Y Delta_d``, with
-    ``Delta_d`` one on the in-band entries of super-diagonal ``d``, is the
-    ``d``-th term of :func:`apply_kernel` for nullity ``q``.  The columns of
-    the stack and of ``Y`` that no trajectory fills stay zero, as made."""
+    ``extra`` more rows left to the caller, its ``Y`` and the input rows
+    ``r`` that ``W`` holds, in dataset order.  All three are written
+    straight from the trajectory's state and input windows into buffers
+    made once, so they hold the values of :func:`build_data_matrices` and
+    the caller reads them before it takes the next trajectory.  The band
+    shift ``S_d Y = Y Delta_d``, with ``Delta_d`` one on the in-band entries
+    of super-diagonal ``d``, is the ``d``-th term of :func:`apply_kernel`
+    for nullity ``q``.  The columns of the stack and of ``Y`` that no
+    trajectory fills stay zero, as made.
+
+    ``r`` is every input row, unless ``driven``: then it holds only the rows
+    that are nonzero (or not finite) inside the window, columns ``data.q ..
+    m-1``, written in order after ``X``, so that ``W[:n + len(r)] = [X;
+    U_r]``; the rows after it, up to the band, hold nothing to read.  The
+    rows left out are zero, so they add exact zeros to every product."""
     n, k, m, p = data.n, data.k, data.m, data.q
     W, Y = np.zeros((n * Q + k + extra, m)), np.zeros((n, m))
+    r = np.arange(k)
     for traj in data.trajectories:
+        U = traj.inputs[:, p:m]
+        if driven:
+            r = np.flatnonzero(U.any(axis=1))
+            U = U[r]
         W[:n, p:] = traj.states[:, p:m]
-        W[n : n + k, p:] = traj.inputs[:, p:m]
+        W[n : n + len(r), p:] = U
         Y[:, p:] = traj.states[:, p + 1 : m + 1]
-        r = n + k
+        row = n + k
         for d in range(1, Q):
             j0 = band_start(q, d)
-            W[r : r + n, j0:] = Y[:, j0 - d : m - d]
-            r += n
-        yield W, Y
+            W[row : row + n, j0:] = Y[:, j0 - d : m - d]
+            row += n
+        yield W, Y, r
+
+
+def _add_gram(G, Z, r):
+    """Add ``Z Z^T`` for a stack's ``Z = [X; U_r]`` into ``G``, at the rows
+    and columns that ``Z`` has in ``[X; U]``.  Returns ``Z Z^T`` and those
+    rows.  The one sum of ``G_PP`` for the engine and
+    :func:`fixed_d_hessian`."""
+    n = len(Z) - len(r)
+    rows = np.concatenate((np.arange(n), n + r))
+    ZZ = np.dot(Z, Z.T)
+    # one flat index: half the time of G[np.ix_(rows, rows)] at desk size
+    G.reshape(-1)[(rows[:, None] * len(G) + rows).ravel()] += ZZ.ravel()
+    return ZZ, rows
 
 
 class _StartRelativeLoss:
@@ -148,48 +173,63 @@ class _StartRelativeLoss:
     - ``gz_l = 2 (<C_l, P> + (S w)_l)``, ``l < nz``.
 
     The sums run one trajectory at a time, in dataset order, over stacks
-    that :func:`_stacks` writes into one ``r x m`` buffer.  ``E0`` is formed
-    in its last ``n`` rows in residual form's order, its products with
-    ``A0`` and ``B0`` written in place, and its ``||E0||^2`` is added to
-    ``initial_loss``.  So beside the dataset the accumulation holds one
-    trajectory's stack and no ``r x r`` array, whatever the number of
-    trajectories, and it costs ``O(N m nk (nk + n (nz + 1)))``.  One
-    evaluation is one ``n x nk`` by ``nk x nk`` product plus ``O((nz + 1) n
-    nk)``, against ``O(N m n (n + k + Q))`` in residual form.  Its products
-    use ``np.dot``, not ``@``: the same BLAS routine and bits, without the
-    matmul ufunc's dispatch, which at desk size costs as much as the
-    arithmetic.  No loss is evaluated here: it is quadratic, so the solver
-    moves it by the exact increment ``1/2 <Delta, g + g_new>``, whose
-    rounding is relative to the gradients, not to ``f``.
-    ``G`` squares the data (Bjorck, *Numerical Methods for Least Squares
-    Problems*, 1996), which the tests bound against the triangular-factor
-    form ``Theta R^T`` of ``tests/oracles.py``.
+    that :func:`_stacks` writes into one ``r x m`` buffer with only the
+    ``k_i`` input rows trajectory ``i`` drives, ``Z_i = [X; U_r]``: an
+    undriven row adds exact zeros, so ``Z_i Z_i^T``, ``K Z_i^T`` and
+    ``B0 U`` are summed over ``Z_i`` alone and added at its rows and
+    columns.  When ``Q > 1``, ``C_1 = sum S_1 Y Z^T`` comes from the state
+    rows of ``Z_i Z_i^T``: ``S_1 Y`` is ``X`` less its columns ``data.q ..
+    max(q, data.q + 1) - 1``, so their outer products are subtracted.  ``S``
+    takes one ``np.vdot`` per pair of ``n``-row blocks of ``K``.  ``E0`` is
+    formed in the stack's last ``n`` rows in residual form's order, its
+    products with ``A0`` and ``B0`` written in place, and its ``||E0||^2``
+    is added to ``initial_loss``.  So beside the dataset the accumulation
+    holds one trajectory's stack and no ``r x r`` array, whatever the
+    number of trajectories, and it costs ``O(m sum_i a_i (a_i + n (nz +
+    1)))`` for ``a_i = n + k_i``.  One evaluation is one ``n x nk`` by
+    ``nk x nk`` product plus ``O((nz + 1) n nk)``, against ``O(N m n (n + k
+    + Q))`` in residual form.  Its products use ``np.dot``, not ``@``: the
+    same BLAS routine and bits, without the matmul ufunc's dispatch, which
+    at desk size costs as much as the arithmetic.  No loss is evaluated
+    here: it is quadratic, so the solver moves it by the exact increment
+    ``1/2 <Delta, g + g_new>``, whose rounding is relative to the
+    gradients, not to ``f``.  ``G`` squares the data (Bjorck, *Numerical
+    Methods for Least Squares Problems*, 1996), which the tests bound
+    against the triangular-factor form ``Theta R^T`` of
+    ``tests/oracles.py``.
     """
 
     def __init__(self, data: Dataset, theta0: StateSpaceModel, q: int, Q: int, kernel_after):
         moved = kernel_after is not None
         self.nz = Q - 1 + moved
         _check_shapes(theta0, data)
-        n, nk, l = data.n, data.n + data.k, self.nz + 1
+        n, nk, l, p = data.n, data.n + data.k, self.nz + 1, data.q
         G_PP, C, S = np.zeros((nk, nk)), np.zeros((l * n, nk)), np.zeros((l, l))
-        # each trajectory's products, written in place
-        G_i, C_i, S_i = np.empty_like(G_PP), np.empty_like(C), np.empty_like(S)
         T = np.empty((n, data.m))
+        c = n if Q > 1 else 0  # rows of K whose products come from Z Z^T
+        lacks = slice(p, max(q, p + 1))  # the columns of X that S_1 Y lacks
         self.initial_loss = 0.0
-        for W, Y in _stacks(data, q, Q, n * (1 + moved)):  # (J and) E0 after the band
-            Z, K, E = W[:nk], W[nk:], W[-n:]
+        for W, Y, r in _stacks(data, q, Q, n * (1 + moved), driven=True):
+            Z, K, E = W[: n + len(r)], W[nk:], W[-n:]  # (J and) E0 after the band
             E[...] = apply_kernel(Y, theta0.kernel)
             if moved:
                 np.subtract(apply_kernel(Y, kernel_after), E, out=W[-2 * n : -n])
             np.matmul(theta0.A, Z[:n], out=T)
             E -= T
-            np.matmul(theta0.B, Z[n:], out=T)
+            np.matmul(theta0.B[:, r], Z[n:], out=T)
             E -= T
             self.initial_loss += float(np.sum(np.multiply(E, E, out=T)))
-            G_PP += np.matmul(Z, Z.T, out=G_i)
-            C += np.matmul(K, Z.T, out=C_i)
-            blocks = K.reshape(l, n * data.m)  # one row per n-row block of K
-            S += np.matmul(blocks, blocks.T, out=S_i)
+            ZZ, rows = _add_gram(G_PP, Z, r)
+            KZ = np.empty((l * n, len(Z)))
+            np.dot(K[c:], Z.T, out=KZ[c:])
+            if c:  # S_1 Y Z^T: X Z^T less the products of the columns S_1 Y lacks
+                np.subtract(ZZ[:n], np.dot(Z[:n, lacks], Z[:, lacks].T), out=KZ[:n])
+            C[:, rows] += KZ
+            blocks = K.reshape(l, -1)  # one row per n-row block of K
+            for i in range(l):
+                for j in range(i, l):
+                    S[i, j] += np.vdot(blocks[i], blocks[j])
+        S += np.triu(S, 1).T
         # kept times -2 (and S times 2), which is exact, so that the gradient
         # needs no scaling pass; C_l flattened, one row per identity block:
         # K_1 .. K_nz, then E0
@@ -244,8 +284,8 @@ def lipschitz_constant(data: Dataset) -> float:
 def fixed_d_hessian(data: Dataset) -> np.ndarray:
     """Hessian of the fixed-kernel problem: ``sum_mu [X; U] [X; U]^T``."""
     H = np.zeros((data.n + data.k,) * 2)
-    for Z, _ in _stacks(data, data.q, 1):
-        H += Z @ Z.T
+    for W, _, r in _stacks(data, data.q, 1, driven=True):
+        _add_gram(H, W[: data.n + len(r)], r)
     return H
 
 
@@ -277,7 +317,7 @@ def _restricted_hessian_extremes(data: Dataset, q: int, Q: int) -> tuple[float, 
     n, a = data.n, data.n + data.k
     scale = 1.0 / np.sqrt(band_offset_counts(data.m, q, Q))
     R = np.zeros((a + n * (Q - 1),) * 2)
-    for W, _ in _stacks(data, q, Q):  # R^T R = sum W W^T, reduced one stack at a time
+    for W, *_ in _stacks(data, q, Q):  # R^T R = sum W W^T, reduced one stack at a time
         R = np.linalg.qr(np.vstack([R, W.T]), mode="r")
     sigma = np.linalg.svd(R[:a, :a], compute_uv=False)
     rank = int(np.sum(sigma > sigma[0] * max(a, data.size * data.m) * np.finfo(float).eps))

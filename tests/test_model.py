@@ -226,6 +226,18 @@ def test_build_data_matrices_length_error(rng):
         build_data_matrices(traj, 1, 5)
 
 
+@pytest.mark.parametrize("q, m, name", [(1.0, 10, "q"), (True, 10, "q"), (1, 9.5, "m"),
+                                         (0, np.float64(5.0), "m")])
+def test_build_data_matrices_refuses_an_argument_that_is_not_an_integer(rng, q, m, name):
+    """A float or a bool ``q`` or ``m`` is refused naming it: ``True`` does not
+    run as ``q = 1``; numpy integers count."""
+    traj = Trajectory(rng.normal(size=(2, 11)), rng.normal(size=(1, 10)))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        build_data_matrices(traj, q, m)
+    same = build_data_matrices(traj, np.int64(1), np.int32(10))
+    assert np.array_equal(same.X, build_data_matrices(traj, 1, 10).X)
+
+
 def test_hankel_companion_no_memory_is_plain_pair(rng):
     model = random_stable_model(rng, n=3, k=2, m=8, q=0, Q=1)
     sA, sB = hankel_companion(model)

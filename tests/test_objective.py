@@ -462,24 +462,53 @@ def test_engine_reads_each_trajectory_once(rng):
     assert list(map(id, data.trajectories.taken)) == list(map(id, trajectories))
 
 
+# The input rows each trajectory drives (k = 5): none, every row, and sets
+# that differ from one trajectory to the next.
+MIXED = [(0, 3), (), range(5), (1, 2, 4)]
+
+
+def driven_dataset(rng, n, k, m, q, driven):
+    """Trajectory ``i`` has normal inputs in rows ``driven[i]`` inside the
+    window, columns ``q .. m-1``, and zeros in the other rows there; every
+    row is nonzero before column ``q``, which drives nothing."""
+    trajs = []
+    for rows in driven:
+        inputs = np.zeros((k, m))
+        inputs[:, :q] = rng.normal(size=(k, q))
+        inputs[list(rows), q:] = rng.normal(size=(len(rows), m - q))
+        trajs.append(Trajectory(rng.normal(size=(n, m + 1)), inputs))
+    return Dataset(trajs, q, m)
+
+
 GRAM_CASES = pytest.mark.parametrize(
-    "data_q, q, Q, start, k",
-    [(1, 1, 3, "band", 2), (1, 1, 3, "dense", 2), (0, 0, 1, "band", 2), (1, 1, 3, "band", 5),
-     (1, 0, 1, "fixed", 2), (0, 2, 4, "band", 2)],
-    ids=["band-start", "dense-start", "Q1", "k-gt-n", "fixed", "band-q-differs"])
+    "data_q, q, Q, start, k, driven",
+    [(1, 1, 3, "band", 2, None), (1, 1, 3, "dense", 2, None), (0, 0, 1, "band", 2, None),
+     (1, 1, 3, "band", 5, None), (1, 0, 1, "fixed", 2, None), (0, 2, 4, "band", 2, None),
+     (1, 1, 3, "band", 5, MIXED), (1, 3, 4, "band", 5, MIXED), (2, 1, 3, "band", 5, MIXED),
+     (1, 0, 1, "band", 5, MIXED), (1, 1, 2, "dense", 5, MIXED), (1, 1, 3, "fixed", 5, MIXED),
+     (1, 1, 3, "band", 5, [()] * 2)],
+    ids=["band-start", "dense-start", "Q1", "k-gt-n", "fixed", "band-q-differs",
+         "driven-rows-differ", "driven-band-q-above-p", "driven-band-q-below-p", "driven-Q1",
+         "driven-dense-start", "driven-fixed", "nothing-driven"])
 
 
 @GRAM_CASES
-def test_engine_blocks_match_the_whole_gram_matrix(rng, data_q, q, Q, start, k):
-    # The engine sums only the blocks it keeps, the oracle slices W W^T.
-    # Each entry of either is a sum of the same p products in another
-    # order, so each lies within (p + N) eps sum |a b| of the exact sum:
-    # p = M products of two rows of the stacked W for G_PP and C, bounded by
-    # the product of their norms w_i w_j, and p = n M for an entry of S,
-    # bounded by the sum of w_i w_j over the rows of its two n-row blocks.
+def test_engine_blocks_match_the_whole_gram_matrix(rng, data_q, q, Q, start, k, driven):
+    # The engine sums only the blocks it keeps, over the input rows each
+    # trajectory drives, the oracle slices W W^T.  Each entry of either is a
+    # sum of the same p products in another order, so each lies within
+    # (p + N) eps sum |a b| of the exact sum: p = M products of two rows of
+    # the stacked W for G_PP and C, bounded by the product of their norms
+    # w_i w_j, and p = n M for an entry of S, bounded by the sum of w_i w_j
+    # over the rows of its two n-row blocks.  When Q > 1 the first band
+    # block of C is X Z^T less the products of the columns S_1 Y lacks, so
+    # its rows are bounded by the norms of X's rows, which are no smaller.
     # The initial loss is the same residual-form sum, bit for bit.
-    n, m, N = 3, 8, 2
-    data = random_dataset(rng, n, k, m, data_q, N)
+    n, m = 3, 8
+    if driven is None:
+        data = random_dataset(rng, n, k, m, data_q, 2)
+    else:
+        data = driven_dataset(rng, n, k, m, data_q, driven)
     theta0 = random_theta(rng, n, k, m, data_q, data_q + 2)
     kernel_after = None
     if start == "dense":
@@ -489,15 +518,39 @@ def test_engine_blocks_match_the_whole_gram_matrix(rng, data_q, q, Q, start, k):
         kernel_after = Fixed(fractional_kernel(0.5, m)).project(theta0.kernel)
     engine = _StartRelativeLoss(data, theta0, q, Q, kernel_after)
     G_PP, C, S, f0, w = gram_blocks(data, theta0, q, Q, kernel_after)
-    nk, l, M, eps = n + k, engine.nz + 1, N * m, np.finfo(float).eps
+    nk, l, N, eps = n + k, engine.nz + 1, len(data.trajectories), np.finfo(float).eps
+    M = N * m
     assert engine.nz == Q - 1 + (start != "band")
     bound = 2.0 * (M + N) * eps * np.outer(w, w)
     assert np.all(np.abs(-0.5 * engine._G_PP - G_PP) <= bound[:nk, :nk])
-    assert np.all(np.abs(-0.5 * engine._C.reshape(l * n, nk) - C) <= bound[nk:, :nk])
+    w_C = np.concatenate([w[:n] if Q > 1 else w[nk : nk + n], w[nk + n :]])
+    bound_C = 2.0 * (M + N) * eps * np.outer(w_C, w[:nk])
+    assert np.all(np.abs(-0.5 * engine._C.reshape(l * n, nk) - C) <= bound_C)
     blocks = w[nk:].reshape(l, n)
     trace_bound = 2.0 * (n * M + N) * eps * blocks @ blocks.T
     assert np.all(np.abs(0.5 * engine._S - S) <= trace_bound)
     assert engine.initial_loss == f0
+
+
+def test_driven_stacks_hold_the_inputs_nonzero_in_the_window(rng):
+    """A row counts as driven when it is nonzero, or not finite, inside the
+    window; the packed ``[X; U_r]`` holds the values of the data matrices."""
+    from violina.objective import _stacks
+
+    n, k, m, q = 3, 5, 8, 2
+    data = driven_dataset(rng, n, k, m, q, MIXED)
+    data.trajectories[1].inputs[3, -1] = np.nan
+    data.trajectories[1].inputs[4, q] = -np.inf
+    expected = [(0, 3), (3, 4), range(5), (1, 2, 4)]
+    taken = [(W[: n + len(r)].copy(), r.copy()) for W, _, r in _stacks(data, q, 2, driven=True)]
+    for (Z, r), rows, (mat, _) in zip(taken, expected, literal_stacks(data, q, 1)):
+        assert list(r) == list(rows)
+        assert np.array_equal(Z, np.vstack([mat.X, mat.U[list(rows)]]), equal_nan=True)
+    with np.errstate(invalid="ignore"):
+        engine = _StartRelativeLoss(data, random_theta(rng, n, k, m, q, 2), q, 2, None)
+    # the row is summed against X's, so no fit starts from finite blocks
+    assert np.isnan(engine._G_PP[n + 3, [*range(n), n + 3]]).all()
+    assert np.isnan(engine.initial_loss)
 
 
 @pytest.mark.parametrize("name", ["markov", "nonmarkov"])
