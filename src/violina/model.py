@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel, check_ints, json_floats, json_int, json_table, pack_floats
+from .kernel import (CausalBandKernel, band_start, check_ints, json_floats, json_int, json_table,
+                     pack_floats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +217,13 @@ class StateSpaceModel:
     @classmethod
     def from_dict(cls, d: dict) -> "StateSpaceModel":
         """Parse a model; a field ``json_floats`` or the kernel's reader
-        rejects raises ``ValueError``."""
+        rejects, or an ``n`` or ``k`` other than ``A``'s rows or ``B``'s
+        columns, raises ``ValueError``.  Both members may be absent."""
         A, B = json_floats(d, "A", 2), json_floats(d, "B", 2)
+        for key, size, axis in (("n", A.shape[0], "A has {} rows"),
+                                ("k", B.shape[1], "B has {} columns")):
+            if key in d and json_int(d, key) != size:
+                raise ValueError(f"{key!r} is {d[key]}, but {axis.format(size)}")
         if "kernel" in d:
             kernel = CausalBandKernel.from_dict(d["kernel"])
         else:
@@ -229,23 +235,10 @@ def build_data_matrices(traj: Trajectory, q: int, m: int) -> DataMatrices:
     """Assemble the zero-padded data matrices from a trajectory.
 
     ``X = [0_{n x q}, x_q, ..., x_{m-1}]``, ``Y = [0_{n x q}, x_{q+1}, ..., x_m]``,
-    ``U = [0_{k x q}, u_q, ..., u_{m-1}]``.  A ``q`` or ``m`` that is not an
-    integer raises ``ValueError`` naming it.
+    ``U = [0_{k x q}, u_q, ..., u_{m-1}]``: views of the first stack of
+    ``Dataset([traj], q, m)``, whose checks raise ``ValueError``.
     """
-    check_ints(q=q, m=m)
-    if not 0 <= q < m:
-        raise ValueError(f"need 0 <= q < m, got q={q}, m={m}")
-    if traj.length < m:
-        raise ValueError(
-            f"trajectory has {traj.length + 1} states but m={m} needs {m + 1}"
-        )
-    X = np.zeros((traj.n, m))
-    Y = np.zeros((traj.n, m))
-    U = np.zeros((traj.k, m))
-    X[:, q:] = traj.states[:, q:m]
-    Y[:, q:] = traj.states[:, q + 1 : m + 1]
-    U[:, q:] = traj.inputs[:, q:m]
-    return DataMatrices(X, Y, U)
+    return next(_matrices(Dataset([traj], q, m)))
 
 
 class Dataset:
@@ -303,6 +296,52 @@ class Dataset:
             except ValueError as exc:
                 raise ValueError(f"trajectory {i}: {exc}") from exc
         return cls(trajs, q, m)
+
+
+def _matrices(data: Dataset):
+    """The data matrices of each trajectory in dataset order: views of the
+    one buffer that :func:`_stacks` rewrites for the next trajectory, so a
+    loop over them reads each before it takes the next."""
+    for W, Y, _ in _stacks(data, data.q, 1):
+        yield DataMatrices(W[: data.n], Y, W[data.n :])
+
+
+def _stacks(data: Dataset, q: int, Q: int, extra: int = 0, driven: bool = False):
+    """Each trajectory's stack ``W = [X; U; S_1 Y; ...; S_{Q-1} Y]``, with
+    ``extra`` more rows left to the caller, its ``Y`` and the input rows
+    ``r`` that ``W`` holds, in dataset order: the one code that cuts a
+    trajectory into its least-squares windows.  All three are written
+    straight from the trajectory's state and input windows into buffers
+    made once, so the caller reads them before it takes the next
+    trajectory.  The band shift ``S_d Y = Y Delta_d``, with ``Delta_d`` one
+    on the in-band entries of super-diagonal ``d``, is the ``d``-th term of
+    ``kernel.apply_kernel`` for nullity ``q``.  The columns of the stack and
+    of ``Y`` that no trajectory fills stay zero, as made: the first
+    ``data.q`` of ``X``, ``U`` and ``Y``, and those of each band shift
+    before its band starts.
+
+    ``r`` is every input row, unless ``driven``: then it holds only the rows
+    that are nonzero (or not finite) inside the window, columns ``data.q ..
+    m-1``, written in order after ``X``, so that ``W[:n + len(r)] = [X;
+    U_r]``; the rows after it, up to the band, hold nothing to read.  The
+    rows left out are zero, so they add exact zeros to every product."""
+    n, k, m, p = data.n, data.k, data.m, data.q
+    W, Y = np.zeros((n * Q + k + extra, m)), np.zeros((n, m))
+    r = np.arange(k)
+    for traj in data.trajectories:
+        U = traj.inputs[:, p:m]
+        if driven:
+            r = np.flatnonzero(U.any(axis=1))
+            U = U[r]
+        W[:n, p:] = traj.states[:, p:m]
+        W[n : n + len(r), p:] = U
+        Y[:, p:] = traj.states[:, p + 1 : m + 1]
+        row = n + k
+        for d in range(1, Q):
+            j0 = band_start(q, d)
+            W[row : row + n, j0:] = Y[:, j0 - d : m - d]
+            row += n
+        yield W, Y, r
 
 
 def _check_trajectory(i: int, traj: Trajectory, n: int, k: int, m: int):

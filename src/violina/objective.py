@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CausalBandKernel, apply_kernel, band_offset_counts, band_start, check_ints
-from .model import DataMatrices, Dataset, StateSpaceModel, build_data_matrices
+from .kernel import CausalBandKernel, apply_kernel, band_offset_counts, check_ints
+from .model import DataMatrices, Dataset, StateSpaceModel, _matrices, _stacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,13 +49,6 @@ def _check_shapes(theta: StateSpaceModel, data: Dataset):
         raise ValueError(f"kernel dimension {km} does not match data m={data.m}")
 
 
-def _matrices(data: Dataset):
-    """The data matrices of each trajectory in dataset order, built one at a
-    time, so that a loop over them holds one trajectory's matrices."""
-    for traj in data.trajectories:
-        yield build_data_matrices(traj, data.q, data.m)
-
-
 def _residual(theta: StateSpaceModel, mat: DataMatrices) -> np.ndarray:
     return apply_kernel(mat.Y, theta.kernel) - theta.A @ mat.X - theta.B @ mat.U
 
@@ -93,42 +86,6 @@ def hessian_apply(delta: TangentTuple, data: Dataset) -> TangentTuple:
     The loss is a quadratic form in ``(A, B, D)``, so this is its gradient at
     ``delta``."""
     return gradient(StateSpaceModel(delta.dA, delta.dB, delta.dD), data)
-
-
-def _stacks(data: Dataset, q: int, Q: int, extra: int = 0, driven: bool = False):
-    """Each trajectory's stack ``W = [X; U; S_1 Y; ...; S_{Q-1} Y]``, with
-    ``extra`` more rows left to the caller, its ``Y`` and the input rows
-    ``r`` that ``W`` holds, in dataset order.  All three are written
-    straight from the trajectory's state and input windows into buffers
-    made once, so they hold the values of :func:`build_data_matrices` and
-    the caller reads them before it takes the next trajectory.  The band
-    shift ``S_d Y = Y Delta_d``, with ``Delta_d`` one on the in-band entries
-    of super-diagonal ``d``, is the ``d``-th term of :func:`apply_kernel`
-    for nullity ``q``.  The columns of the stack and of ``Y`` that no
-    trajectory fills stay zero, as made.
-
-    ``r`` is every input row, unless ``driven``: then it holds only the rows
-    that are nonzero (or not finite) inside the window, columns ``data.q ..
-    m-1``, written in order after ``X``, so that ``W[:n + len(r)] = [X;
-    U_r]``; the rows after it, up to the band, hold nothing to read.  The
-    rows left out are zero, so they add exact zeros to every product."""
-    n, k, m, p = data.n, data.k, data.m, data.q
-    W, Y = np.zeros((n * Q + k + extra, m)), np.zeros((n, m))
-    r = np.arange(k)
-    for traj in data.trajectories:
-        U = traj.inputs[:, p:m]
-        if driven:
-            r = np.flatnonzero(U.any(axis=1))
-            U = U[r]
-        W[:n, p:] = traj.states[:, p:m]
-        W[n : n + len(r), p:] = U
-        Y[:, p:] = traj.states[:, p + 1 : m + 1]
-        row = n + k
-        for d in range(1, Q):
-            j0 = band_start(q, d)
-            W[row : row + n, j0:] = Y[:, j0 - d : m - d]
-            row += n
-        yield W, Y, r
 
 
 def _add_gram(G, Z, r):

@@ -26,6 +26,18 @@ def random_dataset(rng, n=3, k=2, m=8, q=1, N=2):
     return Dataset(trajs, q, m)
 
 
+def longer_trajectories(rng, n, k, m, extra):
+    """Normal trajectories of ``m + e`` transitions, one for each ``e`` in
+    ``extra``, whose input row 0 is zero up to column ``m - 1``: nonzero
+    only after the windows of a dataset of length ``m``."""
+    trajs = []
+    for e in extra:
+        inputs = rng.normal(size=(k, m + e))
+        inputs[0, :m] = 0.0
+        trajs.append(Trajectory(rng.normal(size=(n, m + e + 1)), inputs))
+    return trajs
+
+
 def random_theta(rng, n=3, k=2, m=8, q=1, Q=2):
     coeffs = tuple(rng.normal(scale=0.3, size=Q - 1))
     return StateSpaceModel(

@@ -6,7 +6,8 @@ against central finite differences, and losses against literal entry loops.
 The dataset reader is checked against the byte-offset parser it replaced,
 the packed-array decoder against the ``base64.b64decode`` path it
 replaced, and the fit engine's Gram blocks against one whole Gram matrix
-per trajectory.
+per trajectory.  The data matrices that every oracle reads are three
+zero-padded slices of each trajectory, not the library's stack writer.
 """
 
 import base64
@@ -31,7 +32,7 @@ from violina import (
 from violina.cli import _HEAD_END
 from violina.dmdc import _StackSvd, as_model
 from violina.kernel import apply_kernel, band_offset_counts
-from violina.model import build_data_matrices, relative_error
+from violina.model import DataMatrices, relative_error
 
 
 def project_polyhedral(v, A_eq, b_eq, nonneg_idx):
@@ -203,13 +204,30 @@ def finite_difference_gradient(theta, data, h=1e-6):
     return TangentTuple(fd((n, n), "A"), fd((n, k), "B"), fd((m, m), "D"))
 
 
+def literal_matrices(traj, q, m):
+    """The zero-padded ``X``, ``Y`` and ``U`` of one trajectory: three
+    arrays of zeros, then three slices of its states and inputs."""
+    X = np.zeros((traj.n, m))
+    Y = np.zeros((traj.n, m))
+    U = np.zeros((traj.k, m))
+    X[:, q:] = traj.states[:, q:m]
+    Y[:, q:] = traj.states[:, q + 1 : m + 1]
+    U[:, q:] = traj.inputs[:, q:m]
+    return DataMatrices(X, Y, U)
+
+
+def _literal_matrices(data):
+    """:func:`literal_matrices` of each trajectory of ``data``, in order."""
+    return [literal_matrices(traj, data.q, data.m) for traj in data.trajectories]
+
+
 def literal_loss(theta, data):
     """Loss recomputed with dense matrices and explicit entry loops."""
     from violina import CausalBandKernel
 
     D = theta.kernel.to_dense() if isinstance(theta.kernel, CausalBandKernel) else theta.kernel
     total = 0.0
-    for mat in data.matrices:
+    for mat in _literal_matrices(data):
         E = mat.Y @ D - (theta.A @ mat.X + theta.B @ mat.U)
         for i in range(E.shape[0]):
             for j in range(E.shape[1]):
@@ -223,7 +241,7 @@ def literal_lipschitz(data):
     rho = {}
     for name in ("X", "U", "Y"):
         acc = 0.0
-        for mat in data.matrices:
+        for mat in _literal_matrices(data):
             Z = getattr(mat, name)
             for W in (mat.X, mat.U, mat.Y):
                 acc += np.sum((W @ Z.T) ** 2)
@@ -238,7 +256,7 @@ def literal_smoothness_bound(data):
     dim = data.n + data.k
     Gz = np.zeros((dim, dim))
     Gy = np.zeros((data.m, data.m))
-    for mat in data.matrices:
+    for mat in _literal_matrices(data):
         Z = np.vstack([mat.X, mat.U])
         for i in range(dim):
             for j in range(dim):
@@ -253,7 +271,7 @@ def stacked_rank(data):
     """Rank of the stacked ``[X; U]``: ``numpy.linalg.matrix_rank`` of the
     ``(n + k) x N m`` matrix of all trajectories side by side."""
     return int(np.linalg.matrix_rank(
-        np.hstack([np.vstack([mat.X, mat.U]) for mat in data.matrices])))
+        np.hstack([np.vstack([mat.X, mat.U]) for mat in _literal_matrices(data)])))
 
 
 def exact_lipschitz(data):
@@ -380,7 +398,7 @@ class LiteralEngine:
             delta[:, :q] = 0.0
         D0 = _dense_kernel(theta0.kernel)
         R, sq = None, 0.0
-        for mat in data.matrices:
+        for mat in _literal_matrices(data):
             blocks = [mat.X, mat.U, *(mat.Y @ delta for delta in deltas)]
             if kernel_after is not None:
                 blocks.append(mat.Y @ (_dense_kernel(kernel_after) - D0))
@@ -404,13 +422,13 @@ class LiteralEngine:
 
 
 def literal_stacks(data, q, Q):
-    """Each trajectory's ``build_data_matrices`` and, stacked from them, its
+    """Each trajectory's :func:`literal_matrices` and, stacked from them, its
     ``W = [X; U; S_1 Y; ...; S_(Q-1) Y]``, ``S_d Y`` holding ``Y``'s
     columns moved ``d`` to the right from column ``max(q, d)`` on: fresh
     arrays per trajectory, in dataset order."""
     m = data.m
     for traj in data.trajectories:
-        mat = build_data_matrices(traj, data.q, m)
+        mat = literal_matrices(traj, data.q, m)
         shifts = [np.zeros_like(mat.Y) for _ in range(1, Q)]
         for d, shift in enumerate(shifts, start=1):
             shift[:, max(q, d):] = mat.Y[:, max(q, d) - d : m - d]

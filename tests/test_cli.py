@@ -395,6 +395,7 @@ def test_model_dataset_size_mismatch_exit_2(suite_dir, tmp_path, capsys, command
     else:  # one input column too few
         d = json.loads((suite_dir / "markov_model.json").read_text())
         d["B"] = [row[:-1] for row in d["B"]]
+        d["k"] = 9
         model.write_text(json.dumps(d))
         shapes = "(n, k) = (10, 9)", "(n, k) = (10, 10)"
     dataset = suite_dir / "markov_test.json"
@@ -1737,9 +1738,9 @@ def test_fit_bandwidth_too_large_for_memory_exit_2(suite_dir, tmp_path, capsys, 
     rows, 220 x 30 here), the engine's largest array, cannot be allocated
     exits 2 with one line naming the bandwidth, and writes no file.  The
     allocation is made to fail, not attempted."""
-    from violina import objective
+    from violina import model
 
-    monkeypatch.setattr(objective, "np", _NoRoom())
+    monkeypatch.setattr(model, "np", _NoRoom())
     out, curve = tmp_path / "m.json", tmp_path / "c.csv"
     rc = main(["--quiet", "fit", "--train", str(suite_dir / "nonmarkov_train.json"),
                "--mask", str(suite_dir / "manifest.json"), "--bandwidth", "20",
@@ -2284,6 +2285,26 @@ def test_dense_kernel_model_exit_4(suite_dir, tmp_path, capsys, command):
     assert capsys.readouterr().err == \
         "numeric error: cannot simulate a model with a dense kernel\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "dense.json", "suite"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("key, value, axis", [("n", 7, "A has 10 rows"),
+                                              ("k", 3, "B has 10 columns")])
+def test_model_sizes_other_than_its_arrays_exit_2(suite_dir, tmp_path, capsys, command,
+                                                  key, value, axis):
+    """A model file whose ``n`` or ``k`` is not its arrays' is refused with
+    one error line naming the field, and nothing is written."""
+    d = json.loads((suite_dir / "nonmarkov_model.json").read_text())
+    d[key] = value
+    model = tmp_path / "sizes.json"
+    model.write_text(json.dumps(d))
+    outputs = {"evaluate": ["--report", str(tmp_path / "r.csv"),
+                            "--aggregate", str(tmp_path / "a.json")],
+               "simulate": ["--out", str(tmp_path / "sim.json")]}[command]
+    assert main(["--quiet", command, "--model", str(model),
+                 "--dataset", str(suite_dir / "nonmarkov_test.json"), *outputs]) == 2
+    assert capsys.readouterr().err == f"error: {model}: {key!r} is {value}, but {axis}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sizes.json", "suite"]
 
 
 @pytest.mark.parametrize("fit", [["--fit-index", "0"], ["--fit-index", "5"], ["--pooled"]],

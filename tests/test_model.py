@@ -10,8 +10,8 @@ from violina import (
     fractional_kernel,
     relative_error,
 )
-from conftest import random_stable_model, simulated_dataset
-from oracles import column_simulate, hankel_companion, literal_simulate
+from conftest import longer_trajectories, random_stable_model, simulated_dataset
+from oracles import column_simulate, hankel_companion, literal_matrices, literal_simulate
 
 
 def dense_recursion_residual(model, traj, q, m):
@@ -220,6 +220,23 @@ def test_build_data_matrices_zero_padding(rng):
     assert np.array_equal(mats.U[:, :2], np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("longer", [False, True], ids=["length-m", "longer"])
+def test_build_data_matrices_equals_the_literal_windows(rng, q, longer):
+    """The views of the stack writer hold the bits of three zero-padded
+    slices of the trajectory, also when it is longer than ``m``."""
+    n, k, m = 3, 2, 6
+    if longer:
+        trajs = longer_trajectories(rng, n, k, m, (3, 5))
+    else:
+        trajs = [Trajectory(rng.normal(size=(n, m + 1)), rng.normal(size=(k, m)))]
+    for traj in trajs:
+        got, want = build_data_matrices(traj, q, m), literal_matrices(traj, q, m)
+        for name in ("X", "Y", "U"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+
+
 def test_build_data_matrices_length_error(rng):
     traj = Trajectory(rng.normal(size=(2, 5)), rng.normal(size=(1, 4)))
     with pytest.raises(ValueError):
@@ -337,6 +354,23 @@ def test_model_json_round_trip(rng):
     back_traj = Trajectory.from_dict(traj.to_dict())
     assert np.array_equal(back_traj.states, traj.states)
     assert np.array_equal(back_traj.inputs, traj.inputs)
+
+
+@pytest.mark.parametrize("members, message", [
+    ({"n": 7}, r"^'n' is 7, but A has 2 rows$"),
+    ({"k": 3}, r"^'k' is 3, but B has 1 columns$"),
+    ({"n": 2, "k": 0}, r"^'k' is 0, but B has 1 columns$"),
+    ({"n": 2.0}, r"^'n' must be an integer, got 2\.0$"),
+    ({"k": True}, r"^'k' must be an integer, got True$"),
+], ids=["n", "k", "k-after-a-good-n", "float-n", "bool-k"])
+def test_model_file_sizes_must_match_its_arrays(rng, members, message):
+    """A model file's ``n`` and ``k``, when present, are checked against
+    ``A``'s rows and ``B``'s columns; a file without them reads as before."""
+    d = random_stable_model(rng, n=2, k=1, m=5, q=1, Q=2).to_dict()
+    with pytest.raises(ValueError, match=message):
+        StateSpaceModel.from_dict({**d, **members})
+    bare = StateSpaceModel.from_dict({key: d[key] for key in ("A", "B", "kernel")})
+    assert (bare.n, bare.k) == (2, 1)
 
 
 def test_dense_kernel_model_round_trips_bit_for_bit(rng):

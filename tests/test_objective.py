@@ -22,7 +22,7 @@ from violina import (
 )
 from violina.kernel import band_offset_counts
 from violina.objective import _restricted_hessian_extremes, _StartRelativeLoss
-from conftest import random_dataset, random_stable_model, random_theta, simulated_dataset
+from conftest import longer_trajectories, random_dataset, random_stable_model, random_theta, simulated_dataset
 from oracles import (
     exact_lipschitz,
     LiteralEngine,
@@ -486,10 +486,10 @@ GRAM_CASES = pytest.mark.parametrize(
      (1, 1, 3, "band", 5, None), (1, 0, 1, "fixed", 2, None), (0, 2, 4, "band", 2, None),
      (1, 1, 3, "band", 5, MIXED), (1, 3, 4, "band", 5, MIXED), (2, 1, 3, "band", 5, MIXED),
      (1, 0, 1, "band", 5, MIXED), (1, 1, 2, "dense", 5, MIXED), (1, 1, 3, "fixed", 5, MIXED),
-     (1, 1, 3, "band", 5, [()] * 2)],
+     (1, 1, 3, "band", 5, [()] * 2), (1, 1, 3, "band", 5, "longer")],
     ids=["band-start", "dense-start", "Q1", "k-gt-n", "fixed", "band-q-differs",
          "driven-rows-differ", "driven-band-q-above-p", "driven-band-q-below-p", "driven-Q1",
-         "driven-dense-start", "driven-fixed", "nothing-driven"])
+         "driven-dense-start", "driven-fixed", "nothing-driven", "longer-than-m"])
 
 
 @GRAM_CASES
@@ -507,6 +507,8 @@ def test_engine_blocks_match_the_whole_gram_matrix(rng, data_q, q, Q, start, k, 
     n, m = 3, 8
     if driven is None:
         data = random_dataset(rng, n, k, m, data_q, 2)
+    elif driven == "longer":
+        data = Dataset(longer_trajectories(rng, n, k, m, (3, 6)), data_q, m)
     else:
         data = driven_dataset(rng, n, k, m, data_q, driven)
     theta0 = random_theta(rng, n, k, m, data_q, data_q + 2)
@@ -551,6 +553,19 @@ def test_driven_stacks_hold_the_inputs_nonzero_in_the_window(rng):
     # the row is summed against X's, so no fit starts from finite blocks
     assert np.isnan(engine._G_PP[n + 3, [*range(n), n + 3]]).all()
     assert np.isnan(engine.initial_loss)
+
+
+def test_driven_stacks_skip_inputs_after_the_window(rng):
+    """Trajectories longer than ``m`` are cut to it: an input row nonzero
+    only after column ``m - 1`` counts as undriven."""
+    from violina.objective import _stacks
+
+    n, k, m, q = 3, 5, 8, 1
+    data = Dataset(longer_trajectories(rng, n, k, m, (3, 6)), q, m)
+    taken = [(W[: n + len(r)].copy(), r.copy()) for W, _, r in _stacks(data, q, 1, driven=True)]
+    for (Z, r), (mat, _) in zip(taken, literal_stacks(data, q, 1), strict=True):
+        assert list(r) == [1, 2, 3, 4]
+        assert np.array_equal(Z, np.vstack([mat.X, mat.U[1:]]))
 
 
 @pytest.mark.parametrize("name", ["markov", "nonmarkov"])
