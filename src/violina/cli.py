@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import CausalBandKernel, json_floats, json_int, pack_json
-from .model import Dataset, StateSpaceModel, Trajectory, _check_trajectory, relative_error
+from .model import (Dataset, StateSpaceModel, Trajectory, _check_trajectory, _windows,
+                    relative_error)
 
 # Each command imports the rest of the package it runs (synth, constraints,
 # pgd, dmdc, svgplot) when it runs, so a child process loads only its own.
@@ -501,8 +502,9 @@ def cmd_dmdc(args) -> int:
 
 # ---------------------------------------------------- simulate / evaluate
 
-def _predict(model: StateSpaceModel, traj: Trajectory, m: int) -> Trajectory:
-    return model.simulate(traj.states[:, : model.kernel.q + 1], traj.inputs[:, :m])
+def _predict(model: StateSpaceModel, traj: Trajectory) -> Trajectory:
+    """``model`` run on the window ``traj`` from its first ``q + 1`` states."""
+    return model.simulate(traj.states[:, : model.kernel.q + 1], traj.inputs)
 
 
 def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
@@ -531,8 +533,7 @@ def _load_model_and_dataset(args) -> tuple[StateSpaceModel, Dataset]:
 def cmd_simulate(args) -> int:
     model, data = _load_model_and_dataset(args)
     with _publishing() as stage:
-        size = _dump_dataset(stage(args.out),
-                             (_predict(model, traj, data.m) for traj in data.trajectories),
+        size = _dump_dataset(stage(args.out), (_predict(model, traj) for traj in _windows(data)),
                              data.q, data.m)
     if not args.quiet:
         print(f"simulated {size} trajectories to {args.out}")
@@ -549,14 +550,13 @@ def cmd_evaluate(args) -> int:
         energy_max = 0.0
         if args.energy:
             from .synth import energy_deviation
-        for i, traj in enumerate(data.trajectories):
-            pred = _predict(model, traj, data.m)
-            truth = traj.states[:, : data.m + 1]
-            row = (i, relative_error(pred.states, truth, first=model.kernel.q + 1))
+        for i, traj in enumerate(_windows(data)):
+            pred = _predict(model, traj)
+            row = (i, relative_error(pred.states, traj.states, first=model.kernel.q + 1))
             if args.energy:
                 if i == 0:
                     e0 = float(traj.states[:, 0].sum())
-                dev = energy_deviation(pred, Trajectory(truth, traj.inputs[:, : data.m]))
+                dev = energy_deviation(pred, traj)
                 row += (float(np.max(np.abs(dev))),)
                 energy_max = max(energy_max, row[2])
             rows.append(row)

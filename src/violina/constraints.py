@@ -77,7 +77,12 @@ def coordinates(cset, shape):
     of the values at ``index``.  A set with ``_project`` projects with it; any
     other's hull must be separable (:func:`_separable`).  The index and the
     projection are derived once per shape and kept in ``cset._cache``, so
-    that a projection derives nothing."""
+    that a projection derives nothing.  An object with only ``project`` may
+    change every entry: it projects the whole matrix, once per call."""
+    if not hasattr(cset, "hull"):
+        def project(v):
+            return np.asarray(cset.project(v.reshape(shape)), dtype=float).ravel()
+        return np.arange(int(np.prod(shape))), np.zeros(shape), project
     entries, coords, values, lower, offset = cset.hull(shape)
     derived = cset._cache.get(offset.shape)
     if derived is None:

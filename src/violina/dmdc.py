@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import CausalBandKernel, check_ints
-from .model import Dataset, StateSpaceModel, build_data_matrices, error_ratio
+from .model import Dataset, StateSpaceModel, _windows, build_data_matrices, error_ratio
 
 _RANK_RTOL = 1e-12
 
@@ -58,11 +58,11 @@ def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.nda
     """
     check_ints(rank=rank)
     if indices is None:
-        return _StackSvd(data.trajectories, data.m).solve(rank)
+        return _StackSvd(_windows(data), data.m).solve(rank)
     if not len(indices):
         raise ValueError("no trajectory chosen to fit")
     check_ints(**{f"indices[{j}]": i for j, i in enumerate(indices)})
-    kept = {i: traj for i, traj in enumerate(data.trajectories) if i in indices}
+    kept = {i: traj for i, traj in enumerate(_windows(data)) if i in indices}
     if missing := set(indices) - kept.keys():
         raise IndexError(f"no trajectory at position {min(missing)}")
     return _StackSvd([kept[i] for i in indices], data.m).solve(rank)
@@ -121,13 +121,12 @@ class _RankErrors:
         self.group_size = group_size or _group_size(self.n, len(svd.W) - self.n, m, self.p)
 
     def hold(self, traj):
-        """Reduce ``traj`` and keep it in the group; a full group, of
-        ``group_size`` (by default ``_group_size``), is scored (``add``), so
-        the totals grow in dataset order."""
-        m = self.m
-        x = traj.states[:, 1 : m + 1]
+        """Reduce ``traj``, a window of ``_windows``, and keep it in the group;
+        a full group, of ``group_size`` (by default ``_group_size``), is
+        scored (``add``), so the totals grow in dataset order."""
+        x = traj.states[:, 1:]
         xQ = x.T @ self.Q
-        self.group.append((traj.inputs[:, :m].T @ self.Wu, traj.states[:, 0].copy(), xQ,
+        self.group.append((traj.inputs.T @ self.Wu, traj.states[:, 0].copy(), xQ,
                            np.linalg.norm(x - self.Q @ xQ.T) ** 2, np.linalg.norm(x)))
         if len(self.group) == self.group_size:
             self.add()
@@ -206,7 +205,7 @@ def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0) -> RankScanResult:
         check_ints(fit_index=fit_index)
     m = train.m
     scan, waiting = None, []  # the trajectories read before the SVD exists
-    for i, traj in enumerate(train.trajectories):
+    for i, traj in enumerate(_windows(train)):
         waiting.append(traj)
         if i == fit_index:
             scan = _RankErrors(_StackSvd(waiting[-1:], m), m)

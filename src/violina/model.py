@@ -298,6 +298,15 @@ class Dataset:
         return cls(trajs, q, m)
 
 
+def _windows(data: Dataset):
+    """Each trajectory of ``data``, read once in dataset order, as a
+    ``Trajectory`` of views of its states ``x_0 .. x_m`` and inputs ``u_0 ..
+    u_{m-1}``: the one code that cuts a trajectory to the dataset's ``m``."""
+    m = data.m
+    for traj in data.trajectories:
+        yield Trajectory(traj.states[:, : m + 1], traj.inputs[:, :m])
+
+
 def _matrices(data: Dataset):
     """The data matrices of each trajectory in dataset order: views of the
     one buffer that :func:`_stacks` rewrites for the next trajectory, so a
@@ -311,7 +320,7 @@ def _stacks(data: Dataset, q: int, Q: int, extra: int = 0, driven: bool = False)
     ``extra`` more rows left to the caller, its ``Y`` and the input rows
     ``r`` that ``W`` holds, in dataset order: the one code that cuts a
     trajectory into its least-squares windows.  All three are written
-    straight from the trajectory's state and input windows into buffers
+    straight from the states and inputs of :func:`_windows` into buffers
     made once, so the caller reads them before it takes the next
     trajectory.  The band shift ``S_d Y = Y Delta_d``, with ``Delta_d`` one
     on the in-band entries of super-diagonal ``d``, is the ``d``-th term of
@@ -328,14 +337,14 @@ def _stacks(data: Dataset, q: int, Q: int, extra: int = 0, driven: bool = False)
     n, k, m, p = data.n, data.k, data.m, data.q
     W, Y = np.zeros((n * Q + k + extra, m)), np.zeros((n, m))
     r = np.arange(k)
-    for traj in data.trajectories:
-        U = traj.inputs[:, p:m]
+    for traj in _windows(data):
+        U = traj.inputs[:, p:]
         if driven:
             r = np.flatnonzero(U.any(axis=1))
             U = U[r]
-        W[:n, p:] = traj.states[:, p:m]
+        W[:n, p:] = traj.states[:, p:-1]
         W[n : n + len(r), p:] = U
-        Y[:, p:] = traj.states[:, p + 1 : m + 1]
+        Y[:, p:] = traj.states[:, p + 1 :]
         row = n + k
         for d in range(1, Q):
             j0 = band_start(q, d)

@@ -230,10 +230,11 @@ def lipschitz_constant(data: Dataset) -> float:
 
     Diagnostic only: the solver's backtracking never relies on it.
     """
-    gram_y = np.zeros((data.m, data.m))
-    for mat in _matrices(data):
-        gram_y += mat.Y.T @ mat.Y
-    lam_z = np.linalg.eigvalsh(fixed_d_hessian(data))[-1]
+    H, gram_y = np.zeros((data.n + data.k,) * 2), np.zeros((data.m, data.m))
+    for W, Y, r in _stacks(data, data.q, 1, driven=True):
+        _add_gram(H, W[: data.n + len(r)], r)
+        gram_y += Y.T @ Y
+    lam_z = np.linalg.eigvalsh(H)[-1]
     lam_y = np.linalg.eigvalsh(gram_y)[-1]
     return float(2.0 * (lam_z + lam_y))
 

@@ -40,9 +40,7 @@ and ``B`` slices with the projections that ``constraints.coordinates``
 derives from the sets' hulls.  The trial path takes its products with
 ``np.dot``, not ``@``: both call the same BLAS routine on these operands and
 give the same bits, but ``np.dot`` skips the matmul ufunc's dispatch, which at
-desk size is a visible share of a trial of some 50 small numpy calls.  A set
-that has only ``project`` and no ``hull`` is free on every entry and projects
-the whole matrix once.
+desk size is a visible share of a trial of some 50 small numpy calls.
 """
 
 from __future__ import annotations
@@ -126,19 +124,6 @@ def default_initial_point(n: int, k: int, m: int, q: int, Q: int) -> StateSpaceM
     return StateSpaceModel(np.eye(n), np.zeros((n, k)), CausalBandKernel.identity(m, q, Q))
 
 
-def _coordinates(cset, shape):
-    """``(index, base, project)`` of a set for ``A`` or ``B``, derived from its
-    hull by :func:`.constraints.coordinates`.  An object with only ``project``
-    may change every entry; it projects the whole matrix, once per call."""
-    if hasattr(cset, "hull"):
-        return coordinates(cset, shape)
-
-    def project(v):
-        return np.asarray(cset.project(v.reshape(shape)), dtype=float).ravel()
-
-    return np.arange(int(np.prod(shape))), np.zeros(shape), project
-
-
 def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitReport:
     """Fit the parameter triple to the dataset by projected gradient descent.
 
@@ -181,7 +166,7 @@ def violina_fit(data: Dataset, spec: ConstraintSpec, cfg: PgdConfig) -> FitRepor
     # from the first step on.
     n, k = theta.B.shape
     (iA, baseA, project_A), (iB, baseB, project_B) = (
-        _coordinates(cset, M.shape) for cset, M in ((spec.on_A, theta.A), (spec.on_B, theta.B)))
+        coordinates(cset, M.shape) for cset, M in ((spec.on_A, theta.A), (spec.on_B, theta.B)))
     index = np.concatenate([iA // n * (n + k) + iA % n, iB // k * (n + k) + n + iB % k])
     split, nx, nc = len(iA), len(index), len(c_ref)
     AB0 = np.hstack([theta.A, theta.B])

@@ -38,6 +38,19 @@ def longer_trajectories(rng, n, k, m, extra):
     return trajs
 
 
+class ReadOnce(tuple):
+    """A dataset's trajectories that can be iterated once, recording each
+    trajectory taken; indexing, which ``Dataset.n`` and ``k`` use, is not
+    a read."""
+
+    def __iter__(self):
+        assert not hasattr(self, "taken"), "the trajectories were iterated twice"
+        self.taken = []
+        for traj in super().__iter__():
+            self.taken.append(traj)
+            yield traj
+
+
 def random_theta(rng, n=3, k=2, m=8, q=1, Q=2):
     coeffs = tuple(rng.normal(scale=0.3, size=Q - 1))
     return StateSpaceModel(

@@ -1188,6 +1188,49 @@ def test_dataset_stream_is_read_once(copies_files):
         stream.trajectories
 
 
+# each command on the train set: fit, the three dmdc fits, then both kinds
+# of model through simulate and evaluate, the q = 0 DMDc model on q = 2 data
+LONGER_COMMANDS = [
+    ["fit", "--train", "train.json", "--constraints", "free", "--steps", "20",
+     "--out", "fit.json", "--curve", "curve.csv"],
+    ["dmdc", "--train", "train.json", "--scan-csv", "scan.csv", "--out", "dmdc.json"],
+    ["dmdc", "--train", "train.json", "--fit-index", "2", "--rank", "4", "--out", "fixed.json"],
+    ["dmdc", "--train", "train.json", "--pooled", "--rank", "5", "--out", "pooled.json"],
+    *(["simulate", "--model", f"{model}.json", "--dataset", "train.json",
+       "--out", f"sim_{model}.json"] for model in ("fit", "dmdc")),
+    *(["evaluate", "--model", f"{model}.json", "--dataset", "train.json", *energy,
+       "--report", f"report_{model}{len(energy)}.csv",
+       "--aggregate", f"aggregate_{model}{len(energy)}.json"]
+      for model in ("fit", "dmdc") for energy in ((), ("--energy",))),
+]
+
+
+def test_trajectories_longer_than_m_give_the_bytes_of_their_windows(desk_files, tmp_path,
+                                                                     monkeypatch):
+    """Every command reads a trajectory only up to the dataset's ``m``: the
+    3 to 6 transitions after it change no byte of any output."""
+    from violina.cli import _dump_dataset
+
+    rng = np.random.default_rng(5)
+    train = _load_dataset(desk_files / "train.json")
+    m = train.m
+    longer = [Trajectory(np.hstack([t.states, rng.normal(size=(t.n, e))]),
+                         np.hstack([t.inputs, rng.normal(size=(t.k, e))]))
+              for t, e in zip(train.trajectories, itertools.cycle(range(3, 7)))]
+    cut = [Trajectory(t.states[:, : m + 1], t.inputs[:, :m]) for t in longer]
+    outputs = {}
+    for name, trajs in (("longer", longer), ("cut", cut)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        _dump_dataset("train.json", trajs, train.q, m)
+        for argv in LONGER_COMMANDS:
+            assert main(["--quiet", *argv]) == 0, argv
+        outputs[name] = {p.name: p.read_bytes() for p in Path().iterdir()
+                         if p.name != "train.json"}
+    assert len(outputs["cut"]) == 16
+    assert outputs["longer"] == outputs["cut"]
+
+
 def _brace_in_trajectory_1(d):
     d["trajectories"][1]["label"] = "}"
     return json.dumps(d, separators=(",", ":"))

@@ -19,7 +19,7 @@ from violina import (
 )
 from violina.synth import BenchmarkConfig, build_cylinder_graph
 from violina.constraints import coordinates
-from conftest import assert_lifted_point_is_fixed
+from conftest import assert_lifted_point_is_fixed, random_dataset
 from oracles import (
     laplacian_kkt_residual,
     literal_support,
@@ -466,13 +466,18 @@ class HullOnly:
     ([0, 1, 2], [0, 0, 0], [1.0, 1.0, 1.0], "a coordinate touches more than two entries"),
     ([0, 3], [0, 1], [1.0, 2.0], "a coefficient is not 1"),
 ], ids=["entry-twice", "three-entries", "coefficient"])
-def test_hull_that_is_not_separable_is_refused(entries, coords, values, problem):
-    from violina.pgd import _coordinates
+def test_hull_that_is_not_separable_is_refused(rng, entries, coords, values, problem):
+    from violina.pgd import PgdConfig, default_initial_point, violina_fit
 
     toy = HullOnly(entries, coords, values, np.zeros(max(coords) + 1))
-    for derive in (coordinates, _coordinates):  # the solver asks the same function
-        with pytest.raises(ValueError, match=f"^hull is not separable: {problem}$"):
-            derive(toy, (2, 2))
+    message = f"^hull is not separable: {problem}$"
+    with pytest.raises(ValueError, match=message):
+        coordinates(toy, (2, 2))
+    # the solver asks the same function
+    spec = ConstraintSpec(toy, FullSpace(), CausalBand(1, 2))
+    cfg = PgdConfig(theta0=default_initial_point(2, 2, 8, 1, 2), max_steps=1)
+    with pytest.raises(ValueError, match=message):
+        violina_fit(random_dataset(rng, n=2), spec, cfg)
 
 
 def test_separable_hull_averages_pairs_and_clips_at_the_bounds():

@@ -237,6 +237,21 @@ def test_build_data_matrices_equals_the_literal_windows(rng, q, longer):
             assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
 
 
+def test_windows_are_views_of_each_trajectory_cut_to_m(rng):
+    from violina.model import Dataset, _windows
+
+    n, k, m = 3, 2, 6
+    trajs = longer_trajectories(rng, n, k, m, (0, 3, 5))
+    windows = list(_windows(Dataset(trajs, 1, m)))
+    assert len(windows) == len(trajs)
+    for window, traj in zip(windows, trajs):
+        assert window.states.shape == (n, m + 1) and window.inputs.shape == (k, m)
+        assert np.shares_memory(window.states, traj.states)
+        assert np.shares_memory(window.inputs, traj.inputs)
+        assert window.states.tobytes() == traj.states[:, : m + 1].tobytes()
+        assert window.inputs.tobytes() == traj.inputs[:, :m].tobytes()
+
+
 def test_build_data_matrices_length_error(rng):
     traj = Trajectory(rng.normal(size=(2, 5)), rng.normal(size=(1, 4)))
     with pytest.raises(ValueError):

@@ -5,12 +5,17 @@ from violina import (
     BenchmarkConfig,
     CausalBand,
     CausalBandKernel,
+    ConstraintSpec,
     Dataset,
     Fixed,
+    FullSpace,
+    PgdConfig,
     StateSpaceModel,
     TangentTuple,
     Trajectory,
     build_benchmark_suite,
+    dmdc_fit,
+    dmdc_rank_scan,
     fixed_d_hessian,
     fractional_kernel,
     gradient,
@@ -19,10 +24,11 @@ from violina import (
     loss,
     perturbed,
     uniqueness_certificate,
+    violina_fit,
 )
 from violina.kernel import band_offset_counts
 from violina.objective import _restricted_hessian_extremes, _StartRelativeLoss
-from conftest import longer_trajectories, random_dataset, random_stable_model, random_theta, simulated_dataset
+from conftest import ReadOnce, longer_trajectories, random_dataset, random_stable_model, random_theta, simulated_dataset
 from oracles import (
     exact_lipschitz,
     LiteralEngine,
@@ -440,25 +446,41 @@ def test_engine_gradient_matches_literal(rng, q, Q, dense_start, k):
         assert np.all(np.abs(gz - lz) <= np.trace(blocks, axis1=0, axis2=2))
 
 
-class _ReadOnce(tuple):
-    """A dataset's trajectories that can be iterated once, recording each
-    trajectory taken; indexing, which ``Dataset.n`` and ``k`` use, is not
-    a read."""
-
-    def __iter__(self):
-        assert not hasattr(self, "taken"), "the trajectories were iterated twice"
-        self.taken = []
-        for traj in super().__iter__():
-            self.taken.append(traj)
-            yield traj
-
-
 def test_engine_reads_each_trajectory_once(rng):
     # the start residual and the Gram blocks share one read of each trajectory
     data = random_dataset(rng, N=3)
     trajectories = data.trajectories
-    data.trajectories = _ReadOnce(trajectories)
+    data.trajectories = ReadOnce(trajectories)
     _StartRelativeLoss(data, random_theta(rng, Q=3), 1, 3, None)
+    assert list(map(id, data.trajectories.taken)) == list(map(id, trajectories))
+
+
+def _fit(data, theta):
+    spec = ConstraintSpec(FullSpace(), FullSpace(), CausalBand(1, 2))
+    return violina_fit(data, spec, PgdConfig(theta0=theta, max_steps=2))
+
+
+@pytest.mark.parametrize("read", [
+    _fit,
+    lambda data, theta: dmdc_fit(data, 1),
+    lambda data, theta: dmdc_rank_scan(data, 0),
+    lambda data, theta: dmdc_rank_scan(data, 2),
+    lambda data, theta: dmdc_rank_scan(data, None),
+    lambda data, theta: loss(theta, data),
+    lambda data, theta: gradient(theta, data),
+    lambda data, theta: fixed_d_hessian(data),
+    lambda data, theta: lipschitz_constant(data),
+    lambda data, theta: uniqueness_certificate(data, "fixed_d"),
+    lambda data, theta: uniqueness_certificate(data, "full"),
+], ids=["violina_fit", "dmdc_fit", "scan-fit-0", "scan-fit-2", "scan-pooled", "loss",
+        "gradient", "fixed_d_hessian", "lipschitz_constant", "certificate-fixed_d",
+        "certificate-full"])
+def test_each_reader_takes_each_trajectory_once_in_order(rng, read):
+    # so each of them runs on a one-pass stream such as the CLI's
+    data = random_dataset(rng, N=3)
+    trajectories = data.trajectories
+    data.trajectories = ReadOnce(trajectories)
+    read(data, random_theta(rng))
     assert list(map(id, data.trajectories.taken)) == list(map(id, trajectories))
 
 
