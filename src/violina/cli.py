@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -43,14 +43,27 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ConfigError:
                        f"{exc.object[exc.start]:#04x})")
 
 
+def _unique_members(pairs):
+    """The JSON object of ``pairs`` as a dict; a repeated name, whose last
+    value ``json`` keeps unseen, raises ``ConfigError`` (not ``ValueError``,
+    which ``main`` counts a numeric failure)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        name = next(key for key in obj if [k for k, _ in pairs].count(key) > 1)
+        raise ConfigError(f"member {name!r} appears twice in one object")
+    return obj
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_file(path, parse):
@@ -110,7 +123,7 @@ def _read_dataset_json(fh):
     no ASCII byte inside a multi-byte character, so the cuts are exact.
     Any other layout, text ``json.load`` rejects and a trajectory in any
     other layout raise ``ValueError``, some of them after every trajectory
-    is yielded."""
+    is yielded, and a head that repeats a member ``ConfigError``."""
     pieces = _pieces(fh)
     comma, name, bracket = _HEAD_END.split(b'"')
     front = []  # the pieces up to the first _HEAD_END
@@ -123,7 +136,7 @@ def _read_dataset_json(fh):
         raise ValueError("the text ends early")
     piece, front[-1] = piece[len(bracket):], bracket
     # the ',' leaves the quote unescaped: a match off the top level fails here
-    yield json.JSONDecoder().decode(b'"'.join(front).decode("utf-8") + "]}")
+    yield json.loads(b'"'.join(front).decode("utf-8") + "]}", object_pairs_hook=_unique_members)
     lead = b"{"  # the piece before a trajectory's "inputs"
     while piece == lead:
         obj = {}
@@ -153,25 +166,22 @@ def _dataset_objects(path):
 
 
 class _DatasetStream:
-    """The dataset in ``path``, read one trajectory at a time: ``q`` and
-    ``m`` from the members before the trajectories, ``n`` and ``k`` from the
-    first trajectory, which opening reads.  ``trajectories`` is iterated
-    once, each passing the checks of ``Dataset.from_dict``; ``size`` counts
-    those read.  Where the reader stops taking the file, the stream goes on
-    in place on the list path, raising its ``ConfigError``, or one of its
-    own if a later member replaces ``q``, ``m`` or a trajectory read."""
+    """The dataset in ``path``, read once, one trajectory at a time: ``q``
+    and ``m`` from the members before the trajectories, ``n`` and ``k`` from
+    the first trajectory, which opening reads and ``Dataset`` checks.
+    ``trajectories`` is iterated once, each passing the checks of
+    ``Dataset.from_dict``; ``size`` counts those read.  Where the reader
+    stops taking the file, the stream goes on in place on the list path,
+    whose dataset, as no member name repeats, starts with those read."""
 
     def __init__(self, path):
         self.path, self.size = path, 1
         self._objects = _dataset_objects(path)
         try:
             head = next(self._objects)
-            self.q, self.m = json_int(head, "q"), json_int(head, "m")
-            if not 0 <= self.q < self.m:
-                raise ValueError("need 0 <= q < m")
             self._first = Trajectory.from_dict(next(self._objects))
-            self.n, self.k = self._first.n, self._first.k
-            _check_trajectory(0, self._first, self.n, self.k, self.m)
+            first = Dataset([self._first], json_int(head, "q"), json_int(head, "m"))
+            self.q, self.m, self.n, self.k = first.q, first.m, first.n, first.k
         except BaseException:
             self._objects.close()
             raise
@@ -195,14 +205,7 @@ class _DatasetStream:
             return
         except (ValueError, TypeError):
             objects.close()
-        whole = _parse_file(self.path, Dataset.from_dict)
-        with closing(_dataset_objects(self.path)) as again:  # the text this stream took
-            taken = map(Trajectory.from_dict, itertools.islice(again, 1, self.size + 1))
-            if Dataset(taken, self.q, self.m).to_dict() != Dataset(
-                    whole.trajectories[: self.size], whole.q, whole.m).to_dict():
-                raise ConfigError(f"{self.path}: a later 'q', 'm' or 'trajectories' "
-                                  "member replaces data already read")
-        for traj in whole.trajectories[self.size:]:
+        for traj in _parse_file(self.path, Dataset.from_dict).trajectories[self.size:]:
             self.size += 1
             yield traj
 
@@ -212,7 +215,7 @@ def _open_dataset(path) -> _DatasetStream | Dataset:
     the stream cannot open it.  No other code knows there are two readers."""
     try:
         return _DatasetStream(path)
-    except (ValueError, TypeError, StopIteration):
+    except (ValueError, TypeError, StopIteration, ConfigError):
         return _parse_file(path, Dataset.from_dict)
 
 

@@ -8,25 +8,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import CausalBandKernel, check_ints
-from .model import Dataset, StateSpaceModel, _windows, build_data_matrices, error_ratio
+from .model import Dataset, StateSpaceModel, _windows, error_ratio
 
 _RANK_RTOL = 1e-12
 
 
-def _markovian_stack(trajectories, m: int):
-    # the baseline always uses single-step (q = 0) pairing, whatever the data's q is
-    mats = [build_data_matrices(traj, 0, m) for traj in trajectories]
-    return (np.hstack([M.X for M in mats]), np.hstack([M.Y for M in mats]),
-            np.hstack([M.U for M in mats]))
+def _markovian_stack(windows):
+    """``X``, ``Y``, ``U`` of the windows side by side (``q = 0`` pairing,
+    whatever the data's ``q``), C-ordered whatever the windows' layout (a
+    streamed one's is Fortran): the bits of ``Y``'s products depend on it."""
+    windows = list(windows)
+    parts = ([w.states[:, :-1] for w in windows], [w.states[:, 1:] for w in windows],
+             [w.inputs for w in windows])
+    return [np.concatenate(p, axis=1, out=np.empty((len(p[0]), sum(b.shape[1] for b in p))))
+            for p in parts]
 
 
 class _StackSvd:
-    """Thin SVD ``W S V^T`` of the stacked ``[X; U]`` of ``trajectories`` and
+    """Thin SVD ``W S V^T`` of the stacked ``[X; U]`` of ``windows`` and
     its numerical rank, solved for any truncation rank without factorising
     again."""
 
-    def __init__(self, trajectories, m: int):
-        X, self.Y, U = _markovian_stack(trajectories, m)
+    def __init__(self, windows):
+        X, self.Y, U = _markovian_stack(windows)
         self.n = X.shape[0]
         Z = np.vstack([X, U])
         del X, U  # not held through the factorisation
@@ -58,14 +62,14 @@ def dmdc_fit(data: Dataset, rank: int, indices=None) -> tuple[np.ndarray, np.nda
     """
     check_ints(rank=rank)
     if indices is None:
-        return _StackSvd(_windows(data), data.m).solve(rank)
+        return _StackSvd(_windows(data)).solve(rank)
     if not len(indices):
         raise ValueError("no trajectory chosen to fit")
     check_ints(**{f"indices[{j}]": i for j, i in enumerate(indices)})
     kept = {i: traj for i, traj in enumerate(_windows(data)) if i in indices}
     if missing := set(indices) - kept.keys():
         raise IndexError(f"no trajectory at position {min(missing)}")
-    return _StackSvd([kept[i] for i in indices], data.m).solve(rank)
+    return _StackSvd([kept[i] for i in indices]).solve(rank)
 
 
 def as_model(A: np.ndarray, B: np.ndarray, m: int) -> StateSpaceModel:
@@ -208,12 +212,12 @@ def dmdc_rank_scan(train: Dataset, fit_index: int | None = 0) -> RankScanResult:
     for i, traj in enumerate(_windows(train)):
         waiting.append(traj)
         if i == fit_index:
-            scan = _RankErrors(_StackSvd(waiting[-1:], m), m)
+            scan = _RankErrors(_StackSvd(waiting[-1:]), m)
         while scan is not None and waiting:
             scan.hold(waiting.pop(0))
     del traj  # the last one's inputs
     if fit_index is None:  # all of them are held for the SVD anyway: one group
-        scan = _RankErrors(_StackSvd(waiting, m), m, group_size=len(waiting))
+        scan = _RankErrors(_StackSvd(waiting), m, group_size=len(waiting))
     elif scan is None:
         raise IndexError(f"fit_index {fit_index} outside the valid range [0, {len(waiting)})")
     while waiting:  # every trajectory when pooled

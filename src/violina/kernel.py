@@ -11,11 +11,9 @@ A float array is written packed, as base64 of its float64 bytes
 reader decodes through ``_PAIRS``, a read-only table of every pair of
 base64 characters built at import: two lookups per 4-character group,
 written straight into the array it returns, the last group's ``=`` read as
-zero bits and its bytes cut to the count the shape needs.  Any text the
-table declines (a character outside the alphabet, ``=`` anywhere but at
-the end, a length other than the canonical one, a character that is not
-ASCII, or a big-endian host) goes through ``base64.b64decode`` as before,
-so every array and every error message is the decoder's own.
+zero bits and its bytes cut to the count the shape needs.  It is the only
+decoder: it refuses any text but the canonical one with one fixed reason
+per fault, the same on every Python.
 
 All functions here are pure; values are immutable and safe to share across
 threads.
@@ -23,11 +21,9 @@ threads.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import math
 import reprlib
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,33 +153,42 @@ def _pair_table() -> np.ndarray:
 _PAIRS = _pair_table()
 
 
-def _pair_floats(text: str, rows: int, width: int) -> np.ndarray | None:
+def _base64_fault(text: str, rows: int, width: int) -> ValueError:
+    """The error of a ``text`` that ``_pair_floats`` declines: the byte count
+    of well-formed base64 (whole groups of the alphabet, at most two ``=``
+    at the end), or else ``not base64:`` and its first kind of fault."""
+    body = text.rstrip("=")
+    pads, outside = len(text) - len(body), set(body) - set(_ALPHABET.decode())
+    fault = ("a character that is not ASCII" if not text.isascii()
+             else "a character outside the alphabet" if outside - {"="}
+             else "'=' that is not the last group's padding" if outside or pads > 2
+             else "a length that is not a multiple of 4" if len(text) % 4 else None)
+    if fault:
+        return ValueError(f"not base64: {fault}")
+    return ValueError(f"{3 * len(text) // 4 - pads} bytes, but {rows} x {width} floats take "
+                      f"{8 * rows * width}")
+
+
+def _pair_floats(text: str, rows: int, width: int) -> np.ndarray:
     """The ``rows x width`` float array whose little-endian float64 bytes
-    the base64 ``text`` holds, decoded through ``_PAIRS``: a fresh C-ordered
-    array, bit for bit what ``base64.b64decode`` gives.  The last group's
-    ``=`` reads as ``A`` (zero bits), and its bytes are cut to those the
-    shape needs.  ``None`` when the table path declines the text: a length
-    other than the canonical ``4 * ceil(8 * rows * width / 3)``, a character
-    that is not ASCII or not in the alphabet (``=`` too, but for the padding
-    of the last group), a shape numpy cannot build, or a big-endian host."""
+    the canonical base64 ``text`` holds (``4 * ceil(8 * rows * width / 3)``
+    characters of the alphabet, ``=`` only as the last group's padding),
+    decoded through ``_PAIRS`` into a fresh C-ordered array: the last
+    group's ``=`` reads as zero bits, its bytes cut to those the shape
+    needs.  Other text raises ``_base64_fault``'s ``ValueError``."""
     size = 8 * rows * width
     groups = -(-size // 3)
-    if sys.byteorder != "little" or not text.isascii() or len(text) != 4 * groups:
-        return None
-    try:
-        out = np.empty((rows, width))
-    except ValueError:
-        return None
+    if not text.isascii() or len(text) != 4 * groups:
+        raise _base64_fault(text, rows, width)
+    out = np.empty((rows, width), dtype="<f8")
     if not size:
-        return out
+        return out.astype(float, copy=False)
     encoded = text.encode("ascii")
     body, pad = groups - 1, 3 * groups - size
     last = encoded[4 * body:]
-    if last[4 - pad:] != b"=" * pad:
-        return None
     end = _PAIRS[np.frombuffer(last[:4 - pad] + b"A" * pad, dtype="<u2")]
-    if end.max() == _OUTSIDE:
-        return None
+    if last[4 - pad:] != b"=" * pad or end.max() == _OUTSIDE:
+        raise _base64_fault(text, rows, width)
     raw = out.reshape(-1).view(np.uint8)
     pairs = np.frombuffer(encoded, dtype="<u2", count=2 * body).reshape(body, 2)
     # group g's three bytes, big-endian in the top of word g at byte 3 g; its
@@ -196,13 +201,13 @@ def _pair_floats(text: str, rows: int, width: int) -> np.ndarray | None:
         pair, w = lookups[:body - g], word[:body - g]
         np.take(_PAIRS, pairs[g:g + len(pair)], out=pair, mode="clip")  # a uint16 never clips
         if pair.max() == _OUTSIDE:
-            return None
+            raise _base64_fault(text, rows, width)
         np.left_shift(pair[:, 0], 12, out=w)
         w |= pair[:, 1]
         words[g:g + len(w)] = w
     tail = (int(end[0]) << 12 | int(end[1])).to_bytes(4, "big")
     raw[3 * body:] = np.frombuffer(tail, dtype=np.uint8, count=size - 3 * body)
-    return out
+    return out.astype(float, copy=False)
 
 
 def json_table(d: dict, key: str) -> np.ndarray:
@@ -214,10 +219,8 @@ def json_table(d: dict, key: str) -> np.ndarray:
     holds ``+0.0``.  The text must be the padded base64, with no other
     character, of exactly ``8 * rows`` bytes per stored column, and the
     values finite; anything else, a shape numpy cannot build too, raises
-    ``ValueError`` naming the field.  The text is decoded through the pair
-    table (``_pair_floats``); text that path declines goes through
-    ``base64.b64decode``, whose faults this reports.  The array owns its
-    data, C-ordered, as ``json_floats`` returns it."""
+    ``ValueError`` naming the field (and ``_pair_floats``' reason).  The
+    array owns its data, C-ordered, as ``json_floats`` returns it."""
     value = _member(d, key, None)
     if not packed(value):
         return json_floats(d, key, 2)
@@ -233,21 +236,10 @@ def json_table(d: dict, key: str) -> np.ndarray:
         raise ValueError(f"{name}: the stored columns must be increasing integers "
                          f"in [0, {cols}), got {reprlib.repr(columns)}")
     width = cols if columns is None else len(columns)
-    block = _pair_floats(text, rows, width)
-    if block is None:
-        try:
-            raw = base64.b64decode(text, validate=True)
-        except ValueError as exc:  # binascii.Error, or a character that is not ASCII
-            raise ValueError(f"{name}: not base64: {exc}") from None
-        size = 8 * rows * width
-        if len(raw) != size:
-            raise ValueError(f"{name}: {len(raw)} bytes, but {rows} x {width} floats take {size}")
-        if len(text) != 4 * -(-size // 3):  # the decoder may take padding after the last group
-            raise ValueError(f"{name}: base64 padding after the last group")
-        try:  # a copy, in native byte order, not a view on the bytes
-            block = np.frombuffer(raw, dtype="<f8").reshape(rows, width).astype(float)
-        except ValueError as exc:  # a shape numpy cannot build
-            raise ValueError(f"{name}: {exc}") from None
+    try:
+        block = _pair_floats(text, rows, width)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     if not np.all(np.isfinite(block)):
         raise ValueError(f"{name} holds non-finite values")
     if columns is None:

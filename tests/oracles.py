@@ -30,7 +30,7 @@ from violina import (
     perturbed,
 )
 from violina.cli import _HEAD_END
-from violina.dmdc import _StackSvd, as_model
+from violina.dmdc import as_model
 from violina.kernel import apply_kernel, band_offset_counts
 from violina.model import DataMatrices, relative_error
 
@@ -349,25 +349,37 @@ def column_simulate(model, initial_states, inputs):
     return x
 
 
+def _markovian_svd(trajectories, m):
+    """``Y``, the plain thin SVD ``W, s, Vt`` of the stacked ``[X; U]`` and
+    its numerical rank (singular values below ``1e-12`` of the largest do
+    not count), from the ``q = 0`` :func:`literal_matrices` of each of
+    ``trajectories`` side by side."""
+    mats = [literal_matrices(traj, 0, m) for traj in trajectories]
+    Z = np.vstack([np.hstack([M.X for M in mats]), np.hstack([M.U for M in mats])])
+    W, s, Vt = np.linalg.svd(Z, full_matrices=False)
+    rank = int(np.sum(s > 1e-12 * s[0])) if s[0] > 0 else 0
+    return np.hstack([M.Y for M in mats]), W, s, Vt, rank
+
+
 def literal_rank_scan(train, fit_index=0):
     """The DMDc rank scan by full-state simulation: for every attainable rank,
     the truncated ``(A, B)`` of trajectory ``fit_index`` (all of them when it
     is ``None``) re-simulates each train trajectory through
     ``StateSpaceModel.simulate``.  Returns the ranks, their mean relative
     errors and the singular values of the stacked ``[X; U]``."""
-    svd = _StackSvd(train.trajectories if fit_index is None
-                    else [train.trajectories[fit_index]], train.m)
+    Y, W, s, Vt, rank = _markovian_svd(train.trajectories if fit_index is None
+                                       else [train.trajectories[fit_index]], train.m)
     ranks, errors = [], []
-    for r in range(1, svd.rank + 1):
-        A, B = svd.solve(r)
-        model = as_model(A, B, train.m)
+    for r in range(1, rank + 1):
+        AB = Y @ Vt[:r].T @ np.diag(1.0 / s[:r]) @ W[:, :r].T
+        model = as_model(AB[:, : train.n], AB[:, train.n :], train.m)
         total = 0.0
         for traj in train.trajectories:
             pred = model.simulate(traj.states[:, :1], traj.inputs[:, : train.m])
             total += relative_error(pred.states, traj.states[:, : train.m + 1], first=1)
         ranks.append(r)
         errors.append(total / train.size)
-    return tuple(ranks), tuple(errors), svd.s
+    return tuple(ranks), tuple(errors), s
 
 
 def literal_theta(P, z):
@@ -650,7 +662,7 @@ def hankel_companion(model):
 def attainable_rank(data, indices=None):
     """Numerical rank of the stacked ``[X; U]`` matrix."""
     trajs = data.trajectories if indices is None else [data.trajectories[i] for i in indices]
-    return _StackSvd(trajs, data.m).rank
+    return _markovian_svd(trajs, data.m)[4]
 
 
 def project_params(theta, spec):
@@ -670,11 +682,20 @@ _PACKED_HEAD = re.compile(rb'\[(0|[1-9][0-9]*),(0|[1-9][0-9]*),"')
 _PACKED_TAIL = re.compile(rb'(?:,\[((?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*|))?')
 
 
+def _unique(pairs):
+    """The JSON object of ``pairs`` as a dict; a repeated name raises
+    ``ValueError``."""
+    if len({key for key, _ in pairs}) < len(pairs):
+        raise ValueError("a repeated member name")
+    return dict(pairs)
+
+
 def byte_offset_dataset_json(fh, chunk):
     """The objects of the dataset text in the binary file ``fh`` as the
     byte-offset parser reads them, ``chunk`` bytes at a time, one
     ``bytearray`` cut at the offsets its searches find: the head up to the
-    first ``,"trajectories":[`` through the JSON decoder, then each
+    first ``,"trajectories":[`` through the JSON decoder, which refuses a
+    repeated member name, then each
     trajectory exactly ``{"inputs":[R,C,"…"],"states":[R,C,"…"]}``, each
     array with or without a fourth item ``,[j0,…]``, and a ``}`` with one
     byte after it before it is yielded.  Any other text raises
@@ -714,7 +735,7 @@ def byte_offset_dataset_json(fh, chunk):
         return array
 
     i = find(_HEAD_END) + len(_HEAD_END)
-    head = json.JSONDecoder().decode(buf[:i].decode("utf-8") + "]}")
+    head = json.JSONDecoder(object_pairs_hook=_unique).decode(buf[:i].decode("utf-8") + "]}")
     del buf[:i]
     yield head
     if not buf:

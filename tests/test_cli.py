@@ -531,27 +531,31 @@ def test_dataset_reader_matches_list_path(desk_files, kind):
 
 
 def test_canonical_sets_never_fall_back(desk_files, monkeypatch):
-    """Every array violina writes has the canonical base64, so the pair table
-    decodes all of it, the padded last groups too: with ``base64.b64decode``
-    made to raise, the desk train and test sets read through the stream and
-    through the list path to the arrays they read to with it."""
-    import base64
+    """Every file violina writes has the layout the stream reads and every
+    array the canonical base64, the padded last groups too, so the desk
+    train and test sets are read by the stream alone: with the list path
+    and the decoder's fault path made to raise, they read to the arrays
+    the list path reads."""
+    import violina.cli as cli
+    import violina.kernel as kernel
 
     paths = [desk_files / f"{kind}.json" for kind in ("train", "test")]
     texts = [a[2] for p in paths for t in json.loads(p.read_text())["trajectories"]
              for a in t.values()]
     assert any(t.endswith("=") for t in texts) and not all(t.endswith("=") for t in texts)
-    expected = [_load_dataset(p).trajectories for p in paths]
+    expected = [Dataset.from_dict(json.loads(p.read_text())).trajectories for p in paths]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("base64.b64decode decoded a canonical text")
+        raise AssertionError("a canonical file left the stream")
 
-    monkeypatch.setattr(base64, "b64decode", refuse)
+    monkeypatch.setattr(cli, "_parse_file", refuse)
+    monkeypatch.setattr(kernel, "_base64_fault", refuse)
     for path, want in zip(paths, expected):
-        for read in (_load_dataset(path), Dataset.from_dict(json.loads(path.read_text()))):
-            for a, b in zip(read.trajectories, want, strict=True):
-                assert a.states.tobytes() == b.states.tobytes()
-                assert a.inputs.tobytes() == b.inputs.tobytes()
+        read = cli._open_dataset(path)
+        assert isinstance(read, cli._DatasetStream)
+        for a, b in zip(read.trajectories, want, strict=True):
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.inputs.tobytes() == b.inputs.tobytes()
 
 
 def test_dataset_reader_yields_json_loads_of_each_trajectory(monkeypatch):
@@ -776,12 +780,17 @@ def test_dataset_reader_errors_match_list_path(suite_dir, tmp_path, capsys, monk
 
 def _list_path(path):
     """Exit code, stderr and dataset of the CLI reading ``path`` as the list
-    path ``Dataset.from_dict(json.load(...))`` does."""
+    path ``Dataset.from_dict(json.load(...))`` does, refusing a repeated
+    member name as the CLI's ``object_pairs_hook`` does."""
+    from violina.cli import ConfigError, _unique_members
+
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_members)
         except json.JSONDecodeError as exc:
             return 2, f"error: {path}: invalid JSON at line {exc.lineno}: {exc.msg}\n", None
+        except ConfigError as exc:
+            return 2, f"error: {path}: {exc}\n", None
     try:
         return 0, "", Dataset.from_dict(obj)
     except (ValueError, TypeError) as exc:
@@ -998,14 +1007,17 @@ def test_dataset_reader_matches_list_path_on_edited_text(tmp_path, monkeypatch):
 
 def _reading(read, text: bytes) -> tuple[list, bool]:
     """The objects ``read`` yields from ``text``, and whether it raised
-    ``ValueError`` after them."""
+    ``ValueError``, or the CLI's ``ConfigError`` for a repeated member,
+    after them."""
     import io
+
+    from violina.cli import ConfigError
 
     objects = []
     try:
         for obj in read(io.BytesIO(text)):
             objects.append(obj)
-    except ValueError:
+    except (ValueError, ConfigError):
         return objects, True
     return objects, False
 
@@ -1016,7 +1028,8 @@ def test_dataset_reader_matches_byte_offset_oracle(monkeypatch):
     the edge arrays, under several heads (extra, escaped and repeated
     members): read in chunks of several sizes, the reader yields the
     objects the byte-offset parser it replaced yields, in order, and raises
-    after exactly as many of them on exactly the same texts."""
+    after exactly as many of them on exactly the same texts.  Both refuse a
+    head that repeats a member, before it is yielded."""
     import random
 
     import violina.cli as cli
@@ -1036,6 +1049,8 @@ def test_dataset_reader_matches_byte_offset_oracle(monkeypatch):
     structural = b'"{}[],:'
     alphabet = [bytes([c]) for c in b'"{}[],: \n\\0123456789eA+/='] + [b"\xc3\xa9"]
     rng = random.Random(20261020)
+    for read in (lambda fh: byte_offset_dataset_json(fh, 1 << 20), cli._read_dataset_json):
+        assert _reading(read, texts[4]) == ([], True)  # the head that repeats "q"
     whole = late = 0  # texts read to the end, and raising after a trajectory
     for _ in range(4000):
         text = rng.choice(texts)
@@ -1145,37 +1160,6 @@ def test_commands_hold_one_trajectory_at_a_time(copies_files, monkeypatch, name)
     assert abs(many - few) <= (traj.states.nbytes + traj.inputs.nbytes) / 2, (few, many)
 
 
-def test_python_3_10_decoder_streams_the_same_bytes(desk_files, tmp_path, monkeypatch):
-    """Under ``base64.b64decode`` as Python 3.10 has it (``conftest``), the
-    stream reads every trajectory of the desk suite, and ``fit``, ``dmdc``
-    and ``evaluate`` write the bytes they write with the stdlib decoder."""
-    import base64
-
-    from conftest import lenient_b64decode
-    from violina.cli import _DatasetStream
-
-    train, test = desk_files / "train.json", desk_files / "test.json"
-    outputs = []
-    for decoder in (base64.b64decode, lenient_b64decode):
-        monkeypatch.setattr(base64, "b64decode", decoder)
-        for path in (train, test):
-            stream = _DatasetStream(path)
-            assert sum(1 for _ in stream.trajectories) == stream.size == len(
-                json.loads(path.read_text())["trajectories"])
-        out = tmp_path / decoder.__name__
-        out.mkdir()
-        for argv in (["fit", "--train", train, "--constraints", "free", "--steps", "5",
-                      "--out", out / "fit.json", "--curve", out / "curve.csv"],
-                     ["dmdc", "--train", train, "--scan-csv", out / "scan.csv",
-                      "--out", out / "dmdc.json"],
-                     ["evaluate", "--model", out / "dmdc.json", "--dataset", test,
-                      "--energy", "--report", out / "report.csv",
-                      "--aggregate", out / "aggregate.json"]):
-            assert main(["--quiet", *map(str, argv)]) == 0
-        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert outputs[0] == outputs[1]
-
-
 def test_dataset_stream_is_read_once(copies_files):
     from violina.cli import _DatasetStream
 
@@ -1236,19 +1220,19 @@ def _brace_in_trajectory_1(d):
     return json.dumps(d, separators=(",", ":"))
 
 
-def _second_trajectories_member(d):
-    text = json.dumps(d, sort_keys=True, separators=(",", ":"))
-    return text.replace('"trajectories":', '"trajectories":'
-                        + json.dumps(d["trajectories"][::-1]) + ',"trajectories":', 1)
+def _states_first_in_trajectory_0(d):
+    trajs = list(d["trajectories"])
+    trajs[0] = {"states": trajs[0]["states"], "inputs": trajs[0]["inputs"]}
+    return json.dumps(dict(d, trajectories=trajs), separators=(",", ":"))
 
 
-@pytest.mark.parametrize("make", [_brace_in_trajectory_1, _second_trajectories_member],
-                         ids=["brace-in-trajectory-1", "two-trajectory-members"])
+@pytest.mark.parametrize("make", [_brace_in_trajectory_1, _states_first_in_trajectory_0],
+                         ids=["brace-in-trajectory-1", "states-first-in-trajectory-0"])
 def test_declined_file_runs_again_on_the_list_path(suite_dir, tmp_path, make):
     """A file the stream stops taking part way through (at trajectory 1), or
-    at its first trajectory (one in another layout, in the first of two
-    ``trajectories`` members), gives ``fit``, ``dmdc`` and ``evaluate`` the
-    bytes they give on the canonical dump of the list path's dataset."""
+    at its first trajectory (one in another layout), gives ``fit``, ``dmdc``
+    and ``evaluate`` the bytes they give on the canonical dump of the list
+    path's dataset."""
     from violina.cli import _dump_dataset, _parse_file
 
     path, canonical = tmp_path / "odd.json", tmp_path / "canonical.json"
@@ -1286,29 +1270,30 @@ def _fewer_after_trajectory_2(text, d):
     return _with_member(text, '"trajectories":' + json.dumps(trajs[:1]))
 
 
-@pytest.mark.parametrize("make, refused", [
+@pytest.mark.parametrize("make, repeated", [
     (lambda text, d: _with_member(text, '"trajectories":' + json.dumps(d["trajectories"][::-1])),
-     True),
-    (lambda text, d: _with_member(text, '"q":1'), True),
-    (_fewer_after_trajectory_2, True),
+     "trajectories"),
+    (lambda text, d: _with_member(text, '"q":1'), "q"),
+    (_fewer_after_trajectory_2, "trajectories"),
     (lambda text, d: _with_member(text, '"trajectories":' + json.dumps(d["trajectories"][:1])),
-     False),
+     "trajectories"),
     (lambda text, d: _with_member(text, '"trajectories":'
                                   + json.dumps(d["trajectories"][:1] + d["trajectories"][2:])),
-     False),
-    (lambda text, d: _with_member(text, '"q":0'), False),
-    (lambda text, d: text[:-40], False),
-    (lambda text, d: text.replace('"label":"}"', '"label":"}"' + ',"states":0', 1), False),
+     "trajectories"),
+    (lambda text, d: _with_member(text, '"q":0'), "q"),
+    (lambda text, d: text[:-40], None),
+    (lambda text, d: text.replace('"label":"}"', '"label":"}"' + ',"states":0', 1), "states"),
+    (lambda text, d: _with_member(text, '"note":0'), None),
 ], ids=["other-trajectories", "other-q", "fewer-trajectories", "only-the-one-read",
-        "same-first-trajectory", "same-q", "truncated-late", "bad-trajectory-1"])
+        "same-first-trajectory", "same-q", "truncated-late", "bad-trajectory-1", "later-note"])
 def test_stream_continues_on_the_list_path_where_they_agree(suite_dir, tmp_path, capsys, make,
-                                                            refused):
+                                                            repeated):
     """A file the stream stops taking at trajectory 1 continues on the list
-    path in place.  A later member that replaces ``q``, ``m`` or the
-    trajectories already read is refused, as the command has used them;
-    otherwise ``evaluate`` exits as on the list path, message and line
+    path in place.  ``evaluate`` exits as on the list path, message and line
     number included, and writes what it writes on the canonical dump of the
-    list path's dataset."""
+    list path's dataset.  A later member that repeats ``q``, ``m`` or the
+    trajectories, or a trajectory's repeated member, is refused naming it,
+    whatever it holds, and nothing is written."""
     from violina.cli import _dump_dataset
 
     def evaluate(dataset):
@@ -1322,15 +1307,66 @@ def test_stream_continues_on_the_list_path_where_they_agree(suite_dir, tmp_path,
     path.write_text(make(_brace_in_trajectory_1(d), d))
     expected_rc, expected_err, listed = _list_path(path)
     rc, err, report = evaluate(path)
-    if refused:
-        assert (expected_rc, rc, err) == (0, 2, f"error: {path}: a later 'q', 'm' or "
-                                          "'trajectories' member replaces data already read\n")
-    else:
-        assert (rc, err) == (expected_rc, expected_err)
+    assert (rc, err) == (expected_rc, expected_err)
+    if repeated:
+        assert err == f"error: {path}: member {repeated!r} appears twice in one object\n"
     if rc == 0:
         _dump_dataset(canonical, listed.trajectories, listed.q, listed.m)
         assert report == evaluate(canonical)[2]
+    else:
+        assert not (tmp_path / "odd.csv").exists()
     assert not list(tmp_path.glob(".*.tmp"))
+
+
+def test_stream_reads_its_file_once(suite_dir, tmp_path, monkeypatch):
+    """A file the stream stops taking at trajectory 1 is read twice in all:
+    once by the stream and once by the list path it continues on."""
+    import violina.cli as cli
+
+    d = json.loads((suite_dir / "markov_train.json").read_text())
+    path = tmp_path / "odd.json"
+    path.write_text(_brace_in_trajectory_1(d))
+    calls = _counted(monkeypatch, cli, ["_dataset_objects", "_load_json"])
+    stream = cli._open_dataset(path)
+    assert isinstance(stream, cli._DatasetStream)
+    assert len(list(stream.trajectories)) == stream.size == len(d["trajectories"])
+    assert calls == {"_dataset_objects": 1, "_load_json": 1}
+
+
+@pytest.mark.parametrize("where", ["end", "head"])
+@pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indent-1"])
+def test_repeated_member_exits_2_in_every_layout(suite_dir, tmp_path, capsys, indent, where):
+    """A dataset that repeats ``q``, after its trajectories or before them,
+    and a model that repeats ``"A"`` exit 2 with the one line naming the
+    file and the member, whether the file is compact, which the stream
+    takes, or indented, which only the list path reads; no file is
+    written."""
+    def layout(name):
+        return json.dumps(json.loads((suite_dir / name).read_text()), sort_keys=True,
+                          indent=indent, separators=None if indent else (",", ":"))
+
+    dataset, model = tmp_path / "data.json", tmp_path / "model.json"
+    text = layout("markov_test.json")
+    if where == "end":
+        dataset.write_text(_with_member(text, '"q":1'))
+    else:
+        dataset.write_text(text.replace('"q":', '"q":1,"q":', 1))
+    model.write_text(_with_member(layout("markov_model.json"), '"A":[[1.0]]'))
+    good_model, good_data = str(suite_dir / "markov_model.json"), str(suite_dir / "markov_test.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv, path, name in (
+            (["evaluate", "--model", good_model, "--dataset", str(dataset)], dataset, "q"),
+            (["evaluate", "--model", str(model), "--dataset", good_data], model, "A"),
+            (["simulate", "--model", good_model, "--dataset", str(dataset)], dataset, "q"),
+            (["fit", "--train", str(dataset), "--constraints", "free", "--steps", "2"],
+             dataset, "q"),
+            (["dmdc", "--train", str(dataset)], dataset, "q")):
+        flag = {"evaluate": "--report"}.get(argv[0], "--out")
+        rc = main(["--quiet", *argv, flag, str(out / "file")])
+        assert (rc, capsys.readouterr().err) == (
+            2, f"error: {path}: member {name!r} appears twice in one object\n"), argv
+        assert not list(out.iterdir())
 
 
 def _counted(monkeypatch, module, names) -> dict:

@@ -160,7 +160,7 @@ def test_pooled_scan_is_fit_index_none():
     suite = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1))
     for train in (suite.markov.train, suite.nonmarkov.train):
         trajs = train.trajectories
-        svd = dmdc._StackSvd(trajs, train.m)
+        svd = dmdc._StackSvd(trajs)
         pooled = dmdc._RankErrors(svd, train.m, group_size=len(trajs))
         for traj in trajs:
             pooled.hold(traj)
@@ -172,6 +172,25 @@ def test_pooled_scan_is_fit_index_none():
         A, B = dmdc_fit(train, scan.best_rank)
         np.testing.assert_array_equal(scan.A, A)
         np.testing.assert_array_equal(scan.B, B)
+
+
+def test_dmdc_bits_do_not_depend_on_the_trajectory_layout():
+    """A streamed trajectory's arrays are Fortran-ordered, a simulated one's
+    C-ordered: the pooled and chosen fits and the scan of trajectory 0 give
+    the same bits on either, since the stacks are C-ordered whatever the
+    windows' layout."""
+    train = build_benchmark_suite(BenchmarkConfig.desk_scale(seed=1)).markov.train
+    fortran = Dataset([Trajectory(np.asfortranarray(t.states), np.asfortranarray(t.inputs))
+                       for t in train.trajectories], train.q, train.m)
+    assert fortran.trajectories[0].states.flags.f_contiguous
+
+    def outputs(data):
+        fits = [dmdc_fit(data, 4), dmdc_fit(data, 4, [2]), dmdc_fit(data, 5, [0, 3])]
+        scan = dmdc_rank_scan(data)
+        return [a.tobytes() for fit in fits for a in fit] + [
+            scan.errors, scan.A.tobytes(), scan.B.tobytes()]
+
+    assert outputs(fortran) == outputs(train)
 
 
 def assert_scan_matches_oracle(train, fit_index=0):

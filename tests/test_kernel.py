@@ -245,15 +245,31 @@ _TEXT_FAULTS = {
 }
 
 
+_OUTSIDE = "not base64: a character outside the alphabet"
+_PADDING = "not base64: '=' that is not the last group's padding"
+_LENGTH = "not base64: a length that is not a multiple of 4"
+
+
+def _text_fault_message(label: str, rows: int) -> str:
+    """The reason ``json_table`` gives for ``_TEXT_FAULTS[label]`` of the
+    ``rows x 2`` text, which has 2, 1 and no ``=`` for 1, 2 and 3 rows."""
+    return {"padding-inside": _PADDING, "padding-group": _PADDING,
+            "padding-extra": _PADDING if rows == 1 else _LENGTH, "padding-missing": _LENGTH,
+            "group-missing": f"{3 * (-(-16 * rows // 3) - 1)} bytes, but {rows} x 2 floats "
+                             f"take {16 * rows}",
+            "not-ascii": "not base64: a character that is not ASCII"}.get(label, _OUTSIDE)
+
+
 @pytest.mark.parametrize("lenient", [False, True], ids=["stdlib", "py310-decoder"])
 @pytest.mark.parametrize("rows", [1, 2, 3])  # one, two and no padding characters
 def test_json_table_refuses_bad_base64_on_either_decoder(monkeypatch, rows, lenient):
-    """A packed array is read the same, and every malformed text refused,
-    whether ``base64.b64decode`` checks strictly itself (Python 3.11+) or
-    only the alphabet (3.10): the text- and byte-length checks of
-    ``json_table`` hold the rest.  Each text the pair table declines, a
-    foreign character in any place of the first, a middle or the last group
-    too, is refused with the message of the ``base64.b64decode`` path."""
+    """A packed array is read the same, and every malformed text refused
+    with one fixed reason, whether ``base64.b64decode`` checks strictly
+    itself (Python 3.11+) or only the alphabet (3.10): ``json_table`` does
+    not use it.  Well-formed base64 of the wrong size names its byte count;
+    a foreign character in any place of the first, a middle or the last
+    group too is refused.  ``stdlib_packed_block``, the decoder the pair
+    table replaced, refuses the same texts on either."""
     import base64
 
     from violina.kernel import json_table, pack_floats
@@ -264,15 +280,16 @@ def test_json_table_refuses_bad_base64_on_either_decoder(monkeypatch, rows, leni
     good = pack_floats(a)
     assert good[2].count("=") == (0, 2, 1)[16 * rows % 3]
     read = json_table({"x": good}, "x")
-    assert read.tobytes() == a.tobytes() and read.flags.owndata
+    assert read.tobytes() == a.tobytes() == stdlib_packed_block("'x'", good[2], rows, 2).tobytes()
+    assert read.flags.owndata
     for label, fault in _TEXT_FAULTS.items():
         text = fault(good[2])
         assert text != good[2], label
-        with pytest.raises(ValueError, match="^'x'") as stdlib:
-            stdlib_packed_block("'x'", text, rows, 2)
-        with pytest.raises(ValueError, match="^'x'") as refused:
+        with pytest.raises(ValueError) as refused:
             json_table({"x": [rows, 2, text]}, "x")
-        assert str(refused.value) == str(stdlib.value), label
+        assert str(refused.value) == f"'x': {_text_fault_message(label, rows)}", label
+        with pytest.raises(ValueError, match="^'x'"):
+            stdlib_packed_block("'x'", text, rows, 2)
 
 
 def test_packed_needs_a_shape_not_rows():
